@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,22 +64,8 @@ def write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def write_json(path: Path | None, payload: dict) -> str:
-    text = json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda o: o.tolist()) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -267,115 +254,93 @@ FIGURE_WRITERS = {
 
 # --- compute ------------------------------------------------------------------
 
-_MODES = ("evolve", "qfi", "fi", "optimize", "bound")
-_DEFAULT_PARAMS = {"omega0": 1.0, "delta_omega": 0.0, "epsilon": 0.0, "gamma": 1.0, "n_bath": 0.0}
+_SECTIONS = ("params", "protocol", "grid")
+# Every accepted key, as a dotted path; mode is checked on its own.
+_FIELDS = (
+    "t",
+    *(f"params.{f.name}" for f in fields(SystemParams)),
+    *(f"protocol.{name}" for name in ("kind", "alpha", "alpha_phase", "r", "r_phase", "psi")),
+    *(f"protocol.{f.name}" for f in fields(ResourceBudget)),
+    "grid.t_min", "grid.t_max",
+)
+# protocol.total_time defaults to the evaluation time t (see _build_spec).
+_DEFAULTS = {
+    "params.omega0": 1.0, "params.epsilon": 0.0, "params.gamma": 1.0,
+    "params.n_bath": 0.0, "params.delta_omega": 0.0,
+    "protocol.kind": "PQS", "protocol.n_max": 1.0, "protocol.t_pm": 0.0,
+    "protocol.alpha": 0.0, "protocol.alpha_phase": 0.0, "protocol.r": 0.0, "protocol.r_phase": 0.0,
+}
+_NON_NEGATIVE = ("params.gamma", "params.n_bath", "params.epsilon")
+# Each mode and the paths it requires.
+_REQUIRED = {
+    "evolve": ("t",), "qfi": ("t",), "fi": ("t",),
+    "optimize": ("grid.t_min", "grid.t_max"),
+    "bound": ("protocol.n_max", "protocol.total_time"),
+}
+_MODES = tuple(_REQUIRED)
 
 
-def _validate_config(cfg: dict) -> list[str]:
-    problems = []
+def _parse_config(cfg) -> dict:
+    """The given values of a compute config by dotted path; ConfigError lists
+    every problem, each starting with its path."""
     if not isinstance(cfg, dict):
-        return ["<root>: configuration must be a JSON object"]
-    mode = cfg.get("mode")
+        raise ConfigError(["<root>: configuration must be a JSON object"])
+    given, problems = {}, []
+    for key, value in cfg.items():
+        if key in ("mode", "t"):
+            given[key] = value
+        elif key not in _SECTIONS:
+            problems.append(f"{key}: unknown field")
+        elif isinstance(value, dict):
+            given.update((f"{key}.{sub}", v) for sub, v in value.items())
+        else:
+            problems.append(f"{key}: must be an object")
+    mode = given.get("mode")
     if mode not in _MODES:
         problems.append(f"mode: expected one of {list(_MODES)}, got {mode!r}")
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        problems.append("params: must be an object")
-        params = {}
-    for key, value in params.items():
-        if key not in _DEFAULT_PARAMS:
-            problems.append(f"params.{key}: unknown field")
+    for path, value in given.items():
+        if path == "mode":
+            continue
+        if path not in _FIELDS:
+            problems.append(f"{path}: unknown field")
+        elif path == "protocol.kind":
+            if value not in ("CQS", "PQS"):
+                problems.append(f"protocol.kind: expected 'CQS' or 'PQS', got {value!r}")
         elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append(f"params.{key}: must be a number, got {value!r}")
-    for key in ("gamma", "n_bath", "epsilon"):
-        value = params.get(key, _DEFAULT_PARAMS[key])
-        if isinstance(value, (int, float)) and value < 0:
-            problems.append(f"params.{key}: must be >= 0, got {value!r}")
-    protocol = cfg.get("protocol", {})
-    if not isinstance(protocol, dict):
-        problems.append("protocol: must be an object")
-        protocol = {}
-    kind = protocol.get("kind", "PQS")
-    if kind not in ("CQS", "PQS"):
-        problems.append(f"protocol.kind: expected 'CQS' or 'PQS', got {kind!r}")
-    for key in ("alpha", "alpha_phase", "r", "r_phase", "n_max", "total_time", "t_pm", "psi"):
-        value = protocol.get(key)
-        if value is not None and (not isinstance(value, (int, float)) or isinstance(value, bool)):
-            problems.append(f"protocol.{key}: must be a number, got {value!r}")
-    if mode in ("evolve", "qfi", "fi"):
-        if not isinstance(cfg.get("t"), (int, float)):
-            problems.append("t: required number for this mode")
-    grid = cfg.get("grid")
-    if grid is not None:
-        if not isinstance(grid, dict):
-            problems.append("grid: must be an object")
-        else:
-            points = grid.get("points", 2)
-            if not isinstance(points, int) or not (2 <= points <= 10 ** 6):
-                problems.append(f"grid.points: must be an integer in [2, 1e6], got {points!r}")
-            t_min, t_max = grid.get("t_min"), grid.get("t_max")
-            if not isinstance(t_min, (int, float)) or not isinstance(t_max, (int, float)):
-                problems.append("grid.t_min/t_max: required numbers")
-            elif not (0 < t_min < t_max):
-                problems.append(f"grid: need 0 < t_min < t_max, got {t_min!r}, {t_max!r}")
-            if grid.get("spacing", "log") not in ("linear", "log"):
-                problems.append(f"grid.spacing: expected 'linear' or 'log', got {grid.get('spacing')!r}")
-    if mode == "optimize" and grid is None:
-        problems.append("grid: required for optimize mode (search bracket)")
-    if mode == "bound":
-        if not isinstance(protocol.get("n_max"), (int, float)):
-            problems.append("protocol.n_max: required for bound mode")
-        if not isinstance(protocol.get("total_time"), (int, float)):
-            problems.append("protocol.total_time: required for bound mode")
-    return problems
+            problems.append(f"{path}: must be a number, got {value!r}")
+        elif path in _NON_NEGATIVE and value < 0:
+            problems.append(f"{path}: must be >= 0, got {value!r}")
+    if mode in _MODES:
+        problems += [f"{path}: required for {mode} mode" for path in _REQUIRED[mode] if path not in given]
+    t_min, t_max = given.get("grid.t_min"), given.get("grid.t_max")
+    if isinstance(t_min, (int, float)) and isinstance(t_max, (int, float)) and not (0 < t_min < t_max):
+        problems.append(f"grid: need 0 < t_min < t_max, got {t_min!r}, {t_max!r}")
+    if problems:
+        raise ConfigError(problems)
+    return given
 
 
-def _build_spec(cfg: dict) -> ProtocolSpec:
-    params_cfg = {**_DEFAULT_PARAMS, **cfg.get("params", {})}
-    protocol = cfg.get("protocol", {})
-    kind = ProtocolKind(protocol.get("kind", "PQS"))
-    n_max = float(protocol.get("n_max", 1.0))
-    total_time = float(protocol.get("total_time", max(float(cfg.get("t", 1.0)), 1e-12)))
-    budget = ResourceBudget(n_max=n_max, total_time=total_time, t_pm=float(protocol.get("t_pm", 0.0)))
-    params = SystemParams(
-        omega0=float(params_cfg["omega0"]),
-        epsilon=float(params_cfg["epsilon"]),
-        gamma=float(params_cfg["gamma"]),
-        n_bath=float(params_cfg["n_bath"]),
-        delta_omega=float(params_cfg["delta_omega"]),
-    )
+def _build_spec(given: dict) -> ProtocolSpec:
+    conf = {**_DEFAULTS, "protocol.total_time": max(float(given.get("t", 1.0)), 1e-12), **given}
+
+    def build(cls, section: str):
+        return cls(**{f.name: float(conf[f"{section}.{f.name}"]) for f in fields(cls)})
+
+    kind = ProtocolKind(conf["protocol.kind"])
+    budget = build(ResourceBudget, "protocol")
+    params = build(SystemParams, "params")
     pqs_input = None
     if kind is ProtocolKind.PQS:
         if params.epsilon != 0.0:
             raise ConfigError(["params.epsilon: must be 0 for the PQS strategy"])
-        if "alpha" in protocol or "r" in protocol:
+        if "protocol.alpha" in given or "protocol.r" in given:
             pqs_input = (
-                DisplacementAmplitude(float(protocol.get("alpha", 0.0)), float(protocol.get("alpha_phase", 0.0))),
-                SqueezeParam(float(protocol.get("r", 0.0)), float(protocol.get("r_phase", 0.0))),
+                DisplacementAmplitude(float(conf["protocol.alpha"]), float(conf["protocol.alpha_phase"])),
+                SqueezeParam(float(conf["protocol.r"]), float(conf["protocol.r_phase"])),
             )
-    else:
-        if params.epsilon == 0.0:
-            params = SystemParams(
-                omega0=params.omega0,
-                epsilon=epsilon_opt(n_max, params),
-                gamma=params.gamma,
-                n_bath=params.n_bath,
-                delta_omega=params.delta_omega,
-            )
+    elif params.epsilon == 0.0:
+        params = replace(params, epsilon=epsilon_opt(budget.n_max, params))
     return ProtocolSpec(kind, params, budget, pqs_input)
-
-
-def _report_payload(report) -> dict:
-    return {
-        "qfi_single_shot": report.qfi_single_shot,
-        "fi_homodyne_best": report.fi_homodyne_best,
-        "best_psi": report.best_psi,
-        "photons_at_t": report.photons_at_t,
-        "repetitions": report.repetitions,
-        "total_qfi": report.total_qfi,
-        "bound_value": report.bound_value,
-        "t_opt": report.t_opt,
-    }
 
 
 def _state_payload(state) -> dict:
@@ -388,18 +353,16 @@ def _state_payload(state) -> dict:
 
 
 def run_compute(cfg: dict) -> dict:
-    problems = _validate_config(cfg)
-    if problems:
-        raise ConfigError(problems)
-    mode = cfg["mode"]
+    given = _parse_config(cfg)
+    mode = given["mode"]
     payload: dict = {
         "library": {"name": "critsense", "version": __version__},
         "config": cfg,
         "mode": mode,
     }
-    spec = _build_spec(cfg)
+    spec = _build_spec(given)
     if mode == "evolve":
-        t = float(cfg["t"])
+        t = float(given["t"])
         state0 = spec.input_state()
         if spec.kind is ProtocolKind.CQS:
             state = evolve_critical(spec.params, state0, t)
@@ -407,18 +370,16 @@ def run_compute(cfg: dict) -> dict:
             state = evolve_passive(spec.params, state0, t)
         payload["state"] = _state_payload(state)
     elif mode in ("qfi", "fi"):
-        t = float(cfg["t"])
+        t = float(given["t"])
         report = total_qfi(spec, t)
-        payload["report"] = _report_payload(report)
-        if mode == "fi":
-            psi = cfg.get("protocol", {}).get("psi")
-            if psi is not None:
-                pair, _ = protocols.single_shot_quantities(spec, t)
-                payload["fi_at_psi"] = fi_homodyne(pair, HomodyneSetting(float(psi)))
-                payload["psi"] = float(psi)
+        payload["report"] = asdict(report)
+        if mode == "fi" and "protocol.psi" in given:
+            psi = float(given["protocol.psi"])
+            pair, _ = protocols.single_shot_quantities(spec, t)
+            payload["fi_at_psi"] = fi_homodyne(pair, HomodyneSetting(psi))
+            payload["psi"] = psi
     elif mode == "optimize":
-        grid = cfg["grid"]
-        bracket = (float(grid["t_min"]), float(grid["t_max"]))
+        bracket = (float(given["grid.t_min"]), float(given["grid.t_max"]))
 
         def rate(t: float) -> float:
             pair, _ = protocols.single_shot_quantities(spec, t)
@@ -426,23 +387,17 @@ def run_compute(cfg: dict) -> dict:
 
         t_opt, best_rate = optimize_time(rate, spec.budget, bracket)
         report = total_qfi(spec, t_opt, t_opt=t_opt)
-        payload["report"] = _report_payload(report)
+        payload["report"] = asdict(report)
         payload["best_rate"] = best_rate
     elif mode == "bound":
-        protocol = cfg.get("protocol", {})
-        n_max = float(protocol["n_max"])
-        total_time = float(protocol["total_time"])
-        gamma = float({**_DEFAULT_PARAMS, **cfg.get("params", {})}["gamma"])
-        n_bath = float({**_DEFAULT_PARAMS, **cfg.get("params", {})}["n_bath"])
-        kind = protocol.get("kind")
-        if kind == "CQS":
+        if "protocol.kind" not in given:
+            traj = lambda t: spec.budget.n_max
+        elif spec.kind is ProtocolKind.CQS:
             traj = lambda t: dynamics.mean_photons_vs_time(spec.params, t)
-        elif kind == "PQS":
+        else:
             state0 = spec.input_state()
             traj = lambda t: mean_photons(evolve_passive(spec.params, state0, t))
-        else:
-            traj = lambda t: n_max
-        result = fundamental_bound(traj, total_time, gamma, n_bath)
+        result = fundamental_bound(traj, spec.budget.total_time, spec.params.gamma, spec.params.n_bath)
         payload["bound_integral"] = result.integral
         payload["bound_cap"] = result.cap
         payload["bound_value"] = result.cap
@@ -520,7 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.set_defaults(func=cmd_compute)
 
     p_val = sub.add_parser("validate", help="run the oracle and invariant suite")
-    p_val.add_argument("--filter", default=None, help="only run checks whose name contains this")
+    p_val.add_argument(
+        "--filter", default=None,
+        help="only run checks whose name (dynamics.semigroup) or function (check_semigroup) contains this",
+    )
     p_val.set_defaults(func=cmd_validate)
 
     return parser

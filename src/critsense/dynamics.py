@@ -31,10 +31,6 @@ from .gaussian import GaussianState, mean_photons, purity, rotation_matrix, ther
 # Relative half-width of the eigenvalue-degeneracy window used for regime labels.
 DEGENERACY_ETA = 1e-9
 
-# Test hook: scales the drive-induced (a†-mixing) part of the propagator only.
-# Used by the validation suite to prove the analytic/RK4 cross-check can fail.
-_C2_SCALE = 1.0
-
 
 class Regime(str, Enum):
     BELOW = "below_eigenvalue_split"
@@ -148,7 +144,7 @@ def _decayed_cosh_sinhc(gamma: float, s: float, tau: float) -> tuple[float, floa
 def _drive_matrix(params: SystemParams) -> np.ndarray:
     """Traceless part B of the drift, A = -gamma I + B, with B^2 = s I."""
     w = params.omega
-    eps = params.epsilon * _C2_SCALE
+    eps = params.epsilon
     return np.array([[0.0, w - eps], [-(w + eps), 0.0]])
 
 

@@ -156,7 +156,7 @@ def fi_homodyne(pair: DerivativePair, setting: HomodyneSetting) -> float:
     c, sn = math.cos(setting.psi), math.sin(setting.psi)
     ds = pair.dsigma
     dvar = c * c * ds[0, 0] + sn * sn * ds[1, 1] - 2.0 * sn * c * ds[0, 1]
-    dmean = c * pair.dv[0] + sn * pair.dv[1]
+    dmean = c * pair.dv[0] - sn * pair.dv[1]
     return (4.0 * var * dmean * dmean + dvar * dvar) / (2.0 * var * var)
 
 

@@ -146,38 +146,36 @@ class MetrologyReport:
 # --- derivative families -----------------------------------------------------
 
 
-def _fd_step(params: SystemParams, h: float | None) -> float:
-    if h is not None:
-        return h
+def _fd_step(params: SystemParams) -> float:
     scale = max(params.gamma, abs(params.omega0), params.epsilon, 1.0e-30)
     return 1e-5 * scale
 
 
-def cqs_pair(params: SystemParams, t: float, h: float | None = None) -> DerivativePair:
+def cqs_pair(params: SystemParams, t: float) -> DerivativePair:
     """State and shift-derivative of the driven protocol at time t."""
     start = thermal_state(params.n_bath)
 
     def family(delta: float) -> GaussianState:
         return evolve_critical(params.with_shift(delta), start, t)
 
-    return differentiate_at_zero_shift(family, h=_fd_step(params, h))
+    return differentiate_at_zero_shift(family, h=_fd_step(params))
 
 
-def cqs_qfi(params: SystemParams, t: float, h: float | None = None) -> float:
+def cqs_qfi(params: SystemParams, t: float) -> float:
     """Single-shot QFI of the driven protocol started from bath equilibrium."""
-    return qfi(cqs_pair(params, t, h))
+    return qfi(cqs_pair(params, t))
 
 
-def cqs_steady_pair(params: SystemParams, h: float | None = None) -> DerivativePair:
+def cqs_steady_pair(params: SystemParams) -> DerivativePair:
     def family(delta: float) -> GaussianState:
         return steady_state(params.with_shift(delta))
 
-    return differentiate_at_zero_shift(family, h=_fd_step(params, h))
+    return differentiate_at_zero_shift(family, h=_fd_step(params))
 
 
-def cqs_qfi_steady(params: SystemParams, h: float | None = None) -> float:
+def cqs_qfi_steady(params: SystemParams) -> float:
     """QFI of the stationary state family (the long-time limit of cqs_qfi)."""
-    return qfi(cqs_steady_pair(params, h))
+    return qfi(cqs_steady_pair(params))
 
 
 def pqs_pair(
@@ -185,7 +183,6 @@ def pqs_pair(
     squeeze: SqueezeParam,
     params: SystemParams,
     t: float,
-    h: float | None = None,
 ) -> DerivativePair:
     """State and shift-derivative of the passive protocol at time t."""
     if params.epsilon != 0.0:
@@ -195,7 +192,7 @@ def pqs_pair(
     def family(delta: float) -> GaussianState:
         return evolve_passive(params.with_shift(delta), start, t)
 
-    return differentiate_at_zero_shift(family, h=_fd_step(params, h))
+    return differentiate_at_zero_shift(family, h=_fd_step(params))
 
 
 def pqs_qfi(
@@ -203,22 +200,24 @@ def pqs_qfi(
     squeeze: SqueezeParam,
     params: SystemParams,
     t: float,
-    h: float | None = None,
 ) -> float:
     """Single-shot QFI of the passive protocol."""
-    return qfi(pqs_pair(alpha, squeeze, params, t, h))
+    return qfi(pqs_pair(alpha, squeeze, params, t))
 
 
-def best_homodyne(pair: DerivativePair, n_grid: int = 192) -> tuple[float, float]:
+_HOMODYNE_GRID = 192
+
+
+def best_homodyne(pair: DerivativePair) -> tuple[float, float]:
     """Maximize the homodyne Fisher information over the quadrature angle.
 
     Returns (psi, fi). Scans a half-period grid, then polishes with a local
     golden-section search around the best grid point.
     """
-    psis = np.linspace(0.0, math.pi, n_grid, endpoint=False)
+    psis = np.linspace(0.0, math.pi, _HOMODYNE_GRID, endpoint=False)
     values = [fi_homodyne(pair, HomodyneSetting(p)) for p in psis]
     i = int(np.argmax(values))
-    span = math.pi / n_grid
+    span = math.pi / _HOMODYNE_GRID
 
     def f(psi: float) -> float:
         return fi_homodyne(pair, HomodyneSetting(psi))
@@ -354,7 +353,7 @@ def beyond_threshold_epsilon(n_max: float, total_time: float, omega0: float) -> 
     return math.hypot(omega0, u)
 
 
-def beyond_threshold_qfi(params: SystemParams, t: float, h: float | None = None) -> float:
+def beyond_threshold_qfi(params: SystemParams, t: float) -> float:
     """QFI of the lossless quench above the critical point."""
     if params.gamma > 0:
         raise UnsupportedRegimeError(
@@ -366,7 +365,7 @@ def beyond_threshold_qfi(params: SystemParams, t: float, h: float | None = None)
         raise DomainError(
             f"epsilon = {params.epsilon!r} is not above the critical point {params.epsilon_c!r}"
         )
-    return cqs_qfi(params, t, h)
+    return cqs_qfi(params, t)
 
 
 # --- resource accounting and bounds -------------------------------------------
@@ -375,33 +374,6 @@ def beyond_threshold_qfi(params: SystemParams, t: float, h: float | None = None)
 class BoundResult(NamedTuple):
     integral: float
     cap: float
-
-
-def _adaptive_simpson(
-    f: Callable[[float], float], a: float, b: float, rel_tol: float
-) -> float:
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, depth):
-        xm = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if depth <= 0:
-            return left + right
-        err = left + right - whole
-        if abs(err) <= 15.0 * rel_tol * max(abs(left + right), 1e-300):
-            return left + right + err / 15.0
-        return recurse(x0, xm, f0, fl, f1, left, depth - 1) + recurse(
-            xm, x2, f1, fr, f2, right, depth - 1
-        )
-
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, 48)
 
 
 def fundamental_bound(
@@ -420,6 +392,8 @@ def fundamental_bound(
         raise DomainError("total_time must be positive")
     if gamma < 0 or n_bath < 0:
         raise DomainError("gamma and n_bath must be >= 0")
+    if gamma == 0:
+        return BoundResult(math.inf, math.inf)
 
     sup_n = 0.0
 
@@ -429,13 +403,15 @@ def fundamental_bound(
         if not math.isfinite(n) or n < 0:
             raise DomainError(f"photon trajectory must be >= 0, got {n!r} at t = {t!r}")
         sup_n = max(sup_n, n)
-        if gamma == 0:
-            return math.inf if n > 0 else 0.0
         return 2.0 * n / (gamma * (1.0 + 2.0 * n_bath - n_bath / (n + 1.0)))
 
-    if gamma == 0:
-        return BoundResult(math.inf, math.inf)
-    integral = _adaptive_simpson(integrand, 0.0, total_time, rel_tol=1e-8)
+    # Imported here: scipy.integrate adds ~40% to the package's import time.
+    from scipy.integrate import quad
+
+    # quad samples only interior points; the endpoints complete sup_n.
+    integrand(0.0)
+    integrand(total_time)
+    integral, _ = quad(integrand, 0.0, total_time, epsabs=0.0, epsrel=1e-10, limit=200)
     cap = (
         2.0
         * sup_n
@@ -455,15 +431,13 @@ def budget_cap(budget: ResourceBudget, gamma: float, n_bath: float = 0.0) -> flo
     )
 
 
-def single_shot_quantities(
-    spec: ProtocolSpec, t_single: float, h: float | None = None
-) -> tuple[DerivativePair, float]:
+def single_shot_quantities(spec: ProtocolSpec, t_single: float) -> tuple[DerivativePair, float]:
     """Derivative pair and photons at the measurement time for one repetition."""
     if spec.kind is ProtocolKind.CQS:
-        pair = cqs_pair(spec.params, t_single, h)
+        pair = cqs_pair(spec.params, t_single)
     else:
         alpha, squeeze = spec.pqs_input
-        pair = pqs_pair(alpha, squeeze, spec.params, t_single, h)
+        pair = pqs_pair(alpha, squeeze, spec.params, t_single)
     return pair, mean_photons(pair.state)
 
 

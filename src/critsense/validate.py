@@ -6,6 +6,7 @@ check returns a CheckResult; the suite passes only if every check does.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -34,6 +35,25 @@ class CheckResult:
     passed: bool
     tolerance: str
     detail: str
+
+
+# What a check body returns: (passed, tolerance, detail).
+Outcome = tuple[bool, str, str]
+
+
+def _named(name: str):
+    """Give a check its one name, printed with its result and matched by
+    `run_checks`; the decorated check returns a CheckResult."""
+
+    def wrap(body: Callable[[], Outcome]) -> Callable[[], CheckResult]:
+        @functools.wraps(body)
+        def check() -> CheckResult:
+            return CheckResult(name, *body())
+
+        check.check_name = name
+        return check
+
+    return wrap
 
 
 # Parameter battery (omega0, epsilon, gamma, n_bath) spanning every dynamical
@@ -85,7 +105,8 @@ def _rel_state_diff(a: GaussianState, b: GaussianState) -> float:
     ) / scale
 
 
-def check_rk4_agreement() -> CheckResult:
+@_named("dynamics.rk4_agreement")
+def check_rk4_agreement() -> Outcome:
     """Analytic propagator vs RK4 Lyapunov over all regimes."""
     worst = 0.0
     worst_at = ""
@@ -101,15 +122,15 @@ def check_rk4_agreement() -> CheckResult:
                 worst, worst_at = diff, f"eps={params.epsilon:g} t={t:.3g}"
         if worst > 1e-6:
             break  # grossly broken; no need to finish the battery
-    return CheckResult(
-        "dynamics.rk4_agreement",
+    return (
         worst <= 1e-8,
         "<= 1e-8 relative",
         f"worst {worst:.2e} at {worst_at}",
     )
 
 
-def check_semigroup() -> CheckResult:
+@_named("dynamics.semigroup")
+def check_semigroup() -> Outcome:
     """evolve(t1 + t2) equals evolve(t2) after evolve(t1)."""
     worst = 0.0
     for params in battery_params():
@@ -120,12 +141,11 @@ def check_semigroup() -> CheckResult:
             direct = evolve_critical(params, state0, t1 + t2)
             stepped = evolve_critical(params, evolve_critical(params, state0, t1), t2)
             worst = max(worst, _rel_state_diff(stepped, direct))
-    return CheckResult(
-        "dynamics.semigroup", worst <= 1e-9, "<= 1e-9 relative", f"worst {worst:.2e}"
-    )
+    return worst <= 1e-9, "<= 1e-9 relative", f"worst {worst:.2e}"
 
 
-def check_exceptional_continuity() -> CheckResult:
+@_named("dynamics.exceptional_continuity")
+def check_exceptional_continuity() -> Outcome:
     """Propagation is continuous through the exceptional point."""
     worst = 0.0
     for gamma in (1.0, 0.5):
@@ -138,15 +158,15 @@ def check_exceptional_continuity() -> CheckResult:
                 off = evolve_critical(near, state0, t)
                 scale = max(float(np.linalg.norm(mid.sigma)), 1.0)
                 worst = max(worst, float(np.linalg.norm(off.sigma - mid.sigma)) / scale)
-    return CheckResult(
-        "dynamics.exceptional_continuity",
+    return (
         worst <= 1e-5,
         "<= 1e-5 relative",
         f"worst {worst:.2e}",
     )
 
 
-def check_steady_state_residual() -> CheckResult:
+@_named("dynamics.steady_state_residual")
+def check_steady_state_residual() -> Outcome:
     """A Sigma_ss + Sigma_ss A^T + D vanishes."""
     worst = 0.0
     for params in battery_params():
@@ -156,15 +176,15 @@ def check_steady_state_residual() -> CheckResult:
         sig = steady_state(params).sigma
         res = A @ sig + sig @ A.T + D
         worst = max(worst, float(np.max(np.abs(res))) / max(float(np.max(np.abs(sig))), 1.0))
-    return CheckResult(
-        "dynamics.steady_state_residual",
+    return (
         worst <= 1e-10,
         "<= 1e-10 relative",
         f"worst {worst:.2e}",
     )
 
 
-def check_photon_monotonicity() -> CheckResult:
+@_named("dynamics.photon_monotonicity")
+def check_photon_monotonicity() -> Outcome:
     """N(t) grows monotonically inside the transient window (n_bath = 0)."""
     ok = True
     detail = []
@@ -177,15 +197,15 @@ def check_photon_monotonicity() -> CheckResult:
         if drops:
             ok = False
             detail.append(f"eps={eps:g}: {drops} drops")
-    return CheckResult(
-        "dynamics.photon_monotonicity",
+    return (
         ok,
         "non-decreasing on 1000-point grid",
         "; ".join(detail) or "monotone for all transient drives",
     )
 
 
-def check_physicality() -> CheckResult:
+@_named("dynamics.physicality")
+def check_physicality() -> Outcome:
     """Evolved covariances satisfy the uncertainty relation."""
     worst = 0.0
     for params in battery_params():
@@ -195,8 +215,7 @@ def check_physicality() -> CheckResult:
             st = evolve_critical(params, state0, frac * t_max)
             scale = max(1.0, float(np.max(np.abs(st.sigma))) ** 2)
             worst = max(worst, (1.0 - st.det_sigma) / scale)
-    return CheckResult(
-        "dynamics.physicality",
+    return (
         worst <= 1e-10,
         "det(sigma) >= 1 - 1e-10 (scale-relative)",
         f"worst violation {worst:.2e}",
@@ -224,7 +243,8 @@ def _pair_battery():
     return pairs
 
 
-def check_measurement_bounds() -> CheckResult:
+@_named("metrology.measurement_bounds")
+def check_measurement_bounds() -> Outcome:
     """Homodyne FI and photon-counting SNR never exceed the QFI."""
     worst = 0.0
     for label, pair in _pair_battery():
@@ -234,15 +254,15 @@ def check_measurement_bounds() -> CheckResult:
             worst = max(worst, ratio)
         if float(np.linalg.norm(pair.state.v)) < 1e-12:
             worst = max(worst, snr_photon_counting(pair) / info)
-    return CheckResult(
-        "metrology.measurement_bounds",
+    return (
         worst <= 1.0 + 1e-6,
         "FI, SNR <= QFI (1 + 1e-6)",
         f"max ratio {worst:.9f}",
     )
 
 
-def check_qfi_fidelity_agreement() -> CheckResult:
+@_named("metrology.qfi_fidelity_agreement")
+def check_qfi_fidelity_agreement() -> Outcome:
     """QFI formula vs closed-form fidelity quotient."""
     worst = 0.0
     cases: list[tuple[str, Callable[[float], GaussianState]]] = []
@@ -260,15 +280,15 @@ def check_qfi_fidelity_agreement() -> CheckResult:
         reference = qfi(differentiate_at_zero_shift(family))
         estimate = qfi_fidelity_oracle(family, 1e-4)
         worst = max(worst, abs(estimate - reference) / reference)
-    return CheckResult(
-        "metrology.qfi_fidelity_agreement",
+    return (
         worst <= 1e-4,
         "<= 1e-4 relative",
         f"worst {worst:.2e}",
     )
 
 
-def check_qfi_symplectic_invariance() -> CheckResult:
+@_named("metrology.symplectic_invariance")
+def check_qfi_symplectic_invariance() -> Outcome:
     """QFI is unchanged by a fixed symplectic congruence of state and derivative."""
     from .gaussian import SqueezeParam, rotation_matrix, squeeze_matrix
     from .metrology import DerivativePair
@@ -285,15 +305,15 @@ def check_qfi_symplectic_invariance() -> CheckResult:
                 S @ pair.dsigma @ S.T,
             )
             worst = max(worst, abs(qfi(moved) - base) / base)
-    return CheckResult(
-        "metrology.symplectic_invariance",
+    return (
         worst <= 1e-9,
         "<= 1e-9 relative",
         f"worst {worst:.2e}",
     )
 
 
-def check_fd_convergence() -> CheckResult:
+@_named("metrology.fd_convergence")
+def check_fd_convergence() -> Outcome:
     """Richardson error estimate shrinks at least 4x when the step halves."""
     params = SystemParams(1.0, 1.2, 1.0)
     start = thermal_state(0.0)
@@ -305,15 +325,15 @@ def check_fd_convergence() -> CheckResult:
     e2 = differentiate_at_zero_shift(family, h=5e-4).error_estimate
     ratio = e1 / e2 if e2 > 0 else math.inf
     # The ratio is 4 up to O(h^2) contamination from higher-order terms.
-    return CheckResult(
-        "metrology.fd_convergence",
+    return (
         ratio >= 4.0 * (1.0 - 1e-3),
         "error estimate ratio >= 4 per halving (1e-3 slack)",
         f"ratio {ratio:.6f}",
     )
 
 
-def check_bound_gate() -> CheckResult:
+@_named("protocols.bound_gate")
+def check_bound_gate() -> Outcome:
     """Every protocol report respects the dissipative precision bound."""
     from .gaussian import DisplacementAmplitude, SqueezeParam
 
@@ -333,30 +353,30 @@ def check_bound_gate() -> CheckResult:
     for t in (0.1, 0.8, 2.0):
         reports.append(protocols.total_qfi(pqs, t))
     worst = max(r.total_qfi / r.bound_value for r in reports)
-    return CheckResult(
-        "protocols.bound_gate",
+    return (
         worst <= 1.0 + 1e-6,
         "total QFI <= bound (1 + 1e-6)",
         f"max ratio {worst:.6f}",
     )
 
 
-def check_cqs_qfi_monotone() -> CheckResult:
+@_named("protocols.cqs_qfi_monotone")
+def check_cqs_qfi_monotone() -> Outcome:
     """Transient CQS QFI grows toward the steady state."""
     params = SystemParams(1.0, 1.4, 1.0)
     lam = spectral_info(params).lambda_minus.real
     grid = np.linspace(0.5, 10.0 / lam, 40)
     values = [protocols.cqs_qfi(params, float(t)) for t in grid]
     drops = sum(1 for a, b in zip(values, values[1:]) if b < a * (1.0 - 1e-9))
-    return CheckResult(
-        "protocols.cqs_qfi_monotone",
+    return (
         drops == 0,
         "non-decreasing over the transient",
         f"{drops} drops over 40 samples",
     )
 
 
-def check_omega0_optimality() -> CheckResult:
+@_named("protocols.omega0_optimality")
+def check_omega0_optimality() -> Outcome:
     """The steady-state QFI rate coefficient peaks at omega0 = gamma."""
     gamma = 1.0
     z = 0.995  # fixed (epsilon/epsilon_c)^2
@@ -370,30 +390,30 @@ def check_omega0_optimality() -> CheckResult:
     values = [coeff(float(w)) for w in grid]
     best = grid[int(np.argmax(values))]
     ok = abs(best - 1.0) <= 0.12 and coeff(1.0) >= max(values) * (1.0 - 1e-9)
-    return CheckResult(
-        "protocols.omega0_optimality",
+    return (
         ok,
         "argmax omega0 = gamma on [0.25, 4] grid",
         f"grid argmax at omega0 = {best:.3f}",
     )
 
 
-def check_homodyne_near_optimality() -> CheckResult:
+@_named("protocols.homodyne_near_optimality")
+def check_homodyne_near_optimality() -> Outcome:
     """Optimized homodyne nearly saturates the steady-state CQS QFI."""
     p0 = SystemParams(1.0, 0.0, 1.0)
     eps = protocols.epsilon_opt(100.0, p0)
     pair = protocols.cqs_steady_pair(SystemParams(1.0, eps, 1.0))
     _, best = protocols.best_homodyne(pair)
     ratio = best / qfi(pair)
-    return CheckResult(
-        "protocols.homodyne_near_optimality",
+    return (
         ratio >= 0.95,
         "max_psi FI / QFI >= 0.95",
         f"ratio {ratio:.4f}",
     )
 
 
-def check_temperature_invariance() -> CheckResult:
+@_named("protocols.temperature_invariance")
+def check_temperature_invariance() -> Outcome:
     """Steady-state QFI is temperature-invariant while photons scale by 1+2n_B."""
     p0 = SystemParams(1.0, 0.0, 1.0)
     eps = protocols.epsilon_opt(100.0, p0)
@@ -402,15 +422,15 @@ def check_temperature_invariance() -> CheckResult:
     qfi_ratio = protocols.cqs_qfi_steady(hot) / protocols.cqs_qfi_steady(cold)
     n_ratio = dynamics.steady_state_photons(hot) / dynamics.steady_state_photons(cold)
     ok = 0.9 <= qfi_ratio <= 1.1 and abs(n_ratio / 3.0 - 1.0) <= 0.05
-    return CheckResult(
-        "protocols.temperature_invariance",
+    return (
         ok,
         "QFI ratio in [0.9, 1.1]; photon ratio ~ 3 within 5%",
         f"QFI ratio {qfi_ratio:.4f}, photon ratio {n_ratio:.4f}",
     )
 
 
-def check_beyond_threshold() -> CheckResult:
+@_named("protocols.beyond_threshold_suboptimal")
+def check_beyond_threshold() -> Outcome:
     """Equal-budget lossless comparison: below threshold beats the quench."""
     n_max, total = 1000.0, 1.0
     w0 = math.sqrt(n_max) / total
@@ -421,8 +441,7 @@ def check_beyond_threshold() -> CheckResult:
     above = SystemParams(w0_above, protocols.beyond_threshold_epsilon(n_max, total, w0_above), 0.0)
     i_above = protocols.beyond_threshold_qfi(above, total)
     ratio = i_below / i_above
-    return CheckResult(
-        "protocols.beyond_threshold_suboptimal",
+    return (
         ratio > 1.0,
         "below-threshold QFI exceeds the quench QFI",
         f"ratio {ratio:.2f} (log^2(4N)/9 = {math.log(4*n_max)**2/9:.2f})",
@@ -450,11 +469,10 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
 
 
 def run_checks(pattern: str | None = None) -> list[CheckResult]:
-    """Run all checks whose name contains `pattern` (all if None)."""
-    results = []
-    for check in ALL_CHECKS:
-        name = check.__name__.replace("check_", "")
-        if pattern and pattern not in name and pattern not in check.__name__:
-            continue
-        results.append(check())
-    return results
+    """Run all checks whose name (e.g. `dynamics.semigroup`) or function name
+    (`check_semigroup`) contains `pattern`; all if None."""
+    return [
+        check()
+        for check in ALL_CHECKS
+        if not pattern or pattern in check.check_name or pattern in check.__name__
+    ]

@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from critsense.cli import main, run_compute
+from critsense.dynamics import evolve_critical
 from critsense.errors import ConfigError
 
 
@@ -137,7 +139,7 @@ class TestComputeCommand:
             "mode": "optimize",
             "params": {"omega0": 1.0, "epsilon": 0.0, "gamma": 1.0},
             "protocol": {"kind": "PQS", "n_max": 100.0, "total_time": 10.0, "t_pm": 0.0},
-            "grid": {"t_min": 0.001, "t_max": 5.0, "points": 64, "spacing": "log"},
+            "grid": {"t_min": 0.001, "t_max": 5.0},
         }
         payload = run_compute(cfg)
         assert payload["report"]["total_qfi"] <= payload["report"]["bound_value"] * (1 + 1e-6)
@@ -149,6 +151,21 @@ class TestComputeCommand:
             run_compute(cfg)
         text = "\n".join(err.value.problems)
         assert "mode" in text and "params.gamma" in text and "grid" in text
+
+    @pytest.mark.parametrize(
+        "path,extra",
+        [
+            ("extra", {"extra": 1}),
+            ("protocol.tpm", {"protocol": {"kind": "PQS", "n_max": 10.0, "tpm": 2.0}}),
+            ("grid.points", {"grid": {"t_min": 0.1, "t_max": 1.0, "points": 64}}),
+        ],
+    )
+    def test_unknown_field_exits_2(self, tmp_path, capsys, path, extra):
+        cfg = {"mode": "qfi", "params": {"gamma": 1.0}, "t": 0.5, **extra}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["compute", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: unknown field\n"
 
     def test_compute_determinism(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -190,13 +207,19 @@ class TestValidateCommand:
     def test_unknown_filter_exits_2(self):
         assert main(["validate", "--filter", "zzz-no-such-check"]) == 2
 
-    def test_injected_error_fails_validation(self):
-        import critsense.dynamics as dyn
+    @pytest.mark.parametrize("pattern", ["protocols.omega0", "metrology.symplectic"])
+    def test_filter_by_printed_name(self, capsys, pattern):
+        assert main(["validate", "--filter", pattern]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "1/1 checks passed"
+        assert pattern in lines[0]
 
-        dyn._C2_SCALE = 0.99
-        try:
-            code = main(["validate", "--filter", "rk4"])
-        finally:
-            dyn._C2_SCALE = 1.0
-        assert code == 1
-        assert main(["validate", "--filter", "rk4"]) == 0
+    def test_injected_error_fails_validation(self, monkeypatch):
+        """A propagator with a 1% drive error fails the RK4 cross-check."""
+        import critsense.validate as val
+
+        def perturbed(params, state, t):
+            return evolve_critical(replace(params, epsilon=0.99 * params.epsilon), state, t)
+
+        monkeypatch.setattr(val, "evolve_critical", perturbed)
+        assert main(["validate", "--filter", "rk4"]) == 1

@@ -27,6 +27,7 @@ from critsense.metrology import (
     qfi_terms,
     snr_photon_counting,
 )
+from critsense.protocols import pqs_pair
 
 
 class TestDifferentiate:
@@ -209,6 +210,24 @@ class TestFiHomodyne:
                 ec2 - eps * (w0 * math.cos(2 * psi) - gamma * math.sin(2 * psi))
             ) ** 2
             assert fi_homodyne(pair, HomodyneSetting(psi)) == pytest.approx(num / den, rel=1e-7)
+
+    def test_mean_uses_the_measured_quadrature(self):
+        """The mean signal is taken along x cos(psi) - p sin(psi), the same
+        quadrature as the variance: FI at psi equals FI at 0 after rotating
+        the family by R(psi), whose first row is (cos psi, -sin psi)."""
+        pair = pqs_pair(
+            DisplacementAmplitude(2.0, 0.3), SqueezeParam(0.8, 1.1), SystemParams(1.0, 0.0, 1.0), 0.6
+        )
+        psi = 0.4
+        R = rotation_matrix(psi)
+        moved = DerivativePair(
+            GaussianState(R @ pair.state.v, R @ pair.state.sigma @ R.T),
+            R @ pair.dv,
+            R @ pair.dsigma @ R.T,
+        )
+        got = fi_homodyne(pair, HomodyneSetting(psi))
+        assert got == pytest.approx(fi_homodyne(moved, HomodyneSetting(0.0)), rel=1e-12)
+        assert got == pytest.approx(0.7922, abs=5e-5)
 
     def test_never_exceeds_qfi(self):
         pairs = [

@@ -21,7 +21,14 @@ from critsense.oracle import (
     suggested_dim,
     uhlmann_fidelity,
 )
-from critsense.validate import battery_params, check_rk4_agreement
+from critsense.validate import ALL_CHECKS
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.check_name)
+def test_validate_check(check):
+    result = check()
+    assert result.name == check.check_name
+    assert result.passed, result.detail
 
 
 class TestLyapunovRk4:
@@ -36,10 +43,6 @@ class TestLyapunovRk4:
         analytic = evolve_critical(params, vacuum_state(), 5.0)
         numeric = lyapunov_rk4(params, vacuum_state(), 5.0, verify_step=False)
         assert np.allclose(numeric.sigma, analytic.sigma, rtol=1e-8)
-
-    def test_battery_agreement(self):
-        result = check_rk4_agreement()
-        assert result.passed, result.detail
 
     def test_fourth_order_convergence(self):
         params = SystemParams(1.0, 1.2, 1.0)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import pqs_qfi_closed_form
-from critsense.dynamics import SystemParams, spectral_info, steady_state_photons
+from critsense.dynamics import SystemParams, evolve_passive, spectral_info, steady_state_photons
 from critsense.errors import ConstraintError, DomainError, SearchError, UnsupportedRegimeError
-from critsense.gaussian import DisplacementAmplitude, SqueezeParam
+from critsense.gaussian import DisplacementAmplitude, SqueezeParam, mean_photons
 from critsense.metrology import HomodyneSetting, fi_homodyne
 from critsense.protocols import (
     ProtocolKind,
@@ -26,6 +26,7 @@ from critsense.protocols import (
     maximize_single_shot,
     optimal_squeezing_homodyne,
     optimize_time,
+    pqs_input_state,
     pqs_pair,
     pqs_qfi,
     steady_time,
@@ -304,6 +305,23 @@ class TestFundamentalBound:
         n = 1e9
         result = fundamental_bound(lambda t: n, 1.0, 1.0, 1.0)
         assert result.integral == pytest.approx(2.0 * n / 3.0, rel=1e-6)
+
+    def test_decayed_squeezed_vacuum(self):
+        """PQS squeezed vacuum at n_B = 0: N(t) = N e^{-2t}, so the integral is
+        N (1 - e^{-2T}), also where the integrand has decayed to roundoff level."""
+        n_max, total_time = 100.0, 18.3
+        state0 = pqs_input_state(*default_pqs_input(n_max))
+        calls = 0
+
+        def traj(t):
+            nonlocal calls
+            calls += 1
+            return mean_photons(evolve_passive(UNIT, state0, t))
+
+        result = fundamental_bound(traj, total_time, 1.0, 0.0)
+        assert result.integral == pytest.approx(n_max * -math.expm1(-2.0 * total_time), rel=1e-9)
+        assert result.cap == pytest.approx(2.0 * n_max * total_time, rel=1e-12)
+        assert calls <= 10_000
 
     def test_lossless_bound_infinite(self):
         result = fundamental_bound(lambda t: 5.0, 1.0, 0.0, 0.0)
