@@ -278,6 +278,9 @@ _REQUIRED = {
     "bound": ("protocol.n_max", "protocol.total_time"),
 }
 _MODES = tuple(_REQUIRED)
+# Keys that only some modes read; optimize reads `t` as the default total_time.
+_READ_IN = {"t": ("evolve", "qfi", "fi", "optimize"), "grid": ("optimize",), "protocol.psi": ("fi",)}
+_PQS_INPUT = ("protocol.alpha", "protocol.alpha_phase", "protocol.r", "protocol.r_phase")
 
 
 def _parse_config(cfg) -> dict:
@@ -312,6 +315,14 @@ def _parse_config(cfg) -> dict:
             problems.append(f"{path}: must be >= 0, got {value!r}")
     if mode in _MODES:
         problems += [f"{path}: required for {mode} mode" for path in _REQUIRED[mode] if path not in given]
+        problems += [f"{key}: not used in {mode} mode" for key, modes in _READ_IN.items()
+                     if mode not in modes and (key in cfg or key in given)]
+    for path in _PQS_INPUT:
+        base = path.removesuffix("_phase")
+        if path in given and given.get("protocol.kind") == "CQS":
+            problems.append(f"{path}: not used by CQS")
+        elif path in given and base not in given:
+            problems.append(f"{path}: not used without {base}")
     t_min, t_max = given.get("grid.t_min"), given.get("grid.t_max")
     if isinstance(t_min, (int, float)) and isinstance(t_max, (int, float)) and not (0 < t_min < t_max):
         problems.append(f"grid: need 0 < t_min < t_max, got {t_min!r}, {t_max!r}")

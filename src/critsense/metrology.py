@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvalidStateError, PreconditionError, PureStateError
+from .errors import AccuracyError, DomainError, InvalidStateError, PreconditionError, PureStateError
 from .gaussian import GaussianState, fidelity, photon_variance
 
 StateFamily = Callable[[float], GaussianState]
@@ -96,6 +96,12 @@ def _inverse_sigma(sigma: np.ndarray) -> tuple[np.ndarray, float]:
     return inv, det
 
 
+def _finite(value: float, name: str) -> float:
+    if not math.isfinite(value):
+        raise AccuracyError(f"{name} is not finite ({value}); the state or its derivative overflowed")
+    return value
+
+
 def qfi_terms(pair: DerivativePair) -> tuple[float, float, float]:
     """The three QFI contributions: covariance, purity-derivative, displacement."""
     sigma = pair.state.sigma
@@ -118,13 +124,12 @@ def qfi_terms(pair: DerivativePair) -> tuple[float, float, float]:
     else:
         term2 = 2.0 * dmu * dmu / gap
     term3 = 2.0 * float(pair.dv @ inv @ pair.dv)
-    return term1, term2, term3
+    return _finite(term1, "QFI term"), _finite(term2, "QFI term"), _finite(term3, "QFI term")
 
 
 def qfi(pair: DerivativePair) -> float:
     """Quantum Fisher information of a single-mode Gaussian family."""
-    t1, t2, t3 = qfi_terms(pair)
-    return t1 + t2 + t3
+    return _finite(sum(qfi_terms(pair)), "QFI")
 
 
 def qfi_fidelity_oracle(family: StateFamily, dtheta: float = 1e-4) -> float:
@@ -157,7 +162,7 @@ def fi_homodyne(pair: DerivativePair, setting: HomodyneSetting) -> float:
     ds = pair.dsigma
     dvar = c * c * ds[0, 0] + sn * sn * ds[1, 1] - 2.0 * sn * c * ds[0, 1]
     dmean = c * pair.dv[0] - sn * pair.dv[1]
-    return (4.0 * var * dmean * dmean + dvar * dvar) / (2.0 * var * var)
+    return _finite((4.0 * var * dmean * dmean + dvar * dvar) / (2.0 * var * var), "homodyne FI")
 
 
 def snr_photon_counting(pair: DerivativePair) -> float:

@@ -5,6 +5,12 @@ a fixed-step RK4 integrator for the moment (Lyapunov) equations, and a
 truncated Fock-space integrator for the full master equation, which also
 yields a fidelity-based QFI estimate valid beyond the Gaussian calculus.
 Both are library code, exposed through the CLI validation command.
+
+Both equations are linear and autonomous, y' = L y, so one classical RK4
+step of size h is the degree-4 Taylor polynomial of hL, in Horner form
+y + hL(y + hL/2 (y + hL/3 (y + hL/4 y))). The Lyapunov oracle applies it to
+the identity to get the step matrix P on (v, vec Sigma, 1): n steps are P^n,
+the same discretisation as stepping n times.
 """
 
 from __future__ import annotations
@@ -33,26 +39,21 @@ def default_step(params: SystemParams) -> float:
     return 0.002 / _rate_scale(params)
 
 
-def _rk4_moments(
-    A: np.ndarray, D: np.ndarray, v0: np.ndarray, sigma0: np.ndarray, t: float, n_steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    dt = t / n_steps
-    v = v0.copy()
-    sigma = sigma0.copy()
+def _rk4_increment(apply, y, h: float):
+    """What one classical RK4 step of size h adds to y, for y' = apply(y) linear."""
+    return h * apply(y + (h / 2.0) * apply(y + (h / 3.0) * apply(y + (h / 4.0) * apply(y))))
 
-    def rhs(v_, s_):
-        dv = A @ v_
-        m = A @ s_
-        return dv, m + m.T + D
 
-    for _ in range(n_steps):
-        k1v, k1s = rhs(v, sigma)
-        k2v, k2s = rhs(v + 0.5 * dt * k1v, sigma + 0.5 * dt * k1s)
-        k3v, k3s = rhs(v + 0.5 * dt * k2v, sigma + 0.5 * dt * k2s)
-        k4v, k4s = rhs(v + dt * k3v, sigma + dt * k3s)
-        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        sigma = sigma + (dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-    return v, sigma
+def _power(E: np.ndarray, n: int) -> np.ndarray:
+    """(I + E)^n by squaring increments: rounding I + E itself would cost a
+    relative error of about n * 1e-16 (1.6e-12 at 56 566 steps)."""
+    R = np.zeros_like(E)
+    while n:
+        if n & 1:
+            R = R + E + R @ E
+        E = 2.0 * E + E @ E
+        n >>= 1
+    return np.eye(len(E)) + R
 
 
 def lyapunov_rk4(
@@ -76,11 +77,23 @@ def lyapunov_rk4(
     A, D = drift_and_diffusion(params)
     if t == 0.0:
         return state0
+    # z = (v, vec Sigma, 1) obeys z' = G z; vec is row-major.
+    G = np.zeros((7, 7))
+    G[:2, :2] = A
+    G[2:6, 2:6] = np.kron(A, np.eye(2)) + np.kron(np.eye(2), A)
+    G[2:6, 6] = D.ravel()
+    z0 = np.concatenate((state0.v, state0.sigma.ravel(), [1.0]))
+
+    def moments(steps: int) -> tuple[np.ndarray, np.ndarray]:
+        E = _rk4_increment(lambda y: G @ y, np.eye(7), t / steps)
+        z = _power(E, steps) @ z0
+        return z[:2], z[2:6].reshape(2, 2)
+
     n = max(1, math.ceil(t / dt))
-    v1, s1 = _rk4_moments(A, D, state0.v, state0.sigma, t, n)
+    v1, s1 = moments(n)
     if not verify_step:
         return GaussianState(v1, 0.5 * (s1 + s1.T))
-    v2, s2 = _rk4_moments(A, D, state0.v, state0.sigma, t, 2 * n)
+    v2, s2 = moments(2 * n)
     scale = max(float(np.linalg.norm(s2)), 1.0)
     diff = max(float(np.linalg.norm(s1 - s2)), float(np.linalg.norm(v1 - v2))) / scale
     if diff > 1e-6:
@@ -145,26 +158,6 @@ def suggested_dim(max_photons: float) -> int:
     return max(30, math.ceil(12.0 * max_photons))
 
 
-def _lindblad_rhs(
-    rho: np.ndarray,
-    H: np.ndarray,
-    a: np.ndarray,
-    ad: np.ndarray,
-    n_op: np.ndarray,
-    aad: np.ndarray,
-    gamma: float,
-    n_bath: float,
-) -> np.ndarray:
-    out = -1j * (H @ rho - rho @ H)
-    if gamma > 0:
-        down = gamma * (1.0 + n_bath)
-        out += down * (2.0 * (a @ rho @ ad) - n_op @ rho - rho @ n_op)
-        if n_bath > 0:
-            up = gamma * n_bath
-            out += up * (2.0 * (ad @ rho @ a) - aad @ rho - rho @ aad)
-    return out
-
-
 def fock_evolve(
     params: SystemParams,
     rho0: FockDensityMatrix,
@@ -182,8 +175,18 @@ def fock_evolve(
     a = ladder(dim)
     ad = a.conj().T
     n_op = ad @ a
-    aad = a @ ad
     H = params.omega * n_op + 0.5 * params.epsilon * (a @ a + ad @ ad)
+    gamma, n_bath = params.gamma, params.n_bath
+    # Emission and absorption: (rate, L, L^dagger, L^dagger L).
+    jumps = ((gamma * (1.0 + n_bath), a, ad, n_op), (gamma * n_bath, ad, a, a @ ad))
+
+    def lindblad(rho: np.ndarray) -> np.ndarray:
+        out = -1j * (H @ rho - rho @ H)
+        for rate, L, Ld, LdL in jumps:
+            if rate > 0:
+                out += rate * (2.0 * (L @ rho @ Ld) - LdL @ rho - rho @ LdL)
+        return out
+
     if dt is None:
         # Ladder-operator norms grow with the truncation, so the stable step
         # shrinks with dim as well as with the fastest physical rate.
@@ -192,14 +195,9 @@ def fock_evolve(
         return rho0
     n_steps = max(1, math.ceil(t / dt))
     step = t / n_steps
-    rho = rho0.matrix.copy()
-    gamma, n_bath = params.gamma, params.n_bath
+    rho = rho0.matrix
     for _ in range(n_steps):
-        k1 = _lindblad_rhs(rho, H, a, ad, n_op, aad, gamma, n_bath)
-        k2 = _lindblad_rhs(rho + 0.5 * step * k1, H, a, ad, n_op, aad, gamma, n_bath)
-        k3 = _lindblad_rhs(rho + 0.5 * step * k2, H, a, ad, n_op, aad, gamma, n_bath)
-        k4 = _lindblad_rhs(rho + step * k3, H, a, ad, n_op, aad, gamma, n_bath)
-        rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = rho + _rk4_increment(lindblad, rho, step)
         rho = 0.5 * (rho + rho.conj().T)
     # The truncated generator conserves the trace exactly, so the trace that
     # would have left the space shows up as boundary-level population instead.

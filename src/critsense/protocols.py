@@ -456,7 +456,7 @@ def total_qfi(spec: ProtocolSpec, t_single: float, t_opt: float | None = None) -
     reps = spec.budget.total_time / (t_single + spec.budget.t_pm)
     total = reps * info
     bound = budget_cap(spec.budget, spec.params.gamma, spec.params.n_bath)
-    if total > bound * (1.0 + 1e-6):
+    if not total <= bound * (1.0 + 1e-6):  # a NaN total fails too
         raise ConstraintError(
             f"total QFI {total!r} violates the dissipative bound {bound!r}"
         )

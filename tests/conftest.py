@@ -1,6 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, steady_state
 from critsense.gaussian import (
@@ -10,6 +14,13 @@ from critsense.gaussian import (
     apply_squeeze,
     thermal_state,
 )
+
+# Deterministic property tests that write nothing into the working tree: no
+# example database, and the cache of source literals that Hypothesis keeps
+# whatever the database setting goes to the system's temporary directory.
+settings.register_profile("critsense", derandomize=True, deadline=None, database=None)
+settings.load_profile("critsense")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "critsense-hypothesis")
 
 
 def cqs_state_family(params: SystemParams, t: float):

@@ -153,7 +153,7 @@ def test_criterion_07_oracle_equivalence():
     for (eps, n_bath, t) in ((1.2, 0.0, 5.0), (0.9, 1.0, 3.0), (1.4, 0.0, 8.0), (1.0, 0.5, 4.0)):
         p = SystemParams(1.0, eps, 1.0, n_bath=n_bath)
         analytic = evolve_critical(p, thermal_state(n_bath), t)
-        numeric = lyapunov_rk4(p, thermal_state(n_bath), t, verify_step=False)
+        numeric = lyapunov_rk4(p, thermal_state(n_bath), t)
         rel = float(
             np.linalg.norm(analytic.sigma - numeric.sigma) / np.linalg.norm(numeric.sigma)
         )

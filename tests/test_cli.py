@@ -165,7 +165,46 @@ class TestComputeCommand:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["compute", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == f"config error: {path}: unknown field\n"
+        expected = f"config error: {path}: unknown field\n"
+        if "grid" in extra:
+            expected += "config error: grid: not used in qfi mode\n"
+        assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize(
+        "problem,cfg",
+        [
+            ("protocol.psi: not used in qfi mode", {"mode": "qfi", "t": 0.5, "protocol": {"psi": 0.3}}),
+            ("grid: not used in fi mode", {"mode": "fi", "t": 0.5, "grid": {"t_min": 0.1, "t_max": 1.0}}),
+            ("t: not used in bound mode",
+             {"mode": "bound", "t": 0.5, "protocol": {"n_max": 10.0, "total_time": 1.0}}),
+            ("protocol.alpha_phase: not used without protocol.alpha",
+             {"mode": "evolve", "t": 0.5, "protocol": {"n_max": 10.0, "r": 0.5, "alpha_phase": 1.0}}),
+            ("protocol.r: not used by CQS",
+             {"mode": "qfi", "t": 0.5, "protocol": {"kind": "CQS", "n_max": 10.0, "r": 0.5}}),
+        ],
+    )
+    def test_unused_field_exits_2(self, tmp_path, capsys, problem, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["compute", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+
+    def test_overflowing_qfi_exits_1(self, tmp_path, capsys):
+        """Design config 437 of perfbench/workloads.py: the FD derivative
+        overflows at N = 6.6e5, t = 1.1e7, where compute used to write NaN."""
+        cfg = {
+            "mode": "fi",
+            "params": {"omega0": 1.49865, "gamma": 1.0, "n_bath": 0.0},
+            "protocol": {"kind": "CQS", "n_max": 657678.35, "t_pm": 0.0, "psi": 1.5179},
+            "t": 1.1065e7,
+        }
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with np.errstate(all="ignore"):
+            assert main(["compute", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1].startswith("error: ")
+        assert captured.out == "" and not out.exists()
 
     def test_compute_determinism(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

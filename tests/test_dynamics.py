@@ -171,15 +171,6 @@ class TestSteadyState:
         with pytest.raises(NoSteadyStateError):
             steady_state(SystemParams(1.0, eps, 1.0))
 
-    def test_lyapunov_residual(self):
-        for params in battery_params():
-            if params.epsilon >= params.epsilon_c * (1.0 - 1e-9):
-                continue
-            A, D = drift_and_diffusion(params)
-            sig = steady_state(params).sigma
-            res = A @ sig + sig @ A.T + D
-            assert np.max(np.abs(res)) <= 1e-10 * max(np.max(np.abs(sig)), 1.0)
-
 
 class TestMeanPhotonsVsTime:
     def test_initial_equilibrium(self):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import cqs_state_family, pqs_qfi_closed_form, pqs_state_family, steady_state_family
 from critsense.dynamics import SystemParams
-from critsense.errors import DomainError, PreconditionError, PureStateError
+from critsense.errors import AccuracyError, DomainError, PreconditionError, PureStateError
 from critsense.gaussian import (
     DisplacementAmplitude,
     GaussianState,
@@ -109,6 +109,13 @@ class TestQfi:
         pair = DerivativePair(vacuum_state(), np.zeros(2), np.eye(2))
         with pytest.raises(PureStateError):
             qfi(pair)
+
+    def test_overflow_raises_instead_of_nan(self):
+        pair = DerivativePair(thermal_state(1.0), np.zeros(2), np.diag([1e200, -1e200]))
+        with np.errstate(over="ignore"):
+            for info in (qfi, qfi_terms, lambda p: fi_homodyne(p, HomodyneSetting(0.0))):
+                with pytest.raises(AccuracyError):
+                    info(pair)
 
     def test_dissipative_closed_form(self):
         for (alpha, r, g, t) in [(2.0, 1.0, 1.0, 0.3), (0.5, 2.0, 1.0, 1.2), (0.0, 3.0, 1.0, 0.8)]:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import cqs_state_family
-from critsense.dynamics import SystemParams, evolve_critical, mean_photons_vs_time
+from critsense.dynamics import SystemParams, drift_and_diffusion, evolve_critical, mean_photons_vs_time
 from critsense.errors import AccuracyError, DomainError, TruncationError
 from critsense.gaussian import thermal_state, vacuum_state
 from critsense.metrology import differentiate_at_zero_shift, qfi
 from critsense.oracle import (
     FockDensityMatrix,
+    _rk4_increment,
+    default_step,
     fock_coherent,
     fock_evolve,
     fock_moments,
@@ -21,7 +23,7 @@ from critsense.oracle import (
     suggested_dim,
     uhlmann_fidelity,
 )
-from critsense.validate import ALL_CHECKS
+from critsense.validate import ALL_CHECKS, _horizon
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.check_name)
@@ -31,7 +33,41 @@ def test_validate_check(check):
     assert result.passed, result.detail
 
 
+def stepped_rk4(rhs, y, h, n):
+    """n steps of the four-stage RK4 loop: the reference for the Horner step."""
+    for _ in range(n):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
 class TestLyapunovRk4:
+    def test_horner_step_equals_four_stages(self):
+        rng = np.random.default_rng(7)
+        L, y = rng.normal(size=(6, 6)), rng.normal(size=6)
+        horner = y + _rk4_increment(lambda x: L @ x, y, 0.1)
+        assert np.allclose(horner, stepped_rk4(lambda x: L @ x, y, 0.1, 1), rtol=1e-14, atol=0.0)
+
+    def test_matches_the_step_loop(self):
+        """5657 steps near threshold: the step-matrix power keeps the loop's
+        accuracy (raising I + E itself would drift by 1.5e-13 here)."""
+        params = SystemParams(1.0, 1.4, 1.0)
+        A, D = drift_and_diffusion(params)
+        t = 0.2 * _horizon(params)
+        n = math.ceil(t / default_step(params))
+
+        def rhs(z):
+            m = A @ z[2:].reshape(2, 2)
+            return np.concatenate((A @ z[:2], (m + m.T + D).ravel()))
+
+        z = stepped_rk4(rhs, np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0]), t / n, n)
+        state = lyapunov_rk4(params, vacuum_state(), t, verify_step=False)
+        scale = np.linalg.norm(state.sigma)
+        assert np.linalg.norm(state.sigma.ravel() - z[2:]) <= 1e-13 * scale
+
     def test_vacuum_fixed_point(self):
         params = SystemParams(1.0, 0.0, 1.0)
         st = lyapunov_rk4(params, vacuum_state(), 3.0)
