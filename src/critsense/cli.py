@@ -25,7 +25,7 @@ from . import __version__, dynamics, protocols, validate
 from .dynamics import SystemParams, evolve_critical, evolve_passive
 from .errors import ConfigError, CritsenseError
 from .gaussian import DisplacementAmplitude, SqueezeParam, mean_photons, purity
-from .metrology import HomodyneSetting, fi_homodyne, qfi
+from .metrology import fi_homodyne, qfi
 from .protocols import (
     ProtocolKind,
     ProtocolSpec,
@@ -125,9 +125,7 @@ def figure_fig3(out_dir: Path) -> Path:
         # optimally squeezed + displaced input, p-quadrature homodyne
         r_opt = protocols.optimal_squeezing_homodyne(n_max, passive.gamma, t)
         a_opt = DisplacementAmplitude(math.sqrt(max(n_max - math.sinh(r_opt.r) ** 2, 0.0)))
-        f_optr = fi_homodyne(
-            pqs_pair(a_opt, r_opt, passive, t), HomodyneSetting(math.pi / 2.0)
-        )
+        f_optr = fi_homodyne(pqs_pair(a_opt, r_opt, passive, t), math.pi / 2.0)
         # squeezed-vacuum input, best homodyne angle
         _, f_sqvac = best_homodyne(pqs_pair(alpha, squeeze, passive, t))
         n_pqs = mean_photons(evolve_passive(passive, sq_vac_state, t))
@@ -198,7 +196,7 @@ def figure_fig7(out_dir: Path) -> Path:
         info = qfi(pair)
         row = [t]
         for psi in psis:
-            row.append(fi_homodyne(pair, HomodyneSetting(psi)) / info)
+            row.append(fi_homodyne(pair, psi) / info)
         _, best = best_homodyne(pair)
         row.append(best / info)
         rows.append(row)
@@ -232,9 +230,8 @@ def figure_fignoisy(out_dir: Path) -> Path:
         )
         r_opt = protocols.optimal_squeezing_homodyne(n_max, cold.gamma, t)
         a_opt = DisplacementAmplitude(math.sqrt(max(n_max - math.sinh(r_opt.r) ** 2, 0.0)))
-        setting = HomodyneSetting(math.pi / 2.0)
-        fi_ratio = fi_homodyne(pqs_pair(a_opt, r_opt, hot, t), setting) / fi_homodyne(
-            pqs_pair(a_opt, r_opt, cold, t), setting
+        fi_ratio = fi_homodyne(pqs_pair(a_opt, r_opt, hot, t), math.pi / 2.0) / fi_homodyne(
+            pqs_pair(a_opt, r_opt, cold, t), math.pi / 2.0
         )
         cqs_ratio = protocols.cqs_qfi(cqs_hot, t) / protocols.cqs_qfi(cqs_cold, t)
         rows.append([t, qfi_ratio, fi_ratio, cqs_ratio])
@@ -387,7 +384,7 @@ def run_compute(cfg: dict) -> dict:
         if mode == "fi" and "protocol.psi" in given:
             psi = float(given["protocol.psi"])
             pair, _ = protocols.single_shot_quantities(spec, t)
-            payload["fi_at_psi"] = fi_homodyne(pair, HomodyneSetting(psi))
+            payload["fi_at_psi"] = fi_homodyne(pair, psi)
             payload["psi"] = psi
     elif mode == "optimize":
         bracket = (float(given["grid.t_min"]), float(given["grid.t_max"]))

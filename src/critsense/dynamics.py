@@ -232,9 +232,7 @@ def evolve_critical(params: SystemParams, state0: GaussianState, t: float) -> Ga
         raise DomainError(f"time must be >= 0, got {t!r}")
     M = propagator(params, t)
     v = M @ state0.v
-    sigma = M @ state0.sigma @ M.T + _noise_matrix(params, t)
-    sigma = 0.5 * (sigma + sigma.T)
-    return GaussianState(v, sigma)
+    return GaussianState(v, M @ state0.sigma @ M.T + _noise_matrix(params, t))
 
 
 def steady_state(params: SystemParams) -> GaussianState:
@@ -293,5 +291,4 @@ def evolve_passive(params: SystemParams, state0: GaussianState, t: float) -> Gau
     v = decay * (R @ state0.v)
     relax = -math.expm1(-2.0 * gamma * t)  # 1 - e^{-2 gamma t}
     sigma = decay * decay * (R @ state0.sigma @ R.T) + relax * (1.0 + 2.0 * n_bath) * np.eye(2)
-    sigma = 0.5 * (sigma + sigma.T)
     return GaussianState(v, sigma)

@@ -3,12 +3,14 @@
 Conventions: quadratures x = (a + a†)/√2, p = -i(a - a†)/√2, ordering (x, p).
 The covariance matrix carries a factor 2, so the vacuum has sigma = identity,
 det(sigma) >= 1 expresses the uncertainty relation, and purity = 1/sqrt(det).
+GaussianState checks, symmetrises and takes the determinant of sigma once, at
+construction; every consumer reads `det_sigma` instead of recomputing it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,19 +20,6 @@ from .errors import DomainError, InvalidStateError, PreconditionError
 # threshold signal genuine bugs rather than roundoff.
 TOL = 1e-12
 HARD_TOL = 1e-9
-
-
-def _det_scale(sigma: np.ndarray) -> float:
-    # det(sigma) - 1 cancels to eps * |sigma|^2 in floating point, so physicality
-    # tolerances must grow quadratically with the covariance magnitude.
-    m = float(np.max(np.abs(sigma)))
-    return max(1.0, m * m)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -43,37 +32,41 @@ class GaussianState:
         Quadrature means (<x>, <p>), dimensionless.
     sigma : ndarray, shape (2, 2)
         Symmetric covariance matrix; vacuum = identity.
+    det_sigma : float
+        det(sigma), computed once at construction.
     """
 
     v: np.ndarray
     sigma: np.ndarray
+    det_sigma: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
+        v = np.array(self.v, dtype=float)
         sigma = np.asarray(self.sigma, dtype=float)
         if v.shape != (2,) or sigma.shape != (2, 2):
             raise InvalidStateError(
                 f"expected v shape (2,) and sigma shape (2, 2), got {v.shape} and {sigma.shape}"
             )
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(sigma))):
+        (s11, s12), (s21, s22) = sigma.tolist()
+        if not all(map(math.isfinite, (*v.tolist(), s11, s12, s21, s22))):
             raise InvalidStateError("non-finite moments")
-        scale = max(1.0, float(np.max(np.abs(sigma))))
-        if abs(sigma[0, 1] - sigma[1, 0]) > HARD_TOL * scale:
-            raise InvalidStateError(
-                f"covariance asymmetry {sigma[0, 1] - sigma[1, 0]:.3e} exceeds tolerance"
-            )
-        sigma = 0.5 * (sigma + sigma.T)
-        det = float(np.linalg.det(sigma))
-        if det < 1.0 - HARD_TOL * _det_scale(sigma):
+        if abs(s12 - s21) > HARD_TOL * max(1.0, abs(s11), abs(s12), abs(s21), abs(s22)):
+            raise InvalidStateError(f"covariance asymmetry {s12 - s21:.3e} exceeds tolerance")
+        s12 = 0.5 * (s12 + s21)
+        det = s11 * s22 - s12 * s12
+        # det(sigma) - 1 cancels to eps * |sigma|^2 in floating point, so the
+        # tolerance grows quadratically with the covariance magnitude.
+        m = max(1.0, abs(s11), abs(s12), abs(s22))
+        if det < 1.0 - HARD_TOL * (m * m):
             raise InvalidStateError(
                 f"uncertainty relation violated: det(sigma) = {det!r} < 1"
             )
-        object.__setattr__(self, "v", _readonly(v))
-        object.__setattr__(self, "sigma", _readonly(sigma))
-
-    @property
-    def det_sigma(self) -> float:
-        return float(np.linalg.det(self.sigma))
+        sigma = np.array([[s11, s12], [s12, s22]])
+        v.setflags(write=False)
+        sigma.setflags(write=False)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "det_sigma", det)
 
 
 @dataclass(frozen=True)
@@ -167,11 +160,7 @@ def photon_variance(state: GaussianState) -> float:
 
 def purity(state: GaussianState) -> float:
     """1/sqrt(det sigma), clamped to 1 for roundoff-level violations."""
-    det = state.det_sigma
-    if det < 1.0 - HARD_TOL * _det_scale(state.sigma):
-        raise InvalidStateError(f"det(sigma) = {det!r} below physical bound")
-    mu = 1.0 / math.sqrt(det)
-    return min(mu, 1.0)
+    return min(1.0 / math.sqrt(state.det_sigma), 1.0)
 
 
 def complex_moments(state: GaussianState) -> tuple[complex, complex, float]:

@@ -48,13 +48,6 @@ class DerivativePair:
         object.__setattr__(self, "dsigma", dsigma)
 
 
-@dataclass(frozen=True)
-class HomodyneSetting:
-    """Quadrature angle psi measured from the x axis."""
-
-    psi: float
-
-
 def differentiate_at_zero_shift(family: StateFamily, h: float = 1e-5) -> DerivativePair:
     """Differentiate a state family at zero shift.
 
@@ -75,25 +68,24 @@ def differentiate_at_zero_shift(family: StateFamily, h: float = 1e-5) -> Derivat
 
     dv1, ds1 = central(h)
     dv2, ds2 = central(h / 2.0)
-    dv = (4.0 * dv2 - dv1) / 3.0
-    dsigma = (4.0 * ds2 - ds1) / 3.0
-    if not (np.all(np.isfinite(dv)) and np.all(np.isfinite(dsigma))):
-        raise DomainError("family produced non-finite derivatives")
-    err = max(
-        float(np.linalg.norm(dv2 - dv1)), float(np.linalg.norm(ds2 - ds1))
-    ) / 3.0
-    scale = max(float(np.linalg.norm(dv)), float(np.linalg.norm(dsigma)), 1e-300)
+    # An overflowing family gives inf or nan here; DerivativePair rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dv = (4.0 * dv2 - dv1) / 3.0
+        dsigma = (4.0 * ds2 - ds1) / 3.0
+        err = max(
+            float(np.linalg.norm(dv2 - dv1)), float(np.linalg.norm(ds2 - ds1))
+        ) / 3.0
+        scale = max(float(np.linalg.norm(dv)), float(np.linalg.norm(dsigma)), 1e-300)
     return DerivativePair(base, dv, dsigma, error_estimate=err, warn=err > 1e-6 * scale)
 
 
-def _inverse_sigma(sigma: np.ndarray) -> tuple[np.ndarray, float]:
-    det = float(sigma[0, 0] * sigma[1, 1] - sigma[0, 1] * sigma[1, 0])
+def _inverse_sigma(state: GaussianState) -> tuple[np.ndarray, float]:
+    # The constructor's tolerance admits det <= 0 once max|sigma_ij| >~ 3.2e4.
+    det = state.det_sigma
     if det <= 0 or not math.isfinite(det):
         raise InvalidStateError(f"covariance not invertible, det = {det!r}")
-    inv = (
-        np.array([[sigma[1, 1], -sigma[0, 1]], [-sigma[1, 0], sigma[0, 0]]]) / det
-    )
-    return inv, det
+    (s11, s12), (_, s22) = state.sigma.tolist()
+    return np.array([[s22, -s12], [-s12, s11]]) / det, det
 
 
 def _finite(value: float, name: str) -> float:
@@ -104,26 +96,27 @@ def _finite(value: float, name: str) -> float:
 
 def qfi_terms(pair: DerivativePair) -> tuple[float, float, float]:
     """The three QFI contributions: covariance, purity-derivative, displacement."""
-    sigma = pair.state.sigma
-    inv, det = _inverse_sigma(sigma)
+    inv, det = _inverse_sigma(pair.state)
     mu = min(1.0 / math.sqrt(det), 1.0)
-    a = inv @ pair.dsigma
-    tr_sq = float(np.trace(a @ a))
-    dmu = -0.5 * mu * float(np.trace(a))  # Jacobi identity for d(det)
-    term1 = 0.5 * tr_sq / (1.0 + mu * mu)
-    gap = 1.0 - mu ** 4
-    if gap < _PURE_GAP:
-        # For symplectic (unitary) families tr(inv@dsigma) vanishes identically;
-        # its numerical residue scales with the size of the derivative matrix.
-        if abs(dmu) < _PURE_DMU * max(1.0, float(np.linalg.norm(a))):
-            term2 = 0.0  # unitary family: purity constant
+    # An overflowing derivative gives inf or nan here; _finite rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = inv @ pair.dsigma
+        tr_sq = float(np.trace(a @ a))
+        dmu = -0.5 * mu * float(np.trace(a))  # Jacobi identity for d(det)
+        term1 = 0.5 * tr_sq / (1.0 + mu * mu)
+        gap = 1.0 - mu ** 4
+        if gap < _PURE_GAP:
+            # For symplectic (unitary) families tr(inv@dsigma) vanishes identically;
+            # its numerical residue scales with the size of the derivative matrix.
+            if abs(dmu) < _PURE_DMU * max(1.0, float(np.linalg.norm(a))):
+                term2 = 0.0  # unitary family: purity constant
+            else:
+                raise PureStateError(
+                    f"pure state with non-constant purity (d mu = {dmu!r}); QFI term singular"
+                )
         else:
-            raise PureStateError(
-                f"pure state with non-constant purity (d mu = {dmu!r}); QFI term singular"
-            )
-    else:
-        term2 = 2.0 * dmu * dmu / gap
-    term3 = 2.0 * float(pair.dv @ inv @ pair.dv)
+            term2 = 2.0 * dmu * dmu / gap
+        term3 = 2.0 * float(pair.dv @ inv @ pair.dv)
     return _finite(term1, "QFI term"), _finite(term2, "QFI term"), _finite(term3, "QFI term")
 
 
@@ -146,22 +139,27 @@ def qfi_fidelity_oracle(family: StateFamily, dtheta: float = 1e-4) -> float:
     return 8.0 * (1.0 - f_amp) / dtheta ** 2
 
 
-def quadrature_variance(state: GaussianState, setting: HomodyneSetting) -> float:
+def _quadratic_form(m: np.ndarray, c: float, sn: float) -> float:
+    # Python floats: an overflow gives inf, which _finite rejects, not a warning.
+    (m11, m12), (_, m22) = m.tolist()
+    return c * c * m11 + sn * sn * m22 - 2.0 * sn * c * m12
+
+
+def quadrature_variance(state: GaussianState, psi: float) -> float:
     """S(psi) = cos^2 psi Sigma11 + sin^2 psi Sigma22 - sin(2 psi) Sigma12."""
-    s = state.sigma
-    c, sn = math.cos(setting.psi), math.sin(setting.psi)
-    return c * c * s[0, 0] + sn * sn * s[1, 1] - 2.0 * sn * c * s[0, 1]
+    return _quadratic_form(state.sigma, math.cos(psi), math.sin(psi))
 
 
-def fi_homodyne(pair: DerivativePair, setting: HomodyneSetting) -> float:
-    """Classical Fisher information of homodyne detection at angle psi."""
-    var = quadrature_variance(pair.state, setting)
+def fi_homodyne(pair: DerivativePair, psi: float) -> float:
+    """Classical Fisher information of homodyne detection at angle psi,
+    measured from the x axis."""
+    c, sn = math.cos(psi), math.sin(psi)
+    var = _quadratic_form(pair.state.sigma, c, sn)
     if var <= 1e-12:
         raise InvalidStateError(f"degenerate quadrature variance {var!r}")
-    c, sn = math.cos(setting.psi), math.sin(setting.psi)
-    ds = pair.dsigma
-    dvar = c * c * ds[0, 0] + sn * sn * ds[1, 1] - 2.0 * sn * c * ds[0, 1]
-    dmean = c * pair.dv[0] - sn * pair.dv[1]
+    dvar = _quadratic_form(pair.dsigma, c, sn)
+    dv0, dv1 = pair.dv.tolist()
+    dmean = c * dv0 - sn * dv1
     return _finite((4.0 * var * dmean * dmean + dvar * dvar) / (2.0 * var * var), "homodyne FI")
 
 

@@ -92,7 +92,7 @@ def lyapunov_rk4(
     n = max(1, math.ceil(t / dt))
     v1, s1 = moments(n)
     if not verify_step:
-        return GaussianState(v1, 0.5 * (s1 + s1.T))
+        return GaussianState(v1, s1)
     v2, s2 = moments(2 * n)
     scale = max(float(np.linalg.norm(s2)), 1.0)
     diff = max(float(np.linalg.norm(s1 - s2)), float(np.linalg.norm(v1 - v2))) / scale
@@ -100,7 +100,7 @@ def lyapunov_rk4(
         raise AccuracyError(
             f"RK4 step too large: halving changed the result by {diff:.2e} (relative)"
         )
-    return GaussianState(v2, 0.5 * (s2 + s2.T))
+    return GaussianState(v2, s2)
 
 
 # --- truncated Fock-space master equation -----------------------------------

@@ -35,7 +35,6 @@ from .gaussian import (
 )
 from .metrology import (
     DerivativePair,
-    HomodyneSetting,
     differentiate_at_zero_shift,
     fi_homodyne,
     qfi,
@@ -212,21 +211,27 @@ def best_homodyne(pair: DerivativePair) -> tuple[float, float]:
     """Maximize the homodyne Fisher information over the quadrature angle.
 
     Returns (psi, fi). Scans a half-period grid, then polishes with a local
-    golden-section search around the best grid point.
+    golden-section search around each of the grid's two highest local maxima
+    and keeps the better. Two suffice: in coordinates where sigma = I, FI is a
+    degree-2 trigonometric polynomial in 2 psi, with at most two maxima.
     """
-    psis = np.linspace(0.0, math.pi, _HOMODYNE_GRID, endpoint=False)
-    values = [fi_homodyne(pair, HomodyneSetting(p)) for p in psis]
-    i = int(np.argmax(values))
-    span = math.pi / _HOMODYNE_GRID
+    n = _HOMODYNE_GRID
+    psis = np.linspace(0.0, math.pi, n, endpoint=False)
+    values = [fi_homodyne(pair, p) for p in psis]
+    # FI has period pi in psi, so the grid's neighbours wrap around.
+    peaks = [i for i in range(n) if values[i - 1] < values[i] >= values[(i + 1) % n]]
+    peaks = sorted(peaks, key=values.__getitem__, reverse=True)[:2] or [int(np.argmax(values))]
+    span = math.pi / n
 
-    def f(psi: float) -> float:
-        return fi_homodyne(pair, HomodyneSetting(psi))
+    def polish(i: int) -> tuple[float, float]:
+        psi_opt, fi_opt = _golden_max(
+            lambda psi: fi_homodyne(pair, psi), psis[i] - span, psis[i] + span, rel_tol=1e-9, abs_tol=1e-12
+        )
+        if fi_opt < values[i]:
+            return float(psis[i]), float(values[i])
+        return psi_opt, fi_opt
 
-    lo, hi = psis[i] - span, psis[i] + span
-    psi_opt, fi_opt = _golden_max(f, lo, hi, rel_tol=1e-9, abs_tol=1e-12)
-    if fi_opt < values[i]:
-        return float(psis[i]), float(values[i])
-    return psi_opt, fi_opt
+    return max(map(polish, peaks), key=lambda result: result[1])
 
 
 # --- optimizers ---------------------------------------------------------------

@@ -25,7 +25,6 @@ from .gaussian import (
 )
 from .metrology import (
     DerivativePair,
-    HomodyneSetting,
     differentiate_at_zero_shift,
     fi_homodyne,
     qfi,
@@ -251,7 +250,7 @@ def check_measurement_bounds() -> Outcome:
     for label, pair in _pair_battery():
         info = qfi(pair)
         for psi in np.linspace(0.0, math.pi, 64, endpoint=False):
-            ratio = fi_homodyne(pair, HomodyneSetting(float(psi))) / info
+            ratio = fi_homodyne(pair, float(psi)) / info
             worst = max(worst, ratio)
         if float(np.linalg.norm(pair.state.v)) < 1e-12:
             worst = max(worst, snr_photon_counting(pair) / info)

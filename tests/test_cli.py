@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -190,21 +191,31 @@ class TestComputeCommand:
         assert capsys.readouterr().err == f"config error: {problem}\n"
 
     def test_overflowing_qfi_exits_1(self, tmp_path, capsys):
-        """Design config 437 of perfbench/workloads.py: the FD derivative
-        overflows at N = 6.6e5, t = 1.1e7, where compute used to write NaN."""
-        cfg = {
-            "mode": "fi",
-            "params": {"omega0": 1.49865, "gamma": 1.0, "n_bath": 0.0},
-            "protocol": {"kind": "CQS", "n_max": 657678.35, "t_pm": 0.0, "psi": 1.5179},
-            "t": 1.1065e7,
-        }
-        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
-        cfg_path.write_text(json.dumps(cfg))
-        with np.errstate(all="ignore"):
-            assert main(["compute", "--config", str(cfg_path), "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.splitlines()[-1].startswith("error: ")
-        assert captured.out == "" and not out.exists()
+        """Design configs 437 and 517 of perfbench/workloads.py: the FD
+        derivative overflows at N ~ 7e5 and late times. compute used to write
+        NaN for 437, and printed numpy warnings before the error for both."""
+        cases = [
+            ({"omega0": 1.49865, "n_max": 657678.35, "psi": 1.5179, "t": 1.1065e7},
+             "error: QFI term is not finite (nan)"),
+            ({"omega0": 0.29623, "n_max": 707478.26, "psi": 2.0293, "t": 6.2130e7},
+             "error: homodyne FI is not finite (inf)"),
+        ]
+        for k, (c, error) in enumerate(cases):
+            cfg = {
+                "mode": "fi",
+                "params": {"omega0": c["omega0"], "gamma": 1.0, "n_bath": 0.0},
+                "protocol": {"kind": "CQS", "n_max": c["n_max"], "t_pm": 0.0, "psi": c["psi"]},
+                "t": c["t"],
+            }
+            cfg_path, out = tmp_path / f"cfg{k}.json", tmp_path / f"out{k}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["compute", "--config", str(cfg_path), "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(error), captured.err
+            assert len(captured.err.splitlines()) == 1
+            assert captured.out == "" and not out.exists()
 
     def test_compute_determinism(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

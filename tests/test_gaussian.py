@@ -162,6 +162,20 @@ class TestObservables:
         with pytest.raises(InvalidStateError):
             GaussianState(np.zeros(2), np.array([[2.0, 0.5], [-0.5, 2.0]]))
 
+    def test_det_sigma_stored_with_frozen_moments(self):
+        st = GaussianState(np.zeros(2), np.array([[2.0, 0.5], [0.5, 3.0]]))
+        assert st.det_sigma == 2.0 * 3.0 - 0.5 * 0.5
+        with pytest.raises(ValueError):
+            st.sigma[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            st.v[0] = 1.0
+
+    def test_huge_covariance_overflows_quietly(self):
+        # det overflows to inf: purity 0, and no numpy overflow warning.
+        st = GaussianState(np.zeros(2), 1e200 * np.eye(2))
+        assert st.det_sigma == math.inf
+        assert purity(st) == 0.0
+
 
 class TestTransformChains:
     """Physicality survives arbitrary compositions of the exact transforms."""

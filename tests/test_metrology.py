@@ -19,7 +19,6 @@ from critsense.gaussian import (
 )
 from critsense.metrology import (
     DerivativePair,
-    HomodyneSetting,
     differentiate_at_zero_shift,
     fi_homodyne,
     qfi,
@@ -113,7 +112,7 @@ class TestQfi:
     def test_overflow_raises_instead_of_nan(self):
         pair = DerivativePair(thermal_state(1.0), np.zeros(2), np.diag([1e200, -1e200]))
         with np.errstate(over="ignore"):
-            for info in (qfi, qfi_terms, lambda p: fi_homodyne(p, HomodyneSetting(0.0))):
+            for info in (qfi, qfi_terms, lambda p: fi_homodyne(p, 0.0)):
                 with pytest.raises(AccuracyError):
                     info(pair)
 
@@ -184,11 +183,11 @@ class TestFiHomodyne:
         expected = 4.0 * alpha ** 2 * t * t / (
             (1.0 + 2.0 * n_bath) * (math.exp(-2.0 * r) + math.exp(2.0 * g * t) - 1.0)
         )
-        assert fi_homodyne(pair, HomodyneSetting(math.pi / 2)) == pytest.approx(expected, rel=1e-8)
+        assert fi_homodyne(pair, math.pi / 2) == pytest.approx(expected, rel=1e-8)
 
     def test_no_signal_gives_zero(self):
         pair = DerivativePair(thermal_state(0.5), np.zeros(2), np.zeros((2, 2)))
-        assert fi_homodyne(pair, HomodyneSetting(0.7)) == 0.0
+        assert fi_homodyne(pair, 0.7) == 0.0
 
     def test_noiseless_optimal_split(self):
         """alpha/r split with e^{2r} = 2N+1 reaches 4N(1+N)t^2 at psi = pi/2."""
@@ -199,7 +198,7 @@ class TestFiHomodyne:
             pqs_state_family(alpha, r, SystemParams(1.0, 0.0, 0.0), t)
         )
         expected = 4.0 * n_photons * (1.0 + n_photons) * t * t
-        assert fi_homodyne(pair, HomodyneSetting(math.pi / 2)) == pytest.approx(expected, rel=1e-8)
+        assert fi_homodyne(pair, math.pi / 2) == pytest.approx(expected, rel=1e-8)
 
     def test_steady_state_closed_form(self):
         """Stationary-state homodyne FI at arbitrary angle matches the closed form."""
@@ -216,7 +215,7 @@ class TestFiHomodyne:
             den = 2.0 * (ec2 - eps ** 2) ** 2 * (
                 ec2 - eps * (w0 * math.cos(2 * psi) - gamma * math.sin(2 * psi))
             ) ** 2
-            assert fi_homodyne(pair, HomodyneSetting(psi)) == pytest.approx(num / den, rel=1e-7)
+            assert fi_homodyne(pair, psi) == pytest.approx(num / den, rel=1e-7)
 
     def test_mean_uses_the_measured_quadrature(self):
         """The mean signal is taken along x cos(psi) - p sin(psi), the same
@@ -232,8 +231,8 @@ class TestFiHomodyne:
             R @ pair.dv,
             R @ pair.dsigma @ R.T,
         )
-        got = fi_homodyne(pair, HomodyneSetting(psi))
-        assert got == pytest.approx(fi_homodyne(moved, HomodyneSetting(0.0)), rel=1e-12)
+        got = fi_homodyne(pair, psi)
+        assert got == pytest.approx(fi_homodyne(moved, 0.0), rel=1e-12)
         assert got == pytest.approx(0.7922, abs=5e-5)
 
     def test_never_exceeds_qfi(self):
@@ -246,7 +245,7 @@ class TestFiHomodyne:
         for pair in pairs:
             info = qfi(pair)
             for psi in np.linspace(0.0, math.pi, 64, endpoint=False):
-                assert fi_homodyne(pair, HomodyneSetting(float(psi))) <= info * (1.0 + 1e-6)
+                assert fi_homodyne(pair, float(psi)) <= info * (1.0 + 1e-6)
 
 
 class TestSnrPhotonCounting:
