@@ -52,12 +52,16 @@ class GaussianState:
             raise InvalidStateError("non-finite moments")
         if abs(s12 - s21) > HARD_TOL * max(1.0, abs(s11), abs(s12), abs(s21), abs(s22)):
             raise InvalidStateError(f"covariance asymmetry {s12 - s21:.3e} exceeds tolerance")
+        if s11 < 0 or s22 < 0:
+            raise InvalidStateError(f"negative variance: diag(sigma) = ({s11!r}, {s22!r})")
         s12 = 0.5 * (s12 + s21)
         det = s11 * s22 - s12 * s12
         # det(sigma) - 1 cancels to eps * |sigma|^2 in floating point, so the
-        # tolerance grows quadratically with the covariance magnitude.
+        # tolerance grows quadratically with the covariance magnitude. A pure
+        # state with |sigma| ~ 1e9 can round to det <= 0; a det negative by
+        # more than HARD_TOL of its two products is no rounding.
         m = max(1.0, abs(s11), abs(s12), abs(s22))
-        if det < 1.0 - HARD_TOL * (m * m):
+        if det < 1.0 - HARD_TOL * (m * m) or det < -HARD_TOL * (s11 * s22 + s12 * s12):
             raise InvalidStateError(
                 f"uncertainty relation violated: det(sigma) = {det!r} < 1"
             )
@@ -159,8 +163,8 @@ def photon_variance(state: GaussianState) -> float:
 
 
 def purity(state: GaussianState) -> float:
-    """1/sqrt(det sigma), clamped to 1 for roundoff-level violations."""
-    return min(1.0 / math.sqrt(state.det_sigma), 1.0)
+    """1/sqrt(det sigma), clamped to 1 for roundoff-level violations (det <= 1)."""
+    return 1.0 / math.sqrt(max(state.det_sigma, 1.0))
 
 
 def complex_moments(state: GaussianState) -> tuple[complex, complex, float]:

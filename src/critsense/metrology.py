@@ -80,7 +80,7 @@ def differentiate_at_zero_shift(family: StateFamily, h: float = 1e-5) -> Derivat
 
 
 def _inverse_sigma(state: GaussianState) -> tuple[np.ndarray, float]:
-    # The constructor's tolerance admits det <= 0 once max|sigma_ij| >~ 3.2e4.
+    # The constructor admits det <= 0 within the rounding of s11 * s22 and s12^2.
     det = state.det_sigma
     if det <= 0 or not math.isfinite(det):
         raise InvalidStateError(f"covariance not invertible, det = {det!r}")

@@ -212,7 +212,8 @@ def best_homodyne(pair: DerivativePair) -> tuple[float, float]:
 
     Returns (psi, fi). Scans a half-period grid, then polishes with a local
     golden-section search around each of the grid's two highest local maxima
-    and keeps the better. Two suffice: in coordinates where sigma = I, FI is a
+    and keeps the better; a grid point stands unless its polish strictly
+    improves on it. Two suffice: in coordinates where sigma = I, FI is a
     degree-2 trigonometric polynomial in 2 psi, with at most two maxima.
     """
     n = _HOMODYNE_GRID
@@ -227,7 +228,7 @@ def best_homodyne(pair: DerivativePair) -> tuple[float, float]:
         psi_opt, fi_opt = _golden_max(
             lambda psi: fi_homodyne(pair, psi), psis[i] - span, psis[i] + span, rel_tol=1e-9, abs_tol=1e-12
         )
-        if fi_opt < values[i]:
+        if fi_opt <= values[i]:
             return float(psis[i]), float(values[i])
         return psi_opt, fi_opt
 

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import critsense
 from critsense.cli import main, run_compute
 from critsense.dynamics import evolve_critical
 from critsense.errors import ConfigError
@@ -273,3 +278,12 @@ class TestValidateCommand:
 
         monkeypatch.setattr(val, "evolve_critical", perturbed)
         assert main(["validate", "--filter", "rk4"]) == 1
+
+
+def test_import_leaves_oracle_and_bound_dependencies_unloaded():
+    """`import critsense.cli` runs before every command, so the Fock oracle's
+    scipy.sparse and the bound's scipy.integrate are imported where used."""
+    code = "import sys, critsense.cli; print(sorted({'scipy.sparse', 'scipy.integrate'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(critsense.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -158,6 +158,24 @@ class TestObservables:
         with pytest.raises(InvalidStateError):
             GaussianState(np.zeros(2), np.diag([0.5, 0.5]))
 
+    def test_negative_variance_rejected(self):
+        # det = -0.4 lies inside the 1e-9 * max|sigma_ij|^2 tolerance.
+        with pytest.raises(InvalidStateError, match="negative variance"):
+            GaussianState(np.zeros(2), np.diag([4e4, -1e-5]))
+
+    def test_non_positive_determinant_rejected(self):
+        # Positive variances, det = 0.4 - 0.49 < 0, also inside the tolerance.
+        with pytest.raises(InvalidStateError, match="uncertainty relation"):
+            GaussianState(np.zeros(2), np.array([[4e4, 0.7], [0.7, 1e-5]]))
+
+    def test_rounded_pure_state_kept(self):
+        # evolve_critical(SystemParams(1, 2, 0), vacuum, 6): a pure state whose
+        # det rounds to -128 against products of ~3.8e17.
+        sigma = np.array([[354421486.6488003, -613876021.5924665], [-613876021.5924665, 1063264457.946401]])
+        st = GaussianState(np.zeros(2), sigma)
+        assert st.det_sigma == -128.0
+        assert purity(st) == 1.0
+
     def test_asymmetric_sigma_rejected(self):
         with pytest.raises(InvalidStateError):
             GaussianState(np.zeros(2), np.array([[2.0, 0.5], [-0.5, 2.0]]))

@@ -139,6 +139,50 @@ class TestFockEvolve:
             fock_evolve(params, fock_vacuum(12), 2.0)
         assert err.value.suggested_dim and err.value.suggested_dim > 12
 
+    @pytest.mark.parametrize(
+        "params, rho0, t",
+        [
+            (SystemParams(1.0, 0.3, 0.0), fock_vacuum(16), 1.0),  # lossless squeezing
+            (SystemParams(1.0, 0.3, 1.0, n_bath=0.5), fock_vacuum(16), 0.3),  # lossy, hot bath
+            (SystemParams(1.0, 0.3, 0.5), fock_coherent(0.3 + 0.2j, 16), 1.0),  # odd m - n sector
+        ],
+        ids=["lossless_squeezing", "lossy_thermal", "coherent"],
+    )
+    def test_matches_dense_expm(self, params, rho0, t):
+        """exp(t L) with L built column by column from the master equation
+        applied to the basis matrices E_jk, so a vec-ordering slip shows."""
+        import scipy.linalg as la
+
+        dim = rho0.dim
+        a = ladder(dim)
+        ad = a.conj().T
+        H = params.omega * ad @ a + 0.5 * params.epsilon * (a @ a + ad @ ad)
+        jumps = ((params.gamma * (1.0 + params.n_bath), a), (params.gamma * params.n_bath, ad))
+        columns = []
+        for k in range(dim * dim):
+            E = np.zeros((dim, dim), dtype=complex)
+            E.flat[k] = 1.0
+            out = -1j * (H @ E - E @ H)
+            for rate, L in jumps:
+                Ld = L.conj().T
+                out += rate * (2.0 * L @ E @ Ld - Ld @ L @ E - E @ Ld @ L)
+            columns.append(out.ravel())
+        want = (la.expm(t * np.array(columns).T) @ rho0.matrix.ravel()).reshape(dim, dim)
+        rho = fock_evolve(params, rho0, t)
+        assert np.max(np.abs(rho.matrix - want)) <= 1e-12
+        assert np.max(np.abs(want - rho0.matrix)) >= 0.1  # the state does move
+
+    def test_reproducible_and_leaves_global_rng_alone(self):
+        # expm_multiply estimates norms from numpy's global RNG at this size.
+        params = SystemParams(1.0, 1.2, 1.0)
+        np.random.seed(1)
+        first = fock_evolve(params, fock_vacuum(30), 1.0).matrix
+        draw = np.random.random()
+        np.random.seed(1)
+        assert np.random.random() == draw
+        np.random.seed(2)
+        assert np.array_equal(fock_evolve(params, fock_vacuum(30), 1.0).matrix, first)
+
     def test_suggested_dim_rule(self):
         assert suggested_dim(0.5) == 30
         assert suggested_dim(10.0) == 120
