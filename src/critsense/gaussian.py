@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DomainError, InvalidStateError, PreconditionError
 
-# Soft numerical tolerance for physicality checks; violations beyond the hard
-# threshold signal genuine bugs rather than roundoff.
+# Soft numerical tolerance for physicality checks; a violation beyond HARD_TOL
+# of the scale its rounding has signals a genuine bug rather than roundoff.
 TOL = 1e-12
 HARD_TOL = 1e-9
 
@@ -56,12 +56,10 @@ class GaussianState:
             raise InvalidStateError(f"negative variance: diag(sigma) = ({s11!r}, {s22!r})")
         s12 = 0.5 * (s12 + s21)
         det = s11 * s22 - s12 * s12
-        # det(sigma) - 1 cancels to eps * |sigma|^2 in floating point, so the
-        # tolerance grows quadratically with the covariance magnitude. A pure
-        # state with |sigma| ~ 1e9 can round to det <= 0; a det negative by
-        # more than HARD_TOL of its two products is no rounding.
-        m = max(1.0, abs(s11), abs(s12), abs(s22))
-        if det < 1.0 - HARD_TOL * (m * m) or det < -HARD_TOL * (s11 * s22 + s12 * s12):
+        # det(sigma) = s11 s22 - s12^2 rounds by a few ulps of the larger of
+        # its two products, so a pure state with s11 s22 ~ 1e18 can round to
+        # det <= 0; a shortfall beyond HARD_TOL of that product is no rounding.
+        if det < 1.0 - HARD_TOL * max(s11 * s22, s12 * s12):
             raise InvalidStateError(
                 f"uncertainty relation violated: det(sigma) = {det!r} < 1"
             )
@@ -107,10 +105,10 @@ def rotation_matrix(theta: float) -> np.ndarray:
 
 
 def squeeze_matrix(s: SqueezeParam) -> np.ndarray:
-    """Symplectic matrix of S(r e^{i phase}); for phase=0 it is diag(e^r, e^-r)."""
-    ch, sh = math.cosh(s.r), math.sinh(s.r)
-    c, sn = math.cos(s.phase), math.sin(s.phase)
-    return np.array([[ch + sh * c, sh * sn], [sh * sn, ch - sh * c]])
+    """Symplectic matrix of S(r e^{i phase}) = R(phase/2) diag(e^r, e^-r) R(phase/2)^T,
+    built from its factors: cosh r - sinh r would cancel the digits of e^-r."""
+    rot = rotation_matrix(0.5 * s.phase)
+    return rot @ np.diag([math.exp(s.r), math.exp(-s.r)]) @ rot.T
 
 
 def thermal_state(n_bath: float) -> GaussianState:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import SystemParams, evolve_critical, evolve_passive, spectral_info, steady_state
-from .errors import ConstraintError, DomainError, SearchError, UnsupportedRegimeError
+from .errors import ConstraintError, DomainError, InvalidStateError, SearchError, UnsupportedRegimeError
 from .gaussian import (
     DisplacementAmplitude,
     GaussianState,
@@ -39,9 +39,6 @@ from .metrology import (
     fi_homodyne,
     qfi,
 )
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 class ProtocolKind(str, Enum):
     CQS = "CQS"
@@ -204,60 +201,49 @@ def pqs_qfi(
     return qfi(pqs_pair(alpha, squeeze, params, t))
 
 
-_HOMODYNE_GRID = 192
-
-
 def best_homodyne(pair: DerivativePair) -> tuple[float, float]:
     """Maximize the homodyne Fisher information over the quadrature angle.
 
-    Returns (psi, fi). Scans a half-period grid, then polishes with a local
-    golden-section search around each of the grid's two highest local maxima
-    and keeps the better; a grid point stands unless its polish strictly
-    improves on it. Two suffice: in coordinates where sigma = I, FI is a
-    degree-2 trigonometric polynomial in 2 psi, with at most two maxima.
+    Returns (psi, fi) with 0 <= psi < pi. With sigma = L L^T, a = L^-1 dv,
+    B = L^-1 dsigma L^-T and w = (cos theta, sin theta) proportional to L^T u
+    for the quadrature u = (cos psi, -sin psi), FI = 2 (w.a)^2 + (w^T B w)^2 / 2,
+    a degree-2 trigonometric polynomial in x = 2 theta. Its stationary points
+    are the roots of one quartic in z = e^{ix}; the best of them and psi = 0
+    is returned, so a flat FI gives psi = 0.
     """
-    n = _HOMODYNE_GRID
-    psis = np.linspace(0.0, math.pi, n, endpoint=False)
-    values = [fi_homodyne(pair, p) for p in psis]
-    # FI has period pi in psi, so the grid's neighbours wrap around.
-    peaks = [i for i in range(n) if values[i - 1] < values[i] >= values[(i + 1) % n]]
-    peaks = sorted(peaks, key=values.__getitem__, reverse=True)[:2] or [int(np.argmax(values))]
-    span = math.pi / n
-
-    def polish(i: int) -> tuple[float, float]:
-        psi_opt, fi_opt = _golden_max(
-            lambda psi: fi_homodyne(pair, psi), psis[i] - span, psis[i] + span, rel_tol=1e-9, abs_tol=1e-12
-        )
-        if fi_opt <= values[i]:
-            return float(psis[i]), float(values[i])
-        return psi_opt, fi_opt
-
-    return max(map(polish, peaks), key=lambda result: result[1])
+    (s11, s12), _ = pair.state.sigma.tolist()
+    det = pair.state.det_sigma
+    # The constructor admits det <= 0 within rounding; no such sigma has an L.
+    if det <= 0:
+        raise InvalidStateError(f"covariance not invertible, det = {det!r}")
+    l22 = math.sqrt(det / s11)
+    l_inv = np.array([[1.0 / math.sqrt(s11), 0.0], [-s12 / (s11 * l22), 1.0 / l22]])
+    a, b = l_inv @ pair.dv, l_inv @ pair.dsigma @ l_inv.T
+    # FI is quadratic in (a, B): scaling both to unit size moves no stationary
+    # point and leaves max FI >= 1/2, so harmonics below 1e-15 can be dropped,
+    # which keeps np.roots' division by the leading coefficient finite.
+    scale = max(abs(a).max(), abs(b).max()) or 1.0
+    a1, a2 = (a / scale).tolist()
+    (b11, b12), (_, b22) = (b / scale).tolist()
+    # (w.a)^2 = |a|^2/2 + p1 cos x + p2 sin x,  w^T B w = q0 + q1 cos x + q2 sin x.
+    p1, p2 = 0.5 * (a1 * a1 - a2 * a2), a1 * a2
+    q0, q1, q2 = 0.5 * (b11 + b22), 0.5 * (b11 - b22), b12
+    # dFI/dx = c1 cos x + s1 sin x + c2 cos 2x + s2 sin 2x, times 2 z^2.
+    c1, s1 = 2.0 * p2 + q0 * q2, -2.0 * p1 - q0 * q1
+    c2, s2 = q1 * q2, 0.5 * (q2 * q2 - q1 * q1)
+    quartic = np.array([c2 - 1j * s2, c1 - 1j * s1, 0.0, c1 + 1j * s1, c2 + 1j * s2])
+    theta = 0.5 * np.angle(np.roots(np.where(abs(quartic) > 1e-15, quartic, 0.0)))
+    u1, u2 = l_inv.T @ np.array([np.cos(theta), np.sin(theta)])
+    # psi mod pi; a psi just below 0 can round up to pi itself.
+    psis = (np.arctan2(-u2, u1) % math.pi).tolist()
+    candidates = [0.0] + [psi if psi < math.pi else 0.0 for psi in psis]
+    return max(((psi, fi_homodyne(pair, psi)) for psi in candidates), key=lambda result: result[1])
 
 
 # --- optimizers ---------------------------------------------------------------
 
 
-def _golden_max(
-    f: Callable[[float], float], lo: float, hi: float, rel_tol: float, abs_tol: float = 0.0
-) -> tuple[float, float]:
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > rel_tol * max(abs(lo), abs(hi)) + abs_tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = f(x1)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
-
-
-def _scan_then_golden(
+def _scan_then_polish(
     f: Callable[[float], float], t_lo: float, t_hi: float, points: int = 128
 ) -> tuple[float, float]:
     grid = np.geomspace(t_lo, t_hi, points)
@@ -268,12 +254,18 @@ def _scan_then_golden(
             raise SearchError(f"objective is not finite at t = {t!r}")
         values.append(val)
     i = int(np.argmax(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, points - 1)]
-    t_opt, best = _golden_max(f, float(lo), float(hi), rel_tol=1e-6)
-    if best < values[i]:
+    lo = float(grid[max(i - 1, 0)])
+    hi = float(grid[min(i + 1, points - 1)])
+    # Imported here: scipy.optimize adds ~0.35 s to the package's import time.
+    from scipy.optimize import minimize_scalar
+
+    polish = minimize_scalar(
+        lambda t: -f(t), bounds=(lo, hi), method="bounded", options={"xatol": 1e-6 * hi}
+    )
+    # A grid point stands unless the polish strictly improves on it.
+    if -polish.fun <= values[i]:
         return float(grid[i]), float(values[i])
-    return t_opt, best
+    return float(polish.x), float(-polish.fun)
 
 
 def maximize_single_shot(
@@ -283,7 +275,7 @@ def maximize_single_shot(
     t_lo, t_hi = bracket
     if not (0 < t_lo < t_hi):
         raise DomainError("bracket must satisfy 0 < t_lo < t_hi")
-    return _scan_then_golden(rate_fn, t_lo, t_hi)
+    return _scan_then_polish(rate_fn, t_lo, t_hi)
 
 
 def optimize_time(
@@ -293,8 +285,10 @@ def optimize_time(
 ) -> tuple[float, float]:
     """Maximize the repetition-rate objective rate_fn(t) / (t + t_pm).
 
-    128-point log-grid scan followed by golden-section refinement to a
-    relative tolerance of 1e-6 in t. Returns (t_opt, best objective value).
+    128-point log-grid scan, then scipy's bounded scalar minimizer between
+    the best grid point's two neighbours, to 1e-6 of the upper neighbour in
+    t; the grid point stands unless that polish strictly improves on it.
+    Returns (t_opt, best objective value).
     """
     t_lo, t_hi = bracket
     if not (0 < t_lo < t_hi):
@@ -304,7 +298,7 @@ def optimize_time(
     def objective(t: float) -> float:
         return rate_fn(t) / (t + t_pm)
 
-    return _scan_then_golden(objective, t_lo, t_hi)
+    return _scan_then_polish(objective, t_lo, t_hi)
 
 
 # --- closed-form protocol optima ---------------------------------------------

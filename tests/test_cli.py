@@ -282,8 +282,12 @@ class TestValidateCommand:
 
 def test_import_leaves_oracle_and_bound_dependencies_unloaded():
     """`import critsense.cli` runs before every command, so the Fock oracle's
-    scipy.sparse and the bound's scipy.integrate are imported where used."""
-    code = "import sys, critsense.cli; print(sorted({'scipy.sparse', 'scipy.integrate'} & set(sys.modules)))"
+    scipy.sparse, the bound's scipy.integrate and the time search's
+    scipy.optimize are imported where used."""
+    code = (
+        "import sys, critsense.cli; "
+        "print(sorted({'scipy.sparse', 'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(critsense.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -63,6 +63,13 @@ class TestSqueeze:
         st = apply_squeeze(vacuum_state(), SqueezeParam(r))
         assert mean_photons(st) == pytest.approx(math.sinh(r) ** 2, rel=1e-12)
 
+    def test_large_squeezing_keeps_its_digits(self):
+        # N = 1e8 photons: cosh r - sinh r cancels to 4.6e-8 of e^-r.
+        r = math.asinh(math.sqrt(1e8))
+        st = apply_squeeze(vacuum_state(), SqueezeParam(r))
+        assert st.sigma[1, 1] == pytest.approx(math.exp(-2.0 * r), rel=1e-14, abs=0.0)
+        assert st.det_sigma == pytest.approx(1.0, rel=1e-14, abs=0.0)
+
 
 class TestDisplace:
     def test_along_x(self):
@@ -159,14 +166,19 @@ class TestObservables:
             GaussianState(np.zeros(2), np.diag([0.5, 0.5]))
 
     def test_negative_variance_rejected(self):
-        # det = -0.4 lies inside the 1e-9 * max|sigma_ij|^2 tolerance.
         with pytest.raises(InvalidStateError, match="negative variance"):
             GaussianState(np.zeros(2), np.diag([4e4, -1e-5]))
 
     def test_non_positive_determinant_rejected(self):
-        # Positive variances, det = 0.4 - 0.49 < 0, also inside the tolerance.
+        # Positive variances, det = 0.4 - 0.49 < 0.
         with pytest.raises(InvalidStateError, match="uncertainty relation"):
             GaussianState(np.zeros(2), np.array([[4e4, 0.7], [0.7, 1e-5]]))
+
+    def test_determinant_below_one_rejected(self):
+        # det = 0.4 sits within 1e-9 of max|sigma_ij|^2 = 1.6e9, but s11 s22 = 0.4
+        # rounds by ulps of 0.4, not of 1.6e9.
+        with pytest.raises(InvalidStateError, match="uncertainty relation"):
+            GaussianState(np.zeros(2), np.diag([4e4, 1e-5]))
 
     def test_rounded_pure_state_kept(self):
         # evolve_critical(SystemParams(1, 2, 0), vacuum, 6): a pure state whose

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from critsense.dynamics import Regime, SystemParams, _noise_integrals, evolve_critical, spectral_info
 from critsense.gaussian import thermal_state
-from critsense.metrology import qfi
+from critsense.metrology import fi_homodyne, qfi
 from critsense.oracle import lyapunov_rk4
 from critsense.protocols import _fd_step, best_homodyne, cqs_pair
 from critsense.validate import _horizon, _rel_state_diff
@@ -79,12 +79,16 @@ def test_homodyne_never_beats_qfi(case):
     """FI <= QFI over the angle, up to the finite-difference derivative's own
     rounding noise, about eps cond(Sigma) / h in amplitude: on (nearly) pure
     states that noise is information the QFI formula does not bound. Over
-    6000 random draws the amplitude excess peaked at 2.4 such units."""
+    6000 random draws the amplitude excess peaked at 2.4 such units. The
+    angle lies in [0, pi) and no point of a 721-point grid beats it."""
     params, t = case
     pair = cqs_pair(params, t)
-    _, best = best_homodyne(pair)
+    psi, best = best_homodyne(pair)
     noise = 10.0 * np.finfo(float).eps * np.linalg.cond(pair.state.sigma) / _fd_step(params)
     assert math.sqrt(best) <= math.sqrt(qfi(pair) * (1.0 + 1e-6)) + noise
+    assert 0.0 <= psi < math.pi
+    grid = max(fi_homodyne(pair, p) for p in np.linspace(0.0, math.pi, 721, endpoint=False))
+    assert best >= (1.0 - 1e-12) * grid
 
 
 @given(params_and_time(), st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x))

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import pqs_qfi_closed_form
 from critsense.dynamics import SystemParams, evolve_passive, spectral_info, steady_state_photons
-from critsense.errors import ConstraintError, DomainError, SearchError, UnsupportedRegimeError
-from critsense.gaussian import DisplacementAmplitude, SqueezeParam, mean_photons, thermal_state
+from critsense.errors import ConstraintError, DomainError, InvalidStateError, SearchError, UnsupportedRegimeError
+from critsense.gaussian import DisplacementAmplitude, GaussianState, SqueezeParam, mean_photons, thermal_state
 from critsense.metrology import DerivativePair, fi_homodyne
 from critsense.protocols import (
     ProtocolKind,
@@ -212,11 +212,27 @@ class TestBestHomodyne:
         assert psi == pytest.approx(3.0359, abs=1e-4)
 
     def test_flat_information_has_no_peak(self):
-        # No grid point is a strict local maximum, and no polish improves on
-        # the argmax: the search stays at psi = 0.
+        # Every coefficient of the quartic vanishes: only psi = 0 is tried.
         pair = DerivativePair(thermal_state(1.0), np.zeros(2), np.zeros((2, 2)))
         psi, fi = best_homodyne(pair)
         assert fi == 0.0 and psi == 0.0
+
+    def test_peak_next_to_zero_wraps_into_half_period(self):
+        """Lossless CQS at N = 1.2e5 peaks at psi = pi - 0.005: a 192-point
+        grid returned psi = -0.00496 and FI 1.406276e12."""
+        n, omega0 = 123178.57335893599, 0.7654364352428203
+        lossless = SystemParams(omega0, 0.0, 0.0)
+        pair = cqs_pair(SystemParams(omega0, epsilon_opt(n, lossless), 0.0), 129.3406989831856)
+        psi, fi = best_homodyne(pair)
+        assert 0.0 <= psi < math.pi
+        assert fi >= 1.40633e12
+
+    def test_rounded_pure_state_has_no_whitening(self):
+        # det(sigma) rounds to -128 (see test_gaussian.py): no Cholesky factor.
+        sigma = np.array([[354421486.6488003, -613876021.5924665], [-613876021.5924665, 1063264457.946401]])
+        pair = DerivativePair(GaussianState(np.zeros(2), sigma), np.ones(2), np.eye(2))
+        with pytest.raises(InvalidStateError, match="not invertible"):
+            best_homodyne(pair)
 
 
 class TestOptimizeTime:
