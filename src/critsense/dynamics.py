@@ -116,10 +116,31 @@ def drift_and_diffusion(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
 # --- closed-form propagation helpers ---------------------------------------
 
 _SERIES_Z = 1e-6  # |s t^2| below this: Taylor series of cosh/sinh in s
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant for doubles
 
 
-def _decayed_cosh_sinhc(gamma: float, s: float, tau: float) -> tuple[float, float]:
-    """Return (e^{-gamma tau} cosh(u tau), e^{-gamma tau} sinh(u tau)/u), u = sqrt(s).
+def _square(a: float) -> tuple[float, float]:
+    """a^2 as the exact sum hi + lo of two doubles (Dekker's product)."""
+    hi = a * a
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    return hi, ((a_hi * a_hi - hi) + 2.0 * a_hi * a_lo) + a_lo * a_lo
+
+
+def _s_and_gap(params: SystemParams) -> tuple[float, float]:
+    """s = eps^2 - omega^2 and K = gamma^2 - s = eps_c^2 - eps^2, each rounded
+    once from the exact squares. Near the critical point K is a small
+    difference of large squares, and the slow rate gamma - sqrt(s) = K /
+    (gamma + sqrt(s)) and the steady state scale as K: formed as differences
+    of rounded squares they would lose digits in proportion to 1/K."""
+    w2, e2, g2 = _square(params.omega), _square(params.epsilon), _square(params.gamma)
+    return math.fsum((*e2, -w2[0], -w2[1])), math.fsum((*w2, *g2, -e2[0], -e2[1]))
+
+
+def _decayed_cosh_sinhc(gamma: float, s: float, k: float, tau: float) -> tuple[float, float]:
+    """Return (e^{-gamma tau} cosh(u tau), e^{-gamma tau} sinh(u tau)/u), u = sqrt(s),
+    with k = gamma^2 - s.
 
     Analytic in s (trigonometric for s < 0); the combined exponential form
     avoids overflow of cosh for large u tau.
@@ -132,13 +153,29 @@ def _decayed_cosh_sinhc(gamma: float, s: float, tau: float) -> tuple[float, floa
         return decay * c, decay * sc
     if s > 0:
         u = math.sqrt(s)
-        slow = math.exp(-(gamma - u) * tau)  # e^{-lambda_- tau}; may exceed 1 above threshold
+        slow = math.exp(-k / (gamma + u) * tau)  # e^{-lambda_- tau}; may exceed 1 above threshold
         c = 0.5 * slow * (1.0 + math.exp(-2.0 * u * tau))
         sc = -slow * math.expm1(-2.0 * u * tau) / (2.0 * u)
         return c, sc
     w = math.sqrt(-s)
     decay = math.exp(-gamma * tau)
     return decay * math.cos(w * tau), decay * math.sin(w * tau) / w
+
+
+def _sinhc_slope(gamma: float, s: float, tau: float, c: float, sc: float) -> float:
+    """d/ds of e^{-gamma tau} sinh(u tau)/u, given (c, sc) = _decayed_cosh_sinhc.
+
+    Equal to (tau c - sc) / (2 s), whose two terms cancel for small |s tau^2|;
+    there the Taylor series tau^3 sum_k k z^(k-1) / (2k+1)! in z = s tau^2.
+    """
+    z = s * tau * tau
+    if abs(z) < 1.0:
+        term, total = 1.0 / 6.0, 0.0
+        for k in range(1, 12):
+            total += term
+            term *= z * (k + 1) / (k * (2 * k + 2) * (2 * k + 3))
+        return math.exp(-gamma * tau) * tau ** 3 * total
+    return (tau * c - sc) / (2.0 * s)
 
 
 def _drive_matrix(params: SystemParams) -> np.ndarray:
@@ -150,8 +187,8 @@ def _drive_matrix(params: SystemParams) -> np.ndarray:
 
 def propagator(params: SystemParams, t: float) -> np.ndarray:
     """exp(A t) evaluated in closed form."""
-    s = params.epsilon ** 2 - params.omega ** 2
-    c, sc = _decayed_cosh_sinhc(params.gamma, s, t)
+    s, k = _s_and_gap(params)
+    c, sc = _decayed_cosh_sinhc(params.gamma, s, k, t)
     return c * np.eye(2) + sc * _drive_matrix(params)
 
 
@@ -162,52 +199,101 @@ def _int_exp(lam: float, t: float) -> float:
     return -math.expm1(-2.0 * lam * t) / (2.0 * lam)
 
 
-def _noise_integrals(gamma: float, s: float, t: float) -> tuple[float, float, float, float]:
-    """Stable evaluation of the four scalar integrals over [0, t]:
+def _int_texp(lam: float, t: float) -> float:
+    """Integral of tau e^{-2 lam tau} over [0, t], i.e. -(d/d lam) _int_exp / 2.
+
+    Equal to t^2 (1 - e^{-x}(1 + x)) / x^2 with x = 2 lam t, whose terms
+    cancel for small |x|; there the series t^2 sum_n (n+1) (-x)^n / (n+2)!.
+    """
+    x = 2.0 * lam * t
+    if abs(x) < 1.0:
+        term, total = 0.5, 0.0
+        for n in range(18):
+            total += term
+            term *= -x * (n + 2) / ((n + 1) * (n + 3))
+        return t * t * total
+    return (-math.expm1(-x) - x * math.exp(-x)) / (4.0 * lam * lam)
+
+
+# The series branch of the noise integrals: |s| times the square of the
+# effective horizon at most this. The exponential weight cuts the integrals
+# off at ~1/gamma, so the horizon is min(t, 2.5 / gamma).
+_SERIES_ST2 = 2.5e-3
+
+
+def _is_series(gamma: float, s: float, t: float) -> bool:
+    t_eff = min(t, 2.5 / gamma) if gamma > 0 else t
+    return abs(s) * t_eff * t_eff <= _SERIES_ST2
+
+
+def _series_coefficients(gamma: float, t: float) -> tuple[list[float], ...]:
+    """Coefficients of Ic, Is and Iq as power series in s, from the moment
+    integrals m_j = ∫ τ^j e^{-2 g τ}, j = 0..10, which the regularized
+    incomplete gamma function gives."""
+    if gamma == 0:
+        m = [t ** (j + 1) / (j + 1) for j in range(11)]
+    else:
+        x = 2.0 * gamma * t
+        m = [gammainc(j + 1, x) * math.factorial(j) / (2.0 * gamma) ** (j + 1) for j in range(11)]
+    return (
+        [4.0 ** k * m[2 * k] / math.factorial(2 * k) for k in range(5)],
+        [4.0 ** k * 2.0 * m[2 * k + 1] / math.factorial(2 * k + 1) for k in range(5)],
+        [4.0 ** (k + 1) * m[2 * k + 2] / (2.0 * math.factorial(2 * k + 2)) for k in range(5)],
+    )
+
+
+def _noise_integrals(gamma: float, s: float, k: float, t: float) -> tuple[float, float, float, float]:
+    """Stable evaluation of the four scalar integrals over [0, t], k = gamma^2 - s:
 
     I0 = ∫ e^{-2 g τ},            Ic = ∫ e^{-2 g τ} cosh(2 u τ),
     Is = ∫ e^{-2 g τ} sinh(2 u τ)/u,   Iq = ∫ e^{-2 g τ} sinh^2(u τ)/u^2,
     with u = sqrt(s) continued analytically through s <= 0.
     """
     i0 = _int_exp(gamma, t)
-    # The exponential weight cuts the integrals off at ~1/gamma, so the series
-    # convergence parameter is |s| times the square of the effective horizon.
-    t_eff = min(t, 2.5 / gamma) if gamma > 0 else t
-    if abs(s) * t_eff * t_eff <= 2.5e-3:
-        # Series in s; moment integrals via the regularized incomplete gamma.
-        x = 2.0 * gamma * t
-        moments = []
-        for j in range(11):
-            if gamma > 0:
-                mj = gammainc(j + 1, x) * math.factorial(j) / (2.0 * gamma) ** (j + 1)
-            else:
-                mj = t ** (j + 1) / (j + 1)
-            moments.append(mj)
-        ic = sum((4.0 * s) ** k * moments[2 * k] / math.factorial(2 * k) for k in range(5))
-        i_s = sum(
-            (4.0 * s) ** k * 2.0 * moments[2 * k + 1] / math.factorial(2 * k + 1)
-            for k in range(5)
-        )
-        iq = sum(
-            4.0 ** k * s ** (k - 1) * moments[2 * k] / (2.0 * math.factorial(2 * k))
-            for k in range(1, 6)
-        )
+    if _is_series(gamma, s, t):
+        ic, i_s, iq = (sum(c * s ** k for k, c in enumerate(cs)) for cs in _series_coefficients(gamma, t))
         return i0, ic, i_s, iq
     if s > 0.25 * gamma * gamma:
         # Well split from the exceptional point: exact exponential integrals.
         u = math.sqrt(s)
-        em = _int_exp(gamma - u, t)
+        em = _int_exp(k / (gamma + u), t)
         ep = _int_exp(gamma + u, t)
         ic = 0.5 * (em + ep)
         i_s = (em - ep) / (2.0 * u)
     else:
         # Analytic-in-s form; K = gamma^2 - s = eps_c^2 - eps^2 is far from 0 here.
-        dc2, ds2 = _decayed_cosh_sinhc(gamma, s, 2.0 * t)
-        k = gamma * gamma - s
+        dc2, ds2 = _decayed_cosh_sinhc(gamma, s, k, 2.0 * t)
         ic = (gamma - (gamma * dc2 + s * ds2)) / (2.0 * k)
         i_s = (1.0 - (dc2 + gamma * ds2)) / (2.0 * k)
     iq = (ic - i0) / (2.0 * s)
     return i0, ic, i_s, iq
+
+
+def _noise_slopes(
+    gamma: float, s: float, k: float, t: float, ic: float, i_s: float, iq: float
+) -> tuple[float, float, float]:
+    """d/ds of (Ic, Is, Iq) on the branches of _noise_integrals, which gives
+    ic, i_s and iq; I0 does not depend on s."""
+    if _is_series(gamma, s, t):
+        dic, dis, diq = (
+            sum(k * c * s ** (k - 1) for k, c in enumerate(cs) if k) for cs in _series_coefficients(gamma, t)
+        )
+        return dic, dis, diq
+    if s > 0.25 * gamma * gamma:
+        # d(e_-+)/ds = +-J_-+/u with J = _int_texp at the rates gamma -+ u.
+        u = math.sqrt(s)
+        jm = _int_texp(k / (gamma + u), t)
+        jp = _int_texp(gamma + u, t)
+        dic = (jm - jp) / (2.0 * u)
+        dis = (jm + jp - i_s) / (2.0 * s)
+    else:
+        # d(dc2)/ds = t ds2 and d(ds2)/ds = _sinhc_slope at tau = 2 t; dK/ds = -1.
+        dc2, ds2 = _decayed_cosh_sinhc(gamma, s, k, 2.0 * t)
+        q2 = _sinhc_slope(gamma, s, 2.0 * t, dc2, ds2)
+        dic = (2.0 * ic - (gamma * t * ds2 + ds2 + s * q2)) / (2.0 * k)
+        dis = (2.0 * i_s - (t * ds2 + gamma * q2)) / (2.0 * k)
+    diq = (dic - 2.0 * iq) / (2.0 * s)
+    return dic, dis, diq
 
 
 def _noise_matrix(params: SystemParams, t: float) -> np.ndarray:
@@ -216,8 +302,8 @@ def _noise_matrix(params: SystemParams, t: float) -> np.ndarray:
     if gamma == 0.0 or t == 0.0:
         return np.zeros((2, 2))
     w, eps = params.omega, params.epsilon
-    s = eps * eps - w * w
-    i0, ic, i_s, iq = _noise_integrals(gamma, s, t)
+    s, k = _s_and_gap(params)
+    i0, ic, i_s, iq = _noise_integrals(gamma, s, k, t)
     d = 2.0 * gamma * (1.0 + 2.0 * params.n_bath)
     ia = 0.5 * (i0 + ic)
     g11 = d * (ia + iq * (w - eps) ** 2)
@@ -235,6 +321,64 @@ def evolve_critical(params: SystemParams, state0: GaussianState, t: float) -> Ga
     return GaussianState(v, M @ state0.sigma @ M.T + _noise_matrix(params, t))
 
 
+# --- exact shift tangents ----------------------------------------------------
+# d/d omega of the moments that evolve_critical, steady_state and
+# evolve_passive return, for a start that does not depend on the shift. The
+# drift's derivative is dA/d omega = J; the closed forms above depend on omega
+# through s = eps^2 - omega^2 (ds/d omega = -2 omega) and through B (dB/d omega = J).
+
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _noise_tangent(params: SystemParams, t: float) -> np.ndarray:
+    """d/d omega of _noise_matrix: the integrals' s-slopes times -2 omega,
+    plus the explicit omega in (omega -+ eps)^2."""
+    gamma = params.gamma
+    if gamma == 0.0 or t == 0.0:
+        return np.zeros((2, 2))
+    w, eps = params.omega, params.epsilon
+    s, k = _s_and_gap(params)
+    _, ic, i_s, iq = _noise_integrals(gamma, s, k, t)
+    dic, dis, diq = _noise_slopes(gamma, s, k, t, ic, i_s, iq)
+    d = 2.0 * gamma * (1.0 + 2.0 * params.n_bath)
+    g11 = d * (2.0 * iq * (w - eps) - w * (dic + 2.0 * diq * (w - eps) ** 2))
+    g22 = d * (2.0 * iq * (w + eps) - w * (dic + 2.0 * diq * (w + eps) ** 2))
+    g12 = 2.0 * d * w * eps * dis
+    return np.array([[g11, g12], [g12, g22]])
+
+
+def _critical_tangent(
+    params: SystemParams, state0: GaussianState, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dv, dSigma) of evolve_critical: with M = c I + sc B, dc/ds = t sc / 2
+    and d sc/ds = _sinhc_slope, dM = -omega t sc I - 2 omega (d sc/ds) B + sc J,
+    and dSigma = dM Sigma0 M^T + M Sigma0 dM^T + dG."""
+    w, eps = params.omega, params.epsilon
+    s, k = _s_and_gap(params)
+    c, sc = _decayed_cosh_sinhc(params.gamma, s, k, t)
+    q = _sinhc_slope(params.gamma, s, t, c, sc)
+    # Entry by entry, with B = [[0, w - eps], [-(w + eps), 0]] (_drive_matrix).
+    M = np.array([[c, sc * (w - eps)], [-sc * (w + eps), c]])
+    dM = np.array([[-w * t * sc, sc - 2.0 * w * q * (w - eps)], [2.0 * w * q * (w + eps) - sc, -w * t * sc]])
+    X = dM @ state0.sigma @ M.T
+    return dM @ state0.v, X + X.T + _noise_tangent(params, t)
+
+
+def _steady_sigma(params: SystemParams) -> tuple[np.ndarray, float]:
+    """The stationary covariance (1 + 2 n_bath)/K [[eps_c^2 - omega eps,
+    -gamma eps], [-gamma eps, eps_c^2 + omega eps]] and K = eps_c^2 - eps^2."""
+    eps_c, eps, w, gamma = params.epsilon_c, params.epsilon, params.omega, params.gamma
+    k = _s_and_gap(params)[1]
+    pref = (1.0 + 2.0 * params.n_bath) / k
+    sigma = pref * np.array(
+        [
+            [eps_c * eps_c - w * eps, -gamma * eps],
+            [-gamma * eps, eps_c * eps_c + w * eps],
+        ]
+    )
+    return sigma, k
+
+
 def steady_state(params: SystemParams) -> GaussianState:
     """Stationary Gaussian state for epsilon strictly below the critical point."""
     eps_c, eps = params.epsilon_c, params.epsilon
@@ -242,16 +386,17 @@ def steady_state(params: SystemParams) -> GaussianState:
         raise NoSteadyStateError(
             f"no steady state: epsilon = {eps!r} at or above epsilon_c = {eps_c!r}"
         )
-    w, gamma = params.omega, params.gamma
-    denom = eps_c * eps_c - eps * eps
-    pref = (1.0 + 2.0 * params.n_bath) / denom
-    sigma = pref * np.array(
-        [
-            [eps_c * eps_c - w * eps, -gamma * eps],
-            [-gamma * eps, eps_c * eps_c + w * eps],
-        ]
-    )
-    return GaussianState(np.zeros(2), sigma)
+    return GaussianState(np.zeros(2), _steady_sigma(params)[0])
+
+
+def _steady_tangent(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """(dv, dSigma) of steady_state: with d(eps_c^2)/d omega = 2 omega and
+    dK/d omega = 2 omega, dSigma = (1 + 2 n_bath)/K diag(2 omega - eps,
+    2 omega + eps) - (2 omega/K) Sigma."""
+    sigma, k = _steady_sigma(params)
+    w, eps = params.omega, params.epsilon
+    dsigma = (1.0 + 2.0 * params.n_bath) / k * np.diag([2.0 * w - eps, 2.0 * w + eps]) - (2.0 * w / k) * sigma
+    return np.zeros(2), dsigma
 
 
 def steady_state_photons(params: SystemParams) -> float:
@@ -292,3 +437,17 @@ def evolve_passive(params: SystemParams, state0: GaussianState, t: float) -> Gau
     relax = -math.expm1(-2.0 * gamma * t)  # 1 - e^{-2 gamma t}
     sigma = decay * decay * (R @ state0.sigma @ R.T) + relax * (1.0 + 2.0 * n_bath) * np.eye(2)
     return GaussianState(v, sigma)
+
+
+def _passive_tangent(
+    params: SystemParams, state0: GaussianState, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dv, dSigma) of evolve_passive: dR(-delta t)/d delta = t J R, so
+    dv = t J v and dSigma = e^{-2 gamma t} t (J Sigma0_R + Sigma0_R J^T) with
+    Sigma0_R = R Sigma0 R^T. The thermal input is rotation-invariant and adds
+    nothing; taken from Sigma(t) instead, this would round to 0 once that
+    input dominates."""
+    R = rotation_matrix(-params.delta_omega * t)
+    decay = math.exp(-params.gamma * t)
+    X = (decay * decay * t) * (_J @ R @ state0.sigma @ R.T)
+    return t * (_J @ (decay * (R @ state0.v))), X + X.T

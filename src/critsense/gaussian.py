@@ -20,6 +20,8 @@ from .errors import DomainError, InvalidStateError, PreconditionError
 # of the scale its rounding has signals a genuine bug rather than roundoff.
 TOL = 1e-12
 HARD_TOL = 1e-9
+# det(sigma) = s11 s22 - s12^2 is known to about this fraction of s11 s22 + s12^2.
+DET_ROUNDING = 1e-14
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,28 @@ def apply_displace(state: GaussianState, d: DisplacementAmplitude) -> GaussianSt
 def apply_rotation(state: GaussianState, theta: float) -> GaussianState:
     R = rotation_matrix(theta)
     return GaussianState(R @ state.v, R @ state.sigma @ R.T)
+
+
+def cholesky_factor(state: GaussianState) -> tuple[np.ndarray, float]:
+    """(L, det): the lower-triangular L with sigma = L L^T, L22 = sqrt(det / s11).
+
+    Quadratic forms in sigma^-1 taken in the frame that L whitens, such as
+    |L^-1 x|^2 and the entries of L^-1 M L^-T, are sums of squares where the
+    adjugate over det would cancel digits for a strongly squeezed state. det
+    is det_sigma, or exactly 1 where det_sigma is 1 within its own rounding
+    (DET_ROUNDING of s11 s22 + s12^2): there its digits below 1 are noise,
+    and the nearest pure state's factor keeps L^-1 sigma L^-T = I to
+    rounding. A det <= 0, which the constructor admits within rounding, has
+    no factor.
+    """
+    det = state.det_sigma
+    if det <= 0 or not math.isfinite(det):
+        raise InvalidStateError(f"covariance not invertible, det = {det!r}")
+    (s11, s12), (_, s22) = state.sigma.tolist()
+    if abs(det - 1.0) <= DET_ROUNDING * (s11 * s22 + s12 * s12):
+        det = 1.0
+    l11 = math.sqrt(s11)
+    return np.array([[l11, 0.0], [s12 / l11, math.sqrt(det / s11)]]), det
 
 
 def mean_photons(state: GaussianState) -> float:

@@ -2,21 +2,27 @@
 
 All estimators act on a DerivativePair: the state at zero frequency shift
 together with the derivatives of its moments with respect to the shift.
-Derivatives are obtained numerically (Richardson-extrapolated central
-differences) from any state family, so one engine covers every dynamical
-regime; known closed forms serve as test vectors only.
+`differentiate_at_zero_shift` evaluates one of the dynamics' evolutions once
+and takes the derivative exactly, from the shift derivative of its closed
+form (the tangent of the moment flow; Van Loan, IEEE TAC 23, 395 (1978)).
+The QFI is the single-mode Gaussian formula (Safranek, J. Phys. A 52, 035304
+(2019)). Finite differences of state families serve as a test oracle only
+(`oracle.fd_shift_derivative`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import dynamics
+from .dynamics import SystemParams
 from .errors import AccuracyError, DomainError, InvalidStateError, PreconditionError, PureStateError
-from .gaussian import GaussianState, fidelity, photon_variance
+from .gaussian import GaussianState, cholesky_factor, fidelity, photon_variance
 
 StateFamily = Callable[[float], GaussianState]
 
@@ -26,6 +32,22 @@ _PURE_GAP = 1e-9
 _PURE_DMU = 1e-7
 
 
+class Whitened(NamedTuple):
+    """A derivative pair in the frame that whitens sigma = L L^T (see
+    DerivativePair.whitened): L, the purity mu, a = L^-1 dv and
+    B = L^-1 dsigma L^-T."""
+
+    l11: float
+    l21: float
+    l22: float
+    mu: float
+    a1: float
+    a2: float
+    b11: float
+    b12: float
+    b22: float
+
+
 @dataclass(frozen=True)
 class DerivativePair:
     """A Gaussian state and the derivative of its moments w.r.t. the shift."""
@@ -33,59 +55,76 @@ class DerivativePair:
     state: GaussianState
     dv: np.ndarray
     dsigma: np.ndarray
-    error_estimate: float = 0.0
-    warn: bool = False
+    # An exact derivative has no step error to warn about; kept for readers
+    # of the former finite-difference flag.
+    warn = False
 
     def __post_init__(self):
-        dv = np.asarray(self.dv, dtype=float)
-        dsigma = np.asarray(self.dsigma, dtype=float)
+        dv = np.array(self.dv, dtype=float)
+        dsigma = np.array(self.dsigma, dtype=float)
         if dv.shape != (2,) or dsigma.shape != (2, 2):
             raise DomainError("derivative shapes must be (2,) and (2, 2)")
-        if not (np.all(np.isfinite(dv)) and np.all(np.isfinite(dsigma))):
+        (d11, d12), (d21, d22) = dsigma.tolist()
+        if not all(map(math.isfinite, (*dv.tolist(), d11, d12, d21, d22))):
             raise DomainError("non-finite derivatives")
-        dsigma = 0.5 * (dsigma + dsigma.T)
+        d12 = 0.5 * (d12 + d21)
         object.__setattr__(self, "dv", dv)
-        object.__setattr__(self, "dsigma", dsigma)
+        object.__setattr__(self, "dsigma", np.array([[d11, d12], [d12, d22]]))
+
+    @cached_property
+    def whitened(self) -> Whitened:
+        """The pair in the frame sigma = L L^T of gaussian.cholesky_factor,
+        with the purity mu = min(det^-1/2, 1) of the det that factor used.
+
+        tr B = tr(sigma^-1 dsigma) is the log-derivative of det. A unitary
+        family keeps a pure state pure, so at a pure state (1 - mu^4 below
+        _PURE_GAP) a trace within _PURE_DMU of B's size is rounding and is
+        removed; the QFI rejects a larger one.
+        """
+        L, det = cholesky_factor(self.state)
+        (l11, _), (l21, l22) = L.tolist()
+        mu = min(1.0 / math.sqrt(det), 1.0)
+        # L^-1 = [[m11, 0], [m21, m22]]. Python floats: an overflowing
+        # derivative gives inf or nan, which the estimators reject.
+        m11, m21, m22 = 1.0 / l11, -l21 / (l11 * l22), 1.0 / l22
+        (v1, v2), ((d11, d12), (_, d22)) = self.dv.tolist(), self.dsigma.tolist()
+        row2 = (m21 * d11 + m22 * d12, m21 * d12 + m22 * d22)  # second row of L^-1 dsigma
+        b11, b12 = m11 * m11 * d11, m11 * row2[0]
+        b22 = row2[0] * m21 + row2[1] * m22
+        half_trace = 0.5 * (b11 + b22)
+        size = math.sqrt(b11 * b11 + 2.0 * b12 * b12 + b22 * b22)
+        if 1.0 - mu ** 4 < _PURE_GAP and abs(half_trace) < _PURE_DMU * max(1.0, size):
+            b11, b22 = b11 - half_trace, b22 - half_trace
+        return Whitened(l11, l21, l22, mu, m11 * v1, m21 * v1 + m22 * v2, b11, b12, b22)
 
 
-def differentiate_at_zero_shift(family: StateFamily, h: float = 1e-5) -> DerivativePair:
-    """Differentiate a state family at zero shift.
+# The exact tangent of each evolution, by name: a decorated evolution
+# (functools.wraps) keeps its name.
+_TANGENTS = {
+    "evolve_critical": dynamics._critical_tangent,
+    "evolve_passive": dynamics._passive_tangent,
+    "steady_state": dynamics._steady_tangent,
+}
 
-    Central differences at steps h and h/2 combined by Richardson
-    extrapolation; the step-halving residual provides the error estimate.
-    The default step suits families expressed in units where gamma ~ 1.
+
+def differentiate_at_zero_shift(
+    evolve: Callable[..., GaussianState], params: SystemParams, *args
+) -> DerivativePair:
+    """The state evolve(params, *args) at zero shift and the exact derivative
+    of its moments with respect to the shift.
+
+    `evolve` is dynamics.evolve_critical, evolve_passive or steady_state; any
+    further arguments (start state, time) are passed on to it and must not
+    depend on the shift. One evolution, no step size.
     """
-    if not (math.isfinite(h) and h > 0):
-        raise DomainError(f"step must be positive, got {h!r}")
-    base = family(0.0)
-
-    def central(step: float) -> tuple[np.ndarray, np.ndarray]:
-        plus = family(step)
-        minus = family(-step)
-        dv = (plus.v - minus.v) / (2.0 * step)
-        ds = (plus.sigma - minus.sigma) / (2.0 * step)
-        return dv, ds
-
-    dv1, ds1 = central(h)
-    dv2, ds2 = central(h / 2.0)
-    # An overflowing family gives inf or nan here; DerivativePair rejects it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        dv = (4.0 * dv2 - dv1) / 3.0
-        dsigma = (4.0 * ds2 - ds1) / 3.0
-        err = max(
-            float(np.linalg.norm(dv2 - dv1)), float(np.linalg.norm(ds2 - ds1))
-        ) / 3.0
-        scale = max(float(np.linalg.norm(dv)), float(np.linalg.norm(dsigma)), 1e-300)
-    return DerivativePair(base, dv, dsigma, error_estimate=err, warn=err > 1e-6 * scale)
-
-
-def _inverse_sigma(state: GaussianState) -> tuple[np.ndarray, float]:
-    # The constructor admits det <= 0 within the rounding of s11 * s22 and s12^2.
-    det = state.det_sigma
-    if det <= 0 or not math.isfinite(det):
-        raise InvalidStateError(f"covariance not invertible, det = {det!r}")
-    (s11, s12), (_, s22) = state.sigma.tolist()
-    return np.array([[s22, -s12], [-s12, s11]]) / det, det
+    tangent = _TANGENTS.get(getattr(evolve, "__name__", None))
+    if tangent is None:
+        raise DomainError(f"no exact shift derivative for {evolve!r}")
+    if params.delta_omega != 0.0:
+        params = params.with_shift(0.0)
+    state = evolve(params, *args)
+    dv, dsigma = tangent(params, *args)
+    return DerivativePair(state, dv, dsigma)
 
 
 def _finite(value: float, name: str) -> float:
@@ -95,28 +134,31 @@ def _finite(value: float, name: str) -> float:
 
 
 def qfi_terms(pair: DerivativePair) -> tuple[float, float, float]:
-    """The three QFI contributions: covariance, purity-derivative, displacement."""
-    inv, det = _inverse_sigma(pair.state)
-    mu = min(1.0 / math.sqrt(det), 1.0)
-    # An overflowing derivative gives inf or nan here; _finite rejects it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = inv @ pair.dsigma
-        tr_sq = float(np.trace(a @ a))
-        dmu = -0.5 * mu * float(np.trace(a))  # Jacobi identity for d(det)
-        term1 = 0.5 * tr_sq / (1.0 + mu * mu)
-        gap = 1.0 - mu ** 4
-        if gap < _PURE_GAP:
-            # For symplectic (unitary) families tr(inv@dsigma) vanishes identically;
-            # its numerical residue scales with the size of the derivative matrix.
-            if abs(dmu) < _PURE_DMU * max(1.0, float(np.linalg.norm(a))):
-                term2 = 0.0  # unitary family: purity constant
-            else:
-                raise PureStateError(
-                    f"pure state with non-constant purity (d mu = {dmu!r}); QFI term singular"
-                )
+    """The three QFI contributions: covariance, purity-derivative, displacement.
+
+    Taken in the whitened frame (DerivativePair.whitened), where
+    tr((sigma^-1 dsigma)^2) = tr(B^2) and dv^T sigma^-1 dv = |a|^2 are sums
+    of squares.
+    """
+    w = pair.whitened
+    b11, b12, b22, mu = w.b11, w.b12, w.b22, w.mu
+    # Python floats: an overflow gives inf, which _finite rejects, not a warning.
+    tr_sq = b11 * b11 + 2.0 * b12 * b12 + b22 * b22
+    dmu = -0.5 * mu * (b11 + b22)  # Jacobi identity for d(det)
+    term1 = 0.5 * tr_sq / (1.0 + mu * mu)
+    gap = 1.0 - mu ** 4
+    if gap < _PURE_GAP:
+        # For symplectic (unitary) families tr(B) vanishes identically, and
+        # `whitened` has removed its rounding residue.
+        if abs(dmu) < _PURE_DMU * max(1.0, math.sqrt(tr_sq)):
+            term2 = 0.0  # unitary family: purity constant
         else:
-            term2 = 2.0 * dmu * dmu / gap
-        term3 = 2.0 * float(pair.dv @ inv @ pair.dv)
+            raise PureStateError(
+                f"pure state with non-constant purity (d mu = {dmu!r}); QFI term singular"
+            )
+    else:
+        term2 = 2.0 * dmu * dmu / gap
+    term3 = 2.0 * (w.a1 * w.a1 + w.a2 * w.a2)
     return _finite(term1, "QFI term"), _finite(term2, "QFI term"), _finite(term3, "QFI term")
 
 
@@ -152,15 +194,24 @@ def quadrature_variance(state: GaussianState, psi: float) -> float:
 
 def fi_homodyne(pair: DerivativePair, psi: float) -> float:
     """Classical Fisher information of homodyne detection at angle psi,
-    measured from the x axis."""
+    measured from the x axis: (4 S dm^2 + dS^2) / (2 S^2) for the variance S
+    and mean m of the quadrature u = (cos psi, -sin psi).
+
+    With y = L^T u in the whitened frame, S = |y|^2, dm = y.a and dS = y^T B y,
+    so FI = 2 (e.a)^2 + (e^T B e)^2 / 2 for the unit vector e = y / |y|; u^T
+    sigma u itself would cancel digits along a strongly squeezed quadrature.
+    """
+    w = pair.whitened
     c, sn = math.cos(psi), math.sin(psi)
-    var = _quadratic_form(pair.state.sigma, c, sn)
+    y1, y2 = w.l11 * c - w.l21 * sn, -w.l22 * sn
+    var = y1 * y1 + y2 * y2
     if var <= 1e-12:
         raise InvalidStateError(f"degenerate quadrature variance {var!r}")
-    dvar = _quadratic_form(pair.dsigma, c, sn)
-    dv0, dv1 = pair.dv.tolist()
-    dmean = c * dv0 - sn * dv1
-    return _finite((4.0 * var * dmean * dmean + dvar * dvar) / (2.0 * var * var), "homodyne FI")
+    e1, e2 = y1 / math.sqrt(var), y2 / math.sqrt(var)
+    # Python floats: an overflow gives inf, which _finite rejects, not a warning.
+    mean = e1 * w.a1 + e2 * w.a2
+    spread = e1 * e1 * w.b11 + 2.0 * e1 * e2 * w.b12 + e2 * e2 * w.b22
+    return _finite(2.0 * mean * mean + 0.5 * spread * spread, "homodyne FI")
 
 
 def snr_photon_counting(pair: DerivativePair) -> float:

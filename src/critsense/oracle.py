@@ -1,10 +1,12 @@
 """Independent numerical cross-checks for the closed-form Gaussian machinery.
 
-Two oracles, deliberately sharing no code with the analytic propagator:
-a fixed-step RK4 integrator for the moment (Lyapunov) equations, and the
-full master equation on a Fock-space truncation, which also yields a
-fidelity-based QFI estimate valid beyond the Gaussian calculus.
-Both are library code; the CLI validation command runs the RK4 one.
+Three oracles, deliberately sharing no code with the analytic propagator or
+its exact shift derivative: a fixed-step RK4 integrator for the moment
+(Lyapunov) equations, Richardson-extrapolated central differences of a
+state family in the shift, and the full master equation on a Fock-space
+truncation, which also yields a fidelity-based QFI estimate valid beyond the
+Gaussian calculus. All are library code; the CLI validation command runs the
+first two.
 
 RK4 is the Lyapunov oracle only. Its equation is linear and autonomous,
 y' = L y, so one classical RK4 step of size h is the degree-4 Taylor
@@ -26,6 +28,7 @@ import numpy as np
 from .dynamics import SystemParams, drift_and_diffusion, spectral_info
 from .errors import AccuracyError, DomainError, TruncationError
 from .gaussian import GaussianState
+from .metrology import DerivativePair, StateFamily
 
 LEAK_BUDGET = 1e-8
 
@@ -99,6 +102,33 @@ def lyapunov_rk4(
             f"RK4 step too large: halving changed the result by {diff:.2e} (relative)"
         )
     return GaussianState(v2, s2)
+
+
+def fd_shift_derivative(family: StateFamily, h: float = 1e-5) -> tuple[DerivativePair, float]:
+    """Finite-difference derivative of a state family at zero shift.
+
+    Central differences at steps h and h/2 combined by Richardson
+    extrapolation; returns the pair and the error estimate |D(h/2) - D(h)|/3
+    (the larger of the dv and dSigma norms). The default step suits families
+    expressed in units where gamma ~ 1.
+    """
+    if not (math.isfinite(h) and h > 0):
+        raise DomainError(f"step must be positive, got {h!r}")
+    base = family(0.0)
+
+    def central(step: float) -> tuple[np.ndarray, np.ndarray]:
+        plus = family(step)
+        minus = family(-step)
+        return (plus.v - minus.v) / (2.0 * step), (plus.sigma - minus.sigma) / (2.0 * step)
+
+    dv1, ds1 = central(h)
+    dv2, ds2 = central(h / 2.0)
+    # An overflowing family gives inf or nan here; DerivativePair rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dv = (4.0 * dv2 - dv1) / 3.0
+        dsigma = (4.0 * ds2 - ds1) / 3.0
+        err = max(float(np.linalg.norm(dv2 - dv1)), float(np.linalg.norm(ds2 - ds1))) / 3.0
+    return DerivativePair(base, dv, dsigma), err
 
 
 # --- truncated Fock-space master equation -----------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import SystemParams, evolve_critical, evolve_passive, spectral_info, steady_state
-from .errors import ConstraintError, DomainError, InvalidStateError, SearchError, UnsupportedRegimeError
+from .errors import ConstraintError, DomainError, SearchError, UnsupportedRegimeError
 from .gaussian import (
     DisplacementAmplitude,
     GaussianState,
@@ -139,22 +139,12 @@ class MetrologyReport:
     t_opt: float
 
 
-# --- derivative families -----------------------------------------------------
-
-
-def _fd_step(params: SystemParams) -> float:
-    scale = max(params.gamma, abs(params.omega0), params.epsilon, 1.0e-30)
-    return 1e-5 * scale
+# --- derivative pairs ----------------------------------------------------------
 
 
 def cqs_pair(params: SystemParams, t: float) -> DerivativePair:
     """State and shift-derivative of the driven protocol at time t."""
-    start = thermal_state(params.n_bath)
-
-    def family(delta: float) -> GaussianState:
-        return evolve_critical(params.with_shift(delta), start, t)
-
-    return differentiate_at_zero_shift(family, h=_fd_step(params))
+    return differentiate_at_zero_shift(evolve_critical, params, thermal_state(params.n_bath), t)
 
 
 def cqs_qfi(params: SystemParams, t: float) -> float:
@@ -163,10 +153,7 @@ def cqs_qfi(params: SystemParams, t: float) -> float:
 
 
 def cqs_steady_pair(params: SystemParams) -> DerivativePair:
-    def family(delta: float) -> GaussianState:
-        return steady_state(params.with_shift(delta))
-
-    return differentiate_at_zero_shift(family, h=_fd_step(params))
+    return differentiate_at_zero_shift(steady_state, params)
 
 
 def cqs_qfi_steady(params: SystemParams) -> float:
@@ -184,11 +171,7 @@ def pqs_pair(
     if params.epsilon != 0.0:
         raise DomainError("the passive protocol requires epsilon = 0")
     start = pqs_input_state(alpha, squeeze, params.n_bath)
-
-    def family(delta: float) -> GaussianState:
-        return evolve_passive(params.with_shift(delta), start, t)
-
-    return differentiate_at_zero_shift(family, h=_fd_step(params))
+    return differentiate_at_zero_shift(evolve_passive, params, start, t)
 
 
 def pqs_qfi(
@@ -211,20 +194,13 @@ def best_homodyne(pair: DerivativePair) -> tuple[float, float]:
     are the roots of one quartic in z = e^{ix}; the best of them and psi = 0
     is returned, so a flat FI gives psi = 0.
     """
-    (s11, s12), _ = pair.state.sigma.tolist()
-    det = pair.state.det_sigma
-    # The constructor admits det <= 0 within rounding; no such sigma has an L.
-    if det <= 0:
-        raise InvalidStateError(f"covariance not invertible, det = {det!r}")
-    l22 = math.sqrt(det / s11)
-    l_inv = np.array([[1.0 / math.sqrt(s11), 0.0], [-s12 / (s11 * l22), 1.0 / l22]])
-    a, b = l_inv @ pair.dv, l_inv @ pair.dsigma @ l_inv.T
+    white = pair.whitened
     # FI is quadratic in (a, B): scaling both to unit size moves no stationary
     # point and leaves max FI >= 1/2, so harmonics below 1e-15 can be dropped,
     # which keeps np.roots' division by the leading coefficient finite.
-    scale = max(abs(a).max(), abs(b).max()) or 1.0
-    a1, a2 = (a / scale).tolist()
-    (b11, b12), (_, b22) = (b / scale).tolist()
+    coeffs = (white.a1, white.a2, white.b11, white.b12, white.b22)
+    scale = max(map(abs, coeffs)) or 1.0
+    a1, a2, b11, b12, b22 = (x / scale for x in coeffs)
     # (w.a)^2 = |a|^2/2 + p1 cos x + p2 sin x,  w^T B w = q0 + q1 cos x + q2 sin x.
     p1, p2 = 0.5 * (a1 * a1 - a2 * a2), a1 * a2
     q0, q1, q2 = 0.5 * (b11 + b22), 0.5 * (b11 - b22), b12
@@ -233,7 +209,9 @@ def best_homodyne(pair: DerivativePair) -> tuple[float, float]:
     c2, s2 = q1 * q2, 0.5 * (q2 * q2 - q1 * q1)
     quartic = np.array([c2 - 1j * s2, c1 - 1j * s1, 0.0, c1 + 1j * s1, c2 + 1j * s2])
     theta = 0.5 * np.angle(np.roots(np.where(abs(quartic) > 1e-15, quartic, 0.0)))
-    u1, u2 = l_inv.T @ np.array([np.cos(theta), np.sin(theta)])
+    # u = L^-T (cos theta, sin theta) by back-substitution.
+    u2 = np.sin(theta) / white.l22
+    u1 = (np.cos(theta) - white.l21 * u2) / white.l11
     # psi mod pi; a psi just below 0 can round up to pi itself.
     psis = (np.arctan2(-u2, u1) % math.pi).tolist()
     candidates = [0.0] + [psi if psi < math.pi else 0.0 for psi in psis]

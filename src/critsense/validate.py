@@ -25,13 +25,12 @@ from .gaussian import (
 )
 from .metrology import (
     DerivativePair,
-    differentiate_at_zero_shift,
     fi_homodyne,
     qfi,
     qfi_fidelity_oracle,
     snr_photon_counting,
 )
-from .oracle import lyapunov_rk4
+from .oracle import fd_shift_derivative, lyapunov_rk4
 from .protocols import ResourceBudget
 
 
@@ -275,7 +274,7 @@ def check_qfi_fidelity_agreement() -> Outcome:
     start = protocols.pqs_input_state(DisplacementAmplitude(2.0), SqueezeParam(1.0))
     cases.append(("pqs", lambda d: dynamics.evolve_passive(pqs.with_shift(d), start, 0.7)))
     for label, family in cases:
-        reference = qfi(differentiate_at_zero_shift(family))
+        reference = qfi(fd_shift_derivative(family)[0])
         estimate = qfi_fidelity_oracle(family, 1e-4)
         worst = max(worst, abs(estimate - reference) / reference)
     return (
@@ -309,21 +308,27 @@ def check_qfi_symplectic_invariance() -> Outcome:
 
 @_named("metrology.fd_convergence")
 def check_fd_convergence() -> Outcome:
-    """Richardson error estimate shrinks at least 4x when the step halves."""
+    """The finite-difference oracle's error estimate shrinks at least 4x when
+    the step halves, and the exact derivative agrees with the oracle within
+    that estimate."""
     params = SystemParams(1.0, 1.2, 1.0)
     start = thermal_state(0.0)
 
     def family(d: float) -> GaussianState:
         return evolve_critical(params.with_shift(d), start, 2.0)
 
-    e1 = differentiate_at_zero_shift(family, h=1e-3).error_estimate
-    e2 = differentiate_at_zero_shift(family, h=5e-4).error_estimate
+    _, e1 = fd_shift_derivative(family, h=1e-3)
+    fd, e2 = fd_shift_derivative(family, h=5e-4)
     ratio = e1 / e2 if e2 > 0 else math.inf
+    exact = protocols.cqs_pair(params, 2.0)
+    gap = max(
+        float(np.linalg.norm(exact.dv - fd.dv)), float(np.linalg.norm(exact.dsigma - fd.dsigma))
+    )
     # The ratio is 4 up to O(h^2) contamination from higher-order terms.
     return (
-        ratio >= 4.0 * (1.0 - 1e-3),
-        "error estimate ratio >= 4 per halving (1e-3 slack)",
-        f"ratio {ratio:.6f}",
+        ratio >= 4.0 * (1.0 - 1e-3) and gap <= e2,
+        "error estimate ratio >= 4 per halving (1e-3 slack); |exact - FD| <= estimate",
+        f"ratio {ratio:.6f}; |exact - FD| {gap:.2e}, estimate {e2:.2e}",
     )
 
 

@@ -2,6 +2,8 @@ import math
 import tempfile
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -61,6 +63,65 @@ def pqs_qfi_closed_form(alpha: float, r: float, gamma: float, t: float) -> float
         math.exp(2.0 * gamma * t) - 1.0
     )
     return (first + num / den) * t * t
+
+
+def van_loan_moments(params: SystemParams, v0, sigma0, t: float, dps: int = 50):
+    """(v, Sigma, dv, dSigma) at time t, to `dps` digits, from one exponential
+    of the augmented Van Loan generator (Van Loan, IEEE TAC 23, 395, 1978).
+
+    The state z = (v, vec Sigma, dv, vec dSigma, 1) obeys z' = G z with
+    dv' = A dv + J v and dSigma' = A dSigma + dSigma A^T + J Sigma + Sigma J^T,
+    J = dA/d omega; vec is row-major and the float inputs are taken as exact.
+    Returns mpmath matrices; shares no code with critsense.
+    """
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        w = mpmath.mpf(params.omega0) + mpmath.mpf(params.delta_omega)
+        e, g = mpmath.mpf(params.epsilon), mpmath.mpf(params.gamma)
+        d = 2 * g * (1 + 2 * mpmath.mpf(params.n_bath))
+        A = mp.matrix([[-g, w - e], [-(w + e), -g]])
+        J = mp.matrix([[0, 1], [-1, 0]])
+
+        def lyap(a):  # S -> a S + S a^T on row-major vec S
+            out = mp.zeros(4, 4)
+            for i in range(2):
+                for j in range(2):
+                    for k in range(2):
+                        out[2 * i + j, 2 * k + j] += a[i, k]
+                        out[2 * i + j, 2 * i + k] += a[j, k]
+            return out
+
+        G = mp.zeros(13, 13)
+        for (r, c, block) in ((0, 0, A), (2, 2, lyap(A)), (6, 6, A), (8, 8, lyap(A)), (6, 0, J), (8, 2, lyap(J))):
+            for i in range(block.rows):
+                for j in range(block.cols):
+                    G[r + i, c + j] = block[i, j]
+        G[2, 12] = G[5, 12] = d
+        z0 = mp.matrix([*map(mpmath.mpf, v0), *map(mpmath.mpf, np.ravel(sigma0)), 0, 0, 0, 0, 0, 0, 1])
+        z = mp.expm(G * mpmath.mpf(t)) * z0
+        return (
+            mp.matrix(z[0:2]),
+            mp.matrix([[z[2], z[3]], [z[4], z[5]]]),
+            mp.matrix(z[6:8]),
+            mp.matrix([[z[8], z[9]], [z[10], z[11]]]),
+        )
+
+
+def van_loan_qfi(params: SystemParams, v0, sigma0, t: float, dps: int = 50) -> float:
+    """Single-mode Gaussian QFI (Safranek, J. Phys. A 52, 035304, 2019) of the
+    moments of van_loan_moments, in the same precision; the purity term is
+    dropped for a pure state, whose purity a unitary family keeps."""
+    with mpmath.workdps(dps):
+        v, sigma, dv, dsigma = van_loan_moments(params, v0, sigma0, t, dps)
+        inv = sigma ** -1
+        mu = 1 / mpmath.sqrt(mpmath.det(sigma))
+        x = inv * dsigma
+        term1 = ((x * x)[0, 0] + (x * x)[1, 1]) / (2 * (1 + mu * mu))
+        gap = 1 - mu ** 4
+        dmu = -mu * (x[0, 0] + x[1, 1]) / 2
+        term2 = 0 if abs(gap) < mpmath.mpf(10) ** (10 - dps) else 2 * dmu * dmu / gap
+        term3 = 2 * (dv.T * inv * dv)[0, 0]
+        return float(term1 + term2 + term3)
 
 
 @pytest.fixture(scope="session")

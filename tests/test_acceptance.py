@@ -25,8 +25,8 @@ from critsense.dynamics import (
     steady_state_photons,
 )
 from critsense.gaussian import thermal_state, vacuum_state
-from critsense.metrology import differentiate_at_zero_shift, qfi, qfi_fidelity_oracle
-from critsense.oracle import fock_evolve, fock_moments, fock_qfi_fidelity, fock_vacuum, lyapunov_rk4
+from critsense.metrology import qfi, qfi_fidelity_oracle
+from critsense.oracle import fd_shift_derivative, fock_evolve, fock_moments, fock_qfi_fidelity, fock_vacuum, lyapunov_rk4
 from critsense.protocols import (
     ProtocolKind,
     ProtocolSpec,
@@ -161,7 +161,7 @@ def test_criterion_07_oracle_equivalence():
         assert rel <= 1e-8
     # QFI formula vs Gaussian fidelity quotient
     fam = cqs_state_family(params, 2.0)
-    reference = qfi(differentiate_at_zero_shift(fam))
+    reference = qfi(fd_shift_derivative(fam)[0])
     gauss_fid = qfi_fidelity_oracle(fam, 1e-4)
     assert gauss_fid == pytest.approx(reference, rel=1e-4)
     # moments and QFI vs the Fock master equation (N(t) <= 5, dim = 60)

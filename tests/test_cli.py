@@ -196,22 +196,20 @@ class TestComputeCommand:
         assert capsys.readouterr().err == f"config error: {problem}\n"
 
     def test_overflowing_qfi_exits_1(self, tmp_path, capsys):
-        """Design configs 437 and 517 of perfbench/workloads.py: the FD
-        derivative overflows at N ~ 7e5 and late times. compute used to write
-        NaN for 437, and printed numpy warnings before the error for both."""
+        """A QFI beyond the double range exits 1 with one typed error line and
+        no numpy warning: lossless protocols at t = 1e160, where the QFI grows
+        as t^2. (Design configs 437 and 517 of perfbench/workloads.py, which
+        overflowed here through the finite-difference derivative, now compute;
+        see test_metrology.py::TestExactDerivative.)"""
         cases = [
-            ({"omega0": 1.49865, "n_max": 657678.35, "psi": 1.5179, "t": 1.1065e7},
-             "error: QFI term is not finite (nan)"),
-            ({"omega0": 0.29623, "n_max": 707478.26, "psi": 2.0293, "t": 6.2130e7},
-             "error: homodyne FI is not finite (inf)"),
+            ({"mode": "fi", "params": {"omega0": 1.0, "gamma": 0.0},
+              "protocol": {"kind": "CQS", "n_max": 1000.0, "psi": 1.0}, "t": 1e160},
+             "error: QFI term is not finite (inf)"),
+            ({"mode": "qfi", "params": {"omega0": 1.0, "gamma": 0.0},
+              "protocol": {"kind": "PQS", "n_max": 1000.0}, "t": 1e160},
+             "error: QFI term is not finite (inf)"),
         ]
-        for k, (c, error) in enumerate(cases):
-            cfg = {
-                "mode": "fi",
-                "params": {"omega0": c["omega0"], "gamma": 1.0, "n_bath": 0.0},
-                "protocol": {"kind": "CQS", "n_max": c["n_max"], "t_pm": 0.0, "psi": c["psi"]},
-                "t": c["t"],
-            }
+        for k, (cfg, error) in enumerate(cases):
             cfg_path, out = tmp_path / f"cfg{k}.json", tmp_path / f"out{k}.json"
             cfg_path.write_text(json.dumps(cfg))
             with warnings.catch_warnings():

@@ -331,7 +331,7 @@ class TestNoiseIntegralBranches:
                 for t in (1e-3 / gamma, 0.5 / gamma, 5.0 / gamma, 40.0 / gamma):
                     if s > g2 and (math.sqrt(s) - gamma) * t > 300:
                         continue
-                    got = _noise_integrals(gamma, s, t)
+                    got = _noise_integrals(gamma, s, gamma * gamma - s, t)
                     ref = self._reference(gamma, s, t)
                     for g_, r_ in zip(got, ref):
                         worst = max(worst, abs(g_ - r_) / max(abs(r_), 1e-300))

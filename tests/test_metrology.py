@@ -1,10 +1,17 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import cqs_state_family, pqs_qfi_closed_form, pqs_state_family, steady_state_family
-from critsense.dynamics import SystemParams
+from conftest import (
+    cqs_state_family,
+    pqs_qfi_closed_form,
+    pqs_state_family,
+    steady_state_family,
+    van_loan_qfi,
+)
+from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, steady_state
 from critsense.errors import AccuracyError, DomainError, PreconditionError, PureStateError
 from critsense.gaussian import (
     DisplacementAmplitude,
@@ -26,16 +33,29 @@ from critsense.metrology import (
     qfi_terms,
     snr_photon_counting,
 )
-from critsense.protocols import pqs_pair
+from critsense.oracle import fd_shift_derivative
+from critsense.protocols import (
+    best_homodyne,
+    cqs_pair,
+    cqs_qfi,
+    cqs_steady_pair,
+    default_pqs_input,
+    epsilon_opt,
+    pqs_pair,
+    pqs_qfi,
+    steady_time,
+)
 
 
 class TestDifferentiate:
+    """The finite-difference oracle."""
+
     def test_constant_family(self):
         st = thermal_state(0.5)
-        pair = differentiate_at_zero_shift(lambda d: st)
+        pair, err = fd_shift_derivative(lambda d: st)
         assert np.allclose(pair.dv, 0.0)
         assert np.allclose(pair.dsigma, 0.0)
-        assert not pair.warn
+        assert err == 0.0
 
     def test_linear_family(self):
         t = 1.7
@@ -43,7 +63,7 @@ class TestDifferentiate:
         def family(d):
             return GaussianState(np.zeros(2), np.diag([2.0 + d * t, 1.0]))
 
-        pair = differentiate_at_zero_shift(family)
+        pair, _ = fd_shift_derivative(family)
         assert pair.dsigma[0, 0] == pytest.approx(t, abs=1e-9)
         assert abs(pair.dsigma[1, 1]) <= 1e-9
 
@@ -52,26 +72,28 @@ class TestDifferentiate:
         t = 0.9
         params = SystemParams(1.0, 0.0, 0.0)
         fam = pqs_state_family(1.3, 0.0, params, t)
-        pair = differentiate_at_zero_shift(fam)
+        pair, _ = fd_shift_derivative(fam)
         v = pair.state.v
         assert np.allclose(pair.dv, [t * v[1], -t * v[0]], atol=1e-9)
 
     def test_convergence_order(self):
         params = SystemParams(1.0, 1.2, 1.0)
         fam = cqs_state_family(params, 2.0)
-        e1 = differentiate_at_zero_shift(fam, h=1e-3).error_estimate
-        e2 = differentiate_at_zero_shift(fam, h=5e-4).error_estimate
+        _, e1 = fd_shift_derivative(fam, h=1e-3)
+        _, e2 = fd_shift_derivative(fam, h=5e-4)
         assert e1 / e2 >= 4.0 * (1.0 - 1e-3)
 
     def test_warn_flag_on_rough_family(self):
+        """A family with noise in it gets an error estimate far above 1e-6 of
+        the derivative's size."""
         rng = np.random.default_rng(3)
 
         def family(d):
             noise = 1e-4 * rng.standard_normal()
             return GaussianState(np.zeros(2), np.diag([2.0 + d + noise, 1.0]))
 
-        pair = differentiate_at_zero_shift(family)
-        assert pair.warn
+        pair, err = fd_shift_derivative(family)
+        assert err > 1e-6 * float(np.linalg.norm(pair.dsigma))
 
     def test_non_finite_family_rejected(self):
         def family(d):
@@ -80,7 +102,137 @@ class TestDifferentiate:
             return vacuum_state()
 
         with pytest.raises(DomainError):
-            differentiate_at_zero_shift(family)
+            fd_shift_derivative(family)
+
+
+UNIT = SystemParams(1.0, 0.0, 1.0)
+
+
+class TestExactDerivative:
+    """metrology.differentiate_at_zero_shift against the mpmath Van Loan
+    oracle, the finite-difference oracle and closed forms."""
+
+    @pytest.mark.parametrize("n_max", [1e5, 1e6, 1e8])
+    def test_large_budget_at_steady_time(self, n_max):
+        """The finite-difference QFI read 2.7e45 at N = 1e5, raised
+        AccuracyError at 1e6 and let a bare OverflowError escape at 1e8."""
+        params = SystemParams(1.0, epsilon_opt(n_max, UNIT), 1.0)
+        t = steady_time(params)
+        want = van_loan_qfi(params, [0.0, 0.0], np.eye(2), t)
+        assert cqs_qfi(params, t) == pytest.approx(want, rel=1e-12)
+        assert want == pytest.approx(2.0 * n_max * (n_max + 1.0), rel=1e-4)
+
+    @pytest.mark.parametrize("n_max", [10.0, 100.0, 1e3, 1e4])
+    @pytest.mark.parametrize("t", [1.0, 100.0])
+    def test_cqs_matches_van_loan(self, n_max, t):
+        params = SystemParams(1.0, epsilon_opt(n_max, UNIT), 1.0)
+        want = van_loan_qfi(params, [0.0, 0.0], np.eye(2), t)
+        assert cqs_qfi(params, t) == pytest.approx(want, rel=1e-12)
+
+    def test_late_time_budget_sweep_config(self):
+        """Design config 437 of perfbench/workloads.py (N = 6.6e5 at
+        t = 1.1e7), whose finite-difference QFI was nan."""
+        params = SystemParams(1.49865, epsilon_opt(657678.35, SystemParams(1.49865, 0.0, 1.0)), 1.0)
+        want = van_loan_qfi(params, [0.0, 0.0], np.eye(2), 1.1065e7)
+        assert cqs_qfi(params, 1.1065e7) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n_max,frac", [(1e5, 1.0), (1e6, 0.3)])
+    def test_lossless_cqs_from_vacuum_is_unitary(self, n_max, frac):
+        """A unitary family keeps the purity constant; the finite-difference
+        derivative gave |d mu| ~ 1e5 and qfi raised PureStateError."""
+        lossless = SystemParams(1.0, 0.0, 0.0)
+        params = SystemParams(1.0, epsilon_opt(n_max, lossless), 0.0)
+        t = frac * math.pi / (4.0 * math.sqrt(1.0 - params.epsilon ** 2))
+        pair = differentiate_at_zero_shift(evolve_critical, params, vacuum_state(), t)
+        _, purity_term, _ = qfi_terms(pair)
+        assert purity_term == 0.0
+        want = van_loan_qfi(params, [0.0, 0.0], np.eye(2), t)
+        assert qfi(pair) == pytest.approx(want, rel=1e-12)
+        # Pure with zero mean: the best homodyne angle reaches the QFI.
+        assert best_homodyne(pair)[1] == pytest.approx(want, rel=1e-12)
+
+    def test_homodyne_below_qfi_at_lossless_quench(self):
+        """omega0 = 6.71, eps = 12.75, gamma = 0, t = 0.607: the
+        finite-difference pair gave FI 5.4730e8 above its QFI 5.4724e8."""
+        params, t = SystemParams(6.71, 12.75, 0.0), 0.607
+        pair = cqs_pair(params, t)
+        _, best = best_homodyne(pair)
+        info = qfi(pair)
+        assert best <= info * (1.0 + 1e-12)
+        assert info == pytest.approx(van_loan_qfi(params, [0.0, 0.0], np.eye(2), t), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha,r", [(0.0, None), (2.0, 1.0)])
+    def test_pqs_thermalised(self, alpha, r):
+        """At gamma t = 100 the input survives as e^{-200}: the derivative is
+        taken from the decayed input, not from the thermalised sigma."""
+        if r is None:
+            r = default_pqs_input(100.0)[1].r
+        got = pqs_qfi(DisplacementAmplitude(alpha), SqueezeParam(r), UNIT, 100.0)
+        assert got > 0.0
+        assert got == pytest.approx(pqs_qfi_closed_form(alpha, r, 1.0, 100.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "exact,family",
+        [
+            (lambda: cqs_pair(SystemParams(1.0, 1.2, 1.0), 2.0),
+             lambda: cqs_state_family(SystemParams(1.0, 1.2, 1.0), 2.0)),
+            (lambda: cqs_pair(SystemParams(1.0, 1.0, 1.0, n_bath=0.5), 3.0),
+             lambda: cqs_state_family(SystemParams(1.0, 1.0, 1.0, n_bath=0.5), 3.0)),
+            (lambda: cqs_pair(SystemParams(1.0, 0.5, 0.0), 2.0),
+             lambda: cqs_state_family(SystemParams(1.0, 0.5, 0.0), 2.0)),
+            (lambda: cqs_pair(SystemParams(0.5, 1.0, 2.0, n_bath=1.5), 0.7),
+             lambda: cqs_state_family(SystemParams(0.5, 1.0, 2.0, n_bath=1.5), 0.7)),
+            (lambda: cqs_steady_pair(SystemParams(1.0, 1.0, 1.0, n_bath=1.0)),
+             lambda: steady_state_family(SystemParams(1.0, 1.0, 1.0, n_bath=1.0))),
+            (lambda: pqs_pair(DisplacementAmplitude(2.0), SqueezeParam(0.8),
+                              SystemParams(1.0, 0.0, 1.0, n_bath=0.5), 0.6),
+             lambda: pqs_state_family(2.0, 0.8, SystemParams(1.0, 0.0, 1.0, n_bath=0.5), 0.6)),
+        ],
+    )
+    def test_agrees_with_finite_difference_and_fidelity_oracles(self, exact, family):
+        """Where the finite-difference oracle's own error estimate is below
+        1e-10 of the derivative's size, the exact derivative is within 1e-8 of it and of the fidelity
+        quotient's QFI (to that quotient's O(dtheta^2) = 1e-4)."""
+        pair, fam = exact(), family()
+        fd, err = fd_shift_derivative(fam)
+        assert np.array_equal(pair.state.sigma, fd.state.sigma)
+        scale = max(float(np.abs(pair.dsigma).max()), float(np.abs(pair.dv).max()))
+        assert err < 1e-10 * scale
+        assert np.abs(pair.dsigma - fd.dsigma).max() <= 1e-8 * scale
+        assert np.abs(pair.dv - fd.dv).max() <= 1e-8 * scale
+        assert qfi(pair) == pytest.approx(qfi(fd), rel=1e-8)
+        assert qfi(pair) == pytest.approx(qfi_fidelity_oracle(fam, 1e-4), rel=1e-4)
+
+    def test_one_evolution_per_derivative(self):
+        calls = []
+
+        @functools.wraps(evolve_critical)
+        def counted(*args):
+            calls.append(args)
+            return evolve_critical(*args)
+
+        pair = differentiate_at_zero_shift(counted, SystemParams(1.0, 1.2, 1.0), thermal_state(0.0), 2.0)
+        assert len(calls) == 1
+        assert qfi(pair) == pytest.approx(cqs_qfi(SystemParams(1.0, 1.2, 1.0), 2.0), rel=0.0)
+
+    def test_evaluated_at_zero_shift(self):
+        shifted = SystemParams(1.0, 1.2, 1.0, delta_omega=0.3)
+        pair = differentiate_at_zero_shift(steady_state, shifted)
+        assert np.array_equal(pair.dsigma, cqs_steady_pair(SystemParams(1.0, 1.2, 1.0)).dsigma)
+
+    def test_unknown_evolution_rejected(self):
+        with pytest.raises(DomainError):
+            differentiate_at_zero_shift(lambda params: vacuum_state(), UNIT)
+
+    def test_passive_rotation_generator(self):
+        """dv = t J v for free precession, J = [[0, 1], [-1, 0]]."""
+        t = 0.9
+        start = apply_squeeze(thermal_state(0.0), SqueezeParam(0.4))
+        start = GaussianState(np.array([1.3, -0.2]), start.sigma)
+        pair = differentiate_at_zero_shift(evolve_passive, SystemParams(1.0, 0.0, 0.0), start, t)
+        v = pair.state.v
+        assert np.allclose(pair.dv, [t * v[1], -t * v[0]], rtol=1e-15, atol=0.0)
+        assert pair.warn is False
 
 
 class TestQfi:
@@ -89,12 +241,12 @@ class TestQfi:
         r = math.asinh(math.sqrt(n_photons))
         fam = pqs_state_family(0.0, r, SystemParams(1.0, 0.0, 0.0), t)
         expected = 8.0 * n_photons * (1.0 + n_photons) * t * t
-        assert qfi(differentiate_at_zero_shift(fam)) == pytest.approx(expected, rel=1e-8)
+        assert qfi(fd_shift_derivative(fam)[0]) == pytest.approx(expected, rel=1e-8)
 
     def test_noiseless_coherent(self):
         alpha, t = 1.5, 0.7
         fam = pqs_state_family(alpha, 0.0, SystemParams(1.0, 0.0, 0.0), t)
-        assert qfi(differentiate_at_zero_shift(fam)) == pytest.approx(4 * alpha ** 2 * t ** 2, rel=1e-9)
+        assert qfi(fd_shift_derivative(fam)[0]) == pytest.approx(4 * alpha ** 2 * t ** 2, rel=1e-9)
 
     def test_rotation_invariant_state_carries_nothing(self):
         t = 1.1
@@ -120,11 +272,11 @@ class TestQfi:
         for (alpha, r, g, t) in [(2.0, 1.0, 1.0, 0.3), (0.5, 2.0, 1.0, 1.2), (0.0, 3.0, 1.0, 0.8)]:
             fam = pqs_state_family(alpha, r, SystemParams(1.0, 0.0, g), t)
             expected = pqs_qfi_closed_form(alpha, r, g, t)
-            assert qfi(differentiate_at_zero_shift(fam)) == pytest.approx(expected, rel=1e-8)
+            assert qfi(fd_shift_derivative(fam)[0]) == pytest.approx(expected, rel=1e-8)
 
     def test_displacement_term_quadratic(self):
         fam = pqs_state_family(2.0, 1.0, SystemParams(1.0, 0.0, 1.0), 0.5)
-        pair = differentiate_at_zero_shift(fam)
+        pair = fd_shift_derivative(fam)[0]
         _, _, t3 = qfi_terms(pair)
         doubled = DerivativePair(pair.state, 2.0 * pair.dv, pair.dsigma)
         _, _, t3_doubled = qfi_terms(doubled)
@@ -132,7 +284,7 @@ class TestQfi:
 
     def test_symplectic_invariance(self):
         fam = cqs_state_family(SystemParams(1.0, 1.2, 1.0), 2.0)
-        pair = differentiate_at_zero_shift(fam)
+        pair = fd_shift_derivative(fam)[0]
         base = qfi(pair)
         S = rotation_matrix(0.7) @ squeeze_matrix(SqueezeParam(0.9)) @ rotation_matrix(-1.2)
         moved = DerivativePair(
@@ -164,7 +316,7 @@ class TestQfiFidelityOracle:
     )
     def test_agrees_with_formula(self, family_builder):
         fam = family_builder()
-        reference = qfi(differentiate_at_zero_shift(fam))
+        reference = qfi(fd_shift_derivative(fam)[0])
         estimate = qfi_fidelity_oracle(fam, 1e-4)
         assert estimate == pytest.approx(reference, rel=1e-4)
 
@@ -179,7 +331,7 @@ class TestFiHomodyne:
     @pytest.mark.parametrize("alpha,r,g,n_bath,t", [(2.0, 1.0, 1.0, 0.0, 0.5), (1.5, 0.8, 1.0, 1.0, 0.7)])
     def test_p_quadrature_closed_form(self, alpha, r, g, n_bath, t):
         params = SystemParams(1.0, 0.0, g, n_bath=n_bath)
-        pair = differentiate_at_zero_shift(pqs_state_family(alpha, r, params, t))
+        pair = fd_shift_derivative(pqs_state_family(alpha, r, params, t))[0]
         expected = 4.0 * alpha ** 2 * t * t / (
             (1.0 + 2.0 * n_bath) * (math.exp(-2.0 * r) + math.exp(2.0 * g * t) - 1.0)
         )
@@ -194,9 +346,9 @@ class TestFiHomodyne:
         n_photons, t = 25.0, 0.6
         r = 0.5 * math.log(2.0 * n_photons + 1.0)
         alpha = math.sqrt(n_photons - math.sinh(r) ** 2)
-        pair = differentiate_at_zero_shift(
+        pair = fd_shift_derivative(
             pqs_state_family(alpha, r, SystemParams(1.0, 0.0, 0.0), t)
-        )
+        )[0]
         expected = 4.0 * n_photons * (1.0 + n_photons) * t * t
         assert fi_homodyne(pair, math.pi / 2) == pytest.approx(expected, rel=1e-8)
 
@@ -204,7 +356,7 @@ class TestFiHomodyne:
         """Stationary-state homodyne FI at arbitrary angle matches the closed form."""
         w0 = gamma = 1.0
         eps = 1.2
-        pair = differentiate_at_zero_shift(steady_state_family(SystemParams(w0, eps, gamma)))
+        pair = fd_shift_derivative(steady_state_family(SystemParams(w0, eps, gamma)))[0]
         ec2 = w0 * w0 + gamma * gamma
         for psi in (0.0, 0.3, 0.9, math.pi / 2, 2.0):
             num = eps ** 2 * (
@@ -237,10 +389,10 @@ class TestFiHomodyne:
 
     def test_never_exceeds_qfi(self):
         pairs = [
-            differentiate_at_zero_shift(cqs_state_family(SystemParams(1.0, 1.2, 1.0), 2.0)),
-            differentiate_at_zero_shift(cqs_state_family(SystemParams(1.0, 1.4, 1.0, n_bath=1.0), 5.0)),
-            differentiate_at_zero_shift(pqs_state_family(2.0, 1.0, SystemParams(1.0, 0.0, 1.0), 0.5)),
-            differentiate_at_zero_shift(steady_state_family(SystemParams(1.0, 1.35, 1.0))),
+            fd_shift_derivative(cqs_state_family(SystemParams(1.0, 1.2, 1.0), 2.0))[0],
+            fd_shift_derivative(cqs_state_family(SystemParams(1.0, 1.4, 1.0, n_bath=1.0), 5.0))[0],
+            fd_shift_derivative(pqs_state_family(2.0, 1.0, SystemParams(1.0, 0.0, 1.0), 0.5))[0],
+            fd_shift_derivative(steady_state_family(SystemParams(1.0, 1.35, 1.0)))[0],
         ]
         for pair in pairs:
             info = qfi(pair)
@@ -252,7 +404,7 @@ class TestSnrPhotonCounting:
     def test_steady_state_closed_form(self):
         """SNR at the stationary state: 4 eps^2 w0^2 / ((3ec^2 - e^2)(ec^2 - e^2)^2)."""
         params = SystemParams(1.0, 1.2, 1.0)
-        pair = differentiate_at_zero_shift(steady_state_family(params))
+        pair = fd_shift_derivative(steady_state_family(params))[0]
         ec2 = params.epsilon_c ** 2
         expected = 4.0 * 1.2 ** 2 / ((3.0 * ec2 - 1.2 ** 2) * (ec2 - 1.2 ** 2) ** 2)
         assert snr_photon_counting(pair) == pytest.approx(expected, rel=1e-8)
@@ -260,7 +412,7 @@ class TestSnrPhotonCounting:
     def test_near_critical_asymptote(self):
         eps = 0.9975 * math.sqrt(2.0)
         params = SystemParams(1.0, eps, 1.0)
-        pair = differentiate_at_zero_shift(steady_state_family(params))
+        pair = fd_shift_derivative(steady_state_family(params))[0]
         n_inf = 0.5 * eps ** 2 / (params.epsilon_c ** 2 - eps ** 2)
         asym = 8.0 / params.epsilon_c ** 4 * n_inf ** 2
         assert snr_photon_counting(pair) == pytest.approx(asym, rel=0.05)
@@ -279,5 +431,5 @@ class TestSnrPhotonCounting:
 
     def test_never_exceeds_qfi(self):
         for params in (SystemParams(1.0, 1.2, 1.0), SystemParams(1.0, 1.38, 1.0, n_bath=0.5)):
-            pair = differentiate_at_zero_shift(steady_state_family(params))
+            pair = fd_shift_derivative(steady_state_family(params))[0]
             assert snr_photon_counting(pair) <= qfi(pair) * (1.0 + 1e-6)

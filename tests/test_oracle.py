@@ -7,11 +7,12 @@ from conftest import cqs_state_family
 from critsense.dynamics import SystemParams, drift_and_diffusion, evolve_critical, mean_photons_vs_time
 from critsense.errors import AccuracyError, DomainError, TruncationError
 from critsense.gaussian import thermal_state, vacuum_state
-from critsense.metrology import differentiate_at_zero_shift, qfi
+from critsense.metrology import qfi
 from critsense.oracle import (
     FockDensityMatrix,
     _rk4_increment,
     default_step,
+    fd_shift_derivative,
     fock_coherent,
     fock_evolve,
     fock_moments,
@@ -195,7 +196,7 @@ class TestFockQfi:
 
     def test_cqs_agreement(self):
         params = SystemParams(1.0, 1.2, 1.0)
-        reference = qfi(differentiate_at_zero_shift(cqs_state_family(params, 2.0)))
+        reference = qfi(fd_shift_derivative(cqs_state_family(params, 2.0))[0])
         estimate = fock_qfi_fidelity(params, 2.0, 5e-3, dim=60)
         assert estimate == pytest.approx(reference, rel=0.02)
 

@@ -11,14 +11,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import find, given
+from hypothesis import assume, find, given
 from hypothesis import strategies as st
 
+from conftest import cqs_state_family
 from critsense.dynamics import Regime, SystemParams, _noise_integrals, evolve_critical, spectral_info
 from critsense.gaussian import thermal_state
 from critsense.metrology import fi_homodyne, qfi
-from critsense.oracle import lyapunov_rk4
-from critsense.protocols import _fd_step, best_homodyne, cqs_pair
+from critsense.oracle import fd_shift_derivative, lyapunov_rk4
+from critsense.protocols import best_homodyne, cqs_pair
 from critsense.validate import _horizon, _rel_state_diff
 
 NEAR = 1e-6
@@ -76,19 +77,30 @@ def test_semigroup(case, split):
 
 @given(params_and_time())
 def test_homodyne_never_beats_qfi(case):
-    """FI <= QFI over the angle, up to the finite-difference derivative's own
-    rounding noise, about eps cond(Sigma) / h in amplitude: on (nearly) pure
-    states that noise is information the QFI formula does not bound. Over
-    6000 random draws the amplitude excess peaked at 2.4 such units. The
+    """FI <= QFI over the angle, to rounding: the derivative is exact. The
     angle lies in [0, pi) and no point of a 721-point grid beats it."""
     params, t = case
     pair = cqs_pair(params, t)
     psi, best = best_homodyne(pair)
-    noise = 10.0 * np.finfo(float).eps * np.linalg.cond(pair.state.sigma) / _fd_step(params)
-    assert math.sqrt(best) <= math.sqrt(qfi(pair) * (1.0 + 1e-6)) + noise
+    assert best <= qfi(pair) * (1.0 + 1e-12)
     assert 0.0 <= psi < math.pi
     grid = max(fi_homodyne(pair, p) for p in np.linspace(0.0, math.pi, 721, endpoint=False))
     assert best >= (1.0 - 1e-12) * grid
+
+
+@given(params_and_time())
+def test_exact_derivative_matches_finite_differences(case):
+    """Wherever the finite-difference oracle is accurate to 1e-10 of the
+    derivative's size, counting its step-halving estimate and its rounding
+    eps |Sigma| / h, the exact derivative is within 1e-8 of it."""
+    params, t = case
+    pair = cqs_pair(params, t)
+    step = 1e-5 * max(params.gamma, params.omega0, params.epsilon)
+    fd, err = fd_shift_derivative(cqs_state_family(params, t), h=step)
+    rounding = np.finfo(float).eps * float(np.abs(pair.state.sigma).max()) / step
+    scale = max(float(np.abs(pair.dsigma).max()), float(np.abs(pair.dv).max()))
+    assume(err + rounding < 1e-10 * scale)
+    assert max(float(np.abs(pair.dsigma - fd.dsigma).max()), float(np.abs(pair.dv - fd.dv).max())) <= 1e-8 * scale
 
 
 @given(params_and_time(), st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x))
@@ -103,8 +115,8 @@ def test_rate_rescaling_invariance(case, lam):
 def _jump(gamma: float, s: float, t: float) -> float:
     """Largest relative change of the four noise integrals from s (1 - 1e-12)
     to s (1 + 1e-12), across a branch boundary at s."""
-    below = _noise_integrals(gamma, s * (1.0 - 1e-12), t)
-    above = _noise_integrals(gamma, s * (1.0 + 1e-12), t)
+    below = _noise_integrals(gamma, s * (1.0 - 1e-12), gamma * gamma - s * (1.0 - 1e-12), t)
+    above = _noise_integrals(gamma, s * (1.0 + 1e-12), gamma * gamma - s * (1.0 + 1e-12), t)
     return max(abs(a - b) / abs(b) for a, b in zip(below, above))
 
 

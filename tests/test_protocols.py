@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pqs_qfi_closed_form
+from conftest import pqs_qfi_closed_form, van_loan_qfi
 from critsense.dynamics import SystemParams, evolve_passive, spectral_info, steady_state_photons
 from critsense.errors import ConstraintError, DomainError, InvalidStateError, SearchError, UnsupportedRegimeError
 from critsense.gaussian import DisplacementAmplitude, GaussianState, SqueezeParam, mean_photons, thermal_state
@@ -219,13 +219,15 @@ class TestBestHomodyne:
 
     def test_peak_next_to_zero_wraps_into_half_period(self):
         """Lossless CQS at N = 1.2e5 peaks at psi = pi - 0.005: a 192-point
-        grid returned psi = -0.00496 and FI 1.406276e12."""
-        n, omega0 = 123178.57335893599, 0.7654364352428203
+        grid returned psi = -0.00496. The state is pure with zero mean, so the
+        best homodyne FI equals the QFI (1.4063046e12 by the mpmath oracle;
+        the finite-difference derivative had let FI reach 1.406333e12)."""
+        n, omega0, t = 123178.57335893599, 0.7654364352428203, 129.3406989831856
         lossless = SystemParams(omega0, 0.0, 0.0)
-        pair = cqs_pair(SystemParams(omega0, epsilon_opt(n, lossless), 0.0), 129.3406989831856)
-        psi, fi = best_homodyne(pair)
-        assert 0.0 <= psi < math.pi
-        assert fi >= 1.40633e12
+        params = SystemParams(omega0, epsilon_opt(n, lossless), 0.0)
+        psi, fi = best_homodyne(cqs_pair(params, t))
+        assert psi == pytest.approx(math.pi - 0.005, abs=1e-3)
+        assert fi == pytest.approx(van_loan_qfi(params, [0.0, 0.0], np.eye(2), t), rel=1e-12)
 
     def test_rounded_pure_state_has_no_whitening(self):
         # det(sigma) rounds to -128 (see test_gaussian.py): no Cholesky factor.
