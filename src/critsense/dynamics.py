@@ -18,6 +18,7 @@ Inputs may use any consistent unit system; thresholds are scale-relative.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -25,7 +26,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import gammainc
 
-from .errors import DomainError, NoSteadyStateError, PreconditionError
+from .errors import DomainError, InvalidStateError, NoSteadyStateError, PreconditionError
 from .gaussian import GaussianState, mean_photons, purity, rotation_matrix, thermal_state
 
 # Relative half-width of the eigenvalue-degeneracy window used for regime labels.
@@ -316,9 +317,19 @@ def evolve_critical(params: SystemParams, state0: GaussianState, t: float) -> Ga
     """Propagate a Gaussian state for time t under drive and thermal damping."""
     if not math.isfinite(t) or t < 0:
         raise DomainError(f"time must be >= 0, got {t!r}")
-    M = propagator(params, t)
-    v = M @ state0.v
-    return GaussianState(v, M @ state0.sigma @ M.T + _noise_matrix(params, t))
+    # Below threshold |exp(A t)| <= 1 + |B| t. At and above it exp(A t) grows
+    # without bound, and it or its product with sigma can leave the double
+    # range: that raises the typed error GaussianState gives for non-finite
+    # moments. The numpy error state is set only there, as it slows each matmul.
+    growing = params.epsilon >= params.epsilon_c
+    try:
+        with np.errstate(over="raise", invalid="raise") if growing else contextlib.nullcontext():
+            M = propagator(params, t)
+            v = M @ state0.v
+            sigma = M @ state0.sigma @ M.T + _noise_matrix(params, t)
+    except (OverflowError, FloatingPointError):
+        raise InvalidStateError("non-finite moments") from None
+    return GaussianState(v, sigma)
 
 
 # --- exact shift tangents ----------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from critsense.dynamics import (
     steady_state,
     steady_state_photons,
 )
-from critsense.errors import DomainError, NoSteadyStateError, PreconditionError
+from critsense.errors import DomainError, InvalidStateError, NoSteadyStateError, PreconditionError
 from critsense.gaussian import (
     DisplacementAmplitude,
     SqueezeParam,
@@ -149,6 +150,15 @@ class TestEvolveCritical:
                 off = evolve_critical(near, st0, t)
                 scale = max(np.linalg.norm(mid.sigma), 1.0)
                 assert np.linalg.norm(off.sigma - mid.sigma) / scale <= 1e-5
+
+    @pytest.mark.parametrize("t", [400.0, 500.0])
+    def test_overflow_is_typed_and_silent(self, t):
+        """Far above threshold the moments leave the double range: at t = 400
+        in M sigma M^T, at t = 500 already in the exponential of exp(A t)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="non-finite moments"):
+                evolve_critical(SystemParams(1.0, 2.0, 0.0), vacuum_state(), t)
 
 
 class TestSteadyState:

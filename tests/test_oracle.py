@@ -176,13 +176,52 @@ class TestFockEvolve:
     def test_reproducible_and_leaves_global_rng_alone(self):
         # expm_multiply estimates norms from numpy's global RNG at this size.
         params = SystemParams(1.0, 1.2, 1.0)
-        np.random.seed(1)
-        first = fock_evolve(params, fock_vacuum(30), 1.0).matrix
-        draw = np.random.random()
-        np.random.seed(1)
-        assert np.random.random() == draw
-        np.random.seed(2)
-        assert np.array_equal(fock_evolve(params, fock_vacuum(30), 1.0).matrix, first)
+        for run in (
+            lambda: fock_evolve(params, fock_vacuum(30), 1.0).matrix,
+            lambda: fock_qfi_fidelity(params, 1.0, 5e-3, dim=30),
+        ):
+            np.random.seed(1)
+            first = run()
+            draw = np.random.random()
+            np.random.seed(1)
+            assert np.random.random() == draw
+            np.random.seed(2)
+            assert np.array_equal(run(), first)
+
+    @pytest.mark.parametrize(
+        "rho0",
+        [fock_thermal(0.5, 40), fock_coherent(0.6 - 0.4j, 40)],
+        ids=["thermal", "coherent"],
+    )
+    def test_shared_evolution_matches_single_calls(self, rho0):
+        params = SystemParams(1.0, 0.8, 1.0, n_bath=0.5)
+        pair = (params, params.with_shift(-5e-3))
+        together = fock_evolve(pair, rho0, 0.8)
+        assert len(together) == 2
+        for p, rho in zip(pair, together):
+            alone = fock_evolve(p, rho0, 0.8)
+            assert np.max(np.abs(rho.matrix - alone.matrix)) <= 1e-12
+            assert rho.leakage == pytest.approx(alone.leakage, abs=1e-14)
+
+    def test_shared_evolution_gates_each_member(self):
+        # The unshifted member fits in dim 12 at t = 0.05; a large shift does not.
+        rho0 = fock_vacuum(12)
+        calm = SystemParams(1.0, 0.1, 1.0)
+        assert fock_evolve(calm, rho0, 0.05).leakage <= 1e-8
+        with pytest.raises(TruncationError):
+            fock_evolve((calm, SystemParams(1.0, 40.0, 1.0)), rho0, 0.05)
+
+    def test_odd_parity_sector_stays_empty(self):
+        rho = fock_evolve(SystemParams(1.0, 0.8, 1.0, n_bath=0.5), fock_thermal(0.5, 40), 1.0).matrix
+        odd = np.add.outer(np.arange(40), np.arange(40)) % 2 == 1
+        assert np.all(rho[odd] == 0.0)
+        assert np.max(np.abs(rho[~odd])) >= 0.1
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(DomainError):
+            fock_evolve(SystemParams(1.0, 0.3, 1.0), FockDensityMatrix(10, np.zeros((10, 10))), 1.0)
+        with pytest.raises(DomainError):
+            fock_evolve((), fock_vacuum(10), 1.0)
 
     def test_suggested_dim_rule(self):
         assert suggested_dim(0.5) == 30
@@ -219,6 +258,21 @@ class TestFockStates:
         n2 = float(np.real(np.trace(n_op @ n_op @ rho.matrix)))
         assert n == pytest.approx(1.0, rel=1e-10)
         assert n2 - n * n == pytest.approx(2.0, rel=1e-10)
+
+    def test_coherent_far_beyond_float_powers(self):
+        """|alpha|^k overflows at k ~ 237 for alpha = 20; the populations are
+        the Poisson weights of mean 400 below the truncation."""
+        from scipy.stats import poisson
+
+        rho = fock_coherent(20.0j, 300)
+        pops = np.real(np.diag(rho.matrix))
+        assert np.all(np.isfinite(rho.matrix))
+        assert np.allclose(pops, poisson.pmf(np.arange(300), 400.0), rtol=1e-10, atol=0.0)
+        assert rho.matrix[1, 0] / pops[0] == pytest.approx(20j, rel=1e-12)
+
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(DomainError):
+            FockDensityMatrix(2, np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_coherent_moments(self):
         rho = fock_coherent(1.0 + 0.5j, 40)
