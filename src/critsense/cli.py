@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, dynamics, protocols, validate
 from .dynamics import SystemParams, evolve_critical, evolve_passive
 from .errors import ConfigError, CritsenseError
-from .gaussian import DisplacementAmplitude, SqueezeParam, mean_photons, purity
+from .gaussian import DisplacementAmplitude, SqueezeParam, mean_photons, purity, thermal_state
 from .metrology import fi_homodyne, qfi
 from .protocols import (
     ProtocolKind,
@@ -92,14 +92,13 @@ def figure_fig2(out_dir: Path) -> Path:
     rows = []
     for t in times:
         t = float(t)
-        i_pqs = protocols.pqs_qfi(alpha, squeeze, passive, t)
-        i_cqs = protocols.cqs_qfi(driven, t)
-        n_pqs = mean_photons(
-            evolve_passive(passive, protocols.pqs_input_state(alpha, squeeze), t)
-        )
-        n_cqs = dynamics.mean_photons_vs_time(driven, t)
+        pqs, cqs = pqs_pair(alpha, squeeze, passive, t), cqs_pair(driven, t)
+        i_pqs, i_cqs = qfi(pqs), qfi(cqs)
         rows.append(
-            [t, i_pqs, i_cqs, math.log1p(i_pqs), math.log1p(i_cqs), n_pqs, n_cqs]
+            [
+                t, i_pqs, i_cqs, math.log1p(i_pqs), math.log1p(i_cqs),
+                mean_photons(pqs.state), mean_photons(cqs.state),
+            ]
         )
     path = out_dir / "fig2.csv"
     write_csv(
@@ -114,22 +113,19 @@ def figure_fig3(out_dir: Path) -> Path:
     """QFI rate I/(N_max (t + t_pm)) for both strategies and homodyne variants."""
     n_max = 100.0
     passive, driven, alpha, squeeze = _fig_base(n_max)
-    sq_vac_state = protocols.pqs_input_state(alpha, squeeze)
     times = np.geomspace(0.02, 3000.0, 140)
     t_pms = (0.0, 2.0)
     rows = []
     for t in times:
         t = float(t)
-        i_pqs = protocols.pqs_qfi(alpha, squeeze, passive, t)
-        i_cqs = protocols.cqs_qfi(driven, t)
+        # squeezed-vacuum input: QFI, best homodyne angle and photons
+        pqs, cqs = pqs_pair(alpha, squeeze, passive, t), cqs_pair(driven, t)
+        i_pqs, i_cqs = qfi(pqs), qfi(cqs)
+        _, f_sqvac = best_homodyne(pqs)
         # optimally squeezed + displaced input, p-quadrature homodyne
         r_opt = protocols.optimal_squeezing_homodyne(n_max, passive.gamma, t)
         a_opt = DisplacementAmplitude(math.sqrt(max(n_max - math.sinh(r_opt.r) ** 2, 0.0)))
         f_optr = fi_homodyne(pqs_pair(a_opt, r_opt, passive, t), math.pi / 2.0)
-        # squeezed-vacuum input, best homodyne angle
-        _, f_sqvac = best_homodyne(pqs_pair(alpha, squeeze, passive, t))
-        n_pqs = mean_photons(evolve_passive(passive, sq_vac_state, t))
-        n_cqs = dynamics.mean_photons_vs_time(driven, t)
         row = [t]
         for t_pm in t_pms:
             row.append(i_pqs / (n_max * (t + t_pm)))
@@ -139,7 +135,7 @@ def figure_fig3(out_dir: Path) -> Path:
             row.append(f_optr / (n_max * (t + t_pm)))
         for t_pm in t_pms:
             row.append(f_sqvac / (n_max * (t + t_pm)))
-        row.extend([n_pqs, n_cqs])
+        row.extend([mean_photons(pqs.state), mean_photons(cqs.state)])
         rows.append(row)
     path = out_dir / "fig3.csv"
     write_csv(
@@ -166,15 +162,11 @@ def figure_fig4(out_dir: Path) -> Path:
     rows = []
     for t in times:
         t = float(t)
-        rows.append(
-            [
-                t,
-                dynamics.purity_vs_time(below, t),
-                dynamics.mean_photons_vs_time(below, t),
-                dynamics.purity_vs_time(above, t),
-                dynamics.mean_photons_vs_time(above, t),
-            ]
-        )
+        row = [t]
+        for params in (below, above):
+            state = evolve_critical(params, thermal_state(params.n_bath), t)
+            row += [purity(state), mean_photons(state)]
+        rows.append(row)
     path = out_dir / "fig4.csv"
     write_csv(
         path,
@@ -383,18 +375,12 @@ def run_compute(cfg: dict) -> dict:
         payload["report"] = asdict(report)
         if mode == "fi" and "protocol.psi" in given:
             psi = float(given["protocol.psi"])
-            pair, _ = protocols.single_shot_quantities(spec, t)
-            payload["fi_at_psi"] = fi_homodyne(pair, psi)
+            payload["fi_at_psi"] = fi_homodyne(spec.pair(t), psi)
             payload["psi"] = psi
     elif mode == "optimize":
         bracket = (float(given["grid.t_min"]), float(given["grid.t_max"]))
-
-        def rate(t: float) -> float:
-            pair, _ = protocols.single_shot_quantities(spec, t)
-            return qfi(pair)
-
-        t_opt, best_rate = optimize_time(rate, spec.budget, bracket)
-        report = total_qfi(spec, t_opt, t_opt=t_opt)
+        t_opt, best_rate = optimize_time(lambda t: qfi(spec.pair(t)), spec.budget, bracket)
+        report = total_qfi(spec, t_opt)
         payload["report"] = asdict(report)
         payload["best_rate"] = best_rate
     elif mode == "bound":

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .errors import DomainError, InvalidStateError, NoSteadyStateError, PreconditionError
-from .gaussian import GaussianState, mean_photons, purity, rotation_matrix, thermal_state
+from .gaussian import GaussianState, mean_photons, rotation_matrix, thermal_state
 
 # Relative half-width of the eigenvalue-degeneracy window used for regime labels.
 DEGENERACY_ETA = 1e-9
@@ -423,11 +423,6 @@ def steady_state_photons(params: SystemParams) -> float:
 def mean_photons_vs_time(params: SystemParams, t: float) -> float:
     """Photon number at time t starting from equilibrium with the bath."""
     return mean_photons(evolve_critical(params, thermal_state(params.n_bath), t))
-
-
-def purity_vs_time(params: SystemParams, t: float) -> float:
-    """Purity at time t starting from equilibrium with the bath."""
-    return purity(evolve_critical(params, thermal_state(params.n_bath), t))
 
 
 def evolve_passive(params: SystemParams, state0: GaussianState, t: float) -> GaussianState:

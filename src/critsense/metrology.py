@@ -181,17 +181,6 @@ def qfi_fidelity_oracle(family: StateFamily, dtheta: float = 1e-4) -> float:
     return 8.0 * (1.0 - f_amp) / dtheta ** 2
 
 
-def _quadratic_form(m: np.ndarray, c: float, sn: float) -> float:
-    # Python floats: an overflow gives inf, which _finite rejects, not a warning.
-    (m11, m12), (_, m22) = m.tolist()
-    return c * c * m11 + sn * sn * m22 - 2.0 * sn * c * m12
-
-
-def quadrature_variance(state: GaussianState, psi: float) -> float:
-    """S(psi) = cos^2 psi Sigma11 + sin^2 psi Sigma22 - sin(2 psi) Sigma12."""
-    return _quadratic_form(state.sigma, math.cos(psi), math.sin(psi))
-
-
 def fi_homodyne(pair: DerivativePair, psi: float) -> float:
     """Classical Fisher information of homodyne detection at angle psi,
     measured from the x axis: (4 S dm^2 + dS^2) / (2 S^2) for the variance S

@@ -15,6 +15,7 @@ gates every report against the dissipative precision bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -39,6 +40,16 @@ from .metrology import (
     fi_homodyne,
     qfi,
 )
+
+
+# A drive set to its cap by epsilon_opt rounds epsilon, and the photon count's
+# condition number in epsilon is ~4 n_max, so the budget checks allow 1e-9 plus
+# 8 n_max eps (relative): the excess of epsilon_opt(n_max)'s own drive reached
+# 4.06 n_max eps over 4e4 random draws with n_max up to 2e9.
+def _budget_limit(n_max: float) -> float:
+    """The most photons a budget of n_max admits."""
+    return n_max * (1.0 + 1e-9 + 8.0 * n_max * sys.float_info.epsilon)
+
 
 class ProtocolKind(str, Enum):
     CQS = "CQS"
@@ -101,7 +112,7 @@ class ProtocolSpec:
             photons = mean_photons(
                 pqs_input_state(pqs_input[0], pqs_input[1], self.params.n_bath)
             )
-            if photons > self.budget.n_max * (1.0 + 1e-9):
+            if photons > _budget_limit(self.budget.n_max):
                 raise ConstraintError(
                     f"input state holds {photons!r} photons, budget allows {self.budget.n_max!r}"
                 )
@@ -109,7 +120,7 @@ class ProtocolSpec:
             eps, eps_c = self.params.epsilon, self.params.epsilon_c
             if eps < eps_c * (1.0 - 1e-12):
                 photons = dynamics.steady_state_photons(self.params)
-                if photons > self.budget.n_max * (1.0 + 1e-9):
+                if photons > _budget_limit(self.budget.n_max):
                     raise ConstraintError(
                         f"steady state holds {photons!r} photons, budget allows {self.budget.n_max!r}"
                     )
@@ -123,6 +134,13 @@ class ProtocolSpec:
             alpha, squeeze = self.pqs_input
             return pqs_input_state(alpha, squeeze, self.params.n_bath)
         return thermal_state(self.params.n_bath)
+
+    def pair(self, t: float) -> DerivativePair:
+        """State and shift-derivative of one repetition measured at time t."""
+        if self.kind is ProtocolKind.CQS:
+            return cqs_pair(self.params, t)
+        alpha, squeeze = self.pqs_input
+        return pqs_pair(alpha, squeeze, self.params, t)
 
 
 @dataclass(frozen=True)
@@ -221,10 +239,11 @@ def best_homodyne(pair: DerivativePair) -> tuple[float, float]:
 # --- optimizers ---------------------------------------------------------------
 
 
-def _scan_then_polish(
-    f: Callable[[float], float], t_lo: float, t_hi: float, points: int = 128
-) -> tuple[float, float]:
-    grid = np.geomspace(t_lo, t_hi, points)
+_SCAN_POINTS = 128
+
+
+def _scan_then_polish(f: Callable[[float], float], t_lo: float, t_hi: float) -> tuple[float, float]:
+    grid = np.geomspace(t_lo, t_hi, _SCAN_POINTS)
     values = []
     for t in grid:
         val = f(float(t))
@@ -233,7 +252,7 @@ def _scan_then_polish(
         values.append(val)
     i = int(np.argmax(values))
     lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, points - 1)])
+    hi = float(grid[min(i + 1, _SCAN_POINTS - 1)])
     # Imported here: scipy.optimize adds ~0.35 s to the package's import time.
     from scipy.optimize import minimize_scalar
 
@@ -263,10 +282,13 @@ def optimize_time(
 ) -> tuple[float, float]:
     """Maximize the repetition-rate objective rate_fn(t) / (t + t_pm).
 
-    128-point log-grid scan, then scipy's bounded scalar minimizer between
-    the best grid point's two neighbours, to 1e-6 of the upper neighbour in
-    t; the grid point stands unless that polish strictly improves on it.
-    Returns (t_opt, best objective value).
+    rate_fn is the single-shot information of one repetition measured at t,
+    e.g. `lambda t: qfi(spec.pair(t))`. A _SCAN_POINTS (128) log-grid scan of
+    the bracket, then scipy's bounded scalar minimizer between the best grid
+    point's two neighbours, to 1e-6 of the upper neighbour in t; the grid
+    point stands unless that polish strictly improves on it. A maximum at a
+    bracket edge is returned as that edge, with no flag. Returns (t_opt,
+    best objective value).
     """
     t_lo, t_hi = bracket
     if not (0 < t_lo < t_hi):
@@ -409,22 +431,14 @@ def budget_cap(budget: ResourceBudget, gamma: float, n_bath: float = 0.0) -> flo
     )
 
 
-def single_shot_quantities(spec: ProtocolSpec, t_single: float) -> tuple[DerivativePair, float]:
-    """Derivative pair and photons at the measurement time for one repetition."""
-    if spec.kind is ProtocolKind.CQS:
-        pair = cqs_pair(spec.params, t_single)
-    else:
-        alpha, squeeze = spec.pqs_input
-        pair = pqs_pair(alpha, squeeze, spec.params, t_single)
-    return pair, mean_photons(pair.state)
-
-
-def total_qfi(spec: ProtocolSpec, t_single: float, t_opt: float | None = None) -> MetrologyReport:
-    """Repetition-budget report: M = T/(t + t_pm) repetitions of duration t_single."""
+def total_qfi(spec: ProtocolSpec, t_single: float) -> MetrologyReport:
+    """Repetition-budget report: M = T/(t + t_pm) repetitions of duration
+    t_single, each measured at t_single (the report's t_opt)."""
     if not (t_single > 0 and math.isfinite(t_single)):
         raise DomainError(f"t_single must be positive, got {t_single!r}")
-    pair, photons = single_shot_quantities(spec, t_single)
-    if photons > spec.budget.n_max * (1.0 + 1e-9):
+    pair = spec.pair(t_single)
+    photons = mean_photons(pair.state)
+    if photons > _budget_limit(spec.budget.n_max):
         raise ConstraintError(
             f"protocol holds {photons!r} photons at t = {t_single!r}, "
             f"budget allows {spec.budget.n_max!r}"
@@ -446,7 +460,7 @@ def total_qfi(spec: ProtocolSpec, t_single: float, t_opt: float | None = None) -
         repetitions=reps,
         total_qfi=total,
         bound_value=bound,
-        t_opt=t_single if t_opt is None else t_opt,
+        t_opt=t_single,
     )
 
 

@@ -262,19 +262,29 @@ def check_measurement_bounds() -> Outcome:
 
 @_named("metrology.qfi_fidelity_agreement")
 def check_qfi_fidelity_agreement() -> Outcome:
-    """QFI formula vs closed-form fidelity quotient."""
+    """QFI of the exact shift derivative (cqs_pair, pqs_pair) vs the
+    closed-form fidelity quotient of the same state family."""
     worst = 0.0
-    cases: list[tuple[str, Callable[[float], GaussianState]]] = []
+    cases: list[tuple[DerivativePair, Callable[[float], GaussianState]]] = []
     for (params, t) in ((SystemParams(1.0, 1.2, 1.0), 2.0), (SystemParams(1.0, 1.4, 1.0), 6.0)):
         start = thermal_state(params.n_bath)
         cases.append(
-            (f"cqs eps={params.epsilon:g}", lambda d, p=params, s=start, tt=t: evolve_critical(p.with_shift(d), s, tt))
+            (
+                protocols.cqs_pair(params, t),
+                lambda d, p=params, s=start, tt=t: evolve_critical(p.with_shift(d), s, tt),
+            )
         )
     pqs = SystemParams(1.0, 0.0, 1.0)
-    start = protocols.pqs_input_state(DisplacementAmplitude(2.0), SqueezeParam(1.0))
-    cases.append(("pqs", lambda d: dynamics.evolve_passive(pqs.with_shift(d), start, 0.7)))
-    for label, family in cases:
-        reference = qfi(fd_shift_derivative(family)[0])
+    alpha, squeeze = DisplacementAmplitude(2.0), SqueezeParam(1.0)
+    start = protocols.pqs_input_state(alpha, squeeze)
+    cases.append(
+        (
+            protocols.pqs_pair(alpha, squeeze, pqs, 0.7),
+            lambda d: dynamics.evolve_passive(pqs.with_shift(d), start, 0.7),
+        )
+    )
+    for pair, family in cases:
+        reference = qfi(pair)
         estimate = qfi_fidelity_oracle(family, 1e-4)
         worst = max(worst, abs(estimate - reference) / reference)
     return (
@@ -375,14 +385,14 @@ def check_cqs_qfi_monotone() -> Outcome:
 
 @_named("protocols.omega0_optimality")
 def check_omega0_optimality() -> Outcome:
-    """The steady-state QFI rate coefficient peaks at omega0 = gamma."""
+    """The steady-state QFI rate coefficient I(inf) / N(inf)^2 peaks at
+    omega0 = gamma."""
     gamma = 1.0
     z = 0.995  # fixed (epsilon/epsilon_c)^2
 
     def coeff(w0: float) -> float:
-        eps_c_sq = w0 * w0 + gamma * gamma
-        eps_sq = z * eps_c_sq
-        return w0 * w0 / ((2.0 * eps_c_sq - eps_sq) * eps_sq)
+        params = SystemParams(w0, math.sqrt(z) * math.hypot(w0, gamma), gamma)
+        return protocols.cqs_qfi_steady(params) / dynamics.steady_state_photons(params) ** 2
 
     grid = np.geomspace(0.25, 4.0, 41)
     values = [coeff(float(w)) for w in grid]

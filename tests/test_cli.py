@@ -12,8 +12,20 @@ import pytest
 
 import critsense
 from critsense.cli import main, run_compute
-from critsense.dynamics import evolve_critical
+from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, mean_photons_vs_time
 from critsense.errors import ConfigError
+from critsense.gaussian import DisplacementAmplitude, mean_photons, purity, thermal_state
+from critsense.metrology import fi_homodyne
+from critsense.protocols import (
+    best_homodyne,
+    cqs_qfi,
+    default_pqs_input,
+    epsilon_opt,
+    optimal_squeezing_homodyne,
+    pqs_input_state,
+    pqs_pair,
+    pqs_qfi,
+)
 
 
 def read_csv(path):
@@ -22,6 +34,50 @@ def read_csv(path):
     header = lines[0].split(",")
     data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     return header, data
+
+
+_PASSIVE = SystemParams(1.0, 0.0, 1.0)
+_DRIVEN = SystemParams(1.0, epsilon_opt(100.0, _PASSIVE), 1.0)
+_ALPHA, _SQUEEZE = default_pqs_input(100.0)
+
+
+def _fig2_row(t):
+    i_pqs = pqs_qfi(_ALPHA, _SQUEEZE, _PASSIVE, t)
+    i_cqs = cqs_qfi(_DRIVEN, t)
+    return {
+        "qfi_pqs": i_pqs,
+        "qfi_cqs": i_cqs,
+        "log1p_qfi_pqs": math.log1p(i_pqs),
+        "log1p_qfi_cqs": math.log1p(i_cqs),
+        "photons_pqs": mean_photons(evolve_passive(_PASSIVE, pqs_input_state(_ALPHA, _SQUEEZE), t)),
+        "photons_cqs": mean_photons_vs_time(_DRIVEN, t),
+    }
+
+
+def _fig3_row(t):
+    r_opt = optimal_squeezing_homodyne(100.0, 1.0, t)
+    a_opt = DisplacementAmplitude(math.sqrt(max(100.0 - math.sinh(r_opt.r) ** 2, 0.0)))
+    info = {
+        "pqs": pqs_qfi(_ALPHA, _SQUEEZE, _PASSIVE, t),
+        "cqs": cqs_qfi(_DRIVEN, t),
+        "hom_optr": fi_homodyne(pqs_pair(a_opt, r_opt, _PASSIVE, t), math.pi / 2.0),
+        "hom_sqvac": best_homodyne(pqs_pair(_ALPHA, _SQUEEZE, _PASSIVE, t))[1],
+    }
+    row = {f"rate_{k}_tpm{t_pm}": v / (100.0 * (t + t_pm)) for k, v in info.items() for t_pm in (0, 2)}
+    row.update(_fig2_row(t))
+    return {k: v for k, v in row.items() if k.startswith(("rate_", "photons_"))}
+
+
+def _fig4_row(t):
+    row = {}
+    for label, params in (("below", SystemParams(1.0, 0.99, 1.0)),
+                          ("above", SystemParams(1.0, 0.9975 * math.sqrt(2.0), 1.0))):
+        row[f"purity_{label}"] = purity(evolve_critical(params, thermal_state(params.n_bath), t))
+        row[f"photons_{label}"] = mean_photons_vs_time(params, t)
+    return row
+
+
+_FIGURE_ROWS = {"fig2": _fig2_row, "fig3": _fig3_row, "fig4": _fig4_row}
 
 
 class TestFigureCommand:
@@ -76,6 +132,19 @@ class TestFigureCommand:
         assert np.all(np.isfinite(data))
         # driven-protocol information ratio approaches 1 well past 1/lambda_+
         assert data[-1, 3] == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
+    def test_columns_equal_public_functions(self, tmp_path, name):
+        """First, middle and last rows equal the public functions called
+        directly, exactly after the CSV's round-trip decimals."""
+        assert main(["figure", name, "--out", str(tmp_path)]) == 0
+        header, data = read_csv(tmp_path / f"{name}.csv")
+        for i in (0, len(data) // 2, len(data) - 1):
+            t = float(data[i, 0])
+            want = _FIGURE_ROWS[name](t)
+            assert set(want) == set(header[1:])
+            for col, value in want.items():
+                assert data[i, header.index(col)] == value, (name, i, col)
 
     def test_figure_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

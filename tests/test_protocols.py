@@ -309,6 +309,21 @@ class TestTotalQfi:
                 pqs_input=(DisplacementAmplitude(3.0), SqueezeParam(0.0)),
             )
 
+    @pytest.mark.parametrize("n_max", [1e7, 1e8, 1e9])
+    def test_epsilon_opt_drive_within_budget(self, n_max):
+        """epsilon_opt rounds epsilon, and the photon count's condition number
+        in epsilon is ~4 n_max: the budget checks allow for that rounding."""
+        params = SystemParams(1.0, epsilon_opt(n_max, UNIT), 1.0)
+        spec = ProtocolSpec(ProtocolKind.CQS, params, ResourceBudget(n_max=n_max, total_time=1.0))
+        report = total_qfi(spec, steady_time(params))
+        assert report.photons_at_t == pytest.approx(n_max, rel=1e-5)
+
+    @pytest.mark.parametrize("n_max", [1e3, 1e7, 1e8])
+    def test_drive_one_ppm_over_budget_rejected(self, n_max):
+        params = SystemParams(1.0, epsilon_opt(n_max * (1.0 + 1e-6), UNIT), 1.0)
+        with pytest.raises(ConstraintError):
+            ProtocolSpec(ProtocolKind.CQS, params, ResourceBudget(n_max=n_max, total_time=1.0))
+
     def test_cqs_budget_checked_at_construction(self):
         driven = SystemParams(1.0, epsilon_opt(100.0, UNIT), 1.0)
         with pytest.raises(ConstraintError):
@@ -418,17 +433,20 @@ class TestBeyondThreshold:
 
 class TestSteadyStateProperties:
     def test_omega0_equals_gamma_optimal(self):
-        """QFI rate coefficient w0^2/((2ec^2-e^2) e^2) peaks at w0 = gamma."""
+        """The QFI rate coefficient I(inf)/N(inf)^2 at a fixed (eps/eps_c)^2
+        peaks at w0 = gamma."""
         z = 0.995
 
-        def coeff(w0):
-            ec2 = w0 * w0 + 1.0
-            e2 = z * ec2
-            return w0 * w0 / ((2.0 * ec2 - e2) * e2)
+        def coeff(w0, gamma):
+            params = SystemParams(w0, math.sqrt(z) * math.hypot(w0, gamma), gamma)
+            return cqs_qfi_steady(params) / steady_state_photons(params) ** 2
 
-        grid = np.geomspace(0.25, 4.0, 41)
-        values = [coeff(float(w)) for w in grid]
-        assert coeff(1.0) >= max(values)
+        assert coeff(1.0, 1.0) == pytest.approx(2.01005, rel=1e-6)
+        for gamma in (0.5, 1.0, 2.0):
+            grid = gamma * np.geomspace(0.25, 4.0, 41)
+            values = [coeff(float(w), gamma) for w in grid]
+            assert grid[int(np.argmax(values))] == pytest.approx(gamma, rel=1e-12)
+            assert coeff(gamma, gamma) >= max(values) * (1.0 - 1e-12)
 
     def test_finite_time_tracks_temperature_story(self):
         eps = 0.9975 * math.sqrt(2.0)
