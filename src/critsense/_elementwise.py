@@ -1,0 +1,112 @@
+"""One formula for a float or for a 1-D array of times.
+
+The closed forms take t as a float or as a 1-D ndarray, and each is written
+once for both. A formula reads its elementwise functions from `lib(x)`:
+math's for a float, numpy's for an array. Each branch that depends on t goes
+through `select`, and each check through `reject`: an `if` for a float, a
+boolean mask for an array. A check is written as the condition under which
+it raises, as an `if` would test it, so that NaN compares as it does there.
+A float stays a Python float, so the single-state path keeps its speed and
+its exact bytes.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+from functools import reduce
+from types import SimpleNamespace
+
+import numpy as np
+
+_FLOAT = SimpleNamespace(
+    exp=math.exp,
+    expm1=math.expm1,
+    sqrt=math.sqrt,
+    cos=math.cos,
+    sin=math.sin,
+    isfinite=math.isfinite,
+    all_finite=lambda *xs: all(map(math.isfinite, xs)),
+    not_=operator.not_,
+    min=min,
+    max=max,
+    where=lambda take, a, b: a if take else b,
+)
+_ARRAY = SimpleNamespace(
+    exp=np.exp,
+    expm1=np.expm1,
+    sqrt=np.sqrt,
+    cos=np.cos,
+    sin=np.sin,
+    isfinite=np.isfinite,
+    all_finite=lambda *xs: reduce(np.logical_and, map(np.isfinite, xs)),
+    not_=np.logical_not,
+    min=lambda *xs: reduce(np.minimum, xs),
+    max=lambda *xs: reduce(np.maximum, xs),
+    where=np.where,
+)
+
+
+def lib(x) -> SimpleNamespace:
+    """The elementwise functions for x: math's (and all, not, min, max and a
+    conditional expression) for a float, numpy's for an array."""
+    return _ARRAY if isinstance(x, np.ndarray) else _FLOAT
+
+
+def select(take, if_true, if_false, *args):
+    """if_true(*args) where take holds and if_false(*args) elsewhere.
+
+    For a float, take is a bool and one branch runs. For an array, take is a
+    mask over t, args are arrays over t, and each branch runs on its own
+    elements only, so neither sees a t where its formula is not valid. A
+    branch returns an array over its elements, or a tuple of them; entries
+    may have trailing axes (a stack of matrices).
+    """
+    if not isinstance(take, np.ndarray):
+        return if_true(*args) if take else if_false(*args)
+    if take.all():
+        return if_true(*args)
+    other = ~take
+    if other.all():
+        return if_false(*args)
+    first = if_true(*(x[take] for x in args))
+    second = if_false(*(x[other] for x in args))
+    if not isinstance(first, tuple):
+        return _merge(take, first, other, second)
+    return tuple(_merge(take, a, other, b) for a, b in zip(first, second))
+
+
+def _merge(take, a, other, b) -> np.ndarray:
+    out = np.empty(take.shape + np.shape(a)[1:])
+    out[take] = a
+    out[other] = b
+    return out
+
+
+def reject(bad, error: type, message: str, *values) -> None:
+    """Raise error(message.format(*values)) where bad holds.
+
+    bad is a bool for a float and a mask for an array; for an array the
+    message takes the values at the first element where it holds.
+    """
+    if isinstance(bad, np.ndarray):
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        values = [x[i].item() if isinstance(x, np.ndarray) else x for x in values]
+    elif not bad:
+        return
+    raise error(message.format(*values))
+
+
+def per_t(x, dims: int):
+    """x as a factor of moments with `dims` axes (1 for a vector, 2 for a
+    matrix): a float as it is, an array over t with that many unit axes."""
+    return x.reshape(x.shape + (1,) * dims) if isinstance(x, np.ndarray) else x
+
+
+def matrix(a, b, c, d) -> np.ndarray:
+    """[[a, b], [c, d]]: one matrix for floats, a stack of shape (n, 2, 2)
+    for arrays over t."""
+    m = np.array([[a, b], [c, d]])
+    return m if m.ndim == 2 else m.transpose(2, 0, 1)

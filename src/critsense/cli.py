@@ -371,15 +371,15 @@ def run_compute(cfg: dict) -> dict:
         payload["state"] = _state_payload(state)
     elif mode in ("qfi", "fi"):
         t = float(given["t"])
-        report = total_qfi(spec, t)
+        report, pair = protocols._report_and_pair(spec, t)
         payload["report"] = asdict(report)
         if mode == "fi" and "protocol.psi" in given:
             psi = float(given["protocol.psi"])
-            payload["fi_at_psi"] = fi_homodyne(spec.pair(t), psi)
+            payload["fi_at_psi"] = fi_homodyne(pair, psi)
             payload["psi"] = psi
     elif mode == "optimize":
         bracket = (float(given["grid.t_min"]), float(given["grid.t_max"]))
-        t_opt, best_rate = optimize_time(lambda t: qfi(spec.pair(t)), spec.budget, bracket)
+        t_opt, best_rate = optimize_time(spec.qfi, spec.budget, bracket)
         report = total_qfi(spec, t_opt)
         payload["report"] = asdict(report)
         payload["best_rate"] = best_rate

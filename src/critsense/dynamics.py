@@ -27,7 +27,8 @@ import numpy as np
 from scipy.special import gammainc
 
 from .errors import DomainError, InvalidStateError, NoSteadyStateError, PreconditionError
-from .gaussian import GaussianState, mean_photons, rotation_matrix, thermal_state
+from ._elementwise import lib, matrix, per_t, reject, select
+from .gaussian import IDENTITY, GaussianState, mean_photons, rotation_matrix, thermal_state
 
 # Relative half-width of the eigenvalue-degeneracy window used for regime labels.
 DEGENERACY_ETA = 1e-9
@@ -115,6 +116,9 @@ def drift_and_diffusion(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 # --- closed-form propagation helpers ---------------------------------------
+# Each helper takes t (or tau) as a float or as a 1-D array of times, and is
+# written once for both (see _elementwise). Branches on s are plain `if`s, as
+# the parameters are scalars; branches on t go through `select`.
 
 _SERIES_Z = 1e-6  # |s t^2| below this: Taylor series of cosh/sinh in s
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant for doubles
@@ -139,81 +143,101 @@ def _s_and_gap(params: SystemParams) -> tuple[float, float]:
     return math.fsum((*e2, -w2[0], -w2[1])), math.fsum((*w2, *g2, -e2[0], -e2[1]))
 
 
-def _decayed_cosh_sinhc(gamma: float, s: float, k: float, tau: float) -> tuple[float, float]:
+def _decayed_cosh_sinhc(gamma: float, s: float, k: float, tau):
     """Return (e^{-gamma tau} cosh(u tau), e^{-gamma tau} sinh(u tau)/u), u = sqrt(s),
     with k = gamma^2 - s.
 
     Analytic in s (trigonometric for s < 0); the combined exponential form
     avoids overflow of cosh for large u tau.
     """
-    z = s * tau * tau
-    if abs(z) < _SERIES_Z:
-        decay = math.exp(-gamma * tau)
+    f = lib(tau)
+
+    def series(tau, z):
+        decay = f.exp(-gamma * tau)
         c = 1.0 + z / 2.0 + z * z / 24.0 + z ** 3 / 720.0
         sc = tau * (1.0 + z / 6.0 + z * z / 120.0 + z ** 3 / 5040.0)
         return decay * c, decay * sc
-    if s > 0:
-        u = math.sqrt(s)
-        slow = math.exp(-k / (gamma + u) * tau)  # e^{-lambda_- tau}; may exceed 1 above threshold
-        c = 0.5 * slow * (1.0 + math.exp(-2.0 * u * tau))
-        sc = -slow * math.expm1(-2.0 * u * tau) / (2.0 * u)
-        return c, sc
-    w = math.sqrt(-s)
-    decay = math.exp(-gamma * tau)
-    return decay * math.cos(w * tau), decay * math.sin(w * tau) / w
+
+    def exact(tau, z):
+        if s > 0:
+            u = math.sqrt(s)
+            slow = f.exp(-k / (gamma + u) * tau)  # e^{-lambda_- tau}; may exceed 1 above threshold
+            c = 0.5 * slow * (1.0 + f.exp(-2.0 * u * tau))
+            sc = -slow * f.expm1(-2.0 * u * tau) / (2.0 * u)
+            return c, sc
+        w = math.sqrt(-s)
+        decay = f.exp(-gamma * tau)
+        return decay * f.cos(w * tau), decay * f.sin(w * tau) / w
+
+    z = s * tau * tau
+    return select(abs(z) < _SERIES_Z, series, exact, tau, z)
 
 
-def _sinhc_slope(gamma: float, s: float, tau: float, c: float, sc: float) -> float:
+def _sinhc_slope(gamma: float, s: float, tau, c, sc):
     """d/ds of e^{-gamma tau} sinh(u tau)/u, given (c, sc) = _decayed_cosh_sinhc.
 
     Equal to (tau c - sc) / (2 s), whose two terms cancel for small |s tau^2|;
     there the Taylor series tau^3 sum_k k z^(k-1) / (2k+1)! in z = s tau^2.
     """
-    z = s * tau * tau
-    if abs(z) < 1.0:
+
+    def series(tau, z, c, sc):
         term, total = 1.0 / 6.0, 0.0
         for k in range(1, 12):
             total += term
             term *= z * (k + 1) / (k * (2 * k + 2) * (2 * k + 3))
-        return math.exp(-gamma * tau) * tau ** 3 * total
-    return (tau * c - sc) / (2.0 * s)
+        return lib(tau).exp(-gamma * tau) * tau ** 3 * total
+
+    def closed(tau, z, c, sc):
+        return (tau * c - sc) / (2.0 * s)
+
+    z = s * tau * tau
+    return select(abs(z) < 1.0, series, closed, tau, z, c, sc)
 
 
-def _drive_matrix(params: SystemParams) -> np.ndarray:
-    """Traceless part B of the drift, A = -gamma I + B, with B^2 = s I."""
-    w = params.omega
-    eps = params.epsilon
-    return np.array([[0.0, w - eps], [-(w + eps), 0.0]])
+def _exp_drift(params: SystemParams, c, sc) -> np.ndarray:
+    """exp(A t) = c I + sc B, with A = -gamma I + B and B = [[0, omega - eps],
+    [-(omega + eps), 0]] (B^2 = s I), from (c, sc) = _decayed_cosh_sinhc at
+    t. Entry by entry in the floating-point operations of that matrix sum,
+    so that signed zeros and NaNs come out as the sum gives them."""
+    w, eps = params.omega, params.epsilon
+    diagonal = c + sc * 0.0
+    return matrix(diagonal, c * 0.0 + sc * (w - eps), c * 0.0 + sc * -(w + eps), diagonal)
 
 
-def propagator(params: SystemParams, t: float) -> np.ndarray:
-    """exp(A t) evaluated in closed form."""
+def propagator(params: SystemParams, t) -> np.ndarray:
+    """exp(A t) evaluated in closed form; for a 1-D array of t, a stack of
+    shape (n, 2, 2)."""
     s, k = _s_and_gap(params)
-    c, sc = _decayed_cosh_sinhc(params.gamma, s, k, t)
-    return c * np.eye(2) + sc * _drive_matrix(params)
+    return _exp_drift(params, *_decayed_cosh_sinhc(params.gamma, s, k, t))
 
 
-def _int_exp(lam: float, t: float) -> float:
+def _int_exp(lam: float, t):
     """Integral of e^{-2 lam tau} over [0, t]."""
     if lam == 0.0:
         return t
-    return -math.expm1(-2.0 * lam * t) / (2.0 * lam)
+    return -lib(t).expm1(-2.0 * lam * t) / (2.0 * lam)
 
 
-def _int_texp(lam: float, t: float) -> float:
+def _int_texp(lam: float, t):
     """Integral of tau e^{-2 lam tau} over [0, t], i.e. -(d/d lam) _int_exp / 2.
 
     Equal to t^2 (1 - e^{-x}(1 + x)) / x^2 with x = 2 lam t, whose terms
     cancel for small |x|; there the series t^2 sum_n (n+1) (-x)^n / (n+2)!.
     """
-    x = 2.0 * lam * t
-    if abs(x) < 1.0:
-        term, total = 0.5, 0.0
+
+    def series(t, x):
+        term, total, minus_x = 0.5, 0.0, -x
         for n in range(18):
             total += term
-            term *= -x * (n + 2) / ((n + 1) * (n + 3))
+            term *= minus_x * (n + 2) / ((n + 1) * (n + 3))
         return t * t * total
-    return (-math.expm1(-x) - x * math.exp(-x)) / (4.0 * lam * lam)
+
+    def closed(t, x):
+        f = lib(x)
+        return (-f.expm1(-x) - x * f.exp(-x)) / (4.0 * lam * lam)
+
+    x = 2.0 * lam * t
+    return select(abs(x) < 1.0, series, closed, t, x)
 
 
 # The series branch of the noise integrals: |s| times the square of the
@@ -222,12 +246,12 @@ def _int_texp(lam: float, t: float) -> float:
 _SERIES_ST2 = 2.5e-3
 
 
-def _is_series(gamma: float, s: float, t: float) -> bool:
-    t_eff = min(t, 2.5 / gamma) if gamma > 0 else t
+def _is_series(gamma: float, s: float, t):
+    t_eff = lib(t).min(t, 2.5 / gamma) if gamma > 0 else t
     return abs(s) * t_eff * t_eff <= _SERIES_ST2
 
 
-def _series_coefficients(gamma: float, t: float) -> tuple[list[float], ...]:
+def _series_coefficients(gamma: float, t) -> tuple[list, ...]:
     """Coefficients of Ic, Is and Iq as power series in s, from the moment
     integrals m_j = ∫ τ^j e^{-2 g τ}, j = 0..10, which the regularized
     incomplete gamma function gives."""
@@ -243,93 +267,121 @@ def _series_coefficients(gamma: float, t: float) -> tuple[list[float], ...]:
     )
 
 
-def _noise_integrals(gamma: float, s: float, k: float, t: float) -> tuple[float, float, float, float]:
+def _noise_integrals(gamma: float, s: float, k: float, t, slopes: bool = False) -> tuple:
     """Stable evaluation of the four scalar integrals over [0, t], k = gamma^2 - s:
 
     I0 = ∫ e^{-2 g τ},            Ic = ∫ e^{-2 g τ} cosh(2 u τ),
     Is = ∫ e^{-2 g τ} sinh(2 u τ)/u,   Iq = ∫ e^{-2 g τ} sinh^2(u τ)/u^2,
-    with u = sqrt(s) continued analytically through s <= 0.
+    with u = sqrt(s) continued analytically through s <= 0. With `slopes`,
+    also d/ds of (Ic, Is, Iq) on the same branch; I0 does not depend on s.
     """
+
+    def series(t, i0):
+        coefficients = _series_coefficients(gamma, t)
+        out = tuple(sum(c * s ** j for j, c in enumerate(cs)) for cs in coefficients)
+        if not slopes:
+            return out
+        return out + tuple(sum(j * c * s ** (j - 1) for j, c in enumerate(cs) if j) for cs in coefficients)
+
+    def closed(t, i0):
+        split = s > 0.25 * gamma * gamma
+        if split:
+            # Well split from the exceptional point: exact exponential integrals.
+            u = math.sqrt(s)
+            em = _int_exp(k / (gamma + u), t)
+            ep = _int_exp(gamma + u, t)
+            ic = 0.5 * (em + ep)
+            i_s = (em - ep) / (2.0 * u)
+        else:
+            # Analytic-in-s form; K = gamma^2 - s = eps_c^2 - eps^2 is far from 0 here.
+            dc2, ds2 = _decayed_cosh_sinhc(gamma, s, k, 2.0 * t)
+            ic = (gamma - (gamma * dc2 + s * ds2)) / (2.0 * k)
+            i_s = (1.0 - (dc2 + gamma * ds2)) / (2.0 * k)
+        iq = (ic - i0) / (2.0 * s)
+        if not slopes:
+            return ic, i_s, iq
+        if split:
+            # d(e_-+)/ds = +-J_-+/u with J = _int_texp at the rates gamma -+ u.
+            jm = _int_texp(k / (gamma + u), t)
+            jp = _int_texp(gamma + u, t)
+            dic = (jm - jp) / (2.0 * u)
+            dis = (jm + jp - i_s) / (2.0 * s)
+        else:
+            # d(dc2)/ds = t ds2 and d(ds2)/ds = _sinhc_slope at tau = 2 t; dK/ds = -1.
+            q2 = _sinhc_slope(gamma, s, 2.0 * t, dc2, ds2)
+            dic = (2.0 * ic - (gamma * t * ds2 + ds2 + s * q2)) / (2.0 * k)
+            dis = (2.0 * i_s - (t * ds2 + gamma * q2)) / (2.0 * k)
+        diq = (dic - 2.0 * iq) / (2.0 * s)
+        return ic, i_s, iq, dic, dis, diq
+
     i0 = _int_exp(gamma, t)
-    if _is_series(gamma, s, t):
-        ic, i_s, iq = (sum(c * s ** k for k, c in enumerate(cs)) for cs in _series_coefficients(gamma, t))
-        return i0, ic, i_s, iq
-    if s > 0.25 * gamma * gamma:
-        # Well split from the exceptional point: exact exponential integrals.
-        u = math.sqrt(s)
-        em = _int_exp(k / (gamma + u), t)
-        ep = _int_exp(gamma + u, t)
-        ic = 0.5 * (em + ep)
-        i_s = (em - ep) / (2.0 * u)
-    else:
-        # Analytic-in-s form; K = gamma^2 - s = eps_c^2 - eps^2 is far from 0 here.
-        dc2, ds2 = _decayed_cosh_sinhc(gamma, s, k, 2.0 * t)
-        ic = (gamma - (gamma * dc2 + s * ds2)) / (2.0 * k)
-        i_s = (1.0 - (dc2 + gamma * ds2)) / (2.0 * k)
-    iq = (ic - i0) / (2.0 * s)
-    return i0, ic, i_s, iq
+    return (i0, *select(_is_series(gamma, s, t), series, closed, t, i0))
 
 
-def _noise_slopes(
-    gamma: float, s: float, k: float, t: float, ic: float, i_s: float, iq: float
-) -> tuple[float, float, float]:
-    """d/ds of (Ic, Is, Iq) on the branches of _noise_integrals, which gives
-    ic, i_s and iq; I0 does not depend on s."""
-    if _is_series(gamma, s, t):
-        dic, dis, diq = (
-            sum(k * c * s ** (k - 1) for k, c in enumerate(cs) if k) for cs in _series_coefficients(gamma, t)
-        )
-        return dic, dis, diq
-    if s > 0.25 * gamma * gamma:
-        # d(e_-+)/ds = +-J_-+/u with J = _int_texp at the rates gamma -+ u.
-        u = math.sqrt(s)
-        jm = _int_texp(k / (gamma + u), t)
-        jp = _int_texp(gamma + u, t)
-        dic = (jm - jp) / (2.0 * u)
-        dis = (jm + jp - i_s) / (2.0 * s)
-    else:
-        # d(dc2)/ds = t ds2 and d(ds2)/ds = _sinhc_slope at tau = 2 t; dK/ds = -1.
-        dc2, ds2 = _decayed_cosh_sinhc(gamma, s, k, 2.0 * t)
-        q2 = _sinhc_slope(gamma, s, 2.0 * t, dc2, ds2)
-        dic = (2.0 * ic - (gamma * t * ds2 + ds2 + s * q2)) / (2.0 * k)
-        dis = (2.0 * i_s - (t * ds2 + gamma * q2)) / (2.0 * k)
-    diq = (dic - 2.0 * iq) / (2.0 * s)
-    return dic, dis, diq
+def _no_noise(t) -> np.ndarray:
+    return np.zeros(t.shape + (2, 2) if isinstance(t, np.ndarray) else (2, 2))
 
 
-def _noise_matrix(params: SystemParams, t: float) -> np.ndarray:
-    """Accumulated noise covariance ∫_0^t e^{A tau} D e^{A^T tau} d tau."""
-    gamma = params.gamma
-    if gamma == 0.0 or t == 0.0:
-        return np.zeros((2, 2))
+def _noise_matrix(params: SystemParams, t, noise) -> np.ndarray:
+    """Accumulated noise covariance ∫_0^t e^{A tau} D e^{A^T tau} d tau, from
+    noise = _noise_integrals(...) at t (None for gamma = 0: no noise)."""
+    if noise is None:
+        return _no_noise(t)
     w, eps = params.omega, params.epsilon
-    s, k = _s_and_gap(params)
-    i0, ic, i_s, iq = _noise_integrals(gamma, s, k, t)
-    d = 2.0 * gamma * (1.0 + 2.0 * params.n_bath)
+    i0, ic, i_s, iq = noise[:4]
+    d = 2.0 * params.gamma * (1.0 + 2.0 * params.n_bath)
     ia = 0.5 * (i0 + ic)
     g11 = d * (ia + iq * (w - eps) ** 2)
     g22 = d * (ia + iq * (w + eps) ** 2)
     g12 = -d * eps * i_s
-    return np.array([[g11, g12], [g12, g22]])
+    return matrix(g11, g12, g12, g22)
 
 
-def evolve_critical(params: SystemParams, state0: GaussianState, t: float) -> GaussianState:
-    """Propagate a Gaussian state for time t under drive and thermal damping."""
-    if not math.isfinite(t) or t < 0:
-        raise DomainError(f"time must be >= 0, got {t!r}")
+def _check_time(t) -> None:
+    f = lib(t)
+    reject(f.not_(f.isfinite(t)) | (t < 0), DomainError, "time must be >= 0, got {!r}", t)
+
+
+def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool = True) -> tuple:
+    """(v, Sigma, dv, dSigma): the moments evolve_critical returns at t and
+    their exact shift derivative, from one evaluation of s, K, (c, sc) and the
+    noise integrals; (v, Sigma) alone without `tangent`. For a 1-D array of t,
+    stacks over t.
+
+    The derivative is that of a start that does not depend on the shift: with
+    M = c I + sc B, dc/ds = t sc / 2 and d sc/ds = _sinhc_slope, dM = -omega
+    t sc I - 2 omega (d sc/ds) B + sc J, and dSigma = dM Sigma0 M^T + M
+    Sigma0 dM^T + dG, where dG (_noise_tangent) takes the integrals' s-slopes.
+    """
+    _check_time(t)
+    w, eps, gamma = params.omega, params.epsilon, params.gamma
     # Below threshold |exp(A t)| <= 1 + |B| t. At and above it exp(A t) grows
     # without bound, and it or its product with sigma can leave the double
     # range: that raises the typed error GaussianState gives for non-finite
     # moments. The numpy error state is set only there, as it slows each matmul.
-    growing = params.epsilon >= params.epsilon_c
+    growing = eps >= params.epsilon_c
     try:
         with np.errstate(over="raise", invalid="raise") if growing else contextlib.nullcontext():
-            M = propagator(params, t)
+            s, k = _s_and_gap(params)
+            c, sc = _decayed_cosh_sinhc(gamma, s, k, t)
+            noise = _noise_integrals(gamma, s, k, t, slopes=tangent) if gamma > 0 else None
+            M = _exp_drift(params, c, sc)
+            M_T = M.swapaxes(-1, -2)
             v = M @ state0.v
-            sigma = M @ state0.sigma @ M.T + _noise_matrix(params, t)
+            sigma = M @ state0.sigma @ M_T + _noise_matrix(params, t, noise)
     except (OverflowError, FloatingPointError):
         raise InvalidStateError("non-finite moments") from None
-    return GaussianState(v, sigma)
+    if not tangent:
+        return v, sigma
+    q = _sinhc_slope(gamma, s, t, c, sc)
+    dM = matrix(-w * t * sc, sc - 2.0 * w * q * (w - eps), 2.0 * w * q * (w + eps) - sc, -w * t * sc)
+    X = dM @ state0.sigma @ M_T
+    return v, sigma, dM @ state0.v, X + X.swapaxes(-1, -2) + _noise_tangent(params, t, noise)
+
+
+def evolve_critical(params: SystemParams, state0: GaussianState, t: float) -> GaussianState:
+    """Propagate a Gaussian state for time t under drive and thermal damping."""
+    return GaussianState(*_critical_flow(params, state0, t, tangent=False))
 
 
 # --- exact shift tangents ----------------------------------------------------
@@ -341,38 +393,18 @@ def evolve_critical(params: SystemParams, state0: GaussianState, t: float) -> Ga
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _noise_tangent(params: SystemParams, t: float) -> np.ndarray:
+def _noise_tangent(params: SystemParams, t, noise) -> np.ndarray:
     """d/d omega of _noise_matrix: the integrals' s-slopes times -2 omega,
     plus the explicit omega in (omega -+ eps)^2."""
-    gamma = params.gamma
-    if gamma == 0.0 or t == 0.0:
-        return np.zeros((2, 2))
+    if noise is None:
+        return _no_noise(t)
     w, eps = params.omega, params.epsilon
-    s, k = _s_and_gap(params)
-    _, ic, i_s, iq = _noise_integrals(gamma, s, k, t)
-    dic, dis, diq = _noise_slopes(gamma, s, k, t, ic, i_s, iq)
-    d = 2.0 * gamma * (1.0 + 2.0 * params.n_bath)
+    _, ic, i_s, iq, dic, dis, diq = noise
+    d = 2.0 * params.gamma * (1.0 + 2.0 * params.n_bath)
     g11 = d * (2.0 * iq * (w - eps) - w * (dic + 2.0 * diq * (w - eps) ** 2))
     g22 = d * (2.0 * iq * (w + eps) - w * (dic + 2.0 * diq * (w + eps) ** 2))
     g12 = 2.0 * d * w * eps * dis
-    return np.array([[g11, g12], [g12, g22]])
-
-
-def _critical_tangent(
-    params: SystemParams, state0: GaussianState, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(dv, dSigma) of evolve_critical: with M = c I + sc B, dc/ds = t sc / 2
-    and d sc/ds = _sinhc_slope, dM = -omega t sc I - 2 omega (d sc/ds) B + sc J,
-    and dSigma = dM Sigma0 M^T + M Sigma0 dM^T + dG."""
-    w, eps = params.omega, params.epsilon
-    s, k = _s_and_gap(params)
-    c, sc = _decayed_cosh_sinhc(params.gamma, s, k, t)
-    q = _sinhc_slope(params.gamma, s, t, c, sc)
-    # Entry by entry, with B = [[0, w - eps], [-(w + eps), 0]] (_drive_matrix).
-    M = np.array([[c, sc * (w - eps)], [-sc * (w + eps), c]])
-    dM = np.array([[-w * t * sc, sc - 2.0 * w * q * (w - eps)], [2.0 * w * q * (w + eps) - sc, -w * t * sc]])
-    X = dM @ state0.sigma @ M.T
-    return dM @ state0.v, X + X.T + _noise_tangent(params, t)
+    return matrix(g11, g12, g12, g22)
 
 
 def _steady_sigma(params: SystemParams) -> tuple[np.ndarray, float]:
@@ -390,24 +422,27 @@ def _steady_sigma(params: SystemParams) -> tuple[np.ndarray, float]:
     return sigma, k
 
 
-def steady_state(params: SystemParams) -> GaussianState:
-    """Stationary Gaussian state for epsilon strictly below the critical point."""
+def _steady_flow(params: SystemParams, tangent: bool = True) -> tuple:
+    """(v, Sigma, dv, dSigma) of steady_state and its shift derivative, or
+    (v, Sigma) without `tangent`. With d(eps_c^2)/d omega = 2 omega and
+    dK/d omega = 2 omega, dSigma = (1 + 2 n_bath)/K diag(2 omega - eps,
+    2 omega + eps) - (2 omega/K) Sigma."""
     eps_c, eps = params.epsilon_c, params.epsilon
     if eps_c - eps <= 1e-12 * eps_c:
         raise NoSteadyStateError(
             f"no steady state: epsilon = {eps!r} at or above epsilon_c = {eps_c!r}"
         )
-    return GaussianState(np.zeros(2), _steady_sigma(params)[0])
-
-
-def _steady_tangent(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """(dv, dSigma) of steady_state: with d(eps_c^2)/d omega = 2 omega and
-    dK/d omega = 2 omega, dSigma = (1 + 2 n_bath)/K diag(2 omega - eps,
-    2 omega + eps) - (2 omega/K) Sigma."""
     sigma, k = _steady_sigma(params)
-    w, eps = params.omega, params.epsilon
+    if not tangent:
+        return np.zeros(2), sigma
+    w = params.omega
     dsigma = (1.0 + 2.0 * params.n_bath) / k * np.diag([2.0 * w - eps, 2.0 * w + eps]) - (2.0 * w / k) * sigma
-    return np.zeros(2), dsigma
+    return np.zeros(2), sigma, np.zeros(2), dsigma
+
+
+def steady_state(params: SystemParams) -> GaussianState:
+    """Stationary Gaussian state for epsilon strictly below the critical point."""
+    return GaussianState(*_steady_flow(params, tangent=False))
 
 
 def steady_state_photons(params: SystemParams) -> float:
@@ -425,6 +460,31 @@ def mean_photons_vs_time(params: SystemParams, t: float) -> float:
     return mean_photons(evolve_critical(params, thermal_state(params.n_bath), t))
 
 
+def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool = True) -> tuple:
+    """(v, Sigma, dv, dSigma) of evolve_passive at t and its shift derivative,
+    or (v, Sigma) without `tangent`; for a 1-D array of t, stacks over t.
+
+    dR(-delta t)/d delta = t J R, so dv = t J v and dSigma = e^{-2 gamma t}
+    t (J Sigma0_R + Sigma0_R J^T) with Sigma0_R = R Sigma0 R^T. The thermal
+    input is rotation-invariant and adds nothing; taken from Sigma(t)
+    instead, this would round to 0 once that input dominates.
+    """
+    if params.epsilon != 0.0:
+        raise PreconditionError("evolve_passive requires epsilon = 0")
+    _check_time(t)
+    gamma, n_bath = params.gamma, params.n_bath
+    R = rotation_matrix(-params.delta_omega * t)
+    decay = lib(t).exp(-gamma * t)
+    v = per_t(decay, 1) * (R @ state0.v)
+    relax = -lib(t).expm1(-2.0 * gamma * t)  # 1 - e^{-2 gamma t}
+    sigma0_r = R @ state0.sigma @ R.swapaxes(-1, -2)
+    sigma = per_t(decay * decay, 2) * sigma0_r + per_t(relax * (1.0 + 2.0 * n_bath), 2) * IDENTITY
+    if not tangent:
+        return v, sigma
+    X = per_t(decay * decay * t, 2) * (_J @ sigma0_r)
+    return v, sigma, per_t(t, 1) * (v @ _J.T), X + X.swapaxes(-1, -2)
+
+
 def evolve_passive(params: SystemParams, state0: GaussianState, t: float) -> GaussianState:
     """Free decaying evolution (epsilon = 0) in the frame rotating at omega0.
 
@@ -432,28 +492,4 @@ def evolve_passive(params: SystemParams, state0: GaussianState, t: float) -> Gau
     i.e. a phase-space rotation by -delta_omega*t with amplitude decay e^{-gamma t}
     and covariance relaxation toward (1 + 2 n_bath) I.
     """
-    if params.epsilon != 0.0:
-        raise PreconditionError("evolve_passive requires epsilon = 0")
-    if not math.isfinite(t) or t < 0:
-        raise DomainError(f"time must be >= 0, got {t!r}")
-    gamma, n_bath = params.gamma, params.n_bath
-    R = rotation_matrix(-params.delta_omega * t)
-    decay = math.exp(-gamma * t)
-    v = decay * (R @ state0.v)
-    relax = -math.expm1(-2.0 * gamma * t)  # 1 - e^{-2 gamma t}
-    sigma = decay * decay * (R @ state0.sigma @ R.T) + relax * (1.0 + 2.0 * n_bath) * np.eye(2)
-    return GaussianState(v, sigma)
-
-
-def _passive_tangent(
-    params: SystemParams, state0: GaussianState, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(dv, dSigma) of evolve_passive: dR(-delta t)/d delta = t J R, so
-    dv = t J v and dSigma = e^{-2 gamma t} t (J Sigma0_R + Sigma0_R J^T) with
-    Sigma0_R = R Sigma0 R^T. The thermal input is rotation-invariant and adds
-    nothing; taken from Sigma(t) instead, this would round to 0 once that
-    input dominates."""
-    R = rotation_matrix(-params.delta_omega * t)
-    decay = math.exp(-params.gamma * t)
-    X = (decay * decay * t) * (_J @ R @ state0.sigma @ R.T)
-    return t * (_J @ (decay * (R @ state0.v))), X + X.T
+    return GaussianState(*_passive_flow(params, state0, t, tangent=False))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._elementwise import lib, matrix, reject
 from .errors import DomainError, InvalidStateError, PreconditionError
 
 # Soft numerical tolerance for physicality checks; a violation beyond HARD_TOL
@@ -22,6 +23,35 @@ TOL = 1e-12
 HARD_TOL = 1e-9
 # det(sigma) = s11 s22 - s12^2 is known to about this fraction of s11 s22 + s12^2.
 DET_ROUNDING = 1e-14
+
+# The 2x2 identity, shared read-only: np.eye costs more than the products it scales.
+IDENTITY = np.eye(2)
+IDENTITY.setflags(write=False)
+
+
+def _physical_moments(v1, v2, s11, s12, s21, s22):
+    """The physicality rules of a state's moments, for floats or for arrays
+    over t: finite moments, a symmetric sigma, non-negative variances and
+    det(sigma) >= 1. Returns the symmetrised s12 and det(sigma); raises
+    InvalidStateError at the first moment that breaks a rule."""
+    f = lib(s11)
+    nonfinite = f.not_(f.all_finite(v1, v2, s11, s12, s21, s22))
+    asymmetry = s12 - s21
+    asymmetric = abs(asymmetry) > HARD_TOL * f.max(1.0, abs(s11), abs(s12), abs(s21), abs(s22))
+    negative = (s11 < 0) | (s22 < 0)
+    s12 = 0.5 * (s12 + s21)
+    det = s11 * s22 - s12 * s12
+    # det(sigma) = s11 s22 - s12^2 rounds by a few ulps of the larger of
+    # its two products, so a pure state with s11 s22 ~ 1e18 can round to
+    # det <= 0; a shortfall beyond HARD_TOL of that product is no rounding.
+    uncertain = det < 1.0 - HARD_TOL * f.max(s11 * s22, s12 * s12)
+    # One test when every rule holds for a float; the rules in order otherwise.
+    if (nonfinite | asymmetric | negative | uncertain) is not False:
+        reject(nonfinite, InvalidStateError, "non-finite moments")
+        reject(asymmetric, InvalidStateError, "covariance asymmetry {:.3e} exceeds tolerance", asymmetry)
+        reject(negative, InvalidStateError, "negative variance: diag(sigma) = ({!r}, {!r})", s11, s22)
+        reject(uncertain, InvalidStateError, "uncertainty relation violated: det(sigma) = {!r} < 1", det)
+    return s12, det
 
 
 @dataclass(frozen=True)
@@ -50,21 +80,7 @@ class GaussianState:
                 f"expected v shape (2,) and sigma shape (2, 2), got {v.shape} and {sigma.shape}"
             )
         (s11, s12), (s21, s22) = sigma.tolist()
-        if not all(map(math.isfinite, (*v.tolist(), s11, s12, s21, s22))):
-            raise InvalidStateError("non-finite moments")
-        if abs(s12 - s21) > HARD_TOL * max(1.0, abs(s11), abs(s12), abs(s21), abs(s22)):
-            raise InvalidStateError(f"covariance asymmetry {s12 - s21:.3e} exceeds tolerance")
-        if s11 < 0 or s22 < 0:
-            raise InvalidStateError(f"negative variance: diag(sigma) = ({s11!r}, {s22!r})")
-        s12 = 0.5 * (s12 + s21)
-        det = s11 * s22 - s12 * s12
-        # det(sigma) = s11 s22 - s12^2 rounds by a few ulps of the larger of
-        # its two products, so a pure state with s11 s22 ~ 1e18 can round to
-        # det <= 0; a shortfall beyond HARD_TOL of that product is no rounding.
-        if det < 1.0 - HARD_TOL * max(s11 * s22, s12 * s12):
-            raise InvalidStateError(
-                f"uncertainty relation violated: det(sigma) = {det!r} < 1"
-            )
+        s12, det = _physical_moments(*v.tolist(), s11, s12, s21, s22)
         sigma = np.array([[s11, s12], [s12, s22]])
         v.setflags(write=False)
         sigma.setflags(write=False)
@@ -100,10 +116,12 @@ class SqueezeParam:
             raise DomainError("squeeze parameters must be finite")
 
 
-def rotation_matrix(theta: float) -> np.ndarray:
-    """Counterclockwise phase-space rotation by theta."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def rotation_matrix(theta) -> np.ndarray:
+    """Counterclockwise phase-space rotation by theta (a float, or an array
+    for a stack of rotations)."""
+    f = lib(theta)
+    c, s = f.cos(theta), f.sin(theta)
+    return matrix(c, -s, s, c)
 
 
 def squeeze_matrix(s: SqueezeParam) -> np.ndarray:
@@ -117,7 +135,7 @@ def thermal_state(n_bath: float) -> GaussianState:
     """Thermal state with mean photon number n_bath; sigma = (1 + 2 n_bath) I."""
     if not math.isfinite(n_bath) or n_bath < 0:
         raise DomainError(f"n_bath must be >= 0, got {n_bath!r}")
-    return GaussianState(np.zeros(2), (1.0 + 2.0 * n_bath) * np.eye(2))
+    return GaussianState(np.zeros(2), (1.0 + 2.0 * n_bath) * IDENTITY)
 
 
 def vacuum_state() -> GaussianState:
@@ -139,8 +157,10 @@ def apply_rotation(state: GaussianState, theta: float) -> GaussianState:
     return GaussianState(R @ state.v, R @ state.sigma @ R.T)
 
 
-def cholesky_factor(state: GaussianState) -> tuple[np.ndarray, float]:
-    """(L, det): the lower-triangular L with sigma = L L^T, L22 = sqrt(det / s11).
+def cholesky_factor(s11, s12, s22, det):
+    """(l11, l21, l22, det): the lower-triangular L = [[l11, 0], [l21, l22]]
+    with sigma = L L^T, l22 = sqrt(det / s11), for the entries and det of a
+    state's sigma (floats, or arrays over t).
 
     Quadratic forms in sigma^-1 taken in the frame that L whitens, such as
     |L^-1 x|^2 and the entries of L^-1 M L^-T, are sums of squares where the
@@ -151,14 +171,12 @@ def cholesky_factor(state: GaussianState) -> tuple[np.ndarray, float]:
     rounding. A det <= 0, which the constructor admits within rounding, has
     no factor.
     """
-    det = state.det_sigma
-    if det <= 0 or not math.isfinite(det):
-        raise InvalidStateError(f"covariance not invertible, det = {det!r}")
-    (s11, s12), (_, s22) = state.sigma.tolist()
-    if abs(det - 1.0) <= DET_ROUNDING * (s11 * s22 + s12 * s12):
-        det = 1.0
-    l11 = math.sqrt(s11)
-    return np.array([[l11, 0.0], [s12 / l11, math.sqrt(det / s11)]]), det
+    f = lib(det)
+    invertible = (det > 0) & f.isfinite(det)
+    reject(f.not_(invertible), InvalidStateError, "covariance not invertible, det = {!r}", det)
+    det = f.where(abs(det - 1.0) <= DET_ROUNDING * (s11 * s22 + s12 * s12), 1.0, det)
+    l11 = f.sqrt(s11)
+    return l11, s12 / l11, f.sqrt(det / s11), det
 
 
 def mean_photons(state: GaussianState) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import SystemParams, evolve_critical, evolve_passive, spectral_info, steady_state
-from .errors import ConstraintError, DomainError, SearchError, UnsupportedRegimeError
+from .errors import ConstraintError, CritsenseError, DomainError, SearchError, UnsupportedRegimeError
 from .gaussian import (
     DisplacementAmplitude,
     GaussianState,
@@ -142,6 +142,15 @@ class ProtocolSpec:
         alpha, squeeze = self.pqs_input
         return pqs_pair(alpha, squeeze, self.params, t)
 
+    def qfi(self, t):
+        """Single-shot QFI of one repetition measured at t, qfi(pair(t)).
+
+        t is a float, or a 1-D ndarray of times: then one array evaluation
+        returns an array of the same shape, equal to the float calls to
+        rounding, and raises as the float call at the first failing t does.
+        """
+        return _qfi(self.pair, t)
+
 
 @dataclass(frozen=True)
 class MetrologyReport:
@@ -160,14 +169,36 @@ class MetrologyReport:
 # --- derivative pairs ----------------------------------------------------------
 
 
+def _qfi(pair_at: Callable, t):
+    """qfi(pair_at(t)) for a float t; for a 1-D array of t, one array
+    evaluation of the same closed forms. Its non-finite intermediates are
+    caught by the rules, so numpy is not asked to warn of them. An array that
+    raises is evaluated again one float at a time: the error raised is then
+    the float path's own at the first failing t."""
+    if not isinstance(t, np.ndarray):
+        return qfi(pair_at(t))
+    try:
+        with np.errstate(all="ignore"):
+            return qfi(pair_at(t))
+    except CritsenseError:
+        for t_k in t.tolist():
+            qfi(pair_at(t_k))
+        raise
+
+
 def cqs_pair(params: SystemParams, t: float) -> DerivativePair:
     """State and shift-derivative of the driven protocol at time t."""
     return differentiate_at_zero_shift(evolve_critical, params, thermal_state(params.n_bath), t)
 
 
-def cqs_qfi(params: SystemParams, t: float) -> float:
-    """Single-shot QFI of the driven protocol started from bath equilibrium."""
-    return qfi(cqs_pair(params, t))
+def cqs_qfi(params: SystemParams, t):
+    """Single-shot QFI of the driven protocol started from bath equilibrium.
+
+    t is a float, or a 1-D ndarray of times: then one array evaluation
+    returns an array of the same shape, equal to the float calls to
+    rounding, and raises as the float call at the first failing t does.
+    """
+    return _qfi(lambda t: cqs_pair(params, t), t)
 
 
 def cqs_steady_pair(params: SystemParams) -> DerivativePair:
@@ -196,10 +227,15 @@ def pqs_qfi(
     alpha: DisplacementAmplitude,
     squeeze: SqueezeParam,
     params: SystemParams,
-    t: float,
-) -> float:
-    """Single-shot QFI of the passive protocol."""
-    return qfi(pqs_pair(alpha, squeeze, params, t))
+    t,
+):
+    """Single-shot QFI of the passive protocol.
+
+    t is a float, or a 1-D ndarray of times: then one array evaluation
+    returns an array of the same shape, equal to the float calls to
+    rounding, and raises as the float call at the first failing t does.
+    """
+    return _qfi(lambda t: pqs_pair(alpha, squeeze, params, t), t)
 
 
 def best_homodyne(pair: DerivativePair) -> tuple[float, float]:
@@ -242,33 +278,38 @@ def best_homodyne(pair: DerivativePair) -> tuple[float, float]:
 _SCAN_POINTS = 128
 
 
-def _scan_then_polish(f: Callable[[float], float], t_lo: float, t_hi: float) -> tuple[float, float]:
+def _scan_then_polish(f: Callable, t_lo: float, t_hi: float) -> tuple[float, float]:
     grid = np.geomspace(t_lo, t_hi, _SCAN_POINTS)
-    values = []
-    for t in grid:
-        val = f(float(t))
-        if not math.isfinite(val):
-            raise SearchError(f"objective is not finite at t = {t!r}")
-        values.append(val)
+    # One call scans the whole grid; a scalar result stands for every t.
+    values = np.broadcast_to(np.asarray(f(grid), dtype=float), grid.shape)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise SearchError(f"objective is not finite at t = {grid[int(np.argmin(finite))]!r}")
     i = int(np.argmax(values))
+    # The float path decides from here on: the best grid point's value is
+    # taken from it, like every value of the polish.
+    best = f(float(grid[i]))
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, _SCAN_POINTS - 1)])
     # Imported here: scipy.optimize adds ~0.35 s to the package's import time.
     from scipy.optimize import minimize_scalar
 
     polish = minimize_scalar(
-        lambda t: -f(t), bounds=(lo, hi), method="bounded", options={"xatol": 1e-6 * hi}
+        lambda t: -f(float(t)), bounds=(lo, hi), method="bounded", options={"xatol": 1e-6 * hi}
     )
     # A grid point stands unless the polish strictly improves on it.
-    if -polish.fun <= values[i]:
-        return float(grid[i]), float(values[i])
+    if -polish.fun <= best:
+        return float(grid[i]), float(best)
     return float(polish.x), float(-polish.fun)
 
 
-def maximize_single_shot(
-    rate_fn: Callable[[float], float], bracket: tuple[float, float]
-) -> tuple[float, float]:
-    """Maximize rate_fn(t) itself over a positive bracket."""
+def maximize_single_shot(rate_fn: Callable, bracket: tuple[float, float]) -> tuple[float, float]:
+    """Maximize rate_fn(t) itself over a positive bracket.
+
+    rate_fn takes a float or an ndarray of t and returns the same shape (a
+    scalar for an array is taken at every t). The search is that of
+    optimize_time.
+    """
     t_lo, t_hi = bracket
     if not (0 < t_lo < t_hi):
         raise DomainError("bracket must satisfy 0 < t_lo < t_hi")
@@ -276,26 +317,29 @@ def maximize_single_shot(
 
 
 def optimize_time(
-    rate_fn: Callable[[float], float],
+    rate_fn: Callable,
     budget: ResourceBudget,
     bracket: tuple[float, float],
 ) -> tuple[float, float]:
     """Maximize the repetition-rate objective rate_fn(t) / (t + t_pm).
 
     rate_fn is the single-shot information of one repetition measured at t,
-    e.g. `lambda t: qfi(spec.pair(t))`. A _SCAN_POINTS (128) log-grid scan of
-    the bracket, then scipy's bounded scalar minimizer between the best grid
-    point's two neighbours, to 1e-6 of the upper neighbour in t; the grid
-    point stands unless that polish strictly improves on it. A maximum at a
-    bracket edge is returned as that edge, with no flag. Returns (t_opt,
-    best objective value).
+    e.g. `spec.qfi`. It takes a float or an ndarray of t and returns the same
+    shape. One call with the whole _SCAN_POINTS (128) log-grid of the bracket
+    scans it; the best grid point is evaluated again as a float, and scipy's
+    bounded scalar minimizer polishes between its two neighbours, calling
+    rate_fn with floats, to 1e-6 of the upper neighbour in t. The grid point
+    stands unless that polish strictly improves on it. A non-finite grid
+    value raises SearchError naming the first such t. A maximum at a bracket
+    edge is returned as that edge, with no flag. Returns (t_opt, best
+    objective value).
     """
     t_lo, t_hi = bracket
     if not (0 < t_lo < t_hi):
         raise DomainError("bracket must satisfy 0 < t_lo < t_hi")
     t_pm = budget.t_pm
 
-    def objective(t: float) -> float:
+    def objective(t):
         return rate_fn(t) / (t + t_pm)
 
     return _scan_then_polish(objective, t_lo, t_hi)
@@ -434,6 +478,13 @@ def budget_cap(budget: ResourceBudget, gamma: float, n_bath: float = 0.0) -> flo
 def total_qfi(spec: ProtocolSpec, t_single: float) -> MetrologyReport:
     """Repetition-budget report: M = T/(t + t_pm) repetitions of duration
     t_single, each measured at t_single (the report's t_opt)."""
+    return _report_and_pair(spec, t_single)[0]
+
+
+def _report_and_pair(spec: ProtocolSpec, t_single: float) -> tuple[MetrologyReport, DerivativePair]:
+    """total_qfi's report and the derivative pair it was read from, for a
+    caller that reads more off that pair (the FI at a homodyne angle of its
+    own) without evaluating it again."""
     if not (t_single > 0 and math.isfinite(t_single)):
         raise DomainError(f"t_single must be positive, got {t_single!r}")
     pair = spec.pair(t_single)
@@ -452,7 +503,7 @@ def total_qfi(spec: ProtocolSpec, t_single: float) -> MetrologyReport:
         raise ConstraintError(
             f"total QFI {total!r} violates the dissipative bound {bound!r}"
         )
-    return MetrologyReport(
+    report = MetrologyReport(
         qfi_single_shot=info,
         fi_homodyne_best=fi_best,
         best_psi=psi,
@@ -462,6 +513,7 @@ def total_qfi(spec: ProtocolSpec, t_single: float) -> MetrologyReport:
         bound_value=bound,
         t_opt=t_single,
     )
+    return report, pair
 
 
 def steady_time(params: SystemParams, multiple: float = 12.0) -> float:

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import critsense
+from critsense import protocols
 from critsense.cli import main, run_compute
 from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, mean_photons_vs_time
 from critsense.errors import ConfigError
 from critsense.gaussian import DisplacementAmplitude, mean_photons, purity, thermal_state
-from critsense.metrology import fi_homodyne
+from critsense.metrology import differentiate_at_zero_shift, fi_homodyne
 from critsense.protocols import (
     best_homodyne,
     cqs_qfi,
@@ -198,6 +199,29 @@ class TestComputeCommand:
         expected = 4.0 * 4.0 * 0.25 / (math.exp(-2.0) + math.e - 1.0)
         assert payload["fi_at_psi"] == pytest.approx(expected, rel=1e-8)
         assert payload["fi_at_psi"] <= payload["report"]["qfi_single_shot"]
+
+    @pytest.mark.parametrize("mode", ["qfi", "fi"])
+    def test_one_derivative_pair_per_point(self, monkeypatch, mode):
+        """qfi and fi modes (fi at an angle of its own too) read every
+        quantity off one derivative pair at t."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return differentiate_at_zero_shift(*args)
+
+        monkeypatch.setattr(protocols, "differentiate_at_zero_shift", counted)
+        cfg = {
+            "mode": mode,
+            "params": {"omega0": 1.0, "gamma": 1.0},
+            "protocol": {"kind": "CQS", "n_max": 10.0, "total_time": 1.0},
+            "t": 2.0,
+        }
+        if mode == "fi":
+            cfg["protocol"]["psi"] = 0.3
+        payload = run_compute(cfg)
+        assert len(calls) == 1
+        assert payload["report"]["qfi_single_shot"] > 0.0
 
     def test_evolve_cqs_reaches_steady_state(self):
         cfg = {

@@ -11,6 +11,7 @@ from conftest import (
     steady_state_family,
     van_loan_qfi,
 )
+from critsense import dynamics
 from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, steady_state
 from critsense.errors import AccuracyError, DomainError, PreconditionError, PureStateError
 from critsense.gaussian import (
@@ -203,7 +204,10 @@ class TestExactDerivative:
         assert qfi(pair) == pytest.approx(qfi(fd), rel=1e-8)
         assert qfi(pair) == pytest.approx(qfi_fidelity_oracle(fam, 1e-4), rel=1e-4)
 
-    def test_one_evolution_per_derivative(self):
+    def test_one_evolution_per_derivative(self, monkeypatch):
+        """The state and its derivative share one evaluation of the closed
+        form: s and K, (c, sc), the series test and the noise integrals once
+        each. The decorated evolution only names that closed form."""
         calls = []
 
         @functools.wraps(evolve_critical)
@@ -211,8 +215,19 @@ class TestExactDerivative:
             calls.append(args)
             return evolve_critical(*args)
 
+        pieces = ("_s_and_gap", "_decayed_cosh_sinhc", "_is_series", "_noise_integrals")
+        evaluations = dict.fromkeys(pieces, 0)
+        for name in evaluations:
+
+            def spy(*args, _name=name, _original=getattr(dynamics, name), **kwargs):
+                evaluations[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(dynamics, name, spy)
         pair = differentiate_at_zero_shift(counted, SystemParams(1.0, 1.2, 1.0), thermal_state(0.0), 2.0)
-        assert len(calls) == 1
+        monkeypatch.undo()
+        assert calls == []
+        assert evaluations == dict.fromkeys(evaluations, 1)
         assert qfi(pair) == pytest.approx(cqs_qfi(SystemParams(1.0, 1.2, 1.0), 2.0), rel=0.0)
 
     def test_evaluated_at_zero_shift(self):

@@ -14,12 +14,14 @@ import pytest
 from hypothesis import assume, find, given
 from hypothesis import strategies as st
 
-from conftest import cqs_state_family
+from conftest import cqs_state_family, van_loan_qfi
+from critsense import dynamics
 from critsense.dynamics import Regime, SystemParams, _noise_integrals, evolve_critical, spectral_info
-from critsense.gaussian import thermal_state
+from critsense.errors import DomainError, InvalidStateError
+from critsense.gaussian import DET_ROUNDING, DisplacementAmplitude, thermal_state
 from critsense.metrology import fi_homodyne, qfi
 from critsense.oracle import fd_shift_derivative, lyapunov_rk4
-from critsense.protocols import best_homodyne, cqs_pair
+from critsense.protocols import best_homodyne, cqs_pair, cqs_qfi, default_pqs_input, pqs_pair, pqs_qfi
 from critsense.validate import _horizon, _rel_state_diff
 
 NEAR = 1e-6
@@ -131,3 +133,129 @@ def test_noise_integrals_continuous_at_series_boundary(gamma, t, sign):
 def test_noise_integrals_continuous_at_quarter_gamma_squared(gamma, t):
     """s = gamma^2 / 4 separates the exact exponentials from the analytic-in-s form."""
     assert _jump(gamma, 0.25 * gamma * gamma, t) <= 1e-9
+
+
+# --- one array call against the float calls -----------------------------------
+
+
+def _branch_switches(params: SystemParams) -> list[float]:
+    """The times at which a t-branch of the closed forms switches: |s t^2| at
+    _SERIES_Z and at 1 (at t and at 2 t), |2 lambda t| = 1 at each rate of
+    the exact integrals, and |s| t^2 = _SERIES_ST2 of the series integrals."""
+    s, k = dynamics._s_and_gap(params)
+    if s == 0.0:
+        return []
+    gamma = params.gamma
+    switches = []
+    for level in (dynamics._SERIES_Z, 1.0, dynamics._SERIES_ST2):
+        t = math.sqrt(level / abs(s))
+        switches += [t, 0.5 * t]
+    if s > 0.25 * gamma * gamma and gamma > 0:
+        u = math.sqrt(s)
+        switches += [0.5 / abs(rate) for rate in (gamma + u, k / (gamma + u)) if rate != 0.0]
+    return switches
+
+
+def _grid(params: SystemParams, draw_fraction: float) -> np.ndarray:
+    """t = 0, a log grid to the comparison horizon and every branch switch
+    before it, straddled at 1 -+ 1e-9."""
+    end = _horizon(params)
+    points = [0.0, *np.geomspace(1e-4 * end, end, 25).tolist(), draw_fraction * end]
+    points += [t * (1.0 + d) for t in _branch_switches(params) if t < end for d in (-1e-9, 0.0, 1e-9)]
+    return np.array(sorted(points))
+
+
+def _assert_array_call_matches(array_qfi, float_pair, ts: np.ndarray) -> None:
+    """array_qfi(ts) equals qfi(float_pair(t)) at each t within 1e-10
+    relative, or within the relative rounding that det(sigma) carries
+    (DET_ROUNDING of (s11 s22 + s12^2) / det) where that is larger. Where a
+    float call raises, the array call raises the same error: that of the
+    first failing t."""
+    expected, tolerance = [], []
+    for t in ts.tolist():
+        try:
+            pair = float_pair(t)
+            expected.append(qfi(pair))
+        except Exception as exc:
+            with pytest.raises(type(exc)) as raised:
+                array_qfi(ts)
+            assert raised.type is type(exc) and str(raised.value) == str(exc)
+            return
+        (s11, s12), (_, s22) = pair.state.sigma.tolist()
+        tolerance.append(max(1e-10, DET_ROUNDING * (s11 * s22 + s12 * s12) / pair.state.det_sigma))
+    got = array_qfi(ts)
+    assert got.shape == ts.shape
+    assert np.all(np.abs(got - expected) <= np.array(tolerance) * np.abs(expected))
+
+
+@given(
+    system_params() | system_params().map(lambda p: SystemParams(p.omega0, p.epsilon, 0.0)),
+    st.floats(0.0, 1.0),
+)
+def test_cqs_qfi_array_matches_float_calls(params, fraction):
+    """Grids straddle every t-branch switch and include t = 0; gamma = 0
+    with n_bath = 0 keeps the state pure. With no drive the thermal start
+    does not depend on the shift: its QFI is 0, and both calls give rounding."""
+    assume(params.epsilon > 0.0)
+    _assert_array_call_matches(
+        lambda ts: cqs_qfi(params, ts), lambda t: cqs_pair(params, t), _grid(params, fraction)
+    )
+
+
+@given(system_params().filter(lambda p: p.epsilon > p.epsilon_c), st.booleans())
+def test_cqs_qfi_array_raises_as_float_calls_do(params, lossless):
+    """Above threshold the moments grow as e^{2 (u - gamma) t}, u = sqrt(s),
+    and leave the double range by t = 400 / (u - gamma): the array call
+    raises the float call's error, at the first t that fails. The grid
+    skips the times between, where the squeezing leaves the QFI to rounding."""
+    if lossless:
+        params = SystemParams(params.omega0, params.epsilon, 0.0)
+    s, _ = dynamics._s_and_gap(params)
+    growth = math.sqrt(s) - params.gamma
+    assume(growth > 0.0)
+    horizon = _horizon(params)
+    ts = np.array([0.0, 0.5 * horizon, horizon, 400.0 / growth, 800.0 / growth])
+    with pytest.raises(InvalidStateError):
+        cqs_pair(params, float(ts[-1]))
+    _assert_array_call_matches(lambda ts: cqs_qfi(params, ts), lambda t: cqs_pair(params, t), ts)
+
+
+def test_array_error_is_that_of_the_first_failing_t():
+    """The first failing t overflows; a later one is negative, which the
+    array's first check would name."""
+    params = SystemParams(1.0, 2.0, 0.0)
+    ts = np.array([1.0, 1e4, -1.0])
+    with pytest.raises(InvalidStateError, match="non-finite moments"):
+        cqs_qfi(params, ts)
+    with pytest.raises(DomainError, match="time must be >= 0"):
+        cqs_qfi(params, ts[::-1].copy())
+
+
+@given(
+    system_params(),
+    st.floats(0.0, 6.0).map(lambda x: 10.0 ** x),
+    st.floats(0.0, 10.0),
+    st.floats(0.0, 1.0),
+)
+def test_pqs_qfi_array_matches_float_calls(params, n_max, alpha, fraction):
+    params = SystemParams(params.omega0, 0.0, params.gamma, n_bath=params.n_bath)
+    assume(n_max > params.n_bath)
+    _, squeeze = default_pqs_input(n_max, params.n_bath)
+    displacement = DisplacementAmplitude(alpha)
+    _assert_array_call_matches(
+        lambda ts: pqs_qfi(displacement, squeeze, params, ts),
+        lambda t: pqs_pair(displacement, squeeze, params, t),
+        _grid(params, fraction),
+    )
+
+
+def test_array_call_on_analytic_branch_past_series_boundary():
+    """A node on the analytic-in-s branch of the noise integrals just past
+    _SERIES_ST2, where the float path is 7.5e-13 from the 50-digit value:
+    the array call stays within 1e-11 too, alone and inside a grid."""
+    params = SystemParams(3.1466177539813374, 3.1716800393782556, 1.0, n_bath=2.0)
+    t = 0.1352982853704671
+    exact = van_loan_qfi(params, np.zeros(2), 5.0 * np.eye(2), t)
+    grid = np.array([0.5 * t, t, 2.0 * t])
+    for value in (cqs_qfi(params, t), cqs_qfi(params, np.array([t]))[0], cqs_qfi(params, grid)[1]):
+        assert abs(value / exact - 1.0) <= 1e-11

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,30 @@ class TestOptimizeTime:
         budget = ResourceBudget(n_max=1.0, total_time=1.0)
         with pytest.raises(DomainError):
             optimize_time(lambda t: t, budget, (1.0, 0.1))
+
+    def test_one_array_call_scans_the_grid(self):
+        """The scan is one call with the whole 128-point grid; the best grid
+        point's value and the polish use floats."""
+        seen = []
+        spec = ProtocolSpec(ProtocolKind.PQS, UNIT, ResourceBudget(n_max=100.0, total_time=10.0, t_pm=0.5))
+
+        def rate(t):
+            seen.append(t)
+            return spec.qfi(t)
+
+        t_opt, best = optimize_time(rate, spec.budget, (1e-3, 5.0))
+        first, *later = seen
+        assert isinstance(first, np.ndarray) and first.shape == (128,)
+        assert np.array_equal(first, np.geomspace(1e-3, 5.0, 128))
+        assert later and all(type(t) is float for t in later)
+        assert best == pytest.approx(spec.qfi(t_opt) / (t_opt + 0.5), rel=1e-12)
+
+    def test_search_error_names_first_non_finite_grid_point(self):
+        budget = ResourceBudget(n_max=1.0, total_time=1.0)
+        grid = np.geomspace(0.1, 10.0, 128)
+        first_bad = grid[grid > 2.0][0]
+        with pytest.raises(SearchError, match=re.escape(f"t = {first_bad!r}")):
+            optimize_time(lambda t: np.where(t > 2.0, math.inf, t), budget, (0.1, 10.0))
 
 
 class TestTotalQfi:
