@@ -84,6 +84,13 @@ def _fig_base(n_max: float = 100.0) -> tuple[SystemParams, SystemParams, Displac
     return passive, driven, alpha, squeeze
 
 
+def _optimal_r_input(n_max: float, gamma: float, t: float) -> tuple[DisplacementAmplitude, SqueezeParam]:
+    """The optimally squeezed input for p-quadrature homodyne at t, displaced
+    to fill the rest of the photon budget."""
+    r_opt = protocols.optimal_squeezing_homodyne(n_max, gamma, t)
+    return DisplacementAmplitude(math.sqrt(max(n_max - math.sinh(r_opt.r) ** 2, 0.0))), r_opt
+
+
 def figure_fig2(out_dir: Path) -> Path:
     """Single-shot QFI of both strategies vs evolution time (N_max = 100)."""
     n_max = 100.0
@@ -123,8 +130,7 @@ def figure_fig3(out_dir: Path) -> Path:
         i_pqs, i_cqs = qfi(pqs), qfi(cqs)
         _, f_sqvac = best_homodyne(pqs)
         # optimally squeezed + displaced input, p-quadrature homodyne
-        r_opt = protocols.optimal_squeezing_homodyne(n_max, passive.gamma, t)
-        a_opt = DisplacementAmplitude(math.sqrt(max(n_max - math.sinh(r_opt.r) ** 2, 0.0)))
+        a_opt, r_opt = _optimal_r_input(n_max, passive.gamma, t)
         f_optr = fi_homodyne(pqs_pair(a_opt, r_opt, passive, t), math.pi / 2.0)
         row = [t]
         for t_pm in t_pms:
@@ -206,8 +212,7 @@ def figure_fignoisy(out_dir: Path) -> Path:
     n_max, n_bath = 300.0, 1.0
     cold = SystemParams(1.0, 0.0, 1.0)
     hot = SystemParams(1.0, 0.0, 1.0, n_bath=n_bath)
-    r_shared = SqueezeParam(math.asinh(math.sqrt((n_max - n_bath) / (1.0 + 2.0 * n_bath))))
-    alpha0 = DisplacementAmplitude(0.0)
+    alpha0, r_shared = default_pqs_input(n_max, n_bath)
     eps = 0.9975 * math.sqrt(2.0)
     cqs_cold = SystemParams(1.0, eps, 1.0)
     cqs_hot = SystemParams(1.0, eps, 1.0, n_bath=n_bath)
@@ -220,8 +225,7 @@ def figure_fignoisy(out_dir: Path) -> Path:
         qfi_ratio = protocols.pqs_qfi(alpha0, r_shared, hot, t) / protocols.pqs_qfi(
             alpha0, r_shared, cold, t
         )
-        r_opt = protocols.optimal_squeezing_homodyne(n_max, cold.gamma, t)
-        a_opt = DisplacementAmplitude(math.sqrt(max(n_max - math.sinh(r_opt.r) ** 2, 0.0)))
+        a_opt, r_opt = _optimal_r_input(n_max, cold.gamma, t)
         fi_ratio = fi_homodyne(pqs_pair(a_opt, r_opt, hot, t), math.pi / 2.0) / fi_homodyne(
             pqs_pair(a_opt, r_opt, cold, t), math.pi / 2.0
         )

@@ -88,15 +88,17 @@ class SpectralInfo:
 
 def spectral_info(params: SystemParams) -> SpectralInfo:
     w, eps, gamma = params.omega, params.epsilon, params.gamma
-    s = eps * eps - w * w
+    s, k = _s_and_gap(params)
     root = complex(math.sqrt(s)) if s >= 0 else 1j * math.sqrt(-s)
-    lam_minus = gamma - root
+    # Near the critical point gamma - sqrt(s) is the small K / (gamma + sqrt(s)),
+    # K = eps_c^2 - eps^2; where s or gamma is 0 the difference is exact.
+    lam_minus = complex(k / (gamma + root.real)) if s > 0 and gamma > 0 else gamma - root
     lam_plus = gamma + root
     eps_c = params.epsilon_c
     window = DEGENERACY_ETA * max(w * w, gamma * gamma, eps * eps)
     if abs(s) <= window:
         regime = Regime.EXCEPTIONAL
-    elif abs(eps * eps - eps_c * eps_c) <= window:
+    elif abs(k) <= window:
         regime = Regime.CRITICAL
     elif eps < abs(w):
         regime = Regime.BELOW
@@ -450,9 +452,7 @@ def steady_state_photons(params: SystemParams) -> float:
     eps_c, eps = params.epsilon_c, params.epsilon
     if eps_c - eps <= 1e-12 * eps_c:
         raise NoSteadyStateError("photon number diverges at or above epsilon_c")
-    return (eps * eps + 2.0 * params.n_bath * eps_c * eps_c) / (
-        2.0 * (eps_c * eps_c - eps * eps)
-    )
+    return (eps * eps + 2.0 * params.n_bath * eps_c * eps_c) / (2.0 * _s_and_gap(params)[1])
 
 
 def mean_photons_vs_time(params: SystemParams, t: float) -> float:

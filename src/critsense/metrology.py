@@ -6,8 +6,8 @@ together with the derivatives of its moments with respect to the shift.
 and takes the derivative exactly, from the shift derivative of its closed
 form (the tangent of the moment flow; Van Loan, IEEE TAC 23, 395 (1978)).
 The QFI is the single-mode Gaussian formula (Safranek, J. Phys. A 52, 035304
-(2019)). Finite differences of state families serve as a test oracle only
-(`oracle.fd_shift_derivative`).
+(2019)). The RK4 oracle (`oracle.lyapunov_rk4`) integrates the same tangent
+step by step, sharing no code with the closed form, and checks it.
 """
 
 from __future__ import annotations

@@ -1,20 +1,21 @@
 """Independent numerical cross-checks for the closed-form Gaussian machinery.
 
-Three oracles, deliberately sharing no code with the analytic propagator or
+Two oracles, deliberately sharing no code with the analytic propagator or
 its exact shift derivative: a fixed-step RK4 integrator for the moment
-(Lyapunov) equations, Richardson-extrapolated central differences of a
-state family in the shift, and the full master equation on a Fock-space
-truncation, which also yields a fidelity-based QFI estimate valid beyond the
-Gaussian calculus. All are library code; the CLI validation command runs the
-first two.
+(Lyapunov) equations together with their shift tangent, and the full master
+equation on a Fock-space truncation, which also yields a fidelity-based QFI
+estimate valid beyond the Gaussian calculus. Both are library code; the CLI
+validation command runs the first.
 
-RK4 is the Lyapunov oracle only. Its equation is linear and autonomous,
-y' = L y, so one classical RK4 step of size h is the degree-4 Taylor
-polynomial of hL, in Horner form y + hL(y + hL/2 (y + hL/3 (y + hL/4 y))).
-The oracle applies it to the identity to get the step matrix P on
-(v, vec Sigma, 1): n steps are P^n, the same discretisation as stepping n
-times. The Fock oracle applies exp(t L) for the sparse Liouvillian L with
-scipy's expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+RK4 is the Lyapunov oracle only. The moments and their derivative in omega
+obey one linear autonomous system y' = L y, with J = dA/d omega coupling the
+state to its tangent (Van Loan, IEEE TAC 23, 395 (1978)). One classical RK4
+step of size h is the degree-4 Taylor polynomial of hL, in Horner form
+y + hL(y + hL/2 (y + hL/3 (y + hL/4 y))). The oracle applies it to the
+identity to get the step matrix P on (v, vec Sigma, dv, vec dSigma, 1): n
+steps are P^n, the same discretisation as stepping n times. The Fock
+oracle applies exp(t L) for the sparse Liouvillian L with scipy's
+expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
 (2011)), which chooses its own accuracy. L conserves the parity of m + n in
 |m><n|, so only the parity sectors the start fills are evolved: half of vec
 rho for vacuum, thermal and squeezed starts, all of it for a coherent one.
@@ -34,7 +35,7 @@ import numpy as np
 from .dynamics import SystemParams, drift_and_diffusion, spectral_info
 from .errors import AccuracyError, DomainError, TruncationError
 from .gaussian import GaussianState
-from .metrology import DerivativePair, StateFamily
+from .metrology import DerivativePair
 
 LEAK_BUDGET = 1e-8
 
@@ -69,11 +70,15 @@ def lyapunov_rk4(
     t: float,
     dt: float | None = None,
     verify_step: bool = True,
-) -> GaussianState:
-    """Integrate dv/dt = A v, dSigma/dt = A Sigma + Sigma A^T + D with RK4.
+) -> DerivativePair:
+    """Integrate dv/dt = A v, dSigma/dt = A Sigma + Sigma A^T + D with RK4,
+    together with the shift tangent dv' = A dv + J v, dSigma' = A dSigma +
+    dSigma A^T + J Sigma + Sigma J^T (J = dA/d omega): the state at t and its
+    exact derivative in omega, for a start that does not depend on the shift.
 
-    With verify_step the run is repeated at half the step; disagreement above
-    1e-6 (relative) raises AccuracyError. The finer result is returned.
+    With verify_step the run is repeated at half the step; a disagreement of
+    the state or of the tangent above 1e-6 (relative) raises AccuracyError.
+    The finer result is returned.
     """
     if not math.isfinite(t) or t < 0:
         raise DomainError(f"time must be >= 0, got {t!r}")
@@ -83,58 +88,37 @@ def lyapunov_rk4(
         raise DomainError(f"dt must be positive, got {dt!r}")
     A, D = drift_and_diffusion(params)
     if t == 0.0:
-        return state0
-    # z = (v, vec Sigma, 1) obeys z' = G z; vec is row-major.
-    G = np.zeros((7, 7))
-    G[:2, :2] = A
-    G[2:6, 2:6] = np.kron(A, np.eye(2)) + np.kron(np.eye(2), A)
-    G[2:6, 6] = D.ravel()
-    z0 = np.concatenate((state0.v, state0.sigma.ravel(), [1.0]))
+        return DerivativePair(state0, np.zeros(2), np.zeros((2, 2)))
+    # z = (v, vec Sigma, dv, vec dSigma, 1) obeys z' = G z; vec is row-major,
+    # where S -> a S + S a^T is kron(a, I) + kron(I, a).
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    G = np.zeros((13, 13))
+    for (row, col), a in (((0, 0), A), ((6, 6), A), ((6, 0), J)):
+        G[row:row + 2, col:col + 2] = a
+    for (row, col), a in (((2, 2), A), ((8, 8), A), ((8, 2), J)):
+        G[row:row + 4, col:col + 4] = np.kron(a, np.eye(2)) + np.kron(np.eye(2), a)
+    G[2:6, 12] = D.ravel()
+    z0 = np.concatenate((state0.v, state0.sigma.ravel(), np.zeros(6), [1.0]))
 
-    def moments(steps: int) -> tuple[np.ndarray, np.ndarray]:
-        E = _rk4_increment(lambda y: G @ y, np.eye(7), t / steps)
+    def moments(steps: int) -> list[np.ndarray]:
+        E = _rk4_increment(lambda y: G @ y, np.eye(13), t / steps)
         z = _power(E, steps) @ z0
-        return z[:2], z[2:6].reshape(2, 2)
+        return [z[:2], z[2:6].reshape(2, 2), z[6:8], z[8:12].reshape(2, 2)]
 
     n = max(1, math.ceil(t / dt))
-    v1, s1 = moments(n)
+    coarse = moments(n)
     if not verify_step:
-        return GaussianState(v1, s1)
-    v2, s2 = moments(2 * n)
-    scale = max(float(np.linalg.norm(s2)), 1.0)
-    diff = max(float(np.linalg.norm(s1 - s2)), float(np.linalg.norm(v1 - v2))) / scale
+        return DerivativePair(GaussianState(*coarse[:2]), *coarse[2:])
+    fine = moments(2 * n)
+    # The state relative to max(|Sigma|, 1), the tangent to max(|dv|, |dSigma|, 1).
+    gaps = [float(np.linalg.norm(a - b)) for a, b in zip(coarse, fine)]
+    sizes = [float(np.linalg.norm(b)) for b in fine]
+    diff = max(max(gaps[:2]) / max(sizes[1], 1.0), max(gaps[2:]) / max(*sizes[2:], 1.0))
     if diff > 1e-6:
         raise AccuracyError(
             f"RK4 step too large: halving changed the result by {diff:.2e} (relative)"
         )
-    return GaussianState(v2, s2)
-
-
-def fd_shift_derivative(family: StateFamily, h: float = 1e-5) -> tuple[DerivativePair, float]:
-    """Finite-difference derivative of a state family at zero shift.
-
-    Central differences at steps h and h/2 combined by Richardson
-    extrapolation; returns the pair and the error estimate |D(h/2) - D(h)|/3
-    (the larger of the dv and dSigma norms). The default step suits families
-    expressed in units where gamma ~ 1.
-    """
-    if not (math.isfinite(h) and h > 0):
-        raise DomainError(f"step must be positive, got {h!r}")
-    base = family(0.0)
-
-    def central(step: float) -> tuple[np.ndarray, np.ndarray]:
-        plus = family(step)
-        minus = family(-step)
-        return (plus.v - minus.v) / (2.0 * step), (plus.sigma - minus.sigma) / (2.0 * step)
-
-    dv1, ds1 = central(h)
-    dv2, ds2 = central(h / 2.0)
-    # An overflowing family gives inf or nan here; DerivativePair rejects it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        dv = (4.0 * dv2 - dv1) / 3.0
-        dsigma = (4.0 * ds2 - ds1) / 3.0
-        err = max(float(np.linalg.norm(dv2 - dv1)), float(np.linalg.norm(ds2 - ds1))) / 3.0
-    return DerivativePair(base, dv, dsigma), err
+    return DerivativePair(GaussianState(*fine[:2]), *fine[2:])
 
 
 # --- truncated Fock-space master equation -----------------------------------

@@ -420,6 +420,12 @@ class BoundResult(NamedTuple):
     cap: float
 
 
+def _bound_rate(n: float, total_time: float, gamma: float, n_bath: float) -> float:
+    """2 N T / (gamma (1 + 2 n_bath - n_bath/(N+1))): the bound for N photons
+    held over a time T (T = 1.0 gives the integrand)."""
+    return 2.0 * n * total_time / (gamma * (1.0 + 2.0 * n_bath - n_bath / (n + 1.0)))
+
+
 def fundamental_bound(
     photon_traj: Callable[[float], float],
     total_time: float,
@@ -447,7 +453,7 @@ def fundamental_bound(
         if not math.isfinite(n) or n < 0:
             raise DomainError(f"photon trajectory must be >= 0, got {n!r} at t = {t!r}")
         sup_n = max(sup_n, n)
-        return 2.0 * n / (gamma * (1.0 + 2.0 * n_bath - n_bath / (n + 1.0)))
+        return _bound_rate(n, 1.0, gamma, n_bath)
 
     # Imported here: scipy.integrate adds ~40% to the package's import time.
     from scipy.integrate import quad
@@ -456,23 +462,14 @@ def fundamental_bound(
     integrand(0.0)
     integrand(total_time)
     integral, _ = quad(integrand, 0.0, total_time, epsabs=0.0, epsrel=1e-10, limit=200)
-    cap = (
-        2.0
-        * sup_n
-        * total_time
-        / (gamma * (1.0 + 2.0 * n_bath - n_bath / (sup_n + 1.0)))
-    )
-    return BoundResult(integral, cap)
+    return BoundResult(integral, _bound_rate(sup_n, total_time, gamma, n_bath))
 
 
 def budget_cap(budget: ResourceBudget, gamma: float, n_bath: float = 0.0) -> float:
     """Bound cap evaluated at the photon budget: 2 N_max T / (gamma (1+2n_B - ...))."""
-    n = budget.n_max
     if gamma == 0:
         return math.inf
-    return 2.0 * n * budget.total_time / (
-        gamma * (1.0 + 2.0 * n_bath - n_bath / (n + 1.0))
-    )
+    return _bound_rate(budget.n_max, budget.total_time, gamma, n_bath)
 
 
 def total_qfi(spec: ProtocolSpec, t_single: float) -> MetrologyReport:

@@ -1,5 +1,6 @@
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -8,14 +9,10 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, steady_state
-from critsense.gaussian import (
-    DisplacementAmplitude,
-    SqueezeParam,
-    apply_displace,
-    apply_squeeze,
-    thermal_state,
-)
+from critsense.dynamics import SystemParams, evolve_critical, evolve_passive
+from critsense.gaussian import DisplacementAmplitude, SqueezeParam, thermal_state
+from critsense.oracle import lyapunov_rk4
+from critsense.protocols import pqs_input_state
 
 # Deterministic property tests that write nothing into the working tree: no
 # example database, and the cache of source literals that Hypothesis keeps
@@ -35,24 +32,22 @@ def cqs_state_family(params: SystemParams, t: float):
     return family
 
 
-def steady_state_family(params: SystemParams):
-    def family(delta: float):
-        return steady_state(params.with_shift(delta))
-
-    return family
-
-
 def pqs_state_family(alpha: float, r: float, params: SystemParams, t: float):
     """delta_omega -> freely evolved displaced squeezed thermal state."""
-    start = apply_displace(
-        apply_squeeze(thermal_state(params.n_bath), SqueezeParam(r)),
-        DisplacementAmplitude(alpha),
-    )
+    start = pqs_input_state(DisplacementAmplitude(alpha), SqueezeParam(r), params.n_bath)
 
     def family(delta: float):
         return evolve_passive(params.with_shift(delta), start, t)
 
     return family
+
+
+def rk4_pqs_pair(alpha: float, r: float, params: SystemParams, t: float):
+    """The passive protocol's derivative pair from the RK4 oracle. With
+    omega0 = 0 and epsilon = 0 the lab-frame flow is evolve_passive's frame
+    rotating at omega0, and d/d omega is d/d delta_omega."""
+    start = pqs_input_state(DisplacementAmplitude(alpha), SqueezeParam(r), params.n_bath)
+    return lyapunov_rk4(replace(params, omega0=0.0), start, t)
 
 
 def pqs_qfi_closed_form(alpha: float, r: float, gamma: float, t: float) -> float:

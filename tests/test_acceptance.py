@@ -26,7 +26,7 @@ from critsense.dynamics import (
 )
 from critsense.gaussian import thermal_state, vacuum_state
 from critsense.metrology import qfi, qfi_fidelity_oracle
-from critsense.oracle import fd_shift_derivative, fock_evolve, fock_moments, fock_qfi_fidelity, fock_vacuum, lyapunov_rk4
+from critsense.oracle import fock_evolve, fock_moments, fock_qfi_fidelity, fock_vacuum, lyapunov_rk4
 from critsense.protocols import (
     ProtocolKind,
     ProtocolSpec,
@@ -153,7 +153,7 @@ def test_criterion_07_oracle_equivalence():
     for (eps, n_bath, t) in ((1.2, 0.0, 5.0), (0.9, 1.0, 3.0), (1.4, 0.0, 8.0), (1.0, 0.5, 4.0)):
         p = SystemParams(1.0, eps, 1.0, n_bath=n_bath)
         analytic = evolve_critical(p, thermal_state(n_bath), t)
-        numeric = lyapunov_rk4(p, thermal_state(n_bath), t)
+        numeric = lyapunov_rk4(p, thermal_state(n_bath), t).state
         rel = float(
             np.linalg.norm(analytic.sigma - numeric.sigma) / np.linalg.norm(numeric.sigma)
         )
@@ -161,7 +161,7 @@ def test_criterion_07_oracle_equivalence():
         assert rel <= 1e-8
     # QFI formula vs Gaussian fidelity quotient
     fam = cqs_state_family(params, 2.0)
-    reference = qfi(fd_shift_derivative(fam)[0])
+    reference = qfi(lyapunov_rk4(params, vacuum_state(), 2.0))
     gauss_fid = qfi_fidelity_oracle(fam, 1e-4)
     assert gauss_fid == pytest.approx(reference, rel=1e-4)
     # moments and QFI vs the Fock master equation (N(t) <= 5, dim = 60)

@@ -16,7 +16,7 @@ from critsense.cli import main, run_compute
 from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, mean_photons_vs_time
 from critsense.errors import ConfigError
 from critsense.gaussian import DisplacementAmplitude, mean_photons, purity, thermal_state
-from critsense.metrology import differentiate_at_zero_shift, fi_homodyne
+from critsense.metrology import DerivativePair, differentiate_at_zero_shift, fi_homodyne
 from critsense.protocols import (
     best_homodyne,
     cqs_qfi,
@@ -368,6 +368,18 @@ class TestValidateCommand:
             return evolve_critical(replace(params, epsilon=0.99 * params.epsilon), state, t)
 
         monkeypatch.setattr(val, "evolve_critical", perturbed)
+        assert main(["validate", "--filter", "rk4"]) == 1
+
+    def test_injected_derivative_error_fails_validation(self, monkeypatch):
+        """A 1% error in the exact shift derivative alone, the state left
+        exact, fails the RK4 cross-check."""
+        exact = protocols.cqs_pair
+
+        def perturbed(params, t):
+            pair = exact(params, t)
+            return DerivativePair(pair.state, pair.dv, 1.01 * pair.dsigma)
+
+        monkeypatch.setattr(protocols, "cqs_pair", perturbed)
         assert main(["validate", "--filter", "rk4"]) == 1
 
 

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,6 +28,7 @@ from critsense.gaussian import (
     thermal_state,
     vacuum_state,
 )
+from critsense.protocols import epsilon_opt
 from critsense.validate import battery_params
 
 
@@ -36,6 +38,9 @@ class TestSpectralInfo:
         assert info.lambda_minus == pytest.approx(1.0)
         assert info.lambda_plus == pytest.approx(1.0)
         assert info.regime is Regime.EXCEPTIONAL
+        lossless = spectral_info(SystemParams(1.0, 1.0, 0.0))
+        assert lossless.lambda_minus == 0.0 and lossless.lambda_plus == 0.0
+        assert lossless.regime is Regime.EXCEPTIONAL
 
     def test_transient_split_values(self):
         info = spectral_info(SystemParams(1.0, 1.2, 1.0))
@@ -64,6 +69,21 @@ class TestSpectralInfo:
         for params in battery_params():
             info = spectral_info(params)
             assert info.lambda_plus.real >= info.lambda_minus.real - 1e-15
+
+    @pytest.mark.parametrize("omega0", [0.25, 1.0, 4.0])
+    def test_slow_rate_and_photons_at_large_budget(self, omega0):
+        """At epsilon_opt(1e8), K = eps_c^2 - eps^2 is ~1e-8 of eps^2: gamma -
+        sqrt(s) and a K formed from rounded squares were ~1e-8 off the
+        50-digit values."""
+        for n_bath in (0.0, 0.5, 2.0):
+            params = SystemParams(omega0, epsilon_opt(1e8, SystemParams(omega0, 0.0, 1.0, n_bath=n_bath)), 1.0, n_bath)
+            with mpmath.workdps(50):
+                w, eps = mpmath.mpf(params.omega), mpmath.mpf(params.epsilon)
+                k = w * w + 1 - eps * eps
+                lam = float(1 - mpmath.sqrt(eps * eps - w * w))
+                photons = float((eps * eps + 2 * mpmath.mpf(n_bath) * (w * w + 1)) / (2 * k))
+            assert spectral_info(params).lambda_minus.real == pytest.approx(lam, rel=1e-14)
+            assert steady_state_photons(params) == pytest.approx(photons, rel=1e-14)
 
 
 class TestDriftAndDiffusion:

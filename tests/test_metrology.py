@@ -8,7 +8,7 @@ from conftest import (
     cqs_state_family,
     pqs_qfi_closed_form,
     pqs_state_family,
-    steady_state_family,
+    rk4_pqs_pair,
     van_loan_qfi,
 )
 from critsense import dynamics
@@ -34,7 +34,7 @@ from critsense.metrology import (
     qfi_terms,
     snr_photon_counting,
 )
-from critsense.oracle import fd_shift_derivative
+from critsense.oracle import lyapunov_rk4
 from critsense.protocols import (
     best_homodyne,
     cqs_pair,
@@ -46,64 +46,7 @@ from critsense.protocols import (
     pqs_qfi,
     steady_time,
 )
-
-
-class TestDifferentiate:
-    """The finite-difference oracle."""
-
-    def test_constant_family(self):
-        st = thermal_state(0.5)
-        pair, err = fd_shift_derivative(lambda d: st)
-        assert np.allclose(pair.dv, 0.0)
-        assert np.allclose(pair.dsigma, 0.0)
-        assert err == 0.0
-
-    def test_linear_family(self):
-        t = 1.7
-
-        def family(d):
-            return GaussianState(np.zeros(2), np.diag([2.0 + d * t, 1.0]))
-
-        pair, _ = fd_shift_derivative(family)
-        assert pair.dsigma[0, 0] == pytest.approx(t, abs=1e-9)
-        assert abs(pair.dsigma[1, 1]) <= 1e-9
-
-    def test_rotation_generator(self):
-        """Free precession: dv/d(shift) = t (v2, -v1) from a(t) = e^{-i dw t} a(0)."""
-        t = 0.9
-        params = SystemParams(1.0, 0.0, 0.0)
-        fam = pqs_state_family(1.3, 0.0, params, t)
-        pair, _ = fd_shift_derivative(fam)
-        v = pair.state.v
-        assert np.allclose(pair.dv, [t * v[1], -t * v[0]], atol=1e-9)
-
-    def test_convergence_order(self):
-        params = SystemParams(1.0, 1.2, 1.0)
-        fam = cqs_state_family(params, 2.0)
-        _, e1 = fd_shift_derivative(fam, h=1e-3)
-        _, e2 = fd_shift_derivative(fam, h=5e-4)
-        assert e1 / e2 >= 4.0 * (1.0 - 1e-3)
-
-    def test_warn_flag_on_rough_family(self):
-        """A family with noise in it gets an error estimate far above 1e-6 of
-        the derivative's size."""
-        rng = np.random.default_rng(3)
-
-        def family(d):
-            noise = 1e-4 * rng.standard_normal()
-            return GaussianState(np.zeros(2), np.diag([2.0 + d + noise, 1.0]))
-
-        pair, err = fd_shift_derivative(family)
-        assert err > 1e-6 * float(np.linalg.norm(pair.dsigma))
-
-    def test_non_finite_family_rejected(self):
-        def family(d):
-            if d != 0.0:
-                raise DomainError("boom")
-            return vacuum_state()
-
-        with pytest.raises(DomainError):
-            fd_shift_derivative(family)
+from critsense.validate import _rel_state_diff, _rel_tangent_diff
 
 
 UNIT = SystemParams(1.0, 0.0, 1.0)
@@ -111,7 +54,7 @@ UNIT = SystemParams(1.0, 0.0, 1.0)
 
 class TestExactDerivative:
     """metrology.differentiate_at_zero_shift against the mpmath Van Loan
-    oracle, the finite-difference oracle and closed forms."""
+    oracle, the RK4 oracle and closed forms."""
 
     @pytest.mark.parametrize("n_max", [1e5, 1e6, 1e8])
     def test_large_budget_at_steady_time(self, n_max):
@@ -173,35 +116,38 @@ class TestExactDerivative:
         assert got == pytest.approx(pqs_qfi_closed_form(alpha, r, 1.0, 100.0), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "exact,family",
+        "exact,oracle,family",
         [
             (lambda: cqs_pair(SystemParams(1.0, 1.2, 1.0), 2.0),
+             lambda: lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), 2.0),
              lambda: cqs_state_family(SystemParams(1.0, 1.2, 1.0), 2.0)),
             (lambda: cqs_pair(SystemParams(1.0, 1.0, 1.0, n_bath=0.5), 3.0),
+             lambda: lyapunov_rk4(SystemParams(1.0, 1.0, 1.0, n_bath=0.5), thermal_state(0.5), 3.0),
              lambda: cqs_state_family(SystemParams(1.0, 1.0, 1.0, n_bath=0.5), 3.0)),
             (lambda: cqs_pair(SystemParams(1.0, 0.5, 0.0), 2.0),
+             lambda: lyapunov_rk4(SystemParams(1.0, 0.5, 0.0), vacuum_state(), 2.0),
              lambda: cqs_state_family(SystemParams(1.0, 0.5, 0.0), 2.0)),
             (lambda: cqs_pair(SystemParams(0.5, 1.0, 2.0, n_bath=1.5), 0.7),
+             lambda: lyapunov_rk4(SystemParams(0.5, 1.0, 2.0, n_bath=1.5), thermal_state(1.5), 0.7),
              lambda: cqs_state_family(SystemParams(0.5, 1.0, 2.0, n_bath=1.5), 0.7)),
+            # The transient of this exceptional-point drive has decayed as t^3 e^{-2t}.
             (lambda: cqs_steady_pair(SystemParams(1.0, 1.0, 1.0, n_bath=1.0)),
-             lambda: steady_state_family(SystemParams(1.0, 1.0, 1.0, n_bath=1.0))),
+             lambda: lyapunov_rk4(SystemParams(1.0, 1.0, 1.0, n_bath=1.0), thermal_state(1.0), 60.0),
+             lambda: lambda d: steady_state(SystemParams(1.0, 1.0, 1.0, n_bath=1.0, delta_omega=d))),
             (lambda: pqs_pair(DisplacementAmplitude(2.0), SqueezeParam(0.8),
                               SystemParams(1.0, 0.0, 1.0, n_bath=0.5), 0.6),
+             lambda: rk4_pqs_pair(2.0, 0.8, SystemParams(1.0, 0.0, 1.0, n_bath=0.5), 0.6),
              lambda: pqs_state_family(2.0, 0.8, SystemParams(1.0, 0.0, 1.0, n_bath=0.5), 0.6)),
         ],
     )
-    def test_agrees_with_finite_difference_and_fidelity_oracles(self, exact, family):
-        """Where the finite-difference oracle's own error estimate is below
-        1e-10 of the derivative's size, the exact derivative is within 1e-8 of it and of the fidelity
-        quotient's QFI (to that quotient's O(dtheta^2) = 1e-4)."""
-        pair, fam = exact(), family()
-        fd, err = fd_shift_derivative(fam)
-        assert np.array_equal(pair.state.sigma, fd.state.sigma)
-        scale = max(float(np.abs(pair.dsigma).max()), float(np.abs(pair.dv).max()))
-        assert err < 1e-10 * scale
-        assert np.abs(pair.dsigma - fd.dsigma).max() <= 1e-8 * scale
-        assert np.abs(pair.dv - fd.dv).max() <= 1e-8 * scale
-        assert qfi(pair) == pytest.approx(qfi(fd), rel=1e-8)
+    def test_agrees_with_rk4_and_fidelity_oracles(self, exact, oracle, family):
+        """The exact pair is within 1e-8 of the RK4 oracle's state and
+        derivative, and its QFI within 1e-4 of the fidelity quotient's (that
+        quotient's O(dtheta^2))."""
+        pair, rk4, fam = exact(), oracle(), family()
+        assert _rel_state_diff(pair.state, rk4.state) <= 1e-8
+        assert _rel_tangent_diff(pair, rk4) <= 1e-8
+        assert qfi(pair) == pytest.approx(qfi(rk4), rel=1e-8)
         assert qfi(pair) == pytest.approx(qfi_fidelity_oracle(fam, 1e-4), rel=1e-4)
 
     def test_one_evolution_per_derivative(self, monkeypatch):
@@ -254,14 +200,14 @@ class TestQfi:
     @pytest.mark.parametrize("n_photons,t", [(5.0, 0.7), (50.0, 0.25)])
     def test_noiseless_squeezed_vacuum(self, n_photons, t):
         r = math.asinh(math.sqrt(n_photons))
-        fam = pqs_state_family(0.0, r, SystemParams(1.0, 0.0, 0.0), t)
+        pair = pqs_pair(DisplacementAmplitude(0.0), SqueezeParam(r), SystemParams(1.0, 0.0, 0.0), t)
         expected = 8.0 * n_photons * (1.0 + n_photons) * t * t
-        assert qfi(fd_shift_derivative(fam)[0]) == pytest.approx(expected, rel=1e-8)
+        assert qfi(pair) == pytest.approx(expected, rel=1e-8)
 
     def test_noiseless_coherent(self):
         alpha, t = 1.5, 0.7
-        fam = pqs_state_family(alpha, 0.0, SystemParams(1.0, 0.0, 0.0), t)
-        assert qfi(fd_shift_derivative(fam)[0]) == pytest.approx(4 * alpha ** 2 * t ** 2, rel=1e-9)
+        pair = pqs_pair(DisplacementAmplitude(alpha), SqueezeParam(0.0), SystemParams(1.0, 0.0, 0.0), t)
+        assert qfi(pair) == pytest.approx(4 * alpha ** 2 * t ** 2, rel=1e-9)
 
     def test_rotation_invariant_state_carries_nothing(self):
         t = 1.1
@@ -285,21 +231,19 @@ class TestQfi:
 
     def test_dissipative_closed_form(self):
         for (alpha, r, g, t) in [(2.0, 1.0, 1.0, 0.3), (0.5, 2.0, 1.0, 1.2), (0.0, 3.0, 1.0, 0.8)]:
-            fam = pqs_state_family(alpha, r, SystemParams(1.0, 0.0, g), t)
+            pair = pqs_pair(DisplacementAmplitude(alpha), SqueezeParam(r), SystemParams(1.0, 0.0, g), t)
             expected = pqs_qfi_closed_form(alpha, r, g, t)
-            assert qfi(fd_shift_derivative(fam)[0]) == pytest.approx(expected, rel=1e-8)
+            assert qfi(pair) == pytest.approx(expected, rel=1e-8)
 
     def test_displacement_term_quadratic(self):
-        fam = pqs_state_family(2.0, 1.0, SystemParams(1.0, 0.0, 1.0), 0.5)
-        pair = fd_shift_derivative(fam)[0]
+        pair = pqs_pair(DisplacementAmplitude(2.0), SqueezeParam(1.0), SystemParams(1.0, 0.0, 1.0), 0.5)
         _, _, t3 = qfi_terms(pair)
         doubled = DerivativePair(pair.state, 2.0 * pair.dv, pair.dsigma)
         _, _, t3_doubled = qfi_terms(doubled)
         assert t3_doubled == 4.0 * t3
 
     def test_symplectic_invariance(self):
-        fam = cqs_state_family(SystemParams(1.0, 1.2, 1.0), 2.0)
-        pair = fd_shift_derivative(fam)[0]
+        pair = lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), 2.0)
         base = qfi(pair)
         S = rotation_matrix(0.7) @ squeeze_matrix(SqueezeParam(0.9)) @ rotation_matrix(-1.2)
         moved = DerivativePair(
@@ -323,15 +267,20 @@ class TestQfiFidelityOracle:
     @pytest.mark.parametrize(
         "family_builder",
         [
-            lambda: pqs_state_family(2.0, 1.0, SystemParams(1.0, 0.0, 1.0), 0.6),
-            lambda: pqs_state_family(0.0, 3.0, SystemParams(1.0, 0.0, 1.0, n_bath=1.0), 1.5),
-            lambda: cqs_state_family(SystemParams(1.0, 1.2, 1.0), 2.0),
-            lambda: cqs_state_family(SystemParams(1.0, 1.4, 1.0, n_bath=1.0), 4.0),
+            lambda: (rk4_pqs_pair(2.0, 1.0, SystemParams(1.0, 0.0, 1.0), 0.6),
+                     pqs_state_family(2.0, 1.0, SystemParams(1.0, 0.0, 1.0), 0.6)),
+            lambda: (rk4_pqs_pair(0.0, 3.0, SystemParams(1.0, 0.0, 1.0, n_bath=1.0), 1.5),
+                     pqs_state_family(0.0, 3.0, SystemParams(1.0, 0.0, 1.0, n_bath=1.0), 1.5)),
+            lambda: (lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), 2.0),
+                     cqs_state_family(SystemParams(1.0, 1.2, 1.0), 2.0)),
+            lambda: (lyapunov_rk4(SystemParams(1.0, 1.4, 1.0, n_bath=1.0), thermal_state(1.0), 4.0),
+                     cqs_state_family(SystemParams(1.0, 1.4, 1.0, n_bath=1.0), 4.0)),
         ],
     )
     def test_agrees_with_formula(self, family_builder):
-        fam = family_builder()
-        reference = qfi(fd_shift_derivative(fam)[0])
+        """The fidelity quotient against the QFI formula on the RK4 oracle's pair."""
+        pair, fam = family_builder()
+        reference = qfi(pair)
         estimate = qfi_fidelity_oracle(fam, 1e-4)
         assert estimate == pytest.approx(reference, rel=1e-4)
 
@@ -346,7 +295,7 @@ class TestFiHomodyne:
     @pytest.mark.parametrize("alpha,r,g,n_bath,t", [(2.0, 1.0, 1.0, 0.0, 0.5), (1.5, 0.8, 1.0, 1.0, 0.7)])
     def test_p_quadrature_closed_form(self, alpha, r, g, n_bath, t):
         params = SystemParams(1.0, 0.0, g, n_bath=n_bath)
-        pair = fd_shift_derivative(pqs_state_family(alpha, r, params, t))[0]
+        pair = pqs_pair(DisplacementAmplitude(alpha), SqueezeParam(r), params, t)
         expected = 4.0 * alpha ** 2 * t * t / (
             (1.0 + 2.0 * n_bath) * (math.exp(-2.0 * r) + math.exp(2.0 * g * t) - 1.0)
         )
@@ -361,9 +310,7 @@ class TestFiHomodyne:
         n_photons, t = 25.0, 0.6
         r = 0.5 * math.log(2.0 * n_photons + 1.0)
         alpha = math.sqrt(n_photons - math.sinh(r) ** 2)
-        pair = fd_shift_derivative(
-            pqs_state_family(alpha, r, SystemParams(1.0, 0.0, 0.0), t)
-        )[0]
+        pair = pqs_pair(DisplacementAmplitude(alpha), SqueezeParam(r), SystemParams(1.0, 0.0, 0.0), t)
         expected = 4.0 * n_photons * (1.0 + n_photons) * t * t
         assert fi_homodyne(pair, math.pi / 2) == pytest.approx(expected, rel=1e-8)
 
@@ -371,7 +318,7 @@ class TestFiHomodyne:
         """Stationary-state homodyne FI at arbitrary angle matches the closed form."""
         w0 = gamma = 1.0
         eps = 1.2
-        pair = fd_shift_derivative(steady_state_family(SystemParams(w0, eps, gamma)))[0]
+        pair = cqs_steady_pair(SystemParams(w0, eps, gamma))
         ec2 = w0 * w0 + gamma * gamma
         for psi in (0.0, 0.3, 0.9, math.pi / 2, 2.0):
             num = eps ** 2 * (
@@ -404,10 +351,10 @@ class TestFiHomodyne:
 
     def test_never_exceeds_qfi(self):
         pairs = [
-            fd_shift_derivative(cqs_state_family(SystemParams(1.0, 1.2, 1.0), 2.0))[0],
-            fd_shift_derivative(cqs_state_family(SystemParams(1.0, 1.4, 1.0, n_bath=1.0), 5.0))[0],
-            fd_shift_derivative(pqs_state_family(2.0, 1.0, SystemParams(1.0, 0.0, 1.0), 0.5))[0],
-            fd_shift_derivative(steady_state_family(SystemParams(1.0, 1.35, 1.0)))[0],
+            lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), 2.0),
+            lyapunov_rk4(SystemParams(1.0, 1.4, 1.0, n_bath=1.0), thermal_state(1.0), 5.0),
+            rk4_pqs_pair(2.0, 1.0, SystemParams(1.0, 0.0, 1.0), 0.5),
+            cqs_steady_pair(SystemParams(1.0, 1.35, 1.0)),
         ]
         for pair in pairs:
             info = qfi(pair)
@@ -419,7 +366,7 @@ class TestSnrPhotonCounting:
     def test_steady_state_closed_form(self):
         """SNR at the stationary state: 4 eps^2 w0^2 / ((3ec^2 - e^2)(ec^2 - e^2)^2)."""
         params = SystemParams(1.0, 1.2, 1.0)
-        pair = fd_shift_derivative(steady_state_family(params))[0]
+        pair = cqs_steady_pair(params)
         ec2 = params.epsilon_c ** 2
         expected = 4.0 * 1.2 ** 2 / ((3.0 * ec2 - 1.2 ** 2) * (ec2 - 1.2 ** 2) ** 2)
         assert snr_photon_counting(pair) == pytest.approx(expected, rel=1e-8)
@@ -427,7 +374,7 @@ class TestSnrPhotonCounting:
     def test_near_critical_asymptote(self):
         eps = 0.9975 * math.sqrt(2.0)
         params = SystemParams(1.0, eps, 1.0)
-        pair = fd_shift_derivative(steady_state_family(params))[0]
+        pair = cqs_steady_pair(params)
         n_inf = 0.5 * eps ** 2 / (params.epsilon_c ** 2 - eps ** 2)
         asym = 8.0 / params.epsilon_c ** 4 * n_inf ** 2
         assert snr_photon_counting(pair) == pytest.approx(asym, rel=0.05)
@@ -446,5 +393,5 @@ class TestSnrPhotonCounting:
 
     def test_never_exceeds_qfi(self):
         for params in (SystemParams(1.0, 1.2, 1.0), SystemParams(1.0, 1.38, 1.0, n_bath=0.5)):
-            pair = fd_shift_derivative(steady_state_family(params))[0]
+            pair = cqs_steady_pair(params)
             assert snr_photon_counting(pair) <= qfi(pair) * (1.0 + 1e-6)

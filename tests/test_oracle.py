@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cqs_state_family
 from critsense.dynamics import SystemParams, drift_and_diffusion, evolve_critical, mean_photons_vs_time
 from critsense.errors import AccuracyError, DomainError, TruncationError
 from critsense.gaussian import thermal_state, vacuum_state
@@ -12,7 +11,6 @@ from critsense.oracle import (
     FockDensityMatrix,
     _rk4_increment,
     default_step,
-    fd_shift_derivative,
     fock_coherent,
     fock_evolve,
     fock_moments,
@@ -24,7 +22,8 @@ from critsense.oracle import (
     suggested_dim,
     uhlmann_fidelity,
 )
-from critsense.validate import ALL_CHECKS, _horizon
+from critsense.protocols import cqs_pair
+from critsense.validate import ALL_CHECKS, _horizon, _rel_tangent_diff
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.check_name)
@@ -54,42 +53,48 @@ class TestLyapunovRk4:
 
     def test_matches_the_step_loop(self):
         """5657 steps near threshold: the step-matrix power keeps the loop's
-        accuracy (raising I + E itself would drift by 1.5e-13 here)."""
+        accuracy (raising I + E itself would drift by 1.5e-13 here), for the
+        state and for its tangent dSigma' = A dSigma + dSigma A^T + J Sigma + Sigma J^T."""
         params = SystemParams(1.0, 1.4, 1.0)
         A, D = drift_and_diffusion(params)
+        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
         t = 0.2 * _horizon(params)
         n = math.ceil(t / default_step(params))
 
         def rhs(z):
-            m = A @ z[2:].reshape(2, 2)
-            return np.concatenate((A @ z[:2], (m + m.T + D).ravel()))
+            m = A @ z[:4].reshape(2, 2)
+            dm = A @ z[4:].reshape(2, 2) + J @ z[:4].reshape(2, 2)
+            return np.concatenate(((m + m.T + D).ravel(), (dm + dm.T).ravel()))
 
-        z = stepped_rk4(rhs, np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0]), t / n, n)
-        state = lyapunov_rk4(params, vacuum_state(), t, verify_step=False)
-        scale = np.linalg.norm(state.sigma)
-        assert np.linalg.norm(state.sigma.ravel() - z[2:]) <= 1e-13 * scale
+        z = stepped_rk4(rhs, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]), t / n, n)
+        pair = lyapunov_rk4(params, vacuum_state(), t, verify_step=False)
+        assert np.linalg.norm(pair.state.sigma.ravel() - z[:4]) <= 1e-13 * np.linalg.norm(pair.state.sigma)
+        assert np.linalg.norm(pair.dsigma.ravel() - z[4:]) <= 1e-13 * np.linalg.norm(pair.dsigma)
 
     def test_vacuum_fixed_point(self):
         params = SystemParams(1.0, 0.0, 1.0)
-        st = lyapunov_rk4(params, vacuum_state(), 3.0)
-        assert np.allclose(st.sigma, np.eye(2), atol=1e-12)
-        assert np.allclose(st.v, 0.0)
+        pair = lyapunov_rk4(params, vacuum_state(), 3.0)
+        assert np.allclose(pair.state.sigma, np.eye(2), atol=1e-12)
+        assert np.allclose(pair.state.v, 0.0)
+        # The vacuum is rotation-invariant: a shift changes nothing.
+        assert np.allclose(pair.dsigma, 0.0, atol=1e-12)
 
     def test_matches_analytic_propagator(self):
         params = SystemParams(1.0, 1.2, 1.0)
         analytic = evolve_critical(params, vacuum_state(), 5.0)
         numeric = lyapunov_rk4(params, vacuum_state(), 5.0, verify_step=False)
-        assert np.allclose(numeric.sigma, analytic.sigma, rtol=1e-8)
+        assert np.allclose(numeric.state.sigma, analytic.sigma, rtol=1e-8)
+        assert _rel_tangent_diff(cqs_pair(params, 5.0), numeric) <= 1e-8
 
     def test_fourth_order_convergence(self):
         params = SystemParams(1.0, 1.2, 1.0)
-        ref = evolve_critical(params, vacuum_state(), 1.0)
+        ref = cqs_pair(params, 1.0)
         errs = []
         for dt in (0.05, 0.025):
             num = lyapunov_rk4(params, vacuum_state(), 1.0, dt=dt, verify_step=False)
-            errs.append(np.linalg.norm(num.sigma - ref.sigma))
-        rate = math.log2(errs[0] / errs[1])
-        assert 3.7 <= rate <= 4.3
+            errs.append([np.linalg.norm(num.state.sigma - ref.state.sigma), np.linalg.norm(num.dsigma - ref.dsigma)])
+        for rate in np.log2(np.divide(*errs)):
+            assert 3.7 <= rate <= 4.3
 
     def test_step_verification_catches_coarse_steps(self):
         params = SystemParams(1.0, 1.2, 1.0)
@@ -235,7 +240,7 @@ class TestFockQfi:
 
     def test_cqs_agreement(self):
         params = SystemParams(1.0, 1.2, 1.0)
-        reference = qfi(fd_shift_derivative(cqs_state_family(params, 2.0))[0])
+        reference = qfi(lyapunov_rk4(params, vacuum_state(), 2.0))
         estimate = fock_qfi_fidelity(params, 2.0, 5e-3, dim=60)
         assert estimate == pytest.approx(reference, rel=0.02)
 

@@ -14,15 +14,15 @@ import pytest
 from hypothesis import assume, find, given
 from hypothesis import strategies as st
 
-from conftest import cqs_state_family, van_loan_qfi
+from conftest import rk4_pqs_pair, van_loan_qfi
 from critsense import dynamics
 from critsense.dynamics import Regime, SystemParams, _noise_integrals, evolve_critical, spectral_info
 from critsense.errors import DomainError, InvalidStateError
-from critsense.gaussian import DET_ROUNDING, DisplacementAmplitude, thermal_state
+from critsense.gaussian import DET_ROUNDING, DisplacementAmplitude, SqueezeParam, thermal_state
 from critsense.metrology import fi_homodyne, qfi
-from critsense.oracle import fd_shift_derivative, lyapunov_rk4
+from critsense.oracle import lyapunov_rk4
 from critsense.protocols import best_homodyne, cqs_pair, cqs_qfi, default_pqs_input, pqs_pair, pqs_qfi
-from critsense.validate import _horizon, _rel_state_diff
+from critsense.validate import _horizon, _rel_state_diff, _rel_tangent_diff
 
 NEAR = 1e-6
 LOG_RATE = st.floats(-2.0, 2.0).map(lambda x: 10.0 ** x)
@@ -62,10 +62,28 @@ def test_draws_cover_every_regime(regime):
 
 @given(params_and_time())
 def test_closed_form_matches_rk4(case):
+    """The closed-form state and its exact shift derivative against the RK4
+    Lyapunov-and-tangent oracle."""
     params, t = case
-    state0 = thermal_state(params.n_bath)
-    diff = _rel_state_diff(evolve_critical(params, state0, t), lyapunov_rk4(params, state0, t))
-    assert diff <= 1e-8
+    numeric = lyapunov_rk4(params, thermal_state(params.n_bath), t)
+    pair = cqs_pair(params, t)
+    assert _rel_state_diff(pair.state, numeric.state) <= 1e-8
+    assert _rel_tangent_diff(pair, numeric) <= 1e-8
+
+
+@given(
+    st.floats(0.0, 3.0), st.floats(0.0, 2.0), st.just(0.0) | LOG_RATE, st.just(0.0) | st.floats(0.0, 3.0),
+    st.floats(0.0, 1.0),
+)
+def test_passive_pair_matches_rk4(alpha, r, gamma, n_bath, frac):
+    """pqs_pair against the RK4 oracle at omega0 = 0, where the lab frame is
+    evolve_passive's rotating frame, up to ten damping times (lossless: t <= 10)."""
+    params = SystemParams(1.0, 0.0, gamma, n_bath=n_bath)
+    t = frac * 10.0 / max(gamma, 1.0)
+    pair = pqs_pair(DisplacementAmplitude(alpha), SqueezeParam(r), params, t)
+    numeric = rk4_pqs_pair(alpha, r, params, t)
+    assert _rel_state_diff(pair.state, numeric.state) <= 1e-8
+    assert _rel_tangent_diff(pair, numeric) <= 1e-8
 
 
 @given(params_and_time(), st.floats(0.0, 1.0))
@@ -88,21 +106,6 @@ def test_homodyne_never_beats_qfi(case):
     assert 0.0 <= psi < math.pi
     grid = max(fi_homodyne(pair, p) for p in np.linspace(0.0, math.pi, 721, endpoint=False))
     assert best >= (1.0 - 1e-12) * grid
-
-
-@given(params_and_time())
-def test_exact_derivative_matches_finite_differences(case):
-    """Wherever the finite-difference oracle is accurate to 1e-10 of the
-    derivative's size, counting its step-halving estimate and its rounding
-    eps |Sigma| / h, the exact derivative is within 1e-8 of it."""
-    params, t = case
-    pair = cqs_pair(params, t)
-    step = 1e-5 * max(params.gamma, params.omega0, params.epsilon)
-    fd, err = fd_shift_derivative(cqs_state_family(params, t), h=step)
-    rounding = np.finfo(float).eps * float(np.abs(pair.state.sigma).max()) / step
-    scale = max(float(np.abs(pair.dsigma).max()), float(np.abs(pair.dv).max()))
-    assume(err + rounding < 1e-10 * scale)
-    assert max(float(np.abs(pair.dsigma - fd.dsigma).max()), float(np.abs(pair.dv - fd.dv).max())) <= 1e-8 * scale
 
 
 @given(params_and_time(), st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x))
