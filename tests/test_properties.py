@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, find, given
 from hypothesis import strategies as st
 
-from conftest import rk4_pqs_pair, van_loan_qfi
+from conftest import cqs_state_family, rk4_pqs_pair, van_loan_qfi
 from critsense import dynamics
 from critsense.dynamics import Regime, SystemParams, _noise_integrals, evolve_critical, spectral_info
 from critsense.errors import DomainError, InvalidStateError
@@ -106,6 +106,37 @@ def test_homodyne_never_beats_qfi(case):
     assert 0.0 <= psi < math.pi
     grid = max(fi_homodyne(pair, p) for p in np.linspace(0.0, math.pi, 721, endpoint=False))
     assert best >= (1.0 - 1e-12) * grid
+
+
+def _richardson_shift_derivative(family, h: float):
+    """Central differences of a state family at steps h and h/2, combined by
+    Richardson extrapolation; returns (dv, dSigma, error estimate), the
+    estimate being |D(h/2) - D(h)|/3 (the larger of the dv and dSigma norms)."""
+
+    def central(step: float):
+        plus, minus = family(step), family(-step)
+        return (plus.v - minus.v) / (2.0 * step), (plus.sigma - minus.sigma) / (2.0 * step)
+
+    dv1, ds1 = central(h)
+    dv2, ds2 = central(h / 2.0)
+    err = max(float(np.linalg.norm(dv2 - dv1)), float(np.linalg.norm(ds2 - ds1))) / 3.0
+    return (4.0 * dv2 - dv1) / 3.0, (4.0 * ds2 - ds1) / 3.0, err
+
+
+@given(params_and_time())
+def test_exact_derivative_matches_finite_differences(case):
+    """Wherever the finite difference is accurate to 1e-10 of the derivative's
+    size, counting its step-halving estimate and its rounding eps |Sigma| / h,
+    the exact derivative is within 1e-8 of it."""
+    params, t = case
+    pair = cqs_pair(params, t)
+    step = 1e-5 * max(params.gamma, params.omega0, params.epsilon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fd_dv, fd_dsigma, err = _richardson_shift_derivative(cqs_state_family(params, t), step)
+    rounding = np.finfo(float).eps * float(np.abs(pair.state.sigma).max()) / step
+    scale = max(float(np.abs(pair.dsigma).max()), float(np.abs(pair.dv).max()))
+    assume(err + rounding < 1e-10 * scale)
+    assert max(float(np.abs(pair.dsigma - fd_dsigma).max()), float(np.abs(pair.dv - fd_dv).max())) <= 1e-8 * scale
 
 
 @given(params_and_time(), st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x))
