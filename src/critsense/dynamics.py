@@ -206,13 +206,6 @@ def _exp_drift(params: SystemParams, c, sc) -> np.ndarray:
     return matrix(diagonal, c * 0.0 + sc * (w - eps), c * 0.0 + sc * -(w + eps), diagonal)
 
 
-def propagator(params: SystemParams, t) -> np.ndarray:
-    """exp(A t) evaluated in closed form; for a 1-D array of t, a stack of
-    shape (n, 2, 2)."""
-    s, k = _s_and_gap(params)
-    return _exp_drift(params, *_decayed_cosh_sinhc(params.gamma, s, k, t))
-
-
 def _int_exp(lam: float, t):
     """Integral of e^{-2 lam tau} over [0, t]."""
     if lam == 0.0:

@@ -152,11 +152,6 @@ def apply_displace(state: GaussianState, d: DisplacementAmplitude) -> GaussianSt
     return GaussianState(state.v + shift, state.sigma)
 
 
-def apply_rotation(state: GaussianState, theta: float) -> GaussianState:
-    R = rotation_matrix(theta)
-    return GaussianState(R @ state.v, R @ state.sigma @ R.T)
-
-
 def cholesky_factor(s11, s12, s22, det):
     """(l11, l21, l22, det): the lower-triangular L = [[l11, 0], [l21, l22]]
     with sigma = L L^T, l22 = sqrt(det / s11), for the entries and det of a
@@ -205,16 +200,6 @@ def photon_variance(state: GaussianState) -> float:
 def purity(state: GaussianState) -> float:
     """1/sqrt(det sigma), clamped to 1 for roundoff-level violations (det <= 1)."""
     return 1.0 / math.sqrt(max(state.det_sigma, 1.0))
-
-
-def complex_moments(state: GaussianState) -> tuple[complex, complex, float]:
-    """Return (<a>, <a^2>, <a†a>) of the state."""
-    v, s = state.v, state.sigma
-    a_mean = (v[0] + 1j * v[1]) / math.sqrt(2.0)
-    a2 = (s[0, 0] - s[1, 1]) / 4.0 + (v[0] ** 2 - v[1] ** 2) / 2.0 + 1j * (
-        s[0, 1] / 2.0 + v[0] * v[1]
-    )
-    return complex(a_mean), complex(a2), mean_photons(state)
 
 
 def fidelity(a: GaussianState, b: GaussianState) -> float:

@@ -84,8 +84,8 @@ class DerivativePair:
     state: GaussianState
     dv: np.ndarray
     dsigma: np.ndarray
-    # An exact derivative has no step error to warn about; kept for readers
-    # of the former finite-difference flag.
+    # An exact derivative has no step error to warn about; kept because
+    # perfbench/tracer.py reads it.
     warn = False
 
     def __post_init__(self):
@@ -120,7 +120,7 @@ class PairStack(NamedTuple):
     holds their frame as arrays over t. qfi and qfi_terms accept it."""
 
     whitened: Whitened
-    # As on DerivativePair: an exact derivative has no step error to warn about.
+    # As on DerivativePair: always False, read by perfbench/tracer.py.
     warn = False
 
 

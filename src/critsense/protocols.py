@@ -513,9 +513,9 @@ def _report_and_pair(spec: ProtocolSpec, t_single: float) -> tuple[MetrologyRepo
     return report, pair
 
 
-def steady_time(params: SystemParams, multiple: float = 12.0) -> float:
-    """Operational steady-state horizon: `multiple` decay times of the slow mode."""
+def steady_time(params: SystemParams) -> float:
+    """Operational steady-state horizon: 12 decay times of the slow mode."""
     lam = spectral_info(params).lambda_minus.real
     if lam <= 0:
         raise DomainError("no finite steady-state time at or above the critical point")
-    return multiple / lam
+    return 12.0 / lam

@@ -27,6 +27,7 @@ from critsense.protocols import (
     pqs_pair,
     pqs_qfi,
 )
+from critsense.validate import ALL_CHECKS
 
 
 def read_csv(path):
@@ -359,6 +360,15 @@ class TestValidateCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "1/1 checks passed"
         assert pattern in lines[0]
+
+    def test_each_function_name_selects_its_check_alone(self, capsys):
+        """perfbench's oracle_battery runs `validate --filter <function name>`
+        once per entry of ALL_CHECKS and expects one check from each."""
+        for check in ALL_CHECKS:
+            assert main(["validate", "--filter", check.__name__]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[-1] == "1/1 checks passed"
+            assert f" {check.check_name} " in lines[0]
 
     def test_injected_error_fails_validation(self, monkeypatch):
         """A propagator with a 1% drive error fails the RK4 cross-check."""

@@ -9,15 +9,21 @@ from critsense.gaussian import (
     GaussianState,
     SqueezeParam,
     apply_displace,
-    apply_rotation,
     apply_squeeze,
     fidelity,
     mean_photons,
     photon_variance,
     purity,
+    rotation_matrix,
     thermal_state,
     vacuum_state,
 )
+
+
+def apply_rotation(state: GaussianState, theta: float) -> GaussianState:
+    """The state under the phase-space rotation rotation_matrix(theta)."""
+    R = rotation_matrix(theta)
+    return GaussianState(R @ state.v, R @ state.sigma @ R.T)
 
 
 class TestThermalState:
@@ -105,6 +111,8 @@ class TestDisplace:
 
 
 class TestRotation:
+    """rotation_matrix acting on states, through the helper apply_rotation."""
+
     def test_identity(self):
         st = apply_rotation(vacuum_state(), 0.0)
         assert np.allclose(st.sigma, np.eye(2))
@@ -114,9 +122,12 @@ class TestRotation:
         assert np.allclose(st.sigma, 4.0 * np.eye(2), atol=1e-14)
 
     def test_quadrature_swap(self):
-        sq = apply_squeeze(vacuum_state(), SqueezeParam(1.0))
+        """A quarter turn takes x to p: rotation_matrix turns counterclockwise,
+        the sense that evolve_passive's R(-delta_omega t) assumes."""
+        sq = apply_displace(apply_squeeze(vacuum_state(), SqueezeParam(1.0)), DisplacementAmplitude(1.0))
         st = apply_rotation(sq, math.pi / 2)
         assert np.allclose(st.sigma, np.diag([math.e ** -2, math.e ** 2]), atol=1e-13)
+        assert np.allclose(st.v, [0.0, math.sqrt(2.0)], atol=1e-15)
 
     def test_composition(self):
         base = apply_displace(

@@ -18,7 +18,6 @@ from critsense.gaussian import (
     DisplacementAmplitude,
     GaussianState,
     SqueezeParam,
-    apply_rotation,
     apply_squeeze,
     rotation_matrix,
     squeeze_matrix,
@@ -97,13 +96,17 @@ class TestExactDerivative:
 
     def test_homodyne_below_qfi_at_lossless_quench(self):
         """omega0 = 6.71, eps = 12.75, gamma = 0, t = 0.607: the
-        finite-difference pair gave FI 5.4730e8 above its QFI 5.4724e8."""
-        params, t = SystemParams(6.71, 12.75, 0.0), 0.607
-        pair = cqs_pair(params, t)
-        _, best = best_homodyne(pair)
-        info = qfi(pair)
-        assert best <= info * (1.0 + 1e-12)
-        assert info == pytest.approx(van_loan_qfi(params, [0.0, 0.0], np.eye(2), t), rel=1e-12)
+        finite-difference pair gave FI 5.4730e8 above its QFI 5.4724e8, and
+        0.8% above it for the lossless drive at epsilon_opt(30944.9),
+        omega0 = 0.384, at the end of its optimize grid, t = 508.7."""
+        w0, n_max = 0.38407669086241203, 30944.926052587714
+        budget_drive = SystemParams(w0, epsilon_opt(n_max, SystemParams(w0, 0.0, 0.0)), 0.0)
+        for params, t in ((SystemParams(6.71, 12.75, 0.0), 0.607), (budget_drive, 508.72743737077684)):
+            pair = cqs_pair(params, t)
+            _, best = best_homodyne(pair)
+            info = qfi(pair)
+            assert best <= info * (1.0 + 1e-12)
+            assert info == pytest.approx(van_loan_qfi(params, [0.0, 0.0], np.eye(2), t), rel=1e-12)
 
     @pytest.mark.parametrize("alpha,r", [(0.0, None), (2.0, 1.0)])
     def test_pqs_thermalised(self, alpha, r):
