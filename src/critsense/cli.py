@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dynamics, protocols, validate
-from .dynamics import SystemParams, evolve_critical, evolve_passive
-from .errors import ConfigError, CritsenseError
+from . import __version__, protocols, validate
+from .dynamics import SystemParams, evolve_critical
+from .errors import ConfigError, CritsenseError, DomainError
 from .gaussian import DisplacementAmplitude, SqueezeParam, mean_photons, purity, thermal_state
 from .metrology import fi_homodyne, qfi
 from .protocols import (
@@ -39,9 +39,6 @@ from .protocols import (
     pqs_pair,
     total_qfi,
 )
-
-FIGURES = ("fig2", "fig3", "fig4", "fig7", "fignoisy")
-
 
 def _fmt(x: float) -> str:
     """Shortest round-trip decimal; canonical forms for ints and non-finite."""
@@ -91,40 +88,37 @@ def _optimal_r_input(n_max: float, gamma: float, t: float) -> tuple[Displacement
     return DisplacementAmplitude(math.sqrt(max(n_max - math.sinh(r_opt.r) ** 2, 0.0))), r_opt
 
 
+def _write_figure(out_dir: Path, name: str, times: np.ndarray, header: list[str], row) -> Path:
+    """Write out_dir/NAME.csv: the header, then row(t) for each t of times, as a float."""
+    path = out_dir / f"{name}.csv"
+    write_csv(path, header, [row(float(t)) for t in times])
+    return path
+
+
 def figure_fig2(out_dir: Path) -> Path:
     """Single-shot QFI of both strategies vs evolution time (N_max = 100)."""
-    n_max = 100.0
-    passive, driven, alpha, squeeze = _fig_base(n_max)
-    times = np.geomspace(0.01, 2000.0, 160)
-    rows = []
-    for t in times:
-        t = float(t)
+    passive, driven, alpha, squeeze = _fig_base(100.0)
+
+    def row(t):
         pqs, cqs = pqs_pair(alpha, squeeze, passive, t), cqs_pair(driven, t)
         i_pqs, i_cqs = qfi(pqs), qfi(cqs)
-        rows.append(
-            [
-                t, i_pqs, i_cqs, math.log1p(i_pqs), math.log1p(i_cqs),
-                mean_photons(pqs.state), mean_photons(cqs.state),
-            ]
-        )
-    path = out_dir / "fig2.csv"
-    write_csv(
-        path,
+        photons = mean_photons(pqs.state), mean_photons(cqs.state)
+        return [t, i_pqs, i_cqs, math.log1p(i_pqs), math.log1p(i_cqs), *photons]
+
+    return _write_figure(
+        out_dir, "fig2", np.geomspace(0.01, 2000.0, 160),
         ["t", "qfi_pqs", "qfi_cqs", "log1p_qfi_pqs", "log1p_qfi_cqs", "photons_pqs", "photons_cqs"],
-        rows,
+        row,
     )
-    return path
 
 
 def figure_fig3(out_dir: Path) -> Path:
     """QFI rate I/(N_max (t + t_pm)) for both strategies and homodyne variants."""
     n_max = 100.0
     passive, driven, alpha, squeeze = _fig_base(n_max)
-    times = np.geomspace(0.02, 3000.0, 140)
     t_pms = (0.0, 2.0)
-    rows = []
-    for t in times:
-        t = float(t)
+
+    def row(t):
         # squeezed-vacuum input: QFI, best homodyne angle and photons
         pqs, cqs = pqs_pair(alpha, squeeze, passive, t), cqs_pair(driven, t)
         i_pqs, i_cqs = qfi(pqs), qfi(cqs)
@@ -132,31 +126,15 @@ def figure_fig3(out_dir: Path) -> Path:
         # optimally squeezed + displaced input, p-quadrature homodyne
         a_opt, r_opt = _optimal_r_input(n_max, passive.gamma, t)
         f_optr = fi_homodyne(pqs_pair(a_opt, r_opt, passive, t), math.pi / 2.0)
-        row = [t]
-        for t_pm in t_pms:
-            row.append(i_pqs / (n_max * (t + t_pm)))
-        for t_pm in t_pms:
-            row.append(i_cqs / (n_max * (t + t_pm)))
-        for t_pm in t_pms:
-            row.append(f_optr / (n_max * (t + t_pm)))
-        for t_pm in t_pms:
-            row.append(f_sqvac / (n_max * (t + t_pm)))
-        row.extend([mean_photons(pqs.state), mean_photons(cqs.state)])
-        rows.append(row)
-    path = out_dir / "fig3.csv"
-    write_csv(
-        path,
-        [
-            "t",
-            "rate_pqs_tpm0", "rate_pqs_tpm2",
-            "rate_cqs_tpm0", "rate_cqs_tpm2",
-            "rate_hom_optr_tpm0", "rate_hom_optr_tpm2",
-            "rate_hom_sqvac_tpm0", "rate_hom_sqvac_tpm2",
-            "photons_pqs", "photons_cqs",
-        ],
-        rows,
+        rates = [info / (n_max * (t + t_pm)) for info in (i_pqs, i_cqs, f_optr, f_sqvac) for t_pm in t_pms]
+        return [t, *rates, mean_photons(pqs.state), mean_photons(cqs.state)]
+
+    return _write_figure(
+        out_dir, "fig3", np.geomspace(0.02, 3000.0, 140),
+        ["t", *(f"rate_{name}_tpm{t_pm:g}" for name in ("pqs", "cqs", "hom_optr", "hom_sqvac") for t_pm in t_pms),
+         "photons_pqs", "photons_cqs"],
+        row,
     )
-    return path
 
 
 def figure_fig4(out_dir: Path) -> Path:
@@ -164,47 +142,37 @@ def figure_fig4(out_dir: Path) -> Path:
     the eigenvalue split, at omega0 = gamma = 1."""
     below = SystemParams(1.0, 0.99, 1.0)
     above = SystemParams(1.0, 0.9975 * math.sqrt(2.0), 1.0)
-    times = np.geomspace(0.01, 1000.0, 180)
-    rows = []
-    for t in times:
-        t = float(t)
-        row = [t]
+
+    def row(t):
+        out = [t]
         for params in (below, above):
             state = evolve_critical(params, thermal_state(params.n_bath), t)
-            row += [purity(state), mean_photons(state)]
-        rows.append(row)
-    path = out_dir / "fig4.csv"
-    write_csv(
-        path,
+            out += [purity(state), mean_photons(state)]
+        return out
+
+    return _write_figure(
+        out_dir, "fig4", np.geomspace(0.01, 1000.0, 180),
         ["t", "purity_below", "photons_below", "purity_above", "photons_above"],
-        rows,
+        row,
     )
-    return path
 
 
 def figure_fig7(out_dir: Path) -> Path:
     """Homodyne FI / QFI for the driven protocol at several quadrature angles."""
     _, driven, _, _ = _fig_base(100.0)
     psis = [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
-    times = np.geomspace(0.05, 3000.0, 120)
-    rows = []
-    for t in times:
-        t = float(t)
+
+    def row(t):
         pair = cqs_pair(driven, t)
         info = qfi(pair)
-        row = [t]
-        for psi in psis:
-            row.append(fi_homodyne(pair, psi) / info)
         _, best = best_homodyne(pair)
-        row.append(best / info)
-        rows.append(row)
-    path = out_dir / "fig7.csv"
-    write_csv(
-        path,
+        return [t, *(fi_homodyne(pair, psi) / info for psi in psis), best / info]
+
+    return _write_figure(
+        out_dir, "fig7", np.geomspace(0.05, 3000.0, 120),
         ["t", "ratio_psi_0", "ratio_psi_pi8", "ratio_psi_pi4", "ratio_psi_3pi8", "ratio_psi_pi2", "ratio_best"],
-        rows,
+        row,
     )
-    return path
 
 
 def figure_fignoisy(out_dir: Path) -> Path:
@@ -216,12 +184,8 @@ def figure_fignoisy(out_dir: Path) -> Path:
     eps = 0.9975 * math.sqrt(2.0)
     cqs_cold = SystemParams(1.0, eps, 1.0)
     cqs_hot = SystemParams(1.0, eps, 1.0, n_bath=n_bath)
-    # Beyond ~10 damping times the passive state has fully thermalized and the
-    # information ratio becomes 0/0; the interesting window is t <~ 1/lambda_+.
-    times = np.geomspace(0.05, 10.0, 120)
-    rows = []
-    for t in times:
-        t = float(t)
+
+    def row(t):
         qfi_ratio = protocols.pqs_qfi(alpha0, r_shared, hot, t) / protocols.pqs_qfi(
             alpha0, r_shared, cold, t
         )
@@ -230,10 +194,15 @@ def figure_fignoisy(out_dir: Path) -> Path:
             pqs_pair(a_opt, r_opt, cold, t), math.pi / 2.0
         )
         cqs_ratio = protocols.cqs_qfi(cqs_hot, t) / protocols.cqs_qfi(cqs_cold, t)
-        rows.append([t, qfi_ratio, fi_ratio, cqs_ratio])
-    path = out_dir / "fignoisy.csv"
-    write_csv(path, ["t", "ratio_pqs_qfi", "ratio_pqs_fi_hom", "ratio_cqs_qfi"], rows)
-    return path
+        return [t, qfi_ratio, fi_ratio, cqs_ratio]
+
+    # Beyond ~10 damping times the passive state has fully thermalized and the
+    # information ratio becomes 0/0; the interesting window is t <~ 1/lambda_+.
+    return _write_figure(
+        out_dir, "fignoisy", np.geomspace(0.05, 10.0, 120),
+        ["t", "ratio_pqs_qfi", "ratio_pqs_fi_hom", "ratio_cqs_qfi"],
+        row,
+    )
 
 
 FIGURE_WRITERS = {
@@ -243,6 +212,7 @@ FIGURE_WRITERS = {
     "fig7": figure_fig7,
     "fignoisy": figure_fignoisy,
 }
+FIGURES = tuple(FIGURE_WRITERS)
 
 
 # --- compute ------------------------------------------------------------------
@@ -304,6 +274,8 @@ def _parse_config(cfg) -> dict:
                 problems.append(f"protocol.kind: expected 'CQS' or 'PQS', got {value!r}")
         elif not isinstance(value, (int, float)) or isinstance(value, bool):
             problems.append(f"{path}: must be a number, got {value!r}")
+        elif not math.isfinite(value):
+            problems.append(f"{path}: must be finite, got {value!r}")
         elif path in _NON_NEGATIVE and value < 0:
             problems.append(f"{path}: must be >= 0, got {value!r}")
     if mode in _MODES:
@@ -327,8 +299,14 @@ def _parse_config(cfg) -> dict:
 def _build_spec(given: dict) -> ProtocolSpec:
     conf = {**_DEFAULTS, "protocol.total_time": max(float(given.get("t", 1.0)), 1e-12), **given}
 
-    def build(cls, section: str):
-        return cls(**{f.name: float(conf[f"{section}.{f.name}"]) for f in fields(cls)})
+    # cls from the section's values at names (default: cls's fields); a value
+    # cls rejects is a configuration error.
+    def build(cls, section: str, *names: str):
+        names = names or [f.name for f in fields(cls)]
+        try:
+            return cls(*(float(conf[f"{section}.{name}"]) for name in names))
+        except DomainError as exc:
+            raise ConfigError([f"{section}: {exc}"]) from None
 
     kind = ProtocolKind(conf["protocol.kind"])
     budget = build(ResourceBudget, "protocol")
@@ -339,8 +317,8 @@ def _build_spec(given: dict) -> ProtocolSpec:
             raise ConfigError(["params.epsilon: must be 0 for the PQS strategy"])
         if "protocol.alpha" in given or "protocol.r" in given:
             pqs_input = (
-                DisplacementAmplitude(float(conf["protocol.alpha"]), float(conf["protocol.alpha_phase"])),
-                SqueezeParam(float(conf["protocol.r"]), float(conf["protocol.r_phase"])),
+                build(DisplacementAmplitude, "protocol", "alpha", "alpha_phase"),
+                build(SqueezeParam, "protocol", "r", "r_phase"),
             )
     elif params.epsilon == 0.0:
         params = replace(params, epsilon=epsilon_opt(budget.n_max, params))
@@ -366,13 +344,7 @@ def run_compute(cfg: dict) -> dict:
     }
     spec = _build_spec(given)
     if mode == "evolve":
-        t = float(given["t"])
-        state0 = spec.input_state()
-        if spec.kind is ProtocolKind.CQS:
-            state = evolve_critical(spec.params, state0, t)
-        else:
-            state = evolve_passive(spec.params, state0, t)
-        payload["state"] = _state_payload(state)
+        payload["state"] = _state_payload(spec.state(float(given["t"])))
     elif mode in ("qfi", "fi"):
         t = float(given["t"])
         report, pair = protocols._report_and_pair(spec, t)
@@ -388,13 +360,10 @@ def run_compute(cfg: dict) -> dict:
         payload["report"] = asdict(report)
         payload["best_rate"] = best_rate
     elif mode == "bound":
-        if "protocol.kind" not in given:
-            traj = lambda t: spec.budget.n_max
-        elif spec.kind is ProtocolKind.CQS:
-            traj = lambda t: dynamics.mean_photons_vs_time(spec.params, t)
+        if "protocol.kind" in given:
+            traj = lambda t: mean_photons(spec.state(t))
         else:
-            state0 = spec.input_state()
-            traj = lambda t: mean_photons(evolve_passive(spec.params, state0, t))
+            traj = lambda t: spec.budget.n_max
         result = fundamental_bound(traj, spec.budget.total_time, spec.params.gamma, spec.params.n_bath)
         payload["bound_integral"] = result.integral
         payload["bound_cap"] = result.cap

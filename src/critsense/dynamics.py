@@ -242,7 +242,7 @@ _SERIES_ST2 = 2.5e-3
 
 
 def _is_series(gamma: float, s: float, t):
-    t_eff = lib(t).min(t, 2.5 / gamma) if gamma > 0 else t
+    t_eff = lib(t).min(t, 2.5 / gamma)
     return abs(s) * t_eff * t_eff <= _SERIES_ST2
 
 
@@ -250,11 +250,8 @@ def _series_coefficients(gamma: float, t) -> tuple[list, ...]:
     """Coefficients of Ic, Is and Iq as power series in s, from the moment
     integrals m_j = ∫ τ^j e^{-2 g τ}, j = 0..10, which the regularized
     incomplete gamma function gives."""
-    if gamma == 0:
-        m = [t ** (j + 1) / (j + 1) for j in range(11)]
-    else:
-        x = 2.0 * gamma * t
-        m = [gammainc(j + 1, x) * math.factorial(j) / (2.0 * gamma) ** (j + 1) for j in range(11)]
+    x = 2.0 * gamma * t
+    m = [gammainc(j + 1, x) * math.factorial(j) / (2.0 * gamma) ** (j + 1) for j in range(11)]
     return (
         [4.0 ** k * m[2 * k] / math.factorial(2 * k) for k in range(5)],
         [4.0 ** k * 2.0 * m[2 * k + 1] / math.factorial(2 * k + 1) for k in range(5)],
@@ -263,7 +260,8 @@ def _series_coefficients(gamma: float, t) -> tuple[list, ...]:
 
 
 def _noise_integrals(gamma: float, s: float, k: float, t, slopes: bool = False) -> tuple:
-    """Stable evaluation of the four scalar integrals over [0, t], k = gamma^2 - s:
+    """Stable evaluation of the four scalar integrals over [0, t] for gamma > 0
+    (a lossless flow has no noise), k = gamma^2 - s:
 
     I0 = ∫ e^{-2 g τ},            Ic = ∫ e^{-2 g τ} cosh(2 u τ),
     Is = ∫ e^{-2 g τ} sinh(2 u τ)/u,   Iq = ∫ e^{-2 g τ} sinh^2(u τ)/u^2,

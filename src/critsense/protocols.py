@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -92,12 +92,17 @@ def pqs_input_state(
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """A strategy, its physical parameters, and the resource budget."""
+    """A strategy, its physical parameters, and the resource budget. The kind
+    sets `start` (the bath's thermal state for CQS, the PQS input state) and
+    `evolution` (evolve_critical or evolve_passive) once, at construction;
+    neither takes part in repr or equality."""
 
     kind: ProtocolKind
     params: SystemParams
     budget: ResourceBudget
     pqs_input: tuple[DisplacementAmplitude, SqueezeParam] | None = None
+    start: GaussianState = field(init=False, repr=False, compare=False)
+    evolution: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind = ProtocolKind(self.kind)
@@ -109,13 +114,13 @@ class ProtocolSpec:
             if pqs_input is None:
                 pqs_input = default_pqs_input(self.budget.n_max, self.params.n_bath)
                 object.__setattr__(self, "pqs_input", pqs_input)
-            photons = mean_photons(
-                pqs_input_state(pqs_input[0], pqs_input[1], self.params.n_bath)
-            )
+            start = pqs_input_state(pqs_input[0], pqs_input[1], self.params.n_bath)
+            photons = mean_photons(start)
             if photons > _budget_limit(self.budget.n_max):
                 raise ConstraintError(
                     f"input state holds {photons!r} photons, budget allows {self.budget.n_max!r}"
                 )
+            evolution = evolve_passive
         else:
             eps, eps_c = self.params.epsilon, self.params.epsilon_c
             if eps < eps_c * (1.0 - 1e-12):
@@ -128,19 +133,17 @@ class ProtocolSpec:
                 raise UnsupportedRegimeError(
                     "lossy drive at or above the critical point heats without bound"
                 )
+            start, evolution = thermal_state(self.params.n_bath), evolve_critical
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "evolution", evolution)
 
-    def input_state(self) -> GaussianState:
-        if self.kind is ProtocolKind.PQS:
-            alpha, squeeze = self.pqs_input
-            return pqs_input_state(alpha, squeeze, self.params.n_bath)
-        return thermal_state(self.params.n_bath)
+    def state(self, t: float) -> GaussianState:
+        """The state of one repetition at time t."""
+        return self.evolution(self.params, self.start, t)
 
     def pair(self, t: float) -> DerivativePair:
         """State and shift-derivative of one repetition measured at time t."""
-        if self.kind is ProtocolKind.CQS:
-            return cqs_pair(self.params, t)
-        alpha, squeeze = self.pqs_input
-        return pqs_pair(alpha, squeeze, self.params, t)
+        return differentiate_at_zero_shift(self.evolution, self.params, self.start, t)
 
     def qfi(self, t):
         """Single-shot QFI of one repetition measured at t, qfi(pair(t)).

@@ -289,6 +289,29 @@ class TestComputeCommand:
         assert main(["compute", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"config error: {problem}\n"
 
+    @pytest.mark.parametrize(
+        "text,problem",
+        [
+            ('{"mode": "qfi", "t": 1, "protocol": {"n_max": -1}}', "protocol: n_max must be positive, got -1.0"),
+            ('{"mode": "qfi", "t": 1, "protocol": {"t_pm": -2}}', "protocol: t_pm must be >= 0, got -2.0"),
+            ('{"mode": "qfi", "t": 1, "protocol": {"alpha": -1}}',
+             "protocol: displacement magnitude must be >= 0"),
+            ('{"mode": "qfi", "t": 1, "params": {"gamma": NaN}}', "params.gamma: must be finite, got nan"),
+            ('{"mode": "qfi", "t": Infinity}', "t: must be finite, got inf"),
+            ('{"mode": "optimize", "grid": {"t_min": 1, "t_max": Infinity}}',
+             "grid.t_max: must be finite, got inf"),
+        ],
+    )
+    def test_rejected_value_exits_2(self, tmp_path, capsys, text, problem):
+        """A value the program rejects is a configuration error: exit 2, one
+        line naming it, no warning. json.loads accepts NaN and Infinity."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compute", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+
     def test_overflowing_qfi_exits_1(self, tmp_path, capsys):
         """A QFI beyond the double range exits 1 with one typed error line and
         no numpy warning: lossless protocols at t = 1e160, where the QFI grows
