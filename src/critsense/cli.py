@@ -22,17 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, protocols, validate
-from .dynamics import SystemParams, evolve_critical
+from .dynamics import SystemParams
 from .errors import ConfigError, CritsenseError, DomainError
-from .gaussian import DisplacementAmplitude, SqueezeParam, mean_photons, purity, thermal_state
+from .gaussian import DisplacementAmplitude, SqueezeParam, mean_photons, purity
 from .metrology import fi_homodyne, qfi
 from .protocols import (
     ProtocolKind,
     ProtocolSpec,
     ResourceBudget,
     best_homodyne,
-    cqs_pair,
-    default_pqs_input,
     epsilon_opt,
     fundamental_bound,
     optimize_time,
@@ -72,13 +70,11 @@ def write_json(path: Path | None, payload: dict) -> str:
 # --- figure datasets ----------------------------------------------------------
 
 
-def _fig_base(n_max: float = 100.0) -> tuple[SystemParams, SystemParams, DisplacementAmplitude, SqueezeParam]:
-    """Shared setup: omega0 = gamma = 1, drive at epsilon_opt, squeezed vacuum."""
-    passive = SystemParams(1.0, 0.0, 1.0)
-    eps = epsilon_opt(n_max, passive)
-    driven = SystemParams(1.0, eps, 1.0)
-    alpha, squeeze = default_pqs_input(n_max)
-    return passive, driven, alpha, squeeze
+def _fig_spec(kind: str, n_max: float, **params: float) -> ProtocolSpec:
+    """The protocol, budget-checked, of the compute config {"protocol": {"kind":
+    kind, "n_max": n_max}, "params": params}; a figure's docstring names its own."""
+    return _build_spec({"protocol.kind": kind, "protocol.n_max": n_max,
+                        **{f"params.{name}": value for name, value in params.items()}})
 
 
 def _optimal_r_input(n_max: float, gamma: float, t: float) -> tuple[DisplacementAmplitude, SqueezeParam]:
@@ -96,13 +92,13 @@ def _write_figure(out_dir: Path, name: str, times: np.ndarray, header: list[str]
 
 
 def figure_fig2(out_dir: Path) -> Path:
-    """Single-shot QFI of both strategies vs evolution time (N_max = 100)."""
-    passive, driven, alpha, squeeze = _fig_base(100.0)
+    """Single-shot QFI of both strategies vs evolution time (PQS and CQS, n_max = 100)."""
+    pqs, cqs = _fig_spec("PQS", 100.0), _fig_spec("CQS", 100.0)
 
     def row(t):
-        pqs, cqs = pqs_pair(alpha, squeeze, passive, t), cqs_pair(driven, t)
-        i_pqs, i_cqs = qfi(pqs), qfi(cqs)
-        photons = mean_photons(pqs.state), mean_photons(cqs.state)
+        pair_pqs, pair_cqs = pqs.pair(t), cqs.pair(t)
+        i_pqs, i_cqs = qfi(pair_pqs), qfi(pair_cqs)
+        photons = mean_photons(pair_pqs.state), mean_photons(pair_cqs.state)
         return [t, i_pqs, i_cqs, math.log1p(i_pqs), math.log1p(i_cqs), *photons]
 
     return _write_figure(
@@ -113,21 +109,22 @@ def figure_fig2(out_dir: Path) -> Path:
 
 
 def figure_fig3(out_dir: Path) -> Path:
-    """QFI rate I/(N_max (t + t_pm)) for both strategies and homodyne variants."""
+    """QFI rate I/(N_max (t + t_pm)) for both strategies and homodyne variants (PQS
+    and CQS, n_max = 100; PQS with the optimally squeezed input of each t)."""
     n_max = 100.0
-    passive, driven, alpha, squeeze = _fig_base(n_max)
+    pqs, cqs = _fig_spec("PQS", n_max), _fig_spec("CQS", n_max)
     t_pms = (0.0, 2.0)
 
     def row(t):
         # squeezed-vacuum input: QFI, best homodyne angle and photons
-        pqs, cqs = pqs_pair(alpha, squeeze, passive, t), cqs_pair(driven, t)
-        i_pqs, i_cqs = qfi(pqs), qfi(cqs)
-        _, f_sqvac = best_homodyne(pqs)
+        pair_pqs, pair_cqs = pqs.pair(t), cqs.pair(t)
+        i_pqs, i_cqs = qfi(pair_pqs), qfi(pair_cqs)
+        _, f_sqvac = best_homodyne(pair_pqs)
         # optimally squeezed + displaced input, p-quadrature homodyne
-        a_opt, r_opt = _optimal_r_input(n_max, passive.gamma, t)
-        f_optr = fi_homodyne(pqs_pair(a_opt, r_opt, passive, t), math.pi / 2.0)
+        optr = replace(pqs, pqs_input=_optimal_r_input(n_max, pqs.params.gamma, t))
+        f_optr = fi_homodyne(optr.pair(t), math.pi / 2.0)
         rates = [info / (n_max * (t + t_pm)) for info in (i_pqs, i_cqs, f_optr, f_sqvac) for t_pm in t_pms]
-        return [t, *rates, mean_photons(pqs.state), mean_photons(cqs.state)]
+        return [t, *rates, mean_photons(pair_pqs.state), mean_photons(pair_cqs.state)]
 
     return _write_figure(
         out_dir, "fig3", np.geomspace(0.02, 3000.0, 140),
@@ -139,14 +136,13 @@ def figure_fig3(out_dir: Path) -> Path:
 
 def figure_fig4(out_dir: Path) -> Path:
     """Purity and photon number below (eps = 0.99) and above (eps = 0.9975 eps_c)
-    the eigenvalue split, at omega0 = gamma = 1."""
-    below = SystemParams(1.0, 0.99, 1.0)
-    above = SystemParams(1.0, 0.9975 * math.sqrt(2.0), 1.0)
+    the eigenvalue split, at omega0 = gamma = 1 (CQS at each eps, n_max = 100)."""
+    drives = [_fig_spec("CQS", 100.0, epsilon=eps) for eps in (0.99, 0.9975 * math.sqrt(2.0))]
 
     def row(t):
         out = [t]
-        for params in (below, above):
-            state = evolve_critical(params, thermal_state(params.n_bath), t)
+        for spec in drives:
+            state = spec.state(t)
             out += [purity(state), mean_photons(state)]
         return out
 
@@ -158,12 +154,12 @@ def figure_fig4(out_dir: Path) -> Path:
 
 
 def figure_fig7(out_dir: Path) -> Path:
-    """Homodyne FI / QFI for the driven protocol at several quadrature angles."""
-    _, driven, _, _ = _fig_base(100.0)
+    """Homodyne FI / QFI at several quadrature angles (CQS, n_max = 100)."""
+    cqs = _fig_spec("CQS", 100.0)
     psis = [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
 
     def row(t):
-        pair = cqs_pair(driven, t)
+        pair = cqs.pair(t)
         info = qfi(pair)
         _, best = best_homodyne(pair)
         return [t, *(fi_homodyne(pair, psi) / info for psi in psis), best / info]
@@ -176,25 +172,22 @@ def figure_fig7(out_dir: Path) -> Path:
 
 
 def figure_fignoisy(out_dir: Path) -> Path:
-    """Finite-temperature to zero-temperature information ratios (N_max = 300, n_B = 1)."""
+    """Finite-temperature (n_B = 1) to zero-temperature information ratios (PQS at
+    n_B = 1 and its input at n_B = 0, CQS at eps = 0.9975 eps_c; n_max = 300)."""
     n_max, n_bath = 300.0, 1.0
-    cold = SystemParams(1.0, 0.0, 1.0)
-    hot = SystemParams(1.0, 0.0, 1.0, n_bath=n_bath)
-    alpha0, r_shared = default_pqs_input(n_max, n_bath)
+    pqs_hot = _fig_spec("PQS", n_max, n_bath=n_bath)
+    pqs_cold = replace(_fig_spec("PQS", n_max), pqs_input=pqs_hot.pqs_input)
     eps = 0.9975 * math.sqrt(2.0)
-    cqs_cold = SystemParams(1.0, eps, 1.0)
-    cqs_hot = SystemParams(1.0, eps, 1.0, n_bath=n_bath)
+    cqs_hot, cqs_cold = _fig_spec("CQS", n_max, epsilon=eps, n_bath=n_bath), _fig_spec("CQS", n_max, epsilon=eps)
 
     def row(t):
-        qfi_ratio = protocols.pqs_qfi(alpha0, r_shared, hot, t) / protocols.pqs_qfi(
-            alpha0, r_shared, cold, t
-        )
-        a_opt, r_opt = _optimal_r_input(n_max, cold.gamma, t)
-        fi_ratio = fi_homodyne(pqs_pair(a_opt, r_opt, hot, t), math.pi / 2.0) / fi_homodyne(
-            pqs_pair(a_opt, r_opt, cold, t), math.pi / 2.0
-        )
-        cqs_ratio = protocols.cqs_qfi(cqs_hot, t) / protocols.cqs_qfi(cqs_cold, t)
-        return [t, qfi_ratio, fi_ratio, cqs_ratio]
+        qfi_ratio = pqs_hot.qfi(t) / pqs_cold.qfi(t)
+        a_opt, r_opt = _optimal_r_input(n_max, pqs_cold.params.gamma, t)
+        # The one figure protocol without a budget check: on the hot bath this
+        # input holds 301-349 photons, so a spec for it raises ConstraintError.
+        f_hot = fi_homodyne(pqs_pair(a_opt, r_opt, pqs_hot.params, t), math.pi / 2.0)
+        f_cold = fi_homodyne(replace(pqs_cold, pqs_input=(a_opt, r_opt)).pair(t), math.pi / 2.0)
+        return [t, qfi_ratio, f_hot / f_cold, cqs_hot.qfi(t) / cqs_cold.qfi(t)]
 
     # Beyond ~10 damping times the passive state has fully thermalized and the
     # information ratio becomes 0/0; the interesting window is t <~ 1/lambda_+.
@@ -226,7 +219,7 @@ _FIELDS = (
     *(f"protocol.{f.name}" for f in fields(ResourceBudget)),
     "grid.t_min", "grid.t_max",
 )
-# protocol.total_time defaults to the evaluation time t (see _build_spec).
+# protocol.total_time defaults to the evaluation time t (see _build).
 _DEFAULTS = {
     "params.omega0": 1.0, "params.epsilon": 0.0, "params.gamma": 1.0,
     "params.n_bath": 0.0, "params.delta_omega": 0.0,
@@ -286,6 +279,8 @@ def _parse_config(cfg) -> dict:
         base = path.removesuffix("_phase")
         if path in given and given.get("protocol.kind") == "CQS":
             problems.append(f"{path}: not used by CQS")
+        elif path in given and mode == "bound" and "protocol.kind" not in given:
+            problems.append(f"{path}: not used in bound mode without protocol.kind")
         elif path in given and base not in given:
             problems.append(f"{path}: not used without {base}")
     t_min, t_max = given.get("grid.t_min"), given.get("grid.t_max")
@@ -296,29 +291,28 @@ def _parse_config(cfg) -> dict:
     return given
 
 
-def _build_spec(given: dict) -> ProtocolSpec:
+def _build(given: dict, cls, section: str, *names: str):
+    """cls from the section's values at names (default: cls's fields), each
+    given or defaulted; a value cls rejects is a configuration error."""
     conf = {**_DEFAULTS, "protocol.total_time": max(float(given.get("t", 1.0)), 1e-12), **given}
+    names = names or [f.name for f in fields(cls)]
+    try:
+        return cls(*(float(conf[f"{section}.{name}"]) for name in names))
+    except DomainError as exc:
+        raise ConfigError([f"{section}: {exc}"]) from None
 
-    # cls from the section's values at names (default: cls's fields); a value
-    # cls rejects is a configuration error.
-    def build(cls, section: str, *names: str):
-        names = names or [f.name for f in fields(cls)]
-        try:
-            return cls(*(float(conf[f"{section}.{name}"]) for name in names))
-        except DomainError as exc:
-            raise ConfigError([f"{section}: {exc}"]) from None
 
-    kind = ProtocolKind(conf["protocol.kind"])
-    budget = build(ResourceBudget, "protocol")
-    params = build(SystemParams, "params")
+def _build_spec(given: dict) -> ProtocolSpec:
+    kind = ProtocolKind(given.get("protocol.kind", _DEFAULTS["protocol.kind"]))
+    budget, params = _build(given, ResourceBudget, "protocol"), _build(given, SystemParams, "params")
     pqs_input = None
     if kind is ProtocolKind.PQS:
         if params.epsilon != 0.0:
             raise ConfigError(["params.epsilon: must be 0 for the PQS strategy"])
         if "protocol.alpha" in given or "protocol.r" in given:
             pqs_input = (
-                build(DisplacementAmplitude, "protocol", "alpha", "alpha_phase"),
-                build(SqueezeParam, "protocol", "r", "r_phase"),
+                _build(given, DisplacementAmplitude, "protocol", "alpha", "alpha_phase"),
+                _build(given, SqueezeParam, "protocol", "r", "r_phase"),
             )
     elif params.epsilon == 0.0:
         params = replace(params, epsilon=epsilon_opt(budget.n_max, params))
@@ -342,7 +336,7 @@ def run_compute(cfg: dict) -> dict:
         "config": cfg,
         "mode": mode,
     }
-    spec = _build_spec(given)
+    spec = _build_spec(given) if mode != "bound" or "protocol.kind" in given else None
     if mode == "evolve":
         payload["state"] = _state_payload(spec.state(float(given["t"])))
     elif mode in ("qfi", "fi"):
@@ -360,11 +354,12 @@ def run_compute(cfg: dict) -> dict:
         payload["report"] = asdict(report)
         payload["best_rate"] = best_rate
     elif mode == "bound":
-        if "protocol.kind" in given:
-            traj = lambda t: mean_photons(spec.state(t))
+        if spec is None:  # N(t) = n_max runs no protocol, so no strategy's rules apply
+            budget, params = _build(given, ResourceBudget, "protocol"), _build(given, SystemParams, "params")
+            traj = lambda t: budget.n_max
         else:
-            traj = lambda t: spec.budget.n_max
-        result = fundamental_bound(traj, spec.budget.total_time, spec.params.gamma, spec.params.n_bath)
+            budget, params, traj = spec.budget, spec.params, lambda t: mean_photons(spec.state(t))
+        result = fundamental_bound(traj, budget.total_time, params.gamma, params.n_bath)
         payload["bound_integral"] = result.integral
         payload["bound_cap"] = result.cap
         payload["bound_value"] = result.cap

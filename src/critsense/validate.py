@@ -20,6 +20,7 @@ from .gaussian import (
     DisplacementAmplitude,
     GaussianState,
     SqueezeParam,
+    mean_photons,
     rotation_matrix,
     squeeze_matrix,
     thermal_state,
@@ -208,7 +209,8 @@ def check_photon_monotonicity() -> Outcome:
     for eps in (1.2, 1.4, 0.9975 * math.sqrt(2.0)):
         params = SystemParams(1.0, eps, 1.0)
         grid = np.linspace(0.0, 10.0 / spectral_info(params).lambda_minus.real, 1000)
-        values = [dynamics.mean_photons_vs_time(params, float(t)) for t in grid]
+        start = thermal_state(params.n_bath)
+        values = [mean_photons(evolve_critical(params, start, float(t))) for t in grid]
         drops = sum(1 for a, b in zip(values, values[1:]) if b < a - 1e-12 * max(a, 1.0))
         if drops:
             ok = False
@@ -364,7 +366,7 @@ def check_cqs_qfi_monotone() -> Outcome:
     params = SystemParams(1.0, 1.4, 1.0)
     t_end = 10.0 / spectral_info(params).lambda_minus.real
     grid = np.union1d(np.linspace(0.5, t_end, 30), np.linspace(0.5, t_end, 40))
-    values = [protocols.cqs_qfi(params, float(t)) for t in grid]
+    values = protocols.cqs_qfi(params, grid).tolist()
     drops = sum(1 for a, b in zip(values, values[1:]) if b < a * (1.0 - 1e-9))
     return (
         drops == 0,

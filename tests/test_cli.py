@@ -79,7 +79,24 @@ def _fig4_row(t):
     return row
 
 
-_FIGURE_ROWS = {"fig2": _fig2_row, "fig3": _fig3_row, "fig4": _fig4_row}
+def _fig2_compute_row(t):
+    row = {}
+    for kind in ("pqs", "cqs"):
+        cfg = {"mode": "qfi", "protocol": {"kind": kind.upper(), "n_max": 100.0}, "t": t}
+        report = run_compute(cfg)["report"]
+        row[f"qfi_{kind}"] = report["qfi_single_shot"]
+        row[f"log1p_qfi_{kind}"] = math.log1p(report["qfi_single_shot"])
+        row[f"photons_{kind}"] = report["photons_at_t"]
+    return row
+
+
+def _fig4_compute_row(t):
+    row = {}
+    for label, eps in (("below", 0.99), ("above", 0.9975 * math.sqrt(2.0))):
+        cfg = {"mode": "evolve", "params": {"epsilon": eps}, "protocol": {"kind": "CQS", "n_max": 100.0}, "t": t}
+        state = run_compute(cfg)["state"]
+        row[f"purity_{label}"], row[f"photons_{label}"] = state["purity"], state["mean_photons"]
+    return row
 
 
 class TestFigureCommand:
@@ -135,18 +152,40 @@ class TestFigureCommand:
         # driven-protocol information ratio approaches 1 well past 1/lambda_+
         assert data[-1, 3] == pytest.approx(1.0, abs=0.05)
 
-    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
-    def test_columns_equal_public_functions(self, tmp_path, name):
+    @pytest.mark.parametrize(
+        "name,want_row",
+        [
+            pytest.param("fig2", _fig2_row, id="fig2"),
+            pytest.param("fig3", _fig3_row, id="fig3"),
+            pytest.param("fig4", _fig4_row, id="fig4"),
+            pytest.param("fig2", _fig2_compute_row, id="fig2-compute"),
+            pytest.param("fig4", _fig4_compute_row, id="fig4-compute"),
+        ],
+    )
+    def test_columns_equal_public_functions(self, tmp_path, name, want_row):
         """First, middle and last rows equal the public functions called
-        directly, exactly after the CSV's round-trip decimals."""
+        directly, and `compute` run on the configs the figure's docstring
+        names, exactly after the CSV's round-trip decimals."""
         assert main(["figure", name, "--out", str(tmp_path)]) == 0
         header, data = read_csv(tmp_path / f"{name}.csv")
         for i in (0, len(data) // 2, len(data) - 1):
             t = float(data[i, 0])
-            want = _FIGURE_ROWS[name](t)
+            want = want_row(t)
             assert set(want) == set(header[1:])
             for col, value in want.items():
                 assert data[i, header.index(col)] == value, (name, i, col)
+
+    def test_fixed_input_built_once_per_figure(self, tmp_path, monkeypatch):
+        """fig2 builds its PQS input state once, not once per row."""
+        build, calls = protocols.pqs_input_state, []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(protocols, "pqs_input_state", counted)
+        assert main(["figure", "fig2", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_figure_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -166,14 +205,27 @@ class TestComputeCommand:
         payload = run_compute(cfg)
         assert payload["report"]["qfi_single_shot"] == pytest.approx(880.0, rel=1e-8)
 
-    def test_constant_bound(self):
-        cfg = {
-            "mode": "bound",
-            "params": {"gamma": 1.0, "n_bath": 0.0},
-            "protocol": {"n_max": 100.0, "total_time": 10.0},
-        }
-        payload = run_compute(cfg)
-        assert payload["bound_value"] == pytest.approx(2000.0, rel=1e-8)
+    @pytest.mark.parametrize(
+        "params,n_max,total_time",
+        [
+            pytest.param({"gamma": 1.0, "n_bath": 0.0}, 100.0, 10.0, id="cold"),
+            # No protocol runs, so neither PQS's epsilon = 0 nor its input's
+            # n_max > n_bath applies.
+            pytest.param({"epsilon": 0.5}, 10.0, 1.0, id="driven"),
+            pytest.param({"n_bath": 20.0}, 10.0, 1.0, id="bath-above-cap"),
+        ],
+    )
+    def test_constant_bound(self, tmp_path, params, n_max, total_time):
+        """A bound config without protocol.kind integrates N(t) = n_max."""
+        cfg = {"mode": "bound", "params": params, "protocol": {"n_max": n_max, "total_time": total_time}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["compute", "--config", str(cfg_path), "--out", str(tmp_path / "out.json")]) == 0
+        payload = json.loads((tmp_path / "out.json").read_text())
+        n_bath = params.get("n_bath", 0.0)
+        want = 2.0 * n_max * total_time / (1.0 + 2.0 * n_bath - n_bath / (n_max + 1.0))
+        assert payload["bound_integral"] == pytest.approx(want, rel=1e-12)
+        assert payload["bound_value"] == pytest.approx(want, rel=1e-12)
 
     def test_evolve_zero_time_echoes_input(self):
         cfg = {
@@ -281,6 +333,8 @@ class TestComputeCommand:
              {"mode": "evolve", "t": 0.5, "protocol": {"n_max": 10.0, "r": 0.5, "alpha_phase": 1.0}}),
             ("protocol.r: not used by CQS",
              {"mode": "qfi", "t": 0.5, "protocol": {"kind": "CQS", "n_max": 10.0, "r": 0.5}}),
+            ("protocol.alpha: not used in bound mode without protocol.kind",
+             {"mode": "bound", "protocol": {"n_max": 10.0, "total_time": 1.0, "alpha": 1.0}}),
         ],
     )
     def test_unused_field_exits_2(self, tmp_path, capsys, problem, cfg):

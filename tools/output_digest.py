@@ -4,12 +4,13 @@ refactor leaves its outputs byte-identical.
 
     python3 tools/output_digest.py OUT.json
 
-Writes OUT.json with one digest per figure CSV (`critsense figure NAME`) and
-one per `perfbench/workloads.design()` config (its exit code, stdout, stderr
-and output JSON from `critsense compute --config C --out O`), in design
-order. Two trees give the same OUT.json when their outputs are identical:
-run it in each and compare the files (`cmp a.json b.json`). The last stdout
-line is one digest of all of them.
+Writes OUT.json with one digest per figure CSV (`critsense figure NAME`), one
+per `perfbench/workloads.design()` config (its exit code, stdout, stderr and
+output JSON from `critsense compute --config C --out O`), in design order,
+and one of `critsense validate`'s exit code and report (stdout). Two trees
+give the same OUT.json when their outputs are identical: run it in each and
+compare the files (`cmp a.json b.json`). The last stdout line is one digest
+of all of them.
 
 Runs in-process through `cli.main`, importing critsense from this tree's
 src/ and the design from perfbench/, which it only reads. Every command runs
@@ -67,7 +68,8 @@ def digests() -> dict:
         code, out, err = _run(["compute", "--config", "config.json", "--out", "out.json"])
         written = Path("out.json").read_bytes() if Path("out.json").exists() else b""
         compute.append(_sha(str(code), out, err, written))
-    return {"figures": figures, "compute": compute}
+    code, out, _ = _run(["validate"])
+    return {"figures": figures, "compute": compute, "validate": _sha(str(code), out)}
 
 
 def main(argv: list[str]) -> int:
@@ -84,7 +86,7 @@ def main(argv: list[str]) -> int:
             os.chdir(home)
     text = json.dumps(result, indent=1) + "\n"
     target.write_text(text, encoding="utf-8")
-    print(f"{len(result['figures'])} figures, {len(result['compute'])} compute configs: {_sha(text)}")
+    print(f"{len(result['figures'])} figures, {len(result['compute'])} compute configs, validate: {_sha(text)}")
     return 0
 
 
