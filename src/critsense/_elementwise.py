@@ -19,9 +19,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .errors import CritsenseError
+
 _FLOAT = SimpleNamespace(
     exp=math.exp,
     expm1=math.expm1,
+    log1p=math.log1p,
     sqrt=math.sqrt,
     cos=math.cos,
     sin=math.sin,
@@ -35,6 +38,7 @@ _FLOAT = SimpleNamespace(
 _ARRAY = SimpleNamespace(
     exp=np.exp,
     expm1=np.expm1,
+    log1p=np.log1p,
     sqrt=np.sqrt,
     cos=np.cos,
     sin=np.sin,
@@ -97,6 +101,32 @@ def reject(bad, error: type, message: str, *values) -> None:
     elif not bad:
         return
     raise error(message.format(*values))
+
+
+def over_t(evaluate, t):
+    """evaluate(t) for a float t. For a 1-D array of t, one array evaluation
+    of the same closed forms; its non-finite intermediates are caught by the
+    rules, so numpy is not asked to warn of them. An array that raises is
+    evaluated again one float at a time: the error raised is then the float
+    path's own at the first failing t."""
+    if not isinstance(t, np.ndarray):
+        return evaluate(t)
+    try:
+        with np.errstate(all="ignore"):
+            return evaluate(t)
+    except CritsenseError:
+        for t_k in t.tolist():
+            evaluate(t_k)
+        raise
+
+
+def each(evaluate, t):
+    """evaluate(t) for a float t; for an array, evaluate at each of its
+    times as a float, gathered into an array. For a quantity whose inputs
+    change with t, which one array evaluation cannot take."""
+    if not isinstance(t, np.ndarray):
+        return evaluate(t)
+    return np.array([evaluate(t_k) for t_k in t.tolist()])
 
 
 def per_t(x, dims: int):

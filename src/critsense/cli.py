@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, protocols, validate
+from ._elementwise import each, lib, over_t
 from .dynamics import SystemParams
 from .errors import ConfigError, CritsenseError, DomainError
 from .gaussian import DisplacementAmplitude, SqueezeParam, mean_photons, purity
@@ -84,10 +85,14 @@ def _optimal_r_input(n_max: float, gamma: float, t: float) -> tuple[Displacement
     return DisplacementAmplitude(math.sqrt(max(n_max - math.sinh(r_opt.r) ** 2, 0.0))), r_opt
 
 
-def _write_figure(out_dir: Path, name: str, times: np.ndarray, header: list[str], row) -> Path:
-    """Write out_dir/NAME.csv: the header, then row(t) for each t of times, as a float."""
+def _write_figure(out_dir: Path, name: str, times: np.ndarray, header: list[str], columns) -> Path:
+    """Write out_dir/NAME.csv: the header, then one row per t of times, from
+    columns(times), the figure's columns as arrays over t. columns is written
+    for a float t or an array of them; over_t evaluates it once on the whole
+    array, and again one float t at a time if that raises, so the error
+    raised is that of the first failing t."""
     path = out_dir / f"{name}.csv"
-    write_csv(path, header, [row(float(t)) for t in times])
+    write_csv(path, header, np.column_stack(over_t(columns, times)).tolist())
     return path
 
 
@@ -95,16 +100,17 @@ def figure_fig2(out_dir: Path) -> Path:
     """Single-shot QFI of both strategies vs evolution time (PQS and CQS, n_max = 100)."""
     pqs, cqs = _fig_spec("PQS", 100.0), _fig_spec("CQS", 100.0)
 
-    def row(t):
+    def columns(t):
         pair_pqs, pair_cqs = pqs.pair(t), cqs.pair(t)
         i_pqs, i_cqs = qfi(pair_pqs), qfi(pair_cqs)
+        log1p = lib(t).log1p
         photons = mean_photons(pair_pqs.state), mean_photons(pair_cqs.state)
-        return [t, i_pqs, i_cqs, math.log1p(i_pqs), math.log1p(i_cqs), *photons]
+        return [t, i_pqs, i_cqs, log1p(i_pqs), log1p(i_cqs), *photons]
 
     return _write_figure(
         out_dir, "fig2", np.geomspace(0.01, 2000.0, 160),
         ["t", "qfi_pqs", "qfi_cqs", "log1p_qfi_pqs", "log1p_qfi_cqs", "photons_pqs", "photons_cqs"],
-        row,
+        columns,
     )
 
 
@@ -115,14 +121,18 @@ def figure_fig3(out_dir: Path) -> Path:
     pqs, cqs = _fig_spec("PQS", n_max), _fig_spec("CQS", n_max)
     t_pms = (0.0, 2.0)
 
-    def row(t):
+    def hom_optr(t):
+        # optimally squeezed + displaced input, p-quadrature homodyne
+        optr = replace(pqs, pqs_input=_optimal_r_input(n_max, pqs.params.gamma, t))
+        return fi_homodyne(optr.pair(t), math.pi / 2.0)
+
+    def columns(t):
         # squeezed-vacuum input: QFI, best homodyne angle and photons
         pair_pqs, pair_cqs = pqs.pair(t), cqs.pair(t)
         i_pqs, i_cqs = qfi(pair_pqs), qfi(pair_cqs)
         _, f_sqvac = best_homodyne(pair_pqs)
-        # optimally squeezed + displaced input, p-quadrature homodyne
-        optr = replace(pqs, pqs_input=_optimal_r_input(n_max, pqs.params.gamma, t))
-        f_optr = fi_homodyne(optr.pair(t), math.pi / 2.0)
+        # The optimal input changes with t: one float evaluation per t.
+        f_optr = each(hom_optr, t)
         rates = [info / (n_max * (t + t_pm)) for info in (i_pqs, i_cqs, f_optr, f_sqvac) for t_pm in t_pms]
         return [t, *rates, mean_photons(pair_pqs.state), mean_photons(pair_cqs.state)]
 
@@ -130,7 +140,7 @@ def figure_fig3(out_dir: Path) -> Path:
         out_dir, "fig3", np.geomspace(0.02, 3000.0, 140),
         ["t", *(f"rate_{name}_tpm{t_pm:g}" for name in ("pqs", "cqs", "hom_optr", "hom_sqvac") for t_pm in t_pms),
          "photons_pqs", "photons_cqs"],
-        row,
+        columns,
     )
 
 
@@ -139,7 +149,7 @@ def figure_fig4(out_dir: Path) -> Path:
     the eigenvalue split, at omega0 = gamma = 1 (CQS at each eps, n_max = 100)."""
     drives = [_fig_spec("CQS", 100.0, epsilon=eps) for eps in (0.99, 0.9975 * math.sqrt(2.0))]
 
-    def row(t):
+    def columns(t):
         out = [t]
         for spec in drives:
             state = spec.state(t)
@@ -149,7 +159,7 @@ def figure_fig4(out_dir: Path) -> Path:
     return _write_figure(
         out_dir, "fig4", np.geomspace(0.01, 1000.0, 180),
         ["t", "purity_below", "photons_below", "purity_above", "photons_above"],
-        row,
+        columns,
     )
 
 
@@ -158,7 +168,7 @@ def figure_fig7(out_dir: Path) -> Path:
     cqs = _fig_spec("CQS", 100.0)
     psis = [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
 
-    def row(t):
+    def columns(t):
         pair = cqs.pair(t)
         info = qfi(pair)
         _, best = best_homodyne(pair)
@@ -167,34 +177,44 @@ def figure_fig7(out_dir: Path) -> Path:
     return _write_figure(
         out_dir, "fig7", np.geomspace(0.05, 3000.0, 120),
         ["t", "ratio_psi_0", "ratio_psi_pi8", "ratio_psi_pi4", "ratio_psi_3pi8", "ratio_psi_pi2", "ratio_best"],
-        row,
+        columns,
     )
 
 
 def figure_fignoisy(out_dir: Path) -> Path:
     """Finite-temperature (n_B = 1) to zero-temperature information ratios (PQS at
-    n_B = 1 and its input at n_B = 0, CQS at eps = 0.9975 eps_c; n_max = 300)."""
+    n_B = 1 and its input at n_B = 0, CQS at eps = 0.9975 eps_c; n_max = 300).
+
+    ratio_pqs_fi_hom runs the cold optimum's input, the optimally squeezed
+    input for p-quadrature homodyne at each t on a zero-temperature start,
+    on both baths. On the hot bath that input holds 301-349 photons against
+    n_max = 300, so that column does not compare the baths at one photon
+    budget; the other two do.
+    """
     n_max, n_bath = 300.0, 1.0
     pqs_hot = _fig_spec("PQS", n_max, n_bath=n_bath)
     pqs_cold = replace(_fig_spec("PQS", n_max), pqs_input=pqs_hot.pqs_input)
     eps = 0.9975 * math.sqrt(2.0)
     cqs_hot, cqs_cold = _fig_spec("CQS", n_max, epsilon=eps, n_bath=n_bath), _fig_spec("CQS", n_max, epsilon=eps)
 
-    def row(t):
-        qfi_ratio = pqs_hot.qfi(t) / pqs_cold.qfi(t)
+    def hom_ratio(t):
         a_opt, r_opt = _optimal_r_input(n_max, pqs_cold.params.gamma, t)
-        # The one figure protocol without a budget check: on the hot bath this
-        # input holds 301-349 photons, so a spec for it raises ConstraintError.
+        # The one figure protocol without a budget check: a spec for this
+        # input on the hot bath raises ConstraintError (see the docstring).
         f_hot = fi_homodyne(pqs_pair(a_opt, r_opt, pqs_hot.params, t), math.pi / 2.0)
         f_cold = fi_homodyne(replace(pqs_cold, pqs_input=(a_opt, r_opt)).pair(t), math.pi / 2.0)
-        return [t, qfi_ratio, f_hot / f_cold, cqs_hot.qfi(t) / cqs_cold.qfi(t)]
+        return f_hot / f_cold
+
+    def columns(t):
+        # The optimal input changes with t: one float evaluation per t.
+        return [t, pqs_hot.qfi(t) / pqs_cold.qfi(t), each(hom_ratio, t), cqs_hot.qfi(t) / cqs_cold.qfi(t)]
 
     # Beyond ~10 damping times the passive state has fully thermalized and the
     # information ratio becomes 0/0; the interesting window is t <~ 1/lambda_+.
     return _write_figure(
         out_dir, "fignoisy", np.geomspace(0.05, 10.0, 120),
         ["t", "ratio_pqs_qfi", "ratio_pqs_fi_hom", "ratio_cqs_qfi"],
-        row,
+        columns,
     )
 
 

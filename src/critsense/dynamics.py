@@ -27,8 +27,8 @@ import numpy as np
 from scipy.special import gammainc
 
 from .errors import DomainError, InvalidStateError, NoSteadyStateError, PreconditionError
-from ._elementwise import lib, matrix, per_t, reject, select
-from .gaussian import IDENTITY, GaussianState, mean_photons, rotation_matrix, thermal_state
+from ._elementwise import lib, matrix, over_t, per_t, reject, select
+from .gaussian import IDENTITY, GaussianState, StateStack, _state, mean_photons, rotation_matrix, thermal_state
 
 # Relative half-width of the eigenvalue-degeneracy window used for regime labels.
 DEGENERACY_ETA = 1e-9
@@ -372,9 +372,10 @@ def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool
     return v, sigma, dM @ state0.v, X + X.swapaxes(-1, -2) + _noise_tangent(params, t, noise)
 
 
-def evolve_critical(params: SystemParams, state0: GaussianState, t: float) -> GaussianState:
-    """Propagate a Gaussian state for time t under drive and thermal damping."""
-    return GaussianState(*_critical_flow(params, state0, t, tangent=False))
+def evolve_critical(params: SystemParams, state0: GaussianState, t) -> GaussianState | StateStack:
+    """Propagate a Gaussian state for time t under drive and thermal damping.
+    A 1-D array of times gives a StateStack."""
+    return _state(*_critical_flow(params, state0, t, tangent=False))
 
 
 # --- exact shift tangents ----------------------------------------------------
@@ -446,9 +447,15 @@ def steady_state_photons(params: SystemParams) -> float:
     return (eps * eps + 2.0 * params.n_bath * eps_c * eps_c) / (2.0 * _s_and_gap(params)[1])
 
 
-def mean_photons_vs_time(params: SystemParams, t: float) -> float:
-    """Photon number at time t starting from equilibrium with the bath."""
-    return mean_photons(evolve_critical(params, thermal_state(params.n_bath), t))
+def mean_photons_vs_time(params: SystemParams, t):
+    """Photon number at time t starting from equilibrium with the bath.
+
+    t is a float, or a 1-D ndarray of times: then one array evaluation
+    returns an array of the same shape, equal to the float calls to
+    rounding, and raises as the float call at the first failing t does.
+    """
+    start = thermal_state(params.n_bath)
+    return over_t(lambda t: mean_photons(evolve_critical(params, start, t)), t)
 
 
 def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool = True) -> tuple:
@@ -476,11 +483,12 @@ def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool 
     return v, sigma, per_t(t, 1) * (v @ _J.T), X + X.swapaxes(-1, -2)
 
 
-def evolve_passive(params: SystemParams, state0: GaussianState, t: float) -> GaussianState:
+def evolve_passive(params: SystemParams, state0: GaussianState, t) -> GaussianState | StateStack:
     """Free decaying evolution (epsilon = 0) in the frame rotating at omega0.
 
     Moments follow a(t) = e^{-gamma t - i delta_omega t} a(0) + thermal input,
     i.e. a phase-space rotation by -delta_omega*t with amplitude decay e^{-gamma t}
-    and covariance relaxation toward (1 + 2 n_bath) I.
+    and covariance relaxation toward (1 + 2 n_bath) I. A 1-D array of times
+    gives a StateStack.
     """
-    return GaussianState(*_passive_flow(params, state0, t, tangent=False))
+    return _state(*_passive_flow(params, state0, t, tangent=False))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,6 +88,27 @@ class GaussianState:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "det_sigma", det)
+
+
+class StateStack(NamedTuple):
+    """States at a 1-D array of times, each past GaussianState's rules: v of
+    shape (n, 2), the symmetrised sigma of shape (n, 2, 2) and det_sigma over
+    t. What an evolution returns for an array t; mean_photons and purity
+    accept it."""
+
+    v: np.ndarray
+    sigma: np.ndarray
+    det_sigma: np.ndarray
+
+
+def _state(v: np.ndarray, sigma: np.ndarray) -> GaussianState | StateStack:
+    """GaussianState(v, sigma) for one state's moments; a StateStack for
+    moments stacked over t (v of shape (n, 2), sigma of shape (n, 2, 2))."""
+    if sigma.ndim == 2:
+        return GaussianState(v, sigma)
+    (s11, s12), (s21, s22) = sigma.transpose(1, 2, 0)
+    s12, det = _physical_moments(*v.T, s11, s12, s21, s22)
+    return StateStack(v, matrix(s11, s12, s12, s22), det)
 
 
 @dataclass(frozen=True)
@@ -174,12 +196,19 @@ def cholesky_factor(s11, s12, s22, det):
     return l11, s12 / l11, f.sqrt(det / s11), det
 
 
-def mean_photons(state: GaussianState) -> float:
-    """<a†a> = tr(sigma)/4 - 1/2 + |v|^2/2."""
-    n = 0.25 * float(np.trace(state.sigma)) - 0.5 + 0.5 * float(state.v @ state.v)
-    if n < -TOL:
-        raise InvalidStateError(f"negative photon number {n!r}")
-    return max(n, 0.0)
+def mean_photons(state: GaussianState | StateStack):
+    """<a†a> = tr(sigma)/4 - 1/2 + |v|^2/2: a float for a GaussianState, an
+    array over t for a StateStack."""
+    v, sigma = state.v, state.sigma
+    if sigma.ndim == 2:
+        (s11, _), (_, s22) = sigma.tolist()
+        v_sq = float(v @ v)
+    else:
+        # vecdot rounds as v @ v does for one state.
+        s11, s22, v_sq = sigma[:, 0, 0], sigma[:, 1, 1], np.vecdot(v, v)
+    n = 0.25 * (s11 + s22) - 0.5 + 0.5 * v_sq
+    reject(n < -TOL, InvalidStateError, "negative photon number {!r}", n)
+    return lib(n).max(n, 0.0)
 
 
 def photon_variance(state: GaussianState) -> float:
@@ -197,9 +226,11 @@ def photon_variance(state: GaussianState) -> float:
     return max(var, 0.0)
 
 
-def purity(state: GaussianState) -> float:
-    """1/sqrt(det sigma), clamped to 1 for roundoff-level violations (det <= 1)."""
-    return 1.0 / math.sqrt(max(state.det_sigma, 1.0))
+def purity(state: GaussianState | StateStack):
+    """1/sqrt(det sigma), clamped to 1 for roundoff-level violations (det <= 1):
+    a float for a GaussianState, an array over t for a StateStack."""
+    f = lib(state.det_sigma)
+    return 1.0 / f.sqrt(f.max(state.det_sigma, 1.0))
 
 
 def fidelity(a: GaussianState, b: GaussianState) -> float:

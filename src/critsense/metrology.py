@@ -23,7 +23,7 @@ from . import dynamics
 from ._elementwise import lib, reject
 from .dynamics import SystemParams
 from .errors import AccuracyError, DomainError, InvalidStateError, PreconditionError, PureStateError
-from .gaussian import GaussianState, _physical_moments, cholesky_factor, fidelity, photon_variance
+from .gaussian import GaussianState, StateStack, _state, cholesky_factor, fidelity, photon_variance
 
 StateFamily = Callable[[float], GaussianState]
 
@@ -115,10 +115,13 @@ class DerivativePair:
 
 class PairStack(NamedTuple):
     """Derivative pairs at a 1-D array of times: what
-    differentiate_at_zero_shift returns for an array t. Each state has passed
-    GaussianState's rules and each derivative DerivativePair's; `whitened`
-    holds their frame as arrays over t. qfi and qfi_terms accept it."""
+    differentiate_at_zero_shift returns for an array t. `state` holds the
+    states (gaussian.StateStack, past GaussianState's rules) and `whitened`
+    their frame, with each derivative past DerivativePair's rules, as arrays
+    over t. qfi, qfi_terms, fi_homodyne and protocols.best_homodyne accept
+    it, as gaussian.mean_photons and purity accept its state."""
 
+    state: StateStack
     whitened: Whitened
     # As on DerivativePair: always False, read by perfbench/tracer.py.
     warn = False
@@ -127,11 +130,11 @@ class PairStack(NamedTuple):
 def _stack(v, sigma, dv, dsigma) -> PairStack:
     """PairStack of moments stacked over t: v, dv of shape (n, 2) and sigma,
     dsigma of shape (n, 2, 2)."""
-    (s11, s12), (s21, s22) = sigma.transpose(1, 2, 0)
+    state = _state(v, sigma)
+    (s11, s12), (_, s22) = state.sigma.transpose(1, 2, 0)
     (d11, d12), (d21, d22) = dsigma.transpose(1, 2, 0)
-    s12, det = _physical_moments(*v.T, s11, s12, s21, s22)
     d12 = _finite_derivatives(*dv.T, d11, d12, d21, d22)
-    return PairStack(_whiten(*cholesky_factor(s11, s12, s22, det), *dv.T, d11, d12, d22))
+    return PairStack(state, _whiten(*cholesky_factor(s11, s12, s22, state.det_sigma), *dv.T, d11, d12, d22))
 
 
 # The moments of each evolution with their exact shift derivative, from one
@@ -226,22 +229,26 @@ def qfi_fidelity_oracle(family: StateFamily, dtheta: float = 1e-4) -> float:
     return 8.0 * (1.0 - f_amp) / dtheta ** 2
 
 
-def fi_homodyne(pair: DerivativePair, psi: float) -> float:
+def fi_homodyne(pair: DerivativePair | PairStack, psi):
     """Classical Fisher information of homodyne detection at angle psi,
     measured from the x axis: (4 S dm^2 + dS^2) / (2 S^2) for the variance S
-    and mean m of the quadrature u = (cos psi, -sin psi).
+    and mean m of the quadrature u = (cos psi, -sin psi). A float for a pair;
+    an array over t for a PairStack, with psi a float or an array over t.
 
     With y = L^T u in the whitened frame, S = |y|^2, dm = y.a and dS = y^T B y,
     so FI = 2 (e.a)^2 + (e^T B e)^2 / 2 for the unit vector e = y / |y|; u^T
     sigma u itself would cancel digits along a strongly squeezed quadrature.
     """
     w = pair.whitened
-    c, sn = math.cos(psi), math.sin(psi)
+    angle = lib(psi)
+    c, sn = angle.cos(psi), angle.sin(psi)
     y1, y2 = w.l11 * c - w.l21 * sn, -w.l22 * sn
     var = y1 * y1 + y2 * y2
-    if var <= 1e-12:
-        raise InvalidStateError(f"degenerate quadrature variance {var!r}")
-    e1, e2 = y1 / math.sqrt(var), y2 / math.sqrt(var)
+    degenerate = var <= 1e-12
+    if degenerate is not False:  # a float quadrature of positive variance takes this one test
+        reject(degenerate, InvalidStateError, "degenerate quadrature variance {!r}", var)
+    root = lib(var).sqrt(var)
+    e1, e2 = y1 / root, y2 / root
     # Python floats: an overflow gives inf, which _finite rejects, not a warning.
     mean = e1 * w.a1 + e2 * w.a2
     spread = e1 * e1 * w.b11 + 2.0 * e1 * e2 * w.b12 + e2 * e2 * w.b22

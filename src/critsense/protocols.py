@@ -23,12 +23,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import dynamics
+from ._elementwise import lib, over_t, per_t
 from .dynamics import SystemParams, evolve_critical, evolve_passive, spectral_info, steady_state
-from .errors import ConstraintError, CritsenseError, DomainError, SearchError, UnsupportedRegimeError
+from .errors import ConstraintError, DomainError, SearchError, UnsupportedRegimeError
 from .gaussian import (
     DisplacementAmplitude,
     GaussianState,
     SqueezeParam,
+    StateStack,
     apply_displace,
     apply_squeeze,
     mean_photons,
@@ -36,6 +38,7 @@ from .gaussian import (
 )
 from .metrology import (
     DerivativePair,
+    PairStack,
     differentiate_at_zero_shift,
     fi_homodyne,
     qfi,
@@ -137,12 +140,14 @@ class ProtocolSpec:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "evolution", evolution)
 
-    def state(self, t: float) -> GaussianState:
-        """The state of one repetition at time t."""
+    def state(self, t) -> GaussianState | StateStack:
+        """The state of one repetition at time t; a StateStack for a 1-D
+        array of times."""
         return self.evolution(self.params, self.start, t)
 
-    def pair(self, t: float) -> DerivativePair:
-        """State and shift-derivative of one repetition measured at time t."""
+    def pair(self, t) -> DerivativePair | PairStack:
+        """State and shift-derivative of one repetition measured at time t;
+        a PairStack for a 1-D array of times."""
         return differentiate_at_zero_shift(self.evolution, self.params, self.start, t)
 
     def qfi(self, t):
@@ -152,7 +157,7 @@ class ProtocolSpec:
         returns an array of the same shape, equal to the float calls to
         rounding, and raises as the float call at the first failing t does.
         """
-        return _qfi(self.pair, t)
+        return over_t(lambda t: qfi(self.pair(t)), t)
 
 
 @dataclass(frozen=True)
@@ -172,23 +177,6 @@ class MetrologyReport:
 # --- derivative pairs ----------------------------------------------------------
 
 
-def _qfi(pair_at: Callable, t):
-    """qfi(pair_at(t)) for a float t; for a 1-D array of t, one array
-    evaluation of the same closed forms. Its non-finite intermediates are
-    caught by the rules, so numpy is not asked to warn of them. An array that
-    raises is evaluated again one float at a time: the error raised is then
-    the float path's own at the first failing t."""
-    if not isinstance(t, np.ndarray):
-        return qfi(pair_at(t))
-    try:
-        with np.errstate(all="ignore"):
-            return qfi(pair_at(t))
-    except CritsenseError:
-        for t_k in t.tolist():
-            qfi(pair_at(t_k))
-        raise
-
-
 def cqs_pair(params: SystemParams, t: float) -> DerivativePair:
     """State and shift-derivative of the driven protocol at time t."""
     return differentiate_at_zero_shift(evolve_critical, params, thermal_state(params.n_bath), t)
@@ -201,7 +189,7 @@ def cqs_qfi(params: SystemParams, t):
     returns an array of the same shape, equal to the float calls to
     rounding, and raises as the float call at the first failing t does.
     """
-    return _qfi(lambda t: cqs_pair(params, t), t)
+    return over_t(lambda t: qfi(cqs_pair(params, t)), t)
 
 
 def cqs_steady_pair(params: SystemParams) -> DerivativePair:
@@ -238,25 +226,49 @@ def pqs_qfi(
     returns an array of the same shape, equal to the float calls to
     rounding, and raises as the float call at the first failing t does.
     """
-    return _qfi(lambda t: pqs_pair(alpha, squeeze, params, t), t)
+    return over_t(lambda t: qfi(pqs_pair(alpha, squeeze, params, t)), t)
 
 
-def best_homodyne(pair: DerivativePair) -> tuple[float, float]:
+def _roots(poly: np.ndarray) -> np.ndarray:
+    """np.roots(poly) for one quartic. For a stack of quartics of shape (n,
+    5), an (n, 4) array of each row's roots: one eigvals call per degree on
+    the companion matrices np.roots builds, so each row's roots are np.roots'
+    own, padded with 0 where np.roots drops roots (a row whose leading
+    coefficients are 0). best_homodyne's quartics are conjugate-palindromic,
+    so a leading coefficient is 0 with its trailing mirror, and only degrees
+    4 and 2 occur."""
+    if poly.ndim == 1:
+        return np.roots(poly)
+    roots = np.zeros((len(poly), 4), complex)
+    for lead, degree in ((0, 4), (1, 2)):
+        rows = (poly[:, lead] != 0) & (poly[:, :lead] == 0).all(axis=1)
+        if rows.any():
+            companion = np.zeros((int(rows.sum()), degree, degree), complex)
+            companion[:, 1:, :-1] = np.eye(degree - 1)
+            companion[:, 0, :] = -poly[rows, lead + 1:lead + 1 + degree] / poly[rows, lead:lead + 1]
+            roots[rows, :degree] = np.linalg.eigvals(companion)
+    return roots
+
+
+def best_homodyne(pair: DerivativePair | PairStack):
     """Maximize the homodyne Fisher information over the quadrature angle.
 
-    Returns (psi, fi) with 0 <= psi < pi. With sigma = L L^T, a = L^-1 dv,
+    Returns (psi, fi) with 0 <= psi < pi: floats for a pair, arrays over t
+    for a PairStack. With sigma = L L^T, a = L^-1 dv,
     B = L^-1 dsigma L^-T and w = (cos theta, sin theta) proportional to L^T u
     for the quadrature u = (cos psi, -sin psi), FI = 2 (w.a)^2 + (w^T B w)^2 / 2,
     a degree-2 trigonometric polynomial in x = 2 theta. Its stationary points
     are the roots of one quartic in z = e^{ix}; the best of them and psi = 0
-    is returned, so a flat FI gives psi = 0.
+    is returned, the first of them on a tie, so a flat FI gives psi = 0.
     """
     white = pair.whitened
     # FI is quadratic in (a, B): scaling both to unit size moves no stationary
     # point and leaves max FI >= 1/2, so harmonics below 1e-15 can be dropped,
     # which keeps np.roots' division by the leading coefficient finite.
     coeffs = (white.a1, white.a2, white.b11, white.b12, white.b22)
-    scale = max(map(abs, coeffs)) or 1.0
+    f = lib(white.mu)
+    scale = f.max(*map(abs, coeffs))
+    scale = f.where(scale == 0.0, 1.0, scale)
     a1, a2, b11, b12, b22 = (x / scale for x in coeffs)
     # (w.a)^2 = |a|^2/2 + p1 cos x + p2 sin x,  w^T B w = q0 + q1 cos x + q2 sin x.
     p1, p2 = 0.5 * (a1 * a1 - a2 * a2), a1 * a2
@@ -264,15 +276,22 @@ def best_homodyne(pair: DerivativePair) -> tuple[float, float]:
     # dFI/dx = c1 cos x + s1 sin x + c2 cos 2x + s2 sin 2x, times 2 z^2.
     c1, s1 = 2.0 * p2 + q0 * q2, -2.0 * p1 - q0 * q1
     c2, s2 = q1 * q2, 0.5 * (q2 * q2 - q1 * q1)
-    quartic = np.array([c2 - 1j * s2, c1 - 1j * s1, 0.0, c1 + 1j * s1, c2 + 1j * s2])
-    theta = 0.5 * np.angle(np.roots(np.where(abs(quartic) > 1e-15, quartic, 0.0)))
+    quartic = np.array([c2 - 1j * s2, c1 - 1j * s1, 0.0 * c1, c1 + 1j * s1, c2 + 1j * s2]).T
+    theta = 0.5 * np.angle(_roots(np.where(abs(quartic) > 1e-15, quartic, 0.0)))
     # u = L^-T (cos theta, sin theta) by back-substitution.
-    u2 = np.sin(theta) / white.l22
-    u1 = (np.cos(theta) - white.l21 * u2) / white.l11
+    u2 = np.sin(theta) / per_t(white.l22, 1)
+    u1 = (np.cos(theta) - per_t(white.l21, 1) * u2) / per_t(white.l11, 1)
     # psi mod pi; a psi just below 0 can round up to pi itself.
-    psis = (np.arctan2(-u2, u1) % math.pi).tolist()
-    candidates = [0.0] + [psi if psi < math.pi else 0.0 for psi in psis]
-    return max(((psi, fi_homodyne(pair, psi)) for psi in candidates), key=lambda result: result[1])
+    psis = np.arctan2(-u2, u1) % math.pi
+    psis = np.where(psis < math.pi, psis, 0.0)
+    if not isinstance(white.mu, np.ndarray):
+        candidates = [0.0, *psis.tolist()]
+        return max(((psi, fi_homodyne(pair, psi)) for psi in candidates), key=lambda result: result[1])
+    candidates = np.concatenate([np.zeros((len(psis), 1)), psis], axis=1).T
+    values = np.array([fi_homodyne(pair, psi) for psi in candidates])
+    best = np.argmax(values, axis=0)  # the first maximum, as max() takes
+    columns = np.arange(len(best))
+    return candidates[best, columns], values[best, columns]
 
 
 # --- optimizers ---------------------------------------------------------------

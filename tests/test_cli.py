@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -43,40 +44,58 @@ _DRIVEN = SystemParams(1.0, epsilon_opt(100.0, _PASSIVE), 1.0)
 _ALPHA, _SQUEEZE = default_pqs_input(100.0)
 
 
-def _fig2_row(t):
+# The figures' columns from the public functions, each called once on the
+# figure's grid t as an array; the per-t optimal input takes float calls.
+
+
+def _fig2_columns(t):
     i_pqs = pqs_qfi(_ALPHA, _SQUEEZE, _PASSIVE, t)
     i_cqs = cqs_qfi(_DRIVEN, t)
     return {
         "qfi_pqs": i_pqs,
         "qfi_cqs": i_cqs,
-        "log1p_qfi_pqs": math.log1p(i_pqs),
-        "log1p_qfi_cqs": math.log1p(i_cqs),
+        "log1p_qfi_pqs": np.log1p(i_pqs),
+        "log1p_qfi_cqs": np.log1p(i_cqs),
         "photons_pqs": mean_photons(evolve_passive(_PASSIVE, pqs_input_state(_ALPHA, _SQUEEZE), t)),
         "photons_cqs": mean_photons_vs_time(_DRIVEN, t),
     }
 
 
-def _fig3_row(t):
+def _hom_optr(t):
     r_opt = optimal_squeezing_homodyne(100.0, 1.0, t)
     a_opt = DisplacementAmplitude(math.sqrt(max(100.0 - math.sinh(r_opt.r) ** 2, 0.0)))
+    return fi_homodyne(pqs_pair(a_opt, r_opt, _PASSIVE, t), math.pi / 2.0)
+
+
+def _fig3_columns(t):
     info = {
         "pqs": pqs_qfi(_ALPHA, _SQUEEZE, _PASSIVE, t),
         "cqs": cqs_qfi(_DRIVEN, t),
-        "hom_optr": fi_homodyne(pqs_pair(a_opt, r_opt, _PASSIVE, t), math.pi / 2.0),
+        "hom_optr": np.array([_hom_optr(t_k) for t_k in t.tolist()]),
         "hom_sqvac": best_homodyne(pqs_pair(_ALPHA, _SQUEEZE, _PASSIVE, t))[1],
     }
-    row = {f"rate_{k}_tpm{t_pm}": v / (100.0 * (t + t_pm)) for k, v in info.items() for t_pm in (0, 2)}
-    row.update(_fig2_row(t))
-    return {k: v for k, v in row.items() if k.startswith(("rate_", "photons_"))}
+    columns = {f"rate_{k}_tpm{t_pm}": v / (100.0 * (t + t_pm)) for k, v in info.items() for t_pm in (0, 2)}
+    columns.update(_fig2_columns(t))
+    return {k: v for k, v in columns.items() if k.startswith(("rate_", "photons_"))}
 
 
-def _fig4_row(t):
-    row = {}
+def _fig4_columns(t):
+    columns = {}
     for label, params in (("below", SystemParams(1.0, 0.99, 1.0)),
                           ("above", SystemParams(1.0, 0.9975 * math.sqrt(2.0), 1.0))):
-        row[f"purity_{label}"] = purity(evolve_critical(params, thermal_state(params.n_bath), t))
-        row[f"photons_{label}"] = mean_photons_vs_time(params, t)
-    return row
+        columns[f"purity_{label}"] = purity(evolve_critical(params, thermal_state(params.n_bath), t))
+        columns[f"photons_{label}"] = mean_photons_vs_time(params, t)
+    return columns
+
+
+def _per_row(row):
+    """Columns over t from row(t), a row's values called with each float t."""
+
+    def columns(t):
+        rows = [row(t_k) for t_k in t.tolist()]
+        return {col: np.array([r[col] for r in rows]) for col in rows[0]}
+
+    return columns
 
 
 def _fig2_compute_row(t):
@@ -153,27 +172,27 @@ class TestFigureCommand:
         assert data[-1, 3] == pytest.approx(1.0, abs=0.05)
 
     @pytest.mark.parametrize(
-        "name,want_row",
+        "name,want_columns,rtol",
         [
-            pytest.param("fig2", _fig2_row, id="fig2"),
-            pytest.param("fig3", _fig3_row, id="fig3"),
-            pytest.param("fig4", _fig4_row, id="fig4"),
-            pytest.param("fig2", _fig2_compute_row, id="fig2-compute"),
-            pytest.param("fig4", _fig4_compute_row, id="fig4-compute"),
+            pytest.param("fig2", _fig2_columns, 0.0, id="fig2"),
+            pytest.param("fig3", _fig3_columns, 0.0, id="fig3"),
+            pytest.param("fig4", _fig4_columns, 0.0, id="fig4"),
+            pytest.param("fig2", _per_row(_fig2_compute_row), 1e-10, id="fig2-compute"),
+            pytest.param("fig4", _per_row(_fig4_compute_row), 1e-10, id="fig4-compute"),
         ],
     )
-    def test_columns_equal_public_functions(self, tmp_path, name, want_row):
-        """First, middle and last rows equal the public functions called
-        directly, and `compute` run on the configs the figure's docstring
-        names, exactly after the CSV's round-trip decimals."""
+    def test_columns_equal_public_functions(self, tmp_path, name, want_columns, rtol):
+        """Every column equals the public functions called once on the
+        figure's own grid as an array, exactly after the CSV's round-trip
+        decimals; and `compute`, run one float t at a time on the configs the
+        figure's docstring names, within the array-to-float contract of 1e-10
+        relative."""
         assert main(["figure", name, "--out", str(tmp_path)]) == 0
         header, data = read_csv(tmp_path / f"{name}.csv")
-        for i in (0, len(data) // 2, len(data) - 1):
-            t = float(data[i, 0])
-            want = want_row(t)
-            assert set(want) == set(header[1:])
-            for col, value in want.items():
-                assert data[i, header.index(col)] == value, (name, i, col)
+        want = want_columns(data[:, 0])
+        assert set(want) == set(header[1:])
+        for col, values in want.items():
+            np.testing.assert_allclose(data[:, header.index(col)], values, rtol=rtol, atol=0.0, err_msg=f"{name}.{col}")
 
     def test_fixed_input_built_once_per_figure(self, tmp_path, monkeypatch):
         """fig2 builds its PQS input state once, not once per row."""
@@ -481,3 +500,28 @@ def test_import_leaves_oracle_and_bound_dependencies_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(critsense.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_figure_diff_reports_largest_relative_difference(tmp_path, capsys):
+    """tools/figure_diff.py prints each column's largest |a - b| / max(|a|, |b|)."""
+    spec = importlib.util.spec_from_file_location("figure_diff", Path(__file__).parent.parent / "tools" / "figure_diff.py")
+    figure_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(figure_diff)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["figure", "fig4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert figure_diff.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all: 0"
+    lines = (b / "fig4.csv").read_text().splitlines()
+    row = lines[5].split(",")
+    row[2] = repr(float(row[2]) * (1.0 + 1e-9))
+    lines[5] = ",".join(row)
+    (b / "fig4.csv").write_text("\n".join(lines) + "\n")
+    assert figure_diff.main([str(a), str(b)]) == 0
+    out = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert out["fig4.purity_below"] == "0" and out["fig4.photons_above"] == "0"
+    assert float(out["fig4.photons_below"]) == pytest.approx(1e-9, rel=1e-3)
+    assert out["all"] == out["fig4"] == out["fig4.photons_below"]
+    (b / "fig4.csv").write_text("t\n1\n")
+    assert figure_diff.main([str(a), str(b)]) == 1

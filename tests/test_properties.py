@@ -8,6 +8,7 @@ comparison horizon of the `dynamics.rk4_agreement` check.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,12 +17,37 @@ from hypothesis import strategies as st
 
 from conftest import cqs_state_family, rk4_pqs_pair, van_loan_qfi
 from critsense import dynamics
-from critsense.dynamics import Regime, SystemParams, _noise_integrals, evolve_critical, spectral_info
+from critsense._elementwise import over_t
+from critsense.dynamics import (
+    Regime,
+    SystemParams,
+    _noise_integrals,
+    evolve_critical,
+    mean_photons_vs_time,
+    spectral_info,
+)
 from critsense.errors import DomainError, InvalidStateError
-from critsense.gaussian import DET_ROUNDING, DisplacementAmplitude, SqueezeParam, thermal_state
-from critsense.metrology import fi_homodyne, qfi
+from critsense.gaussian import (
+    DET_ROUNDING,
+    DisplacementAmplitude,
+    GaussianState,
+    SqueezeParam,
+    mean_photons,
+    purity,
+    thermal_state,
+)
+from critsense.metrology import DerivativePair, Whitened, _stack, fi_homodyne, qfi
 from critsense.oracle import lyapunov_rk4
-from critsense.protocols import best_homodyne, cqs_pair, cqs_qfi, default_pqs_input, pqs_pair, pqs_qfi
+from critsense.protocols import (
+    _roots,
+    best_homodyne,
+    cqs_pair,
+    cqs_qfi,
+    default_pqs_input,
+    pqs_input_state,
+    pqs_pair,
+    pqs_qfi,
+)
 from critsense.validate import _horizon, _rel_state_diff, _rel_tangent_diff
 
 NEAR = 1e-6
@@ -199,27 +225,29 @@ def _grid(params: SystemParams, draw_fraction: float) -> np.ndarray:
     return np.array(sorted(points))
 
 
-def _assert_array_call_matches(array_qfi, float_pair, ts: np.ndarray) -> None:
-    """array_qfi(ts) equals qfi(float_pair(t)) at each t within 1e-10
-    relative, or within the relative rounding that det(sigma) carries
-    (DET_ROUNDING of (s11 s22 + s12^2) / det) where that is larger. Where a
-    float call raises, the array call raises the same error: that of the
-    first failing t."""
+def _assert_array_call_matches(array_call, float_pair, ts: np.ndarray, read=qfi, scale=None) -> None:
+    """array_call(ts) equals read(float_pair(t)) at each t within 1e-10 of
+    scale(pair) (default: of that value itself), or within the relative
+    rounding that det(sigma) carries (DET_ROUNDING of (s11 s22 + s12^2) /
+    det) where that is larger. Where a float call raises, the array call
+    raises the same error: that of the first failing t."""
     expected, tolerance = [], []
     for t in ts.tolist():
         try:
             pair = float_pair(t)
-            expected.append(qfi(pair))
+            value = read(pair)
         except Exception as exc:
             with pytest.raises(type(exc)) as raised:
-                array_qfi(ts)
+                array_call(ts)
             assert raised.type is type(exc) and str(raised.value) == str(exc)
             return
+        expected.append(value)
         (s11, s12), (_, s22) = pair.state.sigma.tolist()
-        tolerance.append(max(1e-10, DET_ROUNDING * (s11 * s22 + s12 * s12) / pair.state.det_sigma))
-    got = array_qfi(ts)
+        rounding = max(1e-10, DET_ROUNDING * (s11 * s22 + s12 * s12) / pair.state.det_sigma)
+        tolerance.append(rounding * abs(value if scale is None else scale(pair)))
+    got = array_call(ts)
     assert got.shape == ts.shape
-    assert np.all(np.abs(got - expected) <= np.array(tolerance) * np.abs(expected))
+    assert np.all(np.abs(got - expected) <= np.array(tolerance))
 
 
 @given(
@@ -234,6 +262,155 @@ def test_cqs_qfi_array_matches_float_calls(params, fraction):
     _assert_array_call_matches(
         lambda ts: cqs_qfi(params, ts), lambda t: cqs_pair(params, t), _grid(params, fraction)
     )
+
+
+@st.composite
+def protocol_flows(draw) -> tuple:
+    """(flow, params, start): the driven protocol from the bath's thermal
+    state, or the passive one from a displaced squeezed thermal input, whose
+    displacement gives the homodyne FI its mean term."""
+    params = draw(system_params())
+    if not draw(st.booleans()):
+        return dynamics._critical_flow, params, thermal_state(params.n_bath)
+    params = SystemParams(params.omega0, 0.0, params.gamma, n_bath=params.n_bath)
+    alpha = DisplacementAmplitude(draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 2.0 * math.pi)))
+    squeeze = SqueezeParam(draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 2.0 * math.pi)))
+    return dynamics._passive_flow, params, pqs_input_state(alpha, squeeze, params.n_bath)
+
+
+def _pairs_of_one_flow(flow, params: SystemParams, start, ts: np.ndarray):
+    """pair_at(t): for the array ts, the PairStack of one array evaluation
+    of flow's moments over ts; for a float t of ts, the DerivativePair of
+    that evaluation's moments at t.
+
+    The closed-form shift derivative can carry more than 1e-10 of rounding
+    (1.8e-6 relative on a small off-diagonal entry of dSigma at omega0 =
+    0.125, epsilon = 0.002, gamma = 7, t = 3e-4), and the array and float
+    flows round it differently. Read off the same moments, the estimators
+    on a PairStack are held to 1e-10 of their float calls; the flows' own
+    agreement is the QFI tests' part."""
+    v, sigma, dv, dsigma = flow(params, start, ts)
+    rows = {t: k for k, t in enumerate(ts.tolist())}
+
+    def pair_at(t):
+        if isinstance(t, np.ndarray):
+            return _stack(v, sigma, dv, dsigma)
+        k = rows[t]
+        return DerivativePair(GaussianState(v[k], sigma[k]), dv[k], dsigma[k])
+
+    return pair_at
+
+
+@given(protocol_flows(), st.floats(0.0, 1.0), st.floats(0.0, math.pi))
+def test_fi_homodyne_array_matches_float_calls(case, fraction, psi):
+    """fi_homodyne on a PairStack, to 1e-10 of the QFI where the FI at psi
+    cancels to far below it."""
+    ts = _grid(case[1], fraction)
+    pair_at = _pairs_of_one_flow(*case, ts)
+    _assert_array_call_matches(
+        lambda ts: over_t(lambda t: fi_homodyne(pair_at(t), psi), ts),
+        pair_at,
+        ts,
+        read=lambda pair: fi_homodyne(pair, psi),
+        scale=lambda pair: max(fi_homodyne(pair, psi), qfi(pair)),
+    )
+
+
+@given(protocol_flows(), st.floats(0.0, 1.0))
+def test_best_homodyne_array_matches_float_calls(case, fraction):
+    """Both outputs of best_homodyne on a PairStack: the FI, and the angle
+    through the float FI at it, which must be the float optimum. Two peaks
+    can tie to rounding (at a pure state B is traceless and the FI's two
+    peaks are equal), so the angle itself may be either."""
+    ts = _grid(case[1], fraction)
+    pair_at = _pairs_of_one_flow(*case, ts)
+
+    def fi_at_best_psi(ts):
+        psis = over_t(lambda t: best_homodyne(pair_at(t))[0], ts)
+        assert np.all((0.0 <= psis) & (psis < math.pi))
+        return np.array([fi_homodyne(pair_at(t), psi) for t, psi in zip(ts.tolist(), psis.tolist())])
+
+    best_fi = lambda pair: best_homodyne(pair)[1]
+    _assert_array_call_matches(lambda ts: over_t(lambda t: best_fi(pair_at(t)), ts), pair_at, ts, read=best_fi, scale=qfi)
+    _assert_array_call_matches(fi_at_best_psi, pair_at, ts, read=best_fi, scale=qfi)
+
+
+@given(system_params(), st.floats(0.0, 1.0))
+def test_photons_and_purity_array_match_float_calls(params, fraction):
+    """mean_photons and purity of a PairStack's states, and
+    mean_photons_vs_time on an array. N = tr(sigma)/4 - 1/2 + |v|^2/2 is
+    a difference of terms of size N + 1, and is held to 1e-10 of that."""
+    ts, pair_at = _grid(params, fraction), lambda t: cqs_pair(params, t)
+    photons = lambda pair: mean_photons(pair.state)
+    _assert_array_call_matches(
+        lambda ts: over_t(lambda t: purity(pair_at(t).state), ts), pair_at, ts, read=lambda pair: purity(pair.state)
+    )
+    for array_call in (lambda ts: over_t(lambda t: photons(pair_at(t)), ts), lambda ts: mean_photons_vs_time(params, ts)):
+        _assert_array_call_matches(array_call, pair_at, ts, read=photons, scale=lambda pair: photons(pair) + 1.0)
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def conjugate_palindromes(draw) -> np.ndarray:
+    """Quartics [k0, k1, 0, conj k1, conj k0] as best_homodyne forms them,
+    after its 1e-15 threshold: k0 and k1 each 0 or not."""
+    k0, k1 = (complex(draw(_UNIT), draw(_UNIT)) * draw(st.sampled_from((0.0, 1.0))) for _ in range(2))
+    quartic = np.array([k0, k1, 0.0, k1.conjugate(), k0.conjugate()])
+    return np.where(abs(quartic) > 1e-15, quartic, 0.0)
+
+
+@given(st.lists(conjugate_palindromes(), min_size=1, max_size=8))
+def test_stacked_roots_are_np_roots(polys):
+    """Each row's roots are np.roots' own, bit for bit, then the zeros of
+    the roots np.roots drops."""
+    got = _roots(np.array(polys))
+    for row, poly in zip(got, polys):
+        want = np.roots(poly)
+        assert row[: len(want)].tobytes() == want.astype(complex).tobytes()
+        assert not row[len(want):].any()
+
+
+def _frames(rows) -> SimpleNamespace:
+    """A stand-in pair whose whitened frame holds the rows (l11, l21, l22,
+    a1, a2, b11, b12, b22) as arrays over t; best_homodyne reads nothing
+    else."""
+    l11, l21, l22, a1, a2, b11, b12, b22 = np.array(rows, dtype=float).T
+    return SimpleNamespace(whitened=Whitened(l11, l21, l22, np.ones_like(l11), a1, a2, b11, b12, b22))
+
+
+def _frame(row) -> SimpleNamespace:
+    l11, l21, l22, a1, a2, b11, b12, b22 = row
+    return SimpleNamespace(whitened=Whitened(l11, l21, l22, 1.0, a1, a2, b11, b12, b22))
+
+
+def test_flat_fi_keeps_psi_zero():
+    """Where the FI does not depend on the angle (a = 0 and B proportional
+    to I, B = 0 included) the quartic vanishes and psi = 0, in a stack with
+    rows that do have a best angle."""
+    rows = [(1.0, 0.3, 2.0, 0.0, 0.0, 0.7, 0.0, 0.7), (2.0, -1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0),
+            (1.0, 0.3, 2.0, 0.4, -0.2, 0.7, 0.1, -0.3)]
+    psis, fis = best_homodyne(_frames(rows))
+    assert psis[:2].tolist() == [0.0, 0.0]
+    assert fis[:2].tolist() == [0.5 * 0.7 ** 2, 0.0]
+    assert psis[2] > 0.0
+    for row, psi, fi in zip(rows, psis.tolist(), fis.tolist()):
+        assert best_homodyne(_frame(row)) == pytest.approx((psi, fi), rel=1e-12, abs=0.0)
+
+
+def test_dropped_leading_coefficient():
+    """B within 1e-9 of a multiple of I puts the quartic's z^4 and z^0
+    coefficients (c2 = q1 q2, s2 = (q2^2 - q1^2)/2) below 1e-15, where they
+    are dropped: the roots are those of the quadratic left. The stack takes
+    the float call's angle and FI, and no point of a 721-point grid beats it."""
+    rows = [(1.0, 0.3, 2.0, 0.4, -0.2, 0.7 + 1e-9, 2e-9, 0.7 - 1e-9), (1.5, 0.0, 1.0, 0.1, 0.3, 0.2, 0.0, 0.2),
+            (1.0, 0.3, 2.0, 0.4, -0.2, 0.7, 0.1, -0.3)]
+    psis, fis = best_homodyne(_frames(rows))
+    for row, psi, fi in zip(rows, psis.tolist(), fis.tolist()):
+        assert best_homodyne(_frame(row)) == pytest.approx((psi, fi), rel=1e-12, abs=0.0)
+        grid = max(fi_homodyne(_frame(row), p) for p in np.linspace(0.0, math.pi, 721, endpoint=False))
+        assert fi >= (1.0 - 1e-12) * grid
 
 
 @given(system_params().filter(lambda p: p.epsilon > p.epsilon_c), st.booleans())
