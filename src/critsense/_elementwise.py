@@ -1,13 +1,15 @@
 """One formula for a float or for a 1-D array of times.
 
 The closed forms take t as a float or as a 1-D ndarray, and each is written
-once for both. A formula reads its elementwise functions from `lib(x)`:
-math's for a float, numpy's for an array. Each branch that depends on t goes
-through `select`, and each check through `reject`: an `if` for a float, a
-boolean mask for an array. A check is written as the condition under which
-it raises, as an `if` would test it, so that NaN compares as it does there.
-A float stays a Python float, so the single-state path keeps its speed and
-its exact bytes.
+once for both. An input that changes with t, such as the squeezing that is
+optimal at each t, is an array over the same times, so a quantity over a
+time grid is one array evaluation. A formula reads its elementwise
+functions from `lib(x)`: math's for a float, numpy's for an array. Each
+branch that depends on t goes through `select`, and each check through
+`reject`: an `if` for a float, a boolean mask for an array. A check is
+written as the condition under which it raises, as an `if` would test it,
+so that NaN compares as it does there. A float stays a Python float, so
+the single-state path keeps its speed and its exact bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ _FLOAT = SimpleNamespace(
     expm1=math.expm1,
     log1p=math.log1p,
     sqrt=math.sqrt,
+    sinh=math.sinh,
     cos=math.cos,
     sin=math.sin,
     isfinite=math.isfinite,
@@ -40,6 +43,7 @@ _ARRAY = SimpleNamespace(
     expm1=np.expm1,
     log1p=np.log1p,
     sqrt=np.sqrt,
+    sinh=np.sinh,
     cos=np.cos,
     sin=np.sin,
     isfinite=np.isfinite,
@@ -118,15 +122,6 @@ def over_t(evaluate, t):
         for t_k in t.tolist():
             evaluate(t_k)
         raise
-
-
-def each(evaluate, t):
-    """evaluate(t) for a float t; for an array, evaluate at each of its
-    times as a float, gathered into an array. For a quantity whose inputs
-    change with t, which one array evaluation cannot take."""
-    if not isinstance(t, np.ndarray):
-        return evaluate(t)
-    return np.array([evaluate(t_k) for t_k in t.tolist()])
 
 
 def per_t(x, dims: int):

@@ -458,9 +458,10 @@ def mean_photons_vs_time(params: SystemParams, t):
     return over_t(lambda t: mean_photons(evolve_critical(params, start, t)), t)
 
 
-def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool = True) -> tuple:
+def _passive_flow(params: SystemParams, state0: GaussianState | StateStack, t, tangent: bool = True) -> tuple:
     """(v, Sigma, dv, dSigma) of evolve_passive at t and its shift derivative,
     or (v, Sigma) without `tangent`; for a 1-D array of t, stacks over t.
+    state0 is one start, or a StateStack of one start per t of that array.
 
     dR(-delta t)/d delta = t J R, so dv = t J v and dSigma = e^{-2 gamma t}
     t (J Sigma0_R + Sigma0_R J^T) with Sigma0_R = R Sigma0 R^T. The thermal
@@ -469,11 +470,13 @@ def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool 
     """
     if params.epsilon != 0.0:
         raise PreconditionError("evolve_passive requires epsilon = 0")
+    if state0.sigma.ndim == 3 and np.shape(t) != state0.sigma.shape[:1]:
+        raise PreconditionError("a start per t needs an array of times as long as the stack")
     _check_time(t)
     gamma, n_bath = params.gamma, params.n_bath
     R = rotation_matrix(-params.delta_omega * t)
     decay = lib(t).exp(-gamma * t)
-    v = per_t(decay, 1) * (R @ state0.v)
+    v = per_t(decay, 1) * np.matvec(R, state0.v)
     relax = -lib(t).expm1(-2.0 * gamma * t)  # 1 - e^{-2 gamma t}
     sigma0_r = R @ state0.sigma @ R.swapaxes(-1, -2)
     sigma = per_t(decay * decay, 2) * sigma0_r + per_t(relax * (1.0 + 2.0 * n_bath), 2) * IDENTITY
@@ -483,12 +486,12 @@ def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool 
     return v, sigma, per_t(t, 1) * (v @ _J.T), X + X.swapaxes(-1, -2)
 
 
-def evolve_passive(params: SystemParams, state0: GaussianState, t) -> GaussianState | StateStack:
+def evolve_passive(params: SystemParams, state0: GaussianState | StateStack, t) -> GaussianState | StateStack:
     """Free decaying evolution (epsilon = 0) in the frame rotating at omega0.
 
     Moments follow a(t) = e^{-gamma t - i delta_omega t} a(0) + thermal input,
     i.e. a phase-space rotation by -delta_omega*t with amplitude decay e^{-gamma t}
     and covariance relaxation toward (1 + 2 n_bath) I. A 1-D array of times
-    gives a StateStack.
+    gives a StateStack; state0 may then be a StateStack of one start per t.
     """
     return _state(*_passive_flow(params, state0, t, tangent=False))

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._elementwise import lib, matrix, reject
+from ._elementwise import lib, matrix, per_t, reject
 from .errors import DomainError, InvalidStateError, PreconditionError
 
 # Soft numerical tolerance for physicality checks; a violation beyond HARD_TOL
@@ -113,29 +113,30 @@ def _state(v: np.ndarray, sigma: np.ndarray) -> GaussianState | StateStack:
 
 @dataclass(frozen=True)
 class DisplacementAmplitude:
-    """Displacement alpha = magnitude * exp(i * phase)."""
+    """Displacement alpha = magnitude * exp(i * phase). The magnitude is a
+    float, or an array over t for one displacement per t."""
 
     magnitude: float
     phase: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.magnitude) and math.isfinite(self.phase)):
-            raise DomainError("displacement parameters must be finite")
-        if self.magnitude < 0:
-            raise DomainError("displacement magnitude must be >= 0")
+        f = lib(self.magnitude)
+        reject(f.not_(f.all_finite(self.magnitude, self.phase)), DomainError, "displacement parameters must be finite")
+        reject(self.magnitude < 0, DomainError, "displacement magnitude must be >= 0")
 
 
 @dataclass(frozen=True)
 class SqueezeParam:
     """Squeezing of strength r; for phase=0, positive r stretches the x variance
-    by e^{2r} and squeezes the p variance by e^{-2r}."""
+    by e^{2r} and squeezes the p variance by e^{-2r}. r is a float, or an
+    array over t for one squeezing per t."""
 
     r: float
     phase: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and math.isfinite(self.phase)):
-            raise DomainError("squeeze parameters must be finite")
+        f = lib(self.r)
+        reject(f.not_(f.all_finite(self.r, self.phase)), DomainError, "squeeze parameters must be finite")
 
 
 def rotation_matrix(theta) -> np.ndarray:
@@ -148,9 +149,13 @@ def rotation_matrix(theta) -> np.ndarray:
 
 def squeeze_matrix(s: SqueezeParam) -> np.ndarray:
     """Symplectic matrix of S(r e^{i phase}) = R(phase/2) diag(e^r, e^-r) R(phase/2)^T,
-    built from its factors: cosh r - sinh r would cancel the digits of e^-r."""
+    built from its factors: cosh r - sinh r would cancel the digits of e^-r.
+    A stack of shape (n, 2, 2) for r an array over t."""
     rot = rotation_matrix(0.5 * s.phase)
-    return rot @ np.diag([math.exp(s.r), math.exp(-s.r)]) @ rot.T
+    f = lib(s.r)
+    stretch = f.exp(s.r)
+    zero = 0.0 * stretch
+    return rot @ matrix(stretch, zero, zero, f.exp(-s.r)) @ rot.T
 
 
 def thermal_state(n_bath: float) -> GaussianState:
@@ -164,14 +169,18 @@ def vacuum_state() -> GaussianState:
     return thermal_state(0.0)
 
 
-def apply_squeeze(state: GaussianState, s: SqueezeParam) -> GaussianState:
+def apply_squeeze(state: GaussianState | StateStack, s: SqueezeParam) -> GaussianState | StateStack:
+    """S state S^T; a StateStack for a stack of states or r an array over t."""
     S = squeeze_matrix(s)
-    return GaussianState(S @ state.v, S @ state.sigma @ S.T)
+    return _state(np.matvec(S, state.v), S @ state.sigma @ S.swapaxes(-1, -2))
 
 
-def apply_displace(state: GaussianState, d: DisplacementAmplitude) -> GaussianState:
-    shift = math.sqrt(2.0) * d.magnitude * np.array([math.cos(d.phase), math.sin(d.phase)])
-    return GaussianState(state.v + shift, state.sigma)
+def apply_displace(state: GaussianState | StateStack, d: DisplacementAmplitude) -> GaussianState | StateStack:
+    """D state D^dagger; a StateStack for a stack of states or a magnitude
+    that is an array over t."""
+    shift = per_t(math.sqrt(2.0) * d.magnitude, 1) * np.array([math.cos(d.phase), math.sin(d.phase)])
+    v = state.v + shift
+    return _state(v, np.broadcast_to(state.sigma, v.shape + (2,)))
 
 
 def cholesky_factor(s11, s12, s22, det):

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import dynamics
-from ._elementwise import lib, over_t, per_t
+from ._elementwise import lib, over_t, per_t, reject
 from .dynamics import SystemParams, evolve_critical, evolve_passive, spectral_info, steady_state
 from .errors import ConstraintError, DomainError, SearchError, UnsupportedRegimeError
 from .gaussian import (
@@ -88,8 +88,10 @@ def default_pqs_input(n_max: float, n_bath: float = 0.0) -> tuple[DisplacementAm
 
 def pqs_input_state(
     alpha: DisplacementAmplitude, squeeze: SqueezeParam, n_bath: float = 0.0
-) -> GaussianState:
-    """Displaced squeezed thermal state D(alpha) S(r) rho_bath S† D†."""
+) -> GaussianState | StateStack:
+    """Displaced squeezed thermal state D(alpha) S(r) rho_bath S† D†; a
+    StateStack of one state per t where alpha's magnitude and r are arrays
+    over t."""
     return apply_displace(apply_squeeze(thermal_state(n_bath), squeeze), alpha)
 
 
@@ -98,7 +100,12 @@ class ProtocolSpec:
     """A strategy, its physical parameters, and the resource budget. The kind
     sets `start` (the bath's thermal state for CQS, the PQS input state) and
     `evolution` (evolve_critical or evolve_passive) once, at construction;
-    neither takes part in repr or equality."""
+    neither takes part in repr or equality.
+
+    A PQS input whose displacement magnitude and r are arrays over a time
+    grid gives one start per t of that grid (a StateStack), each within the
+    budget, and the spec is evaluated at that grid: state(grid), pair(grid).
+    """
 
     kind: ProtocolKind
     params: SystemParams
@@ -119,10 +126,10 @@ class ProtocolSpec:
                 object.__setattr__(self, "pqs_input", pqs_input)
             start = pqs_input_state(pqs_input[0], pqs_input[1], self.params.n_bath)
             photons = mean_photons(start)
-            if photons > _budget_limit(self.budget.n_max):
-                raise ConstraintError(
-                    f"input state holds {photons!r} photons, budget allows {self.budget.n_max!r}"
-                )
+            reject(
+                photons > _budget_limit(self.budget.n_max),
+                ConstraintError, "input state holds {!r} photons, budget allows {!r}", photons, self.budget.n_max,
+            )
             evolution = evolve_passive
         else:
             eps, eps_c = self.params.epsilon, self.params.epsilon_c
@@ -206,8 +213,10 @@ def pqs_pair(
     squeeze: SqueezeParam,
     params: SystemParams,
     t: float,
-) -> DerivativePair:
-    """State and shift-derivative of the passive protocol at time t."""
+) -> DerivativePair | PairStack:
+    """State and shift-derivative of the passive protocol at time t; a
+    PairStack for a 1-D array of times, with alpha's magnitude and r floats
+    or arrays over those times (one input per t)."""
     if params.epsilon != 0.0:
         raise DomainError("the passive protocol requires epsilon = 0")
     start = pqs_input_state(alpha, squeeze, params.n_bath)
@@ -384,28 +393,31 @@ def epsilon_opt(n_max: float, params: SystemParams) -> float:
     return math.sqrt(2.0 * (n_max - params.n_bath) / (1.0 + 2.0 * n_max)) * eps_c
 
 
-def optimal_squeezing_homodyne(n_max: float, gamma: float, t: float) -> SqueezeParam:
+def optimal_squeezing_homodyne(n_max: float, gamma: float, t) -> SqueezeParam:
     """Squeezing maximizing the p-quadrature homodyne FI at zero temperature.
 
     The optimum of 4 alpha^2 t^2 / (e^{-2r} + e^{2 gamma t} - 1) under
     alpha^2 = n_max - sinh^2 r is e^{2r} = (sqrt(e^{4gt} + 4 n_max (e^{2gt}-1)) - 1)
-    / (e^{2gt} - 1).
+    / (e^{2gt} - 1). t is a float, or a 1-D array of times: then r is an
+    array over t, and the error raised is that of the first failing t.
     """
-    if not (gamma > 0 and t > 0):
-        raise DomainError("optimal squeezing needs gamma * t > 0")
+    f = lib(t)
+    reject(f.not_((gamma > 0) & (t > 0)), DomainError, "optimal squeezing needs gamma * t > 0")
     if n_max <= 0:
         raise DomainError("n_max must be positive")
-    # e^{2r} = (sqrt(e^{4gt} + 4N(e^{2gt}-1)) - 1)/(e^{2gt}-1), rescaled by
-    # e^{-2gt} to stay finite for large gamma t.
-    q = math.exp(-2.0 * gamma * t)
-    den = -math.expm1(-2.0 * gamma * t)
-    y = (math.sqrt(1.0 + 4.0 * n_max * q * den) - q) / den
-    r = 0.5 * math.log(y)
-    if math.sinh(r) ** 2 > n_max:
-        raise ConstraintError(
-            f"optimal squeezing sinh^2(r) = {math.sinh(r)**2!r} exceeds the budget {n_max!r}"
-        )
-    return SqueezeParam(max(r, 0.0))
+    # With q = e^{-2gt}, e^{2r} - 1 = 4Nq / (1 + sqrt(1 + 4Nq (1 - q))): the
+    # quotient above, rescaled by e^{-2gt} to stay finite for large gamma t,
+    # with its difference of nearly equal terms at small gamma t cancelled
+    # out; 1 - q is taken by expm1.
+    q = f.exp(-2.0 * gamma * t)
+    x = 4.0 * n_max * q
+    r = 0.5 * f.log1p(x / (1.0 + f.sqrt(1.0 + x * -f.expm1(-2.0 * gamma * t))))
+    photons = f.sinh(r) ** 2
+    reject(
+        photons > n_max,
+        ConstraintError, "optimal squeezing sinh^2(r) = {!r} exceeds the budget {!r}", photons, n_max,
+    )
+    return SqueezeParam(f.max(r, 0.0))
 
 
 def beyond_threshold_epsilon(n_max: float, total_time: float, omega0: float) -> float:

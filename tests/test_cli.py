@@ -17,9 +17,10 @@ from critsense.cli import main, run_compute
 from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, mean_photons_vs_time
 from critsense.errors import ConfigError
 from critsense.gaussian import DisplacementAmplitude, mean_photons, purity, thermal_state
-from critsense.metrology import DerivativePair, differentiate_at_zero_shift, fi_homodyne
+from critsense.metrology import DerivativePair, differentiate_at_zero_shift, fi_homodyne, qfi
 from critsense.protocols import (
     best_homodyne,
+    cqs_pair,
     cqs_qfi,
     default_pqs_input,
     epsilon_opt,
@@ -45,7 +46,8 @@ _ALPHA, _SQUEEZE = default_pqs_input(100.0)
 
 
 # The figures' columns from the public functions, each called once on the
-# figure's grid t as an array; the per-t optimal input takes float calls.
+# figure's grid t as an array; the optimal input of each t is one input of
+# arrays over t.
 
 
 def _fig2_columns(t):
@@ -61,17 +63,20 @@ def _fig2_columns(t):
     }
 
 
-def _hom_optr(t):
-    r_opt = optimal_squeezing_homodyne(100.0, 1.0, t)
-    a_opt = DisplacementAmplitude(math.sqrt(max(100.0 - math.sinh(r_opt.r) ** 2, 0.0)))
-    return fi_homodyne(pqs_pair(a_opt, r_opt, _PASSIVE, t), math.pi / 2.0)
+def _hom_optr(n_max, params, t):
+    """p-quadrature homodyne FI of the passive protocol on params from the
+    optimally squeezed input of each t at zero temperature, displaced to
+    fill n_max."""
+    r_opt = optimal_squeezing_homodyne(n_max, 1.0, t)
+    a_opt = DisplacementAmplitude(np.sqrt(np.maximum(n_max - np.sinh(r_opt.r) ** 2, 0.0)))
+    return fi_homodyne(pqs_pair(a_opt, r_opt, params, t), math.pi / 2.0)
 
 
 def _fig3_columns(t):
     info = {
         "pqs": pqs_qfi(_ALPHA, _SQUEEZE, _PASSIVE, t),
         "cqs": cqs_qfi(_DRIVEN, t),
-        "hom_optr": np.array([_hom_optr(t_k) for t_k in t.tolist()]),
+        "hom_optr": _hom_optr(100.0, _PASSIVE, t),
         "hom_sqvac": best_homodyne(pqs_pair(_ALPHA, _SQUEEZE, _PASSIVE, t))[1],
     }
     columns = {f"rate_{k}_tpm{t_pm}": v / (100.0 * (t + t_pm)) for k, v in info.items() for t_pm in (0, 2)}
@@ -86,6 +91,25 @@ def _fig4_columns(t):
         columns[f"purity_{label}"] = purity(evolve_critical(params, thermal_state(params.n_bath), t))
         columns[f"photons_{label}"] = mean_photons_vs_time(params, t)
     return columns
+
+
+def _fig7_columns(t):
+    pair = cqs_pair(_DRIVEN, t)
+    info = qfi(pair)
+    psis = {"0": 0.0, "pi8": math.pi / 8, "pi4": math.pi / 4, "3pi8": 3 * math.pi / 8, "pi2": math.pi / 2}
+    columns = {f"ratio_psi_{label}": fi_homodyne(pair, psi) / info for label, psi in psis.items()}
+    columns["ratio_best"] = best_homodyne(pair)[1] / info
+    return columns
+
+
+def _fignoisy_columns(t):
+    hot, eps = SystemParams(1.0, 0.0, 1.0, n_bath=1.0), 0.9975 * math.sqrt(2.0)
+    squeezed = default_pqs_input(300.0, 1.0)
+    return {
+        "ratio_pqs_qfi": pqs_qfi(*squeezed, hot, t) / pqs_qfi(*squeezed, _PASSIVE, t),
+        "ratio_pqs_fi_hom": _hom_optr(300.0, hot, t) / _hom_optr(300.0, _PASSIVE, t),
+        "ratio_cqs_qfi": cqs_qfi(replace(hot, epsilon=eps), t) / cqs_qfi(SystemParams(1.0, eps, 1.0), t),
+    }
 
 
 def _per_row(row):
@@ -177,6 +201,8 @@ class TestFigureCommand:
             pytest.param("fig2", _fig2_columns, 0.0, id="fig2"),
             pytest.param("fig3", _fig3_columns, 0.0, id="fig3"),
             pytest.param("fig4", _fig4_columns, 0.0, id="fig4"),
+            pytest.param("fig7", _fig7_columns, 0.0, id="fig7"),
+            pytest.param("fignoisy", _fignoisy_columns, 0.0, id="fignoisy"),
             pytest.param("fig2", _per_row(_fig2_compute_row), 1e-10, id="fig2-compute"),
             pytest.param("fig4", _per_row(_fig4_compute_row), 1e-10, id="fig4-compute"),
         ],
@@ -195,7 +221,11 @@ class TestFigureCommand:
             np.testing.assert_allclose(data[:, header.index(col)], values, rtol=rtol, atol=0.0, err_msg=f"{name}.{col}")
 
     def test_fixed_input_built_once_per_figure(self, tmp_path, monkeypatch):
-        """fig2 builds its PQS input state once, not once per row."""
+        """Each figure builds its PQS input states a fixed number of times,
+        not once per row: fig2 its squeezed vacuum; fig3 that and the stack
+        of optimal inputs over its grid; fignoisy the hot and cold squeezed
+        inputs (the cold spec's default first), and the stack of optimal
+        inputs on each bath."""
         build, calls = protocols.pqs_input_state, []
 
         def counted(*args):
@@ -203,8 +233,10 @@ class TestFigureCommand:
             return build(*args)
 
         monkeypatch.setattr(protocols, "pqs_input_state", counted)
-        assert main(["figure", "fig2", "--out", str(tmp_path)]) == 0
-        assert len(calls) == 1
+        for name, builds in (("fig2", 1), ("fig3", 2), ("fignoisy", 5)):
+            calls.clear()
+            assert main(["figure", name, "--out", str(tmp_path)]) == 0
+            assert len(calls) == builds, name
 
     def test_figure_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -8,6 +8,7 @@ comparison horizon of the `dynamics.rk4_agreement` check.
 """
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import cqs_state_family, rk4_pqs_pair, van_loan_qfi
 from critsense import dynamics
 from critsense._elementwise import over_t
+from critsense.cli import _optimal_r_input
 from critsense.dynamics import (
     Regime,
     SystemParams,
@@ -26,7 +28,7 @@ from critsense.dynamics import (
     mean_photons_vs_time,
     spectral_info,
 )
-from critsense.errors import DomainError, InvalidStateError
+from critsense.errors import ConstraintError, DomainError, InvalidStateError
 from critsense.gaussian import (
     DET_ROUNDING,
     DisplacementAmplitude,
@@ -39,6 +41,9 @@ from critsense.gaussian import (
 from critsense.metrology import DerivativePair, Whitened, _stack, fi_homodyne, qfi
 from critsense.oracle import lyapunov_rk4
 from critsense.protocols import (
+    ProtocolKind,
+    ProtocolSpec,
+    ResourceBudget,
     _roots,
     best_homodyne,
     cqs_pair,
@@ -458,6 +463,95 @@ def test_pqs_qfi_array_matches_float_calls(params, n_max, alpha, fraction):
         lambda t: pqs_pair(displacement, squeeze, params, t),
         _grid(params, fraction),
     )
+
+
+@given(
+    st.floats(0.1, 10.0),
+    st.floats(0.1, 10.0),
+    st.just(0.0) | st.floats(0.0, 3.0),
+    st.floats(-3.0, 9.0).map(lambda x: 10.0 ** x),
+    st.floats(0.0, 1.0),
+)
+def test_optimal_input_array_matches_float_calls(omega0, gamma, n_bath, n_max, fraction):
+    """The optimal homodyne input of each t, with alpha and r arrays over t:
+    optimal_squeezing_homodyne, the displacement filling the budget and
+    pqs_input_state (its moments to 1e-10 of N + 1), then pqs_pair's QFI and
+    fi_homodyne at psi = pi/2 (to 1e-10 of max(FI, QFI)) on a bath of n_bath,
+    each against its float call at each t. Optimal squeezing needs t > 0."""
+    params = SystemParams(omega0, 0.0, gamma, n_bath=n_bath)
+    ts = _grid(params, fraction)[1:]
+
+    def start_at(t):
+        alpha, squeeze = _optimal_r_input(n_max, gamma, t)
+        return SimpleNamespace(alpha=alpha, squeeze=squeeze, state=pqs_input_state(alpha, squeeze, n_bath))
+
+    size = lambda start: mean_photons(start.state) + 1.0
+    reads = [
+        (lambda start: start.squeeze.r, None),
+        (lambda start: start.alpha.magnitude, None),
+        (lambda start: mean_photons(start.state), size),
+        *((lambda start, i=i: start.state.v[..., i], size) for i in range(2)),
+        *((lambda start, ij=ij: start.state.sigma[(..., *ij)], size) for ij in ((0, 0), (0, 1), (1, 1))),
+    ]
+    for read, scale in reads:
+        _assert_array_call_matches(lambda ts: read(start_at(ts)), start_at, ts, read=read, scale=scale)
+
+    pair_at = lambda t: pqs_pair(*_optimal_r_input(n_max, gamma, t), params, t)
+    homodyne = lambda pair: fi_homodyne(pair, math.pi / 2.0)
+    _assert_array_call_matches(lambda ts: qfi(pair_at(ts)), pair_at, ts)
+    _assert_array_call_matches(
+        lambda ts: homodyne(pair_at(ts)), pair_at, ts, read=homodyne, scale=lambda pair: max(homodyne(pair), qfi(pair))
+    )
+
+
+def _assert_same_budget_error(got: ConstraintError, want: ConstraintError) -> None:
+    """The same input-budget error: the photon counts within the 1e-10
+    array-to-float contract (numpy's exp is not math's to the last bit),
+    the rest of the message exactly."""
+    pattern = r"input state holds (\S+) photons, (budget allows \S+)"
+    (got_n, got_rest), (want_n, want_rest) = (re.fullmatch(pattern, str(e)).groups() for e in (got, want))
+    assert got_rest == want_rest
+    assert float(got_n) == pytest.approx(float(want_n), rel=1e-10, abs=0.0)
+
+
+@given(
+    st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 3.0)), min_size=1, max_size=12),
+    st.floats(1.0, 300.0),
+    st.just(0.0) | st.floats(0.0, 3.0),
+)
+def test_stacked_input_budget_check_matches_float_calls(inputs, n_max, n_bath):
+    """A PQS spec whose input holds one (alpha, r) per t checks the budget at
+    every t: it raises the float call's ConstraintError at the first input
+    over the budget, and otherwise starts from the float calls' states."""
+    params, budget = SystemParams(1.0, 0.0, 1.0, n_bath=n_bath), ResourceBudget(n_max, 1.0)
+
+    def spec(alpha, r):
+        return ProtocolSpec(ProtocolKind.PQS, params, budget, (DisplacementAmplitude(alpha), SqueezeParam(r)))
+
+    alphas, rs = map(np.array, zip(*inputs))
+    photons = []
+    for alpha, r in inputs:
+        try:
+            photons.append(mean_photons(spec(alpha, r).start))
+        except ConstraintError as exc:
+            with pytest.raises(ConstraintError) as raised:
+                spec(alphas, rs)
+            _assert_same_budget_error(raised.value, exc)
+            return
+    np.testing.assert_allclose(mean_photons(spec(alphas, rs).start), photons, rtol=1e-10, atol=0.0)
+
+
+def test_cold_optimum_over_budget_on_hot_bath():
+    """fignoisy's cold optimal input on its hot bath (n_B = 1) holds more
+    than n_max = 300 photons: a spec for it on the figure's grid raises at
+    the first t, as the float call does."""
+    ts = np.geomspace(0.05, 10.0, 120)
+    hot, budget = SystemParams(1.0, 0.0, 1.0, n_bath=1.0), ResourceBudget(300.0, 1.0)
+    with pytest.raises(ConstraintError) as first:
+        ProtocolSpec(ProtocolKind.PQS, hot, budget, _optimal_r_input(300.0, 1.0, float(ts[0])))
+    with pytest.raises(ConstraintError) as stacked:
+        ProtocolSpec(ProtocolKind.PQS, hot, budget, _optimal_r_input(300.0, 1.0, ts))
+    _assert_same_budget_error(stacked.value, first.value)
 
 
 def test_array_call_on_analytic_branch_past_series_boundary():

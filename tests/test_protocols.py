@@ -2,6 +2,7 @@ import math
 import re
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -177,6 +178,19 @@ class TestOptimalSqueezingHomodyne:
         for gt in np.geomspace(0.01, 20.0, 30):
             squeeze = optimal_squeezing_homodyne(250.0, 1.0, float(gt))
             assert math.sinh(squeeze.r) ** 2 <= 250.0
+
+    @pytest.mark.parametrize("n_max", [1.0, 100.0, 1e4])
+    @pytest.mark.parametrize("gt", [1e-15, 1e-12, 1e-9])
+    def test_small_gamma_t_matches_high_precision(self, n_max, gt):
+        """At small gamma t, e^{2r} = (sqrt(1 + 4 N q (1 - q)) - q) / (1 - q),
+        q = e^{-2 gamma t}, subtracts nearly equal terms: taken that way, r
+        is 7.3e-4 off at N = 1, gamma t = 1e-15. Against 60 digits, to 1e-14
+        relative."""
+        with mpmath.workdps(60):
+            growth = mpmath.expm1(2 * mpmath.mpf(gt))
+            e2r = (mpmath.sqrt((growth + 1) ** 2 + 4 * mpmath.mpf(n_max) * growth) - 1) / growth
+            exact = float(mpmath.log(e2r) / 2)
+        assert optimal_squeezing_homodyne(n_max, 1.0, gt).r == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 class TestBestHomodyne:
