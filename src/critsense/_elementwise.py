@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import fields, is_dataclass, replace
 from functools import reduce
 from types import SimpleNamespace
 
@@ -107,21 +108,46 @@ def reject(bad, error: type, message: str, *values) -> None:
     raise error(message.format(*values))
 
 
-def over_t(evaluate, t):
-    """evaluate(t) for a float t. For a 1-D array of t, one array evaluation
-    of the same closed forms; its non-finite intermediates are caught by the
-    rules, so numpy is not asked to warn of them. An array that raises is
-    evaluated again one float at a time: the error raised is then the float
-    path's own at the first failing t."""
+def over_t(evaluate, t, *inputs):
+    """evaluate(t, *inputs) for a float t. For a 1-D array of t, one array
+    evaluation of the same closed forms; its non-finite intermediates are
+    caught by the rules, so numpy is not asked to warn of them. An input may
+    hold arrays over the same t. An array that raises is evaluated again one
+    float at a time, with each input at that t (`at`): the error raised is
+    then the float path's own at the first failing t."""
     if not isinstance(t, np.ndarray):
-        return evaluate(t)
+        return evaluate(t, *inputs)
     try:
         with np.errstate(all="ignore"):
-            return evaluate(t)
+            return evaluate(t, *inputs)
     except CritsenseError:
-        for t_k in t.tolist():
-            evaluate(t_k)
+        for k, t_k in enumerate(t.tolist()):
+            evaluate(t_k, *(at(x, k) for x in inputs))
         raise
+
+
+def at(x, k: int):
+    """x at the k-th t of its grid: the k-th entry, as a float, of an array
+    over t; a tuple, or a dataclass rebuilt through its constructor, with
+    each field at k; anything else as it is, the same at every t."""
+    if isinstance(x, np.ndarray):
+        return x[k].item()
+    if isinstance(x, tuple):
+        return tuple(at(item, k) for item in x)
+    if is_dataclass(x):
+        return replace(x, **{f.name: at(getattr(x, f.name), k) for f in fields(x) if f.init})
+    return x
+
+
+def fields_equal(a, b):
+    """`==` for dataclasses whose fields are floats or arrays over t: one
+    bool, with arrays equal where their shapes and entries are."""
+    if a.__class__ is not b.__class__:
+        return NotImplemented
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else x == y
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
+    )
 
 
 def per_t(x, dims: int):

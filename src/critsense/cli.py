@@ -7,12 +7,16 @@ Usage:
 
 All numeric output uses shortest round-trip decimals and contains no
 timestamps, so identical configurations produce byte-identical files.
-Exit codes: 0 success, 1 check failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
+or a config file that cannot be read or an output that cannot be written.
+`main(argv)` may be called repeatedly in one process; the parser is built
+once, at the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -388,21 +392,36 @@ def run_compute(cfg: dict) -> dict:
 # --- entry points ---------------------------------------------------------------
 
 
+def _file_error(exc: OSError, action: str) -> int:
+    """Report a file the command cannot read or write on one error line; exit 2."""
+    print(f"error: cannot {action} {exc.filename}: {exc.strerror}", file=sys.stderr)
+    return 2
+
+
 def cmd_figure(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = FIGURE_WRITERS[args.name](out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = FIGURE_WRITERS[args.name](out_dir)
+    except OSError as exc:
+        return _file_error(exc, "write")
     print(f"wrote {path}")
     return 0
 
 
 def cmd_compute(args) -> int:
     config_path = Path(args.config)
-    if not config_path.is_file():
+    try:
+        with open(config_path, encoding="utf-8") as fh:
+            cfg = json.loads(fh.read())
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
         print(f"error: config file not found: {config_path}", file=sys.stderr)
         return 2
-    try:
-        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        return _file_error(exc, "read")
+    except UnicodeDecodeError as exc:
+        print(f"error: config is not UTF-8 text: {exc}", file=sys.stderr)
+        return 2
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
@@ -415,7 +434,10 @@ def cmd_compute(args) -> int:
     except CritsenseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = write_json(Path(args.out) if args.out else None, payload)
+    try:
+        text = write_json(Path(args.out) if args.out else None, payload)
+    except OSError as exc:
+        return _file_error(exc, "write")
     if not args.out:
         sys.stdout.write(text)
     else:
@@ -438,7 +460,11 @@ def cmd_validate(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `critsense` parser, built once per process: parse_args neither
+    changes it nor keeps anything between calls, and returns a new Namespace
+    each time."""
     parser = argparse.ArgumentParser(
         prog="critsense",
         description="Critical and passive quantum sensing of a cavity frequency shift",
@@ -466,8 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._elementwise import lib, matrix, per_t, reject
+from ._elementwise import fields_equal, lib, matrix, per_t, reject
 from .errors import DomainError, InvalidStateError, PreconditionError
 
 # Soft numerical tolerance for physicality checks; a violation beyond HARD_TOL
@@ -114,10 +114,13 @@ def _state(v: np.ndarray, sigma: np.ndarray) -> GaussianState | StateStack:
 @dataclass(frozen=True)
 class DisplacementAmplitude:
     """Displacement alpha = magnitude * exp(i * phase). The magnitude is a
-    float, or an array over t for one displacement per t."""
+    float, or an array over t for one displacement per t. Equal magnitudes
+    compare equal, arrays entry by entry; one that holds an array is not
+    hashable."""
 
     magnitude: float
     phase: float = 0.0
+    __eq__ = fields_equal
 
     def __post_init__(self):
         f = lib(self.magnitude)
@@ -129,10 +132,12 @@ class DisplacementAmplitude:
 class SqueezeParam:
     """Squeezing of strength r; for phase=0, positive r stretches the x variance
     by e^{2r} and squeezes the p variance by e^{-2r}. r is a float, or an
-    array over t for one squeezing per t."""
+    array over t for one squeezing per t. Equal r compare equal, arrays
+    entry by entry; one that holds an array is not hashable."""
 
     r: float
     phase: float = 0.0
+    __eq__ = fields_equal
 
     def __post_init__(self):
         f = lib(self.r)

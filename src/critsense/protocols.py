@@ -105,6 +105,7 @@ class ProtocolSpec:
     A PQS input whose displacement magnitude and r are arrays over a time
     grid gives one start per t of that grid (a StateStack), each within the
     budget, and the spec is evaluated at that grid: state(grid), pair(grid).
+    Such a spec compares equal to one with equal arrays, and is not hashable.
     """
 
     kind: ProtocolKind
@@ -164,7 +165,7 @@ class ProtocolSpec:
         returns an array of the same shape, equal to the float calls to
         rounding, and raises as the float call at the first failing t does.
         """
-        return over_t(lambda t: qfi(self.pair(t)), t)
+        return over_t(lambda t, spec: qfi(spec.pair(t)), t, self)
 
 
 @dataclass(frozen=True)
@@ -235,7 +236,7 @@ def pqs_qfi(
     returns an array of the same shape, equal to the float calls to
     rounding, and raises as the float call at the first failing t does.
     """
-    return over_t(lambda t: qfi(pqs_pair(alpha, squeeze, params, t)), t)
+    return over_t(lambda t, alpha, squeeze: qfi(pqs_pair(alpha, squeeze, params, t)), t, alpha, squeeze)
 
 
 def _roots(poly: np.ndarray) -> np.ndarray:

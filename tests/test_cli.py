@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 
 import critsense
 from critsense import protocols
+from critsense import cli
 from critsense.cli import main, run_compute
 from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, mean_photons_vs_time
 from critsense.errors import ConfigError
@@ -238,6 +240,15 @@ class TestFigureCommand:
             assert main(["figure", name, "--out", str(tmp_path)]) == 0
             assert len(calls) == builds, name
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        """An --out under a plain file: one error line, exit 2, no traceback."""
+        (tmp_path / "plain").write_text("")
+        out = tmp_path / "plain" / "x"
+        assert main(["figure", "fig2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: {os.strerror(errno.ENOTDIR)}\n"
+        assert captured.out == ""
+
     def test_figure_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["figure", "fig4", "--out", str(a)])
@@ -459,8 +470,30 @@ class TestComputeCommand:
         assert main(["compute", "--config", str(cfg_path), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_missing_config_exits_2(self, tmp_path):
-        assert main(["compute", "--config", str(tmp_path / "nope.json")]) == 2
+    @pytest.mark.parametrize("name", ["nope.json", "."], ids=["missing", "directory"])
+    def test_missing_config_exits_2(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        assert main(["compute", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: config file not found: {path}\n"
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "latin1.json"
+        cfg_path.write_bytes('{"mode": "qfi", "t": 1.0, "\u00e9": 1}'.encode("latin-1"))
+        assert main(["compute", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config is not UTF-8 text: ")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        """An --out in a missing directory: the result is computed, then one
+        error line, exit 2, no traceback and no file."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"mode": "qfi", "t": 1.0}))
+        out = tmp_path / "missing_dir" / "o.json"
+        assert main(["compute", "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: {os.strerror(errno.ENOENT)}\n"
+        assert captured.out == "" and not out.parent.exists()
 
     def test_invalid_schema_exits_2(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
@@ -519,6 +552,32 @@ class TestValidateCommand:
 
         monkeypatch.setattr(protocols, "cqs_pair", perturbed)
         assert main(["validate", "--filter", "rk4"]) == 1
+
+
+def test_reused_parser_keeps_no_state(tmp_path, capsys):
+    """One process builds the parser once; a compute run after a validate
+    run and two usage errors gives the first run's exit code, output and
+    bytes."""
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    cfg_path.write_text(json.dumps({"mode": "fi", "protocol": {"kind": "CQS", "n_max": 50.0, "psi": 0.5}, "t": 2.0}))
+    argv = ["compute", "--config", str(cfg_path), "--out", str(out)]
+
+    def compute():
+        out.unlink(missing_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_bytes()
+
+    first = compute()
+    assert first[0] == 0
+    assert main(["validate", "--filter", "check_semigroup"]) == 0
+    for bad in ([], ["compute"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert compute() == first
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_import_leaves_oracle_and_bound_dependencies_unloaded():

@@ -110,6 +110,22 @@ class TestDisplace:
             DisplacementAmplitude(-1.0)
 
 
+@pytest.mark.parametrize("cls", [SqueezeParam, DisplacementAmplitude])
+def test_arrays_over_t_compare_as_one_bool(cls):
+    """A value type holding an array over t compares equal to one with the
+    same shape and entries, and unequal otherwise, as a bool; it is not
+    hashable, while one holding floats is."""
+    grid = cls(np.array([0.1, 0.2]), 0.3)
+    assert (grid == cls(np.array([0.1, 0.2]), 0.3)) is True
+    for other in (cls(np.array([0.1, 0.25]), 0.3), cls(np.array([0.1, 0.2]), 0.4),
+                  cls(np.array([0.1, 0.2, 0.3]), 0.3), cls(np.array([0.1])), cls(0.1, 0.3)):
+        assert (grid == other) is False and (grid != other) is True
+    assert grid != 0.1
+    with pytest.raises(TypeError):
+        hash(grid)
+    assert cls(0.1, 0.3) == cls(0.1, 0.3) and hash(cls(0.1, 0.3)) == hash(cls(0.1, 0.3))
+
+
 class TestRotation:
     """rotation_matrix acting on states, through the helper apply_rotation."""
 

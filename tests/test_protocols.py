@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import pqs_qfi_closed_form, van_loan_qfi
+from critsense.cli import _optimal_r_input
 from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, spectral_info, steady_state_photons
 from critsense.errors import ConstraintError, DomainError, InvalidStateError, SearchError, UnsupportedRegimeError
 from critsense.gaussian import DisplacementAmplitude, GaussianState, SqueezeParam, mean_photons, thermal_state
@@ -35,6 +36,9 @@ from critsense.protocols import (
 )
 
 UNIT = SystemParams(1.0, 0.0, 1.0)
+# A grid with one failing t and the optimal input of each |t|, one per t.
+FAILING_TS = np.array([0.5, 1.0, -1.0])
+FAILING_TS_INPUT = _optimal_r_input(100.0, 1.0, np.abs(FAILING_TS))
 
 
 class TestCqsQfi:
@@ -122,6 +126,12 @@ class TestPqsQfi:
     def test_rejects_driven_params(self):
         with pytest.raises(DomainError):
             pqs_qfi(DisplacementAmplitude(1.0), SqueezeParam(0.0), SystemParams(1.0, 0.5, 1.0), 1.0)
+
+    def test_input_over_t_raises_float_error_at_failing_t(self):
+        """alpha and r arrays over a grid with a negative t: the float call's
+        DomainError at that t, each input taken at its own t."""
+        with pytest.raises(DomainError, match=re.escape("time must be >= 0, got -1.0")):
+            pqs_qfi(*FAILING_TS_INPUT, UNIT, FAILING_TS)
 
 
 class TestEpsilonOpt:
@@ -327,6 +337,23 @@ class TestProtocolSpec:
         object.__setattr__(twin, "evolution", evolve_critical)
         assert twin == spec and hash(twin) == hash(spec)
         assert "start" not in repr(spec) and "evolution" not in repr(spec)
+
+    def _stacked(self, ts):
+        return ProtocolSpec(ProtocolKind.PQS, UNIT, ResourceBudget(n_max=100.0, total_time=1.0),
+                            _optimal_r_input(100.0, 1.0, ts))
+
+    def test_stacked_input_compares_as_one_bool(self):
+        ts = np.array([0.5, 1.0, 2.0])
+        spec = self._stacked(ts)
+        assert (spec == self._stacked(ts.copy())) is True
+        assert (spec == self._stacked(np.array([0.5, 1.0, 3.0]))) is False
+        assert (spec == self._stacked(ts[:2])) is False
+        assert (spec == replace(spec, budget=ResourceBudget(n_max=200.0, total_time=1.0))) is False
+
+    def test_stacked_input_raises_float_error_at_failing_t(self):
+        spec = ProtocolSpec(ProtocolKind.PQS, UNIT, ResourceBudget(n_max=100.0, total_time=1.0), FAILING_TS_INPUT)
+        with pytest.raises(DomainError, match=re.escape("time must be >= 0, got -1.0")):
+            spec.qfi(FAILING_TS)
 
 
 class TestTotalQfi:

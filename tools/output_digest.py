@@ -7,10 +7,12 @@ refactor leaves its outputs byte-identical.
 Writes OUT.json with one digest per figure CSV (`critsense figure NAME`), one
 per `perfbench/workloads.design()` config (its exit code, stdout, stderr and
 output JSON from `critsense compute --config C --out O`), in design order,
-and one of `critsense validate`'s exit code and report (stdout). Two trees
-give the same OUT.json when their outputs are identical: run it in each and
-compare the files (`cmp a.json b.json`). The last stdout line is one digest
-of all of them.
+one of `critsense validate`'s exit code and report (stdout), and one per bad
+invocation in ERRORS (its exit code, stdout and stderr), run last, so the
+process-wide parser is checked after errors too. Two trees give the same
+OUT.json when their outputs are identical: run it in each and compare the
+files (`cmp a.json b.json`). The last stdout line is one digest of all of
+them.
 
 Runs in-process through `cli.main`, importing critsense from this tree's
 src/ and the design from perfbench/, which it only reads. Every command runs
@@ -46,13 +48,30 @@ def _sha(*parts: str | bytes) -> str:
     return h.hexdigest()
 
 
+# Bad invocations by name; each runs inside the scratch directory, where
+# digests() writes the files they name.
+ERRORS = {
+    "no_command": [],
+    "unknown_figure": ["figure", "nosuch", "--out", "figures"],
+    "compute_without_config": ["compute"],
+    "missing_config": ["compute", "--config", "missing.json"],
+    "non_utf8_config": ["compute", "--config", "latin1.json"],
+    "invalid_json": ["compute", "--config", "truncated.json"],
+    "unwritable_out": ["compute", "--config", "config.json", "--out", "missing_dir/out.json"],
+}
+
+
 def _run(argv: list[str]) -> tuple[int, str, str]:
-    """cli.main(argv) with stdout and stderr captured. Each call shows a
-    warning once per place, as a fresh process would."""
+    """cli.main(argv) with stdout and stderr captured; a usage error's
+    SystemExit gives its exit code. Each call shows a warning once per
+    place, as a fresh process would."""
     with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
         with warnings.catch_warnings():
             warnings.simplefilter("default")
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -69,7 +88,15 @@ def digests() -> dict:
         written = Path("out.json").read_bytes() if Path("out.json").exists() else b""
         compute.append(_sha(str(code), out, err, written))
     code, out, _ = _run(["validate"])
-    return {"figures": figures, "compute": compute, "validate": _sha(str(code), out)}
+    validate = _sha(str(code), out)
+    Path("config.json").write_text(json.dumps({"mode": "qfi", "t": 1.0}), encoding="utf-8")
+    Path("latin1.json").write_bytes('{"mode": "qfi", "t": 1.0, "\u00e9": 1}'.encode("latin-1"))
+    Path("truncated.json").write_text('{"mode": "qfi"', encoding="utf-8")
+    errors = {}
+    for name, argv in ERRORS.items():
+        code, out, err = _run(argv)
+        errors[name] = _sha(str(code), out, err)
+    return {"figures": figures, "compute": compute, "validate": validate, "errors": errors}
 
 
 def main(argv: list[str]) -> int:
@@ -86,7 +113,8 @@ def main(argv: list[str]) -> int:
             os.chdir(home)
     text = json.dumps(result, indent=1) + "\n"
     target.write_text(text, encoding="utf-8")
-    print(f"{len(result['figures'])} figures, {len(result['compute'])} compute configs, validate: {_sha(text)}")
+    print(f"{len(result['figures'])} figures, {len(result['compute'])} compute configs, validate, "
+          f"{len(result['errors'])} errors: {_sha(text)}")
     return 0
 
 
