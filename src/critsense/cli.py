@@ -384,6 +384,7 @@ def run_compute(cfg: dict) -> dict:
             budget, params, traj = spec.budget, spec.params, lambda t: mean_photons(spec.state(t))
         result = fundamental_bound(traj, budget.total_time, params.gamma, params.n_bath)
         payload["bound_integral"] = result.integral
+        payload["bound_error"] = result.error
         payload["bound_cap"] = result.cap
         payload["bound_value"] = result.cap
     return payload

@@ -67,11 +67,15 @@ class GaussianState:
         Symmetric covariance matrix; vacuum = identity.
     det_sigma : float
         det(sigma), computed once at construction.
+
+    Two states compare equal, as one bool, where v and sigma are equal
+    entry by entry.
     """
 
     v: np.ndarray
     sigma: np.ndarray
     det_sigma: float = field(init=False, repr=False, compare=False)
+    __eq__ = fields_equal
 
     def __post_init__(self):
         v = np.array(self.v, dtype=float)

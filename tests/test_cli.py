@@ -288,6 +288,7 @@ class TestComputeCommand:
         want = 2.0 * n_max * total_time / (1.0 + 2.0 * n_bath - n_bath / (n_max + 1.0))
         assert payload["bound_integral"] == pytest.approx(want, rel=1e-12)
         assert payload["bound_value"] == pytest.approx(want, rel=1e-12)
+        assert math.isfinite(payload["bound_error"]) and payload["bound_error"] >= 0.0
 
     def test_evolve_zero_time_echoes_input(self):
         cfg = {
@@ -593,11 +594,16 @@ def test_import_leaves_oracle_and_bound_dependencies_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def _load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).parent.parent / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_figure_diff_reports_largest_relative_difference(tmp_path, capsys):
     """tools/figure_diff.py prints each column's largest |a - b| / max(|a|, |b|)."""
-    spec = importlib.util.spec_from_file_location("figure_diff", Path(__file__).parent.parent / "tools" / "figure_diff.py")
-    figure_diff = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(figure_diff)
+    figure_diff = _load_tool("figure_diff")
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert main(["figure", "fig4", "--out", str(out)]) == 0
@@ -616,3 +622,30 @@ def test_figure_diff_reports_largest_relative_difference(tmp_path, capsys):
     assert out["all"] == out["fig4"] == out["fig4.photons_below"]
     (b / "fig4.csv").write_text("t\n1\n")
     assert figure_diff.main([str(a), str(b)]) == 1
+
+
+def test_compute_diff_reports_largest_relative_difference(tmp_path, capsys):
+    """tools/compute_diff.py prints each output field's largest relative
+    difference over the paired files, and names a field one side lacks."""
+    compute_diff = _load_tool("compute_diff")
+    cfg = {"mode": "bound", "params": {"gamma": 1.0}, "protocol": {"kind": "PQS", "n_max": 10.0, "total_time": 2.0}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        out.mkdir()
+        assert main(["compute", "--config", str(tmp_path / "cfg.json"), "--out", str(out / "0000.json")]) == 0
+    capsys.readouterr()
+    assert compute_diff.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all: 0"
+    payload = json.loads((b / "0000.json").read_text())
+    payload["bound_integral"] *= 1.0 + 1e-9
+    del payload["bound_error"]
+    (b / "0000.json").write_text(json.dumps(payload))
+    assert compute_diff.main([str(a), str(b)]) == 0
+    out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert float(out["bound_integral"]) == pytest.approx(1e-9, rel=1e-3)
+    assert out["bound_cap"] == out["config.protocol.n_max"] == "0"
+    assert out["bound_error"] == f"only in {a}"
+    assert out["all"] == out["bound_integral"]
+    (b / "0000.json").rename(b / "0001.json")
+    assert compute_diff.main([str(a), str(b)]) == 1

@@ -126,6 +126,15 @@ def test_arrays_over_t_compare_as_one_bool(cls):
     assert cls(0.1, 0.3) == cls(0.1, 0.3) and hash(cls(0.1, 0.3)) == hash(cls(0.1, 0.3))
 
 
+def test_states_compare_as_one_bool():
+    """GaussianState compares v and sigma entry by entry, as one bool."""
+    state = GaussianState(np.zeros(2), np.eye(2))
+    assert (state == GaussianState(np.zeros(2), np.eye(2))) is True
+    for other in (GaussianState(np.ones(2), np.eye(2)), GaussianState(np.zeros(2), 2.0 * np.eye(2))):
+        assert (state == other) is False and (state != other) is True
+    assert state != 0.0
+
+
 class TestRotation:
     """rotation_matrix acting on states, through the helper apply_rotation."""
 

@@ -49,6 +49,7 @@ from critsense.protocols import (
     cqs_pair,
     cqs_qfi,
     default_pqs_input,
+    fundamental_bound,
     pqs_input_state,
     pqs_pair,
     pqs_qfi,
@@ -564,3 +565,26 @@ def test_array_call_on_analytic_branch_past_series_boundary():
     grid = np.array([0.5 * t, t, 2.0 * t])
     for value in (cqs_qfi(params, t), cqs_qfi(params, np.array([t]))[0], cqs_qfi(params, grid)[1]):
         assert abs(value / exact - 1.0) <= 1e-11
+
+
+@given(
+    st.floats(0.0, 8.0).map(lambda x: 10.0 ** x),
+    st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x),
+    st.floats(-6.0, 3.0).map(lambda x: 10.0 ** x),
+)
+def test_squeezed_vacuum_bound_closed_form(n_max, gamma, gamma_t):
+    """PQS squeezed vacuum at n_B = 0 holds N(t) = N e^{-2 gamma t}, so its
+    bound integral is N (1 - e^{-2 gamma T}) / gamma^2. The trajectory is
+    called on 1-D arrays of t: once for the endpoints, once for tanhsinh's
+    first probe, and once per refinement level."""
+    spec = ProtocolSpec(ProtocolKind.PQS, SystemParams(1.0, 0.0, gamma), ResourceBudget(n_max, gamma_t / gamma))
+    calls = []
+
+    def traj(t):
+        calls.append(t.shape)
+        return mean_photons(spec.state(t))
+
+    result = fundamental_bound(traj, spec.budget.total_time, gamma)
+    assert result.integral == pytest.approx(n_max * -math.expm1(-2.0 * gamma_t) / gamma**2, rel=1e-10)
+    assert 0.0 <= result.error <= 1e-12 * result.integral
+    assert len(calls) <= 5 and all(len(shape) == 1 for shape in calls)

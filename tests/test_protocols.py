@@ -9,7 +9,7 @@ import pytest
 from conftest import pqs_qfi_closed_form, van_loan_qfi
 from critsense.cli import _optimal_r_input
 from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, spectral_info, steady_state_photons
-from critsense.errors import ConstraintError, DomainError, InvalidStateError, SearchError, UnsupportedRegimeError
+from critsense.errors import AccuracyError, ConstraintError, DomainError, InvalidStateError, SearchError, UnsupportedRegimeError
 from critsense.gaussian import DisplacementAmplitude, GaussianState, SqueezeParam, mean_photons, thermal_state
 from critsense.metrology import DerivativePair, fi_homodyne
 from critsense.protocols import (
@@ -411,7 +411,7 @@ class TestFundamentalBound:
 
     def test_zero_temperature_reduction(self):
         """At n_bath = 0 the bound is (2/gamma) * integral of N(t)."""
-        traj = lambda t: 2.0 + math.cos(3.0 * t)
+        traj = lambda t: 2.0 + np.cos(3.0 * t)
         total_time = 4.0
         result = fundamental_bound(traj, total_time, 0.5, 0.0)
         exact = (2.0 / 0.5) * (2.0 * total_time + math.sin(3.0 * total_time) / 3.0)
@@ -424,20 +424,43 @@ class TestFundamentalBound:
 
     def test_decayed_squeezed_vacuum(self):
         """PQS squeezed vacuum at n_B = 0: N(t) = N e^{-2t}, so the integral is
-        N (1 - e^{-2T}), also where the integrand has decayed to roundoff level."""
+        N (1 - e^{-2T}), also where the integrand has decayed to roundoff level.
+        The trajectory is called on arrays of t, a handful of times."""
         n_max, total_time = 100.0, 18.3
         state0 = pqs_input_state(*default_pqs_input(n_max))
-        calls = 0
+        calls = []
 
         def traj(t):
-            nonlocal calls
-            calls += 1
+            calls.append(t.shape)
             return mean_photons(evolve_passive(UNIT, state0, t))
 
         result = fundamental_bound(traj, total_time, 1.0, 0.0)
         assert result.integral == pytest.approx(n_max * -math.expm1(-2.0 * total_time), rel=1e-9)
         assert result.cap == pytest.approx(2.0 * n_max * total_time, rel=1e-12)
-        assert calls <= 10_000
+        assert 0.0 <= result.error <= 1e-12 * result.integral
+        assert len(calls) <= 5 and all(len(shape) == 1 for shape in calls)
+
+    def test_late_cqs_matches_tight_integral(self):
+        """A lossy CQS config that one scipy quad over [0, T] missed by 1.1e-7
+        relative, with no warning: the bound agrees with quad on 40 geometric
+        pieces at epsrel 1e-13, over float evaluations of N(t), to 1e-10, and
+        its own error estimate is within 1e-10 of the integral."""
+        from scipy.integrate import quad
+
+        n_max, n_bath, total_time = 28465.312610945562, 2.0, 1383.8997356993266
+        params = SystemParams(3.8696930100543563, 0.0, 1.0, n_bath)
+        params = replace(params, epsilon=epsilon_opt(n_max, params))
+        spec = ProtocolSpec(ProtocolKind.CQS, params, ResourceBudget(n_max=n_max, total_time=total_time))
+        result = fundamental_bound(lambda t: mean_photons(spec.state(t)), total_time, 1.0, n_bath)
+
+        def rate(t):
+            n = mean_photons(spec.state(t))
+            return 2.0 * n / (1.0 + 2.0 * n_bath - n_bath / (n + 1.0))
+
+        cuts = [0.0, *np.geomspace(1e-8 * total_time, total_time, 40).tolist()]
+        tight = math.fsum(quad(rate, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0] for a, b in zip(cuts, cuts[1:]))
+        assert result.integral == pytest.approx(tight, rel=1e-10)
+        assert 0.0 <= result.error <= 1e-10 * result.integral
 
     def test_lossless_bound_infinite(self):
         result = fundamental_bound(lambda t: 5.0, 1.0, 0.0, 0.0)
@@ -446,6 +469,22 @@ class TestFundamentalBound:
     def test_negative_trajectory_rejected(self):
         with pytest.raises(DomainError):
             fundamental_bound(lambda t: -1.0, 1.0, 1.0, 0.0)
+
+    def test_bad_photon_number_names_its_t(self):
+        traj = lambda t: np.where(t > 0.5, np.nan, 1.0)
+        with pytest.raises(DomainError, match=r"got nan at t = 1\.0"):
+            fundamental_bound(traj, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "traj,gamma",
+        [
+            pytest.param(lambda t: np.where(t < 1.0 / 3.0, 1.0, 2.0), 1.0, id="step"),
+            pytest.param(lambda t: 1e308, 1e-3, id="overflow"),
+        ],
+    )
+    def test_unconverged_integral_raises_accuracy_error(self, traj, gamma):
+        with pytest.raises(AccuracyError, match="did not converge"):
+            fundamental_bound(traj, 1.0, gamma, 0.0)
 
     def test_budget_cap_matches(self):
         budget = ResourceBudget(n_max=100.0, total_time=10.0)

@@ -2,7 +2,7 @@
 """sha256 digests of everything critsense writes, for checking that a
 refactor leaves its outputs byte-identical.
 
-    python3 tools/output_digest.py OUT.json
+    python3 tools/output_digest.py OUT.json [OUTPUTS_DIR]
 
 Writes OUT.json with one digest per figure CSV (`critsense figure NAME`), one
 per `perfbench/workloads.design()` config (its exit code, stdout, stderr and
@@ -12,7 +12,8 @@ invocation in ERRORS (its exit code, stdout and stderr), run last, so the
 process-wide parser is checked after errors too. Two trees give the same
 OUT.json when their outputs are identical: run it in each and compare the
 files (`cmp a.json b.json`). The last stdout line is one digest of all of
-them.
+them. With OUTPUTS_DIR, each config's output JSON is also kept there as
+NNNN.json, NNNN its place in design order, for `tools/compute_diff.py`.
 
 Runs in-process through `cli.main`, importing critsense from this tree's
 src/ and the design from perfbench/, which it only reads. Every command runs
@@ -75,18 +76,20 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def digests() -> dict:
+def digests(outputs: Path | None = None) -> dict:
     figures = {}
     for name in cli.FIGURES:
         code, out, err = _run(["figure", name, "--out", "figures"])
         figures[name] = _sha(str(code), out, err, Path("figures", f"{name}.csv").read_bytes())
     compute = []
-    for case in (case for block in design() for case in block):
+    for i, case in enumerate(case for block in design() for case in block):
         Path("config.json").write_text(json.dumps(case.config()), encoding="utf-8")
         Path("out.json").unlink(missing_ok=True)
         code, out, err = _run(["compute", "--config", "config.json", "--out", "out.json"])
         written = Path("out.json").read_bytes() if Path("out.json").exists() else b""
         compute.append(_sha(str(code), out, err, written))
+        if outputs is not None and written:
+            (outputs / f"{i:04d}.json").write_bytes(written)
     code, out, _ = _run(["validate"])
     validate = _sha(str(code), out)
     Path("config.json").write_text(json.dumps({"mode": "qfi", "t": 1.0}), encoding="utf-8")
@@ -100,15 +103,18 @@ def digests() -> dict:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python3 tools/output_digest.py OUT.json", file=sys.stderr)
+    if len(argv) not in (1, 2):
+        print("usage: python3 tools/output_digest.py OUT.json [OUTPUTS_DIR]", file=sys.stderr)
         return 2
     target = Path(argv[0]).resolve()
+    outputs = Path(argv[1]).resolve() if len(argv) == 2 else None
+    if outputs is not None:
+        outputs.mkdir(parents=True, exist_ok=True)
     home = Path.cwd()
     with tempfile.TemporaryDirectory(prefix="critsense-digest-") as work:
         os.chdir(work)
         try:
-            result = digests()
+            result = digests(outputs)
         finally:
             os.chdir(home)
     text = json.dumps(result, indent=1) + "\n"
