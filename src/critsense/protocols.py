@@ -473,7 +473,8 @@ def fundamental_bound(
 
     integral: ∫_0^T 2 N(t) / (gamma (1 + 2 n_bath - n_bath/(N(t)+1))) dt, by
     tanh-sinh quadrature (scipy.integrate.tanhsinh, relative tolerance
-    1e-12); error: its own estimate of the integral's absolute error.
+    1e-12, absolute tolerance 1e-12 of the bound for one photon held over
+    T); error: its own estimate of the integral's absolute error.
     cap: the same expression with N frozen at its supremum over the nodes
     the quadrature sampled and the two endpoints 0 and T.
 
@@ -515,7 +516,11 @@ def fundamental_bound(
     with np.errstate(all="ignore"):
         # The quadrature samples only interior nodes; the endpoints complete sup_n.
         integrand(np.array([0.0, total_time]))
-        result = tanhsinh(integrand, 0.0, total_time, rtol=1e-12, atol=0.0, minlevel=4)
+        # The absolute floor, 1e-12 of one photon held over T, lets an N
+        # that is 0 (or 0 up to roundoff) converge; there the relative
+        # error is 0/0 and never falls below rtol.
+        atol = 1e-12 * _bound_rate(1.0, total_time, gamma, n_bath)
+        result = tanhsinh(integrand, 0.0, total_time, rtol=1e-12, atol=atol, minlevel=4)
     if result.status != 0:
         raise AccuracyError(
             f"bound integral did not converge (tanhsinh status {int(result.status)}): "

@@ -8,6 +8,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -289,6 +290,17 @@ class TestComputeCommand:
         assert payload["bound_integral"] == pytest.approx(want, rel=1e-12)
         assert payload["bound_value"] == pytest.approx(want, rel=1e-12)
         assert math.isfinite(payload["bound_error"]) and payload["bound_error"] >= 0.0
+
+    def test_vacuum_pqs_bound(self, tmp_path):
+        """A PQS without displacement at n_bath = 0 holds the vacuum, so its
+        bound is 0 and compute exits 0."""
+        cfg = {"mode": "bound", "protocol": {"kind": "PQS", "n_max": 10, "total_time": 1, "alpha": 0}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["compute", "--config", str(cfg_path), "--out", str(tmp_path / "out.json")]) == 0
+        payload = json.loads((tmp_path / "out.json").read_text())
+        assert payload["bound_integral"] == pytest.approx(0.0, abs=1e-14)
+        assert 0.0 <= payload["bound_error"] <= 1e-14
 
     def test_evolve_zero_time_echoes_input(self):
         cfg = {
@@ -624,28 +636,38 @@ def test_figure_diff_reports_largest_relative_difference(tmp_path, capsys):
     assert figure_diff.main([str(a), str(b)]) == 1
 
 
-def test_compute_diff_reports_largest_relative_difference(tmp_path, capsys):
-    """tools/compute_diff.py prints each output field's largest relative
-    difference over the paired files, and names a field one side lacks."""
+def test_compute_diff_reports_largest_relative_difference(tmp_path, monkeypatch, capsys):
+    """tools/output_digest.py keeps each config's output JSON as NNNN.json,
+    NNNN its place in design order; tools/compute_diff.py prints each output
+    field's largest relative difference over the paired files, and names a
+    field one side lacks."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tools prepend to it
+    output_digest = _load_tool("output_digest")
     compute_diff = _load_tool("compute_diff")
     cfg = {"mode": "bound", "params": {"gamma": 1.0}, "protocol": {"kind": "PQS", "n_max": 10.0, "total_time": 2.0}}
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    # A config that fails writes no output, so the bound config keeps its place 1.
+    design = [[SimpleNamespace(config=lambda: {"mode": "nosuch"})], [SimpleNamespace(config=lambda: cfg)]]
+    monkeypatch.setattr(output_digest, "design", lambda: design)
+    monkeypatch.setattr(output_digest, "cli", SimpleNamespace(FIGURES=(), main=main))
+    monkeypatch.chdir(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         out.mkdir()
-        assert main(["compute", "--config", str(tmp_path / "cfg.json"), "--out", str(out / "0000.json")]) == 0
+        assert len(output_digest.digests(out)["compute"]) == 2
+    assert [p.name for p in a.iterdir()] == ["0001.json"]
+    assert json.loads((a / "0001.json").read_text())["config"] == cfg
     capsys.readouterr()
     assert compute_diff.main([str(a), str(b)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "all: 0"
-    payload = json.loads((b / "0000.json").read_text())
+    payload = json.loads((b / "0001.json").read_text())
     payload["bound_integral"] *= 1.0 + 1e-9
     del payload["bound_error"]
-    (b / "0000.json").write_text(json.dumps(payload))
+    (b / "0001.json").write_text(json.dumps(payload))
     assert compute_diff.main([str(a), str(b)]) == 0
     out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
     assert float(out["bound_integral"]) == pytest.approx(1e-9, rel=1e-3)
     assert out["bound_cap"] == out["config.protocol.n_max"] == "0"
     assert out["bound_error"] == f"only in {a}"
     assert out["all"] == out["bound_integral"]
-    (b / "0000.json").rename(b / "0001.json")
+    (b / "0001.json").rename(b / "0000.json")
     assert compute_diff.main([str(a), str(b)]) == 1

@@ -409,6 +409,18 @@ class TestFundamentalBound:
         assert result.integral == pytest.approx(2000.0, rel=1e-8)
         assert result.cap == pytest.approx(2000.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "traj",
+        [lambda t: 0.0, lambda t: 1e-16 * (1.0 + np.cos(t))],
+        ids=["zero", "roundoff"],
+    )
+    def test_zero_trajectory(self, traj):
+        """An N that is 0, or 0 up to roundoff, converges to a bound of 0:
+        the relative error is 0/0 there, so the absolute floor stops it."""
+        result = fundamental_bound(traj, 3.0, 1.0, 2.0)
+        assert result.integral == pytest.approx(0.0, abs=1e-14)
+        assert 0.0 <= result.error <= 1e-14 and 0.0 <= result.cap <= 1e-14
+
     def test_zero_temperature_reduction(self):
         """At n_bath = 0 the bound is (2/gamma) * integral of N(t)."""
         traj = lambda t: 2.0 + np.cos(3.0 * t)
