@@ -112,17 +112,18 @@ def over_t(evaluate, t, *inputs):
     """evaluate(t, *inputs) for a float t. For a 1-D array of t, one array
     evaluation of the same closed forms; its non-finite intermediates are
     caught by the rules, so numpy is not asked to warn of them. An input may
-    hold arrays over the same t. An array that raises is evaluated again one
-    float at a time, with each input at that t (`at`): the error raised is
-    then the float path's own at the first failing t."""
+    hold arrays over the same t. A 1-D array that raises is evaluated again
+    one float at a time, with each input at that t (`at`): the error raised
+    is then the float path's own at the first failing t."""
     if not isinstance(t, np.ndarray):
         return evaluate(t, *inputs)
     try:
         with np.errstate(all="ignore"):
             return evaluate(t, *inputs)
     except CritsenseError:
-        for k, t_k in enumerate(t.tolist()):
-            evaluate(t_k, *(at(x, k) for x in inputs))
+        if t.ndim == 1:
+            for k, t_k in enumerate(t.tolist()):
+                evaluate(t_k, *(at(x, k) for x in inputs))
         raise
 
 

@@ -28,7 +28,7 @@ from scipy.special import gammainc
 
 from .errors import DomainError, InvalidStateError, NoSteadyStateError, PreconditionError
 from ._elementwise import lib, matrix, over_t, per_t, reject, select
-from .gaussian import IDENTITY, GaussianState, StateStack, _state, mean_photons, rotation_matrix, thermal_state
+from .gaussian import IDENTITY, GaussianState, mean_photons, rotation_matrix, thermal_state
 
 # Relative half-width of the eigenvalue-degeneracy window used for regime labels.
 DEGENERACY_ETA = 1e-9
@@ -331,6 +331,8 @@ def _noise_matrix(params: SystemParams, t, noise) -> np.ndarray:
 
 
 def _check_time(t) -> None:
+    if isinstance(t, np.ndarray) and t.ndim != 1:
+        raise DomainError(f"an array of times must be 1-D, got shape {t.shape}")
     f = lib(t)
     reject(f.not_(f.isfinite(t)) | (t < 0), DomainError, "time must be >= 0, got {!r}", t)
 
@@ -372,10 +374,10 @@ def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool
     return v, sigma, dM @ state0.v, X + X.swapaxes(-1, -2) + _noise_tangent(params, t, noise)
 
 
-def evolve_critical(params: SystemParams, state0: GaussianState, t) -> GaussianState | StateStack:
+def evolve_critical(params: SystemParams, state0: GaussianState, t) -> GaussianState:
     """Propagate a Gaussian state for time t under drive and thermal damping.
-    A 1-D array of times gives a StateStack."""
-    return _state(*_critical_flow(params, state0, t, tangent=False))
+    A 1-D array of times gives a GaussianState stacked over t."""
+    return GaussianState(*_critical_flow(params, state0, t, tangent=False))
 
 
 # --- exact shift tangents ----------------------------------------------------
@@ -458,10 +460,10 @@ def mean_photons_vs_time(params: SystemParams, t):
     return over_t(lambda t: mean_photons(evolve_critical(params, start, t)), t)
 
 
-def _passive_flow(params: SystemParams, state0: GaussianState | StateStack, t, tangent: bool = True) -> tuple:
+def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool = True) -> tuple:
     """(v, Sigma, dv, dSigma) of evolve_passive at t and its shift derivative,
     or (v, Sigma) without `tangent`; for a 1-D array of t, stacks over t.
-    state0 is one start, or a StateStack of one start per t of that array.
+    state0 is one start, or a GaussianState stacked over that array of t.
 
     dR(-delta t)/d delta = t J R, so dv = t J v and dSigma = e^{-2 gamma t}
     t (J Sigma0_R + Sigma0_R J^T) with Sigma0_R = R Sigma0 R^T. The thermal
@@ -486,12 +488,13 @@ def _passive_flow(params: SystemParams, state0: GaussianState | StateStack, t, t
     return v, sigma, per_t(t, 1) * (v @ _J.T), X + X.swapaxes(-1, -2)
 
 
-def evolve_passive(params: SystemParams, state0: GaussianState | StateStack, t) -> GaussianState | StateStack:
+def evolve_passive(params: SystemParams, state0: GaussianState, t) -> GaussianState:
     """Free decaying evolution (epsilon = 0) in the frame rotating at omega0.
 
     Moments follow a(t) = e^{-gamma t - i delta_omega t} a(0) + thermal input,
     i.e. a phase-space rotation by -delta_omega*t with amplitude decay e^{-gamma t}
     and covariance relaxation toward (1 + 2 n_bath) I. A 1-D array of times
-    gives a StateStack; state0 may then be a StateStack of one start per t.
+    gives a GaussianState stacked over t; state0 may then be stacked over
+    the same t.
     """
-    return _state(*_passive_flow(params, state0, t, tangent=False))
+    return GaussianState(*_passive_flow(params, state0, t, tangent=False))

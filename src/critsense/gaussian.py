@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,19 +56,20 @@ def _physical_moments(v1, v2, s11, s12, s21, s22):
 
 @dataclass(frozen=True)
 class GaussianState:
-    """First-moment vector and covariance matrix of a single bosonic mode.
+    """First-moment vector and covariance matrix of a single bosonic mode, at
+    one time or stacked over a 1-D array of times.
 
     Attributes
     ----------
-    v : ndarray, shape (2,)
+    v : ndarray, shape (2,), or (n, 2) for n times
         Quadrature means (<x>, <p>), dimensionless.
-    sigma : ndarray, shape (2, 2)
+    sigma : ndarray, shape v.shape + (2,)
         Symmetric covariance matrix; vacuum = identity.
-    det_sigma : float
+    det_sigma : float, or an array over t
         det(sigma), computed once at construction.
 
-    Two states compare equal, as one bool, where v and sigma are equal
-    entry by entry.
+    Each state of a stack is held to the rules of one state. Two states
+    compare equal, as one bool, where v and sigma are equal entry by entry.
     """
 
     v: np.ndarray
@@ -80,39 +80,24 @@ class GaussianState:
     def __post_init__(self):
         v = np.array(self.v, dtype=float)
         sigma = np.asarray(self.sigma, dtype=float)
-        if v.shape != (2,) or sigma.shape != (2, 2):
+        if v.shape == (2,) and sigma.shape == (2, 2):
+            (s11, s12), (s21, s22) = sigma.tolist()
+            s12, det = _physical_moments(*v.tolist(), s11, s12, s21, s22)
+            sigma = np.array([[s11, s12], [s12, s22]])
+        elif v.ndim == 2 and v.shape[1] == 2 and sigma.shape == v.shape + (2,):
+            (s11, s12), (s21, s22) = sigma.transpose(1, 2, 0)
+            s12, det = _physical_moments(*v.T, s11, s12, s21, s22)
+            sigma = matrix(s11, s12, s12, s22)
+        else:
             raise InvalidStateError(
-                f"expected v shape (2,) and sigma shape (2, 2), got {v.shape} and {sigma.shape}"
+                f"expected v shape (2,) or (n, 2) and sigma shape v.shape + (2,), "
+                f"got {v.shape} and {sigma.shape}"
             )
-        (s11, s12), (s21, s22) = sigma.tolist()
-        s12, det = _physical_moments(*v.tolist(), s11, s12, s21, s22)
-        sigma = np.array([[s11, s12], [s12, s22]])
         v.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "det_sigma", det)
-
-
-class StateStack(NamedTuple):
-    """States at a 1-D array of times, each past GaussianState's rules: v of
-    shape (n, 2), the symmetrised sigma of shape (n, 2, 2) and det_sigma over
-    t. What an evolution returns for an array t; mean_photons and purity
-    accept it."""
-
-    v: np.ndarray
-    sigma: np.ndarray
-    det_sigma: np.ndarray
-
-
-def _state(v: np.ndarray, sigma: np.ndarray) -> GaussianState | StateStack:
-    """GaussianState(v, sigma) for one state's moments; a StateStack for
-    moments stacked over t (v of shape (n, 2), sigma of shape (n, 2, 2))."""
-    if sigma.ndim == 2:
-        return GaussianState(v, sigma)
-    (s11, s12), (s21, s22) = sigma.transpose(1, 2, 0)
-    s12, det = _physical_moments(*v.T, s11, s12, s21, s22)
-    return StateStack(v, matrix(s11, s12, s12, s22), det)
 
 
 @dataclass(frozen=True)
@@ -178,18 +163,27 @@ def vacuum_state() -> GaussianState:
     return thermal_state(0.0)
 
 
-def apply_squeeze(state: GaussianState | StateStack, s: SqueezeParam) -> GaussianState | StateStack:
-    """S state S^T; a StateStack for a stack of states or r an array over t."""
+def _check_grid(state: GaussianState, x) -> None:
+    """PreconditionError where x, an input per t, and a stacked state are
+    over grids of different lengths."""
+    if state.v.ndim == 2 and np.ndim(x) == 1 and len(x) != len(state.v):
+        raise PreconditionError(f"an input per t of {len(x)} times on a stack of {len(state.v)} states")
+
+
+def apply_squeeze(state: GaussianState, s: SqueezeParam) -> GaussianState:
+    """S state S^T, stacked over t for a stacked state or r an array over t."""
+    _check_grid(state, s.r)
     S = squeeze_matrix(s)
-    return _state(np.matvec(S, state.v), S @ state.sigma @ S.swapaxes(-1, -2))
+    return GaussianState(np.matvec(S, state.v), S @ state.sigma @ S.swapaxes(-1, -2))
 
 
-def apply_displace(state: GaussianState | StateStack, d: DisplacementAmplitude) -> GaussianState | StateStack:
-    """D state D^dagger; a StateStack for a stack of states or a magnitude
+def apply_displace(state: GaussianState, d: DisplacementAmplitude) -> GaussianState:
+    """D state D^dagger, stacked over t for a stacked state or a magnitude
     that is an array over t."""
+    _check_grid(state, d.magnitude)
     shift = per_t(math.sqrt(2.0) * d.magnitude, 1) * np.array([math.cos(d.phase), math.sin(d.phase)])
     v = state.v + shift
-    return _state(v, np.broadcast_to(state.sigma, v.shape + (2,)))
+    return GaussianState(v, np.broadcast_to(state.sigma, v.shape + (2,)))
 
 
 def cholesky_factor(s11, s12, s22, det):
@@ -214,9 +208,9 @@ def cholesky_factor(s11, s12, s22, det):
     return l11, s12 / l11, f.sqrt(det / s11), det
 
 
-def mean_photons(state: GaussianState | StateStack):
-    """<a†a> = tr(sigma)/4 - 1/2 + |v|^2/2: a float for a GaussianState, an
-    array over t for a StateStack."""
+def mean_photons(state: GaussianState):
+    """<a†a> = tr(sigma)/4 - 1/2 + |v|^2/2: a float for one state, an array
+    over t for a stacked state."""
     v, sigma = state.v, state.sigma
     if sigma.ndim == 2:
         (s11, _), (_, s22) = sigma.tolist()
@@ -244,9 +238,9 @@ def photon_variance(state: GaussianState) -> float:
     return max(var, 0.0)
 
 
-def purity(state: GaussianState | StateStack):
+def purity(state: GaussianState):
     """1/sqrt(det sigma), clamped to 1 for roundoff-level violations (det <= 1):
-    a float for a GaussianState, an array over t for a StateStack."""
+    a float for one state, an array over t for a stacked state."""
     f = lib(state.det_sigma)
     return 1.0 / f.sqrt(f.max(state.det_sigma, 1.0))
 

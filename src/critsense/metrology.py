@@ -20,10 +20,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import dynamics
-from ._elementwise import lib, reject
+from ._elementwise import lib, matrix, reject
 from .dynamics import SystemParams
 from .errors import AccuracyError, DomainError, InvalidStateError, PreconditionError, PureStateError
-from .gaussian import GaussianState, StateStack, _state, cholesky_factor, fidelity, photon_variance
+from .gaussian import GaussianState, cholesky_factor, fidelity, photon_variance
 
 StateFamily = Callable[[float], GaussianState]
 
@@ -36,8 +36,8 @@ _PURE_DMU = 1e-7
 class Whitened(NamedTuple):
     """A derivative pair in the frame that whitens sigma = L L^T (see
     DerivativePair.whitened): L, the purity mu, a = L^-1 dv and
-    B = L^-1 dsigma L^-T. Floats for one pair, arrays over t for a
-    PairStack."""
+    B = L^-1 dsigma L^-T. Floats for one pair, arrays over t for a pair
+    stacked over t."""
 
     l11: float
     l21: float
@@ -79,7 +79,10 @@ def _finite_derivatives(v1, v2, d11, d12, d21, d22):
 
 @dataclass(frozen=True)
 class DerivativePair:
-    """A Gaussian state and the derivative of its moments w.r.t. the shift."""
+    """A Gaussian state and the derivative of its moments w.r.t. the shift:
+    dv and dsigma of the state's shapes, for one state or a stack over t.
+    qfi, qfi_terms, fi_homodyne and protocols.best_homodyne take either,
+    and give floats for one pair and arrays over t for a stack."""
 
     state: GaussianState
     dv: np.ndarray
@@ -91,12 +94,18 @@ class DerivativePair:
     def __post_init__(self):
         dv = np.array(self.dv, dtype=float)
         dsigma = np.array(self.dsigma, dtype=float)
-        if dv.shape != (2,) or dsigma.shape != (2, 2):
-            raise DomainError("derivative shapes must be (2,) and (2, 2)")
-        (d11, d12), (d21, d22) = dsigma.tolist()
-        d12 = _finite_derivatives(*dv.tolist(), d11, d12, d21, d22)
+        if dv.shape != self.state.v.shape or dsigma.shape != self.state.sigma.shape:
+            raise DomainError(f"derivative shapes {dv.shape} and {dsigma.shape} are not the state's")
+        if dv.ndim == 1:
+            (d11, d12), (d21, d22) = dsigma.tolist()
+            d12 = _finite_derivatives(*dv.tolist(), d11, d12, d21, d22)
+            dsigma = np.array([[d11, d12], [d12, d22]])
+        else:
+            (d11, d12), (d21, d22) = dsigma.transpose(1, 2, 0)
+            d12 = _finite_derivatives(*dv.T, d11, d12, d21, d22)
+            dsigma = matrix(d11, d12, d12, d22)
         object.__setattr__(self, "dv", dv)
-        object.__setattr__(self, "dsigma", np.array([[d11, d12], [d12, d22]]))
+        object.__setattr__(self, "dsigma", dsigma)
 
     @cached_property
     def whitened(self) -> Whitened:
@@ -108,33 +117,13 @@ class DerivativePair:
         _PURE_GAP) a trace within _PURE_DMU of B's size is rounding and is
         removed; the QFI rejects a larger one.
         """
-        (s11, s12), (_, s22) = self.state.sigma.tolist()
-        (v1, v2), ((d11, d12), (_, d22)) = self.dv.tolist(), self.dsigma.tolist()
+        if self.dv.ndim == 1:
+            (s11, s12), (_, s22) = self.state.sigma.tolist()
+            (v1, v2), ((d11, d12), (_, d22)) = self.dv.tolist(), self.dsigma.tolist()
+        else:
+            (s11, s12), (_, s22) = self.state.sigma.transpose(1, 2, 0)
+            (v1, v2), ((d11, d12), (_, d22)) = self.dv.T, self.dsigma.transpose(1, 2, 0)
         return _whiten(*cholesky_factor(s11, s12, s22, self.state.det_sigma), v1, v2, d11, d12, d22)
-
-
-class PairStack(NamedTuple):
-    """Derivative pairs at a 1-D array of times: what
-    differentiate_at_zero_shift returns for an array t. `state` holds the
-    states (gaussian.StateStack, past GaussianState's rules) and `whitened`
-    their frame, with each derivative past DerivativePair's rules, as arrays
-    over t. qfi, qfi_terms, fi_homodyne and protocols.best_homodyne accept
-    it, as gaussian.mean_photons and purity accept its state."""
-
-    state: StateStack
-    whitened: Whitened
-    # As on DerivativePair: always False, read by perfbench/tracer.py.
-    warn = False
-
-
-def _stack(v, sigma, dv, dsigma) -> PairStack:
-    """PairStack of moments stacked over t: v, dv of shape (n, 2) and sigma,
-    dsigma of shape (n, 2, 2)."""
-    state = _state(v, sigma)
-    (s11, s12), (_, s22) = state.sigma.transpose(1, 2, 0)
-    (d11, d12), (d21, d22) = dsigma.transpose(1, 2, 0)
-    d12 = _finite_derivatives(*dv.T, d11, d12, d21, d22)
-    return PairStack(state, _whiten(*cholesky_factor(s11, s12, s22, state.det_sigma), *dv.T, d11, d12, d22))
 
 
 # The moments of each evolution with their exact shift derivative, from one
@@ -149,14 +138,15 @@ _FLOWS = {
 
 def differentiate_at_zero_shift(
     evolve: Callable[..., GaussianState], params: SystemParams, *args
-) -> DerivativePair | PairStack:
+) -> DerivativePair:
     """The state evolve(params, *args) at zero shift and the exact derivative
     of its moments with respect to the shift.
 
     `evolve` is dynamics.evolve_critical, evolve_passive or steady_state; any
     further arguments (start state, time) must not depend on the shift. The
     state and its derivative come from one evaluation of that evolution's
-    closed form, with no step size. A 1-D array of times gives a PairStack.
+    closed form, with no step size. A 1-D array of times gives a
+    DerivativePair stacked over t.
     """
     flow = _FLOWS.get(getattr(evolve, "__name__", None))
     if flow is None:
@@ -164,8 +154,6 @@ def differentiate_at_zero_shift(
     if params.delta_omega != 0.0:
         params = params.with_shift(0.0)
     v, sigma, dv, dsigma = flow(params, *args)
-    if sigma.ndim == 3:
-        return _stack(v, sigma, dv, dsigma)
     return DerivativePair(GaussianState(v, sigma), dv, dsigma)
 
 
@@ -180,12 +168,12 @@ def _finite(value, name: str):
     return value
 
 
-def qfi_terms(pair: DerivativePair | PairStack) -> tuple:
+def qfi_terms(pair: DerivativePair) -> tuple:
     """The three QFI contributions: covariance, purity-derivative, displacement.
 
     Taken in the whitened frame (DerivativePair.whitened), where
     tr((sigma^-1 dsigma)^2) = tr(B^2) and dv^T sigma^-1 dv = |a|^2 are sums
-    of squares. Floats for a pair, arrays over t for a PairStack.
+    of squares. Floats for one pair, arrays over t for a stack.
     """
     w = pair.whitened
     b11, b12, b22, mu = w.b11, w.b12, w.b22, w.mu
@@ -209,9 +197,9 @@ def qfi_terms(pair: DerivativePair | PairStack) -> tuple:
     return _finite(term1, "QFI term"), _finite(term2, "QFI term"), _finite(term3, "QFI term")
 
 
-def qfi(pair: DerivativePair | PairStack):
+def qfi(pair: DerivativePair):
     """Quantum Fisher information of a single-mode Gaussian family: a float
-    for a pair, an array over t for a PairStack."""
+    for one pair, an array over t for a stack."""
     return _finite(sum(qfi_terms(pair)), "QFI")
 
 
@@ -229,11 +217,11 @@ def qfi_fidelity_oracle(family: StateFamily, dtheta: float = 1e-4) -> float:
     return 8.0 * (1.0 - f_amp) / dtheta ** 2
 
 
-def fi_homodyne(pair: DerivativePair | PairStack, psi):
+def fi_homodyne(pair: DerivativePair, psi):
     """Classical Fisher information of homodyne detection at angle psi,
     measured from the x axis: (4 S dm^2 + dS^2) / (2 S^2) for the variance S
-    and mean m of the quadrature u = (cos psi, -sin psi). A float for a pair;
-    an array over t for a PairStack, with psi a float or an array over t.
+    and mean m of the quadrature u = (cos psi, -sin psi). A float for one
+    pair; an array over t for a stack, with psi a float or an array over t.
 
     With y = L^T u in the whitened frame, S = |y|^2, dm = y.a and dS = y^T B y,
     so FI = 2 (e.a)^2 + (e^T B e)^2 / 2 for the unit vector e = y / |y|; u^T

@@ -30,7 +30,6 @@ from .gaussian import (
     DisplacementAmplitude,
     GaussianState,
     SqueezeParam,
-    StateStack,
     apply_displace,
     apply_squeeze,
     mean_photons,
@@ -38,7 +37,6 @@ from .gaussian import (
 )
 from .metrology import (
     DerivativePair,
-    PairStack,
     differentiate_at_zero_shift,
     fi_homodyne,
     qfi,
@@ -88,10 +86,10 @@ def default_pqs_input(n_max: float, n_bath: float = 0.0) -> tuple[DisplacementAm
 
 def pqs_input_state(
     alpha: DisplacementAmplitude, squeeze: SqueezeParam, n_bath: float = 0.0
-) -> GaussianState | StateStack:
+) -> GaussianState:
     """Displaced squeezed thermal state D(alpha) S(r) rho_bath S† D†; a
-    StateStack of one state per t where alpha's magnitude and r are arrays
-    over t."""
+    GaussianState stacked over t, one state per t, where alpha's magnitude
+    or r is an array over t (both of one length)."""
     return apply_displace(apply_squeeze(thermal_state(n_bath), squeeze), alpha)
 
 
@@ -103,9 +101,10 @@ class ProtocolSpec:
     neither takes part in repr or equality.
 
     A PQS input whose displacement magnitude and r are arrays over a time
-    grid gives one start per t of that grid (a StateStack), each within the
-    budget, and the spec is evaluated at that grid: state(grid), pair(grid).
-    Such a spec compares equal to one with equal arrays, and is not hashable.
+    grid gives one start per t of that grid (a stacked GaussianState), each
+    within the budget, and the spec is evaluated at that grid: state(grid),
+    pair(grid). Such a spec compares equal to one with equal arrays, and is
+    not hashable.
     """
 
     kind: ProtocolKind
@@ -148,14 +147,14 @@ class ProtocolSpec:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "evolution", evolution)
 
-    def state(self, t) -> GaussianState | StateStack:
-        """The state of one repetition at time t; a StateStack for a 1-D
+    def state(self, t) -> GaussianState:
+        """The state of one repetition at time t, stacked over t for a 1-D
         array of times."""
         return self.evolution(self.params, self.start, t)
 
-    def pair(self, t) -> DerivativePair | PairStack:
+    def pair(self, t) -> DerivativePair:
         """State and shift-derivative of one repetition measured at time t;
-        a PairStack for a 1-D array of times."""
+        stacked over t for a 1-D array of times."""
         return differentiate_at_zero_shift(self.evolution, self.params, self.start, t)
 
     def qfi(self, t):
@@ -214,10 +213,10 @@ def pqs_pair(
     squeeze: SqueezeParam,
     params: SystemParams,
     t: float,
-) -> DerivativePair | PairStack:
-    """State and shift-derivative of the passive protocol at time t; a
-    PairStack for a 1-D array of times, with alpha's magnitude and r floats
-    or arrays over those times (one input per t)."""
+) -> DerivativePair:
+    """State and shift-derivative of the passive protocol at time t; stacked
+    over t for a 1-D array of times, with alpha's magnitude and r floats or
+    arrays over those times (one input per t)."""
     if params.epsilon != 0.0:
         raise DomainError("the passive protocol requires epsilon = 0")
     start = pqs_input_state(alpha, squeeze, params.n_bath)
@@ -260,11 +259,11 @@ def _roots(poly: np.ndarray) -> np.ndarray:
     return roots
 
 
-def best_homodyne(pair: DerivativePair | PairStack):
+def best_homodyne(pair: DerivativePair):
     """Maximize the homodyne Fisher information over the quadrature angle.
 
-    Returns (psi, fi) with 0 <= psi < pi: floats for a pair, arrays over t
-    for a PairStack. With sigma = L L^T, a = L^-1 dv,
+    Returns (psi, fi) with 0 <= psi < pi: floats for one pair, arrays over
+    t for a stack. With sigma = L L^T, a = L^-1 dv,
     B = L^-1 dsigma L^-T and w = (cos theta, sin theta) proportional to L^T u
     for the quadrature u = (cos psi, -sin psi), FI = 2 (w.a)^2 + (w^T B w)^2 / 2,
     a degree-2 trigonometric polynomial in x = 2 theta. Its stationary points
@@ -343,8 +342,8 @@ def maximize_single_shot(rate_fn: Callable, bracket: tuple[float, float]) -> tup
     optimize_time.
     """
     t_lo, t_hi = bracket
-    if not (0 < t_lo < t_hi):
-        raise DomainError("bracket must satisfy 0 < t_lo < t_hi")
+    if not (0 < t_lo < t_hi < math.inf):
+        raise DomainError("bracket must satisfy 0 < t_lo < t_hi < inf")
     return _scan_then_polish(rate_fn, t_lo, t_hi)
 
 
@@ -367,8 +366,8 @@ def optimize_time(
     objective value).
     """
     t_lo, t_hi = bracket
-    if not (0 < t_lo < t_hi):
-        raise DomainError("bracket must satisfy 0 < t_lo < t_hi")
+    if not (0 < t_lo < t_hi < math.inf):
+        raise DomainError("bracket must satisfy 0 < t_lo < t_hi < inf")
     t_pm = budget.t_pm
 
     def objective(t):
@@ -386,6 +385,8 @@ def epsilon_opt(n_max: float, params: SystemParams) -> float:
     Solves N(inf) = n_max: epsilon^2 = 2 (n_max - n_bath)/(1 + 2 n_max) eps_c^2;
     at zero temperature this is the familiar sqrt(2N/(1+2N)) eps_c.
     """
+    if not math.isfinite(n_max):
+        raise DomainError(f"n_max must be finite, got {n_max!r}")
     if n_max <= params.n_bath:
         raise ConstraintError(
             f"photon cap {n_max!r} does not exceed the bath occupation {params.n_bath!r}"
@@ -426,8 +427,8 @@ def beyond_threshold_epsilon(n_max: float, total_time: float, omega0: float) -> 
 
     From N(T) ~ e^{2 u T}/4: epsilon^2 = omega0^2 + ln^2(4 n_max)/(4 T^2).
     """
-    if n_max <= 0 or total_time <= 0:
-        raise DomainError("n_max and total_time must be positive")
+    if not (0 < n_max < math.inf and 0 < total_time < math.inf and math.isfinite(omega0)):
+        raise DomainError("n_max and total_time must be positive and finite, omega0 finite")
     u = math.log(4.0 * n_max) / (2.0 * total_time)
     return math.hypot(omega0, u)
 
@@ -484,14 +485,15 @@ def fundamental_bound(
     and one array of nodes per refinement level.
 
     In the lossless limit gamma = 0, integral and cap are infinite and
-    error is 0. Raises DomainError for total_time <= 0, a negative gamma
-    or n_bath, and an N that is negative or not finite, naming a t where
-    it is; AccuracyError if the quadrature does not converge.
+    error is 0. Raises DomainError for a total_time that is not positive
+    and finite, a gamma or n_bath that is negative or not finite, and an N
+    that is negative or not finite, naming a t where it is; AccuracyError
+    if the quadrature does not converge.
     """
-    if total_time <= 0:
-        raise DomainError("total_time must be positive")
-    if gamma < 0 or n_bath < 0:
-        raise DomainError("gamma and n_bath must be >= 0")
+    if not 0 < total_time < math.inf:
+        raise DomainError("total_time must be positive and finite")
+    if not (0 <= gamma < math.inf and 0 <= n_bath < math.inf):
+        raise DomainError("gamma and n_bath must be >= 0 and finite")
     if gamma == 0:
         return BoundResult(math.inf, math.inf, 0.0)
 

@@ -126,13 +126,69 @@ def test_arrays_over_t_compare_as_one_bool(cls):
     assert cls(0.1, 0.3) == cls(0.1, 0.3) and hash(cls(0.1, 0.3)) == hash(cls(0.1, 0.3))
 
 
+def _rows():
+    """(v, sigma) of a few physical states, each sigma off symmetry by a
+    rounding-sized amount that the constructor removes."""
+    states = [thermal_state(0.4), apply_squeeze(vacuum_state(), SqueezeParam(1.3, 0.7)),
+              apply_displace(apply_squeeze(thermal_state(2.0), SqueezeParam(-0.4)), DisplacementAmplitude(3.0, 1.1))]
+    skew = np.array([[0.0, 1e-13], [-1e-13, 0.0]])
+    return np.array([s.v for s in states]), np.array([s.sigma + skew for s in states])
+
+
 def test_states_compare_as_one_bool():
-    """GaussianState compares v and sigma entry by entry, as one bool."""
+    """GaussianState compares v and sigma entry by entry, as one bool, for
+    one state and for a stack of them."""
     state = GaussianState(np.zeros(2), np.eye(2))
     assert (state == GaussianState(np.zeros(2), np.eye(2))) is True
     for other in (GaussianState(np.ones(2), np.eye(2)), GaussianState(np.zeros(2), 2.0 * np.eye(2))):
         assert (state == other) is False and (state != other) is True
     assert state != 0.0
+    v, sigma = _rows()
+    stack = GaussianState(v, sigma)
+    assert (stack == GaussianState(v.copy(), sigma.copy())) is True
+    for other in (GaussianState(v[:2], sigma[:2]), GaussianState(v[0], sigma[0]), GaussianState(v + 1.0, sigma)):
+        assert (stack == other) is False and (stack != other) is True
+
+
+def test_stacked_state_is_its_rows():
+    """A GaussianState over t holds, bit for bit, the v, symmetrised sigma
+    and det_sigma of each row's own GaussianState."""
+    v, sigma = _rows()
+    stack = GaussianState(v, sigma)
+    assert stack.v.shape == (3, 2) and stack.sigma.shape == (3, 2, 2) and stack.det_sigma.shape == (3,)
+    for k, row in enumerate(GaussianState(v[k], sigma[k]) for k in range(3)):
+        assert stack.v[k].tobytes() == row.v.tobytes()
+        assert stack.sigma[k].tobytes() == row.sigma.tobytes()
+        assert stack.det_sigma[k].item() == row.det_sigma
+    assert np.array_equal(stack.sigma, stack.sigma.swapaxes(1, 2))
+    with pytest.raises(ValueError):
+        stack.sigma[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "v_shape,sigma_shape",
+    [((3, 2), (4, 2, 2)), ((3, 2), (2, 2)), ((2,), (3, 2, 2)), ((3, 3), (3, 3, 3)), ((1, 3, 2), (1, 3, 2, 2))],
+)
+def test_mismatched_moment_shapes_rejected(v_shape, sigma_shape):
+    with pytest.raises(InvalidStateError, match="expected v shape"):
+        GaussianState(np.zeros(v_shape), np.broadcast_to(np.eye(v_shape[-1]), sigma_shape))
+
+
+def test_stacked_state_rejects_its_first_bad_row():
+    v, sigma = _rows()
+    sigma[1:] = np.diag([0.5, 0.5])
+    with pytest.raises(InvalidStateError, match=r"det\(sigma\) = 0.25 < 1"):
+        GaussianState(v, sigma)
+
+
+def test_input_per_t_of_another_length_rejected():
+    """An input per t on a stack of states over a grid of another length."""
+    stack = apply_squeeze(vacuum_state(), SqueezeParam(np.ones(3)))
+    with pytest.raises(PreconditionError, match="input per t of 4 times on a stack of 3 states"):
+        apply_squeeze(stack, SqueezeParam(np.ones(4)))
+    with pytest.raises(PreconditionError, match="input per t of 2 times on a stack of 3 states"):
+        apply_displace(stack, DisplacementAmplitude(np.ones(2)))
+    assert apply_displace(stack, DisplacementAmplitude(np.ones(3))).v.shape == (3, 2)
 
 
 class TestRotation:

@@ -205,6 +205,47 @@ class TestExactDerivative:
         assert pair.warn is False
 
 
+class TestStackedPair:
+    """A DerivativePair over a 1-D array of t against the pairs of its rows."""
+
+    TIMES = np.array([0.0, 0.3, 2.0, 40.0])
+
+    def _moments(self, params: SystemParams):
+        v, sigma, dv, dsigma = dynamics._critical_flow(params, thermal_state(params.n_bath), self.TIMES)
+        return GaussianState(v, sigma), dv, dsigma
+
+    @pytest.mark.parametrize(
+        "params", [SystemParams(1.0, 1.2, 1.0, n_bath=0.5), SystemParams(1.0, 0.5, 0.0)], ids=["lossy", "pure"]
+    )
+    def test_stack_is_its_rows(self, params):
+        """dv, the symmetrised dsigma and every field of `whitened`, bit for
+        bit; the lossless flow keeps its states pure, where `whitened`
+        removes the trace of B."""
+        state, dv, dsigma = self._moments(params)
+        dsigma = dsigma + np.array([[0.0, 1e-3], [-1e-3, 0.0]])
+        stack = DerivativePair(state, dv, dsigma)
+        assert np.array_equal(stack.dsigma, stack.dsigma.swapaxes(1, 2))
+        for k in range(len(self.TIMES)):
+            row = DerivativePair(GaussianState(state.v[k], state.sigma[k]), dv[k], dsigma[k])
+            assert stack.dv[k].tobytes() == row.dv.tobytes()
+            assert stack.dsigma[k].tobytes() == row.dsigma.tobytes()
+            for name, value in row.whitened._asdict().items():
+                assert getattr(stack.whitened, name)[k].item() == value, name
+
+    def test_derivative_shapes_must_be_the_states(self):
+        state, dv, dsigma = self._moments(UNIT)
+        for pair_state, d_v, d_sigma in ((state, dv[:3], dsigma), (state, dv, dsigma[:3]), (state, dv[0], dsigma[0]),
+                                         (thermal_state(0.0), dv, dsigma), (state, dv, dsigma[:, 0])):
+            with pytest.raises(DomainError, match="derivative shapes"):
+                DerivativePair(pair_state, d_v, d_sigma)
+
+    def test_non_finite_derivative_rejected(self):
+        state, dv, dsigma = self._moments(UNIT)
+        dv[2, 1] = math.nan
+        with pytest.raises(DomainError, match="non-finite derivatives"):
+            DerivativePair(state, dv, dsigma)
+
+
 class TestQfi:
     @pytest.mark.parametrize("n_photons,t", [(5.0, 0.7), (50.0, 0.25)])
     def test_noiseless_squeezed_vacuum(self, n_photons, t):

@@ -38,7 +38,7 @@ from critsense.gaussian import (
     purity,
     thermal_state,
 )
-from critsense.metrology import DerivativePair, Whitened, _stack, fi_homodyne, qfi
+from critsense.metrology import DerivativePair, Whitened, fi_homodyne, qfi
 from critsense.oracle import lyapunov_rk4
 from critsense.protocols import (
     ProtocolKind,
@@ -285,22 +285,22 @@ def protocol_flows(draw) -> tuple:
 
 
 def _pairs_of_one_flow(flow, params: SystemParams, start, ts: np.ndarray):
-    """pair_at(t): for the array ts, the PairStack of one array evaluation
-    of flow's moments over ts; for a float t of ts, the DerivativePair of
-    that evaluation's moments at t.
+    """pair_at(t): for the array ts, the DerivativePair stacked over ts of
+    one array evaluation of flow's moments; for a float t of ts, the
+    DerivativePair of that evaluation's moments at t.
 
     The closed-form shift derivative can carry more than 1e-10 of rounding
     (1.8e-6 relative on a small off-diagonal entry of dSigma at omega0 =
     0.125, epsilon = 0.002, gamma = 7, t = 3e-4), and the array and float
     flows round it differently. Read off the same moments, the estimators
-    on a PairStack are held to 1e-10 of their float calls; the flows' own
+    on a stacked pair are held to 1e-10 of their float calls; the flows' own
     agreement is the QFI tests' part."""
     v, sigma, dv, dsigma = flow(params, start, ts)
     rows = {t: k for k, t in enumerate(ts.tolist())}
 
     def pair_at(t):
         if isinstance(t, np.ndarray):
-            return _stack(v, sigma, dv, dsigma)
+            return DerivativePair(GaussianState(v, sigma), dv, dsigma)
         k = rows[t]
         return DerivativePair(GaussianState(v[k], sigma[k]), dv[k], dsigma[k])
 
@@ -309,7 +309,7 @@ def _pairs_of_one_flow(flow, params: SystemParams, start, ts: np.ndarray):
 
 @given(protocol_flows(), st.floats(0.0, 1.0), st.floats(0.0, math.pi))
 def test_fi_homodyne_array_matches_float_calls(case, fraction, psi):
-    """fi_homodyne on a PairStack, to 1e-10 of the QFI where the FI at psi
+    """fi_homodyne on a stacked pair, to 1e-10 of the QFI where the FI at psi
     cancels to far below it."""
     ts = _grid(case[1], fraction)
     pair_at = _pairs_of_one_flow(*case, ts)
@@ -324,7 +324,7 @@ def test_fi_homodyne_array_matches_float_calls(case, fraction, psi):
 
 @given(protocol_flows(), st.floats(0.0, 1.0))
 def test_best_homodyne_array_matches_float_calls(case, fraction):
-    """Both outputs of best_homodyne on a PairStack: the FI, and the angle
+    """Both outputs of best_homodyne on a stacked pair: the FI, and the angle
     through the float FI at it, which must be the float optimum. Two peaks
     can tie to rounding (at a pure state B is traceless and the FI's two
     peaks are equal), so the angle itself may be either."""
@@ -343,7 +343,7 @@ def test_best_homodyne_array_matches_float_calls(case, fraction):
 
 @given(system_params(), st.floats(0.0, 1.0))
 def test_photons_and_purity_array_match_float_calls(params, fraction):
-    """mean_photons and purity of a PairStack's states, and
+    """mean_photons and purity of a stacked pair's states, and
     mean_photons_vs_time on an array. N = tr(sigma)/4 - 1/2 + |v|^2/2 is
     a difference of terms of size N + 1, and is held to 1e-10 of that."""
     ts, pair_at = _grid(params, fraction), lambda t: cqs_pair(params, t)

@@ -9,7 +9,15 @@ import pytest
 from conftest import pqs_qfi_closed_form, van_loan_qfi
 from critsense.cli import _optimal_r_input
 from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, spectral_info, steady_state_photons
-from critsense.errors import AccuracyError, ConstraintError, DomainError, InvalidStateError, SearchError, UnsupportedRegimeError
+from critsense.errors import (
+    AccuracyError,
+    ConstraintError,
+    DomainError,
+    InvalidStateError,
+    PreconditionError,
+    SearchError,
+    UnsupportedRegimeError,
+)
 from critsense.gaussian import DisplacementAmplitude, GaussianState, SqueezeParam, mean_photons, thermal_state
 from critsense.metrology import DerivativePair, fi_homodyne
 from critsense.protocols import (
@@ -26,6 +34,7 @@ from critsense.protocols import (
     default_pqs_input,
     epsilon_opt,
     fundamental_bound,
+    maximize_single_shot,
     optimal_squeezing_homodyne,
     optimize_time,
     pqs_input_state,
@@ -95,6 +104,11 @@ class TestCqsQfi:
         t_mid = math.sqrt(1.0 / (info.lambda_plus.real * info.lambda_minus.real))
         n = mean_photons_vs_time(params, t_mid)
         assert cqs_qfi(params, t_mid) >= 0.9 * n * n / 2.0
+
+    @pytest.mark.parametrize("t", [np.ones((2, 2)), np.array(1.0)], ids=["2-D", "0-D"])
+    def test_array_of_times_must_be_one_dimensional(self, t):
+        with pytest.raises(DomainError, match="an array of times must be 1-D"):
+            cqs_qfi(SystemParams(1.0, 0.9, 1.0), t)
 
 
 class TestPqsQfi:
@@ -350,6 +364,13 @@ class TestProtocolSpec:
         assert (spec == self._stacked(ts[:2])) is False
         assert (spec == replace(spec, budget=ResourceBudget(n_max=200.0, total_time=1.0))) is False
 
+    def test_inputs_per_t_of_different_lengths_rejected(self):
+        pqs_input = (DisplacementAmplitude(np.ones(3)), SqueezeParam(np.ones(4)))
+        with pytest.raises(PreconditionError, match="input per t of 3 times on a stack of 4 states"):
+            pqs_input_state(*pqs_input)
+        with pytest.raises(PreconditionError, match="input per t of 3 times on a stack of 4 states"):
+            ProtocolSpec(ProtocolKind.PQS, UNIT, ResourceBudget(n_max=100.0, total_time=1.0), pqs_input)
+
     def test_stacked_input_raises_float_error_at_failing_t(self):
         spec = ProtocolSpec(ProtocolKind.PQS, UNIT, ResourceBudget(n_max=100.0, total_time=1.0), FAILING_TS_INPUT)
         with pytest.raises(DomainError, match=re.escape("time must be >= 0, got -1.0")):
@@ -554,3 +575,35 @@ class TestSteadyStateProperties:
         late = 10.0
         ratio = cqs_qfi(hot, late) / cqs_qfi(cold, late)
         assert ratio == pytest.approx(1.0, abs=0.1)
+
+
+_RATE = lambda t: t
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: epsilon_opt(math.inf, UNIT), id="epsilon_opt-n_max-inf"),
+        pytest.param(lambda: epsilon_opt(math.nan, UNIT), id="epsilon_opt-n_max-nan"),
+        pytest.param(lambda: beyond_threshold_epsilon(math.nan, 1.0, 1.0), id="beyond-n_max-nan"),
+        pytest.param(lambda: beyond_threshold_epsilon(math.inf, 1.0, 1.0), id="beyond-n_max-inf"),
+        pytest.param(lambda: beyond_threshold_epsilon(10.0, math.nan, 1.0), id="beyond-total_time-nan"),
+        pytest.param(lambda: beyond_threshold_epsilon(10.0, math.inf, 1.0), id="beyond-total_time-inf"),
+        pytest.param(lambda: beyond_threshold_epsilon(10.0, 1.0, math.nan), id="beyond-omega0-nan"),
+        pytest.param(lambda: fundamental_bound(lambda t: 1.0, math.inf, 1.0), id="bound-total_time-inf"),
+        pytest.param(lambda: fundamental_bound(lambda t: 1.0, math.nan, 1.0), id="bound-total_time-nan"),
+        pytest.param(lambda: fundamental_bound(lambda t: 1.0, 1.0, math.inf), id="bound-gamma-inf"),
+        pytest.param(lambda: fundamental_bound(lambda t: 1.0, 1.0, math.nan), id="bound-gamma-nan"),
+        pytest.param(lambda: fundamental_bound(lambda t: 1.0, 1.0, 1.0, math.inf), id="bound-n_bath-inf"),
+        pytest.param(lambda: fundamental_bound(lambda t: 1.0, 1.0, 1.0, math.nan), id="bound-n_bath-nan"),
+        pytest.param(lambda: optimize_time(_RATE, ResourceBudget(1.0, 1.0), (0.1, math.inf)), id="optimize-inf"),
+        pytest.param(lambda: optimize_time(_RATE, ResourceBudget(1.0, 1.0), (math.nan, 1.0)), id="optimize-nan"),
+        pytest.param(lambda: maximize_single_shot(_RATE, (0.1, math.inf)), id="maximize-inf"),
+        pytest.param(lambda: maximize_single_shot(_RATE, (0.1, math.nan)), id="maximize-nan"),
+    ],
+)
+def test_non_finite_scalar_inputs_raise_domain_error(call):
+    """A non-finite budget, time, rate or bracket edge raises DomainError,
+    not a nan or inf result, a numpy warning or scipy's bare ValueError."""
+    with pytest.raises(DomainError):
+        call()

@@ -1,0 +1,58 @@
+"""The benchmark's tracer on this tree.
+
+`perfbench/run.py --trace 1` wraps every public function and reads a few of
+the package's internals: `oracle.default_step`, `lyapunov_rk4`'s `dt` and
+`verify_step`, `DerivativePair.warn` and `GaussianState.__post_init__`. A
+change to any of them fails here, without running the benchmark. The tracer
+is loaded from perfbench/, which this test only reads.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from critsense import cli, gaussian, oracle, protocols
+from critsense.dynamics import SystemParams
+from critsense.gaussian import thermal_state
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def _bound() -> tuple:
+    """The names the test calls, and GaussianState's checks, as bound now."""
+    return (protocols.cqs_qfi, oracle.lyapunov_rk4, oracle.fock_qfi_fidelity, cli.FIGURE_WRITERS,
+            gaussian.GaussianState.__post_init__)
+
+
+def test_tracer_counts_calls_and_restores_the_originals(tmp_path):
+    """A float and an array cqs_qfi, one short RK4 run, one Fock QFI at dim
+    30 and one figure writer, traced; afterwards every name is bound to its
+    own function again."""
+    originals = _bound()
+    params = SystemParams(1.0, 0.9, 1.0)
+    tracer = _tracer()
+    tracer.install()
+    try:
+        protocols.cqs_qfi(params, 0.5)
+        protocols.cqs_qfi(params, np.array([0.5, 1.0]))
+        oracle.lyapunov_rk4(params, thermal_state(0.0), 0.1)
+        oracle.fock_qfi_fidelity(params, 0.5, 1e-3, 30)
+        cli.FIGURE_WRITERS["fig4"](tmp_path)
+    finally:
+        tracer.uninstall()
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    for name in ("protocols.cqs_qfi", "metrology.differentiate_at_zero_shift", "gaussian.GaussianState",
+                 "oracle.lyapunov_rk4", "oracle.fock_qfi_fidelity", "oracle.fock_evolve", "cli.figure_fig4"):
+        assert calls.get(name, 0) > 0, name
+    assert tracer.rk4_steps > 0 and tracer.fock_dims == [30]
+    assert tracer.derivative_warns == 0
+    assert all(now is before for now, before in zip(_bound(), originals))
+    assert (tmp_path / "fig4.csv").exists()
