@@ -341,7 +341,9 @@ def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool
     """(v, Sigma, dv, dSigma): the moments evolve_critical returns at t and
     their exact shift derivative, from one evaluation of s, K, (c, sc) and the
     noise integrals; (v, Sigma) alone without `tangent`. For a 1-D array of t,
-    stacks over t.
+    stacks over t. state0 is one start or a stack of starts: at a float t
+    each start evolves for t, and at an array of t, which must be as long as
+    the stack, the k-th start evolves for the k-th t.
 
     The derivative is that of a start that does not depend on the shift: with
     M = c I + sc B, dc/ds = t sc / 2 and d sc/ds = _sinhc_slope, dM = -omega
@@ -349,6 +351,8 @@ def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool
     Sigma0 dM^T + dG, where dG (_noise_tangent) takes the integrals' s-slopes.
     """
     _check_time(t)
+    if state0.sigma.ndim == 3 and isinstance(t, np.ndarray) and t.shape != state0.sigma.shape[:1]:
+        raise PreconditionError("a start per t needs an array of times as long as the stack")
     w, eps, gamma = params.omega, params.epsilon, params.gamma
     # Below threshold |exp(A t)| <= 1 + |B| t. At and above it exp(A t) grows
     # without bound, and it or its product with sigma can leave the double
@@ -362,7 +366,7 @@ def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool
             noise = _noise_integrals(gamma, s, k, t, slopes=tangent) if gamma > 0 else None
             M = _exp_drift(params, c, sc)
             M_T = M.swapaxes(-1, -2)
-            v = M @ state0.v
+            v = np.matvec(M, state0.v)
             sigma = M @ state0.sigma @ M_T + _noise_matrix(params, t, noise)
     except (OverflowError, FloatingPointError):
         raise InvalidStateError("non-finite moments") from None
@@ -371,12 +375,14 @@ def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool
     q = _sinhc_slope(gamma, s, t, c, sc)
     dM = matrix(-w * t * sc, sc - 2.0 * w * q * (w - eps), 2.0 * w * q * (w + eps) - sc, -w * t * sc)
     X = dM @ state0.sigma @ M_T
-    return v, sigma, dM @ state0.v, X + X.swapaxes(-1, -2) + _noise_tangent(params, t, noise)
+    return v, sigma, np.matvec(dM, state0.v), X + X.swapaxes(-1, -2) + _noise_tangent(params, t, noise)
 
 
 def evolve_critical(params: SystemParams, state0: GaussianState, t) -> GaussianState:
     """Propagate a Gaussian state for time t under drive and thermal damping.
-    A 1-D array of times gives a GaussianState stacked over t."""
+    A 1-D array of times gives a GaussianState stacked over t. A stacked
+    state0 gives a stack too: each start evolved for a float t, or the k-th
+    start for the k-th of an array of t as long as the stack."""
     return GaussianState(*_critical_flow(params, state0, t, tangent=False))
 
 

@@ -163,6 +163,13 @@ def vacuum_state() -> GaussianState:
     return thermal_state(0.0)
 
 
+def require_one_state(state: GaussianState, operation: str) -> None:
+    """PreconditionError for a stacked state given to an operation that
+    takes one state."""
+    if state.v.ndim != 1:
+        raise PreconditionError(f"{operation} takes one state, not a stack of {len(state.v)}")
+
+
 def _check_grid(state: GaussianState, x) -> None:
     """PreconditionError where x, an input per t, and a stacked state are
     over grids of different lengths."""
@@ -229,6 +236,7 @@ def photon_variance(state: GaussianState) -> float:
     Equals |<a^2>|^2 + N^2 + N by Wick's theorem, i.e.
     (sigma_11^2 + sigma_22^2 + 2 sigma_12^2)/8 - 1/4 in covariance entries.
     """
+    require_one_state(state, "photon_variance")
     if float(np.linalg.norm(state.v)) >= TOL:
         raise PreconditionError("photon_variance requires zero first moments")
     s = state.sigma
@@ -250,6 +258,8 @@ def fidelity(a: GaussianState, b: GaussianState) -> float:
 
     For pure states this is the squared overlap |<psi|phi>|^2.
     """
+    require_one_state(a, "fidelity")
+    require_one_state(b, "fidelity")
     total = a.sigma + b.sigma
     delta = a.v - b.v
     big_delta = float(np.linalg.det(total))

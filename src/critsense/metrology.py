@@ -20,10 +20,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import dynamics
-from ._elementwise import lib, matrix, reject
+from ._elementwise import fields_equal, lib, matrix, reject
 from .dynamics import SystemParams
 from .errors import AccuracyError, DomainError, InvalidStateError, PreconditionError, PureStateError
-from .gaussian import GaussianState, cholesky_factor, fidelity, photon_variance
+from .gaussian import GaussianState, cholesky_factor, fidelity, photon_variance, require_one_state
 
 StateFamily = Callable[[float], GaussianState]
 
@@ -82,11 +82,14 @@ class DerivativePair:
     """A Gaussian state and the derivative of its moments w.r.t. the shift:
     dv and dsigma of the state's shapes, for one state or a stack over t.
     qfi, qfi_terms, fi_homodyne and protocols.best_homodyne take either,
-    and give floats for one pair and arrays over t for a stack."""
+    and give floats for one pair and arrays over t for a stack. Two pairs
+    compare equal, as one bool, where their states and derivatives are equal
+    entry by entry."""
 
     state: GaussianState
     dv: np.ndarray
     dsigma: np.ndarray
+    __eq__ = fields_equal
     # An exact derivative has no step error to warn about; kept because
     # perfbench/tracer.py reads it.
     warn = False
@@ -245,6 +248,7 @@ def fi_homodyne(pair: DerivativePair, psi):
 
 def snr_photon_counting(pair: DerivativePair) -> float:
     """Signal-to-noise ratio |dN|^2 / Var(N) of photon counting (zero-mean states)."""
+    require_one_state(pair.state, "snr_photon_counting")
     if float(np.linalg.norm(pair.state.v)) >= 1e-12:
         raise PreconditionError("photon-counting SNR requires zero first moments")
     var = photon_variance(pair.state)

@@ -19,6 +19,8 @@ expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
 (2011)), which chooses its own accuracy. L conserves the parity of m + n in
 |m><n|, so only the parity sectors the start fills are evolved: half of vec
 rho for vacuum, thermal and squeezed starts, all of it for a coherent one.
+L is summed from parameter-free pieces that are built once per truncation
+and cached, so a call pays only for that sum and the evolution.
 The fidelity QFI needs the same start evolved under two shifts; one
 expm_multiply on the block diagonal of the two Liouvillians gives both, and
 pays the norm estimation and the per-step overhead once.
@@ -27,6 +29,7 @@ pays the norm estimation and the per-step overhead once.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +37,7 @@ import numpy as np
 
 from .dynamics import SystemParams, drift_and_diffusion, spectral_info
 from .errors import AccuracyError, DomainError, TruncationError
-from .gaussian import GaussianState
+from .gaussian import GaussianState, require_one_state
 from .metrology import DerivativePair
 
 LEAK_BUDGET = 1e-8
@@ -80,6 +83,7 @@ def lyapunov_rk4(
     the state or of the tangent above 1e-6 (relative) raises AccuracyError.
     The finer result is returned.
     """
+    require_one_state(state0, "lyapunov_rk4")
     if not math.isfinite(t) or t < 0:
         raise DomainError(f"time must be >= 0, got {t!r}")
     if dt is None:
@@ -182,26 +186,75 @@ def suggested_dim(max_photons: float) -> int:
     return max(30, math.ceil(12.0 * max_photons))
 
 
-def _liouvillian(params: SystemParams, dim: int):
-    """The Lindblad superoperator as a CSR matrix on the row-major vec of rho,
-    where vec(A rho B) = (A kron B^T) vec rho."""
+@functools.lru_cache(maxsize=8)
+def _superoperators(dim: int, parities: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
+    """The positions idx in the row-major vec of rho of the entries |m><n|
+    whose m + n has one of the given parities, and the parameter-free pieces
+    of the Lindblad superoperator restricted to them, as CSR matrices: the
+    number term -i[n, .] as its halves -i n rho and i rho n, the squeezing
+    term -i[(a^2 + a^dagger^2)/2, .], emission D[a] and absorption
+    D[a^dagger], where vec(A rho B) = (A kron B^T) vec rho and D[L] rho =
+    2 L rho L^dagger - {L^dagger L, rho}. Kept as two halves, the number term
+    rounds to omega m - omega n, as a direct assembly of L does. Cached: the
+    pieces are shared and read-only."""
     import scipy.sparse as sp
 
     a = sp.diags(np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr")
     ad = a.T.tocsr()
     n_op = ad @ a
     eye = sp.identity(dim, format="csr")
-    # The ladder operators are real: conj(L) = L, and H and L^dagger L are symmetric.
-    H = params.omega * n_op + 0.5 * params.epsilon * (a @ a + ad @ ad)
+    # The ladder operators are real: conj(L) = L, and L^dagger L is symmetric.
+    pieces = (
+        -1j * sp.kron(n_op, eye),
+        1j * sp.kron(eye, n_op),
+        -0.5j * (sp.kron(a @ a + ad @ ad, eye) - sp.kron(eye, a @ a + ad @ ad)),
+        2.0 * sp.kron(a, a) - sp.kron(n_op, eye) - sp.kron(eye, n_op),
+        2.0 * sp.kron(ad, ad) - sp.kron(a @ ad, eye) - sp.kron(eye, a @ ad),
+    )
+    parity = np.add.outer(np.arange(dim), np.arange(dim)).ravel() % 2
+    idx = np.flatnonzero(np.isin(parity, parities))
+    sliced = []
+    for piece in pieces:
+        piece = piece.tocsr()[idx][:, idx]
+        piece.sum_duplicates()
+        for array in (piece.data, piece.indices, piece.indptr):
+            array.setflags(write=False)
+        sliced.append(piece)
+    idx.setflags(write=False)
+    return idx, tuple(sliced)
+
+
+def _liouvillian(params: SystemParams, dim: int, parities: tuple[int, ...]):
+    """The Lindblad superoperator -i[omega n + epsilon (a^2 + a^dagger^2)/2, .]
+    + gamma (1 + n_B) D[a] + gamma n_B D[a^dagger] on the parity sectors
+    `parities` of the row-major vec of rho, summed from the cached pieces of
+    _superoperators. A term whose rate is 0 is left out, so no stored zeros
+    enter the sparsity pattern."""
+    import scipy.sparse as sp
+
+    idx, pieces = _superoperators(dim, parities)
     gamma, n_bath = params.gamma, params.n_bath
-    liouvillian = -1j * (sp.kron(H, eye) - sp.kron(eye, H))
-    # Emission and absorption: (rate, L, L^dagger L).
-    for rate, L, LdL in ((gamma * (1.0 + n_bath), a, n_op), (gamma * n_bath, ad, a @ ad)):
-        if rate > 0:
-            liouvillian = liouvillian + rate * (
-                2.0 * sp.kron(L, L) - sp.kron(LdL, eye) - sp.kron(eye, LdL)
-            )
-    return liouvillian.tocsr()
+    rates = (params.omega, params.omega, params.epsilon, gamma * (1.0 + n_bath), gamma * n_bath)
+    terms = [rate * piece for rate, piece in zip(rates, pieces) if rate != 0]
+    return sum(terms[1:], terms[0]) if terms else sp.csr_matrix((len(idx), len(idx)), dtype=complex)
+
+
+def _retry_dim(rho: np.ndarray, dim: int) -> int:
+    """A truncation for a retry after rho, evolved on `dim` levels, leaked.
+
+    A zero-mean Gaussian state whose covariance has largest eigenvalue s
+    (vacuum = 1) has P(n) falling as x^n, x = (s - 1)/(s + 1): x =
+    n/(n + 1) for a thermal state, sqrt(N/(N + 1)) for a squeezed vacuum.
+    Taking s from rho's non-central second moments Sigma + 2 v v^T covers a
+    displaced state too. The tail beyond ln(LEAK_BUDGET)/ln(x) levels then
+    holds about LEAK_BUDGET; four levels of margin are added, and the retry
+    always grows the truncation.
+    """
+    # Made Hermitian here, as the state is checked only after the leakage test.
+    v, sigma = fock_moments(FockDensityMatrix(dim, 0.5 * (rho + rho.conj().T)))
+    s = float(np.linalg.eigvalsh(sigma + 2.0 * np.outer(v, v))[-1])
+    need = math.ceil(math.log(LEAK_BUDGET) / math.log((s - 1.0) / (s + 1.0))) if s > 1.0 else dim
+    return max(need + 4, dim + 2)
 
 
 def fock_evolve(
@@ -211,12 +264,17 @@ def fock_evolve(
 
     Every term of L moves |m><n| by (+-2, 0), (0, +-2), (+-1, +-1) or (0, 0),
     so the parity of m + n is conserved: only the parity sectors rho0 fills
-    are evolved, and the other entries of the result are exactly 0. Given a
-    tuple of parameter sets that share rho0, one expm_multiply on the block
-    diagonal of their Liouvillians evolves them all, and a tuple of states
-    comes back. Trace leakage above LEAK_BUDGET in any of them raises
-    TruncationError with a suggested larger dimension; results at that
-    leakage level are untrustworthy.
+    are evolved, and the other entries of the result are exactly 0. L is
+    summed from parameter-free pieces that are built once per truncation and
+    set of sectors and cached (_superoperators). Given a tuple of parameter
+    sets that share rho0, one expm_multiply on the block diagonal of their
+    Liouvillians evolves them all, and a tuple of states comes back.
+
+    Trace leakage above LEAK_BUDGET in any of them raises TruncationError;
+    results at that leakage level are untrustworthy. Its suggested_dim is
+    sized from the leaked state's covariance (_retry_dim): the smallest
+    truncation whose Gaussian photon tail holds LEAK_BUDGET, plus four
+    levels, and at least dim + 2. Every retry is tested for leakage again.
     """
     if not math.isfinite(t) or t < 0:
         raise DomainError(f"time must be >= 0, got {t!r}")
@@ -235,8 +293,9 @@ def fock_evolve(
     if not start.any():
         raise DomainError("rho0 is the zero matrix")
     parity = np.add.outer(np.arange(dim), np.arange(dim)).ravel() % 2
-    idx = np.flatnonzero(np.isin(parity, parity[start != 0]))
-    generator = sp.block_diag([_liouvillian(p, dim)[idx][:, idx] for p in members], format="csr")
+    parities = tuple(np.unique(parity[start != 0]).tolist())
+    idx = _superoperators(dim, parities)[0]
+    generator = sp.block_diag([_liouvillian(p, dim, parities) for p in members], format="csr")
     # expm_multiply's norm estimates draw from numpy's global RNG: seed it for a
     # reproducible result, and give the caller's stream back untouched.
     saved = np.random.get_state()
@@ -256,10 +315,11 @@ def fock_evolve(
             np.real(rho[dim - 1, dim - 1] + rho[dim - 2, dim - 2])
         )
         if leakage > LEAK_BUDGET:
+            retry = _retry_dim(rho, dim)
             raise TruncationError(
                 f"truncation leakage {leakage:.2e} exceeds budget {LEAK_BUDGET:.0e}; "
-                f"increase the truncation (try dim >= {2 * dim})",
-                suggested_dim=2 * dim,
+                f"increase the truncation (try dim >= {retry})",
+                suggested_dim=retry,
             )
         states.append(FockDensityMatrix(dim, rho, leakage=leakage))
     return tuple(states) if shared else states[0]

@@ -19,6 +19,7 @@ from critsense.dynamics import (
 from critsense.errors import DomainError, InvalidStateError, NoSteadyStateError, PreconditionError
 from critsense.gaussian import (
     DisplacementAmplitude,
+    GaussianState,
     SqueezeParam,
     apply_displace,
     apply_squeeze,
@@ -27,6 +28,7 @@ from critsense.gaussian import (
     thermal_state,
     vacuum_state,
 )
+from critsense.metrology import differentiate_at_zero_shift
 from critsense.protocols import epsilon_opt
 from critsense.validate import battery_params
 
@@ -150,6 +152,31 @@ class TestEvolveCritical:
         st = evolve_critical(params, vacuum_state(), 20.0 / lam)
         ss = steady_state(params)
         assert np.allclose(st.sigma, ss.sigma, rtol=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacked_start_is_its_rows(self, n):
+        """A stack of n displaced squeezed starts, at a float t and at an
+        array of n times: each row of the state and of its shift derivative
+        is its own start's, evolved alone."""
+        params = SystemParams(1.0, 0.9, 1.0, n_bath=0.5)
+        starts = apply_displace(
+            apply_squeeze(thermal_state(0.5), SqueezeParam(np.linspace(0.1, 0.9, n), 0.3)),
+            DisplacementAmplitude(np.linspace(1.2, 0.2, n), 0.7),
+        )
+        for t in (1.0, np.linspace(0.2, 3.5, n)):
+            stack = differentiate_at_zero_shift(evolve_critical, params, starts, t)
+            assert stack.state == evolve_critical(params, starts, t)
+            for k in range(n):
+                start = GaussianState(starts.v[k], starts.sigma[k])
+                row = differentiate_at_zero_shift(evolve_critical, params, start, t if np.ndim(t) == 0 else t[k].item())
+                for got, want in ((stack.state.v, row.state.v), (stack.state.sigma, row.state.sigma),
+                                  (stack.dv, row.dv), (stack.dsigma, row.dsigma)):
+                    assert np.allclose(got[k], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_stacked_start_needs_as_many_times(self):
+        starts = apply_squeeze(vacuum_state(), SqueezeParam(np.array([0.1, 0.5])))
+        with pytest.raises(PreconditionError, match="as long as the stack"):
+            evolve_critical(SystemParams(1.0, 0.9, 1.0), starts, np.array([0.5, 1.0, 2.0]))
 
     @pytest.mark.parametrize("t", [400.0, 500.0])
     def test_overflow_is_typed_and_silent(self, t):

@@ -19,6 +19,8 @@ from critsense.gaussian import (
     GaussianState,
     SqueezeParam,
     apply_squeeze,
+    fidelity,
+    photon_variance,
     rotation_matrix,
     squeeze_matrix,
     thermal_state,
@@ -244,6 +246,38 @@ class TestStackedPair:
         dv[2, 1] = math.nan
         with pytest.raises(DomainError, match="non-finite derivatives"):
             DerivativePair(state, dv, dsigma)
+
+
+def test_pairs_compare_as_one_bool():
+    """DerivativePair compares its state and derivatives entry by entry, as
+    one bool, for one pair and for a stack of them."""
+    params = SystemParams(1.0, 1.2, 1.0, n_bath=0.5)
+    assert (cqs_pair(params, 1.0) == cqs_pair(params, 1.0)) is True
+    assert (cqs_pair(params, 1.0) != cqs_pair(params, 2.0)) is True
+    assert cqs_pair(params, 1.0) != cqs_pair(params, 1.0).state
+    times = np.array([0.5, 1.0, 2.0])
+    stack = cqs_pair(params, times)
+    assert (stack == cqs_pair(params, times.copy())) is True
+    for other in (cqs_pair(params, times[:2]), cqs_pair(params, 1.0), cqs_pair(params, times + 0.1)):
+        assert (stack == other) is False and (stack != other) is True
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda stack, pair: photon_variance(stack),
+        lambda stack, pair: snr_photon_counting(pair),
+        lambda stack, pair: fidelity(stack, vacuum_state()),
+        lambda stack, pair: fidelity(vacuum_state(), stack),
+        lambda stack, pair: lyapunov_rk4(UNIT, stack, 1.0),
+    ],
+    ids=["photon_variance", "snr_photon_counting", "fidelity_first", "fidelity_second", "lyapunov_rk4"],
+)
+def test_float_only_consumers_reject_a_stack(call):
+    stack = apply_squeeze(vacuum_state(), SqueezeParam(np.array([0.2, 0.6])))
+    pair = DerivativePair(stack, np.zeros((2, 2)), np.ones((2, 2, 2)))
+    with pytest.raises(PreconditionError, match="takes one state, not a stack of 2"):
+        call(stack, pair)
 
 
 class TestQfi:

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from critsense.dynamics import SystemParams, drift_and_diffusion, evolve_critical, mean_photons_vs_time
+from critsense.metrology import differentiate_at_zero_shift
 from critsense.errors import AccuracyError, DomainError, TruncationError
 from critsense.gaussian import thermal_state, vacuum_state
 from critsense.metrology import qfi
 from critsense.oracle import (
+    LEAK_BUDGET,
     FockDensityMatrix,
+    _liouvillian,
     _rk4_increment,
+    _superoperators,
     default_step,
     fock_coherent,
     fock_evolve,
@@ -144,6 +148,7 @@ class TestFockEvolve:
         with pytest.raises(TruncationError) as err:
             fock_evolve(params, fock_vacuum(12), 2.0)
         assert err.value.suggested_dim and err.value.suggested_dim > 12
+        assert fock_evolve(params, fock_vacuum(err.value.suggested_dim), 2.0).leakage <= LEAK_BUDGET
 
     @pytest.mark.parametrize(
         "params, rho0, t",
@@ -231,6 +236,82 @@ class TestFockEvolve:
     def test_suggested_dim_rule(self):
         assert suggested_dim(0.5) == 30
         assert suggested_dim(10.0) == 120
+
+
+def direct_liouvillian(params, dim):
+    """The Lindblad superoperator on the row-major vec of rho, assembled
+    term by term with sp.kron: the reference for the cached pieces."""
+    import scipy.sparse as sp
+
+    a = sp.diags(np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr")
+    ad = a.T.tocsr()
+    n_op = ad @ a
+    eye = sp.identity(dim, format="csr")
+    H = params.omega * n_op + 0.5 * params.epsilon * (a @ a + ad @ ad)
+    liouvillian = -1j * (sp.kron(H, eye) - sp.kron(eye, H))
+    for rate, L, LdL in ((params.gamma * (1.0 + params.n_bath), a, n_op), (params.gamma * params.n_bath, ad, a @ ad)):
+        if rate > 0:
+            liouvillian = liouvillian + rate * (2.0 * sp.kron(L, L) - sp.kron(LdL, eye) - sp.kron(eye, LdL))
+    return liouvillian.tocsr()
+
+
+class TestCachedLiouvillian:
+    @pytest.mark.parametrize(
+        "params, rho0",
+        [
+            (SystemParams(1.0, 0.5, 1.0).with_shift(-5e-3), fock_vacuum(16)),  # n_B = 0
+            (SystemParams(1.0, 0.49, 1.0, n_bath=0.5).with_shift(-5e-3), fock_thermal(0.5, 16)),
+            (SystemParams(1.3, 0.7, 0.0), fock_coherent(0.3 + 0.2j, 16)),  # gamma = 0, both sectors
+            (SystemParams(0.0, 0.0, 0.0), fock_coherent(1.0, 16)),  # every rate 0
+        ],
+        ids=["vacuum", "thermal", "coherent_lossless", "at_rest"],
+    )
+    def test_matches_direct_assembly(self, params, rho0):
+        """Entry for entry and with the same stored entries as a direct
+        assembly sliced to the sectors rho0 fills."""
+        dim = rho0.dim
+        parity = np.add.outer(np.arange(dim), np.arange(dim)).ravel() % 2
+        filled = parity[rho0.matrix.ravel() != 0]
+        parities = tuple(np.unique(filled).tolist())
+        idx = np.flatnonzero(np.isin(parity, filled))
+        want = direct_liouvillian(params, dim)[idx][:, idx]
+        got = _liouvillian(params, dim, parities)
+        assert np.array_equal(_superoperators(dim, parities)[0], idx)
+        assert got.shape == want.shape and got.nnz == want.nnz
+        assert np.all(abs(got - want).toarray() <= 1e-15 * abs(want).toarray())
+
+    def test_calls_leave_the_cached_pieces_alone(self):
+        idx, pieces = _superoperators(30, (0,))
+        before = [piece.copy() for piece in pieces]
+        for params in (SystemParams(1.0, 0.5, 1.0, n_bath=0.5), SystemParams(2.0, 0.1, 0.0), SystemParams(0.0, 0.8, 2.0)):
+            _liouvillian(params, 30, (0,))
+            fock_evolve((params, params.with_shift(-5e-3)), fock_thermal(params.n_bath, 30), 0.3)
+        again_idx, again = _superoperators(30, (0,))
+        assert again_idx is idx and again is pieces
+        for piece, copy in zip(pieces, before):
+            assert not piece.data.flags.writeable
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(piece, name), getattr(copy, name))
+
+    # (n_B, eps/eps_c, t Gamma) of the design nodes whose first truncation,
+    # suggested_dim's 30 levels, leaks: omega0 = Gamma = 1, eps_c = sqrt(2).
+    @pytest.mark.parametrize(
+        "n_bath, ratio, t",
+        [(0.0, 0.85, 1.5), (0.5, 0.55, 0.7), (0.5, 0.62, 1.0), (0.5, 0.70, 0.8), (0.5, 0.80, 0.6)],
+    )
+    def test_one_retry_from_the_covariance(self, n_bath, ratio, t):
+        """The retry dim sized from the leaked state's covariance passes on
+        the first retry, below the doubled 60 levels, and the estimate there
+        is within 2% of the Gaussian QFI."""
+        params = SystemParams(1.0, ratio * math.sqrt(2.0), 1.0, n_bath=n_bath)
+        dim = suggested_dim(mean_photons_vs_time(params, t))
+        assert dim == 30
+        with pytest.raises(TruncationError) as err:
+            fock_qfi_fidelity(params, t, 5e-3, dim)
+        retry = err.value.suggested_dim
+        assert dim < retry < 60
+        want = qfi(differentiate_at_zero_shift(evolve_critical, params, thermal_state(n_bath), t))
+        assert fock_qfi_fidelity(params, t, 5e-3, retry) == pytest.approx(want, rel=0.02)
 
 
 class TestFockQfi:
