@@ -43,25 +43,14 @@ from .protocols import (
     total_qfi,
 )
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip decimal; canonical forms for ints and non-finite."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
-
-
-def write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
+def write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
+    """Write the header, then one line per row of the 2-D float array rows:
+    each cell is repr of its float (inf, -inf and nan for non-finite ones)."""
+    if rows.ndim != 2 or rows.shape[1] != len(header):
+        raise ValueError("ragged CSV row")
+    text = "\n".join([",".join(header), *(",".join(map(repr, row)) for row in rows.tolist()), ""])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            if len(row) != len(header):
-                raise ValueError("ragged CSV row")
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.write(text)
 
 
 def write_json(path: Path | None, payload: dict) -> str:
@@ -98,7 +87,7 @@ def _write_figure(out_dir: Path, name: str, times: np.ndarray, header: list[str]
     array, and again one float t at a time if that raises, so the error
     raised is that of the first failing t."""
     path = out_dir / f"{name}.csv"
-    write_csv(path, header, np.column_stack(over_t(columns, times)).tolist())
+    write_csv(path, header, np.column_stack(over_t(columns, times)))
     return path
 
 
@@ -290,8 +279,9 @@ def _parse_config(cfg) -> dict:
                 problems.append(f"protocol.kind: expected 'CQS' or 'PQS', got {value!r}")
         elif not isinstance(value, (int, float)) or isinstance(value, bool):
             problems.append(f"{path}: must be a number, got {value!r}")
-        elif not math.isfinite(value):
-            problems.append(f"{path}: must be finite, got {value!r}")
+        elif not abs(value) <= sys.float_info.max:  # nan, inf or an int beyond the double range
+            shown = value if isinstance(value, float) else math.inf if value > 0 else -math.inf
+            problems.append(f"{path}: must be finite, got {shown!r}")
         elif path in _NON_NEGATIVE and value < 0:
             problems.append(f"{path}: must be >= 0, got {value!r}")
     if mode in _MODES:
@@ -423,7 +413,7 @@ def cmd_compute(args) -> int:
     except UnicodeDecodeError as exc:
         print(f"error: config is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int longer than Python converts
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
     try:

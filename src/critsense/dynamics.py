@@ -469,7 +469,9 @@ def mean_photons_vs_time(params: SystemParams, t):
 def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool = True) -> tuple:
     """(v, Sigma, dv, dSigma) of evolve_passive at t and its shift derivative,
     or (v, Sigma) without `tangent`; for a 1-D array of t, stacks over t.
-    state0 is one start, or a GaussianState stacked over that array of t.
+    state0 is one start or a stack of starts, as in _critical_flow: at a
+    float t each start evolves for t, and at an array of t, which must be as
+    long as the stack, the k-th start evolves for the k-th t.
 
     dR(-delta t)/d delta = t J R, so dv = t J v and dSigma = e^{-2 gamma t}
     t (J Sigma0_R + Sigma0_R J^T) with Sigma0_R = R Sigma0 R^T. The thermal
@@ -478,7 +480,7 @@ def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool 
     """
     if params.epsilon != 0.0:
         raise PreconditionError("evolve_passive requires epsilon = 0")
-    if state0.sigma.ndim == 3 and np.shape(t) != state0.sigma.shape[:1]:
+    if state0.sigma.ndim == 3 and isinstance(t, np.ndarray) and t.shape != state0.sigma.shape[:1]:
         raise PreconditionError("a start per t needs an array of times as long as the stack")
     _check_time(t)
     gamma, n_bath = params.gamma, params.n_bath
@@ -500,7 +502,8 @@ def evolve_passive(params: SystemParams, state0: GaussianState, t) -> GaussianSt
     Moments follow a(t) = e^{-gamma t - i delta_omega t} a(0) + thermal input,
     i.e. a phase-space rotation by -delta_omega*t with amplitude decay e^{-gamma t}
     and covariance relaxation toward (1 + 2 n_bath) I. A 1-D array of times
-    gives a GaussianState stacked over t; state0 may then be stacked over
-    the same t.
+    gives a GaussianState stacked over t. A stacked state0 gives a stack
+    too: each start evolved for a float t, or the k-th start for the k-th of
+    an array of t as long as the stack.
     """
     return GaussianState(*_passive_flow(params, state0, t, tangent=False))

@@ -12,6 +12,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import critsense
 from critsense import protocols
@@ -257,6 +260,48 @@ class TestFigureCommand:
         assert (a / "fig4.csv").read_bytes() == (b / "fig4.csv").read_bytes()
 
 
+# Signed zeros, infinities, nan, the smallest subnormal and normal, and floats
+# at repr's switch to exponent notation (1e16, 1e-05).
+_CSV_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+              1e15, 1e16, 1.2345678901234568e17, 1e-05, 1e-4, 0.1, 1.0 / 3.0, sys.float_info.max]
+
+
+class TestWriteCsv:
+    @staticmethod
+    def _check(path, header, rows):
+        """The file is the header, then per row each cell as repr of its
+        float, and every finite cell parses back to the same bits."""
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[0] == ",".join(header) and lines[-1] == "" and len(lines) == len(rows) + 2
+        for line, row in zip(lines[1:-1], rows.tolist()):
+            cells = line.split(",")
+            assert cells == [repr(float(x)) for x in row]
+            for cell, x in zip(cells, row):
+                if math.isfinite(x):
+                    assert np.float64(float(cell)).tobytes() == np.float64(x).tobytes()
+
+    def test_edge_values(self, tmp_path):
+        rows = np.array(_CSV_EDGES).reshape(-1, 2)
+        cli.write_csv(tmp_path / "edges.csv", ["a", "b"], rows)
+        self._check(tmp_path / "edges.csv", ["a", "b"], rows)
+        assert (tmp_path / "edges.csv").read_text().splitlines()[1:4] == ["0.0,-0.0", "inf,-inf", "nan,5e-324"]
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 4)),
+                  elements=st.floats() | st.sampled_from(_CSV_EDGES)))
+    def test_cells_are_repr_of_their_floats(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "drawn.csv"
+        header = [f"c{k}" for k in range(rows.shape[1])]
+        cli.write_csv(path, header, rows)
+        self._check(path, header, rows)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 4)], ids=["1-D", "fewer_columns", "more_columns"])
+    def test_shape_other_than_the_header_raises(self, tmp_path, shape):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="ragged CSV row"):
+            cli.write_csv(path, ["a", "b", "c"], np.zeros(shape))
+        assert not path.exists()
+
+
 class TestComputeCommand:
     def test_pqs_noiseless_qfi(self, tmp_path):
         cfg = {
@@ -429,11 +474,16 @@ class TestComputeCommand:
             ('{"mode": "qfi", "t": Infinity}', "t: must be finite, got inf"),
             ('{"mode": "optimize", "grid": {"t_min": 1, "t_max": Infinity}}',
              "grid.t_max: must be finite, got inf"),
+            pytest.param('{"mode": "qfi", "t": 1' + "0" * 400 + "}", "t: must be finite, got inf",
+                         id="int_beyond_double"),
+            pytest.param('{"mode": "qfi", "t": 1, "protocol": {"n_max": -1' + "0" * 400 + "}}",
+                         "protocol.n_max: must be finite, got -inf", id="negative_int_beyond_double"),
         ],
     )
     def test_rejected_value_exits_2(self, tmp_path, capsys, text, problem):
         """A value the program rejects is a configuration error: exit 2, one
-        line naming it, no warning. json.loads accepts NaN and Infinity."""
+        line naming it, no warning. json.loads accepts NaN and Infinity, and
+        ints beyond the double range."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)
         with warnings.catch_warnings():
@@ -495,6 +545,16 @@ class TestComputeCommand:
         assert main(["compute", "--config", str(cfg_path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: config is not UTF-8 text: ")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+    def test_int_too_long_to_convert_exits_2(self, tmp_path, capsys):
+        """json.loads refuses an int of more than 4300 digits with a bare
+        ValueError: one error line, exit 2, no traceback."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"mode": "qfi", "t": 1' + "0" * 5000 + "}")
+        assert main(["compute", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config is not valid JSON: Exceeds the limit")
         assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):

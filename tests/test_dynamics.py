@@ -295,6 +295,31 @@ class TestEvolvePassive:
         )
         assert a2 == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacked_start_is_its_rows(self, n):
+        """As for evolve_critical: a stack of n displaced squeezed starts, at
+        a float t and at an array of n times, gives per row the state and
+        shift derivative of its own start, evolved alone."""
+        params = SystemParams(1.0, 0.0, 1.0, n_bath=0.5)
+        starts = apply_displace(
+            apply_squeeze(thermal_state(0.5), SqueezeParam(np.linspace(0.1, 0.9, n), 0.3)),
+            DisplacementAmplitude(np.linspace(1.2, 0.2, n), 0.7),
+        )
+        for t in (1.0, np.linspace(0.2, 3.5, n)):
+            stack = differentiate_at_zero_shift(evolve_passive, params, starts, t)
+            assert stack.state == evolve_passive(params, starts, t)
+            for k in range(n):
+                start = GaussianState(starts.v[k], starts.sigma[k])
+                row = differentiate_at_zero_shift(evolve_passive, params, start, t if np.ndim(t) == 0 else t[k].item())
+                for got, want in ((stack.state.v, row.state.v), (stack.state.sigma, row.state.sigma),
+                                  (stack.dv, row.dv), (stack.dsigma, row.dsigma)):
+                    assert np.allclose(got[k], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_stacked_start_needs_as_many_times(self):
+        starts = apply_squeeze(vacuum_state(), SqueezeParam(np.array([0.1, 0.5])))
+        with pytest.raises(PreconditionError, match="as long as the stack"):
+            evolve_passive(SystemParams(1.0, 0.0, 1.0), starts, np.array([0.5, 1.0, 2.0]))
+
 
 def purity_vs_time(params, t):
     """Purity at time t starting from equilibrium with the bath."""
