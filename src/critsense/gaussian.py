@@ -178,10 +178,17 @@ def _check_grid(state: GaussianState, x) -> None:
 
 
 def apply_squeeze(state: GaussianState, s: SqueezeParam) -> GaussianState:
-    """S state S^T, stacked over t for a stacked state or r an array over t."""
+    """S state S^T, stacked over t for a stacked state or r an array over t.
+    A squeezing whose e^r or moments leave the double range raises the typed
+    error GaussianState gives for non-finite moments, with no numpy warning."""
     _check_grid(state, s.r)
-    S = squeeze_matrix(s)
-    return GaussianState(np.matvec(S, state.v), S @ state.sigma @ S.swapaxes(-1, -2))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            S = squeeze_matrix(s)
+            v, sigma = np.matvec(S, state.v), S @ state.sigma @ S.swapaxes(-1, -2)
+    except (OverflowError, FloatingPointError):
+        raise InvalidStateError("non-finite moments") from None
+    return GaussianState(v, sigma)
 
 
 def apply_displace(state: GaussianState, d: DisplacementAmplitude) -> GaussianState:
@@ -251,21 +258,3 @@ def purity(state: GaussianState):
     a float for one state, an array over t for a stacked state."""
     f = lib(state.det_sigma)
     return 1.0 / f.sqrt(f.max(state.det_sigma, 1.0))
-
-
-def fidelity(a: GaussianState, b: GaussianState) -> float:
-    """Uhlmann fidelity [Tr sqrt(sqrt(rho) tau sqrt(rho))]^2 for single-mode Gaussians.
-
-    For pure states this is the squared overlap |<psi|phi>|^2.
-    """
-    require_one_state(a, "fidelity")
-    require_one_state(b, "fidelity")
-    total = a.sigma + b.sigma
-    delta = a.v - b.v
-    big_delta = float(np.linalg.det(total))
-    small_delta = (a.det_sigma - 1.0) * (b.det_sigma - 1.0)
-    small_delta = max(small_delta, 0.0)
-    # 2/(sqrt(D+d) - sqrt(d)) rewritten to avoid cancellation for mixed states
-    prefactor = 2.0 * (math.sqrt(big_delta + small_delta) + math.sqrt(small_delta)) / big_delta
-    quad = float(delta @ np.linalg.solve(total, delta))
-    return min(prefactor * math.exp(-quad), 1.0)

@@ -6,13 +6,13 @@ together with the derivatives of its moments with respect to the shift.
 and takes the derivative exactly, from the shift derivative of its closed
 form (the tangent of the moment flow; Van Loan, IEEE TAC 23, 395 (1978)).
 The QFI is the single-mode Gaussian formula (Safranek, J. Phys. A 52, 035304
-(2019)). The RK4 oracle (`oracle.lyapunov_rk4`) integrates the same tangent
+(2019)), which `oracle.gaussian_qfi` checks against the general mixed-state
+formula. The RK4 oracle (`oracle.lyapunov_rk4`) integrates the same tangent
 step by step, sharing no code with the closed form, and checks it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -23,9 +23,7 @@ from . import dynamics
 from ._elementwise import fields_equal, lib, matrix, reject
 from .dynamics import SystemParams
 from .errors import AccuracyError, DomainError, InvalidStateError, PreconditionError, PureStateError
-from .gaussian import GaussianState, cholesky_factor, fidelity, photon_variance, require_one_state
-
-StateFamily = Callable[[float], GaussianState]
+from .gaussian import GaussianState, cholesky_factor, photon_variance, require_one_state
 
 # Pure-state handling: below this distance of mu^4 from 1 the weight of the
 # purity-derivative term diverges; it is dropped only for unitary families.
@@ -206,20 +204,6 @@ def qfi(pair: DerivativePair):
     return _finite(sum(qfi_terms(pair)), "QFI")
 
 
-def qfi_fidelity_oracle(family: StateFamily, dtheta: float = 1e-4) -> float:
-    """Independent QFI estimate from the closed-form Gaussian fidelity.
-
-    Uses the symmetric quotient 8 (1 - sqrt(fidelity)) / dtheta^2 between the
-    states at ±dtheta/2, which agrees with qfi() to O(dtheta^2).
-    """
-    if not (1e-6 <= dtheta <= 1e-3):
-        raise DomainError(f"dtheta must lie in [1e-6, 1e-3], got {dtheta!r}")
-    plus = family(dtheta / 2.0)
-    minus = family(-dtheta / 2.0)
-    f_amp = math.sqrt(max(fidelity(plus, minus), 0.0))
-    return 8.0 * (1.0 - f_amp) / dtheta ** 2
-
-
 def fi_homodyne(pair: DerivativePair, psi):
     """Classical Fisher information of homodyne detection at angle psi,
     measured from the x axis: (4 S dm^2 + dS^2) / (2 S^2) for the variance S
@@ -230,8 +214,9 @@ def fi_homodyne(pair: DerivativePair, psi):
     so FI = 2 (e.a)^2 + (e^T B e)^2 / 2 for the unit vector e = y / |y|; u^T
     sigma u itself would cancel digits along a strongly squeezed quadrature.
     """
-    w = pair.whitened
     angle = lib(psi)
+    reject(angle.not_(angle.isfinite(psi)), DomainError, "homodyne angle must be finite, got {!r}", psi)
+    w = pair.whitened
     c, sn = angle.cos(psi), angle.sin(psi)
     y1, y2 = w.l11 * c - w.l21 * sn, -w.l22 * sn
     var = y1 * y1 + y2 * y2

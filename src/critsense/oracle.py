@@ -4,8 +4,10 @@ Two oracles, deliberately sharing no code with the analytic propagator or
 its exact shift derivative: a fixed-step RK4 integrator for the moment
 (Lyapunov) equations together with their shift tangent, and the full master
 equation on a Fock-space truncation, which also yields a fidelity-based QFI
-estimate valid beyond the Gaussian calculus. Both are library code; the CLI
-validation command runs the first.
+estimate valid beyond the Gaussian calculus. A third cross-check,
+`gaussian_qfi`, takes the QFI of a derivative pair from the general
+mixed-state Gaussian formula, sharing no code with metrology.qfi_terms. All
+are library code; the CLI validation command runs the first and the third.
 
 RK4 is the Lyapunov oracle only. The moments and their derivative in omega
 obey one linear autonomous system y' = L y, with J = dA/d omega coupling the
@@ -36,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemParams, drift_and_diffusion, spectral_info
-from .errors import AccuracyError, DomainError, TruncationError
-from .gaussian import GaussianState, require_one_state
+from .errors import AccuracyError, DomainError, PureStateError, TruncationError
+from .gaussian import DET_ROUNDING, GaussianState, require_one_state
 from .metrology import DerivativePair
 
 LEAK_BUDGET = 1e-8
@@ -88,8 +90,8 @@ def lyapunov_rk4(
         raise DomainError(f"time must be >= 0, got {t!r}")
     if dt is None:
         dt = default_step(params)
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt!r}")
+    if not 0 < dt < math.inf:
+        raise DomainError(f"dt must be positive and finite, got {dt!r}")
     A, D = drift_and_diffusion(params)
     if t == 0.0:
         return DerivativePair(state0, np.zeros(2), np.zeros((2, 2)))
@@ -125,6 +127,37 @@ def lyapunov_rk4(
     return DerivativePair(GaussianState(*fine[:2]), *fine[2:])
 
 
+def gaussian_qfi(pair: DerivativePair) -> float:
+    """QFI of one pair from the general mixed-state Gaussian formula
+    1/2 vec(dSigma)^T (Sigma kron Sigma - W kron W)^-1 vec(dSigma)
+    + 2 dv^T Sigma^-1 dv, W = [[0, 1], [-1, 0]] (Monras, arXiv:1303.3682;
+    Safranek, J. Phys. A 52, 035304 (2019), whose vacuum = I is ours): two
+    linear solves, sharing no code with metrology.qfi_terms.
+
+    The matrix has det (det Sigma - 1)^2 (det Sigma + 1)^2, so a state that
+    qfi takes as pure (det 1 within DET_ROUNDING of s11 s22 + s12^2) raises
+    PureStateError; a solve singular to working precision, or a QFI beyond
+    the double range, raises AccuracyError.
+    """
+    state = pair.state
+    require_one_state(state, "gaussian_qfi")
+    sigma = state.sigma
+    (s11, s12), (_, s22) = sigma.tolist()
+    if state.det_sigma - 1.0 <= DET_ROUNDING * (s11 * s22 + s12 * s12):
+        raise PureStateError(f"pure state (det sigma = {state.det_sigma!r}): the general formula is singular")
+    w = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    dsigma = pair.dsigma.ravel()
+    try:
+        with np.errstate(all="ignore"):
+            info = 0.5 * dsigma @ np.linalg.solve(np.kron(sigma, sigma) - np.kron(w, w), dsigma)
+            info += 2.0 * pair.dv @ np.linalg.solve(sigma, pair.dv)
+    except np.linalg.LinAlgError:
+        raise AccuracyError("general-formula QFI: the matrix is singular to working precision") from None
+    if not math.isfinite(info):
+        raise AccuracyError(f"general-formula QFI is not finite ({info!r})")
+    return float(info)
+
+
 # --- truncated Fock-space master equation -----------------------------------
 
 
@@ -137,6 +170,7 @@ class FockDensityMatrix:
     leakage: float = 0.0
 
     def __post_init__(self):
+        _check_dim(self.dim)
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise DomainError(f"matrix shape {m.shape} does not match dim {self.dim}")
@@ -148,12 +182,20 @@ class FockDensityMatrix:
         object.__setattr__(self, "matrix", 0.5 * (m + m.conj().T))
 
 
+def _check_dim(dim: int) -> None:
+    """DomainError for a truncation below two levels: fock_evolve's leakage
+    reads the two top levels."""
+    if not dim >= 2:
+        raise DomainError(f"a truncation needs at least 2 levels, got dim = {dim!r}")
+
+
 def ladder(dim: int) -> np.ndarray:
     """Annihilation operator on a dim-level truncation."""
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
 
 
 def fock_vacuum(dim: int) -> FockDensityMatrix:
+    _check_dim(dim)
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
     return FockDensityMatrix(dim, rho)
@@ -183,6 +225,8 @@ def fock_coherent(alpha: complex, dim: int) -> FockDensityMatrix:
 
 def suggested_dim(max_photons: float) -> int:
     """Truncation rule: 12x the largest expected photon number, at least 30."""
+    if not 0 <= max_photons < math.inf:
+        raise DomainError(f"photon number must be >= 0 and finite, got {max_photons!r}")
     return max(30, math.ceil(12.0 * max_photons))
 
 

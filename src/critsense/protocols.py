@@ -488,7 +488,8 @@ def fundamental_bound(
     error is 0. Raises DomainError for a total_time that is not positive
     and finite, a gamma or n_bath that is negative or not finite, and an N
     that is negative or not finite, naming a t where it is; AccuracyError
-    if the quadrature does not converge.
+    if the quadrature does not converge, or if its scale, the bound for one
+    photon held over T, overflows.
     """
     if not 0 < total_time < math.inf:
         raise DomainError("total_time must be positive and finite")
@@ -522,6 +523,11 @@ def fundamental_bound(
         # that is 0 (or 0 up to roundoff) converge; there the relative
         # error is 0/0 and never falls below rtol.
         atol = 1e-12 * _bound_rate(1.0, total_time, gamma, n_bath)
+        if not math.isfinite(atol):
+            raise AccuracyError(
+                f"bound integral out of range: the bound for one photon held over "
+                f"T = {total_time!r} at gamma = {gamma!r} overflows"
+            )
         result = tanhsinh(integrand, 0.0, total_time, rtol=1e-12, atol=atol, minlevel=4)
     if result.status != 0:
         raise AccuracyError(

@@ -24,14 +24,8 @@ from .gaussian import (
     squeeze_matrix,
     thermal_state,
 )
-from .metrology import (
-    DerivativePair,
-    fi_homodyne,
-    qfi,
-    qfi_fidelity_oracle,
-    snr_photon_counting,
-)
-from .oracle import lyapunov_rk4
+from .metrology import DerivativePair, fi_homodyne, qfi, snr_photon_counting
+from .oracle import gaussian_qfi, lyapunov_rk4
 from .protocols import ResourceBudget
 
 
@@ -277,37 +271,16 @@ def check_measurement_bounds() -> Outcome:
     )
 
 
-@_named("metrology.qfi_fidelity_agreement")
-def check_qfi_fidelity_agreement() -> Outcome:
-    """QFI of the exact shift derivative (cqs_pair, pqs_pair) vs the
-    closed-form fidelity quotient of the same state family."""
-    worst = 0.0
-    cases: list[tuple[DerivativePair, Callable[[float], GaussianState]]] = []
-    for (params, t) in ((SystemParams(1.0, 1.2, 1.0), 2.0), (SystemParams(1.0, 1.4, 1.0), 6.0)):
-        start = thermal_state(params.n_bath)
-        cases.append(
-            (
-                protocols.cqs_pair(params, t),
-                lambda d, p=params, s=start, tt=t: evolve_critical(p.with_shift(d), s, tt),
-            )
-        )
-    pqs = SystemParams(1.0, 0.0, 1.0)
-    alpha, squeeze = DisplacementAmplitude(2.0), SqueezeParam(1.0)
-    start = protocols.pqs_input_state(alpha, squeeze)
-    cases.append(
-        (
-            protocols.pqs_pair(alpha, squeeze, pqs, 0.7),
-            lambda d: dynamics.evolve_passive(pqs.with_shift(d), start, 0.7),
-        )
-    )
-    for pair, family in cases:
-        reference = qfi(pair)
-        estimate = qfi_fidelity_oracle(family, 1e-4)
-        worst = max(worst, abs(estimate - reference) / reference)
+@_named("metrology.qfi_general_formula")
+def check_qfi_general_formula() -> Outcome:
+    """QFI of every pair of the pair battery vs the general mixed-state
+    Gaussian formula (oracle.gaussian_qfi)."""
+    pairs = [pair for _, pair in _pair_battery()]
+    worst = max(abs(gaussian_qfi(pair) - qfi(pair)) / qfi(pair) for pair in pairs)
     return (
-        worst <= 1e-4,
-        "<= 1e-4 relative",
-        f"worst {worst:.2e}",
+        worst <= 1e-12,
+        "<= 1e-12 relative",
+        f"worst {worst:.2e} over {len(pairs)} pairs",
     )
 
 
@@ -460,7 +433,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_photon_monotonicity,
     check_physicality,
     check_measurement_bounds,
-    check_qfi_fidelity_agreement,
+    check_qfi_general_formula,
     check_qfi_symplectic_invariance,
     check_bound_gate,
     check_cqs_qfi_monotone,

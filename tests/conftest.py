@@ -10,7 +10,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from critsense.dynamics import SystemParams, evolve_critical, evolve_passive
-from critsense.gaussian import DisplacementAmplitude, SqueezeParam, thermal_state
+from critsense.gaussian import DisplacementAmplitude, GaussianState, SqueezeParam, thermal_state
 from critsense.oracle import lyapunov_rk4
 from critsense.protocols import pqs_input_state
 
@@ -58,6 +58,19 @@ def pqs_qfi_closed_form(alpha: float, r: float, gamma: float, t: float) -> float
         math.exp(2.0 * gamma * t) - 1.0
     )
     return (first + num / den) * t * t
+
+
+def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
+    """Uhlmann fidelity [Tr sqrt(sqrt(rho) tau sqrt(rho))]^2 of two
+    single-mode Gaussian states in closed form: a test-only reference for
+    oracle.uhlmann_fidelity. For pure states it is |<psi|phi>|^2."""
+    total = a.sigma + b.sigma
+    delta = a.v - b.v
+    big_delta = float(np.linalg.det(total))
+    small_delta = max((a.det_sigma - 1.0) * (b.det_sigma - 1.0), 0.0)
+    # 2/(sqrt(D+d) - sqrt(d)) rewritten to avoid cancellation for mixed states
+    prefactor = 2.0 * (math.sqrt(big_delta + small_delta) + math.sqrt(small_delta)) / big_delta
+    return min(prefactor * math.exp(-float(delta @ np.linalg.solve(total, delta))), 1.0)
 
 
 def van_loan_moments(params: SystemParams, v0, sigma0, t: float, dps: int = 50):

@@ -4,8 +4,8 @@ Criterion 10a checks the lossless beyond-threshold quench against the model's
 asymptote I -> 2 N(t)^2/(eps^2 - eps_c^2), in the QFI convention of criterion
 1's 8N(1+N)t^2. That value follows from the squeezed-vacuum picture (see the
 test's docstring), is reproduced by a plain matrix exponential of the drift
-fed to the pure-Gaussian QFI, and is checked here against the Gaussian
-fidelity oracle as well as the closed form.
+fed to the pure-Gaussian QFI, and is checked here against the 60-digit Van
+Loan oracle as well as the closed form.
 
 Criteria 8, 9 and 10b are `validate` checks: each runs its check and prints
 the check's detail.
@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cqs_state_family
+from conftest import van_loan_qfi
 from critsense.cli import main, run_compute
 from critsense.dynamics import (
     SystemParams,
@@ -28,8 +28,8 @@ from critsense.dynamics import (
     steady_state_photons,
 )
 from critsense.gaussian import thermal_state, vacuum_state
-from critsense.metrology import qfi, qfi_fidelity_oracle
-from critsense.oracle import fock_evolve, fock_moments, fock_qfi_fidelity, fock_vacuum, lyapunov_rk4
+from critsense.metrology import qfi
+from critsense.oracle import fock_evolve, fock_moments, fock_qfi_fidelity, fock_vacuum, gaussian_qfi, lyapunov_rk4
 from critsense.protocols import (
     ProtocolKind,
     ProtocolSpec,
@@ -167,11 +167,11 @@ def test_criterion_07_oracle_equivalence():
         )
         worst_rk4 = max(worst_rk4, rel)
         assert rel <= 1e-8
-    # QFI formula vs Gaussian fidelity quotient
-    fam = cqs_state_family(params, 2.0)
-    reference = qfi(lyapunov_rk4(params, vacuum_state(), 2.0))
-    gauss_fid = qfi_fidelity_oracle(fam, 1e-4)
-    assert gauss_fid == pytest.approx(reference, rel=1e-4)
+    # QFI formula vs the general mixed-state formula on the same pair
+    pair = lyapunov_rk4(params, vacuum_state(), 2.0)
+    reference = qfi(pair)
+    general = gaussian_qfi(pair)
+    assert general == pytest.approx(reference, rel=1e-10)
     # moments and QFI vs the Fock master equation (N(t) <= 5, dim = 60)
     assert mean_photons_vs_time(params, 2.0) <= 5.0
     rho = fock_evolve(params, fock_vacuum(60), 2.0)
@@ -184,7 +184,7 @@ def test_criterion_07_oracle_equivalence():
     assert fock_estimate == pytest.approx(reference, rel=0.02)
     report(
         "7",
-        f"RK4 {worst_rk4:.1e}; fidelity {abs(gauss_fid - reference) / reference:.1e}; "
+        f"RK4 {worst_rk4:.1e}; general formula {abs(general - reference) / reference:.1e}; "
         f"Fock moments {moment_err:.1e}, QFI {abs(fock_estimate - reference) / reference:.1%}",
     )
 
@@ -210,7 +210,8 @@ def test_criterion_10a_beyond_threshold_asymptote():
     1/4 tr[(Sigma^-1 dSigma)^2] gives I u^2/N^2 = 1.9992 at this point.
 
     The exact QFI is checked against the closed form and, independently of
-    beyond_threshold_qfi, against the Gaussian fidelity oracle.
+    beyond_threshold_qfi, against the 60-digit Van Loan oracle (the state
+    is pure, where the general mixed-state formula is singular).
     """
     params = SystemParams(1.0, 2.0, 0.0)
     u2 = params.epsilon ** 2 - params.epsilon_c ** 2
@@ -222,14 +223,14 @@ def test_criterion_10a_beyond_threshold_asymptote():
         f"exact QFI {got:.6g} is {got / target:.4f} of the quench asymptote "
         f"2 N^2/(eps^2-eps_c^2) = {target:.6g}"
     )
-    oracle = qfi_fidelity_oracle(cqs_state_family(params, t), 1e-6)
-    assert oracle == pytest.approx(got, rel=1e-2), (
-        f"fidelity oracle {oracle:.6g} disagrees with exact QFI {got:.6g}"
+    oracle = van_loan_qfi(params, [0.0, 0.0], np.eye(2), t, dps=60)
+    assert oracle == pytest.approx(got, rel=1e-10), (
+        f"Van Loan oracle {oracle:.6g} disagrees with exact QFI {got:.6g}"
     )
     report(
         "10a",
         f"I u^2/N^2 = {got * u2 / (n * n):.4f} (asymptote 2); "
-        f"fidelity oracle rel diff {abs(oracle - got) / got:.1e}",
+        f"Van Loan oracle rel diff {abs(oracle - got) / got:.1e}",
     )
 
 

@@ -516,6 +516,33 @@ class TestComputeCommand:
             assert len(captured.err.splitlines()) == 1
             assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize(
+        "cfg,error",
+        [
+            pytest.param({"mode": "qfi", "t": 1, "protocol": {"kind": "PQS", "n_max": 1e300, "r": 1000}},
+                         "error: non-finite moments", id="squeeze_exp_overflows"),
+            pytest.param({"mode": "qfi", "t": 1, "protocol": {"kind": "PQS", "n_max": 1e300, "r": 400}},
+                         "error: non-finite moments", id="squeezed_moments_overflow"),
+            pytest.param({"mode": "bound", "params": {"gamma": 1e-320},
+                          "protocol": {"kind": "PQS", "n_max": 10, "total_time": 1}},
+                         "error: bound integral out of range", id="bound_at_subnormal_gamma"),
+            pytest.param({"mode": "bound", "protocol": {"n_max": 10, "total_time": 1e308}},
+                         "error: bound integral out of range", id="bound_over_huge_time"),
+        ],
+    )
+    def test_beyond_double_range_exits_1(self, tmp_path, capsys, cfg, error):
+        """A squeezing or a bound beyond the double range exits 1 with one
+        typed error line, with no traceback and no numpy warning."""
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compute", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(error), captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == "" and not out.exists()
+
     def test_compute_determinism(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(

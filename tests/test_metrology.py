@@ -19,7 +19,6 @@ from critsense.gaussian import (
     GaussianState,
     SqueezeParam,
     apply_squeeze,
-    fidelity,
     photon_variance,
     rotation_matrix,
     squeeze_matrix,
@@ -31,11 +30,10 @@ from critsense.metrology import (
     differentiate_at_zero_shift,
     fi_homodyne,
     qfi,
-    qfi_fidelity_oracle,
     qfi_terms,
     snr_photon_counting,
 )
-from critsense.oracle import lyapunov_rk4
+from critsense.oracle import gaussian_qfi, lyapunov_rk4
 from critsense.protocols import (
     best_homodyne,
     cqs_pair,
@@ -121,35 +119,43 @@ class TestExactDerivative:
         assert got == pytest.approx(pqs_qfi_closed_form(alpha, r, 1.0, 100.0), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "exact,oracle,family",
+        "exact,oracle,family,reference",
         [
             (lambda: cqs_pair(SystemParams(1.0, 1.2, 1.0), 2.0),
              lambda: lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), 2.0),
-             lambda: cqs_state_family(SystemParams(1.0, 1.2, 1.0), 2.0)),
+             lambda: cqs_state_family(SystemParams(1.0, 1.2, 1.0), 2.0),
+             gaussian_qfi),
             (lambda: cqs_pair(SystemParams(1.0, 1.0, 1.0, n_bath=0.5), 3.0),
              lambda: lyapunov_rk4(SystemParams(1.0, 1.0, 1.0, n_bath=0.5), thermal_state(0.5), 3.0),
-             lambda: cqs_state_family(SystemParams(1.0, 1.0, 1.0, n_bath=0.5), 3.0)),
+             lambda: cqs_state_family(SystemParams(1.0, 1.0, 1.0, n_bath=0.5), 3.0),
+             gaussian_qfi),
+            # Lossless from the vacuum: a pure state, where the general formula is singular.
             (lambda: cqs_pair(SystemParams(1.0, 0.5, 0.0), 2.0),
              lambda: lyapunov_rk4(SystemParams(1.0, 0.5, 0.0), vacuum_state(), 2.0),
-             lambda: cqs_state_family(SystemParams(1.0, 0.5, 0.0), 2.0)),
+             lambda: cqs_state_family(SystemParams(1.0, 0.5, 0.0), 2.0),
+             lambda pair: van_loan_qfi(SystemParams(1.0, 0.5, 0.0), [0.0, 0.0], np.eye(2), 2.0)),
             (lambda: cqs_pair(SystemParams(0.5, 1.0, 2.0, n_bath=1.5), 0.7),
              lambda: lyapunov_rk4(SystemParams(0.5, 1.0, 2.0, n_bath=1.5), thermal_state(1.5), 0.7),
-             lambda: cqs_state_family(SystemParams(0.5, 1.0, 2.0, n_bath=1.5), 0.7)),
+             lambda: cqs_state_family(SystemParams(0.5, 1.0, 2.0, n_bath=1.5), 0.7),
+             gaussian_qfi),
             # The transient of this exceptional-point drive has decayed as t^3 e^{-2t}.
             (lambda: cqs_steady_pair(SystemParams(1.0, 1.0, 1.0, n_bath=1.0)),
              lambda: lyapunov_rk4(SystemParams(1.0, 1.0, 1.0, n_bath=1.0), thermal_state(1.0), 60.0),
-             lambda: lambda d: steady_state(SystemParams(1.0, 1.0, 1.0, n_bath=1.0, delta_omega=d))),
+             lambda: lambda d: steady_state(SystemParams(1.0, 1.0, 1.0, n_bath=1.0, delta_omega=d)),
+             gaussian_qfi),
             (lambda: pqs_pair(DisplacementAmplitude(2.0), SqueezeParam(0.8),
                               SystemParams(1.0, 0.0, 1.0, n_bath=0.5), 0.6),
              lambda: rk4_pqs_pair(2.0, 0.8, SystemParams(1.0, 0.0, 1.0, n_bath=0.5), 0.6),
-             lambda: pqs_state_family(2.0, 0.8, SystemParams(1.0, 0.0, 1.0, n_bath=0.5), 0.6)),
+             lambda: pqs_state_family(2.0, 0.8, SystemParams(1.0, 0.0, 1.0, n_bath=0.5), 0.6),
+             gaussian_qfi),
         ],
     )
-    def test_agrees_with_rk4_and_fidelity_oracles(self, exact, oracle, family):
+    def test_agrees_with_rk4_and_general_formula(self, exact, oracle, family, reference):
         """The exact pair's state is the public evolution's bit for bit and
         within 1e-8 of the RK4 oracle's; its derivative is within 1e-8 of the
-        oracle's, relative to the derivative's size; its QFI is within 1e-4 of
-        the fidelity quotient's (that quotient's O(dtheta^2))."""
+        oracle's, relative to the derivative's size; its QFI is within 1e-12
+        of the reference's: the general mixed-state formula on the same pair,
+        or for a pure state the 50-digit Van Loan oracle."""
         pair, rk4, fam = exact(), oracle(), family()
         base = fam(0.0)
         assert np.array_equal(pair.state.sigma, base.sigma)
@@ -159,7 +165,7 @@ class TestExactDerivative:
         assert np.abs(pair.dsigma - rk4.dsigma).max() <= 1e-8 * scale
         assert np.abs(pair.dv - rk4.dv).max() <= 1e-8 * scale
         assert qfi(pair) == pytest.approx(qfi(rk4), rel=1e-8)
-        assert qfi(pair) == pytest.approx(qfi_fidelity_oracle(fam, 1e-4), rel=1e-4)
+        assert qfi(pair) == pytest.approx(reference(pair), rel=1e-12)
 
     def test_one_evolution_per_derivative(self, monkeypatch):
         """The state and its derivative share one evaluation of the closed
@@ -267,11 +273,10 @@ def test_pairs_compare_as_one_bool():
     [
         lambda stack, pair: photon_variance(stack),
         lambda stack, pair: snr_photon_counting(pair),
-        lambda stack, pair: fidelity(stack, vacuum_state()),
-        lambda stack, pair: fidelity(vacuum_state(), stack),
+        lambda stack, pair: gaussian_qfi(pair),
         lambda stack, pair: lyapunov_rk4(UNIT, stack, 1.0),
     ],
-    ids=["photon_variance", "snr_photon_counting", "fidelity_first", "fidelity_second", "lyapunov_rk4"],
+    ids=["photon_variance", "snr_photon_counting", "gaussian_qfi", "lyapunov_rk4"],
 )
 def test_float_only_consumers_reject_a_stack(call):
     stack = apply_squeeze(vacuum_state(), SqueezeParam(np.array([0.2, 0.6])))
@@ -338,41 +343,20 @@ class TestQfi:
         assert qfi(moved) == pytest.approx(base, rel=1e-9)
 
 
-class TestQfiFidelityOracle:
-    def test_constant_family(self):
-        # one ulp of fidelity roundoff maps to ~1e-7 after the 8/dtheta^2 quotient
-        st = apply_squeeze(thermal_state(0.3), SqueezeParam(0.5))
-        assert qfi_fidelity_oracle(lambda d: st, 1e-4) == pytest.approx(0.0, abs=1e-6)
-
-    def test_step_out_of_range(self):
-        with pytest.raises(DomainError):
-            qfi_fidelity_oracle(lambda d: vacuum_state(), 1e-2)
-
+class TestGeneralFormula:
     @pytest.mark.parametrize(
-        "family_builder",
+        "build",
         [
-            lambda: (rk4_pqs_pair(2.0, 1.0, SystemParams(1.0, 0.0, 1.0), 0.6),
-                     pqs_state_family(2.0, 1.0, SystemParams(1.0, 0.0, 1.0), 0.6)),
-            lambda: (rk4_pqs_pair(0.0, 3.0, SystemParams(1.0, 0.0, 1.0, n_bath=1.0), 1.5),
-                     pqs_state_family(0.0, 3.0, SystemParams(1.0, 0.0, 1.0, n_bath=1.0), 1.5)),
-            lambda: (lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), 2.0),
-                     cqs_state_family(SystemParams(1.0, 1.2, 1.0), 2.0)),
-            lambda: (lyapunov_rk4(SystemParams(1.0, 1.4, 1.0, n_bath=1.0), thermal_state(1.0), 4.0),
-                     cqs_state_family(SystemParams(1.0, 1.4, 1.0, n_bath=1.0), 4.0)),
+            lambda: rk4_pqs_pair(2.0, 1.0, SystemParams(1.0, 0.0, 1.0), 0.6),
+            lambda: rk4_pqs_pair(0.0, 3.0, SystemParams(1.0, 0.0, 1.0, n_bath=1.0), 1.5),
+            lambda: lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), 2.0),
+            lambda: lyapunov_rk4(SystemParams(1.0, 1.4, 1.0, n_bath=1.0), thermal_state(1.0), 4.0),
         ],
     )
-    def test_agrees_with_formula(self, family_builder):
-        """The fidelity quotient against the QFI formula on the RK4 oracle's pair."""
-        pair, fam = family_builder()
-        reference = qfi(pair)
-        estimate = qfi_fidelity_oracle(fam, 1e-4)
-        assert estimate == pytest.approx(reference, rel=1e-4)
-
-    def test_noiseless_squeezed_vacuum(self):
-        n_photons, t = 10.0, 0.8
-        fam = pqs_state_family(0.0, math.asinh(math.sqrt(n_photons)), SystemParams(1.0, 0.0, 0.0), t)
-        expected = 8.0 * n_photons * (1.0 + n_photons) * t * t
-        assert qfi_fidelity_oracle(fam, 1e-4) == pytest.approx(expected, rel=1e-4)
+    def test_agrees_with_formula(self, build):
+        """The general mixed-state formula against the QFI formula on the RK4 oracle's pair."""
+        pair = build()
+        assert gaussian_qfi(pair) == pytest.approx(qfi(pair), rel=1e-12)
 
 
 class TestFiHomodyne:

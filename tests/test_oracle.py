@@ -3,11 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from conftest import gaussian_fidelity
 from critsense.dynamics import SystemParams, drift_and_diffusion, evolve_critical, mean_photons_vs_time
-from critsense.metrology import differentiate_at_zero_shift
-from critsense.errors import AccuracyError, DomainError, TruncationError
-from critsense.gaussian import thermal_state, vacuum_state
-from critsense.metrology import qfi
+from critsense.errors import AccuracyError, DomainError, PureStateError, TruncationError
+from critsense.gaussian import (
+    DisplacementAmplitude,
+    GaussianState,
+    SqueezeParam,
+    apply_displace,
+    apply_squeeze,
+    thermal_state,
+    vacuum_state,
+)
+from critsense.metrology import DerivativePair, differentiate_at_zero_shift, fi_homodyne, qfi
 from critsense.oracle import (
     LEAK_BUDGET,
     FockDensityMatrix,
@@ -21,6 +29,7 @@ from critsense.oracle import (
     fock_qfi_fidelity,
     fock_thermal,
     fock_vacuum,
+    gaussian_qfi,
     ladder,
     lyapunov_rk4,
     suggested_dim,
@@ -108,6 +117,35 @@ class TestLyapunovRk4:
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), -1.0)
+
+
+class TestGaussianQfi:
+    """oracle.gaussian_qfi, the general mixed-state formula, against closed forms."""
+
+    @pytest.mark.parametrize("nu", [1.5, 3.0, 11.0])
+    def test_thermal_closed_form(self, nu):
+        """A thermal state sigma = nu I carries 1/(nu^2 - 1) about nu = 1 + 2 n_B."""
+        pair = DerivativePair(GaussianState(np.zeros(2), nu * np.eye(2)), np.zeros(2), np.eye(2))
+        assert gaussian_qfi(pair) == pytest.approx(1.0 / (nu * nu - 1.0), rel=1e-14)
+
+    def test_displaced_thermal_state(self):
+        """A displacement alpha moves v by sqrt(2) alpha: about alpha, a thermal
+        state of sigma = 3 I carries 4/3 (a coherent state, 4)."""
+        state = apply_displace(thermal_state(1.0), DisplacementAmplitude(0.7, 0.4))
+        dv = math.sqrt(2.0) * np.array([math.cos(0.4), math.sin(0.4)])
+        pair = DerivativePair(state, dv, np.zeros((2, 2)))
+        assert gaussian_qfi(pair) == pytest.approx(4.0 / 3.0, rel=1e-14)
+
+    @pytest.mark.parametrize("squeeze", [SqueezeParam(0.0), SqueezeParam(1.0), SqueezeParam(1.3, 0.7)],
+                             ids=["vacuum", "squeezed", "rotated"])
+    def test_pure_state_rejected(self, squeeze):
+        """det(sigma kron sigma - W kron W) = (det sigma - 1)^2 (det sigma + 1)^2
+        vanishes at a pure state, exactly or within rounding: a typed error,
+        not numpy's LinAlgError or a quotient of rounding."""
+        state = apply_squeeze(vacuum_state(), squeeze)
+        pair = DerivativePair(state, np.ones(2), np.zeros((2, 2)))
+        with pytest.raises(PureStateError, match="general formula is singular"):
+            gaussian_qfi(pair)
 
 
 class TestFockEvolve:
@@ -377,14 +415,6 @@ class TestFockStates:
         """Closed-form Gaussian fidelity equals the Fock-space Uhlmann fidelity."""
         import scipy.linalg as la
 
-        from critsense.gaussian import (
-            DisplacementAmplitude,
-            SqueezeParam,
-            apply_displace,
-            apply_squeeze,
-            fidelity,
-        )
-
         dim = 90
         a_op = ladder(dim)
         ad = a_op.conj().T
@@ -403,5 +433,32 @@ class TestFockStates:
             )
 
         f_fock = uhlmann_fidelity(build(0.8, 0.4, 0.3), build(0.5, 0.6, 0.5)) ** 2
-        f_gauss = fidelity(gauss(0.8, 0.4, 0.3), gauss(0.5, 0.6, 0.5))
+        f_gauss = gaussian_fidelity(gauss(0.8, 0.4, 0.3), gauss(0.5, 0.6, 0.5))
         assert f_gauss == pytest.approx(f_fock, abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: suggested_dim(math.inf),
+        lambda: suggested_dim(math.nan),
+        lambda: suggested_dim(-1.0),
+        lambda: fock_vacuum(0),
+        lambda: fock_vacuum(1),
+        lambda: fock_thermal(1.0, 0),
+        lambda: fock_coherent(1.0, 1),
+        lambda: lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), 1.0, dt=math.nan),
+        lambda: lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), 1.0, dt=math.inf),
+        lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), 1.0), math.inf),
+        lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), 1.0), math.nan),
+        lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), np.array([1.0, 2.0])), np.array([0.5, math.nan])),
+    ],
+    ids=["suggested_dim_inf", "suggested_dim_nan", "suggested_dim_negative", "fock_vacuum_0", "fock_vacuum_1",
+         "fock_thermal_0", "fock_coherent_1", "rk4_dt_nan", "rk4_dt_inf", "fi_psi_inf", "fi_psi_nan", "fi_psi_array_nan"],
+)
+def test_bad_library_input_raises_domain_error(call):
+    """A photon number, truncation, step or homodyne angle outside its
+    domain raises DomainError, not a bare OverflowError, ValueError or
+    IndexError, nor an AccuracyError that blames the state."""
+    with pytest.raises(DomainError):
+        call()

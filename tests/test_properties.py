@@ -28,7 +28,7 @@ from critsense.dynamics import (
     mean_photons_vs_time,
     spectral_info,
 )
-from critsense.errors import ConstraintError, DomainError, InvalidStateError
+from critsense.errors import ConstraintError, CritsenseError, DomainError, InvalidStateError
 from critsense.gaussian import (
     DET_ROUNDING,
     DisplacementAmplitude,
@@ -39,7 +39,7 @@ from critsense.gaussian import (
     thermal_state,
 )
 from critsense.metrology import DerivativePair, Whitened, fi_homodyne, qfi
-from critsense.oracle import lyapunov_rk4
+from critsense.oracle import gaussian_qfi, lyapunov_rk4
 from critsense.protocols import (
     ProtocolKind,
     ProtocolSpec,
@@ -138,6 +138,24 @@ def test_homodyne_never_beats_qfi(case):
     assert 0.0 <= psi < math.pi
     grid = max(fi_homodyne(pair, p) for p in np.linspace(0.0, math.pi, 721, endpoint=False))
     assert best >= (1.0 - 1e-12) * grid
+
+
+@given(params_and_time())
+def test_qfi_matches_general_formula(case):
+    """qfi against oracle.gaussian_qfi, the general mixed-state formula, to
+    1e3 eps (s11 s22 + s12^2)/det of the QFI: the scale at which det(sigma)
+    and a solve with sigma round. Draws that either raises on are skipped,
+    as are states of purity above 0.999 and subnormal QFIs."""
+    params, t = case
+    pair = cqs_pair(params, t)
+    try:
+        info, general = qfi(pair), gaussian_qfi(pair)
+    except CritsenseError:
+        assume(False)
+    assume(purity(pair.state) <= 0.999 and info > 1e-200)
+    (s11, s12), (_, s22) = pair.state.sigma.tolist()
+    rounding = np.finfo(float).eps * (s11 * s22 + s12 * s12) / pair.state.det_sigma
+    assert abs(general - info) <= 1e3 * rounding * info
 
 
 def _richardson_shift_derivative(family, h: float):

@@ -519,6 +519,14 @@ class TestFundamentalBound:
         with pytest.raises(AccuracyError, match="did not converge"):
             fundamental_bound(traj, 1.0, gamma, 0.0)
 
+    @pytest.mark.parametrize("total_time,gamma", [(1.0, 1e-320), (1e308, 1.0)], ids=["subnormal_gamma", "huge_time"])
+    def test_scale_beyond_double_range_raises_accuracy_error(self, total_time, gamma):
+        """The absolute tolerance scales with the bound for one photon held
+        over T; where that overflows, a typed error names it before the
+        quadrature starts."""
+        with pytest.raises(AccuracyError, match="overflows"):
+            fundamental_bound(lambda t: 1.0, total_time, gamma, 0.0)
+
     def test_budget_cap_matches(self):
         budget = ResourceBudget(n_max=100.0, total_time=10.0)
         assert budget_cap(budget, 1.0, 0.0) == pytest.approx(2000.0)
