@@ -28,7 +28,7 @@ from scipy.special import gammainc
 
 from .errors import DomainError, InvalidStateError, NoSteadyStateError, PreconditionError
 from ._elementwise import lib, matrix, over_t, per_t, reject, select
-from .gaussian import IDENTITY, GaussianState, mean_photons, rotation_matrix, thermal_state
+from .gaussian import IDENTITY, GaussianState, _check_grid, mean_photons, rotation_matrix, thermal_state
 
 # Relative half-width of the eigenvalue-degeneracy window used for regime labels.
 DEGENERACY_ETA = 1e-9
@@ -351,8 +351,7 @@ def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool
     Sigma0 dM^T + dG, where dG (_noise_tangent) takes the integrals' s-slopes.
     """
     _check_time(t)
-    if state0.sigma.ndim == 3 and isinstance(t, np.ndarray) and t.shape != state0.sigma.shape[:1]:
-        raise PreconditionError("a start per t needs an array of times as long as the stack")
+    _check_grid(state0, t)
     w, eps, gamma = params.omega, params.epsilon, params.gamma
     # Below threshold |exp(A t)| <= 1 + |B| t. At and above it exp(A t) grows
     # without bound, and it or its product with sigma can leave the double
@@ -424,20 +423,26 @@ def _steady_sigma(params: SystemParams) -> tuple[np.ndarray, float]:
     return sigma, k
 
 
-def _steady_flow(params: SystemParams, tangent: bool = True) -> tuple:
-    """(v, Sigma, dv, dSigma) of steady_state and its shift derivative, or
-    (v, Sigma) without `tangent`. With d(eps_c^2)/d omega = 2 omega and
-    dK/d omega = 2 omega, dSigma = (1 + 2 n_bath)/K diag(2 omega - eps,
-    2 omega + eps) - (2 omega/K) Sigma."""
+def _require_steady_state(params: SystemParams) -> None:
+    """NoSteadyStateError unless epsilon is below the critical point by more
+    than 1e-12 of epsilon_c: at and above it the moments grow without bound."""
     eps_c, eps = params.epsilon_c, params.epsilon
     if eps_c - eps <= 1e-12 * eps_c:
         raise NoSteadyStateError(
             f"no steady state: epsilon = {eps!r} at or above epsilon_c = {eps_c!r}"
         )
+
+
+def _steady_flow(params: SystemParams, tangent: bool = True) -> tuple:
+    """(v, Sigma, dv, dSigma) of steady_state and its shift derivative, or
+    (v, Sigma) without `tangent`. With d(eps_c^2)/d omega = 2 omega and
+    dK/d omega = 2 omega, dSigma = (1 + 2 n_bath)/K diag(2 omega - eps,
+    2 omega + eps) - (2 omega/K) Sigma."""
+    _require_steady_state(params)
     sigma, k = _steady_sigma(params)
     if not tangent:
         return np.zeros(2), sigma
-    w = params.omega
+    w, eps = params.omega, params.epsilon
     dsigma = (1.0 + 2.0 * params.n_bath) / k * np.diag([2.0 * w - eps, 2.0 * w + eps]) - (2.0 * w / k) * sigma
     return np.zeros(2), sigma, np.zeros(2), dsigma
 
@@ -449,9 +454,8 @@ def steady_state(params: SystemParams) -> GaussianState:
 
 def steady_state_photons(params: SystemParams) -> float:
     """N(∞) = (eps^2 + 2 n_bath eps_c^2) / (2 (eps_c^2 - eps^2))."""
+    _require_steady_state(params)
     eps_c, eps = params.epsilon_c, params.epsilon
-    if eps_c - eps <= 1e-12 * eps_c:
-        raise NoSteadyStateError("photon number diverges at or above epsilon_c")
     return (eps * eps + 2.0 * params.n_bath * eps_c * eps_c) / (2.0 * _s_and_gap(params)[1])
 
 
@@ -480,9 +484,8 @@ def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool 
     """
     if params.epsilon != 0.0:
         raise PreconditionError("evolve_passive requires epsilon = 0")
-    if state0.sigma.ndim == 3 and isinstance(t, np.ndarray) and t.shape != state0.sigma.shape[:1]:
-        raise PreconditionError("a start per t needs an array of times as long as the stack")
     _check_time(t)
+    _check_grid(state0, t)
     gamma, n_bath = params.gamma, params.n_bath
     R = rotation_matrix(-params.delta_omega * t)
     decay = lib(t).exp(-gamma * t)

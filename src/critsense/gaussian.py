@@ -200,6 +200,15 @@ def apply_displace(state: GaussianState, d: DisplacementAmplitude) -> GaussianSt
     return GaussianState(v, np.broadcast_to(state.sigma, v.shape + (2,)))
 
 
+def is_pure(s11, s12, s22, det):
+    """Where a state is pure: det(sigma) is at most 1 within its own
+    rounding, DET_ROUNDING of s11 s22 + s12^2, for the entries and det of
+    its sigma (floats, or arrays over t). There the digits of det below 1
+    are noise; a det below 1 beyond that is roundoff the constructor
+    admits, and no mixed state has one."""
+    return det - 1.0 <= DET_ROUNDING * (s11 * s22 + s12 * s12)
+
+
 def cholesky_factor(s11, s12, s22, det):
     """(l11, l21, l22, det): the lower-triangular L = [[l11, 0], [l21, l22]]
     with sigma = L L^T, l22 = sqrt(det / s11), for the entries and det of a
@@ -208,16 +217,15 @@ def cholesky_factor(s11, s12, s22, det):
     Quadratic forms in sigma^-1 taken in the frame that L whitens, such as
     |L^-1 x|^2 and the entries of L^-1 M L^-T, are sums of squares where the
     adjugate over det would cancel digits for a strongly squeezed state. det
-    is det_sigma, or exactly 1 where det_sigma is 1 within its own rounding
-    (DET_ROUNDING of s11 s22 + s12^2): there its digits below 1 are noise,
-    and the nearest pure state's factor keeps L^-1 sigma L^-T = I to
-    rounding. A det <= 0, which the constructor admits within rounding, has
-    no factor.
+    is det_sigma, or exactly 1 where the state is pure (is_pure): the
+    nearest pure state's factor keeps L^-1 sigma L^-T = I to rounding, and
+    the returned det is 1 exactly where the state is pure. A det <= 0,
+    which the constructor admits within rounding, has no factor.
     """
     f = lib(det)
     invertible = (det > 0) & f.isfinite(det)
     reject(f.not_(invertible), InvalidStateError, "covariance not invertible, det = {!r}", det)
-    det = f.where(abs(det - 1.0) <= DET_ROUNDING * (s11 * s22 + s12 * s12), 1.0, det)
+    det = f.where(is_pure(s11, s12, s22, det), 1.0, det)
     l11 = f.sqrt(s11)
     return l11, s12 / l11, f.sqrt(det / s11), det
 

@@ -25,9 +25,9 @@ from .dynamics import SystemParams
 from .errors import AccuracyError, DomainError, InvalidStateError, PreconditionError, PureStateError
 from .gaussian import GaussianState, cholesky_factor, photon_variance, require_one_state
 
-# Pure-state handling: below this distance of mu^4 from 1 the weight of the
-# purity-derivative term diverges; it is dropped only for unitary families.
-_PURE_GAP = 1e-9
+# At a pure state the weight of the purity-derivative term diverges; the
+# term is dropped only where the purity's derivative is this small
+# relative to B, as for a unitary family.
 _PURE_DMU = 1e-7
 
 
@@ -53,7 +53,7 @@ def _whiten(l11, l21, l22, det, v1, v2, d11, d12, d22) -> Whitened:
     and det of gaussian.cholesky_factor, dv and the symmetric dsigma; floats,
     or arrays over t."""
     f = lib(det)
-    mu = f.min(1.0 / f.sqrt(det), 1.0)
+    mu = 1.0 / f.sqrt(det)
     # L^-1 = [[m11, 0], [m21, m22]]. Python floats: an overflowing
     # derivative gives inf or nan, which the estimators reject.
     m11, m21, m22 = 1.0 / l11, -l21 / (l11 * l22), 1.0 / l22
@@ -62,7 +62,7 @@ def _whiten(l11, l21, l22, det, v1, v2, d11, d12, d22) -> Whitened:
     b22 = row2[0] * m21 + row2[1] * m22
     half_trace = 0.5 * (b11 + b22)
     size = f.sqrt(b11 * b11 + 2.0 * b12 * b12 + b22 * b22)
-    pure = (1.0 - mu ** 4 < _PURE_GAP) & (abs(half_trace) < _PURE_DMU * f.max(1.0, size))
+    pure = (mu == 1.0) & (abs(half_trace) < _PURE_DMU * f.max(1.0, size))
     b11, b22 = f.where(pure, b11 - half_trace, b11), f.where(pure, b22 - half_trace, b22)
     return Whitened(l11, l21, l22, mu, m11 * v1, m21 * v1 + m22 * v2, b11, b12, b22)
 
@@ -111,12 +111,13 @@ class DerivativePair:
     @cached_property
     def whitened(self) -> Whitened:
         """The pair in the frame sigma = L L^T of gaussian.cholesky_factor,
-        with the purity mu = min(det^-1/2, 1) of the det that factor used.
+        with the purity mu = det^-1/2 of the det that factor used: exactly 1
+        where the state is pure (gaussian.is_pure), below 1 elsewhere.
 
         tr B = tr(sigma^-1 dsigma) is the log-derivative of det. A unitary
-        family keeps a pure state pure, so at a pure state (1 - mu^4 below
-        _PURE_GAP) a trace within _PURE_DMU of B's size is rounding and is
-        removed; the QFI rejects a larger one.
+        family keeps a pure state pure, so at a pure state a trace within
+        _PURE_DMU of B's size is rounding and is removed; the QFI rejects a
+        larger one.
         """
         if self.dv.ndim == 1:
             (s11, s12), (_, s22) = self.state.sigma.tolist()
@@ -184,7 +185,7 @@ def qfi_terms(pair: DerivativePair) -> tuple:
     dmu = -0.5 * mu * (b11 + b22)  # Jacobi identity for d(det)
     term1 = 0.5 * tr_sq / (1.0 + mu * mu)
     gap = 1.0 - mu ** 4
-    pure = gap < _PURE_GAP
+    pure = mu == 1.0
     if pure is not False:  # a mixed float state takes this one test
         # For symplectic (unitary) families tr(B) vanishes identically, and
         # `whitened` has removed its rounding residue: at a pure state the
@@ -193,7 +194,8 @@ def qfi_terms(pair: DerivativePair) -> tuple:
             pure & f.not_(abs(dmu) < _PURE_DMU * f.max(1.0, f.sqrt(tr_sq))),
             PureStateError, "pure state with non-constant purity (d mu = {!r}); QFI term singular", dmu,
         )
-    term2 = f.where(pure, 0.0, 2.0 * dmu * dmu / f.max(gap, _PURE_GAP))
+    # The pure entries' gap of 0 is replaced before the division: no 0/0.
+    term2 = f.where(pure, 0.0, 2.0 * dmu * dmu / f.where(pure, 1.0, gap))
     term3 = 2.0 * (w.a1 * w.a1 + w.a2 * w.a2)
     return _finite(term1, "QFI term"), _finite(term2, "QFI term"), _finite(term3, "QFI term")
 

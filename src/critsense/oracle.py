@@ -39,7 +39,7 @@ import numpy as np
 
 from .dynamics import SystemParams, drift_and_diffusion, spectral_info
 from .errors import AccuracyError, DomainError, PureStateError, TruncationError
-from .gaussian import DET_ROUNDING, GaussianState, require_one_state
+from .gaussian import GaussianState, is_pure, require_one_state
 from .metrology import DerivativePair
 
 LEAK_BUDGET = 1e-8
@@ -134,16 +134,15 @@ def gaussian_qfi(pair: DerivativePair) -> float:
     Safranek, J. Phys. A 52, 035304 (2019), whose vacuum = I is ours): two
     linear solves, sharing no code with metrology.qfi_terms.
 
-    The matrix has det (det Sigma - 1)^2 (det Sigma + 1)^2, so a state that
-    qfi takes as pure (det 1 within DET_ROUNDING of s11 s22 + s12^2) raises
-    PureStateError; a solve singular to working precision, or a QFI beyond
-    the double range, raises AccuracyError.
+    The matrix has det (det Sigma - 1)^2 (det Sigma + 1)^2, so a pure state
+    (gaussian.is_pure) raises PureStateError; a solve singular to working
+    precision, or a QFI beyond the double range, raises AccuracyError.
     """
     state = pair.state
     require_one_state(state, "gaussian_qfi")
     sigma = state.sigma
     (s11, s12), (_, s22) = sigma.tolist()
-    if state.det_sigma - 1.0 <= DET_ROUNDING * (s11 * s22 + s12 * s12):
+    if is_pure(s11, s12, s22, state.det_sigma):
         raise PureStateError(f"pure state (det sigma = {state.det_sigma!r}): the general formula is singular")
     w = np.array([[0.0, 1.0], [-1.0, 0.0]])
     dsigma = pair.dsigma.ravel()

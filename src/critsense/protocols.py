@@ -24,8 +24,10 @@ import numpy as np
 
 from . import dynamics
 from ._elementwise import lib, over_t, per_t, reject
-from .dynamics import SystemParams, evolve_critical, evolve_passive, spectral_info, steady_state
-from .errors import AccuracyError, ConstraintError, DomainError, SearchError, UnsupportedRegimeError
+from .dynamics import SystemParams, evolve_critical, evolve_passive, steady_state
+from .errors import (
+    AccuracyError, ConstraintError, DomainError, NoSteadyStateError, SearchError, UnsupportedRegimeError,
+)
 from .gaussian import (
     DisplacementAmplitude,
     GaussianState,
@@ -132,17 +134,18 @@ class ProtocolSpec:
             )
             evolution = evolve_passive
         else:
-            eps, eps_c = self.params.epsilon, self.params.epsilon_c
-            if eps < eps_c * (1.0 - 1e-12):
+            try:
                 photons = dynamics.steady_state_photons(self.params)
+            except NoSteadyStateError:
+                if self.params.gamma > 0:
+                    raise UnsupportedRegimeError(
+                        "lossy drive at or above the critical point heats without bound"
+                    ) from None
+            else:
                 if photons > _budget_limit(self.budget.n_max):
                     raise ConstraintError(
                         f"steady state holds {photons!r} photons, budget allows {self.budget.n_max!r}"
                     )
-            elif self.params.gamma > 0:
-                raise UnsupportedRegimeError(
-                    "lossy drive at or above the critical point heats without bound"
-                )
             start, evolution = thermal_state(self.params.n_bath), evolve_critical
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "evolution", evolution)
@@ -239,15 +242,13 @@ def pqs_qfi(
 
 
 def _roots(poly: np.ndarray) -> np.ndarray:
-    """np.roots(poly) for one quartic. For a stack of quartics of shape (n,
-    5), an (n, 4) array of each row's roots: one eigvals call per degree on
-    the companion matrices np.roots builds, so each row's roots are np.roots'
-    own, padded with 0 where np.roots drops roots (a row whose leading
-    coefficients are 0). best_homodyne's quartics are conjugate-palindromic,
-    so a leading coefficient is 0 with its trailing mirror, and only degrees
-    4 and 2 occur."""
-    if poly.ndim == 1:
-        return np.roots(poly)
+    """For a stack of quartics of shape (n, 5), an (n, 4) array of each
+    row's roots: one eigvals call per degree on the companion matrices
+    np.roots builds, so each row's roots are np.roots' own, padded with 0
+    where np.roots drops roots (a row whose leading coefficients are 0).
+    best_homodyne's quartics are conjugate-palindromic, so a leading
+    coefficient is 0 with its trailing mirror, and only degrees 4 and 2
+    occur."""
     roots = np.zeros((len(poly), 4), complex)
     for lead, degree in ((0, 4), (1, 2)):
         rows = (poly[:, lead] != 0) & (poly[:, :lead] == 0).all(axis=1)
@@ -273,7 +274,7 @@ def best_homodyne(pair: DerivativePair):
     white = pair.whitened
     # FI is quadratic in (a, B): scaling both to unit size moves no stationary
     # point and leaves max FI >= 1/2, so harmonics below 1e-15 can be dropped,
-    # which keeps np.roots' division by the leading coefficient finite.
+    # which keeps _roots' division by the leading coefficient finite.
     coeffs = (white.a1, white.a2, white.b11, white.b12, white.b22)
     f = lib(white.mu)
     scale = f.max(*map(abs, coeffs))
@@ -285,7 +286,8 @@ def best_homodyne(pair: DerivativePair):
     # dFI/dx = c1 cos x + s1 sin x + c2 cos 2x + s2 sin 2x, times 2 z^2.
     c1, s1 = 2.0 * p2 + q0 * q2, -2.0 * p1 - q0 * q1
     c2, s2 = q1 * q2, 0.5 * (q2 * q2 - q1 * q1)
-    quartic = np.array([c2 - 1j * s2, c1 - 1j * s1, 0.0 * c1, c1 + 1j * s1, c2 + 1j * s2]).T
+    # One pair's quartic is a stack of one.
+    quartic = np.array([c2 - 1j * s2, c1 - 1j * s1, 0.0 * c1, c1 + 1j * s1, c2 + 1j * s2]).T.reshape(-1, 5)
     theta = 0.5 * np.angle(_roots(np.where(abs(quartic) > 1e-15, quartic, 0.0)))
     # u = L^-T (cos theta, sin theta) by back-substitution.
     u2 = np.sin(theta) / per_t(white.l22, 1)
@@ -294,7 +296,7 @@ def best_homodyne(pair: DerivativePair):
     psis = np.arctan2(-u2, u1) % math.pi
     psis = np.where(psis < math.pi, psis, 0.0)
     if not isinstance(white.mu, np.ndarray):
-        candidates = [0.0, *psis.tolist()]
+        candidates = [0.0, *psis[0].tolist()]
         return max(((psi, fi_homodyne(pair, psi)) for psi in candidates), key=lambda result: result[1])
     candidates = np.concatenate([np.zeros((len(psis), 1)), psis], axis=1).T
     values = np.array([fi_homodyne(pair, psi) for psi in candidates])
@@ -332,19 +334,6 @@ def _scan_then_polish(f: Callable, t_lo: float, t_hi: float) -> tuple[float, flo
     if -polish.fun <= best:
         return float(grid[i]), float(best)
     return float(polish.x), float(-polish.fun)
-
-
-def maximize_single_shot(rate_fn: Callable, bracket: tuple[float, float]) -> tuple[float, float]:
-    """Maximize rate_fn(t) itself over a positive bracket.
-
-    rate_fn takes a float or an ndarray of t and returns the same shape (a
-    scalar for an array is taken at every t). The search is that of
-    optimize_time.
-    """
-    t_lo, t_hi = bracket
-    if not (0 < t_lo < t_hi < math.inf):
-        raise DomainError("bracket must satisfy 0 < t_lo < t_hi < inf")
-    return _scan_then_polish(rate_fn, t_lo, t_hi)
 
 
 def optimize_time(
@@ -583,11 +572,3 @@ def _report_and_pair(spec: ProtocolSpec, t_single: float) -> tuple[MetrologyRepo
         t_opt=t_single,
     )
     return report, pair
-
-
-def steady_time(params: SystemParams) -> float:
-    """Operational steady-state horizon: 12 decay times of the slow mode."""
-    lam = spectral_info(params).lambda_minus.real
-    if lam <= 0:
-        raise DomainError("no finite steady-state time at or above the critical point")
-    return 12.0 / lam

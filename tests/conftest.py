@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from critsense.dynamics import SystemParams, evolve_critical, evolve_passive
+from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, spectral_info
 from critsense.gaussian import DisplacementAmplitude, GaussianState, SqueezeParam, thermal_state
 from critsense.oracle import lyapunov_rk4
 from critsense.protocols import pqs_input_state
@@ -130,6 +130,30 @@ def van_loan_qfi(params: SystemParams, v0, sigma0, t: float, dps: int = 50) -> f
         term2 = 0 if abs(gap) < mpmath.mpf(10) ** (10 - dps) else 2 * dmu * dmu / gap
         term3 = 2 * (dv.T * inv * dv)[0, 0]
         return float(term1 + term2 + term3)
+
+
+def general_qfi(sigma, dsigma, dv, dps: int = 60) -> float:
+    """The general mixed-state Gaussian QFI 1/2 vec(dSigma)^T (Sigma kron
+    Sigma - W kron W)^-1 vec(dSigma) + 2 dv^T Sigma^-1 dv, W = [[0, 1], [-1,
+    0]] (Monras, arXiv:1303.3682; Safranek, J. Phys. A 52, 035304, 2019), to
+    `dps` digits, with the float inputs taken as exact: a reference for a
+    mixed state, however near pure. Shares no code with critsense."""
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        s, d = mp.matrix(np.asarray(sigma).tolist()), mp.matrix(np.asarray(dsigma).tolist())
+        w = mp.matrix([[0, 1], [-1, 0]])
+        kron = mp.matrix(4, 4)
+        for i, j, k, m in np.ndindex(2, 2, 2, 2):
+            kron[2 * i + k, 2 * j + m] = s[i, j] * s[k, m] - w[i, j] * w[k, m]
+        vec_d = mp.matrix([d[0, 0], d[0, 1], d[1, 0], d[1, 1]])
+        mean = mp.matrix(np.asarray(dv).tolist())
+        return float((vec_d.T * kron ** -1 * vec_d)[0, 0] / 2 + 2 * (mean.T * s ** -1 * mean)[0, 0])
+
+
+def steady_time(params: SystemParams) -> float:
+    """A horizon by which the driven protocol has reached its steady state:
+    12 decay times 1/lambda_- of the slow mode, for a drive below threshold."""
+    return 12.0 / spectral_info(params).lambda_minus.real
 
 
 @pytest.fixture(scope="session")

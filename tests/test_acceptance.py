@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from conftest import van_loan_qfi
 from critsense.cli import main, run_compute
@@ -39,7 +40,6 @@ from critsense.protocols import (
     cqs_qfi_steady,
     default_pqs_input,
     epsilon_opt,
-    maximize_single_shot,
     optimize_time,
     pqs_qfi,
     total_qfi,
@@ -115,8 +115,8 @@ def test_criterion_04_cqs_steady_rate():
 def test_criterion_05_pqs_single_shot_optimum():
     n = 1e4
     alpha, squeeze = default_pqs_input(n)
-    rate = lambda t: pqs_qfi(alpha, squeeze, UNIT, t)
-    t_opt, best = maximize_single_shot(rate, (0.05, 5.0))
+    found = minimize_scalar(lambda t: -pqs_qfi(alpha, squeeze, UNIT, t), bounds=(0.05, 5.0), method="bounded")
+    t_opt, best = found.x, -found.fun
     assert 0.7 <= t_opt <= 0.9
     assert 0.58 <= best / n <= 0.72
     report("5", f"t_opt = {t_opt:.3f}/Gamma, I_max Gamma^2/N_max = {best / n:.3f}")

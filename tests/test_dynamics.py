@@ -175,7 +175,7 @@ class TestEvolveCritical:
 
     def test_stacked_start_needs_as_many_times(self):
         starts = apply_squeeze(vacuum_state(), SqueezeParam(np.array([0.1, 0.5])))
-        with pytest.raises(PreconditionError, match="as long as the stack"):
+        with pytest.raises(PreconditionError, match="input per t of 3 times on a stack of 2 states"):
             evolve_critical(SystemParams(1.0, 0.9, 1.0), starts, np.array([0.5, 1.0, 2.0]))
 
     @pytest.mark.parametrize("t", [400.0, 500.0])
@@ -317,7 +317,7 @@ class TestEvolvePassive:
 
     def test_stacked_start_needs_as_many_times(self):
         starts = apply_squeeze(vacuum_state(), SqueezeParam(np.array([0.1, 0.5])))
-        with pytest.raises(PreconditionError, match="as long as the stack"):
+        with pytest.raises(PreconditionError, match="input per t of 3 times on a stack of 2 states"):
             evolve_passive(SystemParams(1.0, 0.0, 1.0), starts, np.array([0.5, 1.0, 2.0]))
 
 

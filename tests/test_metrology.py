@@ -6,9 +6,11 @@ import pytest
 
 from conftest import (
     cqs_state_family,
+    general_qfi,
     pqs_qfi_closed_form,
     pqs_state_family,
     rk4_pqs_pair,
+    steady_time,
     van_loan_qfi,
 )
 from critsense import dynamics
@@ -43,7 +45,6 @@ from critsense.protocols import (
     epsilon_opt,
     pqs_pair,
     pqs_qfi,
-    steady_time,
 )
 from critsense.validate import _rel_state_diff
 
@@ -311,6 +312,15 @@ class TestQfi:
         with pytest.raises(PureStateError):
             qfi(pair)
 
+    @pytest.mark.parametrize("size", [1e-8, 1e-6])
+    def test_near_pure_mixed_state_keeps_purity_term(self, size):
+        """n_B = 2.5e-11 puts det - 1 = 1e-10, 1e4 times its rounding: the
+        state is mixed, and the purity term carries its QFI. A purity gap
+        wider than det's rounding read 6.8e-49 at size 1e-8 and raised
+        PureStateError at 1e-6."""
+        pair = DerivativePair(thermal_state(2.5e-11), np.zeros(2), size * np.eye(2))
+        assert qfi(pair) == pytest.approx(general_qfi(pair.state.sigma, pair.dsigma, pair.dv), rel=1e-9, abs=0.0)
+
     def test_overflow_raises_instead_of_nan(self):
         pair = DerivativePair(thermal_state(1.0), np.zeros(2), np.diag([1e200, -1e200]))
         with np.errstate(over="ignore"):
@@ -368,6 +378,12 @@ class TestFiHomodyne:
             (1.0 + 2.0 * n_bath) * (math.exp(-2.0 * r) + math.exp(2.0 * g * t) - 1.0)
         )
         assert fi_homodyne(pair, math.pi / 2) == pytest.approx(expected, rel=1e-8)
+
+    def test_near_pure_mixed_state(self):
+        """dS^2 / (2 S^2) = 5.0e-17 for S = 1 + 5e-11, dS = 1e-8; it read
+        1.4e-48 where B's trace was removed as if the state were pure."""
+        pair = DerivativePair(thermal_state(2.5e-11), np.zeros(2), 1e-8 * np.eye(2))
+        assert fi_homodyne(pair, 0.0) == pytest.approx(5.0e-17, rel=1e-9, abs=0.0)
 
     def test_no_signal_gives_zero(self):
         pair = DerivativePair(thermal_state(0.5), np.zeros(2), np.zeros((2, 2)))

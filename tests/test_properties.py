@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, find, given
 from hypothesis import strategies as st
 
-from conftest import cqs_state_family, rk4_pqs_pair, van_loan_qfi
+from conftest import cqs_state_family, general_qfi, rk4_pqs_pair, van_loan_qfi
 from critsense import dynamics
 from critsense._elementwise import over_t
 from critsense.cli import _optimal_r_input
@@ -34,6 +34,8 @@ from critsense.gaussian import (
     DisplacementAmplitude,
     GaussianState,
     SqueezeParam,
+    apply_squeeze,
+    is_pure,
     mean_photons,
     purity,
     thermal_state,
@@ -156,6 +158,31 @@ def test_qfi_matches_general_formula(case):
     (s11, s12), (_, s22) = pair.state.sigma.tolist()
     rounding = np.finfo(float).eps * (s11 * s22 + s12 * s12) / pair.state.det_sigma
     assert abs(general - info) <= 1e3 * rounding * info
+
+
+@st.composite
+def near_pure_pairs(draw) -> DerivativePair:
+    """A squeezed thermal state with n_B from 1e-13 to 1e-7, and a random
+    derivative of its moments."""
+    n_bath = 10.0 ** draw(st.floats(-13.0, -7.0))
+    state = apply_squeeze(thermal_state(n_bath), SqueezeParam(draw(st.floats(0.0, 1.5)), draw(st.floats(0.0, math.pi))))
+    d11, d12, d22, v1, v2 = (draw(st.floats(-1.0, 1.0)) for _ in range(5))
+    return DerivativePair(state, [v1, v2], [[d11, d12], [d12, d22]])
+
+
+@given(near_pure_pairs())
+def test_qfi_near_pure_mixed_states(pair):
+    """qfi on mixed states however near pure, against the 60-digit general
+    formula, to 1e2 eps (s11 s22 + s12^2)/(det - 1) of the QFI: the scale at
+    which det - 1, and so the purity term's weight, rounds. Over 1117
+    random draws the error reached 1.69 of that scale. Draws whose det is 1
+    within its rounding are pure, and skipped."""
+    (s11, s12), (_, s22) = pair.state.sigma.tolist()
+    det = pair.state.det_sigma
+    assume(not is_pure(s11, s12, s22, det))
+    want = general_qfi(pair.state.sigma, pair.dsigma, pair.dv)
+    rounding = np.finfo(float).eps * (s11 * s22 + s12 * s12) / (det - 1.0)
+    assert abs(qfi(pair) - want) <= 1e2 * rounding * want
 
 
 def _richardson_shift_derivative(family, h: float):

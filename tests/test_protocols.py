@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import pqs_qfi_closed_form, van_loan_qfi
+from conftest import pqs_qfi_closed_form, steady_time, van_loan_qfi
 from critsense.cli import _optimal_r_input
 from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, spectral_info, steady_state_photons
 from critsense.errors import (
@@ -34,13 +34,11 @@ from critsense.protocols import (
     default_pqs_input,
     epsilon_opt,
     fundamental_bound,
-    maximize_single_shot,
     optimal_squeezing_homodyne,
     optimize_time,
     pqs_input_state,
     pqs_pair,
     pqs_qfi,
-    steady_time,
     total_qfi,
 )
 
@@ -606,8 +604,6 @@ _RATE = lambda t: t
         pytest.param(lambda: fundamental_bound(lambda t: 1.0, 1.0, 1.0, math.nan), id="bound-n_bath-nan"),
         pytest.param(lambda: optimize_time(_RATE, ResourceBudget(1.0, 1.0), (0.1, math.inf)), id="optimize-inf"),
         pytest.param(lambda: optimize_time(_RATE, ResourceBudget(1.0, 1.0), (math.nan, 1.0)), id="optimize-nan"),
-        pytest.param(lambda: maximize_single_shot(_RATE, (0.1, math.inf)), id="maximize-inf"),
-        pytest.param(lambda: maximize_single_shot(_RATE, (0.1, math.nan)), id="maximize-nan"),
     ],
 )
 def test_non_finite_scalar_inputs_raise_domain_error(call):

@@ -1,13 +1,16 @@
-"""The benchmark's tracer on this tree.
+"""The benchmark's tracer and self-tests on this tree.
 
 `perfbench/run.py --trace 1` wraps every public function and reads a few of
 the package's internals: `oracle.default_step`, `lyapunov_rk4`'s `dt` and
 `verify_step`, `DerivativePair.warn` and `GaussianState.__post_init__`. A
-change to any of them fails here, without running the benchmark. The tracer
-is loaded from perfbench/, which this test only reads.
+change to any of them fails here, without running the benchmark, as does a
+change that breaks `perfbench/selftest.py`. Both are loaded from perfbench/,
+which these tests only read.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,8 @@ from critsense import cli, gaussian, oracle, protocols
 from critsense.dynamics import SystemParams
 from critsense.gaussian import thermal_state
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _tracer():
@@ -56,3 +60,10 @@ def test_tracer_counts_calls_and_restores_the_originals(tmp_path):
     assert tracer.derivative_warns == 0
     assert all(now is before for now, before in zip(_bound(), originals))
     assert (tmp_path / "fig4.csv").exists()
+
+
+def test_benchmark_selftest_passes():
+    """perfbench/selftest.py, the benchmark's own unit tests of its
+    references, checks, deadline and tracer, exits 0 on this tree."""
+    run = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr[-2000:]
