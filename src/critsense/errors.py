@@ -29,10 +29,6 @@ class ConstraintError(CritsenseError):
     """A resource budget (photon cap) is violated."""
 
 
-class UnsupportedRegimeError(CritsenseError):
-    """Parameter regime outside the model's validity (e.g. lossy above-threshold drive)."""
-
-
 class SearchError(CritsenseError):
     """A 1-D optimizer encountered non-finite objective values."""
 

@@ -25,9 +25,7 @@ import numpy as np
 from . import dynamics
 from ._elementwise import lib, over_t, per_t, reject
 from .dynamics import SystemParams, evolve_critical, evolve_passive, steady_state
-from .errors import (
-    AccuracyError, ConstraintError, DomainError, NoSteadyStateError, SearchError, UnsupportedRegimeError,
-)
+from .errors import AccuracyError, ConstraintError, DomainError, NoSteadyStateError, SearchError
 from .gaussian import (
     DisplacementAmplitude,
     GaussianState,
@@ -102,6 +100,10 @@ class ProtocolSpec:
     `evolution` (evolve_critical or evolve_passive) once, at construction;
     neither takes part in repr or equality.
 
+    Construction checks the budget of a PQS input, and of a CQS steady
+    state below the critical point; `state` and `total_qfi` check the
+    photons at each t they evaluate, which covers every drive beyond it.
+
     A PQS input whose displacement magnitude and r are arrays over a time
     grid gives one start per t of that grid (a stacked GaussianState), each
     within the budget, and the spec is evaluated at that grid: state(grid),
@@ -137,10 +139,7 @@ class ProtocolSpec:
             try:
                 photons = dynamics.steady_state_photons(self.params)
             except NoSteadyStateError:
-                if self.params.gamma > 0:
-                    raise UnsupportedRegimeError(
-                        "lossy drive at or above the critical point heats without bound"
-                    ) from None
+                pass
             else:
                 if photons > _budget_limit(self.budget.n_max):
                     raise ConstraintError(
@@ -152,8 +151,21 @@ class ProtocolSpec:
 
     def state(self, t) -> GaussianState:
         """The state of one repetition at time t, stacked over t for a 1-D
-        array of times."""
-        return self.evolution(self.params, self.start, t)
+        array of times; ConstraintError names the first t whose state holds
+        more photons than the budget allows."""
+        state = self.evolution(self.params, self.start, t)
+        self._photons_within_budget(state, t)
+        return state
+
+    def _photons_within_budget(self, state: GaussianState, t):
+        """mean_photons(state), the state at t (a float, or an array over
+        t); ConstraintError at the first t where it exceeds the budget."""
+        photons = mean_photons(state)
+        reject(
+            photons > _budget_limit(self.budget.n_max), ConstraintError,
+            "protocol holds {!r} photons at t = {!r}, budget allows {!r}", photons, t, self.budget.n_max,
+        )
+        return photons
 
     def pair(self, t) -> DerivativePair:
         """State and shift-derivative of one repetition measured at time t;
@@ -414,27 +426,12 @@ def optimal_squeezing_homodyne(n_max: float, gamma: float, t) -> SqueezeParam:
 def beyond_threshold_epsilon(n_max: float, total_time: float, omega0: float) -> float:
     """Above-threshold drive reaching n_max photons after total_time (lossless).
 
-    From N(T) ~ e^{2 u T}/4: epsilon^2 = omega0^2 + ln^2(4 n_max)/(4 T^2).
+    From N(T) ~ e^{2 u T}/4: epsilon^2 = omega0^2 + ln^2(4 n_max)/(4 T^2), u > 0.
     """
-    if not (0 < n_max < math.inf and 0 < total_time < math.inf and math.isfinite(omega0)):
-        raise DomainError("n_max and total_time must be positive and finite, omega0 finite")
+    if not (0.25 < n_max < math.inf and 0 < total_time < math.inf and math.isfinite(omega0)):
+        raise DomainError("n_max must exceed 1/4 and total_time be positive, both finite; omega0 finite")
     u = math.log(4.0 * n_max) / (2.0 * total_time)
     return math.hypot(omega0, u)
-
-
-def beyond_threshold_qfi(params: SystemParams, t: float) -> float:
-    """QFI of the lossless quench above the critical point."""
-    if params.gamma > 0:
-        raise UnsupportedRegimeError(
-            "above-threshold drive with losses heats without bound; no validity claim"
-        )
-    if params.n_bath != 0:
-        raise DomainError("the quench analysis assumes a zero-temperature start")
-    if params.epsilon <= params.epsilon_c:
-        raise DomainError(
-            f"epsilon = {params.epsilon!r} is not above the critical point {params.epsilon_c!r}"
-        )
-    return cqs_qfi(params, t)
 
 
 # --- resource accounting and bounds -------------------------------------------
@@ -546,12 +543,7 @@ def _report_and_pair(spec: ProtocolSpec, t_single: float) -> tuple[MetrologyRepo
     if not (t_single > 0 and math.isfinite(t_single)):
         raise DomainError(f"t_single must be positive, got {t_single!r}")
     pair = spec.pair(t_single)
-    photons = mean_photons(pair.state)
-    if photons > _budget_limit(spec.budget.n_max):
-        raise ConstraintError(
-            f"protocol holds {photons!r} photons at t = {t_single!r}, "
-            f"budget allows {spec.budget.n_max!r}"
-        )
+    photons = spec._photons_within_budget(pair.state, t_single)
     info = qfi(pair)
     psi, fi_best = best_homodyne(pair)
     reps = spec.budget.total_time / (t_single + spec.budget.t_pm)

@@ -35,7 +35,6 @@ from critsense.protocols import (
     ProtocolKind,
     ProtocolSpec,
     ResourceBudget,
-    beyond_threshold_qfi,
     cqs_qfi,
     cqs_qfi_steady,
     default_pqs_input,
@@ -209,15 +208,18 @@ def test_criterion_10a_beyond_threshold_asymptote():
     A plain expm of that drift fed to the pure-Gaussian QFI
     1/4 tr[(Sigma^-1 dSigma)^2] gives I u^2/N^2 = 1.9992 at this point.
 
-    The exact QFI is checked against the closed form and, independently of
-    beyond_threshold_qfi, against the 60-digit Van Loan oracle (the state
-    is pure, where the general mixed-state formula is singular).
+    The exact QFI of cqs_qfi is checked against the closed form and,
+    independently, against the 60-digit Van Loan oracle (the state is pure,
+    where the general mixed-state formula is singular). The quench analysis
+    holds for a lossless drive above the critical point from vacuum, which
+    the test asserts of its parameters first.
     """
     params = SystemParams(1.0, 2.0, 0.0)
+    assert params.gamma == 0 and params.n_bath == 0 and params.epsilon > params.epsilon_c
     u2 = params.epsilon ** 2 - params.epsilon_c ** 2
     t = 5.0 / math.sqrt(u2)
     n = mean_photons_vs_time(params, t)
-    got = beyond_threshold_qfi(params, t)
+    got = cqs_qfi(params, t)
     target = 2.0 * n * n / u2
     assert got == pytest.approx(target, rel=1e-2), (
         f"exact QFI {got:.6g} is {got / target:.4f} of the quench asymptote "

@@ -543,6 +543,42 @@ class TestComputeCommand:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param({"mode": "evolve", "t": 50, "params": {"epsilon": 2, "gamma": 0},
+                          "protocol": {"kind": "CQS", "n_max": 100}}, id="evolve_lossless_quench"),
+            pytest.param({"mode": "evolve", "t": 1.6, "params": {"epsilon": 0.5, "gamma": 0},
+                          "protocol": {"kind": "CQS", "n_max": 0.25}}, id="evolve_lossless_below_threshold"),
+            pytest.param({"mode": "evolve", "t": 50, "params": {"epsilon": 2, "gamma": 1},
+                          "protocol": {"kind": "CQS", "n_max": 100}}, id="evolve_lossy_beyond_threshold"),
+            pytest.param({"mode": "bound", "params": {"epsilon": 2, "gamma": 1},
+                          "protocol": {"kind": "CQS", "n_max": 100, "total_time": 50}}, id="bound_lossy_beyond_threshold"),
+        ],
+    )
+    def test_past_budget_exits_1(self, tmp_path, capsys, cfg):
+        """Every mode checks the photons at the times it evaluates: a state
+        past the budget exits 1 with one typed error line, as qfi does."""
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["compute", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: protocol holds "), captured.err
+        assert captured.err.endswith(f"budget allows {float(cfg['protocol']['n_max'])!r}\n")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == "" and not out.exists()
+
+    def test_lossy_beyond_threshold_within_budget_computes(self, tmp_path):
+        """A lossy drive beyond threshold is accepted, and evaluated at a t
+        where its photons are within the budget."""
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg_path.write_text(json.dumps({"mode": "qfi", "t": 2, "params": {"epsilon": 2, "gamma": 1},
+                                        "protocol": {"kind": "CQS", "n_max": 100}}))
+        assert main(["compute", "--config", str(cfg_path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        assert 0 < report["photons_at_t"] <= 100.0
+        assert 0 < report["fi_homodyne_best"] <= report["qfi_single_shot"]
+
     def test_compute_determinism(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
@@ -653,6 +689,13 @@ class TestValidateCommand:
         monkeypatch.setattr(protocols, "cqs_pair", perturbed)
         assert main(["validate", "--filter", "rk4"]) == 1
 
+    def test_steady_state_losing_fails_beyond_threshold_check(self, monkeypatch, capsys):
+        """A steady-state QFI of 0 makes the lossy beyond-threshold drives
+        win, and the open-system comparison fails."""
+        monkeypatch.setattr(protocols, "cqs_qfi_steady", lambda params: 0.0)
+        assert main(["validate", "--filter", "beyond_threshold"]) == 1
+        assert "smallest steady/beyond ratio 0.0 lossy" in capsys.readouterr().out
+
 
 def test_reused_parser_keeps_no_state(tmp_path, capsys):
     """One process builds the parser once; a compute run after a validate
@@ -758,3 +801,25 @@ def test_compute_diff_reports_largest_relative_difference(tmp_path, monkeypatch,
     assert out["all"] == out["bound_integral"]
     (b / "0001.json").rename(b / "0000.json")
     assert compute_diff.main([str(a), str(b)]) == 1
+
+
+def test_digest_diff_names_each_differing_entry(tmp_path, capsys):
+    """tools/digest_diff.py names each entry of two output_digest.py files
+    that differs, a compute config by its place in design order, and exits 1
+    unless none does."""
+    digest_diff = _load_tool("digest_diff")
+    digest = {"figures": {"fig2": "a", "fig4": "b"}, "compute": ["c", "d", "e"], "validate": "f",
+              "errors": {"no_command": "g"}}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(digest))
+    b.write_text(json.dumps(digest))
+    assert digest_diff.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "0 of 7 entries differ\n"
+    digest["figures"]["fig4"], digest["compute"][1], digest["validate"] = "x", "x", "x"
+    digest["errors"]["unknown_figure"] = "x"
+    b.write_text(json.dumps(digest))
+    assert digest_diff.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "figures.fig4", "compute.1", "validate", f"errors.unknown_figure: only in {b}", "4 of 8 entries differ",
+    ]
+    assert digest_diff.main([str(a)]) == 2

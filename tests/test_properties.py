@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, find, given
+from hypothesis import HealthCheck, assume, find, given, settings
 from hypothesis import strategies as st
 
 from conftest import cqs_state_family, general_qfi, rk4_pqs_pair, van_loan_qfi
@@ -201,6 +201,11 @@ def _richardson_shift_derivative(family, h: float):
 
 
 @given(params_and_time())
+# About 4 draws in 5 have a finite difference too coarse to compare with, so
+# whether the first 60 draws hold the 10 valid ones that Hypothesis's filter
+# health check asks for depends on the constants it mines from the package's
+# source; the test still runs max_examples valid draws.
+@settings(suppress_health_check=[HealthCheck.filter_too_much])
 def test_exact_derivative_matches_finite_differences(case):
     """Wherever the finite difference is accurate to 1e-10 of the derivative's
     size, counting its step-halving estimate and its rounding eps |Sigma| / h,

@@ -5,10 +5,13 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from conftest import pqs_qfi_closed_form, steady_time, van_loan_qfi
 from critsense.cli import _optimal_r_input
-from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, spectral_info, steady_state_photons
+from critsense.dynamics import (
+    SystemParams, evolve_critical, evolve_passive, mean_photons_vs_time, spectral_info, steady_state_photons,
+)
 from critsense.errors import (
     AccuracyError,
     ConstraintError,
@@ -16,7 +19,6 @@ from critsense.errors import (
     InvalidStateError,
     PreconditionError,
     SearchError,
-    UnsupportedRegimeError,
 )
 from critsense.gaussian import DisplacementAmplitude, GaussianState, SqueezeParam, mean_photons, thermal_state
 from critsense.metrology import DerivativePair, fi_homodyne
@@ -25,7 +27,6 @@ from critsense.protocols import (
     ProtocolSpec,
     ResourceBudget,
     beyond_threshold_epsilon,
-    beyond_threshold_qfi,
     best_homodyne,
     budget_cap,
     cqs_pair,
@@ -85,8 +86,6 @@ class TestCqsQfi:
 
     def test_noiseless_near_critical_asymptote(self):
         """I ~ [2N + 8N^2/9] t^2 as the drive approaches the lossless critical point."""
-        from critsense.dynamics import mean_photons_vs_time
-
         params = SystemParams(1.0, 1.0 - 1e-6, 0.0)
         t = 30.0
         n = mean_photons_vs_time(params, t)
@@ -95,8 +94,6 @@ class TestCqsQfi:
 
     def test_transient_lower_bound(self):
         """Inside the transient window the QFI exceeds N(t)^2 / (2 gamma^2)."""
-        from critsense.dynamics import mean_photons_vs_time
-
         params = SystemParams(1.0, epsilon_opt(100.0, UNIT), 1.0)
         info = spectral_info(params)
         t_mid = math.sqrt(1.0 / (info.lambda_plus.real * info.lambda_minus.real))
@@ -533,14 +530,27 @@ class TestFundamentalBound:
         )
 
 
+def _lossless_quench(params: SystemParams) -> SystemParams:
+    """params, once they are shown to be a lossless quench from vacuum above
+    the critical point, the regime of the quench analysis."""
+    assert params.gamma == 0 and params.n_bath == 0 and params.epsilon > params.epsilon_c
+    return params
+
+
+def _time_at_photons(params: SystemParams, n: float) -> float:
+    """The t where a drive beyond threshold, from bath equilibrium, holds n photons."""
+    t_hi = 1.0
+    while mean_photons_vs_time(params, t_hi) < n:
+        t_hi *= 2.0
+    return brentq(lambda t: mean_photons_vs_time(params, t) - n, 0.0, t_hi)
+
+
 class TestBeyondThreshold:
     def test_zero_time(self):
-        params = SystemParams(1.0, 2.0, 0.0)
-        assert beyond_threshold_qfi(params, 0.0) == pytest.approx(0.0, abs=1e-12)
+        params = _lossless_quench(SystemParams(1.0, 2.0, 0.0))
+        assert cqs_qfi(params, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_exponential_photon_growth(self):
-        from critsense.dynamics import mean_photons_vs_time
-
         u = math.sqrt(24.0)
         params = SystemParams(1.0, 5.0, 0.0)
         t = 5.0 / u
@@ -550,27 +560,52 @@ class TestBeyondThreshold:
     def test_quench_asymptote(self):
         """Exact lossless QFI approaches 2 N(t)^2/(eps^2 - eps_c^2): a frequency
         shift rotates the squeezed vacuum's long axis by 1/(2u) per unit shift."""
-        from critsense.dynamics import mean_photons_vs_time
-
-        params = SystemParams(1.0, 2.0, 0.0)
+        params = _lossless_quench(SystemParams(1.0, 2.0, 0.0))
         u = math.sqrt(params.epsilon ** 2 - params.epsilon_c ** 2)
         t = 5.0 / u
         n = mean_photons_vs_time(params, t)
-        got = beyond_threshold_qfi(params, t)
+        got = cqs_qfi(params, t)
         assert got == pytest.approx(2.0 * n * n / u ** 2, rel=0.05)
 
     def test_epsilon_choice(self):
-        from critsense.dynamics import mean_photons_vs_time
-
         n_max, total = 1000.0, 1.0
         w0 = 0.05 * math.log(4.0 * n_max) / 2.0
         eps = beyond_threshold_epsilon(n_max, total, w0)
         n_final = mean_photons_vs_time(SystemParams(w0, eps, 0.0), total)
         assert n_final == pytest.approx(n_max, rel=0.05)
 
-    def test_lossy_quench_rejected(self):
-        with pytest.raises(UnsupportedRegimeError):
-            beyond_threshold_qfi(SystemParams(1.0, 2.0, 0.1), 1.0)
+    def test_lossy_drive_checked_at_each_t(self):
+        """A lossy drive at or beyond threshold builds; it is refused only at
+        a t whose state holds more photons than the budget allows."""
+        budget = ResourceBudget(100.0, 1.0)
+        for params in (SystemParams(1.0, math.sqrt(2.0), 1.0), SystemParams(1.0, 2.0, 0.1)):
+            spec = ProtocolSpec(ProtocolKind.CQS, params, budget)
+            t_full = _time_at_photons(params, 100.0)
+            assert mean_photons(spec.state(0.5 * t_full)) < 100.0
+            assert total_qfi(spec, 0.5 * t_full).photons_at_t < 100.0
+            with pytest.raises(ConstraintError, match=rf"protocol holds \S+ photons at t = {re.escape(repr(2.0 * t_full))},"):
+                spec.state(2.0 * t_full)
+            with pytest.raises(ConstraintError, match="protocol holds"):
+                total_qfi(spec, 2.0 * t_full)
+            grid = np.array([0.5, 2.0, 3.0]) * t_full
+            with pytest.raises(ConstraintError, match=rf"at t = {re.escape(repr(float(grid[1])))}, budget allows 100\.0"):
+                spec.state(grid)
+
+    @pytest.mark.parametrize("ratio", [1.05, 1.5, 3.0])
+    @pytest.mark.parametrize("n_bath", [0.0, 1.0])
+    @pytest.mark.parametrize("gamma", [0.1, 1.0])
+    def test_lossy_qfi_at_budget_matches_van_loan(self, gamma, n_bath, ratio):
+        """A lossy drive beyond threshold, evaluated through total_qfi at the
+        t where it holds N = 1e4 photons, agrees with the 60-digit Van Loan
+        oracle to 1e-10, and no homodyne angle beats its QFI."""
+        n = 1e4
+        unit = SystemParams(1.0, 0.0, gamma, n_bath=n_bath)
+        params = replace(unit, epsilon=ratio * unit.epsilon_c)
+        t = _time_at_photons(params, n)
+        report = total_qfi(ProtocolSpec(ProtocolKind.CQS, params, ResourceBudget(n, 1.0)), t)
+        want = van_loan_qfi(params, [0.0, 0.0], (1.0 + 2.0 * n_bath) * np.eye(2), t, dps=60)
+        assert report.qfi_single_shot == pytest.approx(want, rel=1e-10)
+        assert report.fi_homodyne_best <= report.qfi_single_shot
 
 
 class TestSteadyStateProperties:
@@ -596,6 +631,7 @@ _RATE = lambda t: t
         pytest.param(lambda: beyond_threshold_epsilon(10.0, math.nan, 1.0), id="beyond-total_time-nan"),
         pytest.param(lambda: beyond_threshold_epsilon(10.0, math.inf, 1.0), id="beyond-total_time-inf"),
         pytest.param(lambda: beyond_threshold_epsilon(10.0, 1.0, math.nan), id="beyond-omega0-nan"),
+        pytest.param(lambda: beyond_threshold_epsilon(0.25, 1.0, 1.0), id="beyond-n_max-quarter"),
         pytest.param(lambda: fundamental_bound(lambda t: 1.0, math.inf, 1.0), id="bound-total_time-inf"),
         pytest.param(lambda: fundamental_bound(lambda t: 1.0, math.nan, 1.0), id="bound-total_time-nan"),
         pytest.param(lambda: fundamental_bound(lambda t: 1.0, 1.0, math.inf), id="bound-gamma-inf"),
