@@ -371,7 +371,7 @@ def run_compute(cfg: dict) -> dict:
             budget, params = _build(given, ResourceBudget, "protocol"), _build(given, SystemParams, "params")
             traj = lambda t: budget.n_max
         else:
-            budget, params, traj = spec.budget, spec.params, lambda t: mean_photons(spec.state(t))
+            budget, params, traj = spec.budget, spec.params, spec.photons
         result = fundamental_bound(traj, budget.total_time, params.gamma, params.n_bath)
         payload["bound_integral"] = result.integral
         payload["bound_error"] = result.error

@@ -100,9 +100,9 @@ class ProtocolSpec:
     `evolution` (evolve_critical or evolve_passive) once, at construction;
     neither takes part in repr or equality.
 
-    Construction checks the budget of a PQS input, and of a CQS steady
-    state below the critical point; `state` and `total_qfi` check the
-    photons at each t they evaluate, which covers every drive beyond it.
+    `state`, `photons` and `total_qfi` check the photons at each t they
+    evaluate, for every kind and drive; construction also checks a PQS
+    input, and the steady state of a CQS drive below the critical point.
 
     A PQS input whose displacement magnitude and r are arrays over a time
     grid gives one start per t of that grid (a stacked GaussianState), each
@@ -154,13 +154,14 @@ class ProtocolSpec:
         array of times; ConstraintError names the first t whose state holds
         more photons than the budget allows."""
         state = self.evolution(self.params, self.start, t)
-        self._photons_within_budget(state, t)
+        self.photons(t, state)
         return state
 
-    def _photons_within_budget(self, state: GaussianState, t):
-        """mean_photons(state), the state at t (a float, or an array over
-        t); ConstraintError at the first t where it exceeds the budget."""
-        photons = mean_photons(state)
+    def photons(self, t, state: GaussianState | None = None):
+        """Mean photons of the state at t (a float, or an array over t), of
+        `state` when the caller has evolved it already; ConstraintError at
+        the first t where they exceed the budget."""
+        photons = mean_photons(self.evolution(self.params, self.start, t) if state is None else state)
         reject(
             photons > _budget_limit(self.budget.n_max), ConstraintError,
             "protocol holds {!r} photons at t = {!r}, budget allows {!r}", photons, t, self.budget.n_max,
@@ -543,7 +544,7 @@ def _report_and_pair(spec: ProtocolSpec, t_single: float) -> tuple[MetrologyRepo
     if not (t_single > 0 and math.isfinite(t_single)):
         raise DomainError(f"t_single must be positive, got {t_single!r}")
     pair = spec.pair(t_single)
-    photons = spec._photons_within_budget(pair.state, t_single)
+    photons = spec.photons(t_single, pair.state)
     info = qfi(pair)
     psi, fi_best = best_homodyne(pair)
     reps = spec.budget.total_time / (t_single + spec.budget.t_pm)

@@ -408,9 +408,11 @@ def check_temperature_invariance() -> Outcome:
 
 @_named("protocols.beyond_threshold_suboptimal")
 def check_beyond_threshold() -> Outcome:
-    """Below threshold beats driving beyond it at equal budget: lossless,
-    against the quench; lossy (budget 100), the epsilon_opt steady state
-    against drives at 1.05, 1.5 and 3 eps_c, each at a t where N(t) ~ 99."""
+    """Below threshold beats driving beyond it. Lossless: against the
+    quench, at equal photons and equal total time. Lossy (budget 100): the
+    epsilon_opt steady state against drives at 1.05, 1.5 and 3 eps_c, each
+    at a t where N(t) ~ 90, so at equal photons but not equal time (the
+    steady state is the t -> inf limit; its relaxation time is ~200)."""
     n_max, total = 1000.0, 1.0
     w0 = math.sqrt(n_max) / total
     below = SystemParams(w0, w0 * (1.0 - 1e-6), 0.0)
@@ -424,14 +426,14 @@ def check_beyond_threshold() -> Outcome:
     steady = protocols.cqs_qfi_steady(replace(unit, epsilon=protocols.epsilon_opt(budget.n_max, unit)))
     beyond = [
         protocols.total_qfi(protocols.ProtocolSpec("CQS", replace(unit, epsilon=x * unit.epsilon_c), budget), t)
-        for x, t in ((1.05, 15.4), (1.5, 2.86), (3.0, 0.906))
+        for x, t in ((1.05, 14.9), (1.5, 2.8), (3.0, 0.89))
     ]
     lossy_ratio = min(steady / r.qfi_single_shot for r in beyond)
     return (
         ratio > 1.0 and lossy_ratio > 1.0,
         "below-threshold QFI exceeds the beyond-threshold QFI, lossless and lossy",
         f"below/beyond QFI ratio {ratio:.2f} lossless at equal budget (log^2(4N)/9 = "
-        f"{math.log(4*n_max)**2/9:.2f}); smallest steady/beyond ratio {lossy_ratio:.1f} lossy at N = 100",
+        f"{math.log(4*n_max)**2/9:.2f}); smallest steady/beyond ratio {lossy_ratio:.1f} lossy at equal photons",
     )
 
 

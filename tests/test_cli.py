@@ -554,11 +554,18 @@ class TestComputeCommand:
                           "protocol": {"kind": "CQS", "n_max": 100}}, id="evolve_lossy_beyond_threshold"),
             pytest.param({"mode": "bound", "params": {"epsilon": 2, "gamma": 1},
                           "protocol": {"kind": "CQS", "n_max": 100, "total_time": 50}}, id="bound_lossy_beyond_threshold"),
+            pytest.param({"mode": "evolve", "t": 1.8, "params": {"epsilon": 0.5, "gamma": 0.01},
+                          "protocol": {"kind": "CQS", "n_max": 0.2}}, id="evolve_underdamped_below_threshold"),
+            pytest.param({"mode": "bound", "params": {"epsilon": 0.5, "gamma": 0.01},
+                          "protocol": {"kind": "CQS", "n_max": 0.2, "total_time": 10}}, id="bound_underdamped_below_threshold"),
         ],
     )
     def test_past_budget_exits_1(self, tmp_path, capsys, cfg):
-        """Every mode checks the photons at the times it evaluates: a state
-        past the budget exits 1 with one typed error line, as qfi does."""
+        """Every mode checks the photons at the times it evaluates, below
+        threshold too: the underdamped drive's 0.17 steady photons pass the
+        0.2 budget at construction, but its transient peaks at 0.33 near
+        t = 1.8. A state past the budget exits 1 with one typed error line,
+        as qfi does."""
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["compute", "--config", str(cfg_path), "--out", str(out)]) == 1

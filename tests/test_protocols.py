@@ -575,21 +575,25 @@ class TestBeyondThreshold:
         assert n_final == pytest.approx(n_max, rel=0.05)
 
     def test_lossy_drive_checked_at_each_t(self):
-        """A lossy drive at or beyond threshold builds; it is refused only at
-        a t whose state holds more photons than the budget allows."""
+        """A lossy drive at or beyond threshold builds; `state` and `photons`
+        refuse it only at a t whose state holds more photons than the
+        budget allows, and an array of t names its first such t."""
         budget = ResourceBudget(100.0, 1.0)
         for params in (SystemParams(1.0, math.sqrt(2.0), 1.0), SystemParams(1.0, 2.0, 0.1)):
             spec = ProtocolSpec(ProtocolKind.CQS, params, budget)
             t_full = _time_at_photons(params, 100.0)
-            assert mean_photons(spec.state(0.5 * t_full)) < 100.0
+            assert spec.photons(0.5 * t_full) == mean_photons(spec.state(0.5 * t_full)) < 100.0
             assert total_qfi(spec, 0.5 * t_full).photons_at_t < 100.0
-            with pytest.raises(ConstraintError, match=rf"protocol holds \S+ photons at t = {re.escape(repr(2.0 * t_full))},"):
-                spec.state(2.0 * t_full)
+            for past in (spec.state, spec.photons):
+                with pytest.raises(ConstraintError, match=rf"protocol holds \S+ photons at t = {re.escape(repr(2.0 * t_full))},"):
+                    past(2.0 * t_full)
             with pytest.raises(ConstraintError, match="protocol holds"):
                 total_qfi(spec, 2.0 * t_full)
             grid = np.array([0.5, 2.0, 3.0]) * t_full
             with pytest.raises(ConstraintError, match=rf"at t = {re.escape(repr(float(grid[1])))}, budget allows 100\.0"):
                 spec.state(grid)
+            with pytest.raises(ConstraintError, match=rf"at t = {re.escape(repr(float(grid[1])))}, budget allows 100\.0"):
+                spec.photons(grid)
 
     @pytest.mark.parametrize("ratio", [1.05, 1.5, 3.0])
     @pytest.mark.parametrize("n_bath", [0.0, 1.0])
