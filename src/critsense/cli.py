@@ -144,8 +144,8 @@ def figure_fig4(out_dir: Path) -> Path:
     def columns(t):
         out = [t]
         for spec in drives:
-            state = spec.state(t)
-            out += [purity(state), mean_photons(state)]
+            state = spec.evolution(spec.params, spec.start, t)
+            out += [purity(state), spec.photons(t, state)]
         return out
 
     return _write_figure(

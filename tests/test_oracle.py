@@ -178,7 +178,7 @@ class TestFockEvolve:
         params = SystemParams(1.0, 1.2, 1.0, n_bath=0.5)
         rho = fock_evolve(params, fock_thermal(0.5, 80), 1.0)
         m = rho.matrix
-        assert np.max(np.abs(m - m.conj().T)) <= 1e-10
+        assert np.array_equal(m, m.conj().T)
         assert float(np.linalg.eigvalsh(m).min()) >= -1e-9
 
     def test_truncation_gate(self):
@@ -300,36 +300,52 @@ class TestCachedLiouvillian:
             (SystemParams(1.0, 0.5, 1.0).with_shift(-5e-3), fock_vacuum(16)),  # n_B = 0
             (SystemParams(1.0, 0.49, 1.0, n_bath=0.5).with_shift(-5e-3), fock_thermal(0.5, 16)),
             (SystemParams(1.3, 0.7, 0.0), fock_coherent(0.3 + 0.2j, 16)),  # gamma = 0, both sectors
+            (SystemParams(0.0, 0.7, 0.0), fock_vacuum(16)),  # one piece alone, not a sum
             (SystemParams(0.0, 0.0, 0.0), fock_coherent(1.0, 16)),  # every rate 0
         ],
-        ids=["vacuum", "thermal", "coherent_lossless", "at_rest"],
+        ids=["vacuum", "thermal", "coherent_lossless", "squeezing_only", "at_rest"],
     )
     def test_matches_direct_assembly(self, params, rho0):
-        """Entry for entry and with the same stored entries as a direct
-        assembly sliced to the sectors rho0 fills."""
+        """Entry for entry and with the same stored entries, none of them 0,
+        as a direct assembly taken through the coordinate maps of the
+        sectors rho0 fills."""
         dim = rho0.dim
         parity = np.add.outer(np.arange(dim), np.arange(dim)).ravel() % 2
-        filled = parity[rho0.matrix.ravel() != 0]
-        parities = tuple(np.unique(filled).tolist())
-        idx = np.flatnonzero(np.isin(parity, filled))
-        want = direct_liouvillian(params, dim)[idx][:, idx]
+        parities = tuple(np.unique(parity[rho0.matrix.ravel() != 0]).tolist())
+        coords, back, _ = _superoperators(dim, parities)
+        want = (coords @ direct_liouvillian(params, dim) @ back).real.tocsr()
+        want.eliminate_zeros()
         got = _liouvillian(params, dim, parities)
-        assert np.array_equal(_superoperators(dim, parities)[0], idx)
+        assert got.dtype == np.float64 and np.all(got.data != 0)
         assert got.shape == want.shape and got.nnz == want.nnz
         assert np.all(abs(got - want).toarray() <= 1e-15 * abs(want).toarray())
 
+    @pytest.mark.parametrize("parities", [(0,), (1,), (0, 1)])
+    def test_coordinates_round_trip(self, parities):
+        """A Hermitian rho on the sectors comes back exactly from its real
+        coordinates, one real per entry of the sectors."""
+        dim = 9
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        in_sectors = np.isin(np.add.outer(np.arange(dim), np.arange(dim)) % 2, parities)
+        rho = np.where(in_sectors, z + z.conj().T, 0.0).ravel()
+        coords, back, _ = _superoperators(dim, parities)
+        x = (coords @ rho).real
+        assert len(x) == in_sectors.sum()
+        assert np.array_equal(back @ x, rho)
+
     def test_calls_leave_the_cached_pieces_alone(self):
-        idx, pieces = _superoperators(30, (0,))
-        before = [piece.copy() for piece in pieces]
+        cached = _superoperators(30, (0,))
+        matrices = (cached[0], cached[1], *cached[2])
+        before = [matrix.copy() for matrix in matrices]
         for params in (SystemParams(1.0, 0.5, 1.0, n_bath=0.5), SystemParams(2.0, 0.1, 0.0), SystemParams(0.0, 0.8, 2.0)):
             _liouvillian(params, 30, (0,))
             fock_evolve((params, params.with_shift(-5e-3)), fock_thermal(params.n_bath, 30), 0.3)
-        again_idx, again = _superoperators(30, (0,))
-        assert again_idx is idx and again is pieces
-        for piece, copy in zip(pieces, before):
-            assert not piece.data.flags.writeable
+        assert _superoperators(30, (0,)) is cached
+        for matrix, copy in zip(matrices, before):
             for name in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(piece, name), getattr(copy, name))
+                assert not getattr(matrix, name).flags.writeable
+                assert np.array_equal(getattr(matrix, name), getattr(copy, name))
 
     # (n_B, eps/eps_c, t Gamma) of the design nodes whose first truncation,
     # suggested_dim's 30 levels, leaks: omega0 = Gamma = 1, eps_c = sqrt(2).
