@@ -157,6 +157,13 @@ def per_t(x, dims: int):
     return x.reshape(x.shape + (1,) * dims) if isinstance(x, np.ndarray) else x
 
 
+def entries(x: np.ndarray, dims: int):
+    """The entries of x, which has `dims` axes (1 for a vector, 2 for a
+    matrix) or one more for a stack over t: nested lists of floats for one,
+    arrays over t in place of floats for a stack."""
+    return x.tolist() if x.ndim == dims else x.transpose(*range(1, x.ndim), 0)
+
+
 def matrix(a, b, c, d) -> np.ndarray:
     """[[a, b], [c, d]]: one matrix for floats, a stack of shape (n, 2, 2)
     for arrays over t."""

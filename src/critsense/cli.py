@@ -332,15 +332,6 @@ def _build_spec(given: dict) -> ProtocolSpec:
     return ProtocolSpec(kind, params, budget, pqs_input)
 
 
-def _state_payload(state) -> dict:
-    return {
-        "v": state.v,
-        "sigma": state.sigma,
-        "mean_photons": mean_photons(state),
-        "purity": purity(state),
-    }
-
-
 def run_compute(cfg: dict) -> dict:
     given = _parse_config(cfg)
     mode = given["mode"]
@@ -351,7 +342,10 @@ def run_compute(cfg: dict) -> dict:
     }
     spec = _build_spec(given) if mode != "bound" or "protocol.kind" in given else None
     if mode == "evolve":
-        payload["state"] = _state_payload(spec.state(float(given["t"])))
+        t = float(given["t"])
+        state = spec.evolution(spec.params, spec.start, t)
+        photons = spec.photons(t, state)
+        payload["state"] = {"v": state.v, "sigma": state.sigma, "mean_photons": photons, "purity": purity(state)}
     elif mode in ("qfi", "fi"):
         t = float(given["t"])
         report, pair = protocols._report_and_pair(spec, t)

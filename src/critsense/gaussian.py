@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._elementwise import fields_equal, lib, matrix, per_t, reject
+from ._elementwise import entries, fields_equal, lib, matrix, per_t, reject
 from .errors import DomainError, InvalidStateError, PreconditionError
 
 # Soft numerical tolerance for physicality checks; a violation beyond HARD_TOL
@@ -80,19 +80,15 @@ class GaussianState:
     def __post_init__(self):
         v = np.array(self.v, dtype=float)
         sigma = np.asarray(self.sigma, dtype=float)
-        if v.shape == (2,) and sigma.shape == (2, 2):
-            (s11, s12), (s21, s22) = sigma.tolist()
-            s12, det = _physical_moments(*v.tolist(), s11, s12, s21, s22)
-            sigma = np.array([[s11, s12], [s12, s22]])
-        elif v.ndim == 2 and v.shape[1] == 2 and sigma.shape == v.shape + (2,):
-            (s11, s12), (s21, s22) = sigma.transpose(1, 2, 0)
-            s12, det = _physical_moments(*v.T, s11, s12, s21, s22)
-            sigma = matrix(s11, s12, s12, s22)
-        else:
+        if not (v.shape == (2,) and sigma.shape == (2, 2)
+                or v.ndim == 2 and v.shape[1] == 2 and sigma.shape == v.shape + (2,)):
             raise InvalidStateError(
                 f"expected v shape (2,) or (n, 2) and sigma shape v.shape + (2,), "
                 f"got {v.shape} and {sigma.shape}"
             )
+        (s11, s12), (s21, s22) = entries(sigma, 2)
+        s12, det = _physical_moments(*entries(v, 1), s11, s12, s21, s22)
+        sigma = matrix(s11, s12, s12, s22)
         v.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "v", v)
@@ -233,13 +229,10 @@ def cholesky_factor(s11, s12, s22, det):
 def mean_photons(state: GaussianState):
     """<a†a> = tr(sigma)/4 - 1/2 + |v|^2/2: a float for one state, an array
     over t for a stacked state."""
-    v, sigma = state.v, state.sigma
-    if sigma.ndim == 2:
-        (s11, _), (_, s22) = sigma.tolist()
-        v_sq = float(v @ v)
-    else:
-        # vecdot rounds as v @ v does for one state.
-        s11, s22, v_sq = sigma[:, 0, 0], sigma[:, 1, 1], np.vecdot(v, v)
+    v = state.v
+    (s11, _), (_, s22) = entries(state.sigma, 2)
+    # vecdot rounds as v @ v does for one state.
+    v_sq = float(v @ v) if v.ndim == 1 else np.vecdot(v, v)
     n = 0.25 * (s11 + s22) - 0.5 + 0.5 * v_sq
     reject(n < -TOL, InvalidStateError, "negative photon number {!r}", n)
     return lib(n).max(n, 0.0)

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import dynamics
-from ._elementwise import fields_equal, lib, matrix, reject
+from ._elementwise import entries, fields_equal, lib, matrix, reject
 from .dynamics import SystemParams
 from .errors import AccuracyError, DomainError, InvalidStateError, PreconditionError, PureStateError
 from .gaussian import GaussianState, cholesky_factor, photon_variance, require_one_state
@@ -97,14 +97,9 @@ class DerivativePair:
         dsigma = np.array(self.dsigma, dtype=float)
         if dv.shape != self.state.v.shape or dsigma.shape != self.state.sigma.shape:
             raise DomainError(f"derivative shapes {dv.shape} and {dsigma.shape} are not the state's")
-        if dv.ndim == 1:
-            (d11, d12), (d21, d22) = dsigma.tolist()
-            d12 = _finite_derivatives(*dv.tolist(), d11, d12, d21, d22)
-            dsigma = np.array([[d11, d12], [d12, d22]])
-        else:
-            (d11, d12), (d21, d22) = dsigma.transpose(1, 2, 0)
-            d12 = _finite_derivatives(*dv.T, d11, d12, d21, d22)
-            dsigma = matrix(d11, d12, d12, d22)
+        (d11, d12), (d21, d22) = entries(dsigma, 2)
+        d12 = _finite_derivatives(*entries(dv, 1), d11, d12, d21, d22)
+        dsigma = matrix(d11, d12, d12, d22)
         object.__setattr__(self, "dv", dv)
         object.__setattr__(self, "dsigma", dsigma)
 
@@ -119,12 +114,8 @@ class DerivativePair:
         _PURE_DMU of B's size is rounding and is removed; the QFI rejects a
         larger one.
         """
-        if self.dv.ndim == 1:
-            (s11, s12), (_, s22) = self.state.sigma.tolist()
-            (v1, v2), ((d11, d12), (_, d22)) = self.dv.tolist(), self.dsigma.tolist()
-        else:
-            (s11, s12), (_, s22) = self.state.sigma.transpose(1, 2, 0)
-            (v1, v2), ((d11, d12), (_, d22)) = self.dv.T, self.dsigma.transpose(1, 2, 0)
+        (s11, s12), (_, s22) = entries(self.state.sigma, 2)
+        (v1, v2), ((d11, d12), (_, d22)) = entries(self.dv, 1), entries(self.dsigma, 2)
         return _whiten(*cholesky_factor(s11, s12, s22, self.state.det_sigma), v1, v2, d11, d12, d22)
 
 

@@ -1,8 +1,11 @@
+import contextlib
 import errno
 import importlib.util
+import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -750,83 +753,145 @@ def _load_tool(name: str):
     return module
 
 
-def test_figure_diff_reports_largest_relative_difference(tmp_path, capsys):
-    """tools/figure_diff.py prints each column's largest |a - b| / max(|a|, |b|)."""
-    figure_diff = _load_tool("figure_diff")
+_BOUND_CFG = {"mode": "bound", "params": {"gamma": 1.0}, "protocol": {"kind": "PQS", "n_max": 10.0, "total_time": 2.0}}
+
+
+@pytest.fixture(scope="module")
+def digest_run(tmp_path_factory):
+    """One tools/output_digest.py run over fig4 and a design of two configs,
+    the first of which fails: (the tool, its OUT_DIR, its stdout)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "path", list(sys.path))  # the tool prepends to it
+        tool = _load_tool("output_digest")
+        design = [[SimpleNamespace(config=lambda: {"mode": "nosuch"})], [SimpleNamespace(config=lambda: _BOUND_CFG)]]
+        mp.setattr(tool, "design", lambda: design)
+        mp.setattr(tool, "cli", SimpleNamespace(FIGURES=("fig4",), main=main))
+        out = tmp_path_factory.mktemp("digest") / "out"
+        out.mkdir()  # an empty OUT_DIR is taken
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert tool.main([str(out)]) == 0
+    return tool, out, stdout.getvalue()
+
+
+def test_output_digest_keeps_outputs_in_design_order(digest_run, tmp_path):
+    """output_digest.py keeps each figure CSV and each config's output JSON,
+    named by its place in design order; the failing config 0 keeps none."""
+    tool, out, stdout = digest_run
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == [
+        "compute/0001.json", "digest.json", "figures/fig4.csv",
+    ]
+    assert json.loads((out / "compute" / "0001.json").read_text())["config"] == _BOUND_CFG
+    assert main(["figure", "fig4", "--out", str(tmp_path)]) == 0
+    assert (out / "figures" / "fig4.csv").read_bytes() == (tmp_path / "fig4.csv").read_bytes()
+    text = (out / "digest.json").read_text()
+    digest = json.loads(text)
+    assert list(digest["figures"]) == ["fig4"] and len(digest["compute"]) == 2
+    assert stdout.splitlines()[-1] == f"1 figures, 2 compute configs, validate, 7 errors: {tool._sha(text)}"
+
+
+def test_output_digest_refuses_a_non_empty_out_dir(digest_run, tmp_path, capsys):
+    """A file an earlier run left in OUT_DIR would pass for this run's, so
+    output_digest.py runs nothing there; a usage error also exits 2."""
+    tool = digest_run[0]
+    stale = tmp_path / "compute" / "0000.json"
+    stale.parent.mkdir()
+    stale.write_text("{}")
+    for target in (tmp_path, stale):
+        assert tool.main([str(target)]) == 2
+        assert capsys.readouterr().err == f"error: {target} exists and is not an empty directory\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["compute", "0000.json"]
+    assert tool.main([]) == 2
+    assert capsys.readouterr().err.startswith("usage:")
+
+
+@pytest.fixture
+def two_runs(digest_run, tmp_path):
+    """tools/output_diff.py and two copies, a and b, of one digest run."""
     a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        assert main(["figure", "fig4", "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert figure_diff.main([str(a), str(b)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "all: 0"
-    lines = (b / "fig4.csv").read_text().splitlines()
+    for copy in (a, b):
+        shutil.copytree(digest_run[1], copy)
+    return _load_tool("output_diff"), a, b
+
+
+def _diff(tool, a, b, capsys) -> tuple[int, list[str]]:
+    code = tool.main([str(a), str(b)])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def _relative(line: str, name: str) -> float:
+    key, value = line.split(": ")
+    assert key == name
+    return float(value)
+
+
+def test_output_diff_of_identical_runs(two_runs, capsys):
+    tool, a, b = two_runs
+    assert _diff(tool, a, b, capsys) == (0, ["0 of 11 entries differ; largest 0"])
+
+
+def test_output_diff_sizes_a_moved_figure_column(two_runs, capsys):
+    """A fig4 cell scaled by 1 + 1e-9 moves its column by 1e-9; the columns
+    that did not move are not listed."""
+    tool, a, b = two_runs
+    lines = (b / "figures" / "fig4.csv").read_text().splitlines()
     row = lines[5].split(",")
     row[2] = repr(float(row[2]) * (1.0 + 1e-9))
     lines[5] = ",".join(row)
-    (b / "fig4.csv").write_text("\n".join(lines) + "\n")
-    assert figure_diff.main([str(a), str(b)]) == 0
-    out = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
-    assert out["fig4.purity_below"] == "0" and out["fig4.photons_above"] == "0"
-    assert float(out["fig4.photons_below"]) == pytest.approx(1e-9, rel=1e-3)
-    assert out["all"] == out["fig4"] == out["fig4.photons_below"]
-    (b / "fig4.csv").write_text("t\n1\n")
-    assert figure_diff.main([str(a), str(b)]) == 1
+    (b / "figures" / "fig4.csv").write_text("\n".join(lines) + "\n")
+    code, out = _diff(tool, a, b, capsys)
+    assert code == 1 and len(out) == 3 and out[0] == "figures.fig4"
+    rel = _relative(out[1], "figures.fig4.photons_below")
+    assert rel == pytest.approx(1e-9, rel=1e-3)
+    assert out[2] == f"1 of 11 entries differ; largest {rel:.3g}"
 
 
-def test_compute_diff_reports_largest_relative_difference(tmp_path, monkeypatch, capsys):
-    """tools/output_digest.py keeps each config's output JSON as NNNN.json,
-    NNNN its place in design order; tools/compute_diff.py prints each output
-    field's largest relative difference over the paired files, and names a
-    field one side lacks."""
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the tools prepend to it
-    output_digest = _load_tool("output_digest")
-    compute_diff = _load_tool("compute_diff")
-    cfg = {"mode": "bound", "params": {"gamma": 1.0}, "protocol": {"kind": "PQS", "n_max": 10.0, "total_time": 2.0}}
-    # A config that fails writes no output, so the bound config keeps its place 1.
-    design = [[SimpleNamespace(config=lambda: {"mode": "nosuch"})], [SimpleNamespace(config=lambda: cfg)]]
-    monkeypatch.setattr(output_digest, "design", lambda: design)
-    monkeypatch.setattr(output_digest, "cli", SimpleNamespace(FIGURES=(), main=main))
-    monkeypatch.chdir(tmp_path)
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        out.mkdir()
-        assert len(output_digest.digests(out)["compute"]) == 2
-    assert [p.name for p in a.iterdir()] == ["0001.json"]
-    assert json.loads((a / "0001.json").read_text())["config"] == cfg
-    capsys.readouterr()
-    assert compute_diff.main([str(a), str(b)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "all: 0"
-    payload = json.loads((b / "0001.json").read_text())
+def test_output_diff_sizes_a_moved_compute_field(two_runs, capsys):
+    """A scaled field of a compute output moves by its scale, a deleted one
+    is only in the other run, and the fields that did not move are not
+    listed."""
+    tool, a, b = two_runs
+    payload = json.loads((b / "compute" / "0001.json").read_text())
     payload["bound_integral"] *= 1.0 + 1e-9
     del payload["bound_error"]
-    (b / "0001.json").write_text(json.dumps(payload))
-    assert compute_diff.main([str(a), str(b)]) == 0
-    out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
-    assert float(out["bound_integral"]) == pytest.approx(1e-9, rel=1e-3)
-    assert out["bound_cap"] == out["config.protocol.n_max"] == "0"
-    assert out["bound_error"] == f"only in {a}"
-    assert out["all"] == out["bound_integral"]
-    (b / "0001.json").rename(b / "0000.json")
-    assert compute_diff.main([str(a), str(b)]) == 1
+    (b / "compute" / "0001.json").write_text(json.dumps(payload))
+    code, out = _diff(tool, a, b, capsys)
+    assert code == 1 and out[:2] == ["compute.1", f"compute.1.bound_error: only in {a}"]
+    rel = _relative(out[2], "compute.1.bound_integral")
+    assert rel == pytest.approx(1e-9, rel=1e-3)
+    assert out[3:] == [f"1 of 11 entries differ; largest {rel:.3g}"]
 
 
-def test_digest_diff_names_each_differing_entry(tmp_path, capsys):
-    """tools/digest_diff.py names each entry of two output_digest.py files
-    that differs, a compute config by its place in design order, and exits 1
-    unless none does."""
-    digest_diff = _load_tool("digest_diff")
-    digest = {"figures": {"fig2": "a", "fig4": "b"}, "compute": ["c", "d", "e"], "validate": "f",
-              "errors": {"no_command": "g"}}
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    a.write_text(json.dumps(digest))
-    b.write_text(json.dumps(digest))
-    assert digest_diff.main([str(a), str(b)]) == 0
-    assert capsys.readouterr().out == "0 of 7 entries differ\n"
-    digest["figures"]["fig4"], digest["compute"][1], digest["validate"] = "x", "x", "x"
-    digest["errors"]["unknown_figure"] = "x"
-    b.write_text(json.dumps(digest))
-    assert digest_diff.main([str(a), str(b)]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "figures.fig4", "compute.1", "validate", f"errors.unknown_figure: only in {b}", "4 of 8 entries differ",
-    ]
-    assert digest_diff.main([str(a)]) == 2
+def test_output_diff_names_entries_one_digest_holds(two_runs, capsys):
+    tool, a, b = two_runs
+    digest = json.loads((b / "digest.json").read_text())
+    digest["validate"] = "x"
+    digest["errors"]["extra"] = "x"
+    del digest["errors"]["no_command"]
+    (b / "digest.json").write_text(json.dumps(digest))
+    assert _diff(tool, a, b, capsys) == (1, [
+        "validate", f"errors.no_command: only in {a}", f"errors.extra: only in {b}",
+        "3 of 12 entries differ; largest 0",
+    ])
+
+
+def test_output_diff_reports_files_that_do_not_pair(two_runs, capsys):
+    """A figure with a row fewer pairs no column; a kept output under
+    another config's number moves both entries."""
+    tool, a, b = two_runs
+    lines = (b / "figures" / "fig4.csv").read_text().splitlines()
+    (b / "figures" / "fig4.csv").write_text("\n".join(lines[:-1]) + "\n")
+    code, out = _diff(tool, a, b, capsys)
+    header = lines[0].split(",")
+    assert code == 1
+    assert out == ["figures.fig4", *(f"figures.fig4.{c}: does not pair" for c in sorted(header)),
+                   "1 of 11 entries differ; largest 0"]
+    shutil.copy(a / "figures" / "fig4.csv", b / "figures" / "fig4.csv")
+    (b / "compute" / "0001.json").rename(b / "compute" / "0000.json")
+    assert _diff(tool, a, b, capsys) == (1, ["compute.0", "compute.1", "2 of 11 entries differ; largest 0"])
+
+
+def test_output_diff_usage_error(two_runs, tmp_path, capsys):
+    tool, a, _ = two_runs
+    for argv in ([str(a)], [str(a), str(tmp_path)], [str(a), str(a), str(a)]):
+        assert tool.main(argv) == 2
+        assert capsys.readouterr().err == "usage: python3 tools/output_diff.py DIR_A DIR_B\n"

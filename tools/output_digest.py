@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
-"""sha256 digests of everything critsense writes, for checking that a
-refactor leaves its outputs byte-identical.
+"""sha256 digests of everything critsense writes, and the outputs they
+digest, for checking that a refactor leaves its outputs byte-identical.
 
-    python3 tools/output_digest.py OUT.json [OUTPUTS_DIR]
+    python3 tools/output_digest.py OUT_DIR
 
-Writes OUT.json with one digest per figure CSV (`critsense figure NAME`), one
-per `perfbench/workloads.design()` config (its exit code, stdout, stderr and
-output JSON from `critsense compute --config C --out O`), in design order,
-one of `critsense validate`'s exit code and report (stdout), and one per bad
-invocation in ERRORS (its exit code, stdout and stderr), run last, so the
-process-wide parser is checked after errors too. Two trees give the same
-OUT.json when their outputs are identical: run it in each and compare the
-files (`cmp a.json b.json`). The last stdout line is one digest of all of
-them. With OUTPUTS_DIR, each config's output JSON is also kept there as
-NNNN.json, NNNN its place in design order, for `tools/compute_diff.py`.
+Writes OUT_DIR/digest.json with one digest per figure CSV (`critsense
+figure NAME`), one per `perfbench/workloads.design()` config (its exit code,
+stdout, stderr and output JSON from `critsense compute --config C --out O`),
+in design order, one of `critsense validate`'s exit code and report
+(stdout), and one per bad invocation in ERRORS (its exit code, stdout and
+stderr), run last, so the process-wide parser is checked after errors too.
+It keeps each CSV as OUT_DIR/figures/NAME.csv and each output JSON as
+OUT_DIR/compute/NNNN.json, NNNN its config's place in design order, for
+`tools/output_diff.py`. The last stdout line is one digest of all of them.
+OUT_DIR must be new or empty, so no earlier run's file passes for this one's.
 
 Runs in-process through `cli.main`, importing critsense from this tree's
 src/ and the design from perfbench/, which it only reads. Every command runs
@@ -76,11 +76,13 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def digests(outputs: Path | None = None) -> dict:
+def digests(kept: Path) -> dict:
     figures = {}
     for name in cli.FIGURES:
         code, out, err = _run(["figure", name, "--out", "figures"])
-        figures[name] = _sha(str(code), out, err, Path("figures", f"{name}.csv").read_bytes())
+        csv = Path("figures", f"{name}.csv").read_bytes()
+        figures[name] = _sha(str(code), out, err, csv)
+        (kept / "figures" / f"{name}.csv").write_bytes(csv)
     compute = []
     for i, case in enumerate(case for block in design() for case in block):
         Path("config.json").write_text(json.dumps(case.config()), encoding="utf-8")
@@ -88,8 +90,8 @@ def digests(outputs: Path | None = None) -> dict:
         code, out, err = _run(["compute", "--config", "config.json", "--out", "out.json"])
         written = Path("out.json").read_bytes() if Path("out.json").exists() else b""
         compute.append(_sha(str(code), out, err, written))
-        if outputs is not None and written:
-            (outputs / f"{i:04d}.json").write_bytes(written)
+        if written:
+            (kept / "compute" / f"{i:04d}.json").write_bytes(written)
     code, out, _ = _run(["validate"])
     validate = _sha(str(code), out)
     Path("config.json").write_text(json.dumps({"mode": "qfi", "t": 1.0}), encoding="utf-8")
@@ -103,22 +105,24 @@ def digests(outputs: Path | None = None) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (1, 2):
-        print("usage: python3 tools/output_digest.py OUT.json [OUTPUTS_DIR]", file=sys.stderr)
+    if len(argv) != 1:
+        print("usage: python3 tools/output_digest.py OUT_DIR", file=sys.stderr)
         return 2
-    target = Path(argv[0]).resolve()
-    outputs = Path(argv[1]).resolve() if len(argv) == 2 else None
-    if outputs is not None:
-        outputs.mkdir(parents=True, exist_ok=True)
+    out = Path(argv[0]).resolve()
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        print(f"error: {argv[0]} exists and is not an empty directory", file=sys.stderr)
+        return 2
+    for sub in ("figures", "compute"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
     home = Path.cwd()
     with tempfile.TemporaryDirectory(prefix="critsense-digest-") as work:
         os.chdir(work)
         try:
-            result = digests(outputs)
+            result = digests(out)
         finally:
             os.chdir(home)
     text = json.dumps(result, indent=1) + "\n"
-    target.write_text(text, encoding="utf-8")
+    (out / "digest.json").write_text(text, encoding="utf-8")
     print(f"{len(result['figures'])} figures, {len(result['compute'])} compute configs, validate, "
           f"{len(result['errors'])} errors: {_sha(text)}")
     return 0
