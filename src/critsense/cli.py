@@ -29,7 +29,7 @@ from . import __version__, protocols, validate
 from ._elementwise import lib, over_t
 from .dynamics import SystemParams
 from .errors import ConfigError, CritsenseError, DomainError
-from .gaussian import DisplacementAmplitude, SqueezeParam, mean_photons, purity
+from .gaussian import DisplacementAmplitude, SqueezeParam, purity
 from .metrology import fi_homodyne, qfi
 from .protocols import (
     ProtocolKind,
@@ -38,6 +38,7 @@ from .protocols import (
     best_homodyne,
     epsilon_opt,
     fundamental_bound,
+    optimal_homodyne_input,
     optimize_time,
     pqs_pair,
     total_qfi,
@@ -71,15 +72,6 @@ def _fig_spec(kind: str, n_max: float, **params: float) -> ProtocolSpec:
                         **{f"params.{name}": value for name, value in params.items()}})
 
 
-def _optimal_r_input(n_max: float, gamma: float, t) -> tuple[DisplacementAmplitude, SqueezeParam]:
-    """The optimally squeezed input for p-quadrature homodyne at t, displaced
-    to fill the rest of the photon budget; for a 1-D array of t, the
-    displacement magnitude and r are arrays over t."""
-    r_opt = protocols.optimal_squeezing_homodyne(n_max, gamma, t)
-    f = lib(t)
-    return DisplacementAmplitude(f.sqrt(f.max(n_max - f.sinh(r_opt.r) ** 2, 0.0))), r_opt
-
-
 def _write_figure(out_dir: Path, name: str, times: np.ndarray, header: list[str], columns) -> Path:
     """Write out_dir/NAME.csv: the header, then one row per t of times, from
     columns(times), the figure's columns as arrays over t. columns is written
@@ -99,7 +91,7 @@ def figure_fig2(out_dir: Path) -> Path:
         pair_pqs, pair_cqs = pqs.pair(t), cqs.pair(t)
         i_pqs, i_cqs = qfi(pair_pqs), qfi(pair_cqs)
         log1p = lib(t).log1p
-        photons = mean_photons(pair_pqs.state), mean_photons(pair_cqs.state)
+        photons = pqs.photons(t, pair_pqs.state), cqs.photons(t, pair_cqs.state)
         return [t, i_pqs, i_cqs, log1p(i_pqs), log1p(i_cqs), *photons]
 
     return _write_figure(
@@ -123,10 +115,10 @@ def figure_fig3(out_dir: Path) -> Path:
         _, f_sqvac = best_homodyne(pair_pqs)
         # The optimally squeezed + displaced input of each t, one start per t
         # of the grid, and p-quadrature homodyne.
-        optr = replace(pqs, pqs_input=_optimal_r_input(n_max, pqs.params.gamma, t))
+        optr = replace(pqs, pqs_input=optimal_homodyne_input(n_max, pqs.params.gamma, t))
         f_optr = fi_homodyne(optr.pair(t), math.pi / 2.0)
         rates = [info / (n_max * (t + t_pm)) for info in (i_pqs, i_cqs, f_optr, f_sqvac) for t_pm in t_pms]
-        return [t, *rates, mean_photons(pair_pqs.state), mean_photons(pair_cqs.state)]
+        return [t, *rates, pqs.photons(t, pair_pqs.state), cqs.photons(t, pair_cqs.state)]
 
     return _write_figure(
         out_dir, "fig3", np.geomspace(0.02, 3000.0, 140),
@@ -193,7 +185,7 @@ def figure_fignoisy(out_dir: Path) -> Path:
         # The cold optimum's input, one start per t of the grid. The one
         # figure protocol without a budget check is its run on the hot bath:
         # a spec for it raises ConstraintError (see the docstring).
-        a_opt, r_opt = _optimal_r_input(n_max, pqs_cold.params.gamma, t)
+        a_opt, r_opt = optimal_homodyne_input(n_max, pqs_cold.params.gamma, t)
         f_hot = fi_homodyne(pqs_pair(a_opt, r_opt, pqs_hot.params, t), math.pi / 2.0)
         f_cold = fi_homodyne(replace(pqs_cold, pqs_input=(a_opt, r_opt)).pair(t), math.pi / 2.0)
         return f_hot / f_cold
@@ -479,7 +471,3 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -201,8 +201,9 @@ def is_pure(s11, s12, s22, det):
     rounding, DET_ROUNDING of s11 s22 + s12^2, for the entries and det of
     its sigma (floats, or arrays over t). There the digits of det below 1
     are noise; a det below 1 beyond that is roundoff the constructor
-    admits, and no mixed state has one."""
-    return det - 1.0 <= DET_ROUNDING * (s11 * s22 + s12 * s12)
+    admits, and no mixed state has one. A det that overflowed to inf, whose
+    rounding is inf too, is not pure."""
+    return (det - 1.0 <= DET_ROUNDING * (s11 * s22 + s12 * s12)) & (det < math.inf)
 
 
 def cholesky_factor(s11, s12, s22, det):
@@ -255,7 +256,9 @@ def photon_variance(state: GaussianState) -> float:
 
 
 def purity(state: GaussianState):
-    """1/sqrt(det sigma), clamped to 1 for roundoff-level violations (det <= 1):
-    a float for one state, an array over t for a stacked state."""
-    f = lib(state.det_sigma)
-    return 1.0 / f.sqrt(f.max(state.det_sigma, 1.0))
+    """1/sqrt(det sigma), exactly 1 where the state is pure (is_pure): a
+    float for one state, an array over t for a stacked state."""
+    (s11, s12), (_, s22) = entries(state.sigma, 2)
+    det = state.det_sigma
+    f = lib(det)
+    return 1.0 / f.sqrt(f.where(is_pure(s11, s12, s22, det), 1.0, det))

@@ -100,13 +100,13 @@ class ProtocolSpec:
     `evolution` (evolve_critical or evolve_passive) once, at construction;
     neither takes part in repr or equality.
 
-    `state`, `photons` and `total_qfi` check the photons at each t they
-    evaluate, for every kind and drive; construction also checks a PQS
-    input, and the steady state of a CQS drive below the critical point.
+    `photons` and `total_qfi` check the photons at each t they evaluate,
+    for every kind and drive; construction also checks a PQS input, and the
+    steady state of a CQS drive below the critical point.
 
     A PQS input whose displacement magnitude and r are arrays over a time
     grid gives one start per t of that grid (a stacked GaussianState), each
-    within the budget, and the spec is evaluated at that grid: state(grid),
+    within the budget, and the spec is evaluated at that grid: photons(grid),
     pair(grid). Such a spec compares equal to one with equal arrays, and is
     not hashable.
     """
@@ -148,14 +148,6 @@ class ProtocolSpec:
             start, evolution = thermal_state(self.params.n_bath), evolve_critical
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "evolution", evolution)
-
-    def state(self, t) -> GaussianState:
-        """The state of one repetition at time t, stacked over t for a 1-D
-        array of times; ConstraintError names the first t whose state holds
-        more photons than the budget allows."""
-        state = self.evolution(self.params, self.start, t)
-        self.photons(t, state)
-        return state
 
     def photons(self, t, state: GaussianState | None = None):
         """Mean photons of the state at t (a float, or an array over t), of
@@ -324,31 +316,6 @@ def best_homodyne(pair: DerivativePair):
 _SCAN_POINTS = 128
 
 
-def _scan_then_polish(f: Callable, t_lo: float, t_hi: float) -> tuple[float, float]:
-    grid = np.geomspace(t_lo, t_hi, _SCAN_POINTS)
-    # One call scans the whole grid; a scalar result stands for every t.
-    values = np.broadcast_to(np.asarray(f(grid), dtype=float), grid.shape)
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise SearchError(f"objective is not finite at t = {grid[int(np.argmin(finite))]!r}")
-    i = int(np.argmax(values))
-    # The float path decides from here on: the best grid point's value is
-    # taken from it, like every value of the polish.
-    best = f(float(grid[i]))
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, _SCAN_POINTS - 1)])
-    # Imported here: scipy.optimize adds ~0.35 s to the package's import time.
-    from scipy.optimize import minimize_scalar
-
-    polish = minimize_scalar(
-        lambda t: -f(float(t)), bounds=(lo, hi), method="bounded", options={"xatol": 1e-6 * hi}
-    )
-    # A grid point stands unless the polish strictly improves on it.
-    if -polish.fun <= best:
-        return float(grid[i]), float(best)
-    return float(polish.x), float(-polish.fun)
-
-
 def optimize_time(
     rate_fn: Callable,
     budget: ResourceBudget,
@@ -375,7 +342,28 @@ def optimize_time(
     def objective(t):
         return rate_fn(t) / (t + t_pm)
 
-    return _scan_then_polish(objective, t_lo, t_hi)
+    grid = np.geomspace(t_lo, t_hi, _SCAN_POINTS)
+    # One call scans the whole grid; a scalar result stands for every t.
+    values = np.broadcast_to(np.asarray(objective(grid), dtype=float), grid.shape)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise SearchError(f"objective is not finite at t = {grid[int(np.argmin(finite))]!r}")
+    i = int(np.argmax(values))
+    # The float path decides from here on: the best grid point's value is
+    # taken from it, like every value of the polish.
+    best = objective(float(grid[i]))
+    lo = float(grid[max(i - 1, 0)])
+    hi = float(grid[min(i + 1, _SCAN_POINTS - 1)])
+    # Imported here: scipy.optimize adds ~0.35 s to the package's import time.
+    from scipy.optimize import minimize_scalar
+
+    polish = minimize_scalar(
+        lambda t: -objective(float(t)), bounds=(lo, hi), method="bounded", options={"xatol": 1e-6 * hi}
+    )
+    # A grid point stands unless the polish strictly improves on it.
+    if -polish.fun <= best:
+        return float(grid[i]), float(best)
+    return float(polish.x), float(-polish.fun)
 
 
 # --- closed-form protocol optima ---------------------------------------------
@@ -397,13 +385,16 @@ def epsilon_opt(n_max: float, params: SystemParams) -> float:
     return math.sqrt(2.0 * (n_max - params.n_bath) / (1.0 + 2.0 * n_max)) * eps_c
 
 
-def optimal_squeezing_homodyne(n_max: float, gamma: float, t) -> SqueezeParam:
-    """Squeezing maximizing the p-quadrature homodyne FI at zero temperature.
+def optimal_homodyne_input(n_max: float, gamma: float, t) -> tuple[DisplacementAmplitude, SqueezeParam]:
+    """The PQS input maximizing the p-quadrature homodyne FI at t at zero
+    temperature: the optimal squeezing, displaced to fill the rest of the
+    photon budget.
 
     The optimum of 4 alpha^2 t^2 / (e^{-2r} + e^{2 gamma t} - 1) under
     alpha^2 = n_max - sinh^2 r is e^{2r} = (sqrt(e^{4gt} + 4 n_max (e^{2gt}-1)) - 1)
-    / (e^{2gt} - 1). t is a float, or a 1-D array of times: then r is an
-    array over t, and the error raised is that of the first failing t.
+    / (e^{2gt} - 1). t is a float, or a 1-D array of times: then the
+    displacement magnitude and r are arrays over t, and the error raised is
+    that of the first failing t.
     """
     f = lib(t)
     reject(f.not_((gamma > 0) & (t > 0)), DomainError, "optimal squeezing needs gamma * t > 0")
@@ -421,7 +412,7 @@ def optimal_squeezing_homodyne(n_max: float, gamma: float, t) -> SqueezeParam:
         photons > n_max,
         ConstraintError, "optimal squeezing sinh^2(r) = {!r} exceeds the budget {!r}", photons, n_max,
     )
-    return SqueezeParam(f.max(r, 0.0))
+    return DisplacementAmplitude(f.sqrt(n_max - photons)), SqueezeParam(f.max(r, 0.0))
 
 
 def beyond_threshold_epsilon(n_max: float, total_time: float, omega0: float) -> float:

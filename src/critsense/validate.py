@@ -16,6 +16,7 @@ import numpy as np
 
 from . import dynamics, protocols
 from .dynamics import SystemParams, evolve_critical, mean_photons_vs_time, spectral_info, steady_state
+from .errors import CritsenseError
 from .gaussian import (
     DisplacementAmplitude,
     GaussianState,
@@ -43,12 +44,16 @@ Outcome = tuple[bool, str, str]
 
 def _named(name: str):
     """Give a check its one name, printed with its result and matched by
-    `run_checks`; the decorated check returns a CheckResult."""
+    `run_checks`; the decorated check returns a CheckResult, a failed one
+    naming the error if its body raises a CritsenseError."""
 
     def wrap(body: Callable[[], Outcome]) -> Callable[[], CheckResult]:
         @functools.wraps(body)
         def check() -> CheckResult:
-            return CheckResult(name, *body())
+            try:
+                return CheckResult(name, *body())
+            except CritsenseError as exc:
+                return CheckResult(name, False, "raises no error", f"{type(exc).__name__}: {exc}")
 
         check.check_name = name
         return check

@@ -25,7 +25,7 @@ from critsense import cli
 from critsense.cli import main, run_compute
 from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, mean_photons_vs_time
 from critsense.errors import ConfigError
-from critsense.gaussian import DisplacementAmplitude, mean_photons, purity, thermal_state
+from critsense.gaussian import mean_photons, purity, thermal_state
 from critsense.metrology import DerivativePair, differentiate_at_zero_shift, fi_homodyne, qfi
 from critsense.protocols import (
     best_homodyne,
@@ -33,7 +33,7 @@ from critsense.protocols import (
     cqs_qfi,
     default_pqs_input,
     epsilon_opt,
-    optimal_squeezing_homodyne,
+    optimal_homodyne_input,
     pqs_input_state,
     pqs_pair,
     pqs_qfi,
@@ -76,9 +76,7 @@ def _hom_optr(n_max, params, t):
     """p-quadrature homodyne FI of the passive protocol on params from the
     optimally squeezed input of each t at zero temperature, displaced to
     fill n_max."""
-    r_opt = optimal_squeezing_homodyne(n_max, 1.0, t)
-    a_opt = DisplacementAmplitude(np.sqrt(np.maximum(n_max - np.sinh(r_opt.r) ** 2, 0.0)))
-    return fi_homodyne(pqs_pair(a_opt, r_opt, params, t), math.pi / 2.0)
+    return fi_homodyne(pqs_pair(*optimal_homodyne_input(n_max, 1.0, t), params, t), math.pi / 2.0)
 
 
 def _fig3_columns(t):
@@ -481,6 +479,13 @@ class TestComputeCommand:
                          id="int_beyond_double"),
             pytest.param('{"mode": "qfi", "t": 1, "protocol": {"n_max": -1' + "0" * 400 + "}}",
                          "protocol.n_max: must be finite, got -inf", id="negative_int_beyond_double"),
+            pytest.param('["qfi"]', "<root>: configuration must be a JSON object", id="root_not_object"),
+            pytest.param('{"mode": "qfi", "t": 1, "params": 3}', "params: must be an object", id="section_not_object"),
+            pytest.param('{"mode": "qfi", "t": 1, "protocol": {"kind": "XQS"}}',
+                         "protocol.kind: expected 'CQS' or 'PQS', got 'XQS'", id="bad_kind"),
+            pytest.param('{"mode": "qfi", "t": "1"}', "t: must be a number, got '1'", id="not_a_number"),
+            pytest.param('{"mode": "qfi", "t": 1, "params": {"epsilon": 0.5}}',
+                         "params.epsilon: must be 0 for the PQS strategy", id="driven_pqs"),
         ],
     )
     def test_rejected_value_exits_2(self, tmp_path, capsys, text, problem):
@@ -706,6 +711,18 @@ class TestValidateCommand:
         assert main(["validate", "--filter", "beyond_threshold"]) == 1
         assert "smallest steady/beyond ratio 0.0 lossy" in capsys.readouterr().out
 
+    def test_raising_check_fails_and_the_rest_run(self, monkeypatch, capsys):
+        """A bound cap of 1e-9 makes total_qfi raise inside the bound gate
+        and the beyond-threshold check: each prints a FAIL line naming the
+        error, and the second runs after the first has raised."""
+        monkeypatch.setattr(protocols, "budget_cap", lambda *args: 1e-9)
+        assert main(["validate", "--filter", "protocols.b"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        for line, name in zip(lines, ("protocols.bound_gate", "protocols.beyond_threshold_suboptimal")):
+            assert line.startswith(f"FAIL  {name} ")
+            assert "ConstraintError: total QFI " in line and "violates the dissipative bound 1e-09" in line
+        assert lines[2:] == ["0/2 checks passed"]
+
 
 def test_reused_parser_keeps_no_state(tmp_path, capsys):
     """One process builds the parser once; a compute run after a validate
@@ -731,6 +748,15 @@ def test_reused_parser_keeps_no_state(tmp_path, capsys):
     capsys.readouterr()
     assert compute() == first
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_module_entry_point_runs_validate():
+    """`python -m critsense` is the command line."""
+    env = dict(os.environ, PYTHONPATH=str(Path(critsense.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "critsense", "validate", "--filter", "check_semigroup"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[-1] == "1/1 checks passed"
 
 
 def test_import_leaves_oracle_and_bound_dependencies_unloaded():

@@ -289,6 +289,14 @@ class TestObservables:
         st = GaussianState(np.zeros(2), sigma)
         assert st.det_sigma == -128.0
         assert purity(st) == 1.0
+        # evolve_critical(SystemParams(1, 0.5, 0), vacuum, 5): a pure state
+        # whose det rounds to 1 + 7e-16, above 1 but within is_pure's rounding.
+        above = np.array([[0.4260960077792234, -0.399638095757546], [-0.399638095757546, 2.7217119766623314]])
+        st = GaussianState(np.zeros(2), above)
+        assert st.det_sigma == 1.0000000000000007
+        assert purity(st) == 1.0
+        stack = GaussianState(np.zeros((3, 2)), np.stack([sigma, above, np.diag([3.0, 3.0])]))
+        assert purity(stack).tolist() == [1.0, 1.0, 1.0 / 3.0]
 
     def test_asymmetric_sigma_rejected(self):
         with pytest.raises(InvalidStateError):

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from conftest import cqs_state_family, general_qfi, rk4_pqs_pair, van_loan_qfi
 from critsense import dynamics
 from critsense._elementwise import over_t
-from critsense.cli import _optimal_r_input
 from critsense.dynamics import (
     Regime,
     SystemParams,
@@ -52,6 +51,7 @@ from critsense.protocols import (
     cqs_qfi,
     default_pqs_input,
     fundamental_bound,
+    optimal_homodyne_input,
     pqs_input_state,
     pqs_pair,
     pqs_qfi,
@@ -530,7 +530,7 @@ def test_pqs_qfi_array_matches_float_calls(params, n_max, alpha, fraction):
 )
 def test_optimal_input_array_matches_float_calls(omega0, gamma, n_bath, n_max, fraction):
     """The optimal homodyne input of each t, with alpha and r arrays over t:
-    optimal_squeezing_homodyne, the displacement filling the budget and
+    optimal_homodyne_input's squeezing and displacement, then
     pqs_input_state (its moments to 1e-10 of N + 1), then pqs_pair's QFI and
     fi_homodyne at psi = pi/2 (to 1e-10 of max(FI, QFI)) on a bath of n_bath,
     each against its float call at each t. Optimal squeezing needs t > 0."""
@@ -538,7 +538,7 @@ def test_optimal_input_array_matches_float_calls(omega0, gamma, n_bath, n_max, f
     ts = _grid(params, fraction)[1:]
 
     def start_at(t):
-        alpha, squeeze = _optimal_r_input(n_max, gamma, t)
+        alpha, squeeze = optimal_homodyne_input(n_max, gamma, t)
         return SimpleNamespace(alpha=alpha, squeeze=squeeze, state=pqs_input_state(alpha, squeeze, n_bath))
 
     size = lambda start: mean_photons(start.state) + 1.0
@@ -552,7 +552,7 @@ def test_optimal_input_array_matches_float_calls(omega0, gamma, n_bath, n_max, f
     for read, scale in reads:
         _assert_array_call_matches(lambda ts: read(start_at(ts)), start_at, ts, read=read, scale=scale)
 
-    pair_at = lambda t: pqs_pair(*_optimal_r_input(n_max, gamma, t), params, t)
+    pair_at = lambda t: pqs_pair(*optimal_homodyne_input(n_max, gamma, t), params, t)
     homodyne = lambda pair: fi_homodyne(pair, math.pi / 2.0)
     _assert_array_call_matches(lambda ts: qfi(pair_at(ts)), pair_at, ts)
     _assert_array_call_matches(
@@ -604,9 +604,9 @@ def test_cold_optimum_over_budget_on_hot_bath():
     ts = np.geomspace(0.05, 10.0, 120)
     hot, budget = SystemParams(1.0, 0.0, 1.0, n_bath=1.0), ResourceBudget(300.0, 1.0)
     with pytest.raises(ConstraintError) as first:
-        ProtocolSpec(ProtocolKind.PQS, hot, budget, _optimal_r_input(300.0, 1.0, float(ts[0])))
+        ProtocolSpec(ProtocolKind.PQS, hot, budget, optimal_homodyne_input(300.0, 1.0, float(ts[0])))
     with pytest.raises(ConstraintError) as stacked:
-        ProtocolSpec(ProtocolKind.PQS, hot, budget, _optimal_r_input(300.0, 1.0, ts))
+        ProtocolSpec(ProtocolKind.PQS, hot, budget, optimal_homodyne_input(300.0, 1.0, ts))
     _assert_same_budget_error(stacked.value, first.value)
 
 
@@ -637,7 +637,7 @@ def test_squeezed_vacuum_bound_closed_form(n_max, gamma, gamma_t):
 
     def traj(t):
         calls.append(t.shape)
-        return mean_photons(spec.state(t))
+        return spec.photons(t)
 
     result = fundamental_bound(traj, spec.budget.total_time, gamma)
     assert result.integral == pytest.approx(n_max * -math.expm1(-2.0 * gamma_t) / gamma**2, rel=1e-10)

@@ -8,7 +8,6 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import pqs_qfi_closed_form, steady_time, van_loan_qfi
-from critsense.cli import _optimal_r_input
 from critsense.dynamics import (
     SystemParams, evolve_critical, evolve_passive, mean_photons_vs_time, spectral_info, steady_state_photons,
 )
@@ -35,7 +34,7 @@ from critsense.protocols import (
     default_pqs_input,
     epsilon_opt,
     fundamental_bound,
-    optimal_squeezing_homodyne,
+    optimal_homodyne_input,
     optimize_time,
     pqs_input_state,
     pqs_pair,
@@ -46,7 +45,7 @@ from critsense.protocols import (
 UNIT = SystemParams(1.0, 0.0, 1.0)
 # A grid with one failing t and the optimal input of each |t|, one per t.
 FAILING_TS = np.array([0.5, 1.0, -1.0])
-FAILING_TS_INPUT = _optimal_r_input(100.0, 1.0, np.abs(FAILING_TS))
+FAILING_TS_INPUT = optimal_homodyne_input(100.0, 1.0, np.abs(FAILING_TS))
 
 
 class TestCqsQfi:
@@ -169,12 +168,10 @@ class TestEpsilonOpt:
             epsilon_opt(0.5, SystemParams(1.0, 0.0, 1.0, n_bath=1.0))
 
 
-class TestOptimalSqueezingHomodyne:
+class TestOptimalHomodyneInput:
     @pytest.mark.parametrize("n_max,gt", [(100.0, 0.8), (1e4, 0.5), (10.0, 2.0)])
     def test_reproduces_closed_form_optimum(self, n_max, gt):
-        squeeze = optimal_squeezing_homodyne(n_max, 1.0, gt)
-        alpha = DisplacementAmplitude(math.sqrt(n_max - math.sinh(squeeze.r) ** 2))
-        pair = pqs_pair(alpha, squeeze, SystemParams(1.0, 0.0, 1.0), gt)
+        pair = pqs_pair(*optimal_homodyne_input(n_max, 1.0, gt), SystemParams(1.0, 0.0, 1.0), gt)
         got = fi_homodyne(pair, math.pi / 2.0)
         x = math.exp(4.0 * gt) + 4.0 * n_max * (math.exp(2.0 * gt) - 1.0)
         expected = 8.0 * n_max * (1.0 + n_max) * gt * gt / (
@@ -184,19 +181,22 @@ class TestOptimalSqueezingHomodyne:
 
     def test_large_budget_asymptote(self):
         n_max, gt = 1e4, 0.5
-        squeeze = optimal_squeezing_homodyne(n_max, 1.0, gt)
-        alpha = DisplacementAmplitude(math.sqrt(n_max - math.sinh(squeeze.r) ** 2))
-        pair = pqs_pair(alpha, squeeze, SystemParams(1.0, 0.0, 1.0), gt)
+        pair = pqs_pair(*optimal_homodyne_input(n_max, 1.0, gt), SystemParams(1.0, 0.0, 1.0), gt)
         got = fi_homodyne(pair, math.pi / 2.0)
         assert got == pytest.approx(4.0 * n_max * gt * gt / (math.exp(2.0 * gt) - 1.0), rel=0.02)
 
     def test_no_squeezing_at_equilibrium(self):
-        assert optimal_squeezing_homodyne(100.0, 1.0, 50.0).r == pytest.approx(0.0, abs=1e-9)
+        alpha, squeeze = optimal_homodyne_input(100.0, 1.0, 50.0)
+        assert squeeze.r == pytest.approx(0.0, abs=1e-9)
+        assert alpha.magnitude == pytest.approx(10.0, rel=1e-9)
 
-    def test_budget_feasible_over_grid(self):
+    def test_budget_filled_over_grid(self):
+        """The squeezing stays within the budget, and the displacement fills
+        the rest of it."""
         for gt in np.geomspace(0.01, 20.0, 30):
-            squeeze = optimal_squeezing_homodyne(250.0, 1.0, float(gt))
+            alpha, squeeze = optimal_homodyne_input(250.0, 1.0, float(gt))
             assert math.sinh(squeeze.r) ** 2 <= 250.0
+            assert alpha.magnitude**2 + math.sinh(squeeze.r) ** 2 == pytest.approx(250.0, rel=1e-12)
 
     @pytest.mark.parametrize("n_max", [1.0, 100.0, 1e4])
     @pytest.mark.parametrize("gt", [1e-15, 1e-12, 1e-9])
@@ -209,7 +209,7 @@ class TestOptimalSqueezingHomodyne:
             growth = mpmath.expm1(2 * mpmath.mpf(gt))
             e2r = (mpmath.sqrt((growth + 1) ** 2 + 4 * mpmath.mpf(n_max) * growth) - 1) / growth
             exact = float(mpmath.log(e2r) / 2)
-        assert optimal_squeezing_homodyne(n_max, 1.0, gt).r == pytest.approx(exact, rel=1e-14, abs=0.0)
+        assert optimal_homodyne_input(n_max, 1.0, gt)[1].r == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 class TestBestHomodyne:
@@ -318,13 +318,15 @@ class TestProtocolSpec:
     def test_cqs_evolves_critically_from_the_bath(self):
         spec = self._cqs()
         for t in self.TIMES:
-            self._same_state(spec.state(t), evolve_critical(spec.params, thermal_state(0.5), t))
+            state = spec.evolution(spec.params, spec.start, t)
+            self._same_state(state, evolve_critical(spec.params, thermal_state(0.5), t))
             self._same_pair(spec.pair(t), cqs_pair(spec.params, t))
 
     def test_pqs_evolves_passively_from_its_input(self):
         spec = self._pqs()
         for t in self.TIMES:
-            self._same_state(spec.state(t), evolve_passive(self.HOT, pqs_input_state(*self.INPUT, 0.5), t))
+            state = spec.evolution(spec.params, spec.start, t)
+            self._same_state(state, evolve_passive(self.HOT, pqs_input_state(*self.INPUT, 0.5), t))
             self._same_pair(spec.pair(t), pqs_pair(*self.INPUT, self.HOT, t))
 
     def test_array_qfi_is_the_public_one(self):
@@ -349,7 +351,7 @@ class TestProtocolSpec:
 
     def _stacked(self, ts):
         return ProtocolSpec(ProtocolKind.PQS, UNIT, ResourceBudget(n_max=100.0, total_time=1.0),
-                            _optimal_r_input(100.0, 1.0, ts))
+                            optimal_homodyne_input(100.0, 1.0, ts))
 
     def test_stacked_input_compares_as_one_bool(self):
         ts = np.array([0.5, 1.0, 2.0])
@@ -479,10 +481,10 @@ class TestFundamentalBound:
         params = SystemParams(3.8696930100543563, 0.0, 1.0, n_bath)
         params = replace(params, epsilon=epsilon_opt(n_max, params))
         spec = ProtocolSpec(ProtocolKind.CQS, params, ResourceBudget(n_max=n_max, total_time=total_time))
-        result = fundamental_bound(lambda t: mean_photons(spec.state(t)), total_time, 1.0, n_bath)
+        result = fundamental_bound(spec.photons, total_time, 1.0, n_bath)
 
         def rate(t):
-            n = mean_photons(spec.state(t))
+            n = spec.photons(t)
             return 2.0 * n / (1.0 + 2.0 * n_bath - n_bath / (n + 1.0))
 
         cuts = [0.0, *np.geomspace(1e-8 * total_time, total_time, 40).tolist()]
@@ -575,23 +577,21 @@ class TestBeyondThreshold:
         assert n_final == pytest.approx(n_max, rel=0.05)
 
     def test_lossy_drive_checked_at_each_t(self):
-        """A lossy drive at or beyond threshold builds; `state` and `photons`
-        refuse it only at a t whose state holds more photons than the
-        budget allows, and an array of t names its first such t."""
+        """A lossy drive at or beyond threshold builds; `photons` and
+        `total_qfi` refuse it only at a t whose state holds more photons
+        than the budget allows, and an array of t names its first such t."""
         budget = ResourceBudget(100.0, 1.0)
         for params in (SystemParams(1.0, math.sqrt(2.0), 1.0), SystemParams(1.0, 2.0, 0.1)):
             spec = ProtocolSpec(ProtocolKind.CQS, params, budget)
             t_full = _time_at_photons(params, 100.0)
-            assert spec.photons(0.5 * t_full) == mean_photons(spec.state(0.5 * t_full)) < 100.0
+            state = spec.evolution(spec.params, spec.start, 0.5 * t_full)
+            assert spec.photons(0.5 * t_full) == mean_photons(state) < 100.0
             assert total_qfi(spec, 0.5 * t_full).photons_at_t < 100.0
-            for past in (spec.state, spec.photons):
-                with pytest.raises(ConstraintError, match=rf"protocol holds \S+ photons at t = {re.escape(repr(2.0 * t_full))},"):
-                    past(2.0 * t_full)
+            with pytest.raises(ConstraintError, match=rf"protocol holds \S+ photons at t = {re.escape(repr(2.0 * t_full))},"):
+                spec.photons(2.0 * t_full)
             with pytest.raises(ConstraintError, match="protocol holds"):
                 total_qfi(spec, 2.0 * t_full)
             grid = np.array([0.5, 2.0, 3.0]) * t_full
-            with pytest.raises(ConstraintError, match=rf"at t = {re.escape(repr(float(grid[1])))}, budget allows 100\.0"):
-                spec.state(grid)
             with pytest.raises(ConstraintError, match=rf"at t = {re.escape(repr(float(grid[1])))}, budget allows 100\.0"):
                 spec.photons(grid)
 
