@@ -247,21 +247,22 @@ def pqs_qfi(
 
 
 def _roots(poly: np.ndarray) -> np.ndarray:
-    """For a stack of quartics of shape (n, 5), an (n, 4) array of each
-    row's roots: one eigvals call per degree on the companion matrices
-    np.roots builds, so each row's roots are np.roots' own, padded with 0
-    where np.roots drops roots (a row whose leading coefficients are 0).
-    best_homodyne's quartics are conjugate-palindromic, so a leading
-    coefficient is 0 with its trailing mirror, and only degrees 4 and 2
-    occur."""
-    roots = np.zeros((len(poly), 4), complex)
-    for lead, degree in ((0, 4), (1, 2)):
-        rows = (poly[:, lead] != 0) & (poly[:, :lead] == 0).all(axis=1)
-        if rows.any():
-            companion = np.zeros((int(rows.sum()), degree, degree), complex)
+    """For a stack of real quartics of shape (n, 5), the real parts of each
+    row's roots, (n, 4): one eigvals call per shape of the companion matrices
+    np.roots builds, so a row's are np.roots' own, its exact zeros for
+    trailing zero coefficients included, then 0 for each root a leading 0 drops."""
+    nonzero = poly != 0
+    lead, stop = nonzero.argmax(axis=1), 5 - nonzero[:, ::-1].argmax(axis=1)
+    roots = np.zeros((len(poly), 4))
+    for first, end in set(zip(lead.tolist(), stop.tolist())):
+        # nonzero[:, first] leaves out the zero rows, whose first and end are 0 and 5.
+        rows = (lead == first) & (stop == end) & nonzero[:, first]
+        coeffs, degree = poly[rows, first:end], end - first - 1
+        if degree > 0:
+            companion = np.zeros((len(coeffs), degree, degree))
             companion[:, 1:, :-1] = np.eye(degree - 1)
-            companion[:, 0, :] = -poly[rows, lead + 1:lead + 1 + degree] / poly[rows, lead:lead + 1]
-            roots[rows, :degree] = np.linalg.eigvals(companion)
+            companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+            roots[rows, :degree] = np.linalg.eigvals(companion).real
     return roots
 
 
@@ -273,8 +274,9 @@ def best_homodyne(pair: DerivativePair):
     B = L^-1 dsigma L^-T and w = (cos theta, sin theta) proportional to L^T u
     for the quadrature u = (cos psi, -sin psi), FI = 2 (w.a)^2 + (w^T B w)^2 / 2,
     a degree-2 trigonometric polynomial in x = 2 theta. Its stationary points
-    are the roots of one quartic in z = e^{ix}; the best of them and psi = 0
-    is returned, the first of them on a tie, so a flat FI gives psi = 0.
+    are theta = pi/2 and the roots of one real quartic in tan theta; the best
+    of them and psi = 0 is returned, the first of them on a tie, so a flat
+    FI gives psi = 0.
     """
     white = pair.whitened
     # FI is quadratic in (a, B): scaling both to unit size moves no stationary
@@ -288,26 +290,26 @@ def best_homodyne(pair: DerivativePair):
     # (w.a)^2 = |a|^2/2 + p1 cos x + p2 sin x,  w^T B w = q0 + q1 cos x + q2 sin x.
     p1, p2 = 0.5 * (a1 * a1 - a2 * a2), a1 * a2
     q0, q1, q2 = 0.5 * (b11 + b22), 0.5 * (b11 - b22), b12
-    # dFI/dx = c1 cos x + s1 sin x + c2 cos 2x + s2 sin 2x, times 2 z^2.
+    # dFI/dx = c1 cos x + s1 sin x + c2 cos 2x + s2 sin 2x, times (1 + u^2)^2 for u = tan theta.
     c1, s1 = 2.0 * p2 + q0 * q2, -2.0 * p1 - q0 * q1
     c2, s2 = q1 * q2, 0.5 * (q2 * q2 - q1 * q1)
     # One pair's quartic is a stack of one.
-    quartic = np.array([c2 - 1j * s2, c1 - 1j * s1, 0.0 * c1, c1 + 1j * s1, c2 + 1j * s2]).T.reshape(-1, 5)
-    theta = 0.5 * np.angle(_roots(np.where(abs(quartic) > 1e-15, quartic, 0.0)))
-    # u = L^-T (cos theta, sin theta) by back-substitution.
+    quartic = np.array([c2 - c1, 2.0 * s1 - 4.0 * s2, -6.0 * c2, 2.0 * s1 + 4.0 * s2, c1 + c2]).T.reshape(-1, 5)
+    roots = _roots(np.where(abs(quartic) > 1e-15, quartic, 0.0))
+    # theta = 0 (psi = 0), pi/2 (u = inf, a root that c2 = c1 drops) and
+    # arctan of each root; u = L^-T (cos theta, sin theta) by back-substitution.
+    theta = np.arctan(np.concatenate([np.tile([0.0, math.inf], (len(roots), 1)), roots], axis=1))
     u2 = np.sin(theta) / per_t(white.l22, 1)
     u1 = (np.cos(theta) - per_t(white.l21, 1) * u2) / per_t(white.l11, 1)
     # psi mod pi; a psi just below 0 can round up to pi itself.
     psis = np.arctan2(-u2, u1) % math.pi
     psis = np.where(psis < math.pi, psis, 0.0)
     if not isinstance(white.mu, np.ndarray):
-        candidates = [0.0, *psis[0].tolist()]
-        return max(((psi, fi_homodyne(pair, psi)) for psi in candidates), key=lambda result: result[1])
-    candidates = np.concatenate([np.zeros((len(psis), 1)), psis], axis=1).T
-    values = np.array([fi_homodyne(pair, psi) for psi in candidates])
+        return max(((psi, fi_homodyne(pair, psi)) for psi in psis[0].tolist()), key=lambda result: result[1])
+    values = np.array([fi_homodyne(pair, psi) for psi in psis.T])
     best = np.argmax(values, axis=0)  # the first maximum, as max() takes
     columns = np.arange(len(best))
-    return candidates[best, columns], values[best, columns]
+    return psis[columns, best], values[best, columns]
 
 
 # --- optimizers ---------------------------------------------------------------

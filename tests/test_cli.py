@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import critsense
-from critsense import protocols
+from critsense import protocols, validate
 from critsense import cli
 from critsense.cli import main, run_compute
 from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, mean_photons_vs_time
@@ -712,16 +712,19 @@ class TestValidateCommand:
         assert "smallest steady/beyond ratio 0.0 lossy" in capsys.readouterr().out
 
     def test_raising_check_fails_and_the_rest_run(self, monkeypatch, capsys):
-        """A bound cap of 1e-9 makes total_qfi raise inside the bound gate
-        and the beyond-threshold check: each prints a FAIL line naming the
-        error, and the second runs after the first has raised."""
+        """A bound cap of 1e-9 makes total_qfi raise inside the
+        beyond-threshold check, which prints a FAIL line naming the error,
+        and fails the bound gate on its own comparison, which prints its
+        ratio. Run in that order, the gate runs after the first has raised."""
         monkeypatch.setattr(protocols, "budget_cap", lambda *args: 1e-9)
+        monkeypatch.setattr(validate, "ALL_CHECKS", (validate.check_beyond_threshold, validate.check_bound_gate))
         assert main(["validate", "--filter", "protocols.b"]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        for line, name in zip(lines, ("protocols.bound_gate", "protocols.beyond_threshold_suboptimal")):
-            assert line.startswith(f"FAIL  {name} ")
-            assert "ConstraintError: total QFI " in line and "violates the dissipative bound 1e-09" in line
-        assert lines[2:] == ["0/2 checks passed"]
+        raised, gate, summary = capsys.readouterr().out.splitlines()
+        assert raised.startswith("FAIL  protocols.beyond_threshold_suboptimal ")
+        assert "ConstraintError: total QFI " in raised and "violates the dissipative bound 1e-09" in raised
+        assert gate.startswith("FAIL  protocols.bound_gate ") and "Error" not in gate
+        assert float(gate.rsplit("max ratio ", 1)[1]) > 1e9
+        assert summary == "0/2 checks passed"
 
 
 def test_reused_parser_keeps_no_state(tmp_path, capsys):

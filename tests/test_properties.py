@@ -414,22 +414,22 @@ _UNIT = st.floats(-1.0, 1.0)
 
 
 @st.composite
-def conjugate_palindromes(draw) -> np.ndarray:
-    """Quartics [k0, k1, 0, conj k1, conj k0] as best_homodyne forms them,
-    after its 1e-15 threshold: k0 and k1 each 0 or not."""
-    k0, k1 = (complex(draw(_UNIT), draw(_UNIT)) * draw(st.sampled_from((0.0, 1.0))) for _ in range(2))
-    quartic = np.array([k0, k1, 0.0, k1.conjugate(), k0.conjugate()])
+def real_quartics(draw) -> np.ndarray:
+    """Real quartics as best_homodyne forms them, after its 1e-15 threshold:
+    each coefficient 0 or not, so leading and trailing zeros both occur."""
+    quartic = np.array([draw(_UNIT) * draw(st.sampled_from((0.0, 1.0))) for _ in range(5)])
     return np.where(abs(quartic) > 1e-15, quartic, 0.0)
 
 
-@given(st.lists(conjugate_palindromes(), min_size=1, max_size=8))
+@given(st.lists(real_quartics(), min_size=1, max_size=8))
 def test_stacked_roots_are_np_roots(polys):
-    """Each row's roots are np.roots' own, bit for bit, then the zeros of
-    the roots np.roots drops."""
+    """Each row's roots are the real parts of np.roots' own, bit for bit
+    (the exact zeros it returns for trailing zero coefficients included),
+    then the zeros of the roots np.roots drops."""
     got = _roots(np.array(polys))
     for row, poly in zip(got, polys):
-        want = np.roots(poly)
-        assert row[: len(want)].tobytes() == want.astype(complex).tobytes()
+        want = np.roots(poly).real
+        assert row[: len(want)].tobytes() == want.tobytes()
         assert not row[len(want):].any()
 
 
@@ -460,18 +460,37 @@ def test_flat_fi_keeps_psi_zero():
         assert best_homodyne(_frame(row)) == pytest.approx((psi, fi), rel=1e-12, abs=0.0)
 
 
+def _rotated(l_row, a, b, angle) -> tuple:
+    """A frame row with L from l_row and the whitened a and B turned by
+    angle, which moves the FI's every stationary theta by angle."""
+    c, s = math.cos(angle), math.sin(angle)
+    turn = np.array([[c, -s], [s, c]])
+    a, b = turn @ np.array(a), turn @ np.array(b) @ turn.T
+    return (*l_row, *a.tolist(), b[0, 0], b[0, 1], b[1, 1])
+
+
 def test_dropped_leading_coefficient():
-    """B within 1e-9 of a multiple of I puts the quartic's z^4 and z^0
-    coefficients (c2 = q1 q2, s2 = (q2^2 - q1^2)/2) below 1e-15, where they
-    are dropped: the roots are those of the quadratic left. The stack takes
-    the float call's angle and FI, and no point of a 721-point grid beats it."""
+    """Frames whose quartic in u = tan theta loses coefficients or has a
+    double root. B within 1e-9 of a multiple of I puts the second harmonic's
+    c2 = q1 q2 and s2 = (q2^2 - q1^2)/2 below 1e-15, so the u^2 coefficient
+    -6 c2 is dropped. c1 = c2 = -0.12 drops the u^4 coefficient, and the best
+    quadrature is theta = pi/2 (u = inf) exactly, found only as the fixed
+    candidate. a = (1, -1)/sqrt 2 and B = [[1, 1], [1, -1]] turned by 0.4 have
+    a double stationary point at theta = 0.4. The stack takes the float
+    calls' angle and FI, and no point of a 721-point grid beats any of them."""
+    at_infinity = (1.0, 0.3, 2.0, -0.1875, 0.8, 0.2, 0.3, 1.0)
     rows = [(1.0, 0.3, 2.0, 0.4, -0.2, 0.7 + 1e-9, 2e-9, 0.7 - 1e-9), (1.5, 0.0, 1.0, 0.1, 0.3, 0.2, 0.0, 0.2),
-            (1.0, 0.3, 2.0, 0.4, -0.2, 0.7, 0.1, -0.3)]
+            (1.0, 0.3, 2.0, 0.4, -0.2, 0.7, 0.1, -0.3), at_infinity,
+            _rotated((1.0, 0.3, 2.0), (math.sqrt(0.5), -math.sqrt(0.5)), [[1.0, 1.0], [1.0, -1.0]], 0.4)]
     psis, fis = best_homodyne(_frames(rows))
     for row, psi, fi in zip(rows, psis.tolist(), fis.tolist()):
         assert best_homodyne(_frame(row)) == pytest.approx((psi, fi), rel=1e-12, abs=0.0)
         grid = max(fi_homodyne(_frame(row), p) for p in np.linspace(0.0, math.pi, 721, endpoint=False))
         assert fi >= (1.0 - 1e-12) * grid
+    # theta = pi/2 is u = L^-T (0, 1), a positive multiple of (-l21, l11).
+    l11, l21 = at_infinity[:2]
+    assert psis[3] == pytest.approx(math.atan2(-l11, -l21) % math.pi, rel=1e-12)
+    assert fis[3] == pytest.approx(2.0 * 0.8**2 + 0.5 * 1.0**2, rel=1e-12)
 
 
 @given(system_params().filter(lambda p: p.epsilon > p.epsilon_c), st.booleans())
