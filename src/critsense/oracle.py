@@ -16,23 +16,24 @@ step of size h is the degree-4 Taylor polynomial of hL, in Horner form
 y + hL(y + hL/2 (y + hL/3 (y + hL/4 y))). The oracle applies it to the
 identity to get the step matrix P on (v, vec Sigma, dv, vec dSigma, 1): n
 steps are P^n, the same discretisation as stepping n times. The Fock
-oracle applies exp(t L) for the sparse Liouvillian L with scipy's
-expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-(2011)), which chooses its own accuracy. L conserves the parity of m + n in
+oracle applies exp(t L) for the sparse Liouvillian L by truncated Taylor
+steps (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Alg. 3.2),
+scipy's method for the action of a sparse exponential, in a loop of its
+own: the step count comes from the exact 1-norm of L, so no norm is
+estimated and no random number drawn, and each Taylor term costs one
+sparse product and two inf-norms. L conserves the parity of m + n in
 |m><n|, so only the parity sectors the start fills are evolved: half of the
 entries of rho for vacuum, thermal and squeezed starts, all of them for a
 coherent one. L maps Hermitian to Hermitian, so rho is evolved in real
 coordinates, Re rho_mn for m <= n and Im rho_mn for m < n: as many reals as
 the sectors hold complex entries. The real generator stores 10-14% more
-entries than the complex one, but each product with it is real, as are the
-norm estimates that choose the steps: at the same step count,
-expm_multiply's Taylor loop takes 50-70% of the complex loop's time at
-30-80 levels. L is summed from parameter-free pieces that are built in
-these coordinates once per truncation and cached, so a call pays only for
-that sum and the evolution.
-The fidelity QFI needs the same start evolved under two shifts; one
-expm_multiply on the block diagonal of the two Liouvillians gives both, and
-pays the norm estimation and the per-step overhead once.
+entries than the complex one, but each product with it is real. L is
+summed from parameter-free pieces that are built in these coordinates once
+per truncation and cached, so a call pays only for that sum and the
+evolution.
+The fidelity QFI needs the same start evolved under two shifts; one Taylor
+loop on the block diagonal of the two Liouvillians gives both, and pays the
+per-step overhead once.
 """
 
 from __future__ import annotations
@@ -333,6 +334,47 @@ def _retry_dim(rho: np.ndarray, dim: int) -> int:
     return max(need + 4, dim + 2)
 
 
+# Al-Mohy & Higham's theta_55 (Table 3.1): a Taylor step of degree 55 has a
+# backward error below unit roundoff while ||h A||_1 <= 9.9.
+_THETA_55 = 9.9
+
+
+def _expm_apply(generator, x: np.ndarray, t: float) -> np.ndarray:
+    """exp(t L) x for a sparse L by truncated Taylor steps (Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 33, 488 (2011), Alg. 3.2), as scipy takes them for
+    the action of a sparse exponential, with the step count read off the
+    exact 1-norm.
+
+    L is shifted by mu = tr L / n, and exp(t mu) is put back. With A = L -
+    mu I, s = ceil(t ||A||_1 / theta_55) steps of degree <= 55 keep the
+    backward error below unit roundoff: ||A||_1 bounds every
+    ||A^p||_1^(1/p), the norms the bound is stated in, so nothing is
+    estimated. Each step's series stops, as scipy's does, once two
+    consecutive terms sum to at most 2^-53 of the partial sum (inf-norm).
+    """
+    import scipy.sparse as sp
+
+    n = generator.shape[0]
+    mu = generator.diagonal().sum() / n
+    a = (generator - mu * sp.identity(n, format="csr")).tocsr()
+    steps = max(1, math.ceil(t * float(abs(a).sum(axis=0).max()) / _THETA_55))
+    h = t / steps
+    eta = math.exp(mu * h)
+    x = x.copy()
+    for _ in range(steps):
+        term, last = x, abs(x).max()
+        for k in range(1, 56):
+            term = a @ term
+            term *= h / k
+            size = abs(term).max()
+            x += term
+            if last + size <= 2.0 ** -53 * abs(x).max():
+                break
+            last = size
+        x *= eta
+    return x
+
+
 def fock_evolve(
     params: SystemParams | tuple[SystemParams, ...], rho0: FockDensityMatrix, t: float
 ) -> FockDensityMatrix | tuple[FockDensityMatrix, ...]:
@@ -344,10 +386,10 @@ def fock_evolve(
     evolved as real coordinates (Re rho_mn, m <= n; Im rho_mn, m < n) under
     the real generator, and the result is rebuilt from them, exactly
     Hermitian. L is summed from parameter-free pieces that are built once
-    per truncation and set of sectors and cached (_superoperators). Given a
-    tuple of parameter sets that share rho0, one expm_multiply on the block
-    diagonal of their real generators evolves them all, and a tuple of
-    states comes back.
+    per truncation and set of sectors and cached (_superoperators). The
+    evolution is _expm_apply's Taylor loop, deterministic. Given a tuple of
+    parameter sets that share rho0, one loop on the block diagonal of their
+    real generators evolves them all, and a tuple of states comes back.
 
     Trace leakage above LEAK_BUDGET in any of them raises TruncationError;
     results at that leakage level are untrustworthy. Its suggested_dim is
@@ -363,9 +405,7 @@ def fock_evolve(
         raise DomainError("no parameter sets to evolve")
     if t == 0.0:
         return (rho0,) * len(members) if shared else rho0
-    # Imported here: scipy.sparse.linalg adds ~0.1 s to the package's import time.
     import scipy.sparse as sp
-    from scipy.sparse.linalg import expm_multiply
 
     dim = rho0.dim
     start = rho0.matrix.ravel()
@@ -375,14 +415,7 @@ def fock_evolve(
     parities = tuple(np.unique(parity[start != 0]).tolist())
     coords, back, _ = _superoperators(dim, parities)
     generator = sp.block_diag([_liouvillian(p, dim, parities) for p in members], format="csr")
-    # expm_multiply's norm estimates draw from numpy's global RNG: seed it for a
-    # reproducible result, and give the caller's stream back untouched.
-    saved = np.random.get_state()
-    np.random.seed(0)
-    try:
-        evolved = expm_multiply(t * generator, np.tile((coords @ start).real, len(members)))
-    finally:
-        np.random.set_state(saved)
+    evolved = _expm_apply(generator, np.tile((coords @ start).real, len(members)), t)
     states = []
     for x in evolved.reshape(len(members), -1):
         rho = (back @ x).reshape(dim, dim)
@@ -427,13 +460,13 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def uhlmann_fidelity(rho: FockDensityMatrix, tau: FockDensityMatrix) -> float:
-    """Amplitude fidelity Tr sqrt(sqrt(rho) tau sqrt(rho))."""
-    root = _psd_sqrt(rho.matrix)
-    inner = root @ tau.matrix @ root
-    vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    if float(vals.min()) < -1e-9:
-        raise AccuracyError(f"indefinite fidelity kernel (min eigenvalue {vals.min():.2e})")
-    return float(np.sum(np.sqrt(np.clip(vals, 0.0, None))))
+    """Amplitude fidelity Tr sqrt(sqrt(rho) tau sqrt(rho)), taken as the
+    nuclear norm of sqrt(rho) sqrt(tau), the sum of its singular values:
+    square roots of the kernel's eigenvalues would turn eigenvalue dust of
+    1e-16 into 1e-8. An indefinite rho or tau (an eigenvalue below -1e-9)
+    raises AccuracyError."""
+    product = _psd_sqrt(rho.matrix) @ _psd_sqrt(tau.matrix)
+    return float(np.linalg.svd(product, compute_uv=False).sum())
 
 
 def fock_qfi_fidelity(

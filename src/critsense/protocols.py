@@ -250,10 +250,12 @@ def _roots(poly: np.ndarray) -> np.ndarray:
     """For a stack of real quartics of shape (n, 5), the real parts of each
     row's roots, (n, 4): one eigvals call per shape of the companion matrices
     np.roots builds, so a row's are np.roots' own, its exact zeros for
-    trailing zero coefficients included, then 0 for each root a leading 0 drops."""
+    trailing zero coefficients included, then +inf for each root a leading 0
+    drops (a root of the quartic at infinity); an all-zero row is 0
+    throughout."""
     nonzero = poly != 0
     lead, stop = nonzero.argmax(axis=1), 5 - nonzero[:, ::-1].argmax(axis=1)
-    roots = np.zeros((len(poly), 4))
+    roots = np.where(np.arange(4) >= 4 - lead[:, None], math.inf, 0.0)
     for first, end in set(zip(lead.tolist(), stop.tolist())):
         # nonzero[:, first] leaves out the zero rows, whose first and end are 0 and 5.
         rows = (lead == first) & (stop == end) & nonzero[:, first]
@@ -274,9 +276,10 @@ def best_homodyne(pair: DerivativePair):
     B = L^-1 dsigma L^-T and w = (cos theta, sin theta) proportional to L^T u
     for the quadrature u = (cos psi, -sin psi), FI = 2 (w.a)^2 + (w^T B w)^2 / 2,
     a degree-2 trigonometric polynomial in x = 2 theta. Its stationary points
-    are theta = pi/2 and the roots of one real quartic in tan theta; the best
-    of them and psi = 0 is returned, the first of them on a tie, so a flat
-    FI gives psi = 0.
+    are the roots of one real quartic in tan theta, and theta = pi/2 where
+    its leading coefficient vanishes (_roots gives that dropped root as
+    +inf); the best of them and psi = 0 is returned, the first of them on a
+    tie, so a flat FI gives psi = 0.
     """
     white = pair.whitened
     # FI is quadratic in (a, B): scaling both to unit size moves no stationary
@@ -296,9 +299,9 @@ def best_homodyne(pair: DerivativePair):
     # One pair's quartic is a stack of one.
     quartic = np.array([c2 - c1, 2.0 * s1 - 4.0 * s2, -6.0 * c2, 2.0 * s1 + 4.0 * s2, c1 + c2]).T.reshape(-1, 5)
     roots = _roots(np.where(abs(quartic) > 1e-15, quartic, 0.0))
-    # theta = 0 (psi = 0), pi/2 (u = inf, a root that c2 = c1 drops) and
-    # arctan of each root; u = L^-T (cos theta, sin theta) by back-substitution.
-    theta = np.arctan(np.concatenate([np.tile([0.0, math.inf], (len(roots), 1)), roots], axis=1))
+    # theta = 0 (psi = 0) and arctan of each root, pi/2 for the root at
+    # infinity that c2 = c1 drops; u = L^-T (cos theta, sin theta) by back-substitution.
+    theta = np.arctan(np.concatenate([np.zeros((len(roots), 1)), roots], axis=1))
     u2 = np.sin(theta) / per_t(white.l22, 1)
     u1 = (np.cos(theta) - per_t(white.l21, 1) * u2) / per_t(white.l11, 1)
     # psi mod pi; a psi just below 0 can round up to pi itself.
@@ -421,6 +424,10 @@ def beyond_threshold_epsilon(n_max: float, total_time: float, omega0: float) -> 
     """Above-threshold drive reaching n_max photons after total_time (lossless).
 
     From N(T) ~ e^{2 u T}/4: epsilon^2 = omega0^2 + ln^2(4 n_max)/(4 T^2), u > 0.
+    That is asymptotic in omega0/u: from vacuum the lossless N(T) is
+    (epsilon^2/u^2) sinh^2(u T), about epsilon^2/u^2 = 1 + omega0^2/u^2
+    times n_max (377 photons for n_max = 100 at omega0 = 1, T = 5), an
+    overshoot that ProtocolSpec's per-t photon-budget check rejects.
     """
     if not (0.25 < n_max < math.inf and 0 < total_time < math.inf and math.isfinite(omega0)):
         raise DomainError("n_max must exceed 1/4 and total_time be positive, both finite; omega0 finite")

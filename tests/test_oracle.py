@@ -221,8 +221,44 @@ class TestFockEvolve:
         assert np.max(np.abs(rho.matrix - want)) <= 1e-12
         assert np.max(np.abs(want - rho0.matrix)) >= 0.1  # the state does move
 
+    # The nodes (n_B, eps/eps_c, t Gamma) of the benchmark's Fock design, each
+    # at the dim its op settles on (omega0 = Gamma = 1, eps_c = sqrt(2)), and a
+    # coherent start, which fills both parity sectors.
+    @pytest.mark.parametrize(
+        "params, rho0, t",
+        [
+            *(
+                (SystemParams(1.0, ratio * math.sqrt(2.0), 1.0, n_bath=n_bath), fock_thermal(n_bath, dim), t)
+                for n_bath, ratio, t, dim in [
+                    (0.0, 0.35, 2.3, 30), (0.0, 0.55, 2.7, 30), (0.5, 0.35, 1.5, 30), (0.0, 0.85, 1.5, 43),
+                    (0.5, 0.55, 0.7, 38), (0.5, 0.62, 1.0, 46), (0.5, 0.70, 0.8, 48), (0.5, 0.80, 0.6, 47),
+                ]
+            ),
+            (SystemParams(1.0, 0.8, 1.0, n_bath=0.5), fock_coherent(0.6 - 0.4j, 40), 0.8),
+        ],
+        ids=[f"node{k}" for k in range(8)] + ["coherent"],
+    )
+    def test_matches_scipy_expm_multiply(self, params, rho0, t):
+        """The shared evolution of a shift pair, as fock_qfi_fidelity runs it,
+        to 1e-13 of the largest entry against scipy's expm_multiply on the
+        same real block-diagonal generator."""
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import expm_multiply
+
+        pair = (params, params.with_shift(-5e-3))
+        dim = rho0.dim
+        parity = np.add.outer(np.arange(dim), np.arange(dim)).ravel() % 2
+        parities = tuple(np.unique(parity[rho0.matrix.ravel() != 0]).tolist())
+        coords, back, _ = _superoperators(dim, parities)
+        generator = sp.block_diag([_liouvillian(p, dim, parities) for p in pair], format="csr")
+        np.random.seed(0)  # expm_multiply's norm estimates draw from the global RNG
+        want = expm_multiply(t * generator, np.tile((coords @ rho0.matrix.ravel()).real, 2))
+        for rho, x in zip(fock_evolve(pair, rho0, t), want.reshape(2, -1)):
+            ref = back @ x
+            assert np.max(np.abs(rho.matrix.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_reproducible_and_leaves_global_rng_alone(self):
-        # expm_multiply estimates norms from numpy's global RNG at this size.
+        # The same result under any global seed, and the caller's stream untouched.
         params = SystemParams(1.0, 1.2, 1.0)
         for run in (
             lambda: fock_evolve(params, fock_vacuum(30), 1.0).matrix,
@@ -421,11 +457,19 @@ class TestFockStates:
         assert np.allclose(sigma, np.eye(2), atol=1e-9)
 
     def test_uhlmann_pure_overlap(self):
-        # eigenvalue dust under the square root limits the precision to ~1e-8
         a = fock_coherent(0.8, 40)
         b = fock_coherent(0.3, 40)
         overlap = math.exp(-0.5 * abs(0.8 - 0.3) ** 2)
-        assert uhlmann_fidelity(a, b) == pytest.approx(overlap, rel=1e-6)
+        assert uhlmann_fidelity(a, b) == pytest.approx(overlap, rel=1e-12)
+
+    def test_uhlmann_indefinite_state_rejected(self):
+        """A tau with an eigenvalue below -1e-9 has no square root: a typed
+        error, in either argument, not a fidelity of its clipped spectrum."""
+        rho = fock_thermal(0.5, 10)
+        tau = FockDensityMatrix(10, np.diag([1.5, -0.5] + [0.0] * 8))
+        for args in ((rho, tau), (tau, rho)):
+            with pytest.raises(AccuracyError, match="indefinite"):
+                uhlmann_fidelity(*args)
 
     def test_gaussian_fidelity_cross_check(self):
         """Closed-form Gaussian fidelity equals the Fock-space Uhlmann fidelity."""
@@ -450,7 +494,7 @@ class TestFockStates:
 
         f_fock = uhlmann_fidelity(build(0.8, 0.4, 0.3), build(0.5, 0.6, 0.5)) ** 2
         f_gauss = gaussian_fidelity(gauss(0.8, 0.4, 0.3), gauss(0.5, 0.6, 0.5))
-        assert f_gauss == pytest.approx(f_fock, abs=1e-7)
+        assert f_gauss == pytest.approx(f_fock, abs=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -425,12 +425,13 @@ def real_quartics(draw) -> np.ndarray:
 def test_stacked_roots_are_np_roots(polys):
     """Each row's roots are the real parts of np.roots' own, bit for bit
     (the exact zeros it returns for trailing zero coefficients included),
-    then the zeros of the roots np.roots drops."""
+    then +inf for each root a leading 0 drops, and 0 throughout an all-zero
+    row."""
     got = _roots(np.array(polys))
     for row, poly in zip(got, polys):
         want = np.roots(poly).real
         assert row[: len(want)].tobytes() == want.tobytes()
-        assert not row[len(want):].any()
+        assert np.all(row[len(want):] == (math.inf if np.any(poly) else 0.0))
 
 
 def _frames(rows) -> SimpleNamespace:

@@ -7,12 +7,16 @@ digest, for checking that a refactor leaves its outputs byte-identical.
 Writes OUT_DIR/digest.json with one digest per figure CSV (`critsense
 figure NAME`), one per `perfbench/workloads.design()` config (its exit code,
 stdout, stderr and output JSON from `critsense compute --config C --out O`),
-in design order, one of `critsense validate`'s exit code and report
-(stdout), and one per bad invocation in ERRORS (its exit code, stdout and
-stderr), run last, so the process-wide parser is checked after errors too.
-It keeps each CSV as OUT_DIR/figures/NAME.csv and each output JSON as
-OUT_DIR/compute/NNNN.json, NNNN its config's place in design order, for
-`tools/output_diff.py`. The last stdout line is one digest of all of them.
+in design order, one per `perfbench/workloads.FOCK_DESIGN` centre (the Fock
+oracle's `fock_qfi_fidelity` there, as the benchmark runs it without
+jitter), one of `critsense validate`'s exit code and report (stdout), and
+one per bad invocation in ERRORS (its exit code, stdout and stderr), run
+last, so the process-wide parser is checked after errors too. It keeps each
+CSV as OUT_DIR/figures/NAME.csv, each output JSON as
+OUT_DIR/compute/NNNN.json, NNNN its config's place in design order, and each
+Fock estimate with the truncations tried as OUT_DIR/fock/K.json, K the
+centre's place in FOCK_DESIGN, for `tools/output_diff.py`. The last stdout
+line is one digest of all of them.
 OUT_DIR must be new or empty, so no earlier run's file passes for this one's.
 
 Runs in-process through `cli.main`, importing critsense from this tree's
@@ -27,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -36,8 +41,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from critsense import cli  # noqa: E402
-from workloads import design  # noqa: E402
+from critsense import cli, dynamics, oracle  # noqa: E402
+from critsense.errors import TruncationError  # noqa: E402
+from workloads import FOCK_DESIGN, FOCK_DTHETA, design  # noqa: E402
 
 
 def _sha(*parts: str | bytes) -> str:
@@ -76,6 +82,19 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def fock_run(n_bath: float, ratio: float, t: float) -> dict:
+    """fock_qfi_fidelity at one design centre (omega0 = Gamma = 1, eps_c =
+    sqrt(2)) from suggested_dim's truncation, retrying at each
+    TruncationError's suggested_dim: the estimate and the dims tried."""
+    params = dynamics.SystemParams(1.0, ratio * math.sqrt(2.0), 1.0, n_bath=n_bath)
+    dims = [oracle.suggested_dim(dynamics.mean_photons_vs_time(params, t))]
+    while True:
+        try:
+            return {"estimate": oracle.fock_qfi_fidelity(params, t, FOCK_DTHETA, dims[-1]), "dims": dims}
+        except TruncationError as exc:
+            dims.append(exc.suggested_dim)
+
+
 def digests(kept: Path) -> dict:
     figures = {}
     for name in cli.FIGURES:
@@ -92,6 +111,11 @@ def digests(kept: Path) -> dict:
         compute.append(_sha(str(code), out, err, written))
         if written:
             (kept / "compute" / f"{i:04d}.json").write_bytes(written)
+    fock = []
+    for k, (n_bath, ratio, t, _) in enumerate(FOCK_DESIGN):
+        text = json.dumps(fock_run(n_bath, ratio, t))
+        fock.append(_sha(text))
+        (kept / "fock" / f"{k}.json").write_text(text, encoding="utf-8")
     code, out, _ = _run(["validate"])
     validate = _sha(str(code), out)
     Path("config.json").write_text(json.dumps({"mode": "qfi", "t": 1.0}), encoding="utf-8")
@@ -101,7 +125,7 @@ def digests(kept: Path) -> dict:
     for name, argv in ERRORS.items():
         code, out, err = _run(argv)
         errors[name] = _sha(str(code), out, err)
-    return {"figures": figures, "compute": compute, "validate": validate, "errors": errors}
+    return {"figures": figures, "compute": compute, "fock": fock, "validate": validate, "errors": errors}
 
 
 def main(argv: list[str]) -> int:
@@ -112,7 +136,7 @@ def main(argv: list[str]) -> int:
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         print(f"error: {argv[0]} exists and is not an empty directory", file=sys.stderr)
         return 2
-    for sub in ("figures", "compute"):
+    for sub in ("figures", "compute", "fock"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     home = Path.cwd()
     with tempfile.TemporaryDirectory(prefix="critsense-digest-") as work:
@@ -123,7 +147,8 @@ def main(argv: list[str]) -> int:
             os.chdir(home)
     text = json.dumps(result, indent=1) + "\n"
     (out / "digest.json").write_text(text, encoding="utf-8")
-    print(f"{len(result['figures'])} figures, {len(result['compute'])} compute configs, validate, "
+    print(f"{len(result['figures'])} figures, {len(result['compute'])} compute configs, "
+          f"{len(result['fock'])} Fock centres, validate, "
           f"{len(result['errors'])} errors: {_sha(text)}")
     return 0
 
