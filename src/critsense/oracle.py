@@ -20,17 +20,18 @@ oracle applies exp(t L) for the sparse Liouvillian L by truncated Taylor
 steps (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Alg. 3.2),
 scipy's method for the action of a sparse exponential, in a loop of its
 own: the step count comes from the exact 1-norm of L, so no norm is
-estimated and no random number drawn, and each Taylor term costs one
-sparse product and two inf-norms. L conserves the parity of m + n in
-|m><n|, so only the parity sectors the start fills are evolved: half of the
-entries of rho for vacuum, thermal and squeezed starts, all of them for a
-coherent one. L maps Hermitian to Hermitian, so rho is evolved in real
-coordinates, Re rho_mn for m <= n and Im rho_mn for m < n: as many reals as
-the sectors hold complex entries. The real generator stores 10-14% more
-entries than the complex one, but each product with it is real. L is
-summed from parameter-free pieces that are built in these coordinates once
-per truncation and cached, so a call pays only for that sum and the
-evolution.
+estimated and no random number drawn, and each Taylor term costs one call
+of scipy's CSR product kernel and one inf-norm (the partial sum's inf-norm
+is taken only once the stopping test can pass). L conserves the parity of
+m + n in |m><n|, so only the parity sectors the start fills are evolved:
+half of the entries of rho for vacuum, thermal and squeezed starts, all of
+them for a coherent one. L maps Hermitian to Hermitian, so rho is evolved
+in real coordinates, Re rho_mn for m <= n and Im rho_mn for m < n: as many
+reals as the sectors hold complex entries. The real generator stores
+10-14% more entries than the complex one, but each product with it is
+real. L is summed from parameter-free pieces that are built in these
+coordinates once per truncation and cached, so a call pays only for that
+sum and the evolution.
 The fidelity QFI needs the same start evolved under two shifts; one Taylor
 loop on the block diagonal of the two Liouvillians gives both, and pays the
 per-step overhead once.
@@ -145,6 +146,14 @@ def gaussian_qfi(pair: DerivativePair) -> float:
     The matrix has det (det Sigma - 1)^2 (det Sigma + 1)^2, so a pure state
     (gaussian.is_pure) raises PureStateError; a solve singular to working
     precision, or a QFI beyond the double range, raises AccuracyError.
+
+    Known accuracy limits: the solve loses digits as
+    eps ((s11 s22 + s12^2) / det Sigma)^2, the conditioning of Sigma kron
+    Sigma, so for a strongly squeezed state with a derivative not shaped by
+    the dynamics it can be percent-level off (r = 5 squeezing: 3.7e-2) where
+    metrology.qfi is not. Near a pure state it loses them as the square of
+    the conditioning of det Sigma - 1, and there metrology.qfi is the
+    sharper side of the cross-check.
     """
     state = pair.state
     require_one_state(state, "gaussian_qfi")
@@ -231,7 +240,14 @@ def fock_coherent(alpha: complex, dim: int) -> FockDensityMatrix:
 
 
 def suggested_dim(max_photons: float) -> int:
-    """Truncation rule: 12x the largest expected photon number, at least 30."""
+    """Truncation rule: 12x the largest expected photon number, at least 30.
+
+    Known limit: from thermal starts (vacuum included) the rule undersizes
+    at N of about 0.7-1, where the squeezed state's photon tail outlasts 30
+    levels; five of the eight benchmark Fock design nodes then take one
+    TruncationError retry, at dim 38-48. A rule sized from the state's
+    covariance, as _retry_dim is, would change this signature.
+    """
     if not 0 <= max_photons < math.inf:
         raise DomainError(f"photon number must be >= 0 and finite, got {max_photons!r}")
     return max(30, math.ceil(12.0 * max_photons))
@@ -351,24 +367,41 @@ def _expm_apply(generator, x: np.ndarray, t: float) -> np.ndarray:
     ||A^p||_1^(1/p), the norms the bound is stated in, so nothing is
     estimated. Each step's series stops, as scipy's does, once two
     consecutive terms sum to at most 2^-53 of the partial sum (inf-norm).
+
+    Each term is one call of scipy's CSR kernel, csr_matvec into a zeroed
+    vector, which is what `a @ term` runs, so the products are the same to
+    the bit. ||x||_inf is taken only once the test can pass against the
+    bound beta = ||x at step start||_inf + sum of ||term||_inf >= ||x||_inf;
+    the factor 1 + 1e-12 covers beta's at most 110 roundings, so the series
+    stops at the same term as with ||x||_inf taken every time. The kernel
+    checks no lengths, so an x that is not one real per row of L raises
+    DomainError here.
     """
     import scipy.sparse as sp
+    from scipy.sparse import _sparsetools
 
     n = generator.shape[0]
+    if x.shape != (n,) or np.iscomplexobj(x):
+        raise DomainError(f"the Taylor loop needs {n} reals, got shape {x.shape}, dtype {x.dtype}")
     mu = generator.diagonal().sum() / n
     a = (generator - mu * sp.identity(n, format="csr")).tocsr()
+    product = functools.partial(_sparsetools.csr_matvec, n, n, a.indptr, a.indices, a.data)
     steps = max(1, math.ceil(t * float(abs(a).sum(axis=0).max()) / _THETA_55))
     h = t / steps
     eta = math.exp(mu * h)
     x = x.copy()
     for _ in range(steps):
         term, last = x, abs(x).max()
+        beta = last
         for k in range(1, 56):
-            term = a @ term
+            nxt = np.zeros(n)
+            product(term, nxt)
+            term = nxt
             term *= h / k
             size = abs(term).max()
             x += term
-            if last + size <= 2.0 ** -53 * abs(x).max():
+            beta += size
+            if last + size <= 2.0 ** -53 * beta * (1.0 + 1e-12) and last + size <= 2.0 ** -53 * abs(x).max():
                 break
             last = size
         x *= eta
@@ -479,12 +512,15 @@ def fock_qfi_fidelity(
     """QFI estimate 8 (1 - sqrt(fidelity)) / dtheta^2 from the Fock oracle.
 
     Compares the states evolved at zero shift and at shift -dtheta, starting
-    from equilibrium with the bath unless rho0 is given.
+    from equilibrium with the bath unless rho0 is given; a given rho0 must
+    have `dim` levels (DomainError otherwise).
     """
     if not (1e-4 <= dtheta <= 1e-2):
         raise DomainError(f"dtheta must lie in [1e-4, 1e-2], got {dtheta!r}")
     if rho0 is None:
         rho0 = fock_thermal(params.n_bath, dim)
+    elif rho0.dim != dim:
+        raise DomainError(f"rho0 has {rho0.dim} levels, but dim = {dim!r}")
     rho_a, rho_b = fock_evolve((params.with_shift(0.0), params.with_shift(-dtheta)), rho0, t)
     f_amp = min(uhlmann_fidelity(rho_a, rho_b), 1.0)
     return 8.0 * (1.0 - f_amp) / dtheta ** 2

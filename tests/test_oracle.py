@@ -19,6 +19,7 @@ from critsense.metrology import DerivativePair, differentiate_at_zero_shift, fi_
 from critsense.oracle import (
     LEAK_BUDGET,
     FockDensityMatrix,
+    _expm_apply,
     _liouvillian,
     _rk4_increment,
     _superoperators,
@@ -148,6 +149,67 @@ class TestGaussianQfi:
             gaussian_qfi(pair)
 
 
+# The nodes (n_B, eps/eps_c, t Gamma) of the benchmark's Fock design, each at
+# the dim its op settles on (omega0 = Gamma = 1, eps_c = sqrt(2)), and a
+# coherent start, which fills both parity sectors.
+SHIFT_PAIR_NODES = [
+    *(
+        (SystemParams(1.0, ratio * math.sqrt(2.0), 1.0, n_bath=n_bath), fock_thermal(n_bath, dim), t)
+        for n_bath, ratio, t, dim in [
+            (0.0, 0.35, 2.3, 30), (0.0, 0.55, 2.7, 30), (0.5, 0.35, 1.5, 30), (0.0, 0.85, 1.5, 43),
+            (0.5, 0.55, 0.7, 38), (0.5, 0.62, 1.0, 46), (0.5, 0.70, 0.8, 48), (0.5, 0.80, 0.6, 47),
+        ]
+    ),
+    (SystemParams(1.0, 0.8, 1.0, n_bath=0.5), fock_coherent(0.6 - 0.4j, 40), 0.8),
+]
+SHIFT_PAIR_IDS = [f"node{k}" for k in range(8)] + ["coherent"]
+
+
+def filled_parities(rho0):
+    """The parities of m + n over the entries |m><n| rho0 fills."""
+    parity = np.add.outer(np.arange(rho0.dim), np.arange(rho0.dim)).ravel() % 2
+    return tuple(np.unique(parity[rho0.matrix.ravel() != 0]).tolist())
+
+
+def shift_pair_generator(params, rho0):
+    """coords, back, the real block-diagonal generator of the shift pair
+    (params, shift -5e-3) and its start, as fock_qfi_fidelity evolves them."""
+    import scipy.sparse as sp
+
+    dim, parities = rho0.dim, filled_parities(rho0)
+    coords, back, _ = _superoperators(dim, parities)
+    pair = (params, params.with_shift(-5e-3))
+    generator = sp.block_diag([_liouvillian(p, dim, parities) for p in pair], format="csr")
+    return coords, back, generator, np.tile((coords @ rho0.matrix.ravel()).real, 2)
+
+
+def plain_expm_apply(generator, x, t):
+    """_expm_apply's Taylor loop, theta_55 = 9.9 and stopping rule
+    included, with scipy's `a @ term` for each product and ||x||_inf taken
+    after every term."""
+    import scipy.sparse as sp
+
+    n = generator.shape[0]
+    mu = generator.diagonal().sum() / n
+    a = (generator - mu * sp.identity(n, format="csr")).tocsr()
+    steps = max(1, math.ceil(t * float(abs(a).sum(axis=0).max()) / 9.9))
+    h = t / steps
+    eta = math.exp(mu * h)
+    x = x.copy()
+    for _ in range(steps):
+        term, last = x, abs(x).max()
+        for k in range(1, 56):
+            term = a @ term
+            term *= h / k
+            size = abs(term).max()
+            x += term
+            if last + size <= 2.0 ** -53 * abs(x).max():
+                break
+            last = size
+        x *= eta
+    return x
+
+
 class TestFockEvolve:
     def test_vacuum_fixed_point(self):
         params = SystemParams(1.0, 0.0, 1.0)
@@ -221,41 +283,43 @@ class TestFockEvolve:
         assert np.max(np.abs(rho.matrix - want)) <= 1e-12
         assert np.max(np.abs(want - rho0.matrix)) >= 0.1  # the state does move
 
-    # The nodes (n_B, eps/eps_c, t Gamma) of the benchmark's Fock design, each
-    # at the dim its op settles on (omega0 = Gamma = 1, eps_c = sqrt(2)), and a
-    # coherent start, which fills both parity sectors.
-    @pytest.mark.parametrize(
-        "params, rho0, t",
-        [
-            *(
-                (SystemParams(1.0, ratio * math.sqrt(2.0), 1.0, n_bath=n_bath), fock_thermal(n_bath, dim), t)
-                for n_bath, ratio, t, dim in [
-                    (0.0, 0.35, 2.3, 30), (0.0, 0.55, 2.7, 30), (0.5, 0.35, 1.5, 30), (0.0, 0.85, 1.5, 43),
-                    (0.5, 0.55, 0.7, 38), (0.5, 0.62, 1.0, 46), (0.5, 0.70, 0.8, 48), (0.5, 0.80, 0.6, 47),
-                ]
-            ),
-            (SystemParams(1.0, 0.8, 1.0, n_bath=0.5), fock_coherent(0.6 - 0.4j, 40), 0.8),
-        ],
-        ids=[f"node{k}" for k in range(8)] + ["coherent"],
-    )
+    @pytest.mark.parametrize("params, rho0, t", SHIFT_PAIR_NODES, ids=SHIFT_PAIR_IDS)
     def test_matches_scipy_expm_multiply(self, params, rho0, t):
         """The shared evolution of a shift pair, as fock_qfi_fidelity runs it,
         to 1e-13 of the largest entry against scipy's expm_multiply on the
         same real block-diagonal generator."""
-        import scipy.sparse as sp
         from scipy.sparse.linalg import expm_multiply
 
-        pair = (params, params.with_shift(-5e-3))
-        dim = rho0.dim
-        parity = np.add.outer(np.arange(dim), np.arange(dim)).ravel() % 2
-        parities = tuple(np.unique(parity[rho0.matrix.ravel() != 0]).tolist())
-        coords, back, _ = _superoperators(dim, parities)
-        generator = sp.block_diag([_liouvillian(p, dim, parities) for p in pair], format="csr")
+        coords, back, generator, start = shift_pair_generator(params, rho0)
         np.random.seed(0)  # expm_multiply's norm estimates draw from the global RNG
-        want = expm_multiply(t * generator, np.tile((coords @ rho0.matrix.ravel()).real, 2))
-        for rho, x in zip(fock_evolve(pair, rho0, t), want.reshape(2, -1)):
+        want = expm_multiply(t * generator, start)
+        for rho, x in zip(fock_evolve((params, params.with_shift(-5e-3)), rho0, t), want.reshape(2, -1)):
             ref = back @ x
             assert np.max(np.abs(rho.matrix.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("params, rho0, t", SHIFT_PAIR_NODES, ids=SHIFT_PAIR_IDS)
+    def test_taylor_loop_matches_plain_products(self, params, rho0, t):
+        """_expm_apply's direct csr_matvec calls and its deferred inf-norm of
+        the partial sum give, to the bit, the loop with `a @ term` and
+        ||x||_inf taken after every term."""
+        _, _, generator, start = shift_pair_generator(params, rho0)
+        assert np.array_equal(_expm_apply(generator, start, t), plain_expm_apply(generator, start, t))
+
+    def test_taylor_loop_rejects_a_start_the_kernel_cannot_take(self):
+        # csr_matvec would read past a short start and cannot write a complex one.
+        _, _, generator, start = shift_pair_generator(*SHIFT_PAIR_NODES[0][:2])
+        for bad in (start[:-1], start.astype(complex)):
+            with pytest.raises(DomainError, match="Taylor loop needs"):
+                _expm_apply(generator, bad, 1.0)
+
+    @pytest.mark.parametrize(
+        "rho0", [fock_thermal(0.5, 20), fock_coherent(0.6 - 0.4j, 20)], ids=["thermal", "coherent"]
+    )
+    def test_all_rates_zero_leaves_the_state(self, rho0):
+        # Every rate 0: the generator is a CSR with no stored entries.
+        params = SystemParams(0.0, 0.0, 0.0)
+        assert _liouvillian(params, 20, filled_parities(rho0)).nnz == 0
+        assert np.array_equal(fock_evolve(params, rho0, 1.3).matrix, rho0.matrix)
 
     def test_reproducible_and_leaves_global_rng_alone(self):
         # The same result under any global seed, and the caller's stream untouched.
@@ -423,6 +487,10 @@ class TestFockQfi:
     def test_step_out_of_range(self):
         with pytest.raises(DomainError):
             fock_qfi_fidelity(SystemParams(1.0, 1.2, 1.0), 1.0, 5e-2, dim=30)
+
+    def test_start_of_another_truncation_rejected(self):
+        with pytest.raises(DomainError, match="30 levels, but dim = 60"):
+            fock_qfi_fidelity(SystemParams(1.0, 0.5, 1.0), 1.0, 5e-3, dim=60, rho0=fock_thermal(0.0, 30))
 
 
 class TestFockStates:
