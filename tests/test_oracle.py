@@ -184,29 +184,22 @@ def shift_pair_generator(params, rho0):
 
 
 def plain_expm_apply(generator, x, t):
-    """_expm_apply's Taylor loop, theta_55 = 9.9 and stopping rule
-    included, with scipy's `a @ term` for each product and ||x||_inf taken
-    after every term."""
-    import scipy.sparse as sp
-
-    n = generator.shape[0]
-    mu = generator.diagonal().sum() / n
-    a = (generator - mu * sp.identity(n, format="csr")).tocsr()
-    steps = max(1, math.ceil(t * float(abs(a).sum(axis=0).max()) / 9.9))
+    """_expm_apply's Taylor loop, theta_55 = 9.9, unshifted step count and
+    stopping rule included, with scipy's `a @ term` for each product and
+    ||x||_inf = abs(x).max() taken after every term."""
+    steps = max(1, math.ceil(t * float(abs(generator).sum(axis=0).max()) / 9.9))
     h = t / steps
-    eta = math.exp(mu * h)
     x = x.copy()
     for _ in range(steps):
         term, last = x, abs(x).max()
         for k in range(1, 56):
-            term = a @ term
+            term = generator @ term
             term *= h / k
             size = abs(term).max()
             x += term
             if last + size <= 2.0 ** -53 * abs(x).max():
                 break
             last = size
-        x *= eta
     return x
 
 
@@ -306,11 +299,40 @@ class TestFockEvolve:
         assert np.array_equal(_expm_apply(generator, start, t), plain_expm_apply(generator, start, t))
 
     def test_taylor_loop_rejects_a_start_the_kernel_cannot_take(self):
-        # csr_matvec would read past a short start and cannot write a complex one.
+        # csr_matvec would read past a short start and cannot write a complex
+        # one; idamax and the kernel would take a float32 one in single precision.
         _, _, generator, start = shift_pair_generator(*SHIFT_PAIR_NODES[0][:2])
-        for bad in (start[:-1], start.astype(complex)):
+        for bad in (start[:-1], start.astype(complex), start.astype(np.float32)):
+            kept = bad.copy()
             with pytest.raises(DomainError, match="Taylor loop needs"):
                 _expm_apply(generator, bad, 1.0)
+            assert np.array_equal(bad, kept) and bad.dtype == kept.dtype
+        kept = start.copy()
+        _expm_apply(generator, start, 1.0)
+        assert np.array_equal(start, kept)
+
+    @pytest.mark.parametrize(
+        "params, rho0, t",
+        [
+            (SystemParams(1.0, 0.5, 1.0, n_bath=0.5), FockDensityMatrix(30, np.diag(np.eye(30)[25])), 0.5),
+            (SystemParams(1.0, 0.5, 1.0, n_bath=0.5), fock_coherent(4.5, 30), 0.2),
+            (SystemParams(1.0, 5.0, 10.0, n_bath=0.5), fock_thermal(0.5, 30), 0.5),
+        ],
+        ids=["fock_25", "coherent_4.5", "strongly_damped"],
+    )
+    def test_taylor_loop_matches_dense_expm(self, params, rho0, t):
+        """Without a trace shift, to 1e-13 of the largest entry against a dense
+        expm of the generator: starts weighted near the truncation edge, which
+        take more terms unshifted, and a strongly damped drive, which takes
+        fewer."""
+        import scipy.linalg as la
+
+        parities = filled_parities(rho0)
+        coords, _, _ = _superoperators(rho0.dim, parities)
+        generator = _liouvillian(params, rho0.dim, parities)
+        start = (coords @ rho0.matrix.ravel()).real
+        want = la.expm(t * generator.toarray()) @ start
+        assert np.max(np.abs(_expm_apply(generator, start, t) - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
         "rho0", [fock_thermal(0.5, 20), fock_coherent(0.6 - 0.4j, 20)], ids=["thermal", "coherent"]
@@ -436,16 +458,52 @@ class TestCachedLiouvillian:
 
     def test_calls_leave_the_cached_pieces_alone(self):
         cached = _superoperators(30, (0,))
-        matrices = (cached[0], cached[1], *cached[2])
-        before = [matrix.copy() for matrix in matrices]
+        coords, back, pattern = cached
+        arrays = (*(getattr(m, name) for m in (coords, back) for name in ("data", "indices", "indptr")), *pattern)
+        before = [array.copy() for array in arrays]
         for params in (SystemParams(1.0, 0.5, 1.0, n_bath=0.5), SystemParams(2.0, 0.1, 0.0), SystemParams(0.0, 0.8, 2.0)):
             _liouvillian(params, 30, (0,))
             fock_evolve((params, params.with_shift(-5e-3)), fock_thermal(params.n_bath, 30), 0.3)
         assert _superoperators(30, (0,)) is cached
-        for matrix, copy in zip(matrices, before):
-            for name in ("data", "indices", "indptr"):
-                assert not getattr(matrix, name).flags.writeable
-                assert np.array_equal(getattr(matrix, name), getattr(copy, name))
+        for array, copy in zip(arrays, before):
+            assert not array.flags.writeable
+            assert np.array_equal(array, copy)
+
+    @pytest.mark.parametrize(
+        "params, rho0",
+        [
+            (SystemParams(1.0, 0.7, 1.0), fock_vacuum(16)),  # n_B = 0: no absorption entries
+            (SystemParams(1.0, 0.49, 1.0, n_bath=0.5), fock_thermal(0.5, 16)),
+            (SystemParams(0.0, 0.7, 1.0, n_bath=0.5), fock_coherent(0.3 + 0.2j, 16)),  # omega0 = 0
+            (SystemParams(0.0, 0.0, 0.0), fock_coherent(1.0, 16)),  # every rate 0
+        ],
+        ids=["vacuum", "thermal", "omega0_zero", "at_rest"],
+    )
+    def test_pattern_fill_is_the_sparse_sum(self, params, rho0):
+        """The shift pair's generator, as fock_evolve builds it from the cached
+        pattern, is to the bit (indptr, indices, data) sp.block_diag of single
+        calls, and each single call is the sum of its nonzero-rate pieces as
+        sparse matrices, left to right, with no stored zeros."""
+        import scipy.sparse as sp
+
+        dim, parities = rho0.dim, filled_parities(rho0)
+        indptr, indices, rows = _superoperators(dim, parities)[2]
+        pieces = [sp.csr_matrix((row, indices, indptr), copy=True) for row in rows]
+        for piece in pieces:
+            piece.eliminate_zeros()
+        pair = (params, params.with_shift(-5e-3))
+        singles = []
+        for p in pair:
+            rates = (p.omega, p.omega, p.epsilon, p.gamma * (1.0 + p.n_bath), p.gamma * p.n_bath)
+            terms = [rate * piece for rate, piece in zip(rates, pieces) if rate != 0]
+            want = sum(terms[1:], terms[0]) if terms else sp.csr_matrix(pieces[0].shape)
+            got = _liouvillian(p, dim, parities)
+            assert all(np.array_equal(getattr(got, a), getattr(want, a)) for a in ("indptr", "indices", "data"))
+            assert np.all(got.data != 0)
+            singles.append(got)
+        want = sp.block_diag(singles, format="csr")
+        got = _liouvillian(pair, dim, parities)
+        assert all(np.array_equal(getattr(got, a), getattr(want, a)) for a in ("indptr", "indices", "data"))
 
     # (n_B, eps/eps_c, t Gamma) of the design nodes whose first truncation,
     # suggested_dim's 30 levels, leaks: omega0 = Gamma = 1, eps_c = sqrt(2).
