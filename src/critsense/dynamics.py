@@ -9,10 +9,12 @@ In the quadrature basis the first and second moments obey
     D = 2 gamma (1 + 2 n_bath) I.
 
 Both equations are integrated in closed form through the eigenstructure of A.
-All formulas are written in terms of s = epsilon^2 - omega^2 and switch to a
-power series near s = 0, where A becomes non-diagonalizable, so every regime
+All formulas are written in terms of s = epsilon^2 - omega^2 and are analytic
+through s = 0, where A becomes non-diagonalizable, so every regime
 (below/above the eigenvalue splitting, at the exceptional point, near and
-above the critical point) is handled by one well-conditioned code path.
+above the critical point) is handled by one well-conditioned code path. The
+propagator needs no series at s = 0; _sinhc_slope, _int_texp and the noise
+integrals switch to one where their closed forms would cancel digits.
 Inputs may use any consistent unit system; thresholds are scale-relative.
 """
 
@@ -82,7 +84,6 @@ class SpectralInfo:
 
     lambda_minus: complex
     lambda_plus: complex
-    epsilon_c: float
     regime: Regime
 
 
@@ -106,7 +107,7 @@ def spectral_info(params: SystemParams) -> SpectralInfo:
         regime = Regime.TRANSIENT
     else:
         regime = Regime.ABOVE
-    return SpectralInfo(lam_minus, lam_plus, eps_c, regime)
+    return SpectralInfo(lam_minus, lam_plus, regime)
 
 
 def drift_and_diffusion(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +123,6 @@ def drift_and_diffusion(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
 # written once for both (see _elementwise). Branches on s are plain `if`s, as
 # the parameters are scalars; branches on t go through `select`.
 
-_SERIES_Z = 1e-6  # |s t^2| below this: Taylor series of cosh/sinh in s
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant for doubles
 
 
@@ -149,30 +149,22 @@ def _decayed_cosh_sinhc(gamma: float, s: float, k: float, tau):
     """Return (e^{-gamma tau} cosh(u tau), e^{-gamma tau} sinh(u tau)/u), u = sqrt(s),
     with k = gamma^2 - s.
 
-    Analytic in s (trigonometric for s < 0); the combined exponential form
-    avoids overflow of cosh for large u tau.
+    Exponential for s > 0 (the combined form avoids overflow of cosh for
+    large u tau), trigonometric for s < 0, the limit at s = 0: as s tau^2 ->
+    0 neither cancels (expm1(x)/x, sin(x)/x), so no series is needed.
     """
     f = lib(tau)
-
-    def series(tau, z):
-        decay = f.exp(-gamma * tau)
-        c = 1.0 + z / 2.0 + z * z / 24.0 + z ** 3 / 720.0
-        sc = tau * (1.0 + z / 6.0 + z * z / 120.0 + z ** 3 / 5040.0)
-        return decay * c, decay * sc
-
-    def exact(tau, z):
-        if s > 0:
-            u = math.sqrt(s)
-            slow = f.exp(-k / (gamma + u) * tau)  # e^{-lambda_- tau}; may exceed 1 above threshold
-            c = 0.5 * slow * (1.0 + f.exp(-2.0 * u * tau))
-            sc = -slow * f.expm1(-2.0 * u * tau) / (2.0 * u)
-            return c, sc
-        w = math.sqrt(-s)
-        decay = f.exp(-gamma * tau)
-        return decay * f.cos(w * tau), decay * f.sin(w * tau) / w
-
-    z = s * tau * tau
-    return select(abs(z) < _SERIES_Z, series, exact, tau, z)
+    if s > 0:
+        u = math.sqrt(s)
+        slow = f.exp(-k / (gamma + u) * tau)  # e^{-lambda_- tau}; may exceed 1 above threshold
+        c = 0.5 * slow * (1.0 + f.exp(-2.0 * u * tau))
+        sc = -slow * f.expm1(-2.0 * u * tau) / (2.0 * u)
+        return c, sc
+    decay = f.exp(-gamma * tau)
+    if s == 0.0:
+        return decay, tau * decay
+    w = math.sqrt(-s)
+    return decay * f.cos(w * tau), decay * f.sin(w * tau) / w
 
 
 def _sinhc_slope(gamma: float, s: float, tau, c, sc):
@@ -198,12 +190,9 @@ def _sinhc_slope(gamma: float, s: float, tau, c, sc):
 
 def _exp_drift(params: SystemParams, c, sc) -> np.ndarray:
     """exp(A t) = c I + sc B, with A = -gamma I + B and B = [[0, omega - eps],
-    [-(omega + eps), 0]] (B^2 = s I), from (c, sc) = _decayed_cosh_sinhc at
-    t. Entry by entry in the floating-point operations of that matrix sum,
-    so that signed zeros and NaNs come out as the sum gives them."""
+    [-(omega + eps), 0]] (B^2 = s I), from (c, sc) = _decayed_cosh_sinhc at t."""
     w, eps = params.omega, params.epsilon
-    diagonal = c + sc * 0.0
-    return matrix(diagonal, c * 0.0 + sc * (w - eps), c * 0.0 + sc * -(w + eps), diagonal)
+    return matrix(c, sc * (w - eps), -sc * (w + eps), c)
 
 
 def _int_exp(lam: float, t):

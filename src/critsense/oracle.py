@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemParams, drift_and_diffusion, spectral_info
+from .dynamics import SystemParams, _check_time, drift_and_diffusion, spectral_info
 from .errors import AccuracyError, DomainError, PureStateError, TruncationError
 from .gaussian import GaussianState, is_pure, require_one_state
 from .metrology import DerivativePair
@@ -101,15 +101,12 @@ def lyapunov_rk4(
     The finer result is returned.
     """
     require_one_state(state0, "lyapunov_rk4")
-    if not math.isfinite(t) or t < 0:
-        raise DomainError(f"time must be >= 0, got {t!r}")
+    _check_time(t)
     if dt is None:
         dt = default_step(params)
     if not 0 < dt < math.inf:
         raise DomainError(f"dt must be positive and finite, got {dt!r}")
     A, D = drift_and_diffusion(params)
-    if t == 0.0:
-        return DerivativePair(state0, np.zeros(2), np.zeros((2, 2)))
     # z = (v, vec Sigma, dv, vec dSigma, 1) obeys z' = G z; vec is row-major,
     # where S -> a S + S a^T is kron(a, I) + kron(I, a).
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -479,8 +476,7 @@ def fock_evolve(
     truncation whose Gaussian photon tail holds LEAK_BUDGET, plus four
     levels, and at least dim + 2. Every retry is tested for leakage again.
     """
-    if not math.isfinite(t) or t < 0:
-        raise DomainError(f"time must be >= 0, got {t!r}")
+    _check_time(t)
     shared = isinstance(params, tuple)
     members = params if shared else (params,)
     if not members:

@@ -52,6 +52,12 @@ def _budget_limit(n_max: float) -> float:
     return n_max * (1.0 + 1e-9 + 8.0 * n_max * sys.float_info.epsilon)
 
 
+def _require_cap_above_bath(n_max: float, n_bath: float) -> None:
+    """ConstraintError unless the photon cap exceeds the bath occupation."""
+    if n_max <= n_bath:
+        raise ConstraintError(f"photon cap {n_max!r} does not exceed the bath occupation {n_bath!r}")
+
+
 class ProtocolKind(str, Enum):
     CQS = "CQS"
     PQS = "PQS"
@@ -76,10 +82,7 @@ class ResourceBudget:
 
 def default_pqs_input(n_max: float, n_bath: float = 0.0) -> tuple[DisplacementAmplitude, SqueezeParam]:
     """Budget-saturating squeezed vacuum on top of the bath occupation."""
-    if n_max <= n_bath:
-        raise ConstraintError(
-            f"photon cap {n_max!r} does not exceed the bath occupation {n_bath!r}"
-        )
+    _require_cap_above_bath(n_max, n_bath)
     r = math.asinh(math.sqrt((n_max - n_bath) / (1.0 + 2.0 * n_bath)))
     return DisplacementAmplitude(0.0), SqueezeParam(r)
 
@@ -382,10 +385,7 @@ def epsilon_opt(n_max: float, params: SystemParams) -> float:
     """
     if not math.isfinite(n_max):
         raise DomainError(f"n_max must be finite, got {n_max!r}")
-    if n_max <= params.n_bath:
-        raise ConstraintError(
-            f"photon cap {n_max!r} does not exceed the bath occupation {params.n_bath!r}"
-        )
+    _require_cap_above_bath(n_max, params.n_bath)
     eps_c = params.epsilon_c
     return math.sqrt(2.0 * (n_max - params.n_bath) / (1.0 + 2.0 * n_max)) * eps_c
 

@@ -612,6 +612,18 @@ class TestComputeCommand:
         assert main(["compute", "--config", str(cfg_path), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_stdout_is_the_out_file(self, tmp_path, capsys):
+        """Without --out, compute writes to stdout the bytes --out writes to
+        the file, and nothing else."""
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg_path.write_text(json.dumps({"mode": "qfi", "t": 0.7,
+                                        "protocol": {"kind": "CQS", "n_max": 100.0}}))
+        assert main(["compute", "--config", str(cfg_path)]) == 0
+        captured = capsys.readouterr()
+        assert main(["compute", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert captured.out.encode("utf-8") == out.read_bytes()
+        assert captured.err == ""
+
     @pytest.mark.parametrize("name", ["nope.json", "."], ids=["missing", "directory"])
     def test_missing_config_exits_2(self, tmp_path, capsys, name):
         path = tmp_path / name
@@ -704,6 +716,24 @@ class TestValidateCommand:
 
         monkeypatch.setattr(protocols, "cqs_pair", perturbed)
         assert main(["validate", "--filter", "rk4"]) == 1
+
+    def test_photon_drop_fails_monotonicity_check(self, monkeypatch, capsys):
+        """One grid whose photon number drops once fails the monotonicity
+        check, which names the drive and the number of drops."""
+        exact = validate.mean_photons_vs_time
+
+        def dropping(params, t):
+            values = exact(params, t)
+            if params.epsilon == 1.4:
+                values[500] = 0.5 * values[499]
+            return values
+
+        monkeypatch.setattr(validate, "mean_photons_vs_time", dropping)
+        assert main(["validate", "--filter", "photon_monotonicity"]) == 1
+        line, summary = capsys.readouterr().out.splitlines()
+        assert line.startswith("FAIL  dynamics.photon_monotonicity ") and "eps=1.4: 1 drops" in line
+        assert "eps=1.2" not in line
+        assert summary == "0/1 checks passed"
 
     def test_steady_state_losing_fails_beyond_threshold_check(self, monkeypatch, capsys):
         """A steady-state QFI of 0 makes the lossy beyond-threshold drives

@@ -15,7 +15,7 @@ from critsense.gaussian import (
     thermal_state,
     vacuum_state,
 )
-from critsense.metrology import DerivativePair, differentiate_at_zero_shift, fi_homodyne, qfi
+from critsense.metrology import DerivativePair, differentiate_at_zero_shift, fi_homodyne, qfi, snr_photon_counting
 from critsense.oracle import (
     LEAK_BUDGET,
     FockDensityMatrix,
@@ -36,7 +36,14 @@ from critsense.oracle import (
     suggested_dim,
     uhlmann_fidelity,
 )
-from critsense.protocols import cqs_pair
+from critsense.protocols import (
+    ProtocolKind,
+    ProtocolSpec,
+    ResourceBudget,
+    cqs_pair,
+    optimal_homodyne_input,
+    total_qfi,
+)
 from critsense.validate import ALL_CHECKS, _horizon, _rel_tangent_diff
 
 
@@ -638,13 +645,33 @@ class TestFockStates:
         lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), 1.0), math.inf),
         lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), 1.0), math.nan),
         lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), np.array([1.0, 2.0])), np.array([0.5, math.nan])),
+        lambda: SystemParams(1.0, 0.5, math.nan),
+        lambda: SystemParams(1.0, 0.5, -1.0),
+        lambda: SystemParams(1.0, 0.5, 1.0, n_bath=-0.5),
+        lambda: SystemParams(1.0, -0.5, 1.0),
+        lambda: ResourceBudget(100.0, 0.0),
+        lambda: ProtocolSpec(ProtocolKind.PQS, SystemParams(1.0, 0.5, 1.0), ResourceBudget(100.0, 1.0)),
+        lambda: optimal_homodyne_input(0.0, 1.0, 1.0),
+        lambda: total_qfi(ProtocolSpec(ProtocolKind.CQS, SystemParams(1.0, 0.5, 1.0), ResourceBudget(100.0, 1.0)), 0.0),
+        lambda: lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), -1.0),
+        lambda: fock_evolve(SystemParams(1.0, 0.5, 1.0), fock_vacuum(4), -1.0),
+        lambda: fock_evolve(SystemParams(1.0, 0.5, 1.0), fock_vacuum(4), math.nan),
+        lambda: fock_thermal(-1.0, 4),
+        lambda: FockDensityMatrix(3, np.eye(2)),
+        lambda: FockDensityMatrix(2, np.array([[1.0, 1.0], [0.0, 0.0]])),
+        lambda: snr_photon_counting(DerivativePair(vacuum_state(), np.zeros(2), np.zeros((2, 2)))),
     ],
     ids=["suggested_dim_inf", "suggested_dim_nan", "suggested_dim_negative", "fock_vacuum_0", "fock_vacuum_1",
-         "fock_thermal_0", "fock_coherent_1", "rk4_dt_nan", "rk4_dt_inf", "fi_psi_inf", "fi_psi_nan", "fi_psi_array_nan"],
+         "fock_thermal_0", "fock_coherent_1", "rk4_dt_nan", "rk4_dt_inf", "fi_psi_inf", "fi_psi_nan", "fi_psi_array_nan",
+         "params_nan", "params_gamma_negative", "params_n_bath_negative", "params_epsilon_negative",
+         "budget_total_time_0", "pqs_driven", "homodyne_input_n_max_0", "total_qfi_t_0", "rk4_t_negative",
+         "fock_evolve_t_negative", "fock_evolve_t_nan", "fock_thermal_negative", "fock_matrix_shape",
+         "fock_matrix_not_hermitian", "snr_vacuum"],
 )
 def test_bad_library_input_raises_domain_error(call):
-    """A photon number, truncation, step or homodyne angle outside its
-    domain raises DomainError, not a bare OverflowError, ValueError or
-    IndexError, nor an AccuracyError that blames the state."""
+    """A parameter, budget, time, density matrix, photon number, truncation,
+    step or homodyne angle outside its domain raises DomainError, not a bare
+    OverflowError, ValueError or IndexError, nor an AccuracyError that
+    blames the state."""
     with pytest.raises(DomainError):
         call()

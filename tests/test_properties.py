@@ -260,15 +260,15 @@ def test_noise_integrals_continuous_at_quarter_gamma_squared(gamma, t):
 
 
 def _branch_switches(params: SystemParams) -> list[float]:
-    """The times at which a t-branch of the closed forms switches: |s t^2| at
-    _SERIES_Z and at 1 (at t and at 2 t), |2 lambda t| = 1 at each rate of
-    the exact integrals, and |s| t^2 = _SERIES_ST2 of the series integrals."""
+    """The times at which a t-branch of the closed forms switches: |s t^2| = 1
+    of _sinhc_slope (at t and at 2 t), |2 lambda t| = 1 at each rate of the
+    exact integrals, and |s| t^2 = _SERIES_ST2 of the series integrals."""
     s, k = dynamics._s_and_gap(params)
     if s == 0.0:
         return []
     gamma = params.gamma
     switches = []
-    for level in (dynamics._SERIES_Z, 1.0, dynamics._SERIES_ST2):
+    for level in (1.0, dynamics._SERIES_ST2):
         t = math.sqrt(level / abs(s))
         switches += [t, 0.5 * t]
     if s > 0.25 * gamma * gamma and gamma > 0:
@@ -633,13 +633,28 @@ def test_cold_optimum_over_budget_on_hot_bath():
 def test_array_call_on_analytic_branch_past_series_boundary():
     """A node on the analytic-in-s branch of the noise integrals just past
     _SERIES_ST2, where the float path is 7.5e-13 from the 50-digit value:
-    the array call stays within 1e-11 too, alone and inside a grid."""
+    the array call stays within 1e-11 too, alone and inside a grid.
+
+    Near the exceptional point, with |s t^2| from 1e-12 to 1e-6, where
+    _decayed_cosh_sinhc takes its exact forms with no series: float and
+    array calls stay within 1e-13, for s = +-1e-8 and s = 0 exactly,
+    lossless and damped, from the vacuum and from a thermal start, and for
+    s of order 1 at times as small."""
     params = SystemParams(3.1466177539813374, 3.1716800393782556, 1.0, n_bath=2.0)
     t = 0.1352982853704671
     exact = van_loan_qfi(params, np.zeros(2), 5.0 * np.eye(2), t)
     grid = np.array([0.5 * t, t, 2.0 * t])
     for value in (cqs_qfi(params, t), cqs_qfi(params, np.array([t]))[0], cqs_qfi(params, grid)[1]):
         assert abs(value / exact - 1.0) <= 1e-11
+    near = [(SystemParams(1.0, math.sqrt(1.0 + s), gamma, n_bath=n_bath), np.array([1e-2, 1.0, 10.0]))
+            for s in (1e-8, -1e-8, 0.0) for gamma in (0.0, 1.0) for n_bath in (0.0, 0.5)]
+    near += [(SystemParams(1.0, eps, 1.0, n_bath=0.5), np.array([1e-6, 4e-4])) for eps in (2.0, 0.5)]
+    for params, ts in near:
+        exact = np.array([van_loan_qfi(params, np.zeros(2), (1.0 + 2.0 * params.n_bath) * np.eye(2), t)
+                          for t in ts.tolist()])
+        floats = np.array([cqs_qfi(params, t) for t in ts.tolist()])
+        for values in (floats, cqs_qfi(params, ts)):
+            assert np.all(np.abs(values / exact - 1.0) <= 1e-13)
 
 
 @given(

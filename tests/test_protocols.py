@@ -164,8 +164,13 @@ class TestEpsilonOpt:
         assert steady_state_photons(SystemParams(1.0, eps, 1.0, n_bath=1.0)) == pytest.approx(50.0, rel=1e-9)
 
     def test_budget_below_bath_rejected(self):
-        with pytest.raises(ConstraintError):
+        """epsilon_opt and the default PQS input refuse a cap at or below the
+        bath occupation with one message."""
+        message = "photon cap 0.5 does not exceed the bath occupation 1.0"
+        with pytest.raises(ConstraintError, match=message):
             epsilon_opt(0.5, SystemParams(1.0, 0.0, 1.0, n_bath=1.0))
+        with pytest.raises(ConstraintError, match=message):
+            default_pqs_input(0.5, 1.0)
 
 
 class TestOptimalHomodyneInput:
