@@ -15,7 +15,8 @@ state to its tangent (Van Loan, IEEE TAC 23, 395 (1978)). One classical RK4
 step of size h is the degree-4 Taylor polynomial of hL, in Horner form
 y + hL(y + hL/2 (y + hL/3 (y + hL/4 y))). The oracle applies it to the
 identity to get the step matrix P on (v, vec Sigma, dv, vec dSigma, 1): n
-steps are P^n, the same discretisation as stepping n times. The Fock
+steps are P^n, the same discretisation as stepping n times. Its generator
+writes each block S -> a S + S a^T out from the four entries of a. The Fock
 oracle applies exp(t L) for the sparse Liouvillian L by truncated Taylor
 steps (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Alg. 3.2),
 scipy's method for the action of a sparse exponential, in a loop of its
@@ -35,9 +36,11 @@ in real coordinates, Re rho_mn for m <= n and Im rho_mn for m < n: as many
 reals as the sectors hold complex entries. The real generator stores
 10-14% more entries than the complex one, but each product with it is
 real. L is summed from parameter-free pieces that are built in these
-coordinates once per truncation and cached as one sparsity pattern, the
-union of theirs, with a row of values per piece, so a call pays only for
-filling that pattern with its rates and the evolution.
+coordinates once per truncation, by index arithmetic on the single
+diagonals of the ladder operators (no Kronecker products), and cached as
+one sparsity pattern, the union of theirs, with a row of values per piece,
+so a call pays only for filling that pattern with its rates and the
+evolution.
 The fidelity QFI needs the same start evolved under two shifts; one Taylor
 loop on the block diagonal of the two Liouvillians gives both, and pays the
 per-step overhead once.
@@ -65,6 +68,14 @@ def default_step(params: SystemParams) -> float:
     info = spectral_info(params)
     rate = max(abs(info.lambda_plus), params.gamma, abs(params.omega), params.epsilon, 1e-12)
     return 0.002 / rate
+
+
+def _check_one_time(t) -> None:
+    """_check_time for the oracles, which evolve to one time: an array of
+    times raises DomainError too."""
+    if np.ndim(t) != 0:
+        raise DomainError(f"the oracles take one time, got an array of shape {np.shape(t)}")
+    _check_time(t)
 
 
 def _rk4_increment(apply, y, h: float):
@@ -101,20 +112,21 @@ def lyapunov_rk4(
     The finer result is returned.
     """
     require_one_state(state0, "lyapunov_rk4")
-    _check_time(t)
+    _check_one_time(t)
     if dt is None:
         dt = default_step(params)
     if not 0 < dt < math.inf:
         raise DomainError(f"dt must be positive and finite, got {dt!r}")
     A, D = drift_and_diffusion(params)
     # z = (v, vec Sigma, dv, vec dSigma, 1) obeys z' = G z; vec is row-major,
-    # where S -> a S + S a^T is kron(a, I) + kron(I, a).
+    # where S -> a S + S a^T is kron(a, I) + kron(I, a), written out.
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
     G = np.zeros((13, 13))
     for (row, col), a in (((0, 0), A), ((6, 6), A), ((6, 0), J)):
         G[row:row + 2, col:col + 2] = a
     for (row, col), a in (((2, 2), A), ((8, 8), A), ((8, 2), J)):
-        G[row:row + 4, col:col + 4] = np.kron(a, np.eye(2)) + np.kron(np.eye(2), a)
+        (p, q), (r, s) = a.tolist()
+        G[row:row + 4, col:col + 4] = [[2.0 * p, q, q, 0.0], [r, p + s, 0.0, q], [r, 0.0, s + p, q], [0.0, r, r, 2.0 * s]]
     G[2:6, 12] = D.ravel()
     z0 = np.concatenate((state0.v, state0.sigma.ravel(), np.zeros(6), [1.0]))
 
@@ -210,6 +222,7 @@ def _check_dim(dim: int) -> None:
 
 def ladder(dim: int) -> np.ndarray:
     """Annihilation operator on a dim-level truncation."""
+    _check_dim(dim)
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
 
 
@@ -275,30 +288,31 @@ def _superoperators(dim: int, parities: tuple[int, ...]):
     back x, Hermitian by construction; vec is row-major. The pieces are the
     number term -i[n, .] as its halves -i n rho and i rho n, the squeezing
     term -i[(a^2 + a^dagger^2)/2, .], emission D[a] and absorption
-    D[a^dagger], where vec(A rho B) = (A kron B^T) vec rho and D[L] rho =
-    2 L rho L^dagger - {L^dagger L, rho}; each is Re(coords P back) for its
-    complex superoperator P. Their sum maps Hermitian to Hermitian, so it is
-    the same linear system as the complex one. Kept as two halves, the
-    number term rounds to omega m - omega n, as a direct assembly of L does.
+    D[a^dagger], with D[L] rho = 2 L rho L^dagger - {L^dagger L, rho}. Their
+    sum maps Hermitian to Hermitian, so it is the same linear system as the
+    complex one. Kept as two halves, the number term rounds to
+    omega m - omega n, as a direct assembly of L does.
+
+    Each piece is a few terms c X rho Y^T, c one of -1, 2, +-i and +-i/2,
+    whose X and Y are single diagonals of the ladder operators: 1, n, a,
+    a^dagger, a^2, a^dagger^2 or a a^dagger, whose last level is 0. Such a
+    term adds c u rho_pq to rho_mn, u = X[m, p] Y[n, q], p = m + dx and
+    q = n + dy, and is written in the coordinates directly: rho_pq =
+    x_re + i s x_im in the coordinates of (p, q), s = 1, or for p > q in
+    those of its mirror (q, p), s = -1. A real c adds c u x_re to Re rho_mn
+    and s c u x_im to Im rho_mn; an imaginary c = i b adds -s b u x_im to
+    Re rho_mn and b u x_re to Im rho_mn. Each u rounds once and c, b and s
+    are exact factors, so the values are those of Re(coords P back) for the
+    piece's complex superoperator P, to the bit: no entry gets more than two
+    terms, and two terms add the same in either order.
 
     The pieces are stored as `pattern` = (indptr, indices, rows): the CSR
-    pattern (sorted columns) of the union of their nonzero entries, and one
-    row of values per piece aligned to it, 0 where the piece has no entry.
-    Cached: the maps and the pattern are shared and read-only."""
+    pattern (sorted columns) of the union of their nonzero entries, from one
+    sort of the terms' (row, column) keys, and one row of values per piece
+    aligned to it, 0 where the piece has no entry. Cached: the maps and the
+    pattern are shared and read-only."""
     import scipy.sparse as sp
 
-    a = sp.diags(np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr")
-    ad = a.T.tocsr()
-    n_op = ad @ a
-    eye = sp.identity(dim, format="csr")
-    # The ladder operators are real: conj(L) = L, and L^dagger L is symmetric.
-    pieces = (
-        -1j * sp.kron(n_op, eye),
-        1j * sp.kron(eye, n_op),
-        -0.5j * (sp.kron(a @ a + ad @ ad, eye) - sp.kron(eye, a @ a + ad @ ad)),
-        2.0 * sp.kron(a, a) - sp.kron(n_op, eye) - sp.kron(eye, n_op),
-        2.0 * sp.kron(ad, ad) - sp.kron(a @ ad, eye) - sp.kron(eye, a @ ad),
-    )
     m, n = np.triu_indices(dim)
     filled = np.isin((m + n) % 2, parities)
     m, n = m[filled], n[filled]
@@ -315,22 +329,43 @@ def _superoperators(dim: int, parities: tuple[int, ...]):
          (np.concatenate((m * dim + n, n[mirror] * dim + m[mirror])), np.concatenate((k, k[mirror])))),
         shape=(dim * dim, len(w)),
     )
-    real = []
-    for piece in pieces:
-        piece = (coords @ piece @ back).real
-        piece.eliminate_zeros()
-        real.append(piece)
-    # Summed as |piece|, so that no entry cancels out of the union. Each
-    # piece's entries go to the union's by the key row * size + column,
-    # increasing along a CSR with sorted columns.
-    union = sum((abs(piece) for piece in real[1:]), abs(real[0]))
-    union.sort_indices()
-    size, row = len(w), np.arange(len(w), dtype=np.int64)
-    keys = [np.repeat(row, np.diff(matrix.indptr)) * size + matrix.indices for matrix in (union, *real)]
-    rows = np.zeros((len(real), union.nnz))
-    for values, key, piece in zip(rows, keys[1:], real):
-        values[np.searchsorted(keys[0], key)] = piece.data
-    indptr, indices = union.indptr, union.indices
+    # slot[0 or 1, p, q]: the coordinate of Re or Im rho_pq, that of rho_qp for p > q.
+    size, imag = len(w), (k >= len(off)).astype(int)
+    slot = np.zeros((2, dim, dim), dtype=int)
+    slot[imag, m, n] = slot[imag, n, m] = k
+    # An operator is (offset d, values x): X[i, i + d] = x[i], 0 off the grid.
+    root = np.sqrt(np.arange(1, dim, dtype=float))
+    up, down = np.append(root, 0.0), np.insert(root, 0, 0.0)  # a[i, i + 1], a^dagger[i, i - 1]
+    eye, a, ad = (0, np.ones(dim)), (1, up), (-1, down)
+    n_op, a_ad, a2, ad2 = (0, down * down), (0, up * up), (2, up * np.roll(up, -1)), (-2, down * np.roll(down, 1))
+    pieces = (
+        ((-1j, n_op, eye),),
+        ((1j, eye, n_op),),
+        ((-0.5j, a2, eye), (-0.5j, ad2, eye), (0.5j, eye, a2), (0.5j, eye, ad2)),
+        ((2.0, a, a), (-1.0, n_op, eye), (-1.0, eye, n_op)),
+        ((2.0, ad, ad), (-1.0, a_ad, eye), (-1.0, eye, a_ad)),
+    )
+    # Every term writes one value per coordinate. Where the source lies off
+    # the grid, p and q wrap and the value is 0; an Im source on the
+    # diagonal has sign 0. Such values add nothing to a stored entry and
+    # leave an entry of their own at 0, which is then dropped.
+    keys, values, owners = [], [], []
+    for owner, terms in enumerate(pieces):
+        for c, (dx, x), (dy, y) in terms:
+            p, q = (m + dx) % dim, (n + dy) % dim
+            to_im = imag ^ bool(c.imag)  # a real c keeps Re and Im apart, an imaginary one swaps them
+            sign = np.where(to_im, np.sign(q - p) * (-1.0 if c.imag else 1.0), 1.0)
+            keys.append(k * size + slot[to_im, p, q])
+            values.append((c.imag or c.real) * (x[m] * y[n]) * sign)
+            owners.append(owner)
+    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    rows = np.bincount(
+        np.repeat(owners, size) * len(keys) + inverse, np.concatenate(values), minlength=len(pieces) * len(keys)
+    ).reshape(len(pieces), -1)
+    stored = rows.any(axis=0)
+    keys, rows = keys[stored], rows[:, stored]
+    indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.int32)
+    indices = (keys % size).astype(np.int32)
     _read_only(coords.data, coords.indices, coords.indptr, back.data, back.indices, back.indptr, indptr, indices, rows)
     return coords, back, (indptr, indices, rows)
 
@@ -476,7 +511,7 @@ def fock_evolve(
     truncation whose Gaussian photon tail holds LEAK_BUDGET, plus four
     levels, and at least dim + 2. Every retry is tested for leakage again.
     """
-    _check_time(t)
+    _check_one_time(t)
     shared = isinstance(params, tuple)
     members = params if shared else (params,)
     if not members:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from critsense.dynamics import SystemParams, evolve_critical, evolve_passive, spectral_info
+from critsense.dynamics import SystemParams, drift_and_diffusion, evolve_critical, evolve_passive, spectral_info
 from critsense.gaussian import DisplacementAmplitude, GaussianState, SqueezeParam, thermal_state
 from critsense.oracle import lyapunov_rk4
 from critsense.protocols import pqs_input_state
@@ -160,3 +160,69 @@ def steady_time(params: SystemParams) -> float:
 def unit_params():
     """omega0 = gamma = 1, no drive, zero temperature."""
     return SystemParams(1.0, 0.0, 1.0)
+
+
+def kron_superoperators(dim: int, parities: tuple[int, ...]):
+    """oracle._superoperators' coordinate maps and pieces built the generic
+    way: each piece as a complex superoperator P, a sum of sp.kron terms on
+    the row-major vec of rho (vec(A rho B) = (A kron B^T) vec rho), taken to
+    the real coordinates as Re(coords P back), and the pattern as the union
+    of the pieces' nonzero entries. The reference for the index-arithmetic
+    build: returns coords, back and (indptr, indices, rows) alike."""
+    import scipy.sparse as sp
+
+    a = sp.diags(np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr")
+    ad = a.T.tocsr()
+    n_op = ad @ a
+    eye = sp.identity(dim, format="csr")
+    pieces = (
+        -1j * sp.kron(n_op, eye),
+        1j * sp.kron(eye, n_op),
+        -0.5j * (sp.kron(a @ a + ad @ ad, eye) - sp.kron(eye, a @ a + ad @ ad)),
+        2.0 * sp.kron(a, a) - sp.kron(n_op, eye) - sp.kron(eye, n_op),
+        2.0 * sp.kron(ad, ad) - sp.kron(a @ ad, eye) - sp.kron(eye, a @ ad),
+    )
+    m, n = np.triu_indices(dim)
+    filled = np.isin((m + n) % 2, parities)
+    m, n = m[filled], n[filled]
+    off = m < n
+    m, n = np.concatenate((m, m[off])), np.concatenate((n, n[off]))
+    w = np.concatenate((np.ones(len(off)), np.full(off.sum(), -1j)))
+    k = np.arange(len(w))
+    coords = sp.csr_matrix((w, (k, m * dim + n)), shape=(len(w), dim * dim))
+    mirror = m < n
+    back = sp.csr_matrix(
+        (np.concatenate((w.conj(), w[mirror])),
+         (np.concatenate((m * dim + n, n[mirror] * dim + m[mirror])), np.concatenate((k, k[mirror])))),
+        shape=(dim * dim, len(w)),
+    )
+    real = []
+    for piece in pieces:
+        piece = (coords @ piece @ back).real
+        piece.eliminate_zeros()
+        real.append(piece)
+    # Summed as |piece|, so that no entry cancels out of the union; each
+    # piece's entries go to the union's by the key row * size + column.
+    union = sum((abs(piece) for piece in real[1:]), abs(real[0]))
+    union.sort_indices()
+    size, row = len(w), np.arange(len(w), dtype=np.int64)
+    keys = [np.repeat(row, np.diff(matrix.indptr)) * size + matrix.indices for matrix in (union, *real)]
+    rows = np.zeros((len(real), union.nnz))
+    for values, key, piece in zip(rows, keys[1:], real):
+        values[np.searchsorted(keys[0], key)] = piece.data
+    return coords, back, (union.indptr, union.indices, rows)
+
+
+def kron_rk4_generator(params: SystemParams) -> np.ndarray:
+    """oracle.lyapunov_rk4's 13 x 13 generator on (v, vec Sigma, dv,
+    vec dSigma, 1), with each block S -> a S + S a^T formed as
+    np.kron(a, I) + np.kron(I, a): the reference for the written-out blocks."""
+    A, D = drift_and_diffusion(params)
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    G = np.zeros((13, 13))
+    for (row, col), a in (((0, 0), A), ((6, 6), A), ((6, 0), J)):
+        G[row:row + 2, col:col + 2] = a
+    for (row, col), a in (((2, 2), A), ((8, 8), A), ((8, 2), J)):
+        G[row:row + 4, col:col + 4] = np.kron(a, np.eye(2)) + np.kron(np.eye(2), a)
+    G[2:6, 12] = D.ravel()
+    return G

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gaussian_fidelity
+from conftest import gaussian_fidelity, kron_rk4_generator, kron_superoperators
+from critsense import oracle
 from critsense.dynamics import SystemParams, drift_and_diffusion, evolve_critical, mean_photons_vs_time
 from critsense.errors import AccuracyError, DomainError, PureStateError, TruncationError
 from critsense.gaussian import (
@@ -44,7 +45,7 @@ from critsense.protocols import (
     optimal_homodyne_input,
     total_qfi,
 )
-from critsense.validate import ALL_CHECKS, _horizon, _rel_tangent_diff
+from critsense.validate import ALL_CHECKS, _horizon, _rel_tangent_diff, battery_params
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.check_name)
@@ -52,6 +53,11 @@ def test_validate_check(check):
     result = check()
     assert result.name == check.check_name
     assert result.passed, result.detail
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: equal to the bit, signed zeros included."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def stepped_rk4(rhs, y, h, n):
@@ -121,6 +127,23 @@ class TestLyapunovRk4:
         params = SystemParams(1.0, 1.2, 1.0)
         with pytest.raises(AccuracyError):
             lyapunov_rk4(params, vacuum_state(), 5.0, dt=0.4)
+
+    def test_step_matrix_matches_the_kron_generator(self, monkeypatch):
+        """With its blocks a S + S a^T written out, the generator gives every
+        step increment to the bit as np.kron(a, I) + np.kron(I, a) does, at
+        each battery parameter set and check_rk4_agreement's three times."""
+        increments = []
+        power = oracle._power
+        monkeypatch.setattr(oracle, "_power", lambda E, n: increments.append((E, n)) or power(E, n))
+        for params in battery_params():
+            G = kron_rk4_generator(params)
+            for frac in (0.02, 0.2, 1.0):
+                t = frac * _horizon(params)
+                increments.clear()
+                lyapunov_rk4(params, thermal_state(params.n_bath), t)
+                assert len(increments) == 2
+                for E, n in increments:
+                    assert same_bits(E, _rk4_increment(lambda y: G @ y, np.eye(13), t / n))
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
@@ -450,6 +473,18 @@ class TestCachedLiouvillian:
         assert np.all(abs(got - want).toarray() <= 1e-15 * abs(want).toarray())
 
     @pytest.mark.parametrize("parities", [(0,), (1,), (0, 1)])
+    @pytest.mark.parametrize("dim", [2, 3, 7, 30, 38, 48, 60])
+    def test_pieces_match_the_kron_build(self, dim, parities):
+        """The index-arithmetic build gives coords, back and the pattern
+        (indptr, indices, rows) to the bit as the generic one does:
+        Re(coords P back) over sp.kron pieces, with the union of their
+        entries as the pattern."""
+        got, want = _superoperators(dim, parities), kron_superoperators(dim, parities)
+        for g, w in zip(got[:2], want[:2]):
+            assert all(same_bits(getattr(g, name), getattr(w, name)) for name in ("data", "indices", "indptr"))
+        assert all(same_bits(g, w) for g, w in zip(got[2], want[2]))
+
+    @pytest.mark.parametrize("parities", [(0,), (1,), (0, 1)])
     def test_coordinates_round_trip(self, parities):
         """A Hermitian rho on the sectors comes back exactly from its real
         coordinates, one real per entry of the sectors."""
@@ -656,6 +691,11 @@ class TestFockStates:
         lambda: lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), -1.0),
         lambda: fock_evolve(SystemParams(1.0, 0.5, 1.0), fock_vacuum(4), -1.0),
         lambda: fock_evolve(SystemParams(1.0, 0.5, 1.0), fock_vacuum(4), math.nan),
+        lambda: lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), np.array([1.0, 2.0])),
+        lambda: fock_evolve(SystemParams(1.0, 0.5, 1.0), fock_vacuum(4), np.array([1.0, 2.0])),
+        lambda: ladder(0),
+        lambda: ladder(1),
+        lambda: ladder(-2),
         lambda: fock_thermal(-1.0, 4),
         lambda: FockDensityMatrix(3, np.eye(2)),
         lambda: FockDensityMatrix(2, np.array([[1.0, 1.0], [0.0, 0.0]])),
@@ -665,13 +705,14 @@ class TestFockStates:
          "fock_thermal_0", "fock_coherent_1", "rk4_dt_nan", "rk4_dt_inf", "fi_psi_inf", "fi_psi_nan", "fi_psi_array_nan",
          "params_nan", "params_gamma_negative", "params_n_bath_negative", "params_epsilon_negative",
          "budget_total_time_0", "pqs_driven", "homodyne_input_n_max_0", "total_qfi_t_0", "rk4_t_negative",
-         "fock_evolve_t_negative", "fock_evolve_t_nan", "fock_thermal_negative", "fock_matrix_shape",
+         "fock_evolve_t_negative", "fock_evolve_t_nan", "rk4_t_array", "fock_evolve_t_array", "ladder_0",
+         "ladder_1", "ladder_negative", "fock_thermal_negative", "fock_matrix_shape",
          "fock_matrix_not_hermitian", "snr_vacuum"],
 )
 def test_bad_library_input_raises_domain_error(call):
     """A parameter, budget, time, density matrix, photon number, truncation,
     step or homodyne angle outside its domain raises DomainError, not a bare
-    OverflowError, ValueError or IndexError, nor an AccuracyError that
-    blames the state."""
+    OverflowError, TypeError, ValueError or IndexError, nor an AccuracyError
+    that blames the state."""
     with pytest.raises(DomainError):
         call()
