@@ -26,21 +26,9 @@ from . import dynamics
 from ._elementwise import lib, over_t, per_t, reject
 from .dynamics import SystemParams, evolve_critical, evolve_passive, steady_state
 from .errors import AccuracyError, ConstraintError, DomainError, NoSteadyStateError, SearchError
-from .gaussian import (
-    DisplacementAmplitude,
-    GaussianState,
-    SqueezeParam,
-    apply_displace,
-    apply_squeeze,
-    mean_photons,
-    thermal_state,
-)
-from .metrology import (
-    DerivativePair,
-    differentiate_at_zero_shift,
-    fi_homodyne,
-    qfi,
-)
+from .gaussian import (DisplacementAmplitude, GaussianState, SqueezeParam, apply_displace, apply_squeeze,
+                       mean_photons, thermal_state)
+from .metrology import DerivativePair, differentiate_at_zero_shift, fi_homodyne, qfi
 
 
 # A drive set to its cap by epsilon_opt rounds epsilon, and the photon count's
@@ -271,6 +259,11 @@ def _roots(poly: np.ndarray) -> np.ndarray:
     return roots
 
 
+# Candidates whose FI is within this relative distance of the best tie: far
+# above fi_homodyne's rounding at a peak (~1e-15), far below a real difference.
+_TIE = 1e-12
+
+
 def best_homodyne(pair: DerivativePair):
     """Maximize the homodyne Fisher information over the quadrature angle.
 
@@ -281,8 +274,10 @@ def best_homodyne(pair: DerivativePair):
     a degree-2 trigonometric polynomial in x = 2 theta. Its stationary points
     are the roots of one real quartic in tan theta, and theta = pi/2 where
     its leading coefficient vanishes (_roots gives that dropped root as
-    +inf); the best of them and psi = 0 is returned, the first of them on a
-    tie, so a flat FI gives psi = 0.
+    +inf). Of them and psi = 0, those whose FI is within a relative _TIE of
+    the best tie, and the smallest psi of them is returned with its FI: a
+    flat FI gives psi = 0, and a last-bit change cannot swap the two equal
+    peaks of a pure state.
     """
     white = pair.whitened
     # FI is quadratic in (a, B): scaling both to unit size moves no stationary
@@ -311,9 +306,11 @@ def best_homodyne(pair: DerivativePair):
     psis = np.arctan2(-u2, u1) % math.pi
     psis = np.where(psis < math.pi, psis, 0.0)
     if not isinstance(white.mu, np.ndarray):
-        return max(((psi, fi_homodyne(pair, psi)) for psi in psis[0].tolist()), key=lambda result: result[1])
+        results = [(psi, fi_homodyne(pair, psi)) for psi in psis[0].tolist()]
+        top = max(fi for _, fi in results)
+        return min(result for result in results if result[1] >= top * (1.0 - _TIE))
     values = np.array([fi_homodyne(pair, psi) for psi in psis.T])
-    best = np.argmax(values, axis=0)  # the first maximum, as max() takes
+    best = np.where(values >= values.max(axis=0) * (1.0 - _TIE), psis.T, math.inf).argmin(axis=0)
     columns = np.arange(len(best))
     return psis[columns, best], values[best, columns]
 

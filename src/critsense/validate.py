@@ -17,14 +17,7 @@ import numpy as np
 from . import dynamics, protocols
 from .dynamics import SystemParams, evolve_critical, mean_photons_vs_time, spectral_info, steady_state
 from .errors import CritsenseError
-from .gaussian import (
-    DisplacementAmplitude,
-    GaussianState,
-    SqueezeParam,
-    rotation_matrix,
-    squeeze_matrix,
-    thermal_state,
-)
+from .gaussian import DisplacementAmplitude, GaussianState, SqueezeParam, rotation_matrix, squeeze_matrix, thermal_state
 from .metrology import DerivativePair, fi_homodyne, qfi, snr_photon_counting
 from .oracle import gaussian_qfi, lyapunov_rk4
 from .protocols import ResourceBudget
@@ -118,24 +111,26 @@ def _rel_tangent_diff(a: DerivativePair, b: DerivativePair) -> float:
     ) / scale
 
 
+# Near the exceptional point, on both sides of the noise integrals' series
+# cutoff: s = eps^2 - omega^2 = +-1e-3 at omega0 = gamma = 1.
+NEAR_EP = tuple((SystemParams(1.0, math.sqrt(1.0 + s), 1.0), t) for s in (1e-3, -1e-3) for t in (5.0, 20.0))
+
+
 @_named("dynamics.rk4_agreement")
 def check_rk4_agreement() -> Outcome:
-    """Analytic propagator and its exact shift derivative (cqs_pair) vs the
-    RK4 Lyapunov-and-tangent oracle over all regimes."""
+    """The moments and their exact shift derivative (cqs_pair) vs the RK4
+    Lyapunov-and-tangent oracle over all regimes and near the exceptional point."""
+    points = [(params, frac * _horizon(params)) for params in battery_params() for frac in (0.02, 0.2, 1.0)]
     worst_state = worst_tangent = (0.0, "")
-    for params in battery_params():
-        t_max = _horizon(params)
-        state0 = thermal_state(params.n_bath)
-        for frac in (0.02, 0.2, 1.0):
-            t = frac * t_max
-            numeric = lyapunov_rk4(params, state0, t)
-            at = f"eps={params.epsilon:g} t={t:.3g}"
-            analytic = evolve_critical(params, state0, t)
-            worst_state = max(worst_state, (_rel_state_diff(analytic, numeric.state), at))
-            worst_tangent = max(worst_tangent, (_rel_tangent_diff(protocols.cqs_pair(params, t), numeric), at))
+    for params, t in points + list(NEAR_EP):
+        numeric = lyapunov_rk4(params, thermal_state(params.n_bath), t)
+        analytic = protocols.cqs_pair(params, t)
+        at = f"eps={params.epsilon:g} t={t:.3g}"
+        worst_state = max(worst_state, (_rel_state_diff(analytic.state, numeric.state), at))
+        worst_tangent = max(worst_tangent, (_rel_tangent_diff(analytic, numeric), at))
     return (
-        max(worst_state[0], worst_tangent[0]) <= 1e-8,
-        "<= 1e-8 relative (state and derivative)",
+        max(worst_state[0], worst_tangent[0]) <= 1e-11,
+        "<= 1e-11 relative (state and derivative)",
         "state worst {:.2e} at {}; derivative worst {:.2e} at {}".format(*worst_state, *worst_tangent),
     )
 

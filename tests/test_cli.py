@@ -696,13 +696,15 @@ class TestValidateCommand:
             assert f" {check.check_name} " in lines[0]
 
     def test_injected_error_fails_validation(self, monkeypatch):
-        """A propagator with a 1% drive error fails the RK4 cross-check."""
-        import critsense.validate as val
+        """A state with a 1% drive error, its derivative left exact, fails
+        the RK4 cross-check, which reads both from cqs_pair."""
+        exact = protocols.cqs_pair
 
-        def perturbed(params, state, t):
-            return evolve_critical(replace(params, epsilon=0.99 * params.epsilon), state, t)
+        def perturbed(params, t):
+            pair = exact(params, t)
+            return DerivativePair(exact(replace(params, epsilon=0.99 * params.epsilon), t).state, pair.dv, pair.dsigma)
 
-        monkeypatch.setattr(val, "evolve_critical", perturbed)
+        monkeypatch.setattr(protocols, "cqs_pair", perturbed)
         assert main(["validate", "--filter", "rk4"]) == 1
 
     def test_injected_derivative_error_fails_validation(self, monkeypatch):
@@ -795,11 +797,12 @@ def test_module_entry_point_runs_validate():
 
 def test_import_leaves_oracle_and_bound_dependencies_unloaded():
     """`import critsense.cli` runs before every command, so the Fock oracle's
-    scipy.sparse, the bound's scipy.integrate and the time search's
-    scipy.optimize are imported where used."""
+    scipy.sparse, the bound's scipy.integrate, the time search's
+    scipy.optimize and the noise-integral series' scipy.special (over half
+    of the import time) are imported where used."""
     code = (
         "import sys, critsense.cli; "
-        "print(sorted({'scipy.sparse', 'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))"
+        "print(sorted({'scipy.sparse', 'scipy.integrate', 'scipy.optimize', 'scipy.special'} & set(sys.modules)))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(critsense.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

@@ -631,9 +631,10 @@ def test_cold_optimum_over_budget_on_hot_bath():
 
 
 def test_array_call_on_analytic_branch_past_series_boundary():
-    """A node on the analytic-in-s branch of the noise integrals just past
-    _SERIES_ST2, where the float path is 7.5e-13 from the 50-digit value:
-    the array call stays within 1e-11 too, alone and inside a grid.
+    """A node just past the noise integrals' former series cutoff |s| t^2 =
+    2.5e-3, where the float path was 7.5e-13 from the 50-digit value (2e-16
+    on the series branch that takes it now): float and array calls stay
+    within 1e-11, alone and inside a grid.
 
     Near the exceptional point, with |s t^2| from 1e-12 to 1e-6, where
     _decayed_cosh_sinhc takes its exact forms with no series: float and
@@ -652,6 +653,30 @@ def test_array_call_on_analytic_branch_past_series_boundary():
     for params, ts in near:
         exact = np.array([van_loan_qfi(params, np.zeros(2), (1.0 + 2.0 * params.n_bath) * np.eye(2), t)
                           for t in ts.tolist()])
+        floats = np.array([cqs_qfi(params, t) for t in ts.tolist()])
+        for values in (floats, cqs_qfi(params, ts)):
+            assert np.all(np.abs(values / exact - 1.0) <= 1e-13)
+
+
+def test_near_exceptional_point_band_matches_van_loan():
+    """Near the exceptional point, where the noise integrals' s-slopes cancel
+    digits past their series cutoff |s| t_eff^2 = _SERIES_ST2, t_eff =
+    min(t, 2.5 / gamma): cqs_qfi is within 1e-13 of the 50-digit value at
+    |s| t_eff^2 from 1e-4 to 1 (both sides of the cutoff), for both signs
+    of s, from the vacuum and from a thermal start, as floats and as one
+    array call. At omega0 = gamma = 1, s = 1e-3, t = 20 and s = -1e-3, t = 5
+    it was 1.3e-10 and 1.1e-10 off with 5 terms and a cutoff of 2.5e-3.
+    Also at gamma = 1e-12 and 1e-40, where the series' moments, powers of
+    gamma t up to the 29th, leave the double range (1e-40 raised
+    InvalidStateError)."""
+    levels = np.array([1e-4, 5e-3, 0.05, 0.29, 0.31, 1.0])
+    cases = [(1.0, 1.0, 0.0, s, np.array([5.0, 20.0])) for s in (1e-3, -1e-3)]
+    cases += [(1.0, gamma, 0.5, -1e-4, np.array([1.0])) for gamma in (1e-12, 1e-40)]
+    cases += [(omega0, gamma, n_bath, s, np.sqrt(levels / abs(s))) for omega0, gamma, n_bath, s in
+              ((1.0, 1.0, 0.0, 0.16), (1.0, 1.0, 0.5, -0.16), (2.0, 0.5, 0.5, 0.04), (1.0, 2.0, 0.0, -0.64))]
+    for omega0, gamma, n_bath, s, ts in cases:
+        params = SystemParams(omega0, math.sqrt(omega0 * omega0 + s), gamma, n_bath=n_bath)
+        exact = np.array([van_loan_qfi(params, np.zeros(2), (1.0 + 2.0 * n_bath) * np.eye(2), t) for t in ts.tolist()])
         floats = np.array([cqs_qfi(params, t) for t in ts.tolist()])
         for values in (floats, cqs_qfi(params, ts)):
             assert np.all(np.abs(values / exact - 1.0) <= 1e-13)

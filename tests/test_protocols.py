@@ -247,6 +247,24 @@ class TestBestHomodyne:
         assert psi == pytest.approx(math.pi - 0.005, abs=1e-3)
         assert fi == pytest.approx(van_loan_qfi(params, [0.0, 0.0], np.eye(2), t), rel=1e-12)
 
+    def test_tied_peaks_give_the_smaller_angle(self):
+        """A pure lossless state has two angles at which FI = QFI: here
+        compute config 76 (gamma = 0, n_max = 279.8, t = 3.835), with peaks
+        at psi = 3.0964 and 3.1010 whose FI differ in the last bits. The
+        smaller angle is returned for the pair and for a stack of it, and
+        still after dsigma is scaled by 1 + 2^-52, which flipped the first
+        maximum between the two peaks."""
+        omega0, n, t = 2.8100731156007757, 279.83482979392613, 3.8352898602820344
+        params = SystemParams(omega0, epsilon_opt(n, SystemParams(omega0, 0.0, 0.0)), 0.0)
+        pair = cqs_pair(params, t)
+        stack = cqs_pair(params, np.array([t]))
+        for p in (pair, stack):
+            for bumped in (p, DerivativePair(p.state, p.dv, p.dsigma * (1.0 + 2.0 ** -52))):
+                psi, fi = best_homodyne(bumped)
+                assert np.all(psi == pytest.approx(3.0963629588789, abs=1e-12))
+                assert np.all(fi == pytest.approx(cqs_qfi(params, t), rel=1e-14))
+                assert np.all(fi == fi_homodyne(bumped, psi))
+
     def test_rounded_pure_state_has_no_whitening(self):
         # det(sigma) rounds to -128 (see test_gaussian.py): no Cholesky factor.
         sigma = np.array([[354421486.6488003, -613876021.5924665], [-613876021.5924665, 1063264457.946401]])
