@@ -33,7 +33,8 @@ m + n in |m><n|, so only the parity sectors the start fills are evolved:
 half of the entries of rho for vacuum, thermal and squeezed starts, all of
 them for a coherent one. L maps Hermitian to Hermitian, so rho is evolved
 in real coordinates, Re rho_mn for m <= n and Im rho_mn for m < n: as many
-reals as the sectors hold complex entries. The real generator stores
+reals as the sectors hold complex entries, gathered from rho and
+scattered back by index. The real generator stores
 10-14% more entries than the complex one, but each product with it is
 real. L is summed from parameter-free pieces that are built in these
 coordinates once per truncation, by index arithmetic on the single
@@ -282,10 +283,10 @@ def _superoperators(dim: int, parities: tuple[int, ...]):
     the Lindblad superoperator in them.
 
     The coordinates are Re rho_mn for m <= n, then Im rho_mn for m < n: as
-    many reals as the sectors hold complex entries. `coords` (complex, a
-    row per coordinate) gives them as x = Re(coords vec rho) for a Hermitian
-    rho, and `back` (complex, a row per entry of vec rho) rebuilds vec rho =
-    back x, Hermitian by construction; vec is row-major. The pieces are the
+    many reals as the sectors hold complex entries, laid out as `layout` =
+    (m, n, reals): the index arrays of their entries and the count of Re
+    coordinates, by which _to_coordinates gathers them from rho and
+    _from_coordinates rebuilds rho. The pieces are the
     number term -i[n, .] as its halves -i n rho and i rho n, the squeezing
     term -i[(a^2 + a^dagger^2)/2, .], emission D[a] and absorption
     D[a^dagger], with D[L] rho = 2 L rho L^dagger - {L^dagger L, rho}. Their
@@ -302,35 +303,23 @@ def _superoperators(dim: int, parities: tuple[int, ...]):
     those of its mirror (q, p), s = -1. A real c adds c u x_re to Re rho_mn
     and s c u x_im to Im rho_mn; an imaginary c = i b adds -s b u x_im to
     Re rho_mn and b u x_re to Im rho_mn. Each u rounds once and c, b and s
-    are exact factors, so the values are those of Re(coords P back) for the
-    piece's complex superoperator P, to the bit: no entry gets more than two
-    terms, and two terms add the same in either order.
+    are exact factors, so the values are those of the piece's complex
+    superoperator taken to the coordinates, to the bit: no entry gets more
+    than two terms, and two terms add the same in either order.
 
     The pieces are stored as `pattern` = (indptr, indices, rows): the CSR
     pattern (sorted columns) of the union of their nonzero entries, from one
     sort of the terms' (row, column) keys, and one row of values per piece
-    aligned to it, 0 where the piece has no entry. Cached: the maps and the
-    pattern are shared and read-only."""
-    import scipy.sparse as sp
-
+    aligned to it, 0 where the piece has no entry. Returns (layout,
+    pattern), cached: the arrays are shared and read-only."""
     m, n = np.triu_indices(dim)
     filled = np.isin((m + n) % 2, parities)
     m, n = m[filled], n[filled]
-    off = m < n
+    reals, off = len(m), m < n
     m, n = np.concatenate((m, m[off])), np.concatenate((n, n[off]))
-    # Coordinate k is Re(w_k rho_mn): w = 1 gives Re rho_mn, w = -i Im rho_mn.
-    # Back, rho_mn sums conj(w_k) x_k, and rho_nm = conj(rho_mn) sums w_k x_k.
-    w = np.concatenate((np.ones(len(off)), np.full(off.sum(), -1j)))
-    k = np.arange(len(w))
-    coords = sp.csr_matrix((w, (k, m * dim + n)), shape=(len(w), dim * dim))
-    mirror = m < n  # off the diagonal, a coordinate also writes rho_nm
-    back = sp.csr_matrix(
-        (np.concatenate((w.conj(), w[mirror])),
-         (np.concatenate((m * dim + n, n[mirror] * dim + m[mirror])), np.concatenate((k, k[mirror])))),
-        shape=(dim * dim, len(w)),
-    )
     # slot[0 or 1, p, q]: the coordinate of Re or Im rho_pq, that of rho_qp for p > q.
-    size, imag = len(w), (k >= len(off)).astype(int)
+    size, k = len(m), np.arange(len(m))
+    imag = (k >= reals).astype(int)
     slot = np.zeros((2, dim, dim), dtype=int)
     slot[imag, m, n] = slot[imag, n, m] = k
     # An operator is (offset d, values x): X[i, i + d] = x[i], 0 off the grid.
@@ -366,8 +355,29 @@ def _superoperators(dim: int, parities: tuple[int, ...]):
     keys, rows = keys[stored], rows[:, stored]
     indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.int32)
     indices = (keys % size).astype(np.int32)
-    _read_only(coords.data, coords.indices, coords.indptr, back.data, back.indices, back.indptr, indptr, indices, rows)
-    return coords, back, (indptr, indices, rows)
+    _read_only(m, n, indptr, indices, rows)
+    return (m, n, reals), (indptr, indices, rows)
+
+
+def _to_coordinates(matrix: np.ndarray, layout) -> np.ndarray:
+    """The real coordinates of a Hermitian matrix, layout = (m, n, reals):
+    Re matrix[m, n] for the first `reals`, Im for the rest, none of them -0."""
+    m, n, reals = layout
+    entries = matrix[m, n]
+    return np.concatenate((entries.real[:reals], entries.imag[reals:])) + 0.0
+
+
+def _from_coordinates(x: np.ndarray, dim: int, layout) -> np.ndarray:
+    """The Hermitian dim x dim matrix of real coordinates x, 0 outside them.
+    Each Im coordinate is off the diagonal, and its mirror gets 0 - x, so a
+    zero stays +0."""
+    m, n, reals = layout
+    rho = np.zeros((dim, dim), dtype=complex)
+    re, im = rho.real, rho.imag
+    re[m[:reals], n[:reals]] = re[n[:reals], m[:reals]] = x[:reals]
+    im[m[reals:], n[reals:]] = x[reals:]
+    im[n[reals:], m[reals:]] = 0.0 - x[reals:]
+    return rho
 
 
 def _liouvillian(params: SystemParams | tuple[SystemParams, ...], dim: int, parities: tuple[int, ...]):
@@ -384,7 +394,7 @@ def _liouvillian(params: SystemParams | tuple[SystemParams, ...], dim: int, pari
     import scipy.sparse as sp
 
     members = params if isinstance(params, tuple) else (params,)
-    indptr, indices, rows = _superoperators(dim, parities)[2]
+    indptr, indices, rows = _superoperators(dim, parities)[1]
     size, stored = len(indptr) - 1, len(indices)
     data = np.empty((len(members), stored))
     for values, p in zip(data, members):
@@ -496,12 +506,13 @@ def fock_evolve(
     Every term of L moves |m><n| by (+-2, 0), (0, +-2), (+-1, +-1) or (0, 0),
     so the parity of m + n is conserved: only the parity sectors rho0 fills
     are evolved, and the other entries of the result are exactly 0. They are
-    evolved as real coordinates (Re rho_mn, m <= n; Im rho_mn, m < n) under
-    the real generator, and the result is rebuilt from them, exactly
-    Hermitian. L is filled into the sparsity pattern of parameter-free
-    pieces that are built once per truncation and set of sectors and
-    cached (_superoperators, _liouvillian). The
-    evolution is _expm_apply's Taylor loop, deterministic. Given a tuple of
+    evolved as real coordinates (Re rho_mn, m <= n; Im rho_mn, m < n),
+    gathered from rho0 by index, under the real generator, and the result
+    is rebuilt from them by index, exactly Hermitian. L is filled into the
+    sparsity pattern of parameter-free pieces that are built once per
+    truncation and set of sectors and cached (_superoperators,
+    _liouvillian). The evolution is _expm_apply's Taylor loop,
+    deterministic. Given a tuple of
     parameter sets that share rho0, one loop on the block diagonal of their
     real generators evolves them all, and a tuple of states comes back.
 
@@ -524,11 +535,12 @@ def fock_evolve(
         raise DomainError("rho0 is the zero matrix")
     parity = np.add.outer(np.arange(dim), np.arange(dim)).ravel() % 2
     parities = tuple(np.unique(parity[start != 0]).tolist())
-    coords, back, _ = _superoperators(dim, parities)
-    evolved = _expm_apply(_liouvillian(members, dim, parities), np.tile((coords @ start).real, len(members)), t)
+    layout = _superoperators(dim, parities)[0]
+    x0 = _to_coordinates(rho0.matrix, layout)
+    evolved = _expm_apply(_liouvillian(members, dim, parities), np.tile(x0, len(members)), t)
     states = []
     for x in evolved.reshape(len(members), -1):
-        rho = (back @ x).reshape(dim, dim)
+        rho = _from_coordinates(x, dim, layout)
         # The truncated generator conserves the trace exactly, so the trace that
         # would have left the space shows up as boundary-level population instead.
         leakage = abs(1.0 - float(np.real(np.trace(rho)))) + float(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_fidelity, kron_rk4_generator, kron_superoperators
-from critsense import oracle
+from critsense import dynamics, oracle
 from critsense.dynamics import SystemParams, drift_and_diffusion, evolve_critical, mean_photons_vs_time
 from critsense.errors import AccuracyError, DomainError, PureStateError, TruncationError
 from critsense.gaussian import (
@@ -21,9 +21,11 @@ from critsense.oracle import (
     LEAK_BUDGET,
     FockDensityMatrix,
     _expm_apply,
+    _from_coordinates,
     _liouvillian,
     _rk4_increment,
     _superoperators,
+    _to_coordinates,
     default_step,
     fock_coherent,
     fock_evolve,
@@ -45,7 +47,7 @@ from critsense.protocols import (
     optimal_homodyne_input,
     total_qfi,
 )
-from critsense.validate import ALL_CHECKS, _horizon, _rel_tangent_diff, battery_params
+from critsense.validate import ALL_CHECKS, _horizon, _rel_tangent_diff, battery_params, check_rk4_agreement
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.check_name)
@@ -53,6 +55,22 @@ def test_validate_check(check):
     result = check()
     assert result.name == check.check_name
     assert result.passed, result.detail
+
+
+def test_rk4_agreement_sees_a_branch_error_below_the_exceptional_point(monkeypatch):
+    """A 1e-8 relative error in _decayed_cosh_sinhc's trigonometric branch,
+    only for -1e-6 < s < 0, fails the RK4 agreement check: its points hold
+    eps = omega (1 - 1e-7), s = -2e-7, to the oracle at 1e-11."""
+    exact = dynamics._decayed_cosh_sinhc
+
+    def planted(gamma, s, k, tau):
+        c, sc = exact(gamma, s, k, tau)
+        return (c * (1.0 + 1e-8), sc * (1.0 + 1e-8)) if -1e-6 < s < 0.0 else (c, sc)
+
+    assert check_rk4_agreement().passed
+    monkeypatch.setattr(dynamics, "_decayed_cosh_sinhc", planted)
+    result = check_rk4_agreement()
+    assert not result.passed and "eps=0.9999999" in result.detail, result.detail
 
 
 def same_bits(a, b):
@@ -201,16 +219,41 @@ def filled_parities(rho0):
     return tuple(np.unique(parity[rho0.matrix.ravel() != 0]).tolist())
 
 
+def start_coordinates(rho0):
+    """The coordinate layout (m, n, reals) of the sectors rho0 fills, and
+    rho0 gathered into it, as fock_evolve takes its start."""
+    layout = _superoperators(rho0.dim, filled_parities(rho0))[0]
+    return layout, _to_coordinates(rho0.matrix, layout)
+
+
 def shift_pair_generator(params, rho0):
-    """coords, back, the real block-diagonal generator of the shift pair
-    (params, shift -5e-3) and its start, as fock_qfi_fidelity evolves them."""
+    """The coordinate layout, the real block-diagonal generator of the shift
+    pair (params, shift -5e-3) and its start, as fock_qfi_fidelity evolves
+    them."""
     import scipy.sparse as sp
 
-    dim, parities = rho0.dim, filled_parities(rho0)
-    coords, back, _ = _superoperators(dim, parities)
+    layout, start = start_coordinates(rho0)
     pair = (params, params.with_shift(-5e-3))
-    generator = sp.block_diag([_liouvillian(p, dim, parities) for p in pair], format="csr")
-    return coords, back, generator, np.tile((coords @ rho0.matrix.ravel()).real, 2)
+    generator = sp.block_diag([_liouvillian(p, rho0.dim, filled_parities(rho0)) for p in pair], format="csr")
+    return layout, generator, np.tile(start, 2)
+
+
+def hermitian_in_sectors(dim, parities, seed):
+    """A random Hermitian matrix on the sectors of `parities`, 0 elsewhere,
+    with some entries 0 and some -0 in the real or imaginary part."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    z = z + z.conj().T
+
+    def symmetric(share):
+        mask = np.triu(rng.random((dim, dim)) < share)
+        return mask | mask.T
+
+    z[symmetric(0.2)] = 0.0
+    z.real[symmetric(0.1)] = -0.0
+    z.imag[symmetric(0.1)] = -0.0
+    in_sectors = np.isin(np.add.outer(np.arange(dim), np.arange(dim)) % 2, parities)
+    return np.where(in_sectors, z, 0.0), int(in_sectors.sum())
 
 
 def plain_expm_apply(generator, x, t):
@@ -313,25 +356,25 @@ class TestFockEvolve:
         same real block-diagonal generator."""
         from scipy.sparse.linalg import expm_multiply
 
-        coords, back, generator, start = shift_pair_generator(params, rho0)
+        layout, generator, start = shift_pair_generator(params, rho0)
         np.random.seed(0)  # expm_multiply's norm estimates draw from the global RNG
         want = expm_multiply(t * generator, start)
         for rho, x in zip(fock_evolve((params, params.with_shift(-5e-3)), rho0, t), want.reshape(2, -1)):
-            ref = back @ x
-            assert np.max(np.abs(rho.matrix.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))
+            ref = _from_coordinates(x, rho0.dim, layout)
+            assert np.max(np.abs(rho.matrix - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("params, rho0, t", SHIFT_PAIR_NODES, ids=SHIFT_PAIR_IDS)
     def test_taylor_loop_matches_plain_products(self, params, rho0, t):
         """_expm_apply's direct csr_matvec calls and its deferred inf-norm of
         the partial sum give, to the bit, the loop with `a @ term` and
         ||x||_inf taken after every term."""
-        _, _, generator, start = shift_pair_generator(params, rho0)
+        _, generator, start = shift_pair_generator(params, rho0)
         assert np.array_equal(_expm_apply(generator, start, t), plain_expm_apply(generator, start, t))
 
     def test_taylor_loop_rejects_a_start_the_kernel_cannot_take(self):
         # csr_matvec would read past a short start and cannot write a complex
         # one; idamax and the kernel would take a float32 one in single precision.
-        _, _, generator, start = shift_pair_generator(*SHIFT_PAIR_NODES[0][:2])
+        _, generator, start = shift_pair_generator(*SHIFT_PAIR_NODES[0][:2])
         for bad in (start[:-1], start.astype(complex), start.astype(np.float32)):
             kept = bad.copy()
             with pytest.raises(DomainError, match="Taylor loop needs"):
@@ -357,10 +400,8 @@ class TestFockEvolve:
         fewer."""
         import scipy.linalg as la
 
-        parities = filled_parities(rho0)
-        coords, _, _ = _superoperators(rho0.dim, parities)
-        generator = _liouvillian(params, rho0.dim, parities)
-        start = (coords @ rho0.matrix.ravel()).real
+        _, start = start_coordinates(rho0)
+        generator = _liouvillian(params, rho0.dim, filled_parities(rho0))
         want = la.expm(t * generator.toarray()) @ start
         assert np.max(np.abs(_expm_apply(generator, start, t) - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -464,7 +505,7 @@ class TestCachedLiouvillian:
         dim = rho0.dim
         parity = np.add.outer(np.arange(dim), np.arange(dim)).ravel() % 2
         parities = tuple(np.unique(parity[rho0.matrix.ravel() != 0]).tolist())
-        coords, back, _ = _superoperators(dim, parities)
+        coords, back, _ = kron_superoperators(dim, parities)
         want = (coords @ direct_liouvillian(params, dim) @ back).real.tocsr()
         want.eliminate_zeros()
         got = _liouvillian(params, dim, parities)
@@ -475,33 +516,37 @@ class TestCachedLiouvillian:
     @pytest.mark.parametrize("parities", [(0,), (1,), (0, 1)])
     @pytest.mark.parametrize("dim", [2, 3, 7, 30, 38, 48, 60])
     def test_pieces_match_the_kron_build(self, dim, parities):
-        """The index-arithmetic build gives coords, back and the pattern
-        (indptr, indices, rows) to the bit as the generic one does:
-        Re(coords P back) over sp.kron pieces, with the union of their
-        entries as the pattern."""
-        got, want = _superoperators(dim, parities), kron_superoperators(dim, parities)
-        for g, w in zip(got[:2], want[:2]):
-            assert all(same_bits(getattr(g, name), getattr(w, name)) for name in ("data", "indices", "indptr"))
-        assert all(same_bits(g, w) for g, w in zip(got[2], want[2]))
+        """The index-arithmetic build gives the pattern (indptr, indices,
+        rows) to the bit as the generic one does: Re(coords P back) over
+        sp.kron pieces, with the union of their entries as the pattern. Its
+        index arrays gather a Hermitian rho to the bits of Re(coords vec rho)
+        and scatter those back to the bits of back x."""
+        layout, pattern = _superoperators(dim, parities)
+        coords, back, want = kron_superoperators(dim, parities)
+        assert all(same_bits(g, w) for g, w in zip(pattern, want))
+        rho, _ = hermitian_in_sectors(dim, parities, seed=dim)
+        x = _to_coordinates(rho, layout)
+        assert same_bits(x, (coords @ rho.ravel()).real)
+        assert same_bits(_from_coordinates(x, dim, layout).ravel(), back @ x)
 
     @pytest.mark.parametrize("parities", [(0,), (1,), (0, 1)])
     def test_coordinates_round_trip(self, parities):
         """A Hermitian rho on the sectors comes back exactly from its real
-        coordinates, one real per entry of the sectors."""
+        coordinates, one real per entry of the sectors, and both ways agree
+        to the bit with the complex sparse maps coords and back."""
         dim = 9
-        rng = np.random.default_rng(5)
-        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        in_sectors = np.isin(np.add.outer(np.arange(dim), np.arange(dim)) % 2, parities)
-        rho = np.where(in_sectors, z + z.conj().T, 0.0).ravel()
-        coords, back, _ = _superoperators(dim, parities)
-        x = (coords @ rho).real
-        assert len(x) == in_sectors.sum()
-        assert np.array_equal(back @ x, rho)
+        rho, count = hermitian_in_sectors(dim, parities, seed=5)
+        layout = _superoperators(dim, parities)[0]
+        coords, back, _ = kron_superoperators(dim, parities)
+        x = _to_coordinates(rho, layout)
+        assert len(x) == count and same_bits(x, (coords @ rho.ravel()).real)
+        rebuilt = _from_coordinates(x, dim, layout)
+        assert np.array_equal(rebuilt, rho) and same_bits(rebuilt.ravel(), back @ x)
 
     def test_calls_leave_the_cached_pieces_alone(self):
         cached = _superoperators(30, (0,))
-        coords, back, pattern = cached
-        arrays = (*(getattr(m, name) for m in (coords, back) for name in ("data", "indices", "indptr")), *pattern)
+        (m, n, _), pattern = cached
+        arrays = (m, n, *pattern)
         before = [array.copy() for array in arrays]
         for params in (SystemParams(1.0, 0.5, 1.0, n_bath=0.5), SystemParams(2.0, 0.1, 0.0), SystemParams(0.0, 0.8, 2.0)):
             _liouvillian(params, 30, (0,))
@@ -529,7 +574,7 @@ class TestCachedLiouvillian:
         import scipy.sparse as sp
 
         dim, parities = rho0.dim, filled_parities(rho0)
-        indptr, indices, rows = _superoperators(dim, parities)[2]
+        indptr, indices, rows = _superoperators(dim, parities)[1]
         pieces = [sp.csr_matrix((row, indices, indptr), copy=True) for row in rows]
         for piece in pieces:
             piece.eliminate_zeros()
