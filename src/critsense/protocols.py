@@ -243,7 +243,7 @@ def _roots(poly: np.ndarray) -> np.ndarray:
     np.roots builds, so a row's are np.roots' own, its exact zeros for
     trailing zero coefficients included, then +inf for each root a leading 0
     drops (a root of the quartic at infinity); an all-zero row is 0
-    throughout."""
+    throughout (see _quartic_roots for one quartic)."""
     nonzero = poly != 0
     lead, stop = nonzero.argmax(axis=1), 5 - nonzero[:, ::-1].argmax(axis=1)
     roots = np.where(np.arange(4) >= 4 - lead[:, None], math.inf, 0.0)
@@ -257,6 +257,14 @@ def _roots(poly: np.ndarray) -> np.ndarray:
             companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
             roots[rows, :degree] = np.linalg.eigvals(companion).real
     return roots
+
+
+def _quartic_roots(quartic: list[float]) -> np.ndarray:
+    """_roots for one real quartic, its five coefficients as floats: the
+    real parts of np.roots' own, then +inf for each root a leading 0 drops;
+    0 four times for an all-zero quartic."""
+    roots = np.roots(quartic).real
+    return np.concatenate([roots, np.full(4 - len(roots), math.inf if any(quartic) else 0.0)])
 
 
 # Candidates whose FI is within this relative distance of the best tie: far
@@ -273,8 +281,8 @@ def best_homodyne(pair: DerivativePair):
     for the quadrature u = (cos psi, -sin psi), FI = 2 (w.a)^2 + (w^T B w)^2 / 2,
     a degree-2 trigonometric polynomial in x = 2 theta. Its stationary points
     are the roots of one real quartic in tan theta, and theta = pi/2 where
-    its leading coefficient vanishes (_roots gives that dropped root as
-    +inf). Of them and psi = 0, those whose FI is within a relative _TIE of
+    its leading coefficient vanishes (_roots and _quartic_roots give that
+    dropped root as +inf). Of them and psi = 0, those whose FI is within a relative _TIE of
     the best tie, and the smallest psi of them is returned with its FI: a
     flat FI gives psi = 0, and a last-bit change cannot swap the two equal
     peaks of a pure state.
@@ -294,19 +302,27 @@ def best_homodyne(pair: DerivativePair):
     # dFI/dx = c1 cos x + s1 sin x + c2 cos 2x + s2 sin 2x, times (1 + u^2)^2 for u = tan theta.
     c1, s1 = 2.0 * p2 + q0 * q2, -2.0 * p1 - q0 * q1
     c2, s2 = q1 * q2, 0.5 * (q2 * q2 - q1 * q1)
-    # One pair's quartic is a stack of one.
-    quartic = np.array([c2 - c1, 2.0 * s1 - 4.0 * s2, -6.0 * c2, 2.0 * s1 + 4.0 * s2, c1 + c2]).T.reshape(-1, 5)
-    roots = _roots(np.where(abs(quartic) > 1e-15, quartic, 0.0))
-    # theta = 0 (psi = 0) and arctan of each root, pi/2 for the root at
-    # infinity that c2 = c1 drops; u = L^-T (cos theta, sin theta) by back-substitution.
-    theta = np.arctan(np.concatenate([np.zeros((len(roots), 1)), roots], axis=1))
+    quartic = (c2 - c1, 2.0 * s1 - 4.0 * s2, -6.0 * c2, 2.0 * s1 + 4.0 * s2, c1 + c2)
+    # One pair's quartic takes one np.roots call; a stack's, _roots. Each
+    # gives tan theta of 0 (psi = 0) and of the stationary points, one per
+    # row of a stack.
+    stacked = isinstance(white.mu, np.ndarray)
+    if stacked:
+        quartic = np.array(quartic).T
+        roots = _roots(np.where(abs(quartic) > 1e-15, quartic, 0.0))
+        candidates = np.concatenate([np.zeros((len(roots), 1)), roots], axis=1)
+    else:
+        candidates = np.concatenate([[0.0], _quartic_roots([x if abs(x) > 1e-15 else 0.0 for x in quartic])])
+    # theta = arctan of each, pi/2 for the root at infinity that c2 = c1
+    # drops; u = L^-T (cos theta, sin theta) by back-substitution.
+    theta = np.arctan(candidates)
     u2 = np.sin(theta) / per_t(white.l22, 1)
     u1 = (np.cos(theta) - per_t(white.l21, 1) * u2) / per_t(white.l11, 1)
     # psi mod pi; a psi just below 0 can round up to pi itself.
     psis = np.arctan2(-u2, u1) % math.pi
     psis = np.where(psis < math.pi, psis, 0.0)
-    if not isinstance(white.mu, np.ndarray):
-        results = [(psi, fi_homodyne(pair, psi)) for psi in psis[0].tolist()]
+    if not stacked:
+        results = [(psi, fi_homodyne(pair, psi)) for psi in psis.tolist()]
         top = max(fi for _, fi in results)
         return min(result for result in results if result[1] >= top * (1.0 - _TIE))
     values = np.array([fi_homodyne(pair, psi) for psi in psis.T])

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import importlib.util
 import io
@@ -397,6 +398,34 @@ class TestComputeCommand:
         payload = run_compute(cfg)
         assert len(calls) == 1
         assert payload["report"]["qfi_single_shot"] > 0.0
+
+    @pytest.mark.parametrize("kind", ["CQS", "PQS"])
+    @pytest.mark.parametrize("mode", ["qfi", "fi", "optimize"])
+    def test_report_is_asdict_of_the_report(self, monkeypatch, mode, kind):
+        """The payload's report is dataclasses.asdict of the MetrologyReport
+        it was read from, in each mode that writes one, for both strategies."""
+        reports, original = [], protocols._report_and_pair
+
+        def recorded(*args):
+            result = original(*args)
+            reports.append(result[0])
+            return result
+
+        monkeypatch.setattr(protocols, "_report_and_pair", recorded)
+        cfg = {
+            "mode": mode,
+            "params": {"omega0": 1.0, "gamma": 1.0},
+            "protocol": {"kind": kind, "n_max": 10.0, "total_time": 4.0},
+            "t": 2.0,
+        }
+        if mode == "fi":
+            cfg["protocol"]["psi"] = 0.3
+        elif mode == "optimize":
+            cfg["grid"] = {"t_min": 0.01, "t_max": 5.0}
+        report = run_compute(cfg)["report"]
+        assert len(reports) == 1
+        assert report == dataclasses.asdict(reports[0])
+        assert [type(value) for value in report.values()] == [float] * len(report)
 
     def test_evolve_cqs_reaches_steady_state(self):
         cfg = {

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, find, given
+from hypothesis import assume, example, find, given
 from hypothesis import strategies as st
 
 from conftest import cqs_state_family, general_qfi, rk4_pqs_pair, van_loan_qfi
@@ -45,6 +45,7 @@ from critsense.protocols import (
     ProtocolKind,
     ProtocolSpec,
     ResourceBudget,
+    _quartic_roots,
     _roots,
     best_homodyne,
     cqs_pair,
@@ -422,16 +423,19 @@ def real_quartics(draw) -> np.ndarray:
 
 
 @given(st.lists(real_quartics(), min_size=1, max_size=8))
+@example([np.zeros(5), np.array([0.0, 0.0, 0.5, -0.25, 0.0]), np.array([0.0, 0.75, 0.0, 0.0, 0.0])])
 def test_stacked_roots_are_np_roots(polys):
     """Each row's roots are the real parts of np.roots' own, bit for bit
     (the exact zeros it returns for trailing zero coefficients included),
     then +inf for each root a leading 0 drops, and 0 throughout an all-zero
-    row."""
+    row; _quartic_roots gives each row's roots from its floats alone, bit
+    for bit those of _roots on a stack of one."""
     got = _roots(np.array(polys))
     for row, poly in zip(got, polys):
         want = np.roots(poly).real
         assert row[: len(want)].tobytes() == want.tobytes()
         assert np.all(row[len(want):] == (math.inf if np.any(poly) else 0.0))
+        assert _quartic_roots(poly.tolist()).tobytes() == _roots(poly[None]).tobytes() == row.tobytes()
 
 
 def _frames(rows) -> SimpleNamespace:
