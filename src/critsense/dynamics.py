@@ -336,11 +336,24 @@ def _check_time(t) -> None:
     reject(f.not_(f.isfinite(t)) | (t < 0), DomainError, "time must be >= 0, got {!r}", t)
 
 
-def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool = True) -> tuple:
-    """(v, Sigma, dv, dSigma): the moments evolve_critical returns at t and
-    their exact shift derivative, from one evaluation of s, K, (c, sc) and the
-    noise integrals; (v, Sigma) alone without `tangent`. For a 1-D array of t,
-    stacks over t. state0 is one start or a stack of starts: at a float t
+def _lossless_det(params: SystemParams, state0: GaussianState, t) -> tuple:
+    """(det, rounding) of Sigma(t) for a lossless flow (gamma = 0), one per
+    t, or (None, None) for a lossy one. Without loss the drift is traceless,
+    so det exp(A t) = 1 and det Sigma(t) = det Sigma0 exactly: the start's
+    det_sigma, with its det_rounding. Formed from Sigma(t)'s entries it
+    would lose every digit once Sigma(t) is strongly squeezed off the axes."""
+    if params.gamma > 0:
+        return None, None
+    # + 0 t: one per t of an array of t.
+    return state0.det_sigma + 0.0 * t, state0.det_rounding + 0.0 * t
+
+
+def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool = True):
+    """(state, dv, dSigma): the state evolve_critical returns at t and the
+    exact shift derivative of its moments, from one evaluation of s, K,
+    (c, sc) and the noise integrals; the state alone without `tangent`. A
+    lossless flow gives the state its det (_lossless_det). For a 1-D array
+    of t, stacks over t. state0 is one start or a stack of starts: at a float t
     each start evolves for t, and at an array of t, which must be as long as
     the stack, the k-th start evolves for the k-th t.
 
@@ -368,12 +381,14 @@ def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool
             sigma = M @ state0.sigma @ M_T + _noise_matrix(params, t, noise)
     except (OverflowError, FloatingPointError):
         raise InvalidStateError("non-finite moments") from None
+    det = _lossless_det(params, state0, t)
     if not tangent:
-        return v, sigma
+        return GaussianState(v, sigma, *det)
     q = _sinhc_slope(gamma, s, t, c, sc)
     dM = matrix(-w * t * sc, sc - 2.0 * w * q * (w - eps), 2.0 * w * q * (w + eps) - sc, -w * t * sc)
     X = dM @ state0.sigma @ M_T
-    return v, sigma, np.matvec(dM, state0.v), X + X.swapaxes(-1, -2) + _noise_tangent(params, t, noise)
+    dsigma = X + X.swapaxes(-1, -2) + _noise_tangent(params, t, noise)
+    return GaussianState(v, sigma, *det), np.matvec(dM, state0.v), dsigma
 
 
 def evolve_critical(params: SystemParams, state0: GaussianState, t) -> GaussianState:
@@ -381,7 +396,7 @@ def evolve_critical(params: SystemParams, state0: GaussianState, t) -> GaussianS
     A 1-D array of times gives a GaussianState stacked over t. A stacked
     state0 gives a stack too: each start evolved for a float t, or the k-th
     start for the k-th of an array of t as long as the stack."""
-    return GaussianState(*_critical_flow(params, state0, t, tangent=False))
+    return _critical_flow(params, state0, t, tangent=False)
 
 
 # --- exact shift tangents ----------------------------------------------------
@@ -425,23 +440,23 @@ def _require_steady_state(params: SystemParams) -> None:
         raise NoSteadyStateError(f"no steady state: epsilon = {eps!r} at or above epsilon_c = {eps_c!r}")
 
 
-def _steady_flow(params: SystemParams, tangent: bool = True) -> tuple:
-    """(v, Sigma, dv, dSigma) of steady_state and its shift derivative, or
-    (v, Sigma) without `tangent`. With d(eps_c^2)/d omega = 2 omega and
-    dK/d omega = 2 omega, dSigma = (1 + 2 n_bath)/K diag(2 omega - eps,
-    2 omega + eps) - (2 omega/K) Sigma."""
+def _steady_flow(params: SystemParams, tangent: bool = True):
+    """(state, dv, dSigma): steady_state and the shift derivative of its
+    moments, or the state alone without `tangent`. With d(eps_c^2)/d omega =
+    2 omega and dK/d omega = 2 omega, dSigma = (1 + 2 n_bath)/K
+    diag(2 omega - eps, 2 omega + eps) - (2 omega/K) Sigma."""
     _require_steady_state(params)
     sigma, k = _steady_sigma(params)
     if not tangent:
-        return np.zeros(2), sigma
+        return GaussianState(np.zeros(2), sigma)
     w, eps = params.omega, params.epsilon
     dsigma = (1.0 + 2.0 * params.n_bath) / k * np.diag([2.0 * w - eps, 2.0 * w + eps]) - (2.0 * w / k) * sigma
-    return np.zeros(2), sigma, np.zeros(2), dsigma
+    return GaussianState(np.zeros(2), sigma), np.zeros(2), dsigma
 
 
 def steady_state(params: SystemParams) -> GaussianState:
     """Stationary Gaussian state for epsilon strictly below the critical point."""
-    return GaussianState(*_steady_flow(params, tangent=False))
+    return _steady_flow(params, tangent=False)
 
 
 def steady_state_photons(params: SystemParams) -> float:
@@ -462,10 +477,11 @@ def mean_photons_vs_time(params: SystemParams, t):
     return over_t(lambda t: mean_photons(evolve_critical(params, start, t)), t)
 
 
-def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool = True) -> tuple:
-    """(v, Sigma, dv, dSigma) of evolve_passive at t and its shift derivative,
-    or (v, Sigma) without `tangent`; for a 1-D array of t, stacks over t.
-    state0 is one start or a stack of starts, paired with t as in _critical_flow.
+def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool = True):
+    """(state, dv, dSigma): evolve_passive's state at t and the shift
+    derivative of its moments, or the state alone without `tangent`; for a
+    1-D array of t, stacks over t. state0 is one start or a stack of starts,
+    paired with t, and a lossless flow gives its det, as in _critical_flow.
 
     dR(-delta t)/d delta = t J R, so dv = t J v and dSigma = e^{-2 gamma t}
     t (J Sigma0_R + Sigma0_R J^T) with Sigma0_R = R Sigma0 R^T. The thermal
@@ -483,10 +499,11 @@ def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool 
     relax = -lib(t).expm1(-2.0 * gamma * t)  # 1 - e^{-2 gamma t}
     sigma0_r = R @ state0.sigma @ R.swapaxes(-1, -2)
     sigma = per_t(decay * decay, 2) * sigma0_r + per_t(relax * (1.0 + 2.0 * n_bath), 2) * IDENTITY
+    det = _lossless_det(params, state0, t)
     if not tangent:
-        return v, sigma
+        return GaussianState(v, sigma, *det)
     X = per_t(decay * decay * t, 2) * (_J @ sigma0_r)
-    return v, sigma, per_t(t, 1) * (v @ _J.T), X + X.swapaxes(-1, -2)
+    return GaussianState(v, sigma, *det), per_t(t, 1) * (v @ _J.T), X + X.swapaxes(-1, -2)
 
 
 def evolve_passive(params: SystemParams, state0: GaussianState, t) -> GaussianState:
@@ -497,4 +514,4 @@ def evolve_passive(params: SystemParams, state0: GaussianState, t) -> GaussianSt
     and covariance relaxation toward (1 + 2 n_bath) I. Arrays of times and
     stacks of starts give stacks, as in evolve_critical.
     """
-    return GaussianState(*_passive_flow(params, state0, t, tangent=False))
+    return _passive_flow(params, state0, t, tangent=False)

@@ -4,7 +4,8 @@ Conventions: quadratures x = (a + a†)/√2, p = -i(a - a†)/√2, ordering (x
 The covariance matrix carries a factor 2, so the vacuum has sigma = identity,
 det(sigma) >= 1 expresses the uncertainty relation, and purity = 1/sqrt(det).
 GaussianState checks, symmetrises and takes the determinant of sigma once, at
-construction; every consumer reads `det_sigma` instead of recomputing it.
+construction, unless a flow that keeps it exactly gives it; every consumer
+reads `det_sigma` instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -66,7 +67,14 @@ class GaussianState:
     sigma : ndarray, shape v.shape + (2,)
         Symmetric covariance matrix; vacuum = identity.
     det_sigma : float, or an array over t
-        det(sigma), computed once at construction.
+        det(sigma), formed once at construction as s11 s22 - s12^2, unless
+        given: a flow that keeps det(sigma) exactly (a lossless one keeps
+        det Sigma0) gives it, as the formed det loses every digit where
+        sigma is strongly squeezed off the axes. A given det must agree
+        with the formed one (see __post_init__).
+    det_rounding : float, or an array over t
+        How far det_sigma may be from det(sigma): DET_ROUNDING of
+        s11 s22 + s12^2 for a formed det; given with a given one.
 
     Each state of a stack is held to the rules of one state. Two states
     compare equal, as one bool, where v and sigma are equal entry by entry.
@@ -74,7 +82,8 @@ class GaussianState:
 
     v: np.ndarray
     sigma: np.ndarray
-    det_sigma: float = field(init=False, repr=False, compare=False)
+    det_sigma: float | None = field(default=None, repr=False, compare=False)
+    det_rounding: float | None = field(default=None, repr=False, compare=False)
     __eq__ = fields_equal
 
     def __post_init__(self):
@@ -87,13 +96,28 @@ class GaussianState:
                 f"got {v.shape} and {sigma.shape}"
             )
         (s11, s12), (s21, s22) = entries(sigma, 2)
-        s12, det = _physical_moments(*entries(v, 1), s11, s12, s21, s22)
+        s12, formed = _physical_moments(*entries(v, 1), s11, s12, s21, s22)
+        det, rounding = self.det_sigma, self.det_rounding
+        if det is None and rounding is None:
+            det, rounding = formed, DET_ROUNDING * (s11 * s22 + s12 * s12)
+        elif det is None or rounding is None or not np.shape(det) == np.shape(rounding) == np.shape(formed):
+            raise InvalidStateError(
+                f"det_sigma and det_rounding are given together, one per state: got {det!r} and "
+                f"{rounding!r} for sigma of shape {sigma.shape}"
+            )
+        else:
+            # Held to the formed det as the uncertainty relation is: a gap
+            # beyond HARD_TOL of the larger product, and the given det's
+            # own rounding, is no rounding.
+            slack = HARD_TOL * lib(formed).max(s11 * s22, s12 * s12) + rounding
+            reject(abs(det - formed) > slack, InvalidStateError, "det(sigma) = {!r} given, {!r} formed", det, formed)
         sigma = matrix(s11, s12, s12, s22)
         v.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "det_sigma", det)
+        object.__setattr__(self, "det_rounding", rounding)
 
 
 @dataclass(frozen=True)
@@ -196,20 +220,20 @@ def apply_displace(state: GaussianState, d: DisplacementAmplitude) -> GaussianSt
     return GaussianState(v, np.broadcast_to(state.sigma, v.shape + (2,)))
 
 
-def is_pure(s11, s12, s22, det):
+def is_pure(state: GaussianState):
     """Where a state is pure: det(sigma) is at most 1 within its own
-    rounding, DET_ROUNDING of s11 s22 + s12^2, for the entries and det of
-    its sigma (floats, or arrays over t). There the digits of det below 1
-    are noise; a det below 1 beyond that is roundoff the constructor
-    admits, and no mixed state has one. A det that overflowed to inf, whose
-    rounding is inf too, is not pure."""
-    return (det - 1.0 <= DET_ROUNDING * (s11 * s22 + s12 * s12)) & (det < math.inf)
+    rounding, det_rounding (a bool for one state, an array over t for a
+    stack). There the digits of det below 1 are noise; a det below 1 beyond
+    that is roundoff the constructor admits, and no mixed state has one. A
+    det that overflowed to inf, whose rounding is inf too, is not pure."""
+    det = state.det_sigma
+    return (det - 1.0 <= state.det_rounding) & (det < math.inf)
 
 
-def cholesky_factor(s11, s12, s22, det):
+def cholesky_factor(state: GaussianState):
     """(l11, l21, l22, det): the lower-triangular L = [[l11, 0], [l21, l22]]
-    with sigma = L L^T, l22 = sqrt(det / s11), for the entries and det of a
-    state's sigma (floats, or arrays over t).
+    with sigma = L L^T, l22 = sqrt(det / s11), for a state's sigma (floats,
+    or arrays over t for a stack).
 
     Quadratic forms in sigma^-1 taken in the frame that L whitens, such as
     |L^-1 x|^2 and the entries of L^-1 M L^-T, are sums of squares where the
@@ -219,10 +243,12 @@ def cholesky_factor(s11, s12, s22, det):
     the returned det is 1 exactly where the state is pure. A det <= 0,
     which the constructor admits within rounding, has no factor.
     """
+    det = state.det_sigma
     f = lib(det)
     invertible = (det > 0) & f.isfinite(det)
     reject(f.not_(invertible), InvalidStateError, "covariance not invertible, det = {!r}", det)
-    det = f.where(is_pure(s11, s12, s22, det), 1.0, det)
+    det = f.where(is_pure(state), 1.0, det)
+    (s11, s12), _ = entries(state.sigma, 2)
     l11 = f.sqrt(s11)
     return l11, s12 / l11, f.sqrt(det / s11), det
 
@@ -258,7 +284,6 @@ def photon_variance(state: GaussianState) -> float:
 def purity(state: GaussianState):
     """1/sqrt(det sigma), exactly 1 where the state is pure (is_pure): a
     float for one state, an array over t for a stacked state."""
-    (s11, s12), (_, s22) = entries(state.sigma, 2)
     det = state.det_sigma
     f = lib(det)
-    return 1.0 / f.sqrt(f.where(is_pure(s11, s12, s22, det), 1.0, det))
+    return 1.0 / f.sqrt(f.where(is_pure(state), 1.0, det))

@@ -23,7 +23,7 @@ from . import dynamics
 from ._elementwise import entries, fields_equal, lib, matrix, reject
 from .dynamics import SystemParams
 from .errors import AccuracyError, DomainError, InvalidStateError, PreconditionError, PureStateError
-from .gaussian import GaussianState, cholesky_factor, photon_variance, require_one_state
+from .gaussian import DET_ROUNDING, GaussianState, cholesky_factor, photon_variance, require_one_state
 
 # At a pure state the weight of the purity-derivative term diverges; the
 # term is dropped only where the purity's derivative is this small
@@ -62,7 +62,11 @@ def _whiten(l11, l21, l22, det, v1, v2, d11, d12, d22) -> Whitened:
     b22 = row2[0] * m21 + row2[1] * m22
     half_trace = 0.5 * (b11 + b22)
     size = f.sqrt(b11 * b11 + 2.0 * b12 * b12 + b22 * b22)
-    pure = (mu == 1.0) & (abs(half_trace) < _PURE_DMU * f.max(1.0, size))
+    # Where sigma is strongly squeezed, b22 sums terms far larger than B, and
+    # its rounding, DET_ROUNDING of their magnitudes, can pass _PURE_DMU of
+    # B's size: 1.1e-5 of it for a lossless quench from vacuum at N = 1e10.
+    terms = abs(m21) * (abs(m21 * d11) + abs(m22 * d12)) + abs(m22) * (abs(m21 * d12) + abs(m22 * d22))
+    pure = (mu == 1.0) & (abs(half_trace) < f.max(_PURE_DMU * f.max(1.0, size), DET_ROUNDING * terms))
     b11, b22 = f.where(pure, b11 - half_trace, b11), f.where(pure, b22 - half_trace, b22)
     return Whitened(l11, l21, l22, mu, m11 * v1, m21 * v1 + m22 * v2, b11, b12, b22)
 
@@ -111,12 +115,11 @@ class DerivativePair:
 
         tr B = tr(sigma^-1 dsigma) is the log-derivative of det. A unitary
         family keeps a pure state pure, so at a pure state a trace within
-        _PURE_DMU of B's size is rounding and is removed; the QFI rejects a
-        larger one.
+        _PURE_DMU of B's size, or within the rounding of B's entries, is
+        rounding and is removed; the QFI rejects a larger one.
         """
-        (s11, s12), (_, s22) = entries(self.state.sigma, 2)
         (v1, v2), ((d11, d12), (_, d22)) = entries(self.dv, 1), entries(self.dsigma, 2)
-        return _whiten(*cholesky_factor(s11, s12, s22, self.state.det_sigma), v1, v2, d11, d12, d22)
+        return _whiten(*cholesky_factor(self.state), v1, v2, d11, d12, d22)
 
 
 # The moments of each evolution with their exact shift derivative, from one
@@ -146,8 +149,7 @@ def differentiate_at_zero_shift(
         raise DomainError(f"no exact shift derivative for {evolve!r}")
     if params.delta_omega != 0.0:
         params = params.with_shift(0.0)
-    v, sigma, dv, dsigma = flow(params, *args)
-    return DerivativePair(GaussianState(v, sigma), dv, dsigma)
+    return DerivativePair(*flow(params, *args))
 
 
 def _finite(value, name: str):

@@ -174,8 +174,7 @@ def gaussian_qfi(pair: DerivativePair) -> float:
     state = pair.state
     require_one_state(state, "gaussian_qfi")
     sigma = state.sigma
-    (s11, s12), (_, s22) = sigma.tolist()
-    if is_pure(s11, s12, s22, state.det_sigma):
+    if is_pure(state):
         raise PureStateError(f"pure state (det sigma = {state.det_sigma!r}): the general formula is singular")
     w = np.array([[0.0, 1.0], [-1.0, 0.0]])
     dsigma = pair.dsigma.ravel()

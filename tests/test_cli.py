@@ -20,6 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import van_loan_qfi
 import critsense
 from critsense import protocols, validate
 from critsense import cli
@@ -426,6 +427,23 @@ class TestComputeCommand:
         assert len(reports) == 1
         assert report == dataclasses.asdict(reports[0])
         assert [type(value) for value in report.values()] == [float] * len(report)
+
+    def test_lossless_thermal_quench_qfi(self):
+        """A lossless quench from a thermal start at the t where it holds
+        1e8 photons: the QFI is the 60-digit Van Loan oracle's to 1e-12
+        (4.9999996e14, where the det formed at t made it 5x that), and no
+        homodyne angle beats it."""
+        t = 3.286381258504181
+        cfg = {
+            "mode": "qfi",
+            "params": {"omega0": 1, "epsilon": 3, "gamma": 0, "n_bath": 1},
+            "protocol": {"kind": "CQS", "n_max": 1e8, "total_time": t},
+            "t": t,
+        }
+        report = run_compute(cfg)["report"]
+        want = van_loan_qfi(SystemParams(1.0, 3.0, 0.0, n_bath=1.0), [0.0, 0.0], 3.0 * np.eye(2), t, dps=60)
+        assert report["qfi_single_shot"] == pytest.approx(want, rel=1e-12)
+        assert report["fi_homodyne_best"] <= report["qfi_single_shot"]
 
     def test_evolve_cqs_reaches_steady_state(self):
         cfg = {

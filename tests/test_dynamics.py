@@ -342,6 +342,22 @@ class TestPurityVsTime:
         assert purity_vs_time(params, 5.0) < 0.5
 
 
+    @pytest.mark.parametrize("evolve, epsilon", [(evolve_critical, 3.0), (evolve_passive, 0.0)])
+    def test_lossless_flow_keeps_the_start_det(self, evolve, epsilon):
+        """Without loss det exp(A t) = 1: both flows give the state the
+        start's det and rounding, one per t of an array. The quench's det
+        formed at t = 3.3 (about 1e8 photons) is 16 for 9. A lossy flow forms
+        its own."""
+        start = apply_squeeze(thermal_state(1.0), SqueezeParam(0.3, 0.4))
+        for t in (3.3, np.array([0.0, 1.0, 3.3])):
+            state = evolve(SystemParams(1.0, epsilon, 0.0, n_bath=1.0), start, t)
+            assert np.array_equal(state.det_sigma, np.full(np.shape(t), start.det_sigma))
+            assert np.array_equal(state.det_rounding, np.full(np.shape(t), start.det_rounding))
+        lossy = evolve(SystemParams(1.0, epsilon, 0.5, n_bath=1.0), start, 3.3)
+        (s11, s12), (_, s22) = lossy.sigma.tolist()
+        assert lossy.det_sigma == s11 * s22 - s12 * s12
+
+
 class TestNoiseIntegralBranches:
     """The scalar noise integrals against adaptive quadrature across all branch
     boundaries: the series window |s t^2| ~ 1e-4, the K-form/E-form split at

@@ -10,6 +10,7 @@ from critsense.gaussian import (
     SqueezeParam,
     apply_displace,
     apply_squeeze,
+    is_pure,
     mean_photons,
     photon_variance,
     purity,
@@ -315,6 +316,32 @@ class TestObservables:
         st = GaussianState(np.zeros(2), 1e200 * np.eye(2))
         assert st.det_sigma == math.inf
         assert purity(st) == 0.0
+
+
+    def test_given_det_is_kept_with_its_rounding(self):
+        """A flow that keeps det(sigma) exactly gives it with its rounding,
+        and is_pure reads that rounding. The thermal state n_B = 1 squeezed
+        by r = 9 off the axes forms det 8 for 9, within its rounding of 1,
+        so it counts as pure; given det 9, it is mixed."""
+        formed = apply_squeeze(thermal_state(1.0), SqueezeParam(9.0, math.pi / 2.0))
+        assert (formed.det_sigma, is_pure(formed), purity(formed)) == (8.0, True, 1.0)
+        given = GaussianState(formed.v, formed.sigma, 9.0, 9e-14)
+        assert (given.det_sigma, given.det_rounding, is_pure(given)) == (9.0, 9e-14, False)
+        assert purity(given) == 1.0 / 3.0
+        stack = GaussianState(np.zeros((2, 2)), np.stack([formed.sigma, np.eye(2)]), np.array([9.0, 1.0]), np.zeros(2))
+        assert is_pure(stack).tolist() == [False, True]
+
+    @pytest.mark.parametrize(
+        "det, rounding, sigma",
+        [(9.0, 1e-13, np.eye(2)), (9.0, None, 3.0 * np.eye(2)), (None, 0.0, np.eye(2)),
+         (9.0, 0.0, np.stack([3.0 * np.eye(2)] * 2))],
+        ids=["far_from_formed", "no_rounding", "no_det", "one_for_a_stack"],
+    )
+    def test_given_det_rejected(self, det, rounding, sigma):
+        """A given det beyond the formed det's hard tolerance, one without
+        its rounding (or the reverse), or one det for a stack, raises."""
+        with pytest.raises(InvalidStateError, match="given"):
+            GaussianState(np.zeros(sigma.shape[:-1]), sigma, det, rounding)
 
 
 class TestTransformChains:

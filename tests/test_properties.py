@@ -180,7 +180,7 @@ def test_qfi_near_pure_mixed_states(pair):
     within its rounding are pure, and skipped."""
     (s11, s12), (_, s22) = pair.state.sigma.tolist()
     det = pair.state.det_sigma
-    assume(not is_pure(s11, s12, s22, det))
+    assume(not is_pure(pair.state))
     want = general_qfi(pair.state.sigma, pair.dsigma, pair.dv)
     rounding = np.finfo(float).eps * (s11 * s22 + s12 * s12) / (det - 1.0)
     assert abs(qfi(pair) - want) <= 1e2 * rounding * want
@@ -351,14 +351,15 @@ def _pairs_of_one_flow(flow, params: SystemParams, start, ts: np.ndarray):
     flows round it differently. Read off the same moments, the estimators
     on a stacked pair are held to 1e-10 of their float calls; the flows' own
     agreement is the QFI tests' part."""
-    v, sigma, dv, dsigma = flow(params, start, ts)
+    state, dv, dsigma = flow(params, start, ts)
     rows = {t: k for k, t in enumerate(ts.tolist())}
 
     def pair_at(t):
         if isinstance(t, np.ndarray):
-            return DerivativePair(GaussianState(v, sigma), dv, dsigma)
+            return DerivativePair(state, dv, dsigma)
         k = rows[t]
-        return DerivativePair(GaussianState(v[k], sigma[k]), dv[k], dsigma[k])
+        row = GaussianState(state.v[k], state.sigma[k], state.det_sigma[k].item(), state.det_rounding[k].item())
+        return DerivativePair(row, dv[k], dsigma[k])
 
     return pair_at
 

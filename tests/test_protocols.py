@@ -634,6 +634,28 @@ class TestBeyondThreshold:
         assert report.qfi_single_shot == pytest.approx(want, rel=1e-10)
         assert report.fi_homodyne_best <= report.qfi_single_shot
 
+    @pytest.mark.parametrize("n", [1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("epsilon", [1.05, 1.5, 3.0])
+    @pytest.mark.parametrize("n_bath", [0.0, 1.0])
+    def test_lossless_qfi_at_budget_matches_van_loan(self, n_bath, epsilon, n):
+        """A lossless quench (omega0 = 1, so epsilon_c = 1) from a thermal or
+        vacuum start, through total_qfi at the t where it holds N photons,
+        agrees with the 60-digit Van Loan oracle to 1e-12. The flow gives
+        the state det Sigma0, which the det formed at N = 1e8 misses by far
+        more than 1 (16 for 9 at n_B = 1, epsilon = 3, a 5x QFI; not
+        positive from vacuum at epsilon = 1.5). No homodyne angle beats the
+        QFI of a thermal start; from vacuum the state stays pure, and the best
+        angle attains it."""
+        params = SystemParams(1.0, epsilon, 0.0, n_bath=n_bath)
+        t = _time_at_photons(params, n)
+        report = total_qfi(ProtocolSpec(ProtocolKind.CQS, params, ResourceBudget(n, t)), t)
+        want = van_loan_qfi(params, [0.0, 0.0], (1.0 + 2.0 * n_bath) * np.eye(2), t, dps=60)
+        assert report.qfi_single_shot == pytest.approx(want, rel=1e-12)
+        if n_bath > 0.0:
+            assert report.fi_homodyne_best <= report.qfi_single_shot
+        else:
+            assert report.fi_homodyne_best == pytest.approx(report.qfi_single_shot, rel=1e-12)
+
 
 class TestSteadyStateProperties:
     def test_finite_time_tracks_temperature_story(self):
