@@ -260,11 +260,23 @@ def _roots(poly: np.ndarray) -> np.ndarray:
 
 
 def _quartic_roots(quartic: list[float]) -> np.ndarray:
-    """_roots for one real quartic, its five coefficients as floats: the
-    real parts of np.roots' own, then +inf for each root a leading 0 drops;
-    0 four times for an all-zero quartic."""
-    roots = np.roots(quartic).real
-    return np.concatenate([roots, np.full(4 - len(roots), math.inf if any(quartic) else 0.0)])
+    """_roots for one real quartic, its five coefficients as floats: one
+    eigvals call on the companion matrix np.roots builds, without np.roots'
+    array handling, so the real parts of np.roots' own, its exact zeros for
+    trailing zero coefficients included, then +inf for each root a leading 0
+    drops; 0 four times for an all-zero quartic."""
+    nonzero = [i for i, x in enumerate(quartic) if x != 0.0]
+    roots = np.zeros(4)
+    if not nonzero:
+        return roots
+    first, end = nonzero[0], nonzero[-1] + 1
+    roots[4 - first:] = math.inf
+    degree = end - first - 1
+    if degree > 0:
+        companion = np.eye(degree, k=-1)
+        companion[0] = np.divide(quartic[first + 1:end], -quartic[first])
+        roots[:degree] = np.linalg.eigvals(companion).real
+    return roots
 
 
 # Candidates whose FI is within this relative distance of the best tie: far
@@ -303,7 +315,7 @@ def best_homodyne(pair: DerivativePair):
     c1, s1 = 2.0 * p2 + q0 * q2, -2.0 * p1 - q0 * q1
     c2, s2 = q1 * q2, 0.5 * (q2 * q2 - q1 * q1)
     quartic = (c2 - c1, 2.0 * s1 - 4.0 * s2, -6.0 * c2, 2.0 * s1 + 4.0 * s2, c1 + c2)
-    # One pair's quartic takes one np.roots call; a stack's, _roots. Each
+    # One pair's quartic takes one eigvals call; a stack's, _roots. Each
     # gives tan theta of 0 (psi = 0) and of the stationary points, one per
     # row of a stack.
     stacked = isinstance(white.mu, np.ndarray)
