@@ -294,10 +294,10 @@ def best_homodyne(pair: DerivativePair):
     a degree-2 trigonometric polynomial in x = 2 theta. Its stationary points
     are the roots of one real quartic in tan theta, and theta = pi/2 where
     its leading coefficient vanishes (_roots and _quartic_roots give that
-    dropped root as +inf). Of them and psi = 0, those whose FI is within a relative _TIE of
-    the best tie, and the smallest psi of them is returned with its FI: a
-    flat FI gives psi = 0, and a last-bit change cannot swap the two equal
-    peaks of a pure state.
+    dropped root as +inf). Of them and psi = 0, those whose FI is within a
+    relative _TIE of the best tie, and the smallest psi of them is returned
+    with its FI: a flat FI gives psi = 0, and a last-bit change cannot swap
+    the two equal peaks of a pure state.
     """
     white = pair.whitened
     # FI is quadratic in (a, B): scaling both to unit size moves no stationary
