@@ -21,6 +21,7 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import dynamics
 from ._elementwise import lib, over_t, per_t, reject
@@ -260,11 +261,19 @@ def _roots(poly: np.ndarray) -> np.ndarray:
 
 
 def _quartic_roots(quartic: list[float]) -> np.ndarray:
-    """_roots for one real quartic, its five coefficients as floats: one
-    eigvals call on the companion matrix np.roots builds, without np.roots'
-    array handling, so the real parts of np.roots' own, its exact zeros for
-    trailing zero coefficients included, then +inf for each root a leading 0
-    drops; 0 four times for an all-zero quartic."""
+    """_roots for one real quartic, its five coefficients as floats: the
+    eigenvalues of the companion matrix np.roots builds, so the real parts
+    of np.roots' own, its exact zeros for trailing zero coefficients
+    included, then +inf for each root a leading 0 drops; 0 four times for
+    an all-zero quartic.
+
+    One call of np.linalg.eigvals' own LAPACK gufunc, without np.roots'
+    array handling or eigvals' input checks and error state, which cost
+    more than the call for a 4 x 4 matrix. best_homodyne's companion is
+    finite (coefficients of at most 6 over a leading one above 1e-15); an
+    eigenvalue that does not converge comes back nan, and raises
+    AccuracyError here.
+    """
     nonzero = [i for i, x in enumerate(quartic) if x != 0.0]
     roots = np.zeros(4)
     if not nonzero:
@@ -275,7 +284,10 @@ def _quartic_roots(quartic: list[float]) -> np.ndarray:
     if degree > 0:
         companion = np.eye(degree, k=-1)
         companion[0] = np.divide(quartic[first + 1:end], -quartic[first])
-        roots[:degree] = np.linalg.eigvals(companion).real
+        eigenvalues = _umath_linalg.eigvals(companion, signature="d->D").real
+        if not np.isfinite(eigenvalues).all():
+            raise AccuracyError(f"the homodyne angles' quartic {quartic!r} has roots that did not converge")
+        roots[:degree] = eigenvalues
     return roots
 
 

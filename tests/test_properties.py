@@ -17,7 +17,7 @@ from hypothesis import assume, example, find, given
 from hypothesis import strategies as st
 
 from conftest import cqs_state_family, general_qfi, rk4_pqs_pair, van_loan_qfi
-from critsense import dynamics
+from critsense import dynamics, protocols
 from critsense._elementwise import over_t
 from critsense.dynamics import (
     Regime,
@@ -27,7 +27,7 @@ from critsense.dynamics import (
     mean_photons_vs_time,
     spectral_info,
 )
-from critsense.errors import ConstraintError, CritsenseError, DomainError, InvalidStateError
+from critsense.errors import AccuracyError, ConstraintError, CritsenseError, DomainError, InvalidStateError
 from critsense.gaussian import (
     DET_ROUNDING,
     DisplacementAmplitude,
@@ -437,6 +437,16 @@ def test_stacked_roots_are_np_roots(polys):
         assert row[: len(want)].tobytes() == want.tobytes()
         assert np.all(row[len(want):] == (math.inf if np.any(poly) else 0.0))
         assert _quartic_roots(poly.tolist()).tobytes() == _roots(poly[None]).tobytes() == row.tobytes()
+
+
+def test_unconverged_roots_raise(monkeypatch):
+    """LAPACK gives nan for an eigenvalue that does not converge;
+    _quartic_roots raises AccuracyError rather than let best_homodyne fold
+    that candidate into psi = 0."""
+    nan_eigvals = lambda a, signature: np.full(len(a), complex(math.nan))
+    monkeypatch.setattr(protocols, "_umath_linalg", SimpleNamespace(eigvals=nan_eigvals))
+    with pytest.raises(AccuracyError, match="did not converge"):
+        _quartic_roots([0.3, -0.2, 0.5, 0.1, -0.7])
 
 
 def _frames(rows) -> SimpleNamespace:
