@@ -341,7 +341,6 @@ class TestPurityVsTime:
         params = SystemParams(1.0, 0.9975 * math.sqrt(2.0), 1.0)
         assert purity_vs_time(params, 5.0) < 0.5
 
-
     @pytest.mark.parametrize("evolve, epsilon", [(evolve_critical, 3.0), (evolve_passive, 0.0)])
     def test_lossless_flow_keeps_the_start_det(self, evolve, epsilon):
         """Without loss det exp(A t) = 1: both flows give the state the

@@ -317,7 +317,6 @@ class TestObservables:
         assert st.det_sigma == math.inf
         assert purity(st) == 0.0
 
-
     def test_given_det_is_kept_with_its_rounding(self):
         """A flow that keeps det(sigma) exactly gives it with its rounding,
         and is_pure reads that rounding. The thermal state n_B = 1 squeezed
