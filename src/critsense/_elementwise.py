@@ -30,8 +30,10 @@ _FLOAT = SimpleNamespace(
     log1p=math.log1p,
     sqrt=math.sqrt,
     sinh=math.sinh,
-    cos=math.cos,
-    sin=math.sin,
+    # math raises ValueError at +-inf, where numpy gives nan (and x - x is
+    # nan): an overflowed phase reaches the checks as nan on both paths.
+    cos=lambda x: math.cos(x) if x - x == 0.0 else math.nan,
+    sin=lambda x: math.sin(x) if x - x == 0.0 else math.nan,
     isfinite=math.isfinite,
     all_finite=lambda *xs: all(map(math.isfinite, xs)),
     not_=operator.not_,

@@ -2,49 +2,18 @@
 
 Two oracles, deliberately sharing no code with the analytic propagator or
 its exact shift derivative: a fixed-step RK4 integrator for the moment
-(Lyapunov) equations together with their shift tangent, and the full master
-equation on a Fock-space truncation, which also yields a fidelity-based QFI
-estimate valid beyond the Gaussian calculus. A third cross-check,
-`gaussian_qfi`, takes the QFI of a derivative pair from the general
-mixed-state Gaussian formula, sharing no code with metrology.qfi_terms. All
-are library code; the CLI validation command runs the first and the third.
+(Lyapunov) equations together with their shift tangent (Van Loan, IEEE TAC
+23, 395 (1978)), and the full master equation on a Fock-space truncation,
+evolved by truncated Taylor steps (Al-Mohy & Higham, SIAM J. Sci. Comput.
+33, 488 (2011)), which also yields a fidelity-based QFI estimate valid
+beyond the Gaussian calculus. A third cross-check, `gaussian_qfi`, takes
+the QFI of a derivative pair from the general mixed-state Gaussian formula,
+sharing no code with metrology.qfi_terms. All are library code; the CLI
+validation command runs the first and the third.
 
-RK4 is the Lyapunov oracle only. The moments and their derivative in omega
-obey one linear autonomous system y' = L y, with J = dA/d omega coupling the
-state to its tangent (Van Loan, IEEE TAC 23, 395 (1978)). One classical RK4
-step of size h is the degree-4 Taylor polynomial of hL, in Horner form
-y + hL(y + hL/2 (y + hL/3 (y + hL/4 y))). The oracle applies it to the
-identity to get the step matrix P on (v, vec Sigma, dv, vec dSigma, 1): n
-steps are P^n, the same discretisation as stepping n times. Its generator
-writes each block S -> a S + S a^T out from the four entries of a. The Fock
-oracle applies exp(t L) for the sparse Liouvillian L by truncated Taylor
-steps (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Alg. 3.2),
-scipy's method for the action of a sparse exponential, in a loop of its
-own: the step count comes from the exact 1-norm of L, so no norm is
-estimated and no random number drawn, and each Taylor term costs one call
-of scipy's CSR product kernel into a reused buffer and one BLAS inf-norm
-(the partial sum's inf-norm is taken only once the stopping test can pass).
-Unlike scipy, the loop does not shift L by tr L / n: a Lindblad generator
-annihilates its steady state, and the thermal starts of the benchmark
-design lie in its slow modes, which the shift would make fast, so the
-unshifted loop takes about a third fewer terms there; starts weighted near
-the truncation edge take more, at the same accuracy. L conserves the parity of
-m + n in |m><n|, so only the parity sectors the start fills are evolved:
-half of the entries of rho for vacuum, thermal and squeezed starts, all of
-them for a coherent one. L maps Hermitian to Hermitian, so rho is evolved
-in real coordinates, Re rho_mn for m <= n and Im rho_mn for m < n: as many
-reals as the sectors hold complex entries, gathered from rho and
-scattered back by index. The real generator stores
-10-14% more entries than the complex one, but each product with it is
-real. L is summed from parameter-free pieces that are built in these
-coordinates once per truncation, by index arithmetic on the single
-diagonals of the ladder operators (no Kronecker products), and cached as
-one sparsity pattern, the union of theirs, with a row of values per piece,
-so a call pays only for filling that pattern with its rates and the
-evolution.
-The fidelity QFI needs the same start evolved under two shifts; one Taylor
-loop on the block diagonal of the two Liouvillians gives both, and pays the
-per-step overhead once.
+RK4 takes n steps as the n-th power of its one-step matrix, the degree-4
+Taylor polynomial of h L for the linear system y' = L y: the same
+discretisation as stepping n times.
 """
 
 from __future__ import annotations
@@ -441,31 +410,21 @@ def _expm_apply(generator, x: np.ndarray, t: float) -> np.ndarray:
     error below unit roundoff: ||L||_1 bounds every ||L^p||_1^(1/p), the
     norms the bound is stated in, so nothing is estimated. Each step's
     series stops, as scipy's does, once two consecutive terms sum to at most
-    2^-53 of the partial sum (inf-norm).
+    2^-53 of the partial sum (inf-norm). ||x||_inf is taken only once the
+    test can pass against the bound beta = ||x at step start||_inf + sum of
+    ||term||_inf >= ||x||_inf; the factor 1 + 1e-12 covers beta's at most
+    110 roundings, so the series stops at the same term as with ||x||_inf
+    taken every time.
 
     L is not shifted by mu = tr L / n, as scipy shifts it: the bound holds
-    for any shift, and the unshifted norm only takes a few more steps. A
-    Lindblad generator annihilates its steady state, and the thermal starts
-    of the benchmark's design lie in slow modes, |lambda| << ||L||_1; a
-    shift (mu = -29 to -90 there) moves them to h lambda of about -h mu,
-    where the series needs more terms. On three design nodes (shift pair,
-    dims 30-46) the unshifted loop takes 25% more steps of 11-13 fewer terms
-    each: 452 products instead of 728, 650 instead of 840, 671 instead of
-    962. Starts weighted near the truncation edge take more products
-    unshifted (|25><25| at dim 30, t = 0.5: 349 instead of 304; a coherent
-    alpha = 4.5 at dim 30, t = 0.2: 183 instead of 128), and a strongly
-    damped drive fewer (gamma = 10, epsilon = 5: 2172 instead of 2744), all
-    within 3e-14 of the largest entry of a dense expm.
+    for any shift. A Lindblad generator annihilates its steady state, and
+    thermal starts lie in its slow modes, which the shift would make fast,
+    so unshifted they take fewer products.
 
-    Each term is one call of scipy's CSR kernel, csr_matvec into one of two
-    reused buffers zeroed first, which is what `a @ term` runs, so the
-    products are the same to the bit; each inf-norm is |v_i| at BLAS
-    idamax's i. ||x||_inf is taken only once the test can pass against the
-    bound beta = ||x at step start||_inf + sum of ||term||_inf >= ||x||_inf;
-    the factor 1 + 1e-12 covers beta's at most 110 roundings, so the series
-    stops at the same term as with ||x||_inf taken every time. The kernel
-    checks no lengths or types, so an x that is not one float64 per row of
-    L raises DomainError here. The caller's x is not changed.
+    Each term is one call of scipy's CSR kernel, csr_matvec, into a reused
+    buffer: the products `a @ term` gives, to the bit. The kernel checks no
+    lengths or types, so an x that is not one float64 per row of L raises
+    DomainError here. The caller's x is not changed.
     """
     from scipy.linalg.blas import idamax
     from scipy.sparse import _sparsetools
@@ -502,18 +461,12 @@ def fock_evolve(
 ) -> FockDensityMatrix | tuple[FockDensityMatrix, ...]:
     """exp(t L) rho0 for the full Lindblad master equation on a truncation.
 
-    Every term of L moves |m><n| by (+-2, 0), (0, +-2), (+-1, +-1) or (0, 0),
-    so the parity of m + n is conserved: only the parity sectors rho0 fills
-    are evolved, and the other entries of the result are exactly 0. They are
-    evolved as real coordinates (Re rho_mn, m <= n; Im rho_mn, m < n),
-    gathered from rho0 by index, under the real generator, and the result
-    is rebuilt from them by index, exactly Hermitian. L is filled into the
-    sparsity pattern of parameter-free pieces that are built once per
-    truncation and set of sectors and cached (_superoperators,
-    _liouvillian). The evolution is _expm_apply's Taylor loop,
-    deterministic. Given a tuple of
-    parameter sets that share rho0, one loop on the block diagonal of their
-    real generators evolves them all, and a tuple of states comes back.
+    L conserves the parity of m + n in |m><n|, so only the parity sectors
+    rho0 fills are evolved, and the other entries of the result are exactly
+    0; the result is exactly Hermitian. The evolution is _expm_apply's
+    Taylor loop, deterministic. Given a tuple of parameter sets that share
+    rho0, one loop on the block diagonal of their generators evolves them
+    all, and a tuple of states comes back.
 
     Trace leakage above LEAK_BUDGET in any of them raises TruncationError;
     results at that leakage level are untrustworthy. Its suggested_dim is

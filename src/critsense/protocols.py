@@ -238,13 +238,30 @@ def pqs_qfi(
     return over_t(lambda t, alpha, squeeze: qfi(pqs_pair(alpha, squeeze, params, t)), t, alpha, squeeze)
 
 
+def _eigvals(companion: np.ndarray, poly) -> np.ndarray:
+    """The real parts of the eigenvalues of a companion matrix, or of each of
+    a stack of them: one call of np.linalg.eigvals' own LAPACK gufunc,
+    without eigvals' input checks and error state, which cost more than the
+    call for a 4 x 4 matrix. best_homodyne's companions are finite
+    (coefficients of at most 6 over a leading one above 1e-15); an
+    eigenvalue that does not converge comes back nan, and raises
+    AccuracyError naming the first quartic, of poly's one or rows, it
+    belongs to."""
+    eigenvalues = _umath_linalg.eigvals(companion, signature="d->D").real
+    if not np.isfinite(eigenvalues).all():
+        rows = np.reshape(poly, (-1, np.shape(poly)[-1]))
+        row = rows[np.argmin(np.isfinite(eigenvalues).reshape(len(rows), -1).all(axis=1))]
+        raise AccuracyError(f"the homodyne angles' quartic {row.tolist()!r} has roots that did not converge")
+    return eigenvalues
+
+
 def _roots(poly: np.ndarray) -> np.ndarray:
     """For a stack of real quartics of shape (n, 5), the real parts of each
-    row's roots, (n, 4): one eigvals call per shape of the companion matrices
-    np.roots builds, so a row's are np.roots' own, its exact zeros for
-    trailing zero coefficients included, then +inf for each root a leading 0
-    drops (a root of the quartic at infinity); an all-zero row is 0
-    throughout (see _quartic_roots for one quartic)."""
+    row's roots, (n, 4): one _eigvals call per shape of the companion
+    matrices np.roots builds, so a row's are np.roots' own, its exact zeros
+    for trailing zero coefficients included, then +inf for each root a
+    leading 0 drops (a root of the quartic at infinity); an all-zero row is
+    0 throughout (see _quartic_roots for one quartic)."""
     nonzero = poly != 0
     lead, stop = nonzero.argmax(axis=1), 5 - nonzero[:, ::-1].argmax(axis=1)
     roots = np.where(np.arange(4) >= 4 - lead[:, None], math.inf, 0.0)
@@ -256,24 +273,16 @@ def _roots(poly: np.ndarray) -> np.ndarray:
             companion = np.zeros((len(coeffs), degree, degree))
             companion[:, 1:, :-1] = np.eye(degree - 1)
             companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-            roots[rows, :degree] = np.linalg.eigvals(companion).real
+            roots[rows, :degree] = _eigvals(companion, coeffs)
     return roots
 
 
 def _quartic_roots(quartic: list[float]) -> np.ndarray:
-    """_roots for one real quartic, its five coefficients as floats: the
-    eigenvalues of the companion matrix np.roots builds, so the real parts
-    of np.roots' own, its exact zeros for trailing zero coefficients
-    included, then +inf for each root a leading 0 drops; 0 four times for
-    an all-zero quartic.
-
-    One call of np.linalg.eigvals' own LAPACK gufunc, without np.roots'
-    array handling or eigvals' input checks and error state, which cost
-    more than the call for a 4 x 4 matrix. best_homodyne's companion is
-    finite (coefficients of at most 6 over a leading one above 1e-15); an
-    eigenvalue that does not converge comes back nan, and raises
-    AccuracyError here.
-    """
+    """_roots for one real quartic, its five coefficients as floats, without
+    np.roots' array handling: the eigenvalues of the companion matrix
+    np.roots builds, so the real parts of np.roots' own, its exact zeros for
+    trailing zero coefficients included, then +inf for each root a leading 0
+    drops; 0 four times for an all-zero quartic."""
     nonzero = [i for i, x in enumerate(quartic) if x != 0.0]
     roots = np.zeros(4)
     if not nonzero:
@@ -284,10 +293,7 @@ def _quartic_roots(quartic: list[float]) -> np.ndarray:
     if degree > 0:
         companion = np.eye(degree, k=-1)
         companion[0] = np.divide(quartic[first + 1:end], -quartic[first])
-        eigenvalues = _umath_linalg.eigvals(companion, signature="d->D").real
-        if not np.isfinite(eigenvalues).all():
-            raise AccuracyError(f"the homodyne angles' quartic {quartic!r} has roots that did not converge")
-        roots[:degree] = eigenvalues
+        roots[:degree] = _eigvals(companion, quartic)
     return roots
 
 
@@ -327,16 +333,16 @@ def best_homodyne(pair: DerivativePair):
     c1, s1 = 2.0 * p2 + q0 * q2, -2.0 * p1 - q0 * q1
     c2, s2 = q1 * q2, 0.5 * (q2 * q2 - q1 * q1)
     quartic = (c2 - c1, 2.0 * s1 - 4.0 * s2, -6.0 * c2, 2.0 * s1 + 4.0 * s2, c1 + c2)
-    # One pair's quartic takes one eigvals call; a stack's, _roots. Each
-    # gives tan theta of 0 (psi = 0) and of the stationary points, one per
-    # row of a stack.
+    quartic = [f.where(abs(x) > 1e-15, x, 0.0) for x in quartic]
+    # One pair's quartic takes _quartic_roots; a stack's, _roots. Each gives
+    # tan theta of 0 (psi = 0) and of the stationary points, one per row of
+    # a stack.
     stacked = isinstance(white.mu, np.ndarray)
     if stacked:
-        quartic = np.array(quartic).T
-        roots = _roots(np.where(abs(quartic) > 1e-15, quartic, 0.0))
+        roots = _roots(np.array(quartic).T)
         candidates = np.concatenate([np.zeros((len(roots), 1)), roots], axis=1)
     else:
-        candidates = np.concatenate([[0.0], _quartic_roots([x if abs(x) > 1e-15 else 0.0 for x in quartic])])
+        candidates = np.concatenate([[0.0], _quartic_roots(quartic)])
     # theta = arctan of each, pi/2 for the root at infinity that c2 = c1
     # drops; u = L^-T (cos theta, sin theta) by back-substitution.
     theta = np.arctan(candidates)
@@ -388,8 +394,8 @@ def optimize_time(
         return rate_fn(t) / (t + t_pm)
 
     grid = np.geomspace(t_lo, t_hi, _SCAN_POINTS)
-    # One call scans the whole grid; a scalar result stands for every t.
-    values = np.broadcast_to(np.asarray(objective(grid), dtype=float), grid.shape)
+    # One call scans the whole grid.
+    values = objective(grid)
     finite = np.isfinite(values)
     if not finite.all():
         raise SearchError(f"objective is not finite at t = {grid[int(np.argmin(finite))]!r}")
@@ -423,8 +429,9 @@ def epsilon_opt(n_max: float, params: SystemParams) -> float:
     if not math.isfinite(n_max):
         raise DomainError(f"n_max must be finite, got {n_max!r}")
     _require_cap_above_bath(n_max, params.n_bath)
-    eps_c = params.epsilon_c
-    return math.sqrt(2.0 * (n_max - params.n_bath) / (1.0 + 2.0 * n_max)) * eps_c
+    # The factor 2 taken out of both sides is exact, so this is the quotient
+    # above bit for bit, and finite up to the largest n_max.
+    return math.sqrt((n_max - params.n_bath) / (0.5 + n_max)) * params.epsilon_c
 
 
 def optimal_homodyne_input(n_max: float, gamma: float, t) -> tuple[DisplacementAmplitude, SqueezeParam]:
@@ -455,21 +462,6 @@ def optimal_homodyne_input(n_max: float, gamma: float, t) -> tuple[DisplacementA
         ConstraintError, "optimal squeezing sinh^2(r) = {!r} exceeds the budget {!r}", photons, n_max,
     )
     return DisplacementAmplitude(f.sqrt(n_max - photons)), SqueezeParam(f.max(r, 0.0))
-
-
-def beyond_threshold_epsilon(n_max: float, total_time: float, omega0: float) -> float:
-    """Above-threshold drive reaching n_max photons after total_time (lossless).
-
-    From N(T) ~ e^{2 u T}/4: epsilon^2 = omega0^2 + ln^2(4 n_max)/(4 T^2), u > 0.
-    That is asymptotic in omega0/u: from vacuum the lossless N(T) is
-    (epsilon^2/u^2) sinh^2(u T), about epsilon^2/u^2 = 1 + omega0^2/u^2
-    times n_max (377 photons for n_max = 100 at omega0 = 1, T = 5), an
-    overshoot that ProtocolSpec's per-t photon-budget check rejects.
-    """
-    if not (0.25 < n_max < math.inf and 0 < total_time < math.inf and math.isfinite(omega0)):
-        raise DomainError("n_max must exceed 1/4 and total_time be positive, both finite; omega0 finite")
-    u = math.log(4.0 * n_max) / (2.0 * total_time)
-    return math.hypot(omega0, u)
 
 
 # --- resource accounting and bounds -------------------------------------------

@@ -403,9 +403,11 @@ def check_beyond_threshold() -> Outcome:
     w0 = math.sqrt(n_max) / total
     below = SystemParams(w0, w0 * (1.0 - 1e-6), 0.0)
     i_below = protocols.cqs_qfi(below, total)
+    # From vacuum the quench holds N(T) ~ e^{2uT}/4 = n_max, u = sqrt(eps^2 - w0^2),
+    # to a factor eps^2/u^2 = 1.0025 at w0 = 0.05 u.
     u = math.log(4.0 * n_max) / (2.0 * total)
     w0_above = 0.05 * u
-    above = SystemParams(w0_above, protocols.beyond_threshold_epsilon(n_max, total, w0_above), 0.0)
+    above = SystemParams(w0_above, math.hypot(w0_above, u), 0.0)
     ratio = i_below / protocols.cqs_qfi(above, total)
 
     unit, budget = SystemParams(1.0, 0.0, 1.0), ResourceBudget(100.0, 1.0)

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import mpmath
 import numpy as np
-import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -154,12 +153,6 @@ def steady_time(params: SystemParams) -> float:
     """A horizon by which the driven protocol has reached its steady state:
     12 decay times 1/lambda_- of the slow mode, for a drive below threshold."""
     return 12.0 / spectral_info(params).lambda_minus.real
-
-
-@pytest.fixture(scope="session")
-def unit_params():
-    """omega0 = gamma = 1, no drive, zero temperature."""
-    return SystemParams(1.0, 0.0, 1.0)
 
 
 def kron_superoperators(dim: int, parities: tuple[int, ...]):

@@ -584,11 +584,14 @@ class TestComputeCommand:
                          "error: bound integral out of range", id="bound_at_subnormal_gamma"),
             pytest.param({"mode": "bound", "protocol": {"n_max": 10, "total_time": 1e308}},
                          "error: bound integral out of range", id="bound_over_huge_time"),
+            pytest.param({"mode": "evolve", "t": 1e308, "params": {"omega0": 10, "epsilon": 0.5, "gamma": 1},
+                          "protocol": {"kind": "CQS", "n_max": 100}},
+                         "error: non-finite moments", id="evolve_phase_overflows"),
         ],
     )
     def test_beyond_double_range_exits_1(self, tmp_path, capsys, cfg, error):
-        """A squeezing or a bound beyond the double range exits 1 with one
-        typed error line, with no traceback and no numpy warning."""
+        """A squeezing, a bound or a phase beyond the double range exits 1
+        with one typed error line, with no traceback and no numpy warning."""
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg_path.write_text(json.dumps(cfg))
         with warnings.catch_warnings():
@@ -1027,3 +1030,20 @@ def test_output_diff_usage_error(two_runs, tmp_path, capsys):
     for argv in ([str(a)], [str(a), str(tmp_path)], [str(a), str(a), str(a)]):
         assert tool.main(argv) == 2
         assert capsys.readouterr().err == "usage: python3 tools/output_diff.py DIR_A DIR_B\n"
+
+
+def test_src_lines_parts_sum_to_wc(capsys):
+    """tools/src_lines.py splits each module's lines into parts that sum to
+    its lines, and its total equals `wc -l` of the modules (newlines
+    counted); a docstring's blank line, a string's blank line and a line of
+    code with a trailing comment land where its docstring says."""
+    tool = _load_tool("src_lines")
+    src = Path(critsense.__file__).parent
+    rows = tool.table(src)
+    assert [name for name, _, _ in rows] == sorted(path.name for path in src.glob("*.py"))
+    assert all(sum(parts.values()) == lines for _, lines, parts in rows)
+    assert tool.main([str(src)]) == 0
+    total = capsys.readouterr().out.splitlines()[-1].split()
+    assert total[:2] == ["total", str(sum(path.read_bytes().count(b"\n") for path in src.glob("*.py")))]
+    module = ['"""Doc.', "", 'More."""', "", "# note", 'x = """a', "", 'b"""  # why', "", "", "def f():", '    """One."""']
+    assert tool.count("\n".join(module) + "\n") == {"code": 4, "docstring": 4, "comment": 1, "blank": 3}

@@ -29,7 +29,7 @@ from critsense.gaussian import (
     vacuum_state,
 )
 from critsense.metrology import differentiate_at_zero_shift
-from critsense.protocols import epsilon_opt
+from critsense.protocols import cqs_qfi, epsilon_opt
 from critsense.validate import battery_params
 
 
@@ -186,6 +186,24 @@ class TestEvolveCritical:
             warnings.simplefilter("error")
             with pytest.raises(InvalidStateError, match="non-finite moments"):
                 evolve_critical(SystemParams(1.0, 2.0, 0.0), vacuum_state(), t)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: cqs_qfi(SystemParams(10.0, 0.5, 1.0), 1e308), id="cqs_qfi"),
+            pytest.param(lambda: mean_photons_vs_time(SystemParams(1.0, 0.5, 1.0), 1e308), id="photons"),
+            pytest.param(lambda: mean_photons_vs_time(SystemParams(1.0, 0.5, 1.0), np.array([1.0, 1e308])),
+                         id="photons_array"),
+            pytest.param(lambda: evolve_passive(SystemParams(1.0, 0.0, 1.0, delta_omega=10.0), thermal_state(0.0), 1e308),
+                         id="passive_detuned"),
+        ],
+    )
+    def test_phase_beyond_double_range_is_typed(self, call):
+        """A phase w t, 2 t or delta_omega t that overflows to inf gives nan
+        on the float path, as numpy's cos and sin do on an array, so the
+        moments' check raises, not math's bare ValueError."""
+        with pytest.raises(InvalidStateError, match="non-finite moments"):
+            call()
 
 
 class TestSteadyState:

@@ -440,13 +440,21 @@ def test_stacked_roots_are_np_roots(polys):
 
 
 def test_unconverged_roots_raise(monkeypatch):
-    """LAPACK gives nan for an eigenvalue that does not converge;
-    _quartic_roots raises AccuracyError rather than let best_homodyne fold
-    that candidate into psi = 0."""
-    nan_eigvals = lambda a, signature: np.full(len(a), complex(math.nan))
+    """LAPACK gives nan for an eigenvalue that does not converge; both root
+    paths, _quartic_roots for one quartic and _roots for a stack, raise
+    AccuracyError rather than let best_homodyne fold that candidate into
+    psi = 0."""
+    nan_eigvals = lambda a, signature: np.full(a.shape[:-1], complex(math.nan))
     monkeypatch.setattr(protocols, "_umath_linalg", SimpleNamespace(eigvals=nan_eigvals))
+    quartic = [0.3, -0.2, 0.5, 0.1, -0.7]
     with pytest.raises(AccuracyError, match="did not converge"):
-        _quartic_roots([0.3, -0.2, 0.5, 0.1, -0.7])
+        _quartic_roots(quartic)
+    with pytest.raises(AccuracyError, match=re.escape("quartic [0.3, -0.2, 0.5, 0.1, -0.7] has roots that did not")):
+        _roots(np.array([quartic, [0.1, 0.2, -0.3, 0.4, 0.5]]))
+    rows = [(1.0, 0.3, 2.0, 0.4, -0.2, 0.7, 0.1, -0.3), (2.0, -1.0, 0.5, 0.1, 0.6, -0.2, 0.3, 0.5)]
+    for pair in (_frame(rows[0]), _frames(rows)):
+        with pytest.raises(AccuracyError, match="did not converge"):
+            best_homodyne(pair)
 
 
 def _frames(rows) -> SimpleNamespace:
