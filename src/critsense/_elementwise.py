@@ -14,6 +14,7 @@ the single-state path keeps its speed and its exact bytes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import fields, is_dataclass, replace
@@ -110,6 +111,16 @@ def reject(bad, error: type, message: str, *values) -> None:
     raise error(message.format(*values))
 
 
+_UNCHANGED = contextlib.nullcontext()
+
+
+def quiet(t):
+    """numpy's error state for an evaluation at t: for an array of t, no
+    warnings, as its non-finite intermediates are caught by the rules; for a
+    float, unchanged."""
+    return np.errstate(all="ignore") if isinstance(t, np.ndarray) else _UNCHANGED
+
+
 def over_t(evaluate, t, *inputs):
     """evaluate(t, *inputs) for a float t. For a 1-D array of t, one array
     evaluation of the same closed forms; its non-finite intermediates are
@@ -120,7 +131,7 @@ def over_t(evaluate, t, *inputs):
     if not isinstance(t, np.ndarray):
         return evaluate(t, *inputs)
     try:
-        with np.errstate(all="ignore"):
+        with quiet(t):
             return evaluate(t, *inputs)
     except CritsenseError:
         if t.ndim == 1:

@@ -324,12 +324,6 @@ def _build_spec(given: dict) -> ProtocolSpec:
     return ProtocolSpec(kind, params, budget, pqs_input)
 
 
-def _report_fields(report: protocols.MetrologyReport) -> dict:
-    """The report's fields by name: dataclasses.asdict's dict, without its
-    deep copy, as every field is a float."""
-    return {f.name: getattr(report, f.name) for f in fields(report)}
-
-
 def run_compute(cfg: dict) -> dict:
     given = _parse_config(cfg)
     mode = given["mode"]
@@ -347,7 +341,7 @@ def run_compute(cfg: dict) -> dict:
     elif mode in ("qfi", "fi"):
         t = float(given["t"])
         report, pair = protocols._report_and_pair(spec, t)
-        payload["report"] = _report_fields(report)
+        payload["report"] = dict(vars(report))
         if mode == "fi" and "protocol.psi" in given:
             psi = float(given["protocol.psi"])
             payload["fi_at_psi"] = fi_homodyne(pair, psi)
@@ -356,7 +350,7 @@ def run_compute(cfg: dict) -> dict:
         bracket = (float(given["grid.t_min"]), float(given["grid.t_max"]))
         t_opt, best_rate = optimize_time(spec.qfi, spec.budget, bracket)
         report = total_qfi(spec, t_opt)
-        payload["report"] = _report_fields(report)
+        payload["report"] = dict(vars(report))
         payload["best_rate"] = best_rate
     elif mode == "bound":
         if spec is None:  # N(t) = n_max runs no protocol, so no strategy's rules apply

@@ -30,8 +30,8 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
-from .errors import DomainError, InvalidStateError, NoSteadyStateError, PreconditionError
-from ._elementwise import lib, matrix, over_t, per_t, reject, select
+from .errors import DomainError, InvalidStateError, NoSteadyStateError
+from ._elementwise import lib, matrix, over_t, per_t, quiet, reject, select
 from .gaussian import IDENTITY, GaussianState, _check_grid, mean_photons, rotation_matrix, thermal_state
 
 # Relative half-width of the eigenvalue-degeneracy window used for regime labels.
@@ -310,28 +310,38 @@ def _noise_integrals(gamma: float, s: float, k: float, t, slopes: bool = False) 
     return (i0, *select(_is_series(gamma, s, t), series, closed, t, i0))
 
 
-def _no_noise(t) -> np.ndarray:
-    return np.zeros(t.shape + (2, 2) if isinstance(t, np.ndarray) else (2, 2))
-
-
-def _noise_matrix(params: SystemParams, t, noise) -> np.ndarray:
-    """Accumulated noise covariance ∫_0^t e^{A tau} D e^{A^T tau} d tau, from
-    noise = _noise_integrals(...) at t (None for gamma = 0: no noise)."""
+def _noise_covariance(params: SystemParams, t, noise) -> tuple:
+    """(G, dG): the accumulated noise covariance G = ∫_0^t e^{A tau} D
+    e^{A^T tau} d tau and its d/d omega, from noise = _noise_integrals(...)
+    at t (None for gamma = 0: no noise, G = dG = 0). dG takes the integrals'
+    s-slopes times -2 omega, plus the explicit omega in (omega -+ eps)^2; it
+    is None when noise comes without its s-slopes."""
     if noise is None:
-        return _no_noise(t)
+        zero = np.zeros(np.shape(t) + (2, 2))
+        return zero, zero
     w, eps = params.omega, params.epsilon
     i0, ic, i_s, iq = noise[:4]
     d = 2.0 * params.gamma * (1.0 + 2.0 * params.n_bath)
     ia = 0.5 * (i0 + ic)
-    g11 = d * (ia + iq * (w - eps) ** 2)
-    g22 = d * (ia + iq * (w + eps) ** 2)
     g12 = -d * eps * i_s
-    return matrix(g11, g12, g12, g22)
+    G = matrix(d * (ia + iq * (w - eps) ** 2), g12, g12, d * (ia + iq * (w + eps) ** 2))
+    if len(noise) == 4:
+        return G, None
+    dic, dis, diq = noise[4:]
+    g11 = d * (2.0 * iq * (w - eps) - w * (dic + 2.0 * diq * (w - eps) ** 2))
+    g22 = d * (2.0 * iq * (w + eps) - w * (dic + 2.0 * diq * (w + eps) ** 2))
+    g12 = 2.0 * d * w * eps * dis
+    return G, matrix(g11, g12, g12, g22)
+
+
+def _check_time_shape(t) -> None:
+    """DomainError for an array of times that is not 1-D."""
+    if isinstance(t, np.ndarray) and t.ndim != 1:
+        raise DomainError(f"an array of times must be 1-D, got shape {t.shape}")
 
 
 def _check_time(t) -> None:
-    if isinstance(t, np.ndarray) and t.ndim != 1:
-        raise DomainError(f"an array of times must be 1-D, got shape {t.shape}")
+    _check_time_shape(t)
     f = lib(t)
     reject(f.not_(f.isfinite(t)) | (t < 0), DomainError, "time must be >= 0, got {!r}", t)
 
@@ -360,7 +370,7 @@ def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool
     The derivative is that of a start that does not depend on the shift: with
     M = c I + sc B, dc/ds = t sc / 2 and d sc/ds = _sinhc_slope, dM = -omega
     t sc I - 2 omega (d sc/ds) B + sc J, and dSigma = dM Sigma0 M^T + M
-    Sigma0 dM^T + dG, where dG (_noise_tangent) takes the integrals' s-slopes.
+    Sigma0 dM^T + dG, with dG from _noise_covariance.
     """
     _check_time(t)
     _check_grid(state0, t)
@@ -368,27 +378,29 @@ def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool
     # Below threshold |exp(A t)| <= 1 + |B| t. At and above it exp(A t) grows
     # without bound, and it or its product with sigma can leave the double
     # range: that raises the typed error GaussianState gives for non-finite
-    # moments. The numpy error state is set only there, as it slows each matmul.
+    # moments. The numpy error state is set only there and for an array of t
+    # (as over_t sets it), as it slows each matmul.
     growing = eps >= params.epsilon_c
-    try:
-        with np.errstate(over="raise", invalid="raise") if growing else contextlib.nullcontext():
-            s, k = _s_and_gap(params)
-            c, sc = _decayed_cosh_sinhc(gamma, s, k, t)
-            noise = _noise_integrals(gamma, s, k, t, slopes=tangent) if gamma > 0 else None
-            M = _exp_drift(params, c, sc)
-            M_T = M.swapaxes(-1, -2)
-            v = np.matvec(M, state0.v)
-            sigma = M @ state0.sigma @ M_T + _noise_matrix(params, t, noise)
-    except (OverflowError, FloatingPointError):
-        raise InvalidStateError("non-finite moments") from None
-    det = _lossless_det(params, state0, t)
-    if not tangent:
-        return GaussianState(v, sigma, *det)
-    q = _sinhc_slope(gamma, s, t, c, sc)
-    dM = matrix(-w * t * sc, sc - 2.0 * w * q * (w - eps), 2.0 * w * q * (w + eps) - sc, -w * t * sc)
-    X = dM @ state0.sigma @ M_T
-    dsigma = X + X.swapaxes(-1, -2) + _noise_tangent(params, t, noise)
-    return GaussianState(v, sigma, *det), np.matvec(dM, state0.v), dsigma
+    with quiet(t):
+        try:
+            with np.errstate(over="raise", invalid="raise") if growing else contextlib.nullcontext():
+                s, k = _s_and_gap(params)
+                c, sc = _decayed_cosh_sinhc(gamma, s, k, t)
+                noise = _noise_integrals(gamma, s, k, t, slopes=tangent) if gamma > 0 else None
+                G, dG = _noise_covariance(params, t, noise)
+                M = _exp_drift(params, c, sc)
+                M_T = M.swapaxes(-1, -2)
+                v = np.matvec(M, state0.v)
+                sigma = M @ state0.sigma @ M_T + G
+        except (OverflowError, FloatingPointError):
+            raise InvalidStateError("non-finite moments") from None
+        state = GaussianState(v, sigma, *_lossless_det(params, state0, t))
+        if not tangent:
+            return state
+        q = _sinhc_slope(gamma, s, t, c, sc)
+        dM = matrix(-w * t * sc, sc - 2.0 * w * q * (w - eps), 2.0 * w * q * (w + eps) - sc, -w * t * sc)
+        X = dM @ state0.sigma @ M_T
+        return state, np.matvec(dM, state0.v), X + X.swapaxes(-1, -2) + dG
 
 
 def evolve_critical(params: SystemParams, state0: GaussianState, t) -> GaussianState:
@@ -408,30 +420,6 @@ def evolve_critical(params: SystemParams, state0: GaussianState, t) -> GaussianS
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _noise_tangent(params: SystemParams, t, noise) -> np.ndarray:
-    """d/d omega of _noise_matrix: the integrals' s-slopes times -2 omega,
-    plus the explicit omega in (omega -+ eps)^2."""
-    if noise is None:
-        return _no_noise(t)
-    w, eps = params.omega, params.epsilon
-    _, ic, i_s, iq, dic, dis, diq = noise
-    d = 2.0 * params.gamma * (1.0 + 2.0 * params.n_bath)
-    g11 = d * (2.0 * iq * (w - eps) - w * (dic + 2.0 * diq * (w - eps) ** 2))
-    g22 = d * (2.0 * iq * (w + eps) - w * (dic + 2.0 * diq * (w + eps) ** 2))
-    g12 = 2.0 * d * w * eps * dis
-    return matrix(g11, g12, g12, g22)
-
-
-def _steady_sigma(params: SystemParams) -> tuple[np.ndarray, float]:
-    """The stationary covariance (1 + 2 n_bath)/K [[eps_c^2 - omega eps,
-    -gamma eps], [-gamma eps, eps_c^2 + omega eps]] and K = eps_c^2 - eps^2."""
-    eps_c, eps, w, gamma = params.epsilon_c, params.epsilon, params.omega, params.gamma
-    k = _s_and_gap(params)[1]
-    pref = (1.0 + 2.0 * params.n_bath) / k
-    sigma = pref * np.array([[eps_c * eps_c - w * eps, -gamma * eps], [-gamma * eps, eps_c * eps_c + w * eps]])
-    return sigma, k
-
-
 def _require_steady_state(params: SystemParams) -> None:
     """NoSteadyStateError unless epsilon is below the critical point by more
     than 1e-12 of epsilon_c: at and above it the moments grow without bound."""
@@ -441,17 +429,21 @@ def _require_steady_state(params: SystemParams) -> None:
 
 
 def _steady_flow(params: SystemParams, tangent: bool = True):
-    """(state, dv, dSigma): steady_state and the shift derivative of its
-    moments, or the state alone without `tangent`. With d(eps_c^2)/d omega =
-    2 omega and dK/d omega = 2 omega, dSigma = (1 + 2 n_bath)/K
+    """(state, dv, dSigma): steady_state, whose covariance is Sigma =
+    (1 + 2 n_bath)/K [[eps_c^2 - omega eps, -gamma eps], [-gamma eps,
+    eps_c^2 + omega eps]] with K = eps_c^2 - eps^2, and the shift derivative
+    of its moments, or the state alone without `tangent`. With d(eps_c^2)/d
+    omega = 2 omega and dK/d omega = 2 omega, dSigma = (1 + 2 n_bath)/K
     diag(2 omega - eps, 2 omega + eps) - (2 omega/K) Sigma."""
     _require_steady_state(params)
-    sigma, k = _steady_sigma(params)
+    eps_c, eps, w, gamma = params.epsilon_c, params.epsilon, params.omega, params.gamma
+    k = _s_and_gap(params)[1]
+    pref = (1.0 + 2.0 * params.n_bath) / k
+    sigma = pref * np.array([[eps_c * eps_c - w * eps, -gamma * eps], [-gamma * eps, eps_c * eps_c + w * eps]])
+    state = GaussianState(np.zeros(2), sigma)
     if not tangent:
-        return GaussianState(np.zeros(2), sigma)
-    w, eps = params.omega, params.epsilon
-    dsigma = (1.0 + 2.0 * params.n_bath) / k * np.diag([2.0 * w - eps, 2.0 * w + eps]) - (2.0 * w / k) * sigma
-    return GaussianState(np.zeros(2), sigma), np.zeros(2), dsigma
+        return state
+    return state, np.zeros(2), pref * np.diag([2.0 * w - eps, 2.0 * w + eps]) - (2.0 * w / k) * sigma
 
 
 def steady_state(params: SystemParams) -> GaussianState:
@@ -489,21 +481,22 @@ def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool 
     instead, this would round to 0 once that input dominates.
     """
     if params.epsilon != 0.0:
-        raise PreconditionError("evolve_passive requires epsilon = 0")
+        raise DomainError("evolve_passive requires epsilon = 0")
     _check_time(t)
     _check_grid(state0, t)
     gamma, n_bath = params.gamma, params.n_bath
-    R = rotation_matrix(-params.delta_omega * t)
-    decay = lib(t).exp(-gamma * t)
-    v = per_t(decay, 1) * np.matvec(R, state0.v)
-    relax = -lib(t).expm1(-2.0 * gamma * t)  # 1 - e^{-2 gamma t}
-    sigma0_r = R @ state0.sigma @ R.swapaxes(-1, -2)
-    sigma = per_t(decay * decay, 2) * sigma0_r + per_t(relax * (1.0 + 2.0 * n_bath), 2) * IDENTITY
-    det = _lossless_det(params, state0, t)
-    if not tangent:
-        return GaussianState(v, sigma, *det)
-    X = per_t(decay * decay * t, 2) * (_J @ sigma0_r)
-    return GaussianState(v, sigma, *det), per_t(t, 1) * (v @ _J.T), X + X.swapaxes(-1, -2)
+    with quiet(t):
+        R = rotation_matrix(-params.delta_omega * t)
+        decay = lib(t).exp(-gamma * t)
+        v = per_t(decay, 1) * np.matvec(R, state0.v)
+        relax = -lib(t).expm1(-2.0 * gamma * t)  # 1 - e^{-2 gamma t}
+        sigma0_r = R @ state0.sigma @ R.swapaxes(-1, -2)
+        sigma = per_t(decay * decay, 2) * sigma0_r + per_t(relax * (1.0 + 2.0 * n_bath), 2) * IDENTITY
+        state = GaussianState(v, sigma, *_lossless_det(params, state0, t))
+        if not tangent:
+            return state
+        X = per_t(decay * decay * t, 2) * (_J @ sigma0_r)
+        return state, per_t(t, 1) * (v @ _J.T), X + X.swapaxes(-1, -2)
 
 
 def evolve_passive(params: SystemParams, state0: GaussianState, t) -> GaussianState:

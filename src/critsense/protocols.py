@@ -33,12 +33,15 @@ from .metrology import DerivativePair, differentiate_at_zero_shift, fi_homodyne,
 
 
 # A drive set to its cap by epsilon_opt rounds epsilon, and the photon count's
-# condition number in epsilon is ~4 n_max, so the budget checks allow 1e-9 plus
+# condition number in epsilon is ~4 n_max, so the budget check allows 1e-9 plus
 # 8 n_max eps (relative): the excess of epsilon_opt(n_max)'s own drive reached
 # 4.06 n_max eps over 4e4 random draws with n_max up to 2e9.
-def _budget_limit(n_max: float) -> float:
-    """The most photons a budget of n_max admits."""
-    return n_max * (1.0 + 1e-9 + 8.0 * n_max * sys.float_info.epsilon)
+def _check_budget(photons, n_max: float, message: str, *where) -> None:
+    """ConstraintError where photons (a float, or an array over t) exceed
+    what a budget of n_max admits. message formats photons as {0}, n_max as
+    {1} and the values of `where` after them, at the first such t."""
+    limit = n_max * (1.0 + 1e-9 + 8.0 * n_max * sys.float_info.epsilon)
+    reject(photons > limit, ConstraintError, message, photons, n_max, *where)
 
 
 def _require_cap_above_bath(n_max: float, n_bath: float) -> None:
@@ -111,7 +114,10 @@ class ProtocolSpec:
     evolution: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kind = ProtocolKind(self.kind)
+        try:
+            kind = ProtocolKind(self.kind)
+        except ValueError:
+            raise DomainError(f"kind must be one of {[k.value for k in ProtocolKind]}, got {self.kind!r}") from None
         object.__setattr__(self, "kind", kind)
         if kind is ProtocolKind.PQS:
             if self.params.epsilon != 0.0:
@@ -122,10 +128,7 @@ class ProtocolSpec:
                 object.__setattr__(self, "pqs_input", pqs_input)
             start = pqs_input_state(pqs_input[0], pqs_input[1], self.params.n_bath)
             photons = mean_photons(start)
-            reject(
-                photons > _budget_limit(self.budget.n_max),
-                ConstraintError, "input state holds {!r} photons, budget allows {!r}", photons, self.budget.n_max,
-            )
+            _check_budget(photons, self.budget.n_max, "input state holds {0!r} photons, budget allows {1!r}")
             evolution = evolve_passive
         else:
             try:
@@ -133,10 +136,7 @@ class ProtocolSpec:
             except NoSteadyStateError:
                 pass
             else:
-                if photons > _budget_limit(self.budget.n_max):
-                    raise ConstraintError(
-                        f"steady state holds {photons!r} photons, budget allows {self.budget.n_max!r}"
-                    )
+                _check_budget(photons, self.budget.n_max, "steady state holds {0!r} photons, budget allows {1!r}")
             start, evolution = thermal_state(self.params.n_bath), evolve_critical
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "evolution", evolution)
@@ -146,10 +146,7 @@ class ProtocolSpec:
         `state` when the caller has evolved it already; ConstraintError at
         the first t where they exceed the budget."""
         photons = mean_photons(self.evolution(self.params, self.start, t) if state is None else state)
-        reject(
-            photons > _budget_limit(self.budget.n_max), ConstraintError,
-            "protocol holds {!r} photons at t = {!r}, budget allows {!r}", photons, t, self.budget.n_max,
-        )
+        _check_budget(photons, self.budget.n_max, "protocol holds {0!r} photons at t = {2!r}, budget allows {1!r}", t)
         return photons
 
     def pair(self, t) -> DerivativePair:
@@ -217,8 +214,6 @@ def pqs_pair(
     """State and shift-derivative of the passive protocol at time t; stacked
     over t for a 1-D array of times, with alpha's magnitude and r floats or
     arrays over those times (one input per t)."""
-    if params.epsilon != 0.0:
-        raise DomainError("the passive protocol requires epsilon = 0")
     start = pqs_input_state(alpha, squeeze, params.n_bath)
     return differentiate_at_zero_shift(evolve_passive, params, start, t)
 
@@ -441,10 +436,11 @@ def optimal_homodyne_input(n_max: float, gamma: float, t) -> tuple[DisplacementA
 
     The optimum of 4 alpha^2 t^2 / (e^{-2r} + e^{2 gamma t} - 1) under
     alpha^2 = n_max - sinh^2 r is e^{2r} = (sqrt(e^{4gt} + 4 n_max (e^{2gt}-1)) - 1)
-    / (e^{2gt} - 1). t is a float, or a 1-D array of times: then the
-    displacement magnitude and r are arrays over t, and the error raised is
-    that of the first failing t.
+    / (e^{2gt} - 1). t is a float, or a 1-D array of times (another array
+    raises DomainError): then the displacement magnitude and r are arrays
+    over t, and the error raised is that of the first failing t.
     """
+    dynamics._check_time_shape(t)
     f = lib(t)
     reject(f.not_((gamma > 0) & (t > 0)), DomainError, "optimal squeezing needs gamma * t > 0")
     if n_max <= 0:

@@ -86,6 +86,12 @@ def battery_params() -> list[SystemParams]:
     return [SystemParams(w, e, g, n_bath=n) for (w, e, g, n) in BATTERY]
 
 
+# The undriven unit system omega0 = gamma = 1 at zero temperature, and the
+# drive whose steady state holds a budget of 100 photons there.
+UNIT = SystemParams(1.0, 0.0, 1.0)
+UNIT_DRIVEN = replace(UNIT, epsilon=protocols.epsilon_opt(100.0, UNIT))
+
+
 def _horizon(params: SystemParams, cap: float = 40.0) -> float:
     """Comparison horizon min(10 / Re(lambda_-), cap / slowest-rate-unit)."""
     lam = spectral_info(params).lambda_minus.real
@@ -234,10 +240,9 @@ def _pair_battery():
     ):
         pairs.append(("cqs", protocols.cqs_pair(params, t)))
         pairs.append(("cqs_steady", protocols.cqs_steady_pair(params)))
-    pqs = SystemParams(1.0, 0.0, 1.0)
     for (a, r, t) in ((2.0, 1.0, 0.5), (0.0, 2.0, 0.8), (1.0, 0.5, 1.5)):
         pairs.append(
-            ("pqs", protocols.pqs_pair(DisplacementAmplitude(a), SqueezeParam(r), pqs, t))
+            ("pqs", protocols.pqs_pair(DisplacementAmplitude(a), SqueezeParam(r), UNIT, t))
         )
     return pairs
 
@@ -300,11 +305,9 @@ def check_bound_gate() -> Outcome:
     """The total QFI, repetitions times QFI, of a CQS and a PQS protocol at
     three times each is within the dissipative precision bound. The ratio
     to the cap is computed here: total_qfi's own gate would raise first."""
-    p0 = SystemParams(1.0, 0.0, 1.0)
     budget = ResourceBudget(n_max=100.0, total_time=10.0, t_pm=0.0)
-    cqs_params = replace(p0, epsilon=protocols.epsilon_opt(100.0, p0))
-    cqs = protocols.ProtocolSpec(protocols.ProtocolKind.CQS, cqs_params, budget)
-    pqs = protocols.ProtocolSpec(protocols.ProtocolKind.PQS, p0, budget)
+    cqs = protocols.ProtocolSpec(protocols.ProtocolKind.CQS, UNIT_DRIVEN, budget)
+    pqs = protocols.ProtocolSpec(protocols.ProtocolKind.PQS, UNIT, budget)
     ratios = [
         budget.total_time / (ts + budget.t_pm) * spec.qfi(ts)
         / protocols.budget_cap(budget, spec.params.gamma, spec.params.n_bath)
@@ -363,9 +366,7 @@ def check_omega0_optimality() -> Outcome:
 @_named("protocols.homodyne_near_optimality")
 def check_homodyne_near_optimality() -> Outcome:
     """Optimized homodyne nearly saturates the steady-state CQS QFI."""
-    p0 = SystemParams(1.0, 0.0, 1.0)
-    eps = protocols.epsilon_opt(100.0, p0)
-    pair = protocols.cqs_steady_pair(SystemParams(1.0, eps, 1.0))
+    pair = protocols.cqs_steady_pair(UNIT_DRIVEN)
     _, best = protocols.best_homodyne(pair)
     ratio = best / qfi(pair)
     return (
@@ -378,10 +379,7 @@ def check_homodyne_near_optimality() -> Outcome:
 @_named("protocols.temperature_invariance")
 def check_temperature_invariance() -> Outcome:
     """Steady-state QFI is temperature-invariant while photons scale by 1+2n_B."""
-    p0 = SystemParams(1.0, 0.0, 1.0)
-    eps = protocols.epsilon_opt(100.0, p0)
-    cold = SystemParams(1.0, eps, 1.0)
-    hot = SystemParams(1.0, eps, 1.0, n_bath=1.0)
+    cold, hot = UNIT_DRIVEN, replace(UNIT_DRIVEN, n_bath=1.0)
     qfi_ratio = protocols.cqs_qfi_steady(hot) / protocols.cqs_qfi_steady(cold)
     n_ratio = dynamics.steady_state_photons(hot) / dynamics.steady_state_photons(cold)
     ok = 0.9 <= qfi_ratio <= 1.1 and abs(n_ratio / 3.0 - 1.0) <= 0.05
@@ -410,10 +408,10 @@ def check_beyond_threshold() -> Outcome:
     above = SystemParams(w0_above, math.hypot(w0_above, u), 0.0)
     ratio = i_below / protocols.cqs_qfi(above, total)
 
-    unit, budget = SystemParams(1.0, 0.0, 1.0), ResourceBudget(100.0, 1.0)
-    steady = protocols.cqs_qfi_steady(replace(unit, epsilon=protocols.epsilon_opt(budget.n_max, unit)))
+    budget = ResourceBudget(100.0, 1.0)
+    steady = protocols.cqs_qfi_steady(UNIT_DRIVEN)
     beyond = [
-        protocols.total_qfi(protocols.ProtocolSpec("CQS", replace(unit, epsilon=x * unit.epsilon_c), budget), t)
+        protocols.total_qfi(protocols.ProtocolSpec("CQS", replace(UNIT, epsilon=x * UNIT.epsilon_c), budget), t)
         for x, t in ((1.05, 14.9), (1.5, 2.8), (3.0, 0.89))
     ]
     lossy_ratio = min(steady / r.qfi_single_shot for r in beyond)

@@ -196,12 +196,23 @@ class TestEvolveCritical:
                          id="photons_array"),
             pytest.param(lambda: evolve_passive(SystemParams(1.0, 0.0, 1.0, delta_omega=10.0), thermal_state(0.0), 1e308),
                          id="passive_detuned"),
+            pytest.param(
+                lambda: evolve_critical(SystemParams(10.0, 0.5, 1.0), thermal_state(0.0), np.array([1.0, 1e308])),
+                id="critical_array",
+            ),
+            pytest.param(
+                lambda: evolve_passive(SystemParams(1.0, 0.0, 1.0, delta_omega=10.0), thermal_state(0.0),
+                                       np.array([1.0, 1e308])),
+                id="passive_detuned_array",
+            ),
         ],
     )
     def test_phase_beyond_double_range_is_typed(self, call):
         """A phase w t, 2 t or delta_omega t that overflows to inf gives nan
         on the float path, as numpy's cos and sin do on an array, so the
-        moments' check raises, not math's bare ValueError."""
+        moments' check raises, not math's bare ValueError. An array of t given
+        to an evolution directly, outside over_t, raises the same typed error,
+        with no numpy warning (which Tier-1's filter would raise instead)."""
         with pytest.raises(InvalidStateError, match="non-finite moments"):
             call()
 
@@ -278,7 +289,7 @@ class TestMeanPhotonsVsTime:
 
 class TestEvolvePassive:
     def test_requires_zero_drive(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError, match="evolve_passive requires epsilon = 0"):
             evolve_passive(SystemParams(1.0, 0.5, 1.0), vacuum_state(), 1.0)
 
     def test_lossless_pure_rotation(self):

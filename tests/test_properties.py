@@ -287,12 +287,14 @@ def _grid(params: SystemParams, draw_fraction: float) -> np.ndarray:
     return np.array(sorted(points))
 
 
-def _assert_array_call_matches(array_call, float_pair, ts: np.ndarray, read=qfi, scale=None) -> None:
+def _assert_array_call_matches(array_call, float_pair, ts: np.ndarray, read=qfi, scale=None, floor=None) -> None:
     """array_call(ts) equals read(float_pair(t)) at each t within 1e-10 of
     scale(pair) (default: of that value itself), or within the relative
     rounding that det(sigma) carries (DET_ROUNDING of (s11 s22 + s12^2) /
-    det) where that is larger. Where a float call raises, the array call
-    raises the same error: that of the first failing t."""
+    det) where that is larger. A value at or below floor(t, pair), where
+    given, is rounding alone, and is held to 8 floor(t, pair). Where a float
+    call raises, the array call raises the same error: that of the first
+    failing t."""
     expected, tolerance = [], []
     for t in ts.tolist():
         try:
@@ -307,6 +309,8 @@ def _assert_array_call_matches(array_call, float_pair, ts: np.ndarray, read=qfi,
         (s11, s12), (_, s22) = pair.state.sigma.tolist()
         rounding = max(1e-10, DET_ROUNDING * (s11 * s22 + s12 * s12) / pair.state.det_sigma)
         tolerance.append(rounding * abs(value if scale is None else scale(pair)))
+        if floor is not None and abs(value) <= (limit := floor(t, pair)):
+            tolerance[-1] = 8.0 * limit
     got = array_call(ts)
     assert got.shape == ts.shape
     assert np.all(np.abs(got - expected) <= np.array(tolerance))
@@ -319,11 +323,42 @@ def _assert_array_call_matches(array_call, float_pair, ts: np.ndarray, read=qfi,
 def test_cqs_qfi_array_matches_float_calls(params, fraction):
     """Grids straddle every t-branch switch and include t = 0; gamma = 0
     with n_bath = 0 keeps the state pure. With no drive the thermal start
-    does not depend on the shift: its QFI is 0, and both calls give rounding."""
+    does not depend on the shift: its QFI is 0, and both calls give rounding.
+    So does a drive too weak for its QFI to be a double, such as epsilon =
+    3.3e-306 (2.8e-37 against 7.9e-38 at t = 0.55): a value at or below
+    _qfi_rounding_floor is held to that floor, one above it to 1e-10."""
     assume(params.epsilon > 0.0)
     _assert_array_call_matches(
-        lambda ts: cqs_qfi(params, ts), lambda t: cqs_pair(params, t), _grid(params, fraction)
+        lambda ts: cqs_qfi(params, ts), lambda t: cqs_pair(params, t), _grid(params, fraction),
+        floor=lambda t, pair: _qfi_rounding_floor(params, t, pair),
     )
+
+
+def _qfi_rounding_floor(params: SystemParams, t: float, pair: DerivativePair) -> float:
+    """The QFI of pair = cqs_pair(params, t) that the rounding of its dSigma
+    alone can give. From the thermal start Sigma0 = (1 + 2 n_bath) I, dv = 0
+    and dSigma = X + X^T + dG, X = dM Sigma0 M^T; a rotation-invariant start
+    cancels X + X^T, and no drive cancels dG, to rounding. That rounding is
+    taken as 8 eps times the magnitudes of the terms each entry sums: |dM|
+    Sigma0 |M|^T and its transpose, and dG's terms. The QFI of an error E in
+    dSigma is at most |Sigma^-1|^2 |E|_F^2 (1/2 + mu^2 / (1 - mu^4)), the
+    purity term dropped for a pure state (qfi_terms)."""
+    # M and dM column by column, from unit first moments at a float t.
+    units = dynamics._critical_flow(params, GaussianState(np.eye(2), np.stack([np.eye(2)] * 2)), t)
+    M, dM = units[0].v.T, units[1].T
+    terms = (1.0 + 2.0 * params.n_bath) * np.abs(dM) @ np.abs(M).T
+    terms = terms + terms.T
+    if params.gamma > 0:
+        w, eps = params.omega, params.epsilon
+        _, _, _, iq, dic, dis, diq = _noise_integrals(params.gamma, *dynamics._s_and_gap(params), t, slopes=True)
+        d = 2.0 * params.gamma * (1.0 + 2.0 * params.n_bath)
+        g11, g22 = (d * (2.0 * abs(iq * x) + abs(w) * (abs(dic) + 2.0 * abs(diq) * x * x)) for x in (w - eps, w + eps))
+        g12 = 2.0 * d * abs(w) * eps * abs(dis)
+        terms = terms + np.array([[g11, g12], [g12, g22]])
+    error = 8.0 * np.finfo(float).eps * np.linalg.norm(terms)
+    det = pair.state.det_sigma
+    purity_term = 0.0 if is_pure(pair.state) else 1.0 / (det * (1.0 - 1.0 / (det * det)))
+    return (np.linalg.norm(pair.state.sigma, 2) / det * error) ** 2 * (0.5 + purity_term)
 
 
 @st.composite

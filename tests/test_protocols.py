@@ -212,6 +212,11 @@ class TestOptimalHomodyneInput:
             assert math.sinh(squeeze.r) ** 2 <= 250.0
             assert alpha.magnitude**2 + math.sinh(squeeze.r) ** 2 == pytest.approx(250.0, rel=1e-12)
 
+    @pytest.mark.parametrize("t", [np.ones((2, 2)), np.array(1.0)], ids=["2-D", "0-D"])
+    def test_array_of_times_must_be_one_dimensional(self, t):
+        with pytest.raises(DomainError, match="an array of times must be 1-D"):
+            optimal_homodyne_input(10.0, 1.0, t)
+
     @pytest.mark.parametrize("n_max", [1.0, 100.0, 1e4])
     @pytest.mark.parametrize("gt", [1e-15, 1e-12, 1e-9])
     def test_small_gamma_t_matches_high_precision(self, n_max, gt):
@@ -404,6 +409,40 @@ class TestProtocolSpec:
         spec = ProtocolSpec(ProtocolKind.PQS, UNIT, ResourceBudget(n_max=100.0, total_time=1.0), FAILING_TS_INPUT)
         with pytest.raises(DomainError, match=re.escape("time must be >= 0, got -1.0")):
             spec.qfi(FAILING_TS)
+
+    @pytest.mark.parametrize("kind", ["XYZ", None, "cqs"])
+    def test_unknown_kind_is_domain_error(self, kind):
+        with pytest.raises(DomainError, match=re.escape(f"kind must be one of ['CQS', 'PQS'], got {kind!r}")):
+            ProtocolSpec(kind, UNIT, ResourceBudget(n_max=10.0, total_time=1.0))
+
+    def test_budget_messages(self):
+        """Each of the three budget checks names the photons, the budget and,
+        for photons(t), the t, in full: for a float and, at the first t over
+        the budget, for an array of t (or a stacked input)."""
+
+        def message(call) -> str:
+            with pytest.raises(ConstraintError) as raised:
+                call()
+            return str(raised.value)
+
+        budget = ResourceBudget(n_max=5.0, total_time=1.0)
+        for magnitude, k in ((3.0, 0), (np.array([1.0, 3.0, 4.0]), 1)):
+            start = (DisplacementAmplitude(magnitude), SqueezeParam(0.0))
+            photons = np.ravel(mean_photons(pqs_input_state(*start)))[k].item()
+            assert photons == pytest.approx(9.0, rel=1e-12)
+            assert message(lambda: ProtocolSpec(ProtocolKind.PQS, UNIT, budget, start)) == (
+                f"input state holds {photons!r} photons, budget allows 5.0"
+            )
+        driven = SystemParams(1.0, 1.4, 1.0)
+        assert message(lambda: ProtocolSpec(ProtocolKind.CQS, driven, budget)) == (
+            f"steady state holds {steady_state_photons(driven)!r} photons, budget allows 5.0"
+        )
+        beyond = ProtocolSpec(ProtocolKind.CQS, SystemParams(1.0, 2.0, 1.0), ResourceBudget(100.0, 1.0))
+        for t, k in ((4.0, 0), (np.array([1.0, 4.0, 5.0]), 1)):
+            photons = np.ravel(mean_photons(evolve_critical(beyond.params, beyond.start, t)))[k].item()
+            assert message(lambda: beyond.photons(t)) == (
+                f"protocol holds {photons!r} photons at t = {np.ravel(t)[k].item()!r}, budget allows 100.0"
+            )
 
 
 class TestTotalQfi:
