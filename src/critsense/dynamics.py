@@ -379,8 +379,10 @@ def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool
     # without bound, and it or its product with sigma can leave the double
     # range: that raises the typed error GaussianState gives for non-finite
     # moments. The numpy error state is set only there and for an array of t
-    # (as over_t sets it), as it slows each matmul.
-    growing = eps >= params.epsilon_c
+    # (as over_t sets it), as it slows each matmul. Without loss |exp(A t)|
+    # grows as t, and the tangent as t^3: at t near the double range they
+    # overflow too, and are guarded alike.
+    growing = eps >= params.epsilon_c or gamma == 0
     with quiet(t):
         try:
             with np.errstate(over="raise", invalid="raise") if growing else contextlib.nullcontext():
@@ -392,15 +394,15 @@ def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool
                 M_T = M.swapaxes(-1, -2)
                 v = np.matvec(M, state0.v)
                 sigma = M @ state0.sigma @ M_T + G
+                if tangent:
+                    q = _sinhc_slope(gamma, s, t, c, sc)
+                    dM = matrix(-w * t * sc, sc - 2.0 * w * q * (w - eps), 2.0 * w * q * (w + eps) - sc, -w * t * sc)
+                    X = dM @ state0.sigma @ M_T
+                    dv, dsigma = np.matvec(dM, state0.v), X + X.swapaxes(-1, -2) + dG
         except (OverflowError, FloatingPointError):
             raise InvalidStateError("non-finite moments") from None
         state = GaussianState(v, sigma, *_lossless_det(params, state0, t))
-        if not tangent:
-            return state
-        q = _sinhc_slope(gamma, s, t, c, sc)
-        dM = matrix(-w * t * sc, sc - 2.0 * w * q * (w - eps), 2.0 * w * q * (w + eps) - sc, -w * t * sc)
-        X = dM @ state0.sigma @ M_T
-        return state, np.matvec(dM, state0.v), X + X.swapaxes(-1, -2) + dG
+    return (state, dv, dsigma) if tangent else state
 
 
 def evolve_critical(params: SystemParams, state0: GaussianState, t) -> GaussianState:
@@ -495,8 +497,12 @@ def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool 
         state = GaussianState(v, sigma, *_lossless_det(params, state0, t))
         if not tangent:
             return state
-        X = per_t(decay * decay * t, 2) * (_J @ sigma0_r)
-        return state, per_t(t, 1) * (v @ _J.T), X + X.swapaxes(-1, -2)
+        try:  # without loss the tangent grows as t, and can leave the double range
+            with np.errstate(over="raise", invalid="raise"):
+                X = per_t(decay * decay * t, 2) * (_J @ sigma0_r)
+                return state, per_t(t, 1) * (v @ _J.T), X + X.swapaxes(-1, -2)
+        except FloatingPointError:
+            raise InvalidStateError("non-finite moments") from None
 
 
 def evolve_passive(params: SystemParams, state0: GaussianState, t) -> GaussianState:

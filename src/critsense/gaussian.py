@@ -36,11 +36,12 @@ def _physical_moments(v1, v2, s11, s12, s21, s22):
     det(sigma) >= 1. Returns the symmetrised s12 and det(sigma); raises
     InvalidStateError at the first moment that breaks a rule."""
     f = lib(s11)
-    nonfinite = f.not_(f.all_finite(v1, v2, s11, s12, s21, s22))
     asymmetry = s12 - s21
     asymmetric = abs(asymmetry) > HARD_TOL * f.max(1.0, abs(s11), abs(s12), abs(s21), abs(s22))
     negative = (s11 < 0) | (s22 < 0)
     s12 = 0.5 * (s12 + s21)
+    # The symmetrised s12 is checked too: s12 + s21 can overflow.
+    nonfinite = f.not_(f.all_finite(v1, v2, s11, s12, s21, s22))
     det = s11 * s22 - s12 * s12
     # det(sigma) = s11 s22 - s12^2 rounds by a few ulps of the larger of
     # its two products, so a pure state with s11 s22 ~ 1e18 can round to
@@ -261,8 +262,10 @@ def mean_photons(state: GaussianState):
     # vecdot rounds as v @ v does for one state.
     v_sq = float(v @ v) if v.ndim == 1 else np.vecdot(v, v)
     n = 0.25 * (s11 + s22) - 0.5 + 0.5 * v_sq
+    f = lib(n)
+    reject(f.not_(f.isfinite(n)), InvalidStateError, "non-finite photon number {!r}", n)  # a finite state's can overflow
     reject(n < -TOL, InvalidStateError, "negative photon number {!r}", n)
-    return lib(n).max(n, 0.0)
+    return f.max(n, 0.0)
 
 
 def photon_variance(state: GaussianState) -> float:

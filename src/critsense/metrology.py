@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import dynamics
-from ._elementwise import entries, fields_equal, lib, matrix, reject
+from ._elementwise import entries, fields_equal, lib, matrix, quiet, reject
 from .dynamics import SystemParams
 from .errors import AccuracyError, DomainError, InvalidStateError, PreconditionError, PureStateError
 from .gaussian import DET_ROUNDING, GaussianState, cholesky_factor, photon_variance, require_one_state
@@ -54,8 +54,9 @@ def _whiten(l11, l21, l22, det, v1, v2, d11, d12, d22) -> Whitened:
     or arrays over t."""
     f = lib(det)
     mu = 1.0 / f.sqrt(det)
-    # L^-1 = [[m11, 0], [m21, m22]]. Python floats: an overflowing
-    # derivative gives inf or nan, which the estimators reject.
+    # L^-1 = [[m11, 0], [m21, m22]]. An overflowing derivative gives inf or
+    # nan, which the estimators reject: silently as Python floats, and as
+    # arrays under DerivativePair.whitened's quiet.
     m11, m21, m22 = 1.0 / l11, -l21 / (l11 * l22), 1.0 / l22
     row2 = (m21 * d11 + m22 * d12, m21 * d12 + m22 * d22)  # second row of L^-1 dsigma
     b11, b12 = m11 * m11 * d11, m11 * row2[0]
@@ -73,10 +74,13 @@ def _whiten(l11, l21, l22, det, v1, v2, d11, d12, d22) -> Whitened:
 
 def _finite_derivatives(v1, v2, d11, d12, d21, d22):
     """DerivativePair's rule, for floats or arrays over t: finite
-    derivatives. Returns the symmetrised d12."""
+    derivatives, the symmetrised d12 among them (d12 + d21 can overflow).
+    Returns that d12."""
     f = lib(d11)
+    with quiet(d11):
+        d12 = 0.5 * (d12 + d21)
     reject(f.not_(f.all_finite(v1, v2, d11, d12, d21, d22)), DomainError, "non-finite derivatives")
-    return 0.5 * (d12 + d21)
+    return d12
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,8 @@ class DerivativePair:
         rounding and is removed; the QFI rejects a larger one.
         """
         (v1, v2), ((d11, d12), (_, d22)) = entries(self.dv, 1), entries(self.dsigma, 2)
-        return _whiten(*cholesky_factor(self.state), v1, v2, d11, d12, d22)
+        with quiet(d11):
+            return _whiten(*cholesky_factor(self.state), v1, v2, d11, d12, d22)
 
 
 # The moments of each evolution with their exact shift derivative, from one
@@ -173,24 +178,26 @@ def qfi_terms(pair: DerivativePair) -> tuple:
     w = pair.whitened
     b11, b12, b22, mu = w.b11, w.b12, w.b22, w.mu
     f = lib(mu)
-    # Python floats: an overflow gives inf, which _finite rejects, not a warning.
-    tr_sq = b11 * b11 + 2.0 * b12 * b12 + b22 * b22
-    dmu = -0.5 * mu * (b11 + b22)  # Jacobi identity for d(det)
-    term1 = 0.5 * tr_sq / (1.0 + mu * mu)
-    gap = 1.0 - mu ** 4
-    pure = mu == 1.0
-    if pure is not False:  # a mixed float state takes this one test
-        # For symplectic (unitary) families tr(B) vanishes identically, and
-        # `whitened` has removed its rounding residue: at a pure state the
-        # purity must be constant, and its term is 0.
-        reject(
-            pure & f.not_(abs(dmu) < _PURE_DMU * f.max(1.0, f.sqrt(tr_sq))),
-            PureStateError, "pure state with non-constant purity (d mu = {!r}); QFI term singular", dmu,
-        )
-    # The pure entries' gap of 0 is replaced before the division: no 0/0.
-    term2 = f.where(pure, 0.0, 2.0 * dmu * dmu / f.where(pure, 1.0, gap))
-    term3 = 2.0 * (w.a1 * w.a1 + w.a2 * w.a2)
-    return _finite(term1, "QFI term"), _finite(term2, "QFI term"), _finite(term3, "QFI term")
+    # An overflow gives inf, which _finite rejects, not a warning: as Python
+    # floats, and as arrays under quiet.
+    with quiet(mu):
+        tr_sq = b11 * b11 + 2.0 * b12 * b12 + b22 * b22
+        dmu = -0.5 * mu * (b11 + b22)  # Jacobi identity for d(det)
+        term1 = 0.5 * tr_sq / (1.0 + mu * mu)
+        gap = 1.0 - mu ** 4
+        pure = mu == 1.0
+        if pure is not False:  # a mixed float state takes this one test
+            # For symplectic (unitary) families tr(B) vanishes identically, and
+            # `whitened` has removed its rounding residue: at a pure state the
+            # purity must be constant, and its term is 0.
+            reject(
+                pure & f.not_(abs(dmu) < _PURE_DMU * f.max(1.0, f.sqrt(tr_sq))),
+                PureStateError, "pure state with non-constant purity (d mu = {!r}); QFI term singular", dmu,
+            )
+        # The pure entries' gap of 0 is replaced before the division: no 0/0.
+        term2 = f.where(pure, 0.0, 2.0 * dmu * dmu / f.where(pure, 1.0, gap))
+        term3 = 2.0 * (w.a1 * w.a1 + w.a2 * w.a2)
+        return _finite(term1, "QFI term"), _finite(term2, "QFI term"), _finite(term3, "QFI term")
 
 
 def qfi(pair: DerivativePair):
@@ -220,10 +227,12 @@ def fi_homodyne(pair: DerivativePair, psi):
         reject(degenerate, InvalidStateError, "degenerate quadrature variance {!r}", var)
     root = lib(var).sqrt(var)
     e1, e2 = y1 / root, y2 / root
-    # Python floats: an overflow gives inf, which _finite rejects, not a warning.
-    mean = e1 * w.a1 + e2 * w.a2
-    spread = e1 * e1 * w.b11 + 2.0 * e1 * e2 * w.b12 + e2 * e2 * w.b22
-    return _finite(2.0 * mean * mean + 0.5 * spread * spread, "homodyne FI")
+    # An overflow gives inf, which _finite rejects, not a warning: as Python
+    # floats, and as arrays under quiet.
+    with quiet(var):
+        mean = e1 * w.a1 + e2 * w.a2
+        spread = e1 * e1 * w.b11 + 2.0 * e1 * e2 * w.b12 + e2 * e2 * w.b22
+        return _finite(2.0 * mean * mean + 0.5 * spread * spread, "homodyne FI")
 
 
 def snr_photon_counting(pair: DerivativePair) -> float:

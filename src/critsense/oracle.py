@@ -31,6 +31,8 @@ from .gaussian import GaussianState, is_pure, require_one_state
 from .metrology import DerivativePair
 
 LEAK_BUDGET = 1e-8
+# dA/d omega, and the symplectic form W of gaussian_qfi: the oracles share no code with dynamics._J.
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def default_step(params: SystemParams) -> float:
@@ -90,11 +92,10 @@ def lyapunov_rk4(
     A, D = drift_and_diffusion(params)
     # z = (v, vec Sigma, dv, vec dSigma, 1) obeys z' = G z; vec is row-major,
     # where S -> a S + S a^T is kron(a, I) + kron(I, a), written out.
-    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
     G = np.zeros((13, 13))
-    for (row, col), a in (((0, 0), A), ((6, 6), A), ((6, 0), J)):
+    for (row, col), a in (((0, 0), A), ((6, 6), A), ((6, 0), _J)):
         G[row:row + 2, col:col + 2] = a
-    for (row, col), a in (((2, 2), A), ((8, 8), A), ((8, 2), J)):
+    for (row, col), a in (((2, 2), A), ((8, 8), A), ((8, 2), _J)):
         (p, q), (r, s) = a.tolist()
         G[row:row + 4, col:col + 4] = [[2.0 * p, q, q, 0.0], [r, p + s, 0.0, q], [r, 0.0, s + p, q], [0.0, r, r, 2.0 * s]]
     G[2:6, 12] = D.ravel()
@@ -145,11 +146,10 @@ def gaussian_qfi(pair: DerivativePair) -> float:
     sigma = state.sigma
     if is_pure(state):
         raise PureStateError(f"pure state (det sigma = {state.det_sigma!r}): the general formula is singular")
-    w = np.array([[0.0, 1.0], [-1.0, 0.0]])
     dsigma = pair.dsigma.ravel()
     try:
         with np.errstate(all="ignore"):
-            info = 0.5 * dsigma @ np.linalg.solve(np.kron(sigma, sigma) - np.kron(w, w), dsigma)
+            info = 0.5 * dsigma @ np.linalg.solve(np.kron(sigma, sigma) - np.kron(_J, _J), dsigma)
             info += 2.0 * pair.dv @ np.linalg.solve(sigma, pair.dv)
     except np.linalg.LinAlgError:
         raise AccuracyError("general-formula QFI: the matrix is singular to working precision") from None

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +21,17 @@ from critsense.protocols import pqs_input_state
 settings.register_profile("critsense", derandomize=True, deadline=None, database=None)
 settings.load_profile("critsense")
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "critsense-hypothesis")
+
+# Hypothesis adds the numeric literals of every local non-test module in
+# sys.modules to its draws. Every source file of the tree is registered here,
+# before the first draw and without being executed (Hypothesis reads only
+# __file__), so the pool, and with it each property's examples, is the same
+# whichever tests run.
+ROOT = Path(__file__).resolve().parent.parent
+for folder in ("src/critsense", "tools", "perfbench"):
+    for path in sorted((ROOT / folder).rglob("*.py")):
+        name = ".".join(("_local_pool", *path.relative_to(ROOT).with_suffix("").parts))
+        sys.modules[name] = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path))
 
 
 def cqs_state_family(params: SystemParams, t: float):

@@ -122,10 +122,6 @@ class TestEvolveCritical:
         assert np.allclose(st.sigma, st0.sigma)
         assert np.allclose(st.v, st0.v)
 
-    def test_negative_time_rejected(self):
-        with pytest.raises(DomainError):
-            evolve_critical(SystemParams(1.0, 1.2, 1.0), vacuum_state(), -0.1)
-
     @pytest.mark.parametrize("eps,t", [(1.2, 0.8), (1.2, 2.5), (2.0, 1.0)])
     def test_lossless_covariance_closed_form(self, eps, t):
         """Free squeezing dynamics matches the lossless covariance closed form."""
@@ -153,43 +149,11 @@ class TestEvolveCritical:
         ss = steady_state(params)
         assert np.allclose(st.sigma, ss.sigma, rtol=1e-6)
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_stacked_start_is_its_rows(self, n):
-        """A stack of n displaced squeezed starts, at a float t and at an
-        array of n times: each row of the state and of its shift derivative
-        is its own start's, evolved alone."""
-        params = SystemParams(1.0, 0.9, 1.0, n_bath=0.5)
-        starts = apply_displace(
-            apply_squeeze(thermal_state(0.5), SqueezeParam(np.linspace(0.1, 0.9, n), 0.3)),
-            DisplacementAmplitude(np.linspace(1.2, 0.2, n), 0.7),
-        )
-        for t in (1.0, np.linspace(0.2, 3.5, n)):
-            stack = differentiate_at_zero_shift(evolve_critical, params, starts, t)
-            assert stack.state == evolve_critical(params, starts, t)
-            for k in range(n):
-                start = GaussianState(starts.v[k], starts.sigma[k])
-                row = differentiate_at_zero_shift(evolve_critical, params, start, t if np.ndim(t) == 0 else t[k].item())
-                for got, want in ((stack.state.v, row.state.v), (stack.state.sigma, row.state.sigma),
-                                  (stack.dv, row.dv), (stack.dsigma, row.dsigma)):
-                    assert np.allclose(got[k], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-
-    def test_stacked_start_needs_as_many_times(self):
-        starts = apply_squeeze(vacuum_state(), SqueezeParam(np.array([0.1, 0.5])))
-        with pytest.raises(PreconditionError, match="input per t of 3 times on a stack of 2 states"):
-            evolve_critical(SystemParams(1.0, 0.9, 1.0), starts, np.array([0.5, 1.0, 2.0]))
-
-    @pytest.mark.parametrize("t", [400.0, 500.0])
-    def test_overflow_is_typed_and_silent(self, t):
-        """Far above threshold the moments leave the double range: at t = 400
-        in M sigma M^T, at t = 500 already in the exponential of exp(A t)."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InvalidStateError, match="non-finite moments"):
-                evolve_critical(SystemParams(1.0, 2.0, 0.0), vacuum_state(), t)
-
     @pytest.mark.parametrize(
         "call",
         [
+            pytest.param(lambda: evolve_critical(SystemParams(1.0, 2.0, 0.0), vacuum_state(), 400.0), id="moments"),
+            pytest.param(lambda: evolve_critical(SystemParams(1.0, 2.0, 0.0), vacuum_state(), 500.0), id="exponential"),
             pytest.param(lambda: cqs_qfi(SystemParams(10.0, 0.5, 1.0), 1e308), id="cqs_qfi"),
             pytest.param(lambda: mean_photons_vs_time(SystemParams(1.0, 0.5, 1.0), 1e308), id="photons"),
             pytest.param(lambda: mean_photons_vs_time(SystemParams(1.0, 0.5, 1.0), np.array([1.0, 1e308])),
@@ -207,14 +171,18 @@ class TestEvolveCritical:
             ),
         ],
     )
-    def test_phase_beyond_double_range_is_typed(self, call):
-        """A phase w t, 2 t or delta_omega t that overflows to inf gives nan
-        on the float path, as numpy's cos and sin do on an array, so the
-        moments' check raises, not math's bare ValueError. An array of t given
-        to an evolution directly, outside over_t, raises the same typed error,
-        with no numpy warning (which Tier-1's filter would raise instead)."""
-        with pytest.raises(InvalidStateError, match="non-finite moments"):
-            call()
+    def test_beyond_double_range_is_typed_and_silent(self, call):
+        """Far above threshold the moments leave the double range: at t = 400
+        in M sigma M^T, at t = 500 already in the exponential of exp(A t). A
+        phase w t, 2 t or delta_omega t that overflows to inf gives nan on the
+        float path, as numpy's cos and sin do on an array, so the moments'
+        check raises, not math's bare ValueError. An array of t given to an
+        evolution directly, outside over_t, raises the same typed error. No
+        warning is given."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="non-finite moments"):
+                call()
 
 
 class TestSteadyState:
@@ -324,30 +292,38 @@ class TestEvolvePassive:
         )
         assert a2 == pytest.approx(expected, rel=1e-10)
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_stacked_start_is_its_rows(self, n):
-        """As for evolve_critical: a stack of n displaced squeezed starts, at
-        a float t and at an array of n times, gives per row the state and
-        shift derivative of its own start, evolved alone."""
-        params = SystemParams(1.0, 0.0, 1.0, n_bath=0.5)
-        starts = apply_displace(
-            apply_squeeze(thermal_state(0.5), SqueezeParam(np.linspace(0.1, 0.9, n), 0.3)),
-            DisplacementAmplitude(np.linspace(1.2, 0.2, n), 0.7),
-        )
-        for t in (1.0, np.linspace(0.2, 3.5, n)):
-            stack = differentiate_at_zero_shift(evolve_passive, params, starts, t)
-            assert stack.state == evolve_passive(params, starts, t)
-            for k in range(n):
-                start = GaussianState(starts.v[k], starts.sigma[k])
-                row = differentiate_at_zero_shift(evolve_passive, params, start, t if np.ndim(t) == 0 else t[k].item())
-                for got, want in ((stack.state.v, row.state.v), (stack.state.sigma, row.state.sigma),
-                                  (stack.dv, row.dv), (stack.dsigma, row.dsigma)):
-                    assert np.allclose(got[k], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
-    def test_stacked_start_needs_as_many_times(self):
-        starts = apply_squeeze(vacuum_state(), SqueezeParam(np.array([0.1, 0.5])))
-        with pytest.raises(PreconditionError, match="input per t of 3 times on a stack of 2 states"):
-            evolve_passive(SystemParams(1.0, 0.0, 1.0), starts, np.array([0.5, 1.0, 2.0]))
+# The evolutions with the drive each takes, one for each protocol.
+EVOLUTIONS = [pytest.param(evolve_critical, SystemParams(1.0, 0.9, 1.0, n_bath=0.5), id="critical"),
+              pytest.param(evolve_passive, SystemParams(1.0, 0.0, 1.0, n_bath=0.5), id="passive")]
+
+
+@pytest.mark.parametrize("evolve, params", EVOLUTIONS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_start_is_its_rows(evolve, params, n):
+    """A stack of n displaced squeezed starts, at a float t and at an array
+    of n times: each row of the state and of its shift derivative is its own
+    start's, evolved alone."""
+    starts = apply_displace(
+        apply_squeeze(thermal_state(0.5), SqueezeParam(np.linspace(0.1, 0.9, n), 0.3)),
+        DisplacementAmplitude(np.linspace(1.2, 0.2, n), 0.7),
+    )
+    for t in (1.0, np.linspace(0.2, 3.5, n)):
+        stack = differentiate_at_zero_shift(evolve, params, starts, t)
+        assert stack.state == evolve(params, starts, t)
+        for k in range(n):
+            start = GaussianState(starts.v[k], starts.sigma[k])
+            row = differentiate_at_zero_shift(evolve, params, start, t if np.ndim(t) == 0 else t[k].item())
+            for got, want in ((stack.state.v, row.state.v), (stack.state.sigma, row.state.sigma),
+                              (stack.dv, row.dv), (stack.dsigma, row.dsigma)):
+                assert np.allclose(got[k], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("evolve, params", EVOLUTIONS)
+def test_stacked_start_needs_as_many_times(evolve, params):
+    starts = apply_squeeze(vacuum_state(), SqueezeParam(np.array([0.1, 0.5])))
+    with pytest.raises(PreconditionError, match="input per t of 3 times on a stack of 2 states"):
+        evolve(params, starts, np.array([0.5, 1.0, 2.0]))
 
 
 def purity_vs_time(params, t):

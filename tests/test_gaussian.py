@@ -264,24 +264,21 @@ class TestObservables:
     def test_thermal_purity(self):
         assert purity(thermal_state(1.0)) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
-    def test_unphysical_state_rejected(self):
-        with pytest.raises(InvalidStateError):
-            GaussianState(np.zeros(2), np.diag([0.5, 0.5]))
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(InvalidStateError, match="negative variance"):
-            GaussianState(np.zeros(2), np.diag([4e4, -1e-5]))
-
-    def test_non_positive_determinant_rejected(self):
+    @pytest.mark.parametrize("sigma, message", [
+        (np.diag([0.5, 0.5]), "uncertainty relation"),
+        (np.diag([4e4, -1e-5]), "negative variance"),
         # Positive variances, det = 0.4 - 0.49 < 0.
-        with pytest.raises(InvalidStateError, match="uncertainty relation"):
-            GaussianState(np.zeros(2), np.array([[4e4, 0.7], [0.7, 1e-5]]))
-
-    def test_determinant_below_one_rejected(self):
+        (np.array([[4e4, 0.7], [0.7, 1e-5]]), "uncertainty relation"),
         # det = 0.4 sits within 1e-9 of max|sigma_ij|^2 = 1.6e9, but s11 s22 = 0.4
         # rounds by ulps of 0.4, not of 1.6e9.
-        with pytest.raises(InvalidStateError, match="uncertainty relation"):
-            GaussianState(np.zeros(2), np.diag([4e4, 1e-5]))
+        (np.diag([4e4, 1e-5]), "uncertainty relation"),
+        (np.array([[2.0, 0.5], [-0.5, 2.0]]), "covariance asymmetry"),
+        # Finite entries whose symmetrised s12 overflows.
+        (np.array([[1e308, 1e308], [1e308, 1e308]]), "non-finite moments"),
+    ], ids=["unphysical", "negative_variance", "non_positive_det", "det_below_one", "asymmetric", "s12_overflows"])
+    def test_unphysical_state_rejected(self, sigma, message):
+        with pytest.raises(InvalidStateError, match=message):
+            GaussianState(np.zeros(2), sigma)
 
     def test_rounded_pure_state_kept(self):
         # evolve_critical(SystemParams(1, 2, 0), vacuum, 6): a pure state whose
@@ -298,10 +295,6 @@ class TestObservables:
         assert purity(st) == 1.0
         stack = GaussianState(np.zeros((3, 2)), np.stack([sigma, above, np.diag([3.0, 3.0])]))
         assert purity(stack).tolist() == [1.0, 1.0, 1.0 / 3.0]
-
-    def test_asymmetric_sigma_rejected(self):
-        with pytest.raises(InvalidStateError):
-            GaussianState(np.zeros(2), np.array([[2.0, 0.5], [-0.5, 2.0]]))
 
     def test_det_sigma_stored_with_frozen_moments(self):
         st = GaussianState(np.zeros(2), np.array([[2.0, 0.5], [0.5, 3.0]]))

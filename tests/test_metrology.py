@@ -432,18 +432,6 @@ class TestFiHomodyne:
         assert got == pytest.approx(fi_homodyne(moved, 0.0), rel=1e-12)
         assert got == pytest.approx(0.7922, abs=5e-5)
 
-    def test_never_exceeds_qfi(self):
-        pairs = [
-            lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), 2.0),
-            lyapunov_rk4(SystemParams(1.0, 1.4, 1.0, n_bath=1.0), thermal_state(1.0), 5.0),
-            rk4_pqs_pair(2.0, 1.0, SystemParams(1.0, 0.0, 1.0), 0.5),
-            cqs_steady_pair(SystemParams(1.0, 1.35, 1.0)),
-        ]
-        for pair in pairs:
-            info = qfi(pair)
-            for psi in np.linspace(0.0, math.pi, 64, endpoint=False):
-                assert fi_homodyne(pair, float(psi)) <= info * (1.0 + 1e-6)
-
 
 class TestSnrPhotonCounting:
     def test_steady_state_closed_form(self):
@@ -474,7 +462,15 @@ class TestSnrPhotonCounting:
         with pytest.raises(PreconditionError):
             snr_photon_counting(DerivativePair(st, np.zeros(2), np.eye(2)))
 
-    def test_never_exceeds_qfi(self):
-        for params in (SystemParams(1.0, 1.2, 1.0), SystemParams(1.0, 1.38, 1.0, n_bath=0.5)):
-            pair = cqs_steady_pair(params)
-            assert snr_photon_counting(pair) <= qfi(pair) * (1.0 + 1e-6)
+
+@pytest.mark.parametrize("estimates, pairs", [
+    (lambda pair: [fi_homodyne(pair, psi) for psi in np.linspace(0.0, math.pi, 64, endpoint=False).tolist()],
+     lambda: [lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), 2.0),
+              lyapunov_rk4(SystemParams(1.0, 1.4, 1.0, n_bath=1.0), thermal_state(1.0), 5.0),
+              rk4_pqs_pair(2.0, 1.0, SystemParams(1.0, 0.0, 1.0), 0.5), cqs_steady_pair(SystemParams(1.0, 1.35, 1.0))]),
+    (lambda pair: [snr_photon_counting(pair)],
+     lambda: [cqs_steady_pair(SystemParams(1.0, 1.2, 1.0)), cqs_steady_pair(SystemParams(1.0, 1.38, 1.0, n_bath=0.5))]),
+], ids=["fi_homodyne", "snr_photon_counting"])
+def test_estimator_never_exceeds_qfi(estimates, pairs):
+    for pair in pairs():
+        assert max(estimates(pair)) <= qfi(pair) * (1.0 + 1e-6)

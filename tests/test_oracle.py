@@ -163,10 +163,6 @@ class TestLyapunovRk4:
                 for E, n in increments:
                     assert same_bits(E, _rk4_increment(lambda y: G @ y, np.eye(13), t / n))
 
-    def test_negative_time_rejected(self):
-        with pytest.raises(DomainError):
-            lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), -1.0)
-
 
 class TestGaussianQfi:
     """oracle.gaussian_qfi, the general mixed-state formula, against closed forms."""
@@ -734,6 +730,7 @@ class TestFockStates:
         lambda: optimal_homodyne_input(0.0, 1.0, 1.0),
         lambda: total_qfi(ProtocolSpec(ProtocolKind.CQS, SystemParams(1.0, 0.5, 1.0), ResourceBudget(100.0, 1.0)), 0.0),
         lambda: lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), -1.0),
+        lambda: evolve_critical(SystemParams(1.0, 1.2, 1.0), vacuum_state(), -0.1),
         lambda: fock_evolve(SystemParams(1.0, 0.5, 1.0), fock_vacuum(4), -1.0),
         lambda: fock_evolve(SystemParams(1.0, 0.5, 1.0), fock_vacuum(4), math.nan),
         lambda: lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), np.array([1.0, 2.0])),
@@ -750,8 +747,8 @@ class TestFockStates:
          "fock_thermal_0", "fock_coherent_1", "rk4_dt_nan", "rk4_dt_inf", "fi_psi_inf", "fi_psi_nan", "fi_psi_array_nan",
          "params_nan", "params_gamma_negative", "params_n_bath_negative", "params_epsilon_negative",
          "budget_total_time_0", "pqs_driven", "homodyne_input_n_max_0", "total_qfi_t_0", "rk4_t_negative",
-         "fock_evolve_t_negative", "fock_evolve_t_nan", "rk4_t_array", "fock_evolve_t_array", "ladder_0",
-         "ladder_1", "ladder_negative", "fock_thermal_negative", "fock_matrix_shape",
+         "evolve_critical_t_negative", "fock_evolve_t_negative", "fock_evolve_t_nan", "rk4_t_array",
+         "fock_evolve_t_array", "ladder_0", "ladder_1", "ladder_negative", "fock_thermal_negative", "fock_matrix_shape",
          "fock_matrix_not_hermitian", "snr_vacuum"],
 )
 def test_bad_library_input_raises_domain_error(call):

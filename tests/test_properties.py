@@ -9,6 +9,9 @@ comparison horizon of the `dynamics.rk4_agreement` check.
 
 import math
 import re
+import sys
+from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import assume, example, find, given
 from hypothesis import strategies as st
 
-from conftest import cqs_state_family, general_qfi, rk4_pqs_pair, van_loan_qfi
+from conftest import ROOT, cqs_state_family, general_qfi, rk4_pqs_pair, van_loan_qfi
 from critsense import dynamics, protocols
 from critsense._elementwise import over_t
 from critsense.dynamics import (
@@ -93,6 +96,14 @@ def params_and_time(draw) -> tuple[SystemParams, float]:
 @pytest.mark.parametrize("regime", list(Regime))
 def test_draws_cover_every_regime(regime):
     find(system_params(), lambda params: spectral_info(params).regime is regime)
+
+
+def test_every_source_file_is_in_sys_modules():
+    """conftest registers every source file, whose literals Hypothesis draws
+    from: each property draws the same examples in any subset of the tests."""
+    files = {p.resolve() for folder in ("src/critsense", "tools", "perfbench") for p in (ROOT / folder).rglob("*.py")}
+    loaded = {Path(f).resolve() for m in list(sys.modules.values()) if (f := getattr(m, "__file__", None))}
+    assert files and not files - loaded
 
 
 @given(params_and_time())
@@ -316,24 +327,6 @@ def _assert_array_call_matches(array_call, float_pair, ts: np.ndarray, read=qfi,
     assert np.all(np.abs(got - expected) <= np.array(tolerance))
 
 
-@given(
-    system_params() | system_params().map(lambda p: SystemParams(p.omega0, p.epsilon, 0.0)),
-    st.floats(0.0, 1.0),
-)
-def test_cqs_qfi_array_matches_float_calls(params, fraction):
-    """Grids straddle every t-branch switch and include t = 0; gamma = 0
-    with n_bath = 0 keeps the state pure. With no drive the thermal start
-    does not depend on the shift: its QFI is 0, and both calls give rounding.
-    So does a drive too weak for its QFI to be a double, such as epsilon =
-    3.3e-306 (2.8e-37 against 7.9e-38 at t = 0.55): a value at or below
-    _qfi_rounding_floor is held to that floor, one above it to 1e-10."""
-    assume(params.epsilon > 0.0)
-    _assert_array_call_matches(
-        lambda ts: cqs_qfi(params, ts), lambda t: cqs_pair(params, t), _grid(params, fraction),
-        floor=lambda t, pair: _qfi_rounding_floor(params, t, pair),
-    )
-
-
 def _qfi_rounding_floor(params: SystemParams, t: float, pair: DerivativePair) -> float:
     """The QFI of pair = cqs_pair(params, t) that the rounding of its dSigma
     alone can give. From the thermal start Sigma0 = (1 + 2 n_bath) I, dv = 0
@@ -375,17 +368,19 @@ def protocol_flows(draw) -> tuple:
     return dynamics._passive_flow, params, pqs_input_state(alpha, squeeze, params.n_bath)
 
 
-def _pairs_of_one_flow(flow, params: SystemParams, start, ts: np.ndarray):
-    """pair_at(t): for the array ts, the DerivativePair stacked over ts of
-    one array evaluation of flow's moments; for a float t of ts, the
-    DerivativePair of that evaluation's moments at t.
+def _pairs_of_one_flow(flow, params: SystemParams, start, fraction: float):
+    """(ts, pair_at) on the grid ts = _grid(params, fraction). pair_at(t):
+    for the array ts, the DerivativePair stacked over ts of one array
+    evaluation of flow's moments; for a float t of ts, the DerivativePair
+    of that evaluation's moments at t.
 
     The closed-form shift derivative can carry more than 1e-10 of rounding
     (1.8e-6 relative on a small off-diagonal entry of dSigma at omega0 =
     0.125, epsilon = 0.002, gamma = 7, t = 3e-4), and the array and float
     flows round it differently. Read off the same moments, the estimators
     on a stacked pair are held to 1e-10 of their float calls; the flows' own
-    agreement is the QFI tests' part."""
+    agreement is the QFI rows' part."""
+    ts = _grid(params, fraction)
     state, dv, dsigma = flow(params, start, ts)
     rows = {t: k for k, t in enumerate(ts.tolist())}
 
@@ -396,32 +391,56 @@ def _pairs_of_one_flow(flow, params: SystemParams, start, ts: np.ndarray):
         row = GaussianState(state.v[k], state.sigma[k], state.det_sigma[k].item(), state.det_rounding[k].item())
         return DerivativePair(row, dv[k], dsigma[k])
 
-    return pair_at
+    return ts, pair_at
 
 
-@given(protocol_flows(), st.floats(0.0, 1.0), st.floats(0.0, math.pi))
-def test_fi_homodyne_array_matches_float_calls(case, fraction, psi):
+def _cqs_qfi_calls(draw):
+    """Grids straddle every t-branch switch and include t = 0; gamma = 0
+    with n_bath = 0 keeps the state pure. With no drive the thermal start
+    does not depend on the shift: its QFI is 0, and both calls give rounding.
+    So does a drive too weak for its QFI to be a double, such as epsilon =
+    3.3e-306 (2.8e-37 against 7.9e-38 at t = 0.55): a value at or below
+    _qfi_rounding_floor is held to that floor, one above it to 1e-10."""
+    lossless = system_params().map(lambda p: SystemParams(p.omega0, p.epsilon, 0.0))
+    params = draw((system_params() | lossless).filter(lambda p: p.epsilon > 0.0))
+    ts = _grid(params, draw(st.floats(0.0, 1.0)))
+    floor = partial(_qfi_rounding_floor, params)
+    _assert_array_call_matches(partial(cqs_qfi, params), partial(cqs_pair, params), ts, floor=floor)
+
+
+def _cqs_qfi_raise_calls(draw):
+    """Above threshold the moments grow as e^{2 (u - gamma) t}, u = sqrt(s),
+    and leave the double range by t = 400 / (u - gamma): the array call
+    raises the float call's error, at the first t that fails. The grid
+    skips the times between, where the squeezing leaves the QFI to rounding."""
+    params = draw(system_params().filter(lambda p: p.epsilon > p.epsilon_c))
+    params = SystemParams(params.omega0, params.epsilon, 0.0) if draw(st.booleans()) else params  # lossless
+    s, _ = dynamics._s_and_gap(params)
+    growth = math.sqrt(s) - params.gamma
+    assume(growth > 0.0)
+    horizon = _horizon(params)
+    ts = np.array([0.0, 0.5 * horizon, horizon, 400.0 / growth, 800.0 / growth])
+    with pytest.raises(InvalidStateError):
+        cqs_pair(params, float(ts[-1]))
+    _assert_array_call_matches(partial(cqs_qfi, params), partial(cqs_pair, params), ts)
+
+
+def _fi_homodyne_calls(draw):
     """fi_homodyne on a stacked pair, to 1e-10 of the QFI where the FI at psi
     cancels to far below it."""
-    ts = _grid(case[1], fraction)
-    pair_at = _pairs_of_one_flow(*case, ts)
-    _assert_array_call_matches(
-        lambda ts: over_t(lambda t: fi_homodyne(pair_at(t), psi), ts),
-        pair_at,
-        ts,
-        read=lambda pair: fi_homodyne(pair, psi),
-        scale=lambda pair: max(fi_homodyne(pair, psi), qfi(pair)),
-    )
+    ts, pair_at = _pairs_of_one_flow(*draw(protocol_flows()), draw(st.floats(0.0, 1.0)))
+    psi = draw(st.floats(0.0, math.pi))
+    fi = lambda pair: fi_homodyne(pair, psi)
+    scale = lambda pair: max(fi(pair), qfi(pair))
+    _assert_array_call_matches(lambda ts: over_t(lambda t: fi(pair_at(t)), ts), pair_at, ts, read=fi, scale=scale)
 
 
-@given(protocol_flows(), st.floats(0.0, 1.0))
-def test_best_homodyne_array_matches_float_calls(case, fraction):
+def _best_homodyne_calls(draw):
     """Both outputs of best_homodyne on a stacked pair: the FI, and the angle
     through the float FI at it, which must be the float optimum. Two peaks
     can tie to rounding (at a pure state B is traceless and the FI's two
     peaks are equal), so the angle itself may be either."""
-    ts = _grid(case[1], fraction)
-    pair_at = _pairs_of_one_flow(*case, ts)
+    ts, pair_at = _pairs_of_one_flow(*draw(protocol_flows()), draw(st.floats(0.0, 1.0)))
 
     def fi_at_best_psi(ts):
         psis = over_t(lambda t: best_homodyne(pair_at(t))[0], ts)
@@ -429,32 +448,87 @@ def test_best_homodyne_array_matches_float_calls(case, fraction):
         return np.array([fi_homodyne(pair_at(t), psi) for t, psi in zip(ts.tolist(), psis.tolist())])
 
     best_fi = lambda pair: best_homodyne(pair)[1]
-    _assert_array_call_matches(lambda ts: over_t(lambda t: best_fi(pair_at(t)), ts), pair_at, ts, read=best_fi, scale=qfi)
-    _assert_array_call_matches(fi_at_best_psi, pair_at, ts, read=best_fi, scale=qfi)
+    for array_call in (lambda ts: over_t(lambda t: best_fi(pair_at(t)), ts), fi_at_best_psi):
+        _assert_array_call_matches(array_call, pair_at, ts, read=best_fi, scale=qfi)
 
 
-@given(system_params(), st.floats(0.0, 1.0))
-def test_photons_and_purity_array_match_float_calls(params, fraction):
+def _photons_and_purity_calls(draw):
     """mean_photons and purity of a stacked pair's states, and
     mean_photons_vs_time on an array. N = tr(sigma)/4 - 1/2 + |v|^2/2 is
     a difference of terms of size N + 1, and is held to 1e-10 of that."""
-    ts, pair_at = _grid(params, fraction), lambda t: cqs_pair(params, t)
-    photons = lambda pair: mean_photons(pair.state)
-    _assert_array_call_matches(
-        lambda ts: over_t(lambda t: purity(pair_at(t).state), ts), pair_at, ts, read=lambda pair: purity(pair.state)
-    )
-    for array_call in (lambda ts: over_t(lambda t: photons(pair_at(t)), ts), lambda ts: mean_photons_vs_time(params, ts)):
+    params = draw(system_params())
+    ts, pair_at = _grid(params, draw(st.floats(0.0, 1.0))), partial(cqs_pair, params)
+    photons, pure = lambda pair: mean_photons(pair.state), lambda pair: purity(pair.state)
+    _assert_array_call_matches(lambda ts: over_t(lambda t: pure(pair_at(t)), ts), pair_at, ts, read=pure)
+    for array_call in (lambda ts: over_t(lambda t: photons(pair_at(t)), ts), partial(mean_photons_vs_time, params)):
         _assert_array_call_matches(array_call, pair_at, ts, read=photons, scale=lambda pair: photons(pair) + 1.0)
 
 
-_UNIT = st.floats(-1.0, 1.0)
+def _pqs_qfi_calls(draw):
+    params, n_max = draw(system_params()), draw(st.floats(0.0, 6.0).map(lambda x: 10.0 ** x))
+    alpha, fraction = DisplacementAmplitude(draw(st.floats(0.0, 10.0))), draw(st.floats(0.0, 1.0))
+    params = SystemParams(params.omega0, 0.0, params.gamma, n_bath=params.n_bath)
+    assume(n_max > params.n_bath)
+    _, r = default_pqs_input(n_max, params.n_bath)
+    ts = _grid(params, fraction)
+    _assert_array_call_matches(partial(pqs_qfi, alpha, r, params), partial(pqs_pair, alpha, r, params), ts)
+
+
+def _optimal_input_calls(draw):
+    """The optimal homodyne input of each t, with alpha and r arrays over t:
+    optimal_homodyne_input's squeezing and displacement, then
+    pqs_input_state (its moments to 1e-10 of N + 1), then pqs_pair's QFI and
+    fi_homodyne at psi = pi/2 (to 1e-10 of max(FI, QFI)) on a bath of n_bath,
+    each against its float call at each t. Optimal squeezing needs t > 0."""
+    omega0, gamma = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
+    n_bath, n_max = draw(st.just(0.0) | st.floats(0.0, 3.0)), draw(st.floats(-3.0, 9.0).map(lambda x: 10.0 ** x))
+    fraction = draw(st.floats(0.0, 1.0))
+    params = SystemParams(omega0, 0.0, gamma, n_bath=n_bath)
+    ts = _grid(params, fraction)[1:]
+
+    def start_at(t):
+        alpha, squeeze = optimal_homodyne_input(n_max, gamma, t)
+        return SimpleNamespace(alpha=alpha, squeeze=squeeze, state=pqs_input_state(alpha, squeeze, n_bath))
+
+    size = lambda start: mean_photons(start.state) + 1.0
+    reads = [(lambda start: start.squeeze.r, None), (lambda start: start.alpha.magnitude, None),
+             (lambda start: mean_photons(start.state), size)]
+    reads += [(lambda start, i=i: start.state.v[..., i], size) for i in range(2)]
+    reads += [(lambda start, ij=ij: start.state.sigma[(..., *ij)], size) for ij in ((0, 0), (0, 1), (1, 1))]
+    for read, scale in reads:
+        _assert_array_call_matches(lambda ts: read(start_at(ts)), start_at, ts, read=read, scale=scale)
+
+    pair_at = lambda t: pqs_pair(*optimal_homodyne_input(n_max, gamma, t), params, t)
+    homodyne = lambda pair: fi_homodyne(pair, math.pi / 2.0)
+    _assert_array_call_matches(lambda ts: qfi(pair_at(ts)), pair_at, ts)
+    scale = lambda pair: max(homodyne(pair), qfi(pair))
+    _assert_array_call_matches(lambda ts: homodyne(pair_at(ts)), pair_at, ts, read=homodyne, scale=scale)
+
+
+@pytest.mark.parametrize("row", [_cqs_qfi_calls, _cqs_qfi_raise_calls, _fi_homodyne_calls, _best_homodyne_calls,
+                                 _photons_and_purity_calls, _pqs_qfi_calls, _optimal_input_calls],
+                         ids=lambda row: row.__name__)
+@given(st.data())
+def test_array_call_matches_float_calls(row, data):
+    """One row of the table of array-versus-float contracts, as a test case
+    of its own that keeps its own examples: it draws its inputs through
+    `draw`, as a composite strategy's body does, and makes its
+    _assert_array_call_matches calls."""
+    row(data.draw)
+
+
+def test_qfi_of_an_underflowing_drive_is_held_to_its_floor():
+    """_cqs_qfi_calls at epsilon = 3.3e-306 without loss, whose QFI at the
+    grid's t = sqrt(0.3) is rounding alone, on every run."""
+    draws = iter((SystemParams(1.0, 3.3070474385904325e-306, 0.0), 0.5))
+    _cqs_qfi_calls(lambda strategy: next(draws))
 
 
 @st.composite
 def real_quartics(draw) -> np.ndarray:
     """Real quartics as best_homodyne forms them, after its 1e-15 threshold:
     each coefficient 0 or not, so leading and trailing zeros both occur."""
-    quartic = np.array([draw(_UNIT) * draw(st.sampled_from((0.0, 1.0))) for _ in range(5)])
+    quartic = np.array([draw(st.floats(-1.0, 1.0)) * draw(st.sampled_from((0.0, 1.0))) for _ in range(5)])
     return np.where(abs(quartic) > 1e-15, quartic, 0.0)
 
 
@@ -552,92 +626,6 @@ def test_dropped_leading_coefficient():
     assert fis[3] == pytest.approx(2.0 * 0.8**2 + 0.5 * 1.0**2, rel=1e-12)
 
 
-@given(system_params().filter(lambda p: p.epsilon > p.epsilon_c), st.booleans())
-def test_cqs_qfi_array_raises_as_float_calls_do(params, lossless):
-    """Above threshold the moments grow as e^{2 (u - gamma) t}, u = sqrt(s),
-    and leave the double range by t = 400 / (u - gamma): the array call
-    raises the float call's error, at the first t that fails. The grid
-    skips the times between, where the squeezing leaves the QFI to rounding."""
-    if lossless:
-        params = SystemParams(params.omega0, params.epsilon, 0.0)
-    s, _ = dynamics._s_and_gap(params)
-    growth = math.sqrt(s) - params.gamma
-    assume(growth > 0.0)
-    horizon = _horizon(params)
-    ts = np.array([0.0, 0.5 * horizon, horizon, 400.0 / growth, 800.0 / growth])
-    with pytest.raises(InvalidStateError):
-        cqs_pair(params, float(ts[-1]))
-    _assert_array_call_matches(lambda ts: cqs_qfi(params, ts), lambda t: cqs_pair(params, t), ts)
-
-
-def test_array_error_is_that_of_the_first_failing_t():
-    """The first failing t overflows; a later one is negative, which the
-    array's first check would name."""
-    params = SystemParams(1.0, 2.0, 0.0)
-    ts = np.array([1.0, 1e4, -1.0])
-    with pytest.raises(InvalidStateError, match="non-finite moments"):
-        cqs_qfi(params, ts)
-    with pytest.raises(DomainError, match="time must be >= 0"):
-        cqs_qfi(params, ts[::-1].copy())
-
-
-@given(
-    system_params(),
-    st.floats(0.0, 6.0).map(lambda x: 10.0 ** x),
-    st.floats(0.0, 10.0),
-    st.floats(0.0, 1.0),
-)
-def test_pqs_qfi_array_matches_float_calls(params, n_max, alpha, fraction):
-    params = SystemParams(params.omega0, 0.0, params.gamma, n_bath=params.n_bath)
-    assume(n_max > params.n_bath)
-    _, squeeze = default_pqs_input(n_max, params.n_bath)
-    displacement = DisplacementAmplitude(alpha)
-    _assert_array_call_matches(
-        lambda ts: pqs_qfi(displacement, squeeze, params, ts),
-        lambda t: pqs_pair(displacement, squeeze, params, t),
-        _grid(params, fraction),
-    )
-
-
-@given(
-    st.floats(0.1, 10.0),
-    st.floats(0.1, 10.0),
-    st.just(0.0) | st.floats(0.0, 3.0),
-    st.floats(-3.0, 9.0).map(lambda x: 10.0 ** x),
-    st.floats(0.0, 1.0),
-)
-def test_optimal_input_array_matches_float_calls(omega0, gamma, n_bath, n_max, fraction):
-    """The optimal homodyne input of each t, with alpha and r arrays over t:
-    optimal_homodyne_input's squeezing and displacement, then
-    pqs_input_state (its moments to 1e-10 of N + 1), then pqs_pair's QFI and
-    fi_homodyne at psi = pi/2 (to 1e-10 of max(FI, QFI)) on a bath of n_bath,
-    each against its float call at each t. Optimal squeezing needs t > 0."""
-    params = SystemParams(omega0, 0.0, gamma, n_bath=n_bath)
-    ts = _grid(params, fraction)[1:]
-
-    def start_at(t):
-        alpha, squeeze = optimal_homodyne_input(n_max, gamma, t)
-        return SimpleNamespace(alpha=alpha, squeeze=squeeze, state=pqs_input_state(alpha, squeeze, n_bath))
-
-    size = lambda start: mean_photons(start.state) + 1.0
-    reads = [
-        (lambda start: start.squeeze.r, None),
-        (lambda start: start.alpha.magnitude, None),
-        (lambda start: mean_photons(start.state), size),
-        *((lambda start, i=i: start.state.v[..., i], size) for i in range(2)),
-        *((lambda start, ij=ij: start.state.sigma[(..., *ij)], size) for ij in ((0, 0), (0, 1), (1, 1))),
-    ]
-    for read, scale in reads:
-        _assert_array_call_matches(lambda ts: read(start_at(ts)), start_at, ts, read=read, scale=scale)
-
-    pair_at = lambda t: pqs_pair(*optimal_homodyne_input(n_max, gamma, t), params, t)
-    homodyne = lambda pair: fi_homodyne(pair, math.pi / 2.0)
-    _assert_array_call_matches(lambda ts: qfi(pair_at(ts)), pair_at, ts)
-    _assert_array_call_matches(
-        lambda ts: homodyne(pair_at(ts)), pair_at, ts, read=homodyne, scale=lambda pair: max(homodyne(pair), qfi(pair))
-    )
-
-
 def _assert_same_budget_error(got: ConstraintError, want: ConstraintError) -> None:
     """The same input-budget error: the photon counts within the 1e-10
     array-to-float contract (numpy's exp is not math's to the last bit),
@@ -688,8 +676,10 @@ def test_cold_optimum_over_budget_on_hot_bath():
     _assert_same_budget_error(stacked.value, first.value)
 
 
-def test_array_call_on_analytic_branch_past_series_boundary():
-    """A node just past the noise integrals' former series cutoff |s| t^2 =
+def test_near_exceptional_point_matches_van_loan():
+    """Float and array calls of cqs_qfi against the 50-digit value.
+
+    A node just past the noise integrals' former series cutoff |s| t^2 =
     2.5e-3, where the float path was 7.5e-13 from the 50-digit value (2e-16
     on the series branch that takes it now): float and array calls stay
     within 1e-11, alone and inside a grid.
@@ -698,26 +688,9 @@ def test_array_call_on_analytic_branch_past_series_boundary():
     _decayed_cosh_sinhc takes its exact forms with no series: float and
     array calls stay within 1e-13, for s = +-1e-8 and s = 0 exactly,
     lossless and damped, from the vacuum and from a thermal start, and for
-    s of order 1 at times as small."""
-    params = SystemParams(3.1466177539813374, 3.1716800393782556, 1.0, n_bath=2.0)
-    t = 0.1352982853704671
-    exact = van_loan_qfi(params, np.zeros(2), 5.0 * np.eye(2), t)
-    grid = np.array([0.5 * t, t, 2.0 * t])
-    for value in (cqs_qfi(params, t), cqs_qfi(params, np.array([t]))[0], cqs_qfi(params, grid)[1]):
-        assert abs(value / exact - 1.0) <= 1e-11
-    near = [(SystemParams(1.0, math.sqrt(1.0 + s), gamma, n_bath=n_bath), np.array([1e-2, 1.0, 10.0]))
-            for s in (1e-8, -1e-8, 0.0) for gamma in (0.0, 1.0) for n_bath in (0.0, 0.5)]
-    near += [(SystemParams(1.0, eps, 1.0, n_bath=0.5), np.array([1e-6, 4e-4])) for eps in (2.0, 0.5)]
-    for params, ts in near:
-        exact = np.array([van_loan_qfi(params, np.zeros(2), (1.0 + 2.0 * params.n_bath) * np.eye(2), t)
-                          for t in ts.tolist()])
-        floats = np.array([cqs_qfi(params, t) for t in ts.tolist()])
-        for values in (floats, cqs_qfi(params, ts)):
-            assert np.all(np.abs(values / exact - 1.0) <= 1e-13)
+    s of order 1 at times as small.
 
-
-def test_near_exceptional_point_band_matches_van_loan():
-    """Near the exceptional point, where the noise integrals' s-slopes cancel
+    Near the exceptional point, where the noise integrals' s-slopes cancel
     digits past their series cutoff |s| t_eff^2 = _SERIES_ST2, t_eff =
     min(t, 2.5 / gamma): cqs_qfi is within 1e-13 of the 50-digit value at
     |s| t_eff^2 from 1e-4 to 1 (both sides of the cutoff), for both signs
@@ -727,8 +700,17 @@ def test_near_exceptional_point_band_matches_van_loan():
     Also at gamma = 1e-12 and 1e-40, where the series' moments, powers of
     gamma t up to the 29th, leave the double range (1e-40 raised
     InvalidStateError)."""
+    params = SystemParams(3.1466177539813374, 3.1716800393782556, 1.0, n_bath=2.0)
+    t = 0.1352982853704671
+    exact = van_loan_qfi(params, np.zeros(2), 5.0 * np.eye(2), t)
+    grid = np.array([0.5 * t, t, 2.0 * t])
+    for value in (cqs_qfi(params, t), cqs_qfi(params, np.array([t]))[0], cqs_qfi(params, grid)[1]):
+        assert abs(value / exact - 1.0) <= 1e-11
     levels = np.array([1e-4, 5e-3, 0.05, 0.29, 0.31, 1.0])
-    cases = [(1.0, 1.0, 0.0, s, np.array([5.0, 20.0])) for s in (1e-3, -1e-3)]
+    cases = [(1.0, gamma, n_bath, s, np.array([1e-2, 1.0, 10.0]))
+             for s in (1e-8, -1e-8, 0.0) for gamma in (0.0, 1.0) for n_bath in (0.0, 0.5)]
+    cases += [(1.0, 1.0, 0.5, s, np.array([1e-6, 4e-4])) for s in (3.0, -0.75)]  # epsilon = 2 and 0.5
+    cases += [(1.0, 1.0, 0.0, s, np.array([5.0, 20.0])) for s in (1e-3, -1e-3)]
     cases += [(1.0, gamma, 0.5, -1e-4, np.array([1.0])) for gamma in (1e-12, 1e-40)]
     cases += [(omega0, gamma, n_bath, s, np.sqrt(levels / abs(s))) for omega0, gamma, n_bath, s in
               ((1.0, 1.0, 0.0, 0.16), (1.0, 1.0, 0.5, -0.16), (2.0, 0.5, 0.5, 0.04), (1.0, 2.0, 0.0, -0.64))]

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -8,19 +9,21 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import pqs_qfi_closed_form, steady_time, van_loan_qfi
+from critsense.cli import run_compute
 from critsense.dynamics import (
     SystemParams, evolve_critical, evolve_passive, mean_photons_vs_time, spectral_info, steady_state_photons,
 )
 from critsense.errors import (
     AccuracyError,
     ConstraintError,
+    CritsenseError,
     DomainError,
     InvalidStateError,
     PreconditionError,
     SearchError,
 )
 from critsense.gaussian import DisplacementAmplitude, GaussianState, SqueezeParam, mean_photons, thermal_state
-from critsense.metrology import DerivativePair, fi_homodyne
+from critsense.metrology import DerivativePair, fi_homodyne, qfi
 from critsense.protocols import (
     ProtocolKind,
     ProtocolSpec,
@@ -45,6 +48,22 @@ UNIT = SystemParams(1.0, 0.0, 1.0)
 # A grid with one failing t and the optimal input of each |t|, one per t.
 FAILING_TS = np.array([0.5, 1.0, -1.0])
 FAILING_TS_INPUT = optimal_homodyne_input(100.0, 1.0, np.abs(FAILING_TS))
+
+
+@pytest.mark.parametrize("qfi_over_t, error, message", [
+    (lambda: pqs_qfi(*FAILING_TS_INPUT, UNIT, FAILING_TS), DomainError, "time must be >= 0, got -1.0"),
+    (lambda: ProtocolSpec(ProtocolKind.PQS, UNIT, ResourceBudget(100.0, 1.0), FAILING_TS_INPUT).qfi(FAILING_TS),
+     DomainError, "time must be >= 0, got -1.0"),
+    (lambda: cqs_qfi(SystemParams(1.0, 2.0, 0.0), np.array([1.0, 1e4, -1.0])), InvalidStateError, "non-finite moments"),
+    (lambda: cqs_qfi(SystemParams(1.0, 2.0, 0.0), np.array([-1.0, 1e4, 1.0])), DomainError, "time must be >= 0"),
+], ids=["pqs_qfi", "spec_qfi", "cqs_qfi_overflow_first", "cqs_qfi_negative_first"])
+def test_array_raises_float_error_at_first_failing_t(qfi_over_t, error, message):
+    """A grid with a negative t, and for PQS alpha and r arrays over it: the
+    float call's error at the first failing t, each input taken at its own
+    t. Above threshold an earlier t that overflows comes first, though the
+    negative t is what the array's first check would name."""
+    with pytest.raises(error, match=re.escape(message)):
+        qfi_over_t()
 
 
 class TestCqsQfi:
@@ -98,11 +117,6 @@ class TestCqsQfi:
         n = mean_photons_vs_time(params, t_mid)
         assert cqs_qfi(params, t_mid) >= 0.9 * n * n / 2.0
 
-    @pytest.mark.parametrize("t", [np.ones((2, 2)), np.array(1.0)], ids=["2-D", "0-D"])
-    def test_array_of_times_must_be_one_dimensional(self, t):
-        with pytest.raises(DomainError, match="an array of times must be 1-D"):
-            cqs_qfi(SystemParams(1.0, 0.9, 1.0), t)
-
 
 class TestPqsQfi:
     def test_matches_closed_form(self):
@@ -133,12 +147,6 @@ class TestPqsQfi:
     def test_rejects_driven_params(self):
         with pytest.raises(DomainError):
             pqs_qfi(DisplacementAmplitude(1.0), SqueezeParam(0.0), SystemParams(1.0, 0.5, 1.0), 1.0)
-
-    def test_input_over_t_raises_float_error_at_failing_t(self):
-        """alpha and r arrays over a grid with a negative t: the float call's
-        DomainError at that t, each input taken at its own t."""
-        with pytest.raises(DomainError, match=re.escape("time must be >= 0, got -1.0")):
-            pqs_qfi(*FAILING_TS_INPUT, UNIT, FAILING_TS)
 
 
 class TestEpsilonOpt:
@@ -212,11 +220,6 @@ class TestOptimalHomodyneInput:
             assert math.sinh(squeeze.r) ** 2 <= 250.0
             assert alpha.magnitude**2 + math.sinh(squeeze.r) ** 2 == pytest.approx(250.0, rel=1e-12)
 
-    @pytest.mark.parametrize("t", [np.ones((2, 2)), np.array(1.0)], ids=["2-D", "0-D"])
-    def test_array_of_times_must_be_one_dimensional(self, t):
-        with pytest.raises(DomainError, match="an array of times must be 1-D"):
-            optimal_homodyne_input(10.0, 1.0, t)
-
     @pytest.mark.parametrize("n_max", [1.0, 100.0, 1e4])
     @pytest.mark.parametrize("gt", [1e-15, 1e-12, 1e-9])
     def test_small_gamma_t_matches_high_precision(self, n_max, gt):
@@ -229,6 +232,14 @@ class TestOptimalHomodyneInput:
             e2r = (mpmath.sqrt((growth + 1) ** 2 + 4 * mpmath.mpf(n_max) * growth) - 1) / growth
             exact = float(mpmath.log(e2r) / 2)
         assert optimal_homodyne_input(n_max, 1.0, gt)[1].r == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("call", [lambda t: cqs_qfi(SystemParams(1.0, 0.9, 1.0), t),
+                                  lambda t: optimal_homodyne_input(10.0, 1.0, t)], ids=["cqs_qfi", "optimal_input"])
+@pytest.mark.parametrize("t", [np.ones((2, 2)), np.array(1.0)], ids=["2-D", "0-D"])
+def test_array_of_times_must_be_one_dimensional(call, t):
+    with pytest.raises(DomainError, match="an array of times must be 1-D"):
+        call(t)
 
 
 class TestBestHomodyne:
@@ -404,11 +415,6 @@ class TestProtocolSpec:
             pqs_input_state(*pqs_input)
         with pytest.raises(PreconditionError, match="input per t of 3 times on a stack of 4 states"):
             ProtocolSpec(ProtocolKind.PQS, UNIT, ResourceBudget(n_max=100.0, total_time=1.0), pqs_input)
-
-    def test_stacked_input_raises_float_error_at_failing_t(self):
-        spec = ProtocolSpec(ProtocolKind.PQS, UNIT, ResourceBudget(n_max=100.0, total_time=1.0), FAILING_TS_INPUT)
-        with pytest.raises(DomainError, match=re.escape("time must be >= 0, got -1.0")):
-            spec.qfi(FAILING_TS)
 
     @pytest.mark.parametrize("kind", ["XYZ", None, "cqs"])
     def test_unknown_kind_is_domain_error(self, kind):
@@ -758,3 +764,57 @@ def test_non_finite_scalar_inputs_raise_domain_error(call):
     not a nan or inf result, a numpy warning or scipy's bare ValueError."""
     with pytest.raises(DomainError):
         call()
+
+
+# Drives, each with times thinned around where its flows leave the double
+# range: the lossless exceptional point (the estimators' whitened frame from
+# t ~ 1e36, the tangent from 1e77, a Python float tau^3 from 6e102), the
+# damped one (tau^3), above threshold (the whitened frame, then the tangent,
+# the photon number and s12 + s21 just before the state) and lossless below
+# it (from t ~ 1e299).
+OVERFLOW_EDGES = [
+    (SystemParams(1.0, 1.0, 0.0), np.geomspace(1e30, 1e104, 38)),
+    (SystemParams(1.0, 1.0, 1.0), np.geomspace(1e102, 1e104, 5)),
+    (SystemParams(1.0, 3.0 * math.sqrt(2.0), 1.0, n_bath=1.0), np.linspace(112.5, 114.0, 7)),
+    (SystemParams(1.0, 3.0, 0.0, n_bath=1.0), np.array([55.0, 85.0, 124.5, 125.0, 125.26, 125.5, 126.0])),
+    (SystemParams(1.0, 3.0, 0.0), np.array([125.5])),
+    (SystemParams(1.0, 1.5, 0.0), np.linspace(313.0, 318.0, 6)),
+    (SystemParams(1.0, 0.999999, 0.0), np.geomspace(1e299, 1e302, 7)),
+    (SystemParams(1.0, 0.5, 0.0), np.array([1e307, 9e307])),
+]
+PQS_INPUT = (DisplacementAmplitude(1.0), SqueezeParam(0.5))
+# The values each public entry point returns at (params, t): a list, or a
+# report's fields.
+ENTRY_POINTS = {
+    "evolve_critical": lambda p, t: [evolve_critical(p, thermal_state(p.n_bath), t).sigma],
+    "evolve_passive": lambda p, t: [evolve_passive(replace(p, epsilon=0.0), thermal_state(p.n_bath), t).sigma],
+    "mean_photons_vs_time": lambda p, t: [mean_photons_vs_time(p, t)],
+    "cqs_qfi": lambda p, t: [cqs_qfi(p, t)],
+    "pqs_qfi": lambda p, t: [pqs_qfi(*PQS_INPUT, replace(p, epsilon=0.0), t)],
+    "qfi": lambda p, t: [qfi(cqs_pair(p, t))],
+    "best_homodyne": lambda p, t: best_homodyne(cqs_pair(p, t)),
+    "total_qfi": lambda p, t: vars(total_qfi(ProtocolSpec(ProtocolKind.CQS, p, ResourceBudget(1e308, t)), t)),
+    "run_compute": lambda p, t: run_compute({"mode": "qfi", "params": vars(p), "t": t,
+                                             "protocol": {"kind": "CQS", "n_max": 1e308, "total_time": t}})["report"],
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_overflow_edges_are_typed(entry):
+    """Around each drive's overflow edge and at t = 1e308, as floats and, but
+    for total_qfi and run_compute, which take floats, as arrays of one t and
+    of them all: each call returns finite values or raises a CritsenseError,
+    and warns of nothing. A report's bound_value, the budget cap, is left
+    out: it is inf without loss, or at this budget of 1e308 photons."""
+    for params, ts in OVERFLOW_EDGES:
+        ts = np.append(ts, 1e308)
+        for t in ts.tolist() + ([] if entry in ("total_qfi", "run_compute") else [*ts[:, None], ts]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    values = ENTRY_POINTS[entry](params, t)
+                except CritsenseError:
+                    continue
+            if isinstance(values, dict):
+                values = [value for key, value in values.items() if key != "bound_value"]
+            assert all(np.all(np.isfinite(value)) for value in values), (params, t)
