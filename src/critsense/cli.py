@@ -215,18 +215,18 @@ FIGURES = tuple(FIGURE_WRITERS)
 # --- compute ------------------------------------------------------------------
 
 _SECTIONS = ("params", "protocol", "grid")
-# Every accepted key, as a dotted path; mode is checked on its own.
+# Every accepted key, as a dotted path; mode is checked on its own. A protocol
+# runs at zero shift (the shift is what it estimates), so params has no delta_omega.
 _FIELDS = (
     "t",
-    *(f"params.{f.name}" for f in fields(SystemParams)),
+    *(f"params.{name}" for name in ("omega0", "epsilon", "gamma", "n_bath")),
     *(f"protocol.{name}" for name in ("kind", "alpha", "alpha_phase", "r", "r_phase", "psi")),
     *(f"protocol.{f.name}" for f in fields(ResourceBudget)),
     "grid.t_min", "grid.t_max",
 )
 # protocol.total_time defaults to the evaluation time t (see _build).
 _DEFAULTS = {
-    "params.omega0": 1.0, "params.epsilon": 0.0, "params.gamma": 1.0,
-    "params.n_bath": 0.0, "params.delta_omega": 0.0,
+    "params.omega0": 1.0, "params.epsilon": 0.0, "params.gamma": 1.0, "params.n_bath": 0.0,
     "protocol.kind": "PQS", "protocol.n_max": 1.0, "protocol.t_pm": 0.0,
     "protocol.alpha": 0.0, "protocol.alpha_phase": 0.0, "protocol.r": 0.0, "protocol.r_phase": 0.0,
 }
@@ -297,10 +297,10 @@ def _parse_config(cfg) -> dict:
 
 
 def _build(given: dict, cls, section: str, *names: str):
-    """cls from the section's values at names (default: cls's fields), each
-    given or defaulted; a value cls rejects is a configuration error."""
+    """cls from the section's values at names (default: cls's fields a config
+    accepts), each given or defaulted; a value cls rejects is a config error."""
     conf = {**_DEFAULTS, "protocol.total_time": max(float(given.get("t", 1.0)), 1e-12), **given}
-    names = names or [f.name for f in fields(cls)]
+    names = names or [f.name for f in fields(cls) if f"{section}.{f.name}" in _FIELDS]
     try:
         return cls(*(float(conf[f"{section}.{name}"]) for name in names))
     except DomainError as exc:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
@@ -33,18 +32,6 @@ from numpy.polynomial.polynomial import polyder, polyval
 from .errors import DomainError, InvalidStateError, NoSteadyStateError
 from ._elementwise import lib, matrix, over_t, per_t, quiet, reject, select
 from .gaussian import IDENTITY, GaussianState, _check_grid, mean_photons, rotation_matrix, thermal_state
-
-# Relative half-width of the eigenvalue-degeneracy window used for regime labels.
-DEGENERACY_ETA = 1e-9
-
-
-class Regime(str, Enum):
-    BELOW = "below_eigenvalue_split"
-    EXCEPTIONAL = "exceptional"
-    TRANSIENT = "transient_split"
-    CRITICAL = "critical"
-    ABOVE = "above_threshold"
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -86,30 +73,16 @@ class SpectralInfo:
 
     lambda_minus: complex
     lambda_plus: complex
-    regime: Regime
 
 
 def spectral_info(params: SystemParams) -> SpectralInfo:
-    w, eps, gamma = params.omega, params.epsilon, params.gamma
+    gamma = params.gamma
     s, k = _s_and_gap(params)
     root = complex(math.sqrt(s)) if s >= 0 else 1j * math.sqrt(-s)
     # Near the critical point gamma - sqrt(s) is the small K / (gamma + sqrt(s)),
     # K = eps_c^2 - eps^2; where s or gamma is 0 the difference is exact.
     lam_minus = complex(k / (gamma + root.real)) if s > 0 and gamma > 0 else gamma - root
-    lam_plus = gamma + root
-    eps_c = params.epsilon_c
-    window = DEGENERACY_ETA * max(w * w, gamma * gamma, eps * eps)
-    if abs(s) <= window:
-        regime = Regime.EXCEPTIONAL
-    elif abs(k) <= window:
-        regime = Regime.CRITICAL
-    elif eps < abs(w):
-        regime = Regime.BELOW
-    elif eps < eps_c:
-        regime = Regime.TRANSIENT
-    else:
-        regime = Regime.ABOVE
-    return SpectralInfo(lam_minus, lam_plus, regime)
+    return SpectralInfo(lam_minus, gamma + root)
 
 
 def drift_and_diffusion(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +153,14 @@ def _sinhc_slope(gamma: float, s: float, tau, c, sc):
     """
 
     def series(tau, z, c, sc):
-        return lib(tau).exp(-gamma * tau) * tau ** 3 * polyval(z, _SINHC_SLOPE)
+        decay = lib(tau).exp(-gamma * tau)
+        return select(decay == 0.0, underflowed, terms, decay, tau, z)
+
+    def underflowed(decay, tau, z):  # the slope is 0 too, though tau^3 may overflow
+        return decay
+
+    def terms(decay, tau, z):
+        return decay * tau ** 3 * polyval(z, _SINHC_SLOPE)
 
     def closed(tau, z, c, sc):
         return (tau * c - sc) / (2.0 * s)

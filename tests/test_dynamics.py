@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from critsense.dynamics import (
-    Regime,
     SystemParams,
     drift_and_diffusion,
     evolve_critical,
@@ -38,10 +37,8 @@ class TestSpectralInfo:
         info = spectral_info(SystemParams(1.0, 1.0, 1.0))
         assert info.lambda_minus == pytest.approx(1.0)
         assert info.lambda_plus == pytest.approx(1.0)
-        assert info.regime is Regime.EXCEPTIONAL
         lossless = spectral_info(SystemParams(1.0, 1.0, 0.0))
         assert lossless.lambda_minus == 0.0 and lossless.lambda_plus == 0.0
-        assert lossless.regime is Regime.EXCEPTIONAL
 
     def test_transient_split_values(self):
         info = spectral_info(SystemParams(1.0, 1.2, 1.0))
@@ -50,21 +47,15 @@ class TestSpectralInfo:
         assert info.lambda_plus.real == pytest.approx(1.0 + root, abs=1e-12)
         assert info.lambda_minus.real == pytest.approx(0.336675, abs=1e-6)
         assert info.lambda_plus.real == pytest.approx(1.663325, abs=1e-6)
-        assert info.regime is Regime.TRANSIENT
 
     def test_critical_point(self):
         info = spectral_info(SystemParams(1.0, math.sqrt(2.0), 1.0))
         assert info.lambda_minus.real == pytest.approx(0.0, abs=1e-12)
-        assert info.regime is Regime.CRITICAL
 
     def test_below_split_complex(self):
         info = spectral_info(SystemParams(1.0, 0.5, 1.0))
-        assert info.regime is Regime.BELOW
         assert info.lambda_minus.real == pytest.approx(1.0)
         assert info.lambda_minus.imag == pytest.approx(-math.sqrt(0.75))
-
-    def test_above_threshold(self):
-        assert spectral_info(SystemParams(1.0, 1.6, 1.0)).regime is Regime.ABOVE
 
     def test_ordering_invariant(self):
         for params in battery_params():

@@ -15,6 +15,7 @@ from critsense.dynamics import (
 )
 from critsense.errors import (
     AccuracyError,
+    ConfigError,
     ConstraintError,
     CritsenseError,
     DomainError,
@@ -108,6 +109,26 @@ class TestCqsQfi:
         n = mean_photons_vs_time(params, t)
         expected = (2.0 * n + 8.0 * n * n / 9.0) * t * t
         assert cqs_qfi(params, t) == pytest.approx(expected, rel=0.10)
+
+    @pytest.mark.parametrize("gamma,n_bath", [(1.0, 0.0), (0.5, 0.0), (1.0, 1.0)])
+    def test_damped_exceptional_point_at_late_times(self, gamma, n_bath):
+        """The damped exceptional point settles to its steady state: from t =
+        5.7e102, where tau^3 overflows long after e^{-gamma t} reached 0, the
+        QFI keeps its t = 5e102 value, as floats and as an array, within
+        1e-14 of cqs_qfi_steady, and nothing warns. Without loss tau^3 is due
+        and overflows, a typed error."""
+        params = SystemParams(1.0, 1.0, gamma, n_bath)
+        ts = [5.7e102, 1e103, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            settled = cqs_qfi(params, 5e102)
+            floats = [cqs_qfi(params, t) for t in ts]
+            array = cqs_qfi(params, np.array(ts))
+        assert floats == [settled] * len(ts) and array.tolist() == floats
+        steady = cqs_qfi_steady(params)
+        assert abs(settled - steady) <= 1e-14 * steady
+        with pytest.raises(InvalidStateError):
+            cqs_qfi(SystemParams(1.0, 1.0, 0.0, n_bath), 1e103)
 
     def test_transient_lower_bound(self):
         """Inside the transient window the QFI exceeds N(t)^2 / (2 gamma^2)."""
@@ -415,6 +436,14 @@ class TestProtocolSpec:
             pqs_input_state(*pqs_input)
         with pytest.raises(PreconditionError, match="input per t of 3 times on a stack of 4 states"):
             ProtocolSpec(ProtocolKind.PQS, UNIT, ResourceBudget(n_max=100.0, total_time=1.0), pqs_input)
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_shift_is_domain_error(self, kind):
+        """A protocol estimates the shift, so it is evaluated at zero shift:
+        a shifted SystemParams is refused, not tuned for and then dropped."""
+        shifted = SystemParams(1.0, 0.0, 1.0, delta_omega=0.3)
+        with pytest.raises(DomainError, match="a protocol is evaluated at zero shift, got delta_omega = 0.3"):
+            ProtocolSpec(kind, shifted, ResourceBudget(n_max=100.0, total_time=20.0))
 
     @pytest.mark.parametrize("kind", ["XYZ", None, "cqs"])
     def test_unknown_kind_is_domain_error(self, kind):
@@ -769,9 +798,9 @@ def test_non_finite_scalar_inputs_raise_domain_error(call):
 # Drives, each with times thinned around where its flows leave the double
 # range: the lossless exceptional point (the estimators' whitened frame from
 # t ~ 1e36, the tangent from 1e77, a Python float tau^3 from 6e102), the
-# damped one (tau^3), above threshold (the whitened frame, then the tangent,
-# the photon number and s12 + s21 just before the state) and lossless below
-# it (from t ~ 1e299).
+# damped one (finite: tau^3 is not formed where e^{-gamma t} is 0), above
+# threshold (the whitened frame, then the tangent, the photon number and
+# s12 + s21 just before the state) and lossless below it (from t ~ 1e299).
 OVERFLOW_EDGES = [
     (SystemParams(1.0, 1.0, 0.0), np.geomspace(1e30, 1e104, 38)),
     (SystemParams(1.0, 1.0, 1.0), np.geomspace(1e102, 1e104, 5)),
@@ -794,7 +823,9 @@ ENTRY_POINTS = {
     "qfi": lambda p, t: [qfi(cqs_pair(p, t))],
     "best_homodyne": lambda p, t: best_homodyne(cqs_pair(p, t)),
     "total_qfi": lambda p, t: vars(total_qfi(ProtocolSpec(ProtocolKind.CQS, p, ResourceBudget(1e308, t)), t)),
-    "run_compute": lambda p, t: run_compute({"mode": "qfi", "params": vars(p), "t": t,
+    "run_compute": lambda p, t: run_compute({"mode": "qfi", "t": t,
+                                             "params": {"omega0": p.omega0, "epsilon": p.epsilon,
+                                                        "gamma": p.gamma, "n_bath": p.n_bath},
                                              "protocol": {"kind": "CQS", "n_max": 1e308, "total_time": t}})["report"],
 }
 
@@ -805,7 +836,8 @@ def test_overflow_edges_are_typed(entry):
     for total_qfi and run_compute, which take floats, as arrays of one t and
     of them all: each call returns finite values or raises a CritsenseError,
     and warns of nothing. A report's bound_value, the budget cap, is left
-    out: it is inf without loss, or at this budget of 1e308 photons."""
+    out: it is inf without loss, or at this budget of 1e308 photons. A
+    ConfigError is no overflow edge, so it fails the test."""
     for params, ts in OVERFLOW_EDGES:
         ts = np.append(ts, 1e308)
         for t in ts.tolist() + ([] if entry in ("total_qfi", "run_compute") else [*ts[:, None], ts]):
@@ -813,6 +845,8 @@ def test_overflow_edges_are_typed(entry):
                 warnings.simplefilter("error")
                 try:
                     values = ENTRY_POINTS[entry](params, t)
+                except ConfigError:
+                    raise
                 except CritsenseError:
                     continue
             if isinstance(values, dict):

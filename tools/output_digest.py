@@ -7,13 +7,15 @@ digest, for checking that a refactor leaves its outputs byte-identical.
 Writes OUT_DIR/digest.json with one digest per figure CSV (`critsense
 figure NAME`), one per `perfbench/workloads.design()` config (its exit code,
 stdout, stderr and output JSON from `critsense compute --config C --out O`),
-in design order, one per `perfbench/workloads.FOCK_DESIGN` centre (the Fock
-oracle's `fock_qfi_fidelity` there, as the benchmark runs it without
-jitter), one of `critsense validate`'s exit code and report (stdout), and
+in design order, one per EVOLVE config (the same, for the `evolve` mode,
+which the design does not run), one per `perfbench/workloads.FOCK_DESIGN`
+centre (the Fock oracle's `fock_qfi_fidelity` there, as the benchmark runs
+it without jitter), one of `critsense validate`'s exit code and report (stdout), and
 one per bad invocation in ERRORS (its exit code, stdout and stderr), run
 last, so the process-wide parser is checked after errors too. It keeps each
 CSV as OUT_DIR/figures/NAME.csv, each output JSON as
-OUT_DIR/compute/NNNN.json, NNNN its config's place in design order, and each
+OUT_DIR/compute/NNNN.json, NNNN its config's place in design order, each
+EVOLVE output as OUT_DIR/evolve/N.json, N its place in EVOLVE, and each
 Fock estimate with the truncations tried as OUT_DIR/fock/K.json, K the
 centre's place in FOCK_DESIGN, for `tools/output_diff.py`. The last stdout
 line is one digest of all of them.
@@ -55,6 +57,20 @@ def _sha(*parts: str | bytes) -> str:
     return h.hexdigest()
 
 
+# `evolve` configs: CQS and PQS, lossy thermal and lossless baths, displaced
+# squeezed PQS inputs with both phases, and t = 0.
+EVOLVE = [
+    {"mode": "evolve", "t": 2.0, "params": {"gamma": 1.0, "n_bath": 0.5}, "protocol": {"kind": "CQS", "n_max": 100.0}},
+    {"mode": "evolve", "t": 0.0, "params": {"gamma": 1.0, "n_bath": 0.5}, "protocol": {"kind": "CQS", "n_max": 100.0}},
+    {"mode": "evolve", "t": 5.0, "params": {"epsilon": 0.9, "gamma": 0.0}, "protocol": {"kind": "CQS", "n_max": 1e3}},
+    {"mode": "evolve", "t": 1.5, "params": {"gamma": 0.5, "n_bath": 1.0}, "protocol": {"kind": "PQS", "n_max": 50.0}},
+    {"mode": "evolve", "t": 0.7, "params": {"gamma": 1.0, "n_bath": 0.3},
+     "protocol": {"kind": "PQS", "n_max": 20.0, "alpha": 1.5, "alpha_phase": 2.0, "r": 0.5, "r_phase": 0.4}},
+    {"mode": "evolve", "t": 3.0, "params": {"omega0": 2.0, "gamma": 0.0},
+     "protocol": {"kind": "PQS", "n_max": 20.0, "alpha": 2.0, "alpha_phase": 0.7, "r": 0.8, "r_phase": -1.1}},
+    {"mode": "evolve", "t": 0.0, "params": {"gamma": 0.0}, "protocol": {"kind": "PQS", "n_max": 10.0}},
+]
+
 # Bad invocations by name; each runs inside the scratch directory, where
 # digests() writes the files they name.
 ERRORS = {
@@ -82,6 +98,19 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _compute(config: dict, keep: Path) -> str:
+    """The digest of `critsense compute` on config (its exit code, stdout,
+    stderr and output JSON); the output JSON, if one is written, is kept as
+    keep."""
+    Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+    Path("out.json").unlink(missing_ok=True)
+    code, out, err = _run(["compute", "--config", "config.json", "--out", "out.json"])
+    written = Path("out.json").read_bytes() if Path("out.json").exists() else b""
+    if written:
+        keep.write_bytes(written)
+    return _sha(str(code), out, err, written)
+
+
 def fock_run(n_bath: float, ratio: float, t: float) -> dict:
     """fock_qfi_fidelity at one design centre (omega0 = Gamma = 1, eps_c =
     sqrt(2)) from suggested_dim's truncation, retrying at each
@@ -102,15 +131,9 @@ def digests(kept: Path) -> dict:
         csv = Path("figures", f"{name}.csv").read_bytes()
         figures[name] = _sha(str(code), out, err, csv)
         (kept / "figures" / f"{name}.csv").write_bytes(csv)
-    compute = []
-    for i, case in enumerate(case for block in design() for case in block):
-        Path("config.json").write_text(json.dumps(case.config()), encoding="utf-8")
-        Path("out.json").unlink(missing_ok=True)
-        code, out, err = _run(["compute", "--config", "config.json", "--out", "out.json"])
-        written = Path("out.json").read_bytes() if Path("out.json").exists() else b""
-        compute.append(_sha(str(code), out, err, written))
-        if written:
-            (kept / "compute" / f"{i:04d}.json").write_bytes(written)
+    cases = (case for block in design() for case in block)
+    compute = [_compute(case.config(), kept / "compute" / f"{i:04d}.json") for i, case in enumerate(cases)]
+    evolve = [_compute(config, kept / "evolve" / f"{i}.json") for i, config in enumerate(EVOLVE)]
     fock = []
     for k, (n_bath, ratio, t, _) in enumerate(FOCK_DESIGN):
         text = json.dumps(fock_run(n_bath, ratio, t))
@@ -125,7 +148,9 @@ def digests(kept: Path) -> dict:
     for name, argv in ERRORS.items():
         code, out, err = _run(argv)
         errors[name] = _sha(str(code), out, err)
-    return {"figures": figures, "compute": compute, "fock": fock, "validate": validate, "errors": errors}
+    return {
+        "figures": figures, "compute": compute, "evolve": evolve, "fock": fock, "validate": validate, "errors": errors,
+    }
 
 
 def main(argv: list[str]) -> int:
@@ -136,7 +161,7 @@ def main(argv: list[str]) -> int:
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         print(f"error: {argv[0]} exists and is not an empty directory", file=sys.stderr)
         return 2
-    for sub in ("figures", "compute", "fock"):
+    for sub in ("figures", "compute", "evolve", "fock"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     home = Path.cwd()
     with tempfile.TemporaryDirectory(prefix="critsense-digest-") as work:
@@ -148,6 +173,7 @@ def main(argv: list[str]) -> int:
     text = json.dumps(result, indent=1) + "\n"
     (out / "digest.json").write_text(text, encoding="utf-8")
     print(f"{len(result['figures'])} figures, {len(result['compute'])} compute configs, "
+          f"{len(result['evolve'])} evolve configs, "
           f"{len(result['fock'])} Fock centres, validate, "
           f"{len(result['errors'])} errors: {_sha(text)}")
     return 0
