@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import CritsenseError
+from .errors import CritsenseError, InvalidStateError
 
 _FLOAT = SimpleNamespace(
     exp=math.exp,
@@ -119,6 +119,24 @@ def quiet(t):
     warnings, as its non-finite intermediates are caught by the rules; for a
     float, unchanged."""
     return np.errstate(all="ignore") if isinstance(t, np.ndarray) else _UNCHANGED
+
+
+class finite_moments:
+    """Turns an OverflowError or FloatingPointError raised inside into the
+    InvalidStateError GaussianState gives for non-finite moments. `strict`
+    has numpy raise on overflow and invalid values inside: a caller asks for
+    it only where moments can grow without bound, as it slows each matmul."""
+
+    def __init__(self, strict: bool = True):
+        self._numpy = np.errstate(over="raise", invalid="raise") if strict else _UNCHANGED
+
+    def __enter__(self):
+        self._numpy.__enter__()
+
+    def __exit__(self, kind, error, trace):
+        self._numpy.__exit__(kind, error, trace)
+        if kind is not None and issubclass(kind, (OverflowError, FloatingPointError)):
+            raise InvalidStateError("non-finite moments") from None
 
 
 def over_t(evaluate, t, *inputs):

@@ -17,20 +17,21 @@ propagator needs no series at s = 0; _sinhc_slope, _int_texp and the noise
 integrals (at |s| t_eff^2 <= 0.3) switch to a power series where their closed
 forms would cancel digits. Each series is one `polyval` over a module-level
 table, which for the noise integrals is scaled by moments from one `gammainc`.
-Inputs may use any consistent unit system; thresholds are scale-relative.
+Inputs may use any unit system with rates from about 2^-195 to 2^195, where
+a change of units by a power of two changes no bit; beyond, intermediates of
+size rate^-5 leave the normal double range. Thresholds are scale-relative.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
-from .errors import DomainError, InvalidStateError, NoSteadyStateError
-from ._elementwise import lib, matrix, over_t, per_t, quiet, reject, select
+from .errors import DomainError, NoSteadyStateError
+from ._elementwise import finite_moments, lib, matrix, over_t, per_t, quiet, reject, select
 from .gaussian import IDENTITY, GaussianState, _check_grid, mean_photons, rotation_matrix, thermal_state
 
 @dataclass(frozen=True)
@@ -118,9 +119,16 @@ def _s_and_gap(params: SystemParams) -> tuple[float, float]:
     once from the exact squares. Near the critical point K is a small
     difference of large squares, and the slow rate gamma - sqrt(s) = K /
     (gamma + sqrt(s)) and the steady state scale as K: formed as differences
-    of rounded squares they would lose digits in proportion to 1/K."""
+    of rounded squares they would lose digits in proportion to 1/K.
+    DomainError where a square or either sum leaves the double range."""
     w2, e2, g2 = _square(params.omega), _square(params.epsilon), _square(params.gamma)
-    return math.fsum((*e2, -w2[0], -w2[1])), math.fsum((*w2, *g2, -e2[0], -e2[1]))
+    try:
+        s, k = math.fsum((*e2, -w2[0], -w2[1])), math.fsum((*w2, *g2, -e2[0], -e2[1]))
+    except (OverflowError, ValueError):  # a partial sum overflows, or a square's parts are inf and -inf
+        s = k = math.nan
+    if not (math.isfinite(s) and math.isfinite(k)):  # or nan
+        raise DomainError(f"squared rates leave the double range: {params!r}")
+    return s, k
 
 
 def _decayed_cosh_sinhc(gamma: float, s: float, k: float, tau):
@@ -357,30 +365,27 @@ def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool
     w, eps, gamma = params.omega, params.epsilon, params.gamma
     # Below threshold |exp(A t)| <= 1 + |B| t. At and above it exp(A t) grows
     # without bound, and it or its product with sigma can leave the double
-    # range: that raises the typed error GaussianState gives for non-finite
-    # moments. The numpy error state is set only there and for an array of t
-    # (as over_t sets it), as it slows each matmul. Without loss |exp(A t)|
-    # grows as t, and the tangent as t^3: at t near the double range they
-    # overflow too, and are guarded alike.
+    # range: finite_moments makes that the typed error GaussianState gives
+    # for non-finite moments. numpy is asked to raise only there, as it
+    # slows each matmul. Without loss |exp(A t)| grows as t, and the tangent
+    # as t^3: at t near the double range they overflow too, and are guarded
+    # alike.
     growing = eps >= params.epsilon_c or gamma == 0
     with quiet(t):
-        try:
-            with np.errstate(over="raise", invalid="raise") if growing else contextlib.nullcontext():
-                s, k = _s_and_gap(params)
-                c, sc = _decayed_cosh_sinhc(gamma, s, k, t)
-                noise = _noise_integrals(gamma, s, k, t, slopes=tangent) if gamma > 0 else None
-                G, dG = _noise_covariance(params, t, noise)
-                M = _exp_drift(params, c, sc)
-                M_T = M.swapaxes(-1, -2)
-                v = np.matvec(M, state0.v)
-                sigma = M @ state0.sigma @ M_T + G
-                if tangent:
-                    q = _sinhc_slope(gamma, s, t, c, sc)
-                    dM = matrix(-w * t * sc, sc - 2.0 * w * q * (w - eps), 2.0 * w * q * (w + eps) - sc, -w * t * sc)
-                    X = dM @ state0.sigma @ M_T
-                    dv, dsigma = np.matvec(dM, state0.v), X + X.swapaxes(-1, -2) + dG
-        except (OverflowError, FloatingPointError):
-            raise InvalidStateError("non-finite moments") from None
+        with finite_moments(strict=growing):
+            s, k = _s_and_gap(params)
+            c, sc = _decayed_cosh_sinhc(gamma, s, k, t)
+            noise = _noise_integrals(gamma, s, k, t, slopes=tangent) if gamma > 0 else None
+            G, dG = _noise_covariance(params, t, noise)
+            M = _exp_drift(params, c, sc)
+            M_T = M.swapaxes(-1, -2)
+            v = np.matvec(M, state0.v)
+            sigma = M @ state0.sigma @ M_T + G
+            if tangent:
+                q = _sinhc_slope(gamma, s, t, c, sc)
+                dM = matrix(-w * t * sc, sc - 2.0 * w * q * (w - eps), 2.0 * w * q * (w + eps) - sc, -w * t * sc)
+                X = dM @ state0.sigma @ M_T
+                dv, dsigma = np.matvec(dM, state0.v), X + X.swapaxes(-1, -2) + dG
         state = GaussianState(v, sigma, *_lossless_det(params, state0, t))
     return (state, dv, dsigma) if tangent else state
 
@@ -477,12 +482,10 @@ def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool 
         state = GaussianState(v, sigma, *_lossless_det(params, state0, t))
         if not tangent:
             return state
-        try:  # without loss the tangent grows as t, and can leave the double range
-            with np.errstate(over="raise", invalid="raise"):
-                X = per_t(decay * decay * t, 2) * (_J @ sigma0_r)
-                return state, per_t(t, 1) * (v @ _J.T), X + X.swapaxes(-1, -2)
-        except FloatingPointError:
-            raise InvalidStateError("non-finite moments") from None
+        # Without loss the tangent grows as t, and can leave the double range.
+        with finite_moments():
+            X = per_t(decay * decay * t, 2) * (_J @ sigma0_r)
+            return state, per_t(t, 1) * (v @ _J.T), X + X.swapaxes(-1, -2)
 
 
 def evolve_passive(params: SystemParams, state0: GaussianState, t) -> GaussianState:

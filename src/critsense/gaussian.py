@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._elementwise import entries, fields_equal, lib, matrix, per_t, reject
+from ._elementwise import entries, fields_equal, finite_moments, lib, matrix, per_t, reject
 from .errors import DomainError, InvalidStateError, PreconditionError
 
 # Soft numerical tolerance for physicality checks; a violation beyond HARD_TOL
@@ -165,12 +165,15 @@ def rotation_matrix(theta) -> np.ndarray:
 def squeeze_matrix(s: SqueezeParam) -> np.ndarray:
     """Symplectic matrix of S(r e^{i phase}) = R(phase/2) diag(e^r, e^-r) R(phase/2)^T,
     built from its factors: cosh r - sinh r would cancel the digits of e^-r.
-    A stack of shape (n, 2, 2) for r an array over t."""
+    A stack of shape (n, 2, 2) for r an array over t. An e^r that leaves the
+    double range raises the typed error GaussianState gives for non-finite
+    moments, with no numpy warning."""
     rot = rotation_matrix(0.5 * s.phase)
     f = lib(s.r)
-    stretch = f.exp(s.r)
-    zero = 0.0 * stretch
-    return rot @ matrix(stretch, zero, zero, f.exp(-s.r)) @ rot.T
+    with finite_moments():
+        stretch = f.exp(s.r)
+        zero = 0.0 * stretch
+        return rot @ matrix(stretch, zero, zero, f.exp(-s.r)) @ rot.T
 
 
 def thermal_state(n_bath: float) -> GaussianState:
@@ -203,12 +206,9 @@ def apply_squeeze(state: GaussianState, s: SqueezeParam) -> GaussianState:
     A squeezing whose e^r or moments leave the double range raises the typed
     error GaussianState gives for non-finite moments, with no numpy warning."""
     _check_grid(state, s.r)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            S = squeeze_matrix(s)
-            v, sigma = np.matvec(S, state.v), S @ state.sigma @ S.swapaxes(-1, -2)
-    except (OverflowError, FloatingPointError):
-        raise InvalidStateError("non-finite moments") from None
+    S = squeeze_matrix(s)
+    with finite_moments():
+        v, sigma = np.matvec(S, state.v), S @ state.sigma @ S.swapaxes(-1, -2)
     return GaussianState(v, sigma)
 
 
@@ -259,8 +259,9 @@ def mean_photons(state: GaussianState):
     over t for a stacked state."""
     v = state.v
     (s11, _), (_, s22) = entries(state.sigma, 2)
-    # vecdot rounds as v @ v does for one state.
-    v_sq = float(v @ v) if v.ndim == 1 else np.vecdot(v, v)
+    # vecdot rounds as v @ v does for one state; an overflow is caught below.
+    with np.errstate(over="ignore"):
+        v_sq = float(v @ v) if v.ndim == 1 else np.vecdot(v, v)
     n = 0.25 * (s11 + s22) - 0.5 + 0.5 * v_sq
     f = lib(n)
     reject(f.not_(f.isfinite(n)), InvalidStateError, "non-finite photon number {!r}", n)  # a finite state's can overflow

@@ -565,6 +565,11 @@ class TestComputeCommand:
                          "error: non-finite moments", id="squeeze_exp_overflows"),
             pytest.param({"mode": "qfi", "t": 1, "protocol": {"kind": "PQS", "n_max": 1e300, "r": 400}},
                          "error: non-finite moments", id="squeezed_moments_overflow"),
+            pytest.param({"mode": "qfi", "t": 1, "protocol": {"kind": "PQS", "n_max": 1e308, "alpha": 1e160}},
+                         "error: non-finite photon number inf", id="displaced_photons_overflow"),
+            pytest.param({"mode": "qfi", "t": 1e-155, "params": {"omega0": 1e155, "gamma": 1e155},
+                          "protocol": {"kind": "CQS", "n_max": 10}},
+                         "error: squared rates leave the double range", id="squared_rates_overflow"),
             pytest.param({"mode": "bound", "params": {"gamma": 1e-320},
                           "protocol": {"kind": "PQS", "n_max": 10, "total_time": 1}},
                          "error: bound integral out of range", id="bound_at_subnormal_gamma"),
@@ -594,10 +599,10 @@ class TestComputeCommand:
         ],
     )
     def test_compute_error_exits_1(self, tmp_path, capsys, cfg, error):
-        """A QFI, a tangent, a squeezing, a bound or a phase beyond the double
-        range, or a state past the budget, exits 1 with one typed error line
-        (its start matching `error`), with no traceback and no numpy warning.
-        The lossless QFIs grow as t^2, and overflow at t = 1e160. (Design
+        """A QFI, a tangent, a squeezing, a displacement's photons, a bound, a
+        phase or squared rates beyond the double range, or a state past the
+        budget, exits 1 with one typed error line (its start matching
+        `error`), with no traceback and no numpy warning. The lossless QFIs grow as t^2, and overflow at t = 1e160. (Design
         configs 437 and 517 of perfbench/workloads.py, which overflowed here
         through the finite-difference derivative, now compute; see
         test_metrology.py::TestExactDerivative.) Every mode checks the

@@ -29,7 +29,7 @@ from critsense.gaussian import (
 )
 from critsense.metrology import differentiate_at_zero_shift
 from critsense.protocols import cqs_qfi, epsilon_opt
-from critsense.validate import battery_params
+from critsense.validate import BATTERY
 
 
 class TestSpectralInfo:
@@ -58,7 +58,7 @@ class TestSpectralInfo:
         assert info.lambda_minus.imag == pytest.approx(-math.sqrt(0.75))
 
     def test_ordering_invariant(self):
-        for params in battery_params():
+        for params in BATTERY:
             info = spectral_info(params)
             assert info.lambda_plus.real >= info.lambda_minus.real - 1e-15
 
@@ -89,7 +89,7 @@ class TestDriftAndDiffusion:
         assert np.allclose(A, [[0.0, 0.0], [-2.0, 0.0]])
 
     def test_eigenvalues_match_spectral_info(self):
-        for params in battery_params():
+        for params in BATTERY:
             A, _ = drift_and_diffusion(params)
             info = spectral_info(params)
             eig = sorted(np.linalg.eigvals(-A), key=lambda z: (z.real, z.imag))

@@ -15,6 +15,7 @@ from critsense.gaussian import (
     photon_variance,
     purity,
     rotation_matrix,
+    squeeze_matrix,
     thermal_state,
     vacuum_state,
 )
@@ -86,6 +87,13 @@ class TestSqueeze:
         warning (the suite turns RuntimeWarning into an error)."""
         with pytest.raises(InvalidStateError, match="non-finite moments"):
             apply_squeeze(thermal_state(0.5), SqueezeParam(r))
+
+    @pytest.mark.parametrize("r", [800.0, np.array([1.0, 800.0])], ids=["float", "array"])
+    def test_squeeze_matrix_beyond_double_range_raises_typed_error(self, r):
+        """An e^r beyond the double range raises: not math's bare
+        OverflowError, nor a numpy warning and non-finite entries."""
+        with pytest.raises(InvalidStateError, match="non-finite moments"):
+            squeeze_matrix(SqueezeParam(r))
 
 
 class TestDisplace:
@@ -303,6 +311,14 @@ class TestObservables:
             st.sigma[0, 0] = 1.0
         with pytest.raises(ValueError):
             st.v[0] = 1.0
+
+    @pytest.mark.parametrize("v", [[1e160, 0.0], [[1.0, 0.0], [1e160, 0.0]]], ids=["one", "stack"])
+    def test_photon_number_overflow_is_typed(self, v):
+        """A |v|^2 beyond the double range raises, with no numpy warning."""
+        v = np.array(v)
+        state = GaussianState(v, np.broadcast_to(np.eye(2), v.shape + (2,)))
+        with pytest.raises(InvalidStateError, match="non-finite photon number"):
+            mean_photons(state)
 
     def test_huge_covariance_overflows_quietly(self):
         # det overflows to inf: purity 0, and no numpy overflow warning.

@@ -47,7 +47,7 @@ from critsense.protocols import (
     optimal_homodyne_input,
     total_qfi,
 )
-from critsense.validate import ALL_CHECKS, _horizon, _rel_tangent_diff, battery_params, check_rk4_agreement
+from critsense.validate import ALL_CHECKS, BATTERY, _horizon, _rel_tangent_diff, check_rk4_agreement
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.check_name)
@@ -153,7 +153,7 @@ class TestLyapunovRk4:
         increments = []
         power = oracle._power
         monkeypatch.setattr(oracle, "_power", lambda E, n: increments.append((E, n)) or power(E, n))
-        for params in battery_params():
+        for params in BATTERY:
             G = kron_rk4_generator(params)
             for frac in (0.02, 0.2, 1.0):
                 t = frac * _horizon(params)

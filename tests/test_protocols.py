@@ -852,3 +852,46 @@ def test_overflow_edges_are_typed(entry):
             if isinstance(values, dict):
                 values = [value for key, value in values.items() if key != "bound_value"]
             assert all(np.all(np.isfinite(value)) for value in values), (params, t)
+
+
+# Each entry point that squares the rates, at omega0 = gamma = w, epsilon = w / 2.
+SQUARED_RATES = {
+    "spectral_info": spectral_info,
+    "steady_state_photons": steady_state_photons,
+    "cqs_qfi_steady": cqs_qfi_steady,
+    "ProtocolSpec": lambda p: ProtocolSpec(ProtocolKind.CQS, p, ResourceBudget(10.0, 1.0)),
+    "evolve_critical": lambda p: evolve_critical(p, thermal_state(0.0), 1.0 / p.omega0),
+    "cqs_qfi": lambda p: cqs_qfi(p, 1.0 / p.omega0),
+}
+
+
+@pytest.mark.parametrize("entry", SQUARED_RATES)
+@pytest.mark.parametrize("w", [1e154, 1.4e154, 1e155])
+def test_squared_rates_beyond_double_range_raise_domain_error(entry, w):
+    """Where omega^2 + gamma^2 overflows a sum (1e154), a square itself
+    (1.4e154, 1e155), the rates raise DomainError: not fsum's bare
+    OverflowError or ValueError, a nan, or a non-finite-moments error."""
+    with pytest.raises(DomainError, match="squared rates leave the double range"):
+        SQUARED_RATES[entry](SystemParams(w, 0.5 * w, w))
+
+
+@pytest.mark.parametrize("k", [-190, -64, 3, 64, 190])
+def test_power_of_two_units_are_exact(k):
+    """Rates times 2^k and times over 2^k give QFIs over 4^k and the same
+    photons, to the last bit: below the split, at the exceptional point, in
+    the transient, near and above threshold, lossless and passive. Outside
+    |k| <= 200 the flows' intermediates leave the normal range."""
+    c = 2.0 ** k
+    scaled = lambda p: SystemParams(c * p.omega0, c * p.epsilon, c * p.gamma, p.n_bath)
+    ts = np.array([0.01, 0.5, 3.0, 20.0])
+    for params in (SystemParams(1.0, 0.5, 1.0), SystemParams(1.0, 1.0, 1.0, 0.5),
+                   SystemParams(1.0, 1.2, 0.8, 0.3), SystemParams(1.0, 0.9975 * math.sqrt(2.0), 1.0),
+                   SystemParams(1.0, 1.6, 1.0, 1.0), SystemParams(1.0, 1.5, 0.0)):
+        assert np.array_equal(cqs_qfi(scaled(params), ts / c) * c * c, cqs_qfi(params, ts))
+        floats = [cqs_qfi(params, t) for t in ts.tolist()]
+        assert [cqs_qfi(scaled(params), t / c) * c * c for t in ts.tolist()] == floats
+    steady = SystemParams(1.0, 0.9975 * math.sqrt(2.0), 1.0, 1.0)
+    assert cqs_qfi_steady(scaled(steady)) * c * c == cqs_qfi_steady(steady)
+    assert steady_state_photons(scaled(steady)) == steady_state_photons(steady)
+    passive = SystemParams(1.0, 0.0, 1.0, 0.5)
+    assert pqs_qfi(*PQS_INPUT, scaled(passive), 0.5 / c) * c * c == pqs_qfi(*PQS_INPUT, passive, 0.5)
