@@ -497,3 +497,9 @@ def evolve_passive(params: SystemParams, state0: GaussianState, t) -> GaussianSt
     stacks of starts give stacks, as in evolve_critical.
     """
     return _passive_flow(params, state0, t, tangent=False)
+
+
+# Each evolution's flow: its moments with their exact shift derivative, from
+# one evaluation. Keyed by the evolution itself, which
+# metrology.differentiate_at_zero_shift finds by identity.
+_FLOWS = {evolve_critical: _critical_flow, evolve_passive: _passive_flow, steady_state: _steady_flow}

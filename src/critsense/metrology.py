@@ -13,6 +13,7 @@ step by step, sharing no code with the closed form, and checks it.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -23,7 +24,7 @@ from . import dynamics
 from ._elementwise import entries, fields_equal, lib, matrix, quiet, reject
 from .dynamics import SystemParams
 from .errors import AccuracyError, DomainError, InvalidStateError, PreconditionError, PureStateError
-from .gaussian import DET_ROUNDING, GaussianState, cholesky_factor, photon_variance, require_one_state
+from .gaussian import DET_ROUNDING, GaussianState, _check_grid, cholesky_factor, photon_variance, require_one_state
 
 # At a pure state the weight of the purity-derivative term diverges; the
 # term is dropped only where the purity's derivative is this small
@@ -127,31 +128,25 @@ class DerivativePair:
             return _whiten(*cholesky_factor(self.state), v1, v2, d11, d12, d22)
 
 
-# The moments of each evolution with their exact shift derivative, from one
-# evaluation, by the evolution's name: a decorated evolution
-# (functools.wraps) keeps its name.
-_FLOWS = {
-    "evolve_critical": dynamics._critical_flow,
-    "evolve_passive": dynamics._passive_flow,
-    "steady_state": dynamics._steady_flow,
-}
-
-
 def differentiate_at_zero_shift(
     evolve: Callable[..., GaussianState], params: SystemParams, *args
 ) -> DerivativePair:
     """The state evolve(params, *args) at zero shift and the exact derivative
     of its moments with respect to the shift.
 
-    `evolve` is dynamics.evolve_critical, evolve_passive or steady_state; any
+    `evolve` is dynamics.evolve_critical, evolve_passive or steady_state
+    itself, or a wrapper whose `__wrapped__` chain ends at one of them (as
+    functools.wraps and functools.lru_cache leave it); it is found by
+    identity, never by name, and any other object raises DomainError. Any
     further arguments (start state, time) must not depend on the shift. The
     state and its derivative come from one evaluation of that evolution's
     closed form, with no step size. A 1-D array of times gives a
     DerivativePair stacked over t.
     """
-    flow = _FLOWS.get(getattr(evolve, "__name__", None))
-    if flow is None:
-        raise DomainError(f"no exact shift derivative for {evolve!r}")
+    try:
+        flow = dynamics._FLOWS[inspect.unwrap(evolve)]
+    except (KeyError, TypeError, ValueError):  # not an evolution, unhashable, or a cycle of __wrapped__
+        raise DomainError(f"no exact shift derivative for {evolve!r}") from None
     if params.delta_omega != 0.0:
         params = params.with_shift(0.0)
     return DerivativePair(*flow(params, *args))
@@ -210,12 +205,19 @@ def fi_homodyne(pair: DerivativePair, psi):
     """Classical Fisher information of homodyne detection at angle psi,
     measured from the x axis: (4 S dm^2 + dS^2) / (2 S^2) for the variance S
     and mean m of the quadrature u = (cos psi, -sin psi). A float for one
-    pair; an array over t for a stack, with psi a float or an array over t.
+    pair; an array over t for a stack, with psi a float or a 1-D array of one
+    angle per t. As for every input per t, a psi over another number of times
+    than the stack's raises PreconditionError; a psi array of any other
+    shape raises DomainError.
 
     With y = L^T u in the whitened frame, S = |y|^2, dm = y.a and dS = y^T B y,
     so FI = 2 (e.a)^2 + (e^T B e)^2 / 2 for the unit vector e = y / |y|; u^T
     sigma u itself would cancel digits along a strongly squeezed quadrature.
     """
+    if isinstance(psi, np.ndarray):
+        if psi.ndim != 1:
+            raise DomainError(f"homodyne angles must be a float or a 1-D array over t, got shape {psi.shape}")
+        _check_grid(pair.state, psi)
     angle = lib(psi)
     reject(angle.not_(angle.isfinite(psi)), DomainError, "homodyne angle must be finite, got {!r}", psi)
     w = pair.whitened

@@ -480,6 +480,13 @@ def _bound_rate(n, total_time: float, gamma: float, n_bath: float):
     return 2.0 * n * total_time / (gamma * (1.0 + 2.0 * n_bath - n_bath / (n + 1.0)))
 
 
+def _check_rates(gamma: float, n_bath: float) -> None:
+    """The rates fundamental_bound and budget_cap take: DomainError for a
+    gamma or n_bath that is negative or not finite."""
+    if not (0 <= gamma < math.inf and 0 <= n_bath < math.inf):
+        raise DomainError("gamma and n_bath must be >= 0 and finite")
+
+
 def fundamental_bound(
     photon_traj: Callable[[np.ndarray], np.ndarray | float],
     total_time: float,
@@ -509,8 +516,7 @@ def fundamental_bound(
     """
     if not 0 < total_time < math.inf:
         raise DomainError("total_time must be positive and finite")
-    if not (0 <= gamma < math.inf and 0 <= n_bath < math.inf):
-        raise DomainError("gamma and n_bath must be >= 0 and finite")
+    _check_rates(gamma, n_bath)
     if gamma == 0:
         return BoundResult(math.inf, math.inf, 0.0)
 
@@ -554,7 +560,9 @@ def fundamental_bound(
 
 
 def budget_cap(budget: ResourceBudget, gamma: float, n_bath: float = 0.0) -> float:
-    """Bound cap evaluated at the photon budget: 2 N_max T / (gamma (1+2n_B - ...))."""
+    """Bound cap evaluated at the photon budget: 2 N_max T / (gamma (1+2n_B - ...)).
+    Raises DomainError for a gamma or n_bath that is negative or not finite."""
+    _check_rates(gamma, n_bath)
     if gamma == 0:
         return math.inf
     return _bound_rate(budget.n_max, budget.total_time, gamma, n_bath)

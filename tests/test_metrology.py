@@ -171,7 +171,8 @@ class TestExactDerivative:
     def test_one_evolution_per_derivative(self, monkeypatch):
         """The state and its derivative share one evaluation of the closed
         form: s and K, (c, sc), the series test and the noise integrals once
-        each. The decorated evolution only names that closed form."""
+        each. The decorated evolution leads to that closed form through
+        `__wrapped__` and is never called."""
         calls = []
 
         @functools.wraps(evolve_critical)
@@ -198,10 +199,6 @@ class TestExactDerivative:
         shifted = SystemParams(1.0, 1.2, 1.0, delta_omega=0.3)
         pair = differentiate_at_zero_shift(steady_state, shifted)
         assert np.array_equal(pair.dsigma, cqs_steady_pair(SystemParams(1.0, 1.2, 1.0)).dsigma)
-
-    def test_unknown_evolution_rejected(self):
-        with pytest.raises(DomainError):
-            differentiate_at_zero_shift(lambda params: vacuum_state(), UNIT)
 
     def test_passive_rotation_generator(self):
         """dv = t J v for free precession, J = [[0, 1], [-1, 0]]."""
@@ -461,6 +458,84 @@ class TestSnrPhotonCounting:
         st = GaussianState(np.array([1.0, 0.0]), 2.0 * np.eye(2))
         with pytest.raises(PreconditionError):
             snr_photon_counting(DerivativePair(st, np.zeros(2), np.eye(2)))
+
+
+_CRITICAL = (SystemParams(1.0, 1.2, 1.0), thermal_state(0.0), 2.0)
+_PASSIVE = (SystemParams(1.0, 0.0, 0.5), thermal_state(0.3), 1.0)
+_STEADY = (SystemParams(1.0, 1.2, 1.0),)
+
+
+def _impostor(name: str):
+    """A plain function that only shares an evolution's name: it returns its
+    start unchanged, and raises where it has none."""
+
+    def impostor(params, *args):
+        if not args:
+            raise AssertionError("impostor called")
+        return args[0]
+
+    impostor.__name__ = impostor.__qualname__ = name
+    return impostor
+
+
+def _wrapped(evolve):
+    """A functools.wraps decoration of evolve that raises if called."""
+
+    @functools.wraps(evolve)
+    def wrapper(*args):
+        raise AssertionError("wrapper called")
+
+    return wrapper
+
+
+def _cycle():
+    """A function whose __wrapped__ chain never ends."""
+
+    def loop(params):
+        return vacuum_state()
+
+    loop.__wrapped__ = loop
+    return loop
+
+
+@pytest.mark.parametrize("evolve, args, resolves_to", [
+    pytest.param(_impostor("evolve_critical"), _CRITICAL, None, id="named-evolve_critical"),
+    pytest.param(_impostor("evolve_passive"), _PASSIVE, None, id="named-evolve_passive"),
+    pytest.param(_impostor("steady_state"), _STEADY, None, id="named-steady_state"),
+    pytest.param(functools.partial(evolve_critical), _CRITICAL, None, id="partial"),
+    pytest.param(lambda params: vacuum_state(), (UNIT,), None, id="lambda"),
+    pytest.param(None, _STEADY, None, id="None"),
+    pytest.param([1], _STEADY, None, id="unhashable"),
+    pytest.param(_cycle(), _STEADY, None, id="wrapped-cycle"),
+    pytest.param(_wrapped(evolve_critical), _CRITICAL, evolve_critical, id="wraps-evolve_critical"),
+    pytest.param(_wrapped(evolve_passive), _PASSIVE, evolve_passive, id="wraps-evolve_passive"),
+    pytest.param(_wrapped(steady_state), _STEADY, steady_state, id="wraps-steady_state"),
+    pytest.param(functools.lru_cache(evolve_critical), _CRITICAL, evolve_critical, id="lru_cache-evolve_critical"),
+    pytest.param(_wrapped(functools.lru_cache(steady_state)), _STEADY, steady_state, id="wraps-lru_cache-steady"),
+])
+def test_evolution_found_by_identity(evolve, args, resolves_to):
+    """differentiate_at_zero_shift finds an evolution's flow by identity,
+    through a __wrapped__ chain and never by name: a wrapped evolution gives
+    the undecorated pair bit for bit, without being called, and any other
+    object, an impostor with an evolution's name included, raises
+    DomainError."""
+    if resolves_to is None:
+        with pytest.raises(DomainError, match="no exact shift derivative"):
+            differentiate_at_zero_shift(evolve, *args)
+        return
+    got, want = differentiate_at_zero_shift(evolve, *args), differentiate_at_zero_shift(resolves_to, *args)
+    for a, b in ((got.state.v, want.state.v), (got.state.sigma, want.state.sigma),
+                 (got.dv, want.dv), (got.dsigma, want.dsigma)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_homodyne_angles_over_another_grid_rejected():
+    """psi with one angle for each of two times, on a stack of three,
+    raises PreconditionError as every input per t does, not numpy's bare
+    broadcast error."""
+    pair = cqs_pair(SystemParams(1.0, 1.2, 1.0), np.array([0.5, 1.0, 2.0]))
+    with pytest.raises(PreconditionError, match="input per t of 2 times on a stack of 3 states"):
+        fi_homodyne(pair, np.array([0.1, 0.2]))
 
 
 @pytest.mark.parametrize("estimates, pairs", [

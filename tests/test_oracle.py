@@ -721,6 +721,9 @@ class TestFockStates:
         lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), 1.0), math.inf),
         lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), 1.0), math.nan),
         lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), np.array([1.0, 2.0])), np.array([0.5, math.nan])),
+        lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), np.array([1.0, 2.0, 3.0])), np.zeros((3, 1))),
+        lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), np.array([1.0, 2.0, 3.0])), np.zeros((1, 3))),
+        lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), 1.0), np.array(0.5)),
         lambda: SystemParams(1.0, 0.5, math.nan),
         lambda: SystemParams(1.0, 0.5, -1.0),
         lambda: SystemParams(1.0, 0.5, 1.0, n_bath=-0.5),
@@ -745,6 +748,7 @@ class TestFockStates:
     ],
     ids=["suggested_dim_inf", "suggested_dim_nan", "suggested_dim_negative", "fock_vacuum_0", "fock_vacuum_1",
          "fock_thermal_0", "fock_coherent_1", "rk4_dt_nan", "rk4_dt_inf", "fi_psi_inf", "fi_psi_nan", "fi_psi_array_nan",
+         "fi_psi_column", "fi_psi_row", "fi_psi_0d",
          "params_nan", "params_gamma_negative", "params_n_bath_negative", "params_epsilon_negative",
          "budget_total_time_0", "pqs_driven", "homodyne_input_n_max_0", "total_qfi_t_0", "rk4_t_negative",
          "evolve_critical_t_negative", "fock_evolve_t_negative", "fock_evolve_t_nan", "rk4_t_array",
@@ -753,8 +757,9 @@ class TestFockStates:
 )
 def test_bad_library_input_raises_domain_error(call):
     """A parameter, budget, time, density matrix, photon number, truncation,
-    step or homodyne angle outside its domain raises DomainError, not a bare
-    OverflowError, TypeError, ValueError or IndexError, nor an AccuracyError
-    that blames the state."""
+    step or homodyne angle outside its domain, or an array of angles that is
+    not 1-D, raises DomainError, not a bare OverflowError, TypeError,
+    ValueError or IndexError, a silently broadcast array, nor an
+    AccuracyError that blames the state."""
     with pytest.raises(DomainError):
         call()

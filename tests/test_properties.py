@@ -583,10 +583,12 @@ def test_unconverged_roots_raise(monkeypatch):
 
 def _frames(rows) -> SimpleNamespace:
     """A stand-in pair whose whitened frame holds the rows (l11, l21, l22,
-    a1, a2, b11, b12, b22) as arrays over t; best_homodyne reads nothing
-    else."""
+    a1, a2, b11, b12, b22) as arrays over t, with a state of as many rows of
+    v for fi_homodyne's check of the angles' grid; best_homodyne reads
+    nothing else."""
     l11, l21, l22, a1, a2, b11, b12, b22 = np.array(rows, dtype=float).T
-    return SimpleNamespace(whitened=Whitened(l11, l21, l22, np.ones_like(l11), a1, a2, b11, b12, b22))
+    state = SimpleNamespace(v=np.zeros((len(l11), 2)))
+    return SimpleNamespace(whitened=Whitened(l11, l21, l22, np.ones_like(l11), a1, a2, b11, b12, b22), state=state)
 
 
 def _frame(row) -> SimpleNamespace:

@@ -784,13 +784,19 @@ _RATE = lambda t: t
         pytest.param(lambda: fundamental_bound(lambda t: 1.0, 1.0, math.nan), id="bound-gamma-nan"),
         pytest.param(lambda: fundamental_bound(lambda t: 1.0, 1.0, 1.0, math.inf), id="bound-n_bath-inf"),
         pytest.param(lambda: fundamental_bound(lambda t: 1.0, 1.0, 1.0, math.nan), id="bound-n_bath-nan"),
+        pytest.param(lambda: budget_cap(ResourceBudget(1.0, 1.0), -1.0), id="cap-gamma-negative"),
+        pytest.param(lambda: budget_cap(ResourceBudget(1.0, 1.0), math.inf), id="cap-gamma-inf"),
+        pytest.param(lambda: budget_cap(ResourceBudget(1.0, 1.0), math.nan), id="cap-gamma-nan"),
+        pytest.param(lambda: budget_cap(ResourceBudget(1.0, 1.0), 1.0, -0.5), id="cap-n_bath-negative"),
+        pytest.param(lambda: budget_cap(ResourceBudget(1.0, 1.0), 1.0, math.nan), id="cap-n_bath-nan"),
         pytest.param(lambda: optimize_time(_RATE, ResourceBudget(1.0, 1.0), (0.1, math.inf)), id="optimize-inf"),
         pytest.param(lambda: optimize_time(_RATE, ResourceBudget(1.0, 1.0), (math.nan, 1.0)), id="optimize-nan"),
     ],
 )
 def test_non_finite_scalar_inputs_raise_domain_error(call):
-    """A non-finite budget, time, rate or bracket edge raises DomainError,
-    not a nan or inf result, a numpy warning or scipy's bare ValueError."""
+    """A non-finite budget, time, rate or bracket edge, or a negative rate,
+    raises DomainError, not a nan, inf or negative result, a numpy warning
+    or scipy's bare ValueError."""
     with pytest.raises(DomainError):
         call()
 

@@ -1,11 +1,18 @@
 """The benchmark's tracer and self-tests on this tree.
 
-`perfbench/run.py --trace 1` wraps every public function and reads a few of
-the package's internals: `oracle.default_step`, `lyapunov_rk4`'s `dt` and
-`verify_step`, `DerivativePair.warn` and `GaussianState.__post_init__`. A
-change to any of them fails here, without running the benchmark, as does a
-change that breaks `perfbench/selftest.py`. Both are loaded from perfbench/,
-which these tests only read.
+`perfbench/run.py --trace 1` wraps every public function with
+functools.wraps, replacing it wherever a module holds it by name or in a
+module-level tuple or dict value (never a dict key). It reads a few of the
+package's internals:
+  - `oracle.default_step`, and `lyapunov_rk4`'s `dt` and `verify_step`;
+  - `DerivativePair.warn`, on each result of `differentiate_at_zero_shift`;
+  - `GaussianState.__post_init__`, which it wraps too.
+`perfbench/selftest.py` asserts that `metrology.differentiate_at_zero_shift`
+and `protocols.differentiate_at_zero_shift` are one function, and that one
+float `protocols.cqs_qfi` call makes exactly one call of it. A change to any
+of these fails here, without running the benchmark, as does a change that
+breaks `perfbench/selftest.py`. Both are loaded from perfbench/, which these
+tests only read.
 """
 
 import importlib.util
@@ -18,6 +25,7 @@ import numpy as np
 from critsense import cli, gaussian, oracle, protocols
 from critsense.dynamics import SystemParams
 from critsense.gaussian import thermal_state
+from critsense.protocols import ProtocolKind, ProtocolSpec, ResourceBudget
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -60,6 +68,33 @@ def test_tracer_counts_calls_and_restores_the_originals(tmp_path):
     assert tracer.derivative_warns == 0
     assert all(now is before for now, before in zip(_bound(), originals))
     assert (tmp_path / "fig4.csv").exists()
+
+
+def test_traced_protocol_specs_give_the_untraced_pairs():
+    """A CQS and a PQS ProtocolSpec built under the tracer hold the traced
+    evolution, a wrapper that differentiate_at_zero_shift follows to its
+    flow: their pairs at a float and an array t are the untraced ones, bit
+    for bit."""
+    budget = ResourceBudget(100.0, 10.0)
+    times = (0.5, np.array([0.5, 1.0, 2.0]))
+
+    def pairs():
+        specs = (ProtocolSpec(ProtocolKind.CQS, SystemParams(1.0, 0.9, 1.0), budget),
+                 ProtocolSpec(ProtocolKind.PQS, SystemParams(1.0, 0.0, 1.0), budget))
+        return [spec.evolution for spec in specs], [spec.pair(t) for spec in specs for t in times]
+
+    evolutions, want = pairs()
+    tracer = _tracer()
+    tracer.install()
+    try:
+        traced, got = pairs()
+    finally:
+        tracer.uninstall()
+    assert all(wrapper is not evolution and wrapper.__wrapped__ is evolution
+               for wrapper, evolution in zip(traced, evolutions))
+    for a, b in zip(got, want):
+        for x, y in ((a.state.v, b.state.v), (a.state.sigma, b.state.sigma), (a.dv, b.dv), (a.dsigma, b.dsigma)):
+            assert x.tobytes() == y.tobytes()
 
 
 def test_benchmark_selftest_passes():
