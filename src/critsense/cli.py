@@ -215,11 +215,10 @@ FIGURES = tuple(FIGURE_WRITERS)
 # --- compute ------------------------------------------------------------------
 
 _SECTIONS = ("params", "protocol", "grid")
-# Every accepted key, as a dotted path; mode is checked on its own. A protocol
-# runs at zero shift (the shift is what it estimates), so params has no delta_omega.
+# Every accepted key, as a dotted path; mode is checked on its own.
 _FIELDS = (
     "t",
-    *(f"params.{name}" for name in ("omega0", "epsilon", "gamma", "n_bath")),
+    *(f"params.{f.name}" for f in fields(SystemParams)),
     *(f"protocol.{name}" for name in ("kind", "alpha", "alpha_phase", "r", "r_phase", "psi")),
     *(f"protocol.{f.name}" for f in fields(ResourceBudget)),
     "grid.t_min", "grid.t_max",
@@ -297,10 +296,10 @@ def _parse_config(cfg) -> dict:
 
 
 def _build(given: dict, cls, section: str, *names: str):
-    """cls from the section's values at names (default: cls's fields a config
-    accepts), each given or defaulted; a value cls rejects is a config error."""
+    """cls from the section's values at names (default: all of cls's fields),
+    each given or defaulted; a value cls rejects is a config error."""
     conf = {**_DEFAULTS, "protocol.total_time": max(float(given.get("t", 1.0)), 1e-12), **given}
-    names = names or [f.name for f in fields(cls) if f"{section}.{f.name}" in _FIELDS]
+    names = names or [f.name for f in fields(cls)]
     try:
         return cls(*(float(conf[f"{section}.{name}"]) for name in names))
     except DomainError as exc:

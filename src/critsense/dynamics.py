@@ -1,8 +1,9 @@
 """Closed-form moment dynamics of a parametrically driven, thermally damped mode.
 
-The model is H = omega a†a + (epsilon/2)(a^2 + a†^2) with omega = omega0 +
-delta_omega, coupled to a thermal bath at rate gamma and occupation n_bath.
-In the quadrature basis the first and second moments obey
+The model is H = omega a†a + (epsilon/2)(a^2 + a†^2) with omega = omega0,
+coupled to a thermal bath at rate gamma and occupation n_bath; the frequency
+shift is a change of omega0, taken at zero. In the quadrature basis the
+first and second moments obey
 
     dv/dt = A v,      dSigma/dt = A Sigma + Sigma A^T + D,
     A = [[-gamma, omega - epsilon], [-(omega + epsilon), -gamma]],
@@ -25,27 +26,26 @@ size rate^-5 leave the normal double range. Thresholds are scale-relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import DomainError, NoSteadyStateError
 from ._elementwise import finite_moments, lib, matrix, over_t, per_t, quiet, reject, select
-from .gaussian import IDENTITY, GaussianState, _check_grid, mean_photons, rotation_matrix, thermal_state
+from .gaussian import IDENTITY, GaussianState, _check_grid, mean_photons, thermal_state
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical parameters (omega0, epsilon, gamma, n_bath, delta_omega)."""
+    """Physical parameters (omega0, epsilon, gamma, n_bath)."""
 
     omega0: float
     epsilon: float
     gamma: float
     n_bath: float = 0.0
-    delta_omega: float = 0.0
 
     def __post_init__(self):
-        vals = (self.omega0, self.epsilon, self.gamma, self.n_bath, self.delta_omega)
+        vals = (self.omega0, self.epsilon, self.gamma, self.n_bath)
         if not all(math.isfinite(x) for x in vals):
             raise DomainError("system parameters must be finite")
         if self.gamma < 0:
@@ -56,16 +56,9 @@ class SystemParams:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon!r}")
 
     @property
-    def omega(self) -> float:
-        return self.omega0 + self.delta_omega
-
-    @property
     def epsilon_c(self) -> float:
-        """Critical drive strength sqrt(omega^2 + gamma^2)."""
-        return math.hypot(self.omega, self.gamma)
-
-    def with_shift(self, delta_omega: float) -> "SystemParams":
-        return replace(self, delta_omega=delta_omega)
+        """Critical drive strength sqrt(omega0^2 + gamma^2)."""
+        return math.hypot(self.omega0, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -88,7 +81,7 @@ def spectral_info(params: SystemParams) -> SpectralInfo:
 
 def drift_and_diffusion(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature-basis drift A and diffusion D of the Lyapunov equation."""
-    w, eps, gamma = params.omega, params.epsilon, params.gamma
+    w, eps, gamma = params.omega0, params.epsilon, params.gamma
     A = np.array([[-gamma, w - eps], [-(w + eps), -gamma]])
     D = 2.0 * gamma * (1.0 + 2.0 * params.n_bath) * np.eye(2)
     return A, D
@@ -121,7 +114,7 @@ def _s_and_gap(params: SystemParams) -> tuple[float, float]:
     (gamma + sqrt(s)) and the steady state scale as K: formed as differences
     of rounded squares they would lose digits in proportion to 1/K.
     DomainError where a square or either sum leaves the double range."""
-    w2, e2, g2 = _square(params.omega), _square(params.epsilon), _square(params.gamma)
+    w2, e2, g2 = _square(params.omega0), _square(params.epsilon), _square(params.gamma)
     try:
         s, k = math.fsum((*e2, -w2[0], -w2[1])), math.fsum((*w2, *g2, -e2[0], -e2[1]))
     except (OverflowError, ValueError):  # a partial sum overflows, or a square's parts are inf and -inf
@@ -180,7 +173,7 @@ def _sinhc_slope(gamma: float, s: float, tau, c, sc):
 def _exp_drift(params: SystemParams, c, sc) -> np.ndarray:
     """exp(A t) = c I + sc B, with A = -gamma I + B and B = [[0, omega - eps],
     [-(omega + eps), 0]] (B^2 = s I), from (c, sc) = _decayed_cosh_sinhc at t."""
-    w, eps = params.omega, params.epsilon
+    w, eps = params.omega0, params.epsilon
     return matrix(c, sc * (w - eps), -sc * (w + eps), c)
 
 
@@ -307,7 +300,7 @@ def _noise_covariance(params: SystemParams, t, noise) -> tuple:
     if noise is None:
         zero = np.zeros(np.shape(t) + (2, 2))
         return zero, zero
-    w, eps = params.omega, params.epsilon
+    w, eps = params.omega0, params.epsilon
     i0, ic, i_s, iq = noise[:4]
     d = 2.0 * params.gamma * (1.0 + 2.0 * params.n_bath)
     ia = 0.5 * (i0 + ic)
@@ -362,7 +355,7 @@ def _critical_flow(params: SystemParams, state0: GaussianState, t, tangent: bool
     """
     _check_time(t)
     _check_grid(state0, t)
-    w, eps, gamma = params.omega, params.epsilon, params.gamma
+    w, eps, gamma = params.omega0, params.epsilon, params.gamma
     # Below threshold |exp(A t)| <= 1 + |B| t. At and above it exp(A t) grows
     # without bound, and it or its product with sigma can leave the double
     # range: finite_moments makes that the typed error GaussianState gives
@@ -423,7 +416,7 @@ def _steady_flow(params: SystemParams, tangent: bool = True):
     omega = 2 omega and dK/d omega = 2 omega, dSigma = (1 + 2 n_bath)/K
     diag(2 omega - eps, 2 omega + eps) - (2 omega/K) Sigma."""
     _require_steady_state(params)
-    eps_c, eps, w, gamma = params.epsilon_c, params.epsilon, params.omega, params.gamma
+    eps_c, eps, w, gamma = params.epsilon_c, params.epsilon, params.omega0, params.gamma
     k = _s_and_gap(params)[1]
     pref = (1.0 + 2.0 * params.n_bath) / k
     sigma = pref * np.array([[eps_c * eps_c - w * eps, -gamma * eps], [-gamma * eps, eps_c * eps_c + w * eps]])
@@ -462,10 +455,11 @@ def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool 
     1-D array of t, stacks over t. state0 is one start or a stack of starts,
     paired with t, and a lossless flow gives its det, as in _critical_flow.
 
-    dR(-delta t)/d delta = t J R, so dv = t J v and dSigma = e^{-2 gamma t}
-    t (J Sigma0_R + Sigma0_R J^T) with Sigma0_R = R Sigma0 R^T. The thermal
-    input is rotation-invariant and adds nothing; taken from Sigma(t)
-    instead, this would round to 0 once that input dominates.
+    A shift delta rotates the decayed start by -delta t, whose derivative at
+    delta = 0 is t J, so dv = t J v and dSigma = e^{-2 gamma t} t (J Sigma0 +
+    Sigma0 J^T). The thermal input is rotation-invariant and adds nothing;
+    taken from Sigma(t) instead, this would round to 0 once that input
+    dominates.
     """
     if params.epsilon != 0.0:
         raise DomainError("evolve_passive requires epsilon = 0")
@@ -473,27 +467,26 @@ def _passive_flow(params: SystemParams, state0: GaussianState, t, tangent: bool 
     _check_grid(state0, t)
     gamma, n_bath = params.gamma, params.n_bath
     with quiet(t):
-        R = rotation_matrix(-params.delta_omega * t)
         decay = lib(t).exp(-gamma * t)
-        v = per_t(decay, 1) * np.matvec(R, state0.v)
+        v = per_t(decay, 1) * state0.v
         relax = -lib(t).expm1(-2.0 * gamma * t)  # 1 - e^{-2 gamma t}
-        sigma0_r = R @ state0.sigma @ R.swapaxes(-1, -2)
-        sigma = per_t(decay * decay, 2) * sigma0_r + per_t(relax * (1.0 + 2.0 * n_bath), 2) * IDENTITY
+        sigma = per_t(decay * decay, 2) * state0.sigma + per_t(relax * (1.0 + 2.0 * n_bath), 2) * IDENTITY
         state = GaussianState(v, sigma, *_lossless_det(params, state0, t))
         if not tangent:
             return state
         # Without loss the tangent grows as t, and can leave the double range.
         with finite_moments():
-            X = per_t(decay * decay * t, 2) * (_J @ sigma0_r)
+            X = per_t(decay * decay * t, 2) * (_J @ state0.sigma)
             return state, per_t(t, 1) * (v @ _J.T), X + X.swapaxes(-1, -2)
 
 
 def evolve_passive(params: SystemParams, state0: GaussianState, t) -> GaussianState:
     """Free decaying evolution (epsilon = 0) in the frame rotating at omega0.
 
-    Moments follow a(t) = e^{-gamma t - i delta_omega t} a(0) + thermal input,
-    i.e. a phase-space rotation by -delta_omega*t with amplitude decay e^{-gamma t}
-    and covariance relaxation toward (1 + 2 n_bath) I. Arrays of times and
+    Moments follow a(t) = e^{-gamma t} a(0) + thermal input: amplitude decay
+    e^{-gamma t} and covariance relaxation toward (1 + 2 n_bath) I, with no
+    rotation at zero shift. A detuned run is evolve_critical at epsilon = 0
+    with omega0 set to the detuning, in the lab frame. Arrays of times and
     stacks of starts give stacks, as in evolve_critical.
     """
     return _passive_flow(params, state0, t, tangent=False)

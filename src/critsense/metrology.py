@@ -147,8 +147,6 @@ def differentiate_at_zero_shift(
         flow = dynamics._FLOWS[inspect.unwrap(evolve)]
     except (KeyError, TypeError, ValueError):  # not an evolution, unhashable, or a cycle of __wrapped__
         raise DomainError(f"no exact shift derivative for {evolve!r}") from None
-    if params.delta_omega != 0.0:
-        params = params.with_shift(0.0)
     return DerivativePair(*flow(params, *args))
 
 
@@ -205,18 +203,18 @@ def fi_homodyne(pair: DerivativePair, psi):
     """Classical Fisher information of homodyne detection at angle psi,
     measured from the x axis: (4 S dm^2 + dS^2) / (2 S^2) for the variance S
     and mean m of the quadrature u = (cos psi, -sin psi). A float for one
-    pair; an array over t for a stack, with psi a float or a 1-D array of one
-    angle per t. As for every input per t, a psi over another number of times
-    than the stack's raises PreconditionError; a psi array of any other
-    shape raises DomainError.
+    pair, whose psi is a float; an array over t for a stack, with psi a float
+    or a 1-D array of one angle per t. As for every input per t, a psi over
+    another number of times than the stack's raises PreconditionError; a psi
+    array of any other shape, or given with one pair, raises DomainError.
 
     With y = L^T u in the whitened frame, S = |y|^2, dm = y.a and dS = y^T B y,
     so FI = 2 (e.a)^2 + (e^T B e)^2 / 2 for the unit vector e = y / |y|; u^T
     sigma u itself would cancel digits along a strongly squeezed quadrature.
     """
     if isinstance(psi, np.ndarray):
-        if psi.ndim != 1:
-            raise DomainError(f"homodyne angles must be a float or a 1-D array over t, got shape {psi.shape}")
+        if psi.ndim != 1 or pair.state.v.ndim == 1:
+            raise DomainError(f"homodyne angles must be a float or a 1-D array over a stack's t, got shape {psi.shape}")
         _check_grid(pair.state, psi)
     angle = lib(psi)
     reject(angle.not_(angle.isfinite(psi)), DomainError, "homodyne angle must be finite, got {!r}", psi)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 def default_step(params: SystemParams) -> float:
     """Conservative RK4 step 0.002 / (fastest rate)."""
     info = spectral_info(params)
-    rate = max(abs(info.lambda_plus), params.gamma, abs(params.omega), params.epsilon, 1e-12)
+    rate = max(abs(info.lambda_plus), params.gamma, abs(params.omega0), params.epsilon, 1e-12)
     return 0.002 / rate
 
 
@@ -366,7 +366,7 @@ def _liouvillian(params: SystemParams | tuple[SystemParams, ...], dim: int, pari
     size, stored = len(indptr) - 1, len(indices)
     data = np.empty((len(members), stored))
     for values, p in zip(data, members):
-        rates = (p.omega, p.omega, p.epsilon, p.gamma * (1.0 + p.n_bath), p.gamma * p.n_bath)
+        rates = (p.omega0, p.omega0, p.epsilon, p.gamma * (1.0 + p.n_bath), p.gamma * p.n_bath)
         np.multiply(rates[0], rows[0], out=values)
         for rate, row in zip(rates[1:], rows[1:]):
             values += rate * row
@@ -552,9 +552,9 @@ def fock_qfi_fidelity(
 ) -> float:
     """QFI estimate 8 (1 - sqrt(fidelity)) / dtheta^2 from the Fock oracle.
 
-    Compares the states evolved at zero shift and at shift -dtheta, starting
-    from equilibrium with the bath unless rho0 is given; a given rho0 must
-    have `dim` levels (DomainError otherwise).
+    Compares the states evolved at params and with omega0 shifted by
+    -dtheta, starting from equilibrium with the bath unless rho0 is given; a
+    given rho0 must have `dim` levels (DomainError otherwise).
     """
     if not (1e-4 <= dtheta <= 1e-2):
         raise DomainError(f"dtheta must lie in [1e-4, 1e-2], got {dtheta!r}")
@@ -562,6 +562,6 @@ def fock_qfi_fidelity(
         rho0 = fock_thermal(params.n_bath, dim)
     elif rho0.dim != dim:
         raise DomainError(f"rho0 has {rho0.dim} levels, but dim = {dim!r}")
-    rho_a, rho_b = fock_evolve((params.with_shift(0.0), params.with_shift(-dtheta)), rho0, t)
+    rho_a, rho_b = fock_evolve((params, replace(params, omega0=params.omega0 - dtheta)), rho0, t)
     f_amp = min(uhlmann_fidelity(rho_a, rho_b), 1.0)
     return 8.0 * (1.0 - f_amp) / dtheta ** 2

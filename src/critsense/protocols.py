@@ -93,9 +93,7 @@ class ProtocolSpec:
     """A strategy, its physical parameters, and the resource budget. The kind
     sets `start` (the bath's thermal state for CQS, the PQS input state) and
     `evolution` (evolve_critical or evolve_passive) once, at construction;
-    neither takes part in repr or equality. A protocol is evaluated at zero
-    shift, because the shift is what it estimates: params with a nonzero
-    delta_omega raise DomainError.
+    neither takes part in repr or equality.
 
     `photons` and `total_qfi` check the photons at each t they evaluate,
     for every kind and drive; construction also checks a PQS input, and the
@@ -116,8 +114,6 @@ class ProtocolSpec:
     evolution: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.params.delta_omega != 0.0:
-            raise DomainError(f"a protocol is evaluated at zero shift, got delta_omega = {self.params.delta_omega!r}")
         try:
             kind = ProtocolKind(self.kind)
         except ValueError:

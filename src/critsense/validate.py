@@ -96,7 +96,7 @@ UNIT_DRIVEN = replace(UNIT, epsilon=protocols.epsilon_opt(100.0, UNIT))
 def _horizon(params: SystemParams, cap: float = 40.0) -> float:
     """Comparison horizon min(10 / Re(lambda_-), cap / slowest-rate-unit)."""
     lam = spectral_info(params).lambda_minus.real
-    scale = max(params.gamma, abs(params.omega), params.epsilon)
+    scale = max(params.gamma, abs(params.omega0), params.epsilon)
     if lam > 1e-9 * scale:
         return min(10.0 / lam, cap / scale)
     return min(8.0 / scale, cap / scale)

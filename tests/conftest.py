@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from critsense.dynamics import SystemParams, drift_and_diffusion, evolve_critical, evolve_passive, spectral_info
+from critsense.dynamics import SystemParams, drift_and_diffusion, evolve_critical, spectral_info
 from critsense.gaussian import DisplacementAmplitude, GaussianState, SqueezeParam, thermal_state
 from critsense.oracle import lyapunov_rk4
 from critsense.protocols import pqs_input_state
@@ -35,21 +35,24 @@ for folder in ("src/critsense", "tools", "perfbench"):
 
 
 def cqs_state_family(params: SystemParams, t: float):
-    """delta_omega -> evolved state of the driven protocol (thermal start)."""
+    """shift -> evolved state of the driven protocol (thermal start) at
+    omega0 shifted by it."""
     start = thermal_state(params.n_bath)
 
     def family(delta: float):
-        return evolve_critical(params.with_shift(delta), start, t)
+        return evolve_critical(replace(params, omega0=params.omega0 + delta), start, t)
 
     return family
 
 
 def pqs_state_family(alpha: float, r: float, params: SystemParams, t: float):
-    """delta_omega -> freely evolved displaced squeezed thermal state."""
+    """shift -> freely evolved displaced squeezed thermal state, detuned by
+    the shift: evolve_critical at epsilon = 0 with omega0 = shift, the lab
+    frame of rk4_pqs_pair."""
     start = pqs_input_state(DisplacementAmplitude(alpha), SqueezeParam(r), params.n_bath)
 
     def family(delta: float):
-        return evolve_passive(params.with_shift(delta), start, t)
+        return evolve_critical(replace(params, omega0=delta), start, t)
 
     return family
 
@@ -57,7 +60,7 @@ def pqs_state_family(alpha: float, r: float, params: SystemParams, t: float):
 def rk4_pqs_pair(alpha: float, r: float, params: SystemParams, t: float):
     """The passive protocol's derivative pair from the RK4 oracle. With
     omega0 = 0 and epsilon = 0 the lab-frame flow is evolve_passive's frame
-    rotating at omega0, and d/d omega is d/d delta_omega."""
+    rotating at omega0, and d/d omega is the derivative by the shift."""
     start = pqs_input_state(DisplacementAmplitude(alpha), SqueezeParam(r), params.n_bath)
     return lyapunov_rk4(replace(params, omega0=0.0), start, t)
 
@@ -96,7 +99,7 @@ def van_loan_moments(params: SystemParams, v0, sigma0, t: float, dps: int = 50):
     """
     mp = mpmath.mp
     with mpmath.workdps(dps):
-        w = mpmath.mpf(params.omega0) + mpmath.mpf(params.delta_omega)
+        w = mpmath.mpf(params.omega0)
         e, g = mpmath.mpf(params.epsilon), mpmath.mpf(params.gamma)
         d = 2 * g * (1 + 2 * mpmath.mpf(params.n_bath))
         A = mp.matrix([[-g, w - e], [-(w + e), -g]])

@@ -854,13 +854,14 @@ def _load_tool(name: str):
 _BOUND_CFG = {"mode": "bound", "params": {"gamma": 1.0}, "protocol": {"kind": "PQS", "n_max": 10.0, "total_time": 2.0}}
 _EVOLVE_CFG = {"mode": "evolve", "t": 0.7, "params": {"gamma": 1.0, "n_bath": 0.3},
                "protocol": {"kind": "PQS", "n_max": 20.0, "alpha": 1.5, "alpha_phase": 2.0, "r": 0.5, "r_phase": 0.4}}
+_QFI_CFG = {**_EVOLVE_CFG, "mode": "fi", "protocol": {**_EVOLVE_CFG["protocol"], "psi": 0.4}}
 
 
 @pytest.fixture(scope="module")
 def digest_run(tmp_path_factory):
     """One tools/output_digest.py run over fig4, a design of two configs,
-    the first of which fails, one evolve config and one Fock centre, which
-    retries once: (the tool, its OUT_DIR, its stdout)."""
+    the first of which fails, one evolve config, one qfi config and one Fock
+    centre, which retries once: (the tool, its OUT_DIR, its stdout)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys, "path", list(sys.path))  # the tool prepends to it
         tool = _load_tool("output_digest")
@@ -868,6 +869,7 @@ def digest_run(tmp_path_factory):
         mp.setattr(tool, "design", lambda: design)
         mp.setattr(tool, "cli", SimpleNamespace(FIGURES=("fig4",), main=main))
         mp.setattr(tool, "EVOLVE", [_EVOLVE_CFG])
+        mp.setattr(tool, "QFI", [_QFI_CFG])
         mp.setattr(tool, "FOCK_DESIGN", ((0.5, 0.55, 0.7, 1),))
         out = tmp_path_factory.mktemp("digest") / "out"
         out.mkdir()  # an empty OUT_DIR is taken
@@ -879,11 +881,12 @@ def digest_run(tmp_path_factory):
 def test_output_digest_keeps_outputs_in_design_order(digest_run, tmp_path):
     """output_digest.py keeps each figure CSV, each config's output JSON,
     named by its place in design order (the failing config 0 keeps none),
-    each evolve config's output JSON, named by its place in EVOLVE, and each
-    Fock centre's estimate with the truncations it tried."""
+    each evolve and qfi config's output JSON, named by its place in EVOLVE
+    or QFI, and each Fock centre's estimate with the truncations it
+    tried."""
     tool, out, stdout = digest_run
     assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == [
-        "compute/0001.json", "digest.json", "evolve/0.json", "figures/fig4.csv", "fock/0.json",
+        "compute/0001.json", "digest.json", "evolve/0.json", "figures/fig4.csv", "fock/0.json", "qfi/0.json",
     ]
     fock = json.loads((out / "fock" / "0.json").read_text())
     params = SystemParams(1.0, 0.55 * math.sqrt(2.0), 1.0, n_bath=0.5)
@@ -891,15 +894,17 @@ def test_output_digest_keeps_outputs_in_design_order(digest_run, tmp_path):
     assert json.loads((out / "compute" / "0001.json").read_text())["config"] == _BOUND_CFG
     assert main(["figure", "fig4", "--out", str(tmp_path)]) == 0
     assert (out / "figures" / "fig4.csv").read_bytes() == (tmp_path / "fig4.csv").read_bytes()
-    (tmp_path / "evolve.json").write_text(json.dumps(_EVOLVE_CFG))
-    assert main(["compute", "--config", str(tmp_path / "evolve.json"), "--out", str(tmp_path / "state.json")]) == 0
-    assert (out / "evolve" / "0.json").read_bytes() == (tmp_path / "state.json").read_bytes()
+    for kept, config in (("evolve", _EVOLVE_CFG), ("qfi", _QFI_CFG)):
+        (tmp_path / f"{kept}.json").write_text(json.dumps(config))
+        assert main(["compute", "--config", str(tmp_path / f"{kept}.json"), "--out", str(tmp_path / "out.json")]) == 0
+        assert (out / kept / "0.json").read_bytes() == (tmp_path / "out.json").read_bytes()
     text = (out / "digest.json").read_text()
     digest = json.loads(text)
     assert list(digest["figures"]) == ["fig4"] and len(digest["compute"]) == 2
-    assert len(digest["evolve"]) == 1 and len(digest["fock"]) == 1
+    assert len(digest["evolve"]) == len(digest["qfi"]) == len(digest["fock"]) == 1
     assert stdout.splitlines()[-1] == (
-        f"1 figures, 2 compute configs, 1 evolve configs, 1 Fock centres, validate, 7 errors: {tool._sha(text)}"
+        f"1 figures, 2 compute configs, 1 evolve configs, 1 qfi configs, 1 Fock centres, validate, 7 errors: "
+        f"{tool._sha(text)}"
     )
 
 
@@ -940,7 +945,7 @@ def _relative(line: str, name: str) -> float:
 
 def test_output_diff_of_identical_runs(two_runs, capsys):
     tool, a, b = two_runs
-    assert _diff(tool, a, b, capsys) == (0, ["0 of 13 entries differ; largest 0"])
+    assert _diff(tool, a, b, capsys) == (0, ["0 of 14 entries differ; largest 0"])
 
 
 def test_output_diff_sizes_a_moved_figure_column(two_runs, capsys):
@@ -956,7 +961,7 @@ def test_output_diff_sizes_a_moved_figure_column(two_runs, capsys):
     assert code == 1 and len(out) == 3 and out[0] == "figures.fig4"
     rel = _relative(out[1], "figures.fig4.photons_below")
     assert rel == pytest.approx(1e-9, rel=1e-3)
-    assert out[2] == f"1 of 13 entries differ; largest {rel:.3g}"
+    assert out[2] == f"1 of 14 entries differ; largest {rel:.3g}"
 
 
 def test_output_diff_sizes_a_moved_compute_field(two_runs, capsys):
@@ -972,7 +977,7 @@ def test_output_diff_sizes_a_moved_compute_field(two_runs, capsys):
     assert code == 1 and out[:2] == ["compute.1", f"compute.1.bound_error: only in {a}"]
     rel = _relative(out[2], "compute.1.bound_integral")
     assert rel == pytest.approx(1e-9, rel=1e-3)
-    assert out[3:] == [f"1 of 13 entries differ; largest {rel:.3g}"]
+    assert out[3:] == [f"1 of 14 entries differ; largest {rel:.3g}"]
 
 
 def test_output_diff_sizes_a_moved_evolve_field(two_runs, capsys):
@@ -986,7 +991,7 @@ def test_output_diff_sizes_a_moved_evolve_field(two_runs, capsys):
     assert code == 1 and out[0] == "evolve.0"
     rel = _relative(out[1], "evolve.0.state.sigma")
     assert rel == pytest.approx(1e-6, rel=1e-3)
-    assert out[2:] == [f"1 of 13 entries differ; largest {rel:.3g}"]
+    assert out[2:] == [f"1 of 14 entries differ; largest {rel:.3g}"]
 
 
 def test_output_diff_sizes_a_moved_fock_estimate(two_runs, capsys):
@@ -1000,7 +1005,7 @@ def test_output_diff_sizes_a_moved_fock_estimate(two_runs, capsys):
     assert code == 1 and out[0] == "fock.0"
     rel = _relative(out[1], "fock.0.estimate")
     assert rel == pytest.approx(1e-3, rel=1e-3)
-    assert out[2:] == [f"1 of 13 entries differ; largest {rel:.3g}"]
+    assert out[2:] == [f"1 of 14 entries differ; largest {rel:.3g}"]
 
 
 def test_output_diff_names_entries_one_digest_holds(two_runs, capsys):
@@ -1012,7 +1017,7 @@ def test_output_diff_names_entries_one_digest_holds(two_runs, capsys):
     (b / "digest.json").write_text(json.dumps(digest))
     assert _diff(tool, a, b, capsys) == (1, [
         "validate", f"errors.no_command: only in {a}", f"errors.extra: only in {b}",
-        "3 of 14 entries differ; largest 0",
+        "3 of 15 entries differ; largest 0",
     ])
 
 
@@ -1026,10 +1031,10 @@ def test_output_diff_reports_files_that_do_not_pair(two_runs, capsys):
     header = lines[0].split(",")
     assert code == 1
     assert out == ["figures.fig4", *(f"figures.fig4.{c}: does not pair" for c in sorted(header)),
-                   "1 of 13 entries differ; largest 0"]
+                   "1 of 14 entries differ; largest 0"]
     shutil.copy(a / "figures" / "fig4.csv", b / "figures" / "fig4.csv")
     (b / "compute" / "0001.json").rename(b / "compute" / "0000.json")
-    assert _diff(tool, a, b, capsys) == (1, ["compute.0", "compute.1", "2 of 13 entries differ; largest 0"])
+    assert _diff(tool, a, b, capsys) == (1, ["compute.0", "compute.1", "2 of 14 entries differ; largest 0"])
 
 
 def test_output_diff_usage_error(two_runs, tmp_path, capsys):

@@ -70,7 +70,7 @@ class TestSpectralInfo:
         for n_bath in (0.0, 0.5, 2.0):
             params = SystemParams(omega0, epsilon_opt(1e8, SystemParams(omega0, 0.0, 1.0, n_bath=n_bath)), 1.0, n_bath)
             with mpmath.workdps(50):
-                w, eps = mpmath.mpf(params.omega), mpmath.mpf(params.epsilon)
+                w, eps = mpmath.mpf(params.omega0), mpmath.mpf(params.epsilon)
                 k = w * w + 1 - eps * eps
                 lam = float(1 - mpmath.sqrt(eps * eps - w * w))
                 photons = float((eps * eps + 2 * mpmath.mpf(n_bath) * (w * w + 1)) / (2 * k))
@@ -149,27 +149,26 @@ class TestEvolveCritical:
             pytest.param(lambda: mean_photons_vs_time(SystemParams(1.0, 0.5, 1.0), 1e308), id="photons"),
             pytest.param(lambda: mean_photons_vs_time(SystemParams(1.0, 0.5, 1.0), np.array([1.0, 1e308])),
                          id="photons_array"),
-            pytest.param(lambda: evolve_passive(SystemParams(1.0, 0.0, 1.0, delta_omega=10.0), thermal_state(0.0), 1e308),
-                         id="passive_detuned"),
+            pytest.param(lambda: evolve_critical(SystemParams(10.0, 0.0, 1.0), thermal_state(0.0), 1e308),
+                         id="free_precession"),
             pytest.param(
                 lambda: evolve_critical(SystemParams(10.0, 0.5, 1.0), thermal_state(0.0), np.array([1.0, 1e308])),
                 id="critical_array",
             ),
             pytest.param(
-                lambda: evolve_passive(SystemParams(1.0, 0.0, 1.0, delta_omega=10.0), thermal_state(0.0),
-                                       np.array([1.0, 1e308])),
-                id="passive_detuned_array",
+                lambda: evolve_critical(SystemParams(10.0, 0.0, 1.0), thermal_state(0.0), np.array([1.0, 1e308])),
+                id="free_precession_array",
             ),
         ],
     )
     def test_beyond_double_range_is_typed_and_silent(self, call):
         """Far above threshold the moments leave the double range: at t = 400
         in M sigma M^T, at t = 500 already in the exponential of exp(A t). A
-        phase w t, 2 t or delta_omega t that overflows to inf gives nan on the
-        float path, as numpy's cos and sin do on an array, so the moments'
-        check raises, not math's bare ValueError. An array of t given to an
-        evolution directly, outside over_t, raises the same typed error. No
-        warning is given."""
+        phase w t or 2 t that overflows to inf gives nan on the float path,
+        as numpy's cos and sin do on an array, so the moments' check raises,
+        not math's bare ValueError. An array of t given to an evolution
+        directly, outside over_t, raises the same typed error. No warning is
+        given."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidStateError, match="non-finite moments"):
@@ -252,9 +251,10 @@ class TestEvolvePassive:
             evolve_passive(SystemParams(1.0, 0.5, 1.0), vacuum_state(), 1.0)
 
     def test_lossless_pure_rotation(self):
-        params = SystemParams(1.0, 0.0, 0.0, delta_omega=0.3)
+        """Detuned by 0.3, in the lab frame: evolve_critical at epsilon = 0."""
+        params = SystemParams(0.3, 0.0, 0.0)
         st0 = apply_displace(apply_squeeze(vacuum_state(), SqueezeParam(0.8)), DisplacementAmplitude(1.0))
-        st = evolve_passive(params, st0, 2.0)
+        st = evolve_critical(params, st0, 2.0)
         assert purity(st) == pytest.approx(1.0, abs=1e-12)
         assert mean_photons(st) == pytest.approx(mean_photons(st0), rel=1e-12)
 
@@ -267,13 +267,15 @@ class TestEvolvePassive:
 
     @pytest.mark.parametrize("t", [0.4, 1.7])
     def test_quadratic_moment_phase(self, t):
-        """<a^2(t)> = e^{-2 Gamma t} e^{-2 i dw t} [sinh(2r)(2nB+1)/2 + alpha^2]."""
+        """<a^2(t)> = e^{-2 Gamma t} e^{-2 i dw t} [sinh(2r)(2nB+1)/2 + alpha^2]
+        for a free evolution detuned by dw, in the lab frame (evolve_critical
+        at epsilon = 0 and omega0 = dw)."""
         n_bath, r, alpha, dw, g = 0.5, 0.7, 1.2, 0.3, 1.0
-        params = SystemParams(1.0, 0.0, g, n_bath=n_bath, delta_omega=dw)
+        params = SystemParams(dw, 0.0, g, n_bath=n_bath)
         st0 = apply_displace(
             apply_squeeze(thermal_state(n_bath), SqueezeParam(r)), DisplacementAmplitude(alpha)
         )
-        st = evolve_passive(params, st0, t)
+        st = evolve_critical(params, st0, t)
         (x, p), s = st.v, st.sigma
         a2 = (s[0, 0] - s[1, 1]) / 4.0 + (x * x - p * p) / 2.0 + 1j * (s[0, 1] / 2.0 + x * p)
         expected = (

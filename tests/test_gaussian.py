@@ -222,8 +222,7 @@ class TestRotation:
         assert np.allclose(st.sigma, 4.0 * np.eye(2), atol=1e-14)
 
     def test_quadrature_swap(self):
-        """A quarter turn takes x to p: rotation_matrix turns counterclockwise,
-        the sense that evolve_passive's R(-delta_omega t) assumes."""
+        """A quarter turn takes x to p: rotation_matrix turns counterclockwise."""
         sq = apply_displace(apply_squeeze(vacuum_state(), SqueezeParam(1.0)), DisplacementAmplitude(1.0))
         st = apply_rotation(sq, math.pi / 2)
         assert np.allclose(st.sigma, np.diag([math.e ** -2, math.e ** 2]), atol=1e-13)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,6 +210,12 @@ SHIFT_PAIR_NODES = [
 SHIFT_PAIR_IDS = [f"node{k}" for k in range(8)] + ["coherent"]
 
 
+def shift_pair(params):
+    """params and params with omega0 shifted by -5e-3: the pair that
+    fock_qfi_fidelity evolves at dtheta = 5e-3."""
+    return params, replace(params, omega0=params.omega0 - 5e-3)
+
+
 def filled_parities(rho0):
     """The parities of m + n over the entries |m><n| rho0 fills."""
     parity = np.add.outer(np.arange(rho0.dim), np.arange(rho0.dim)).ravel() % 2
@@ -229,7 +236,7 @@ def shift_pair_generator(params, rho0):
     import scipy.sparse as sp
 
     layout, start = start_coordinates(rho0)
-    pair = (params, params.with_shift(-5e-3))
+    pair = shift_pair(params)
     generator = sp.block_diag([_liouvillian(p, rho0.dim, filled_parities(rho0)) for p in pair], format="csr")
     return layout, generator, np.tile(start, 2)
 
@@ -329,7 +336,7 @@ class TestFockEvolve:
         dim = rho0.dim
         a = ladder(dim)
         ad = a.conj().T
-        H = params.omega * ad @ a + 0.5 * params.epsilon * (a @ a + ad @ ad)
+        H = params.omega0 * ad @ a + 0.5 * params.epsilon * (a @ a + ad @ ad)
         jumps = ((params.gamma * (1.0 + params.n_bath), a), (params.gamma * params.n_bath, ad))
         columns = []
         for k in range(dim * dim):
@@ -355,7 +362,7 @@ class TestFockEvolve:
         layout, generator, start = shift_pair_generator(params, rho0)
         np.random.seed(0)  # expm_multiply's norm estimates draw from the global RNG
         want = expm_multiply(t * generator, start)
-        for rho, x in zip(fock_evolve((params, params.with_shift(-5e-3)), rho0, t), want.reshape(2, -1)):
+        for rho, x in zip(fock_evolve(shift_pair(params), rho0, t), want.reshape(2, -1)):
             ref = _from_coordinates(x, rho0.dim, layout)
             assert np.max(np.abs(rho.matrix - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -431,8 +438,7 @@ class TestFockEvolve:
         ids=["thermal", "coherent"],
     )
     def test_shared_evolution_matches_single_calls(self, rho0):
-        params = SystemParams(1.0, 0.8, 1.0, n_bath=0.5)
-        pair = (params, params.with_shift(-5e-3))
+        pair = shift_pair(SystemParams(1.0, 0.8, 1.0, n_bath=0.5))
         together = fock_evolve(pair, rho0, 0.8)
         assert len(together) == 2
         for p, rho in zip(pair, together):
@@ -474,7 +480,7 @@ def direct_liouvillian(params, dim):
     ad = a.T.tocsr()
     n_op = ad @ a
     eye = sp.identity(dim, format="csr")
-    H = params.omega * n_op + 0.5 * params.epsilon * (a @ a + ad @ ad)
+    H = params.omega0 * n_op + 0.5 * params.epsilon * (a @ a + ad @ ad)
     liouvillian = -1j * (sp.kron(H, eye) - sp.kron(eye, H))
     for rate, L, LdL in ((params.gamma * (1.0 + params.n_bath), a, n_op), (params.gamma * params.n_bath, ad, a @ ad)):
         if rate > 0:
@@ -486,8 +492,8 @@ class TestCachedLiouvillian:
     @pytest.mark.parametrize(
         "params, rho0",
         [
-            (SystemParams(1.0, 0.5, 1.0).with_shift(-5e-3), fock_vacuum(16)),  # n_B = 0
-            (SystemParams(1.0, 0.49, 1.0, n_bath=0.5).with_shift(-5e-3), fock_thermal(0.5, 16)),
+            (SystemParams(1.0 - 5e-3, 0.5, 1.0), fock_vacuum(16)),  # n_B = 0
+            (SystemParams(1.0 - 5e-3, 0.49, 1.0, n_bath=0.5), fock_thermal(0.5, 16)),
             (SystemParams(1.3, 0.7, 0.0), fock_coherent(0.3 + 0.2j, 16)),  # gamma = 0, both sectors
             (SystemParams(0.0, 0.7, 0.0), fock_vacuum(16)),  # one piece alone, not a sum
             (SystemParams(0.0, 0.0, 0.0), fock_coherent(1.0, 16)),  # every rate 0
@@ -546,7 +552,7 @@ class TestCachedLiouvillian:
         before = [array.copy() for array in arrays]
         for params in (SystemParams(1.0, 0.5, 1.0, n_bath=0.5), SystemParams(2.0, 0.1, 0.0), SystemParams(0.0, 0.8, 2.0)):
             _liouvillian(params, 30, (0,))
-            fock_evolve((params, params.with_shift(-5e-3)), fock_thermal(params.n_bath, 30), 0.3)
+            fock_evolve(shift_pair(params), fock_thermal(params.n_bath, 30), 0.3)
         assert _superoperators(30, (0,)) is cached
         for array, copy in zip(arrays, before):
             assert not array.flags.writeable
@@ -574,10 +580,10 @@ class TestCachedLiouvillian:
         pieces = [sp.csr_matrix((row, indices, indptr), copy=True) for row in rows]
         for piece in pieces:
             piece.eliminate_zeros()
-        pair = (params, params.with_shift(-5e-3))
+        pair = shift_pair(params)
         singles = []
         for p in pair:
-            rates = (p.omega, p.omega, p.epsilon, p.gamma * (1.0 + p.n_bath), p.gamma * p.n_bath)
+            rates = (p.omega0, p.omega0, p.epsilon, p.gamma * (1.0 + p.n_bath), p.gamma * p.n_bath)
             terms = [rate * piece for rate, piece in zip(rates, pieces) if rate != 0]
             want = sum(terms[1:], terms[0]) if terms else sp.csr_matrix(pieces[0].shape)
             got = _liouvillian(p, dim, parities)
@@ -724,6 +730,7 @@ class TestFockStates:
         lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), np.array([1.0, 2.0, 3.0])), np.zeros((3, 1))),
         lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), np.array([1.0, 2.0, 3.0])), np.zeros((1, 3))),
         lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), 1.0), np.array(0.5)),
+        lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), 1.0), np.array([0.1, 0.2, 0.3])),
         lambda: SystemParams(1.0, 0.5, math.nan),
         lambda: SystemParams(1.0, 0.5, -1.0),
         lambda: SystemParams(1.0, 0.5, 1.0, n_bath=-0.5),
@@ -748,7 +755,7 @@ class TestFockStates:
     ],
     ids=["suggested_dim_inf", "suggested_dim_nan", "suggested_dim_negative", "fock_vacuum_0", "fock_vacuum_1",
          "fock_thermal_0", "fock_coherent_1", "rk4_dt_nan", "rk4_dt_inf", "fi_psi_inf", "fi_psi_nan", "fi_psi_array_nan",
-         "fi_psi_column", "fi_psi_row", "fi_psi_0d",
+         "fi_psi_column", "fi_psi_row", "fi_psi_0d", "fi_psi_array_one_pair",
          "params_nan", "params_gamma_negative", "params_n_bath_negative", "params_epsilon_negative",
          "budget_total_time_0", "pqs_driven", "homodyne_input_n_max_0", "total_qfi_t_0", "rk4_t_negative",
          "evolve_critical_t_negative", "fock_evolve_t_negative", "fock_evolve_t_nan", "rk4_t_array",
@@ -758,8 +765,8 @@ class TestFockStates:
 def test_bad_library_input_raises_domain_error(call):
     """A parameter, budget, time, density matrix, photon number, truncation,
     step or homodyne angle outside its domain, or an array of angles that is
-    not 1-D, raises DomainError, not a bare OverflowError, TypeError,
-    ValueError or IndexError, a silently broadcast array, nor an
-    AccuracyError that blames the state."""
+    not 1-D or is given with one pair, raises DomainError, not a bare
+    OverflowError, TypeError, ValueError or IndexError, a silently broadcast
+    array, nor an AccuracyError that blames the state."""
     with pytest.raises(DomainError):
         call()

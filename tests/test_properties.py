@@ -96,12 +96,12 @@ def _regime(params: SystemParams) -> str:
     eps^2 - omega^2 or K = eps_c^2 - eps^2 is within 1e-9 of the largest
     squared rate, else below |omega|, below eps_c or above it."""
     s, k = dynamics._s_and_gap(params)
-    window = 1e-9 * max(params.omega ** 2, params.gamma ** 2, params.epsilon ** 2)
+    window = 1e-9 * max(params.omega0 ** 2, params.gamma ** 2, params.epsilon ** 2)
     if abs(s) <= window:
         return "exceptional"
     if abs(k) <= window:
         return "critical"
-    if params.epsilon < abs(params.omega):
+    if params.epsilon < abs(params.omega0):
         return "below_eigenvalue_split"
     return "transient_split" if params.epsilon < params.epsilon_c else "above_threshold"
 
@@ -357,7 +357,7 @@ def _qfi_rounding_floor(params: SystemParams, t: float, pair: DerivativePair) ->
     terms = (1.0 + 2.0 * params.n_bath) * np.abs(dM) @ np.abs(M).T
     terms = terms + terms.T
     if params.gamma > 0:
-        w, eps = params.omega, params.epsilon
+        w, eps = params.omega0, params.epsilon
         _, _, _, iq, dic, dis, diq = _noise_integrals(params.gamma, *dynamics._s_and_gap(params), t, slopes=True)
         d = 2.0 * params.gamma * (1.0 + 2.0 * params.n_bath)
         g11, g22 = (d * (2.0 * abs(iq * x) + abs(w) * (abs(dic) + 2.0 * abs(diq) * x * x)) for x in (w - eps, w + eps))

@@ -437,14 +437,6 @@ class TestProtocolSpec:
         with pytest.raises(PreconditionError, match="input per t of 3 times on a stack of 4 states"):
             ProtocolSpec(ProtocolKind.PQS, UNIT, ResourceBudget(n_max=100.0, total_time=1.0), pqs_input)
 
-    @pytest.mark.parametrize("kind", list(ProtocolKind))
-    def test_shift_is_domain_error(self, kind):
-        """A protocol estimates the shift, so it is evaluated at zero shift:
-        a shifted SystemParams is refused, not tuned for and then dropped."""
-        shifted = SystemParams(1.0, 0.0, 1.0, delta_omega=0.3)
-        with pytest.raises(DomainError, match="a protocol is evaluated at zero shift, got delta_omega = 0.3"):
-            ProtocolSpec(kind, shifted, ResourceBudget(n_max=100.0, total_time=20.0))
-
     @pytest.mark.parametrize("kind", ["XYZ", None, "cqs"])
     def test_unknown_kind_is_domain_error(self, kind):
         with pytest.raises(DomainError, match=re.escape(f"kind must be one of ['CQS', 'PQS'], got {kind!r}")):

@@ -7,15 +7,15 @@ by how much, for showing that a change moved only the outputs it meant to.
 DIR_A and DIR_B are OUT_DIRs of `output_digest.py`. Prints one line per
 entry whose digest or kept file differs: `figures.NAME`, `compute.N` (N the
 config's place in design order), `evolve.N` (N the config's place in
-EVOLVE), `fock.K` (K the centre's place in FOCK_DESIGN), `validate` or
-`errors.NAME`, or `NAME: only in DIR` for an entry that one digest alone
-holds. Under a figure, compute, evolve or Fock entry both sides kept, one
-line per CSV column or numeric JSON field (named by its path of keys; a
-list's entries share its path) that moved: the largest |a - b| / max(|a|,
-|b|) over its values (0 where both are 0, or equal and non-finite; inf
-where one is non-finite and the other is not), `only in DIR` for a field
-one side alone holds, or `does not pair` when the sides hold different
-numbers of values. The last line counts the entries that differ and gives
+EVOLVE), `qfi.N` (N the config's place in QFI), `fock.K` (K the centre's
+place in FOCK_DESIGN), `validate` or `errors.NAME`, or `NAME: only in DIR`
+for an entry that one digest alone holds. Under a figure, compute, evolve,
+qfi or Fock entry both sides kept, one line per CSV column or numeric JSON
+field (named by its path of keys; a list's entries share its path) that
+moved: the largest |a - b| / max(|a|, |b|) over its values (0 where both
+are 0, or equal and non-finite; inf where one is non-finite and the other
+is not), `only in DIR` for a field one side alone holds, or `does not pair`
+when the sides hold different numbers of values. The last line counts the entries that differ and gives
 the largest relative difference. Exits 0 when none differs, 1 otherwise, 2
 on a usage error.
 """
@@ -37,6 +37,7 @@ def entries(out: Path) -> dict[str, tuple]:
         **{f"figures.{name}": (sha, out / "figures" / f"{name}.csv") for name, sha in digest["figures"].items()},
         **{f"compute.{i}": (sha, out / "compute" / f"{i:04d}.json") for i, sha in enumerate(digest["compute"])},
         **{f"evolve.{i}": (sha, out / "evolve" / f"{i}.json") for i, sha in enumerate(digest["evolve"])},
+        **{f"qfi.{i}": (sha, out / "qfi" / f"{i}.json") for i, sha in enumerate(digest["qfi"])},
         **{f"fock.{k}": (sha, out / "fock" / f"{k}.json") for k, sha in enumerate(digest["fock"])},
         "validate": (digest["validate"], None),
         **{f"errors.{name}": (sha, None) for name, sha in digest["errors"].items()},
@@ -58,7 +59,7 @@ def leaves(node, path: str = ""):
 
 def fields(name: str, data: bytes) -> dict[str, list]:
     """The values of each field of a kept file: a figure CSV's columns, a
-    compute, evolve or Fock JSON's numeric leaves."""
+    compute, evolve, qfi or Fock JSON's numeric leaves."""
     if name.startswith("figures."):
         header, *rows = (line.split(",") for line in data.decode("utf-8").splitlines())
         pairs = ((column, float(x)) for row in rows for column, x in zip(header, row))

@@ -8,17 +8,20 @@ Writes OUT_DIR/digest.json with one digest per figure CSV (`critsense
 figure NAME`), one per `perfbench/workloads.design()` config (its exit code,
 stdout, stderr and output JSON from `critsense compute --config C --out O`),
 in design order, one per EVOLVE config (the same, for the `evolve` mode,
-which the design does not run), one per `perfbench/workloads.FOCK_DESIGN`
-centre (the Fock oracle's `fock_qfi_fidelity` there, as the benchmark runs
-it without jitter), one of `critsense validate`'s exit code and report (stdout), and
-one per bad invocation in ERRORS (its exit code, stdout and stderr), run
-last, so the process-wide parser is checked after errors too. It keeps each
-CSV as OUT_DIR/figures/NAME.csv, each output JSON as
-OUT_DIR/compute/NNNN.json, NNNN its config's place in design order, each
-EVOLVE output as OUT_DIR/evolve/N.json, N its place in EVOLVE, and each
-Fock estimate with the truncations tried as OUT_DIR/fock/K.json, K the
-centre's place in FOCK_DESIGN, for `tools/output_diff.py`. The last stdout
-line is one digest of all of them.
+which the design does not run), one per QFI config (the same, for `qfi`
+and `fi` configs the design does not hold), one per
+`perfbench/workloads.FOCK_DESIGN` centre (the Fock oracle's
+`fock_qfi_fidelity` there, as the benchmark runs it without jitter), one
+of `critsense validate`'s exit code and report (stdout), and one per bad
+invocation in ERRORS (its exit code, stdout and stderr), run last, so the
+process-wide parser is checked after errors too. It keeps each CSV as
+OUT_DIR/figures/NAME.csv, each output JSON as OUT_DIR/compute/NNNN.json,
+NNNN its config's place in design order, each EVOLVE output as
+OUT_DIR/evolve/N.json, N its place in EVOLVE, each QFI output as
+OUT_DIR/qfi/N.json, N its place in QFI, and each Fock estimate with the
+truncations tried as OUT_DIR/fock/K.json, K the centre's place in
+FOCK_DESIGN, for `tools/output_diff.py`. The last stdout line is one
+digest of all of them.
 OUT_DIR must be new or empty, so no earlier run's file passes for this one's.
 
 Runs in-process through `cli.main`, importing critsense from this tree's
@@ -69,6 +72,20 @@ EVOLVE = [
     {"mode": "evolve", "t": 3.0, "params": {"omega0": 2.0, "gamma": 0.0},
      "protocol": {"kind": "PQS", "n_max": 20.0, "alpha": 2.0, "alpha_phase": 0.7, "r": 0.8, "r_phase": -1.1}},
     {"mode": "evolve", "t": 0.0, "params": {"gamma": 0.0}, "protocol": {"kind": "PQS", "n_max": 10.0}},
+]
+
+# `qfi` and `fi` configs: PQS inputs off the phase-space axes, lossy and
+# lossless, where the passive flow's tangent meets a start whose mean and
+# squeezing are both turned (the design's PQS inputs are on the axes), and a
+# CQS drive at omega0 = -0.0, whose printed zeros keep their sign.
+QFI = [
+    {"mode": "qfi", "t": 1.3, "params": {"gamma": 0.7, "n_bath": 0.4},
+     "protocol": {"kind": "PQS", "n_max": 30.0, "alpha": 1.2, "alpha_phase": 0.9, "r": 0.6, "r_phase": -0.5}},
+    {"mode": "fi", "t": 2.5, "params": {"gamma": 0.0},
+     "protocol": {"kind": "PQS", "n_max": 20.0, "alpha": 1.5, "alpha_phase": -2.3, "r": 0.8, "r_phase": 1.1,
+                  "psi": 0.4}},
+    {"mode": "qfi", "t": 1.5, "params": {"omega0": -0.0, "epsilon": 0.5, "gamma": 1.0},
+     "protocol": {"kind": "CQS", "n_max": 10.0}},
 ]
 
 # Bad invocations by name; each runs inside the scratch directory, where
@@ -134,6 +151,7 @@ def digests(kept: Path) -> dict:
     cases = (case for block in design() for case in block)
     compute = [_compute(case.config(), kept / "compute" / f"{i:04d}.json") for i, case in enumerate(cases)]
     evolve = [_compute(config, kept / "evolve" / f"{i}.json") for i, config in enumerate(EVOLVE)]
+    qfi = [_compute(config, kept / "qfi" / f"{i}.json") for i, config in enumerate(QFI)]
     fock = []
     for k, (n_bath, ratio, t, _) in enumerate(FOCK_DESIGN):
         text = json.dumps(fock_run(n_bath, ratio, t))
@@ -149,7 +167,8 @@ def digests(kept: Path) -> dict:
         code, out, err = _run(argv)
         errors[name] = _sha(str(code), out, err)
     return {
-        "figures": figures, "compute": compute, "evolve": evolve, "fock": fock, "validate": validate, "errors": errors,
+        "figures": figures, "compute": compute, "evolve": evolve, "qfi": qfi, "fock": fock, "validate": validate,
+        "errors": errors,
     }
 
 
@@ -161,7 +180,7 @@ def main(argv: list[str]) -> int:
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         print(f"error: {argv[0]} exists and is not an empty directory", file=sys.stderr)
         return 2
-    for sub in ("figures", "compute", "evolve", "fock"):
+    for sub in ("figures", "compute", "evolve", "qfi", "fock"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     home = Path.cwd()
     with tempfile.TemporaryDirectory(prefix="critsense-digest-") as work:
@@ -173,7 +192,7 @@ def main(argv: list[str]) -> int:
     text = json.dumps(result, indent=1) + "\n"
     (out / "digest.json").write_text(text, encoding="utf-8")
     print(f"{len(result['figures'])} figures, {len(result['compute'])} compute configs, "
-          f"{len(result['evolve'])} evolve configs, "
+          f"{len(result['evolve'])} evolve configs, {len(result['qfi'])} qfi configs, "
           f"{len(result['fock'])} Fock centres, validate, "
           f"{len(result['errors'])} errors: {_sha(text)}")
     return 0
