@@ -43,6 +43,7 @@ from critsense.protocols import (
     cqs_steady_pair,
     default_pqs_input,
     epsilon_opt,
+    pqs_input_state,
     pqs_pair,
     pqs_qfi,
 )
@@ -204,6 +205,24 @@ class TestExactDerivative:
         v = pair.state.v
         assert np.allclose(pair.dv, [t * v[1], -t * v[0]], rtol=1e-15, atol=0.0)
         assert pair.warn is False
+
+    @pytest.mark.parametrize("gamma,n_bath", [(1.0, 0.5), (0.0, 0.0)], ids=["lossy", "lossless"])
+    def test_passive_pair_is_the_lab_frame_pair(self, gamma, n_bath):
+        """evolve_passive's frame rotates at omega0, so its pair at any
+        omega0 is the lab-frame free flow's (evolve_critical at epsilon = 0
+        and omega0 = 0), whose derivative by omega0 is a second closed form:
+        the same states, and tangents within 1e-14 of their size, for an
+        input off the phase-space axes over a stack of t."""
+        start = pqs_input_state(DisplacementAmplitude(1.5, 2.0), SqueezeParam(0.5, 0.4), n_bath)
+        t = np.array([0.0, 0.6, 3.0])
+        passive = differentiate_at_zero_shift(evolve_passive, SystemParams(1.3, 0.0, gamma, n_bath=n_bath), start, t)
+        lab = differentiate_at_zero_shift(evolve_critical, SystemParams(0.0, 0.0, gamma, n_bath=n_bath), start, t)
+        assert np.array_equal(passive.state.v, lab.state.v)
+        assert np.allclose(passive.state.sigma, lab.state.sigma, rtol=1e-15, atol=0.0)
+        scale = max(float(np.abs(passive.dsigma).max()), float(np.abs(passive.dv).max()))
+        assert np.abs(passive.dv - lab.dv).max() <= 1e-14 * scale
+        assert np.abs(passive.dsigma - lab.dsigma).max() <= 1e-14 * scale
+        assert np.allclose(qfi(passive), qfi(lab), rtol=1e-12, atol=0.0)
 
 
 class TestStackedPair:
