@@ -30,7 +30,7 @@ from ._elementwise import lib, over_t
 from .dynamics import SystemParams
 from .errors import ConfigError, CritsenseError, DomainError
 from .gaussian import DisplacementAmplitude, SqueezeParam, purity
-from .metrology import fi_homodyne, qfi
+from .metrology import differentiate_at_zero_shift, fi_homodyne, qfi
 from .protocols import (
     ProtocolKind,
     ProtocolSpec,
@@ -40,7 +40,6 @@ from .protocols import (
     fundamental_bound,
     optimal_homodyne_input,
     optimize_time,
-    pqs_pair,
     total_qfi,
 )
 
@@ -186,7 +185,8 @@ def figure_fignoisy(out_dir: Path) -> Path:
         # figure protocol without a budget check is its run on the hot bath:
         # a spec for it raises ConstraintError (see the docstring).
         a_opt, r_opt = optimal_homodyne_input(n_max, pqs_cold.params.gamma, t)
-        f_hot = fi_homodyne(pqs_pair(a_opt, r_opt, pqs_hot.params, t), math.pi / 2.0)
+        start = protocols.pqs_input_state(a_opt, r_opt, n_bath)
+        f_hot = fi_homodyne(differentiate_at_zero_shift(pqs_hot.evolution, pqs_hot.params, start, t), math.pi / 2.0)
         f_cold = fi_homodyne(replace(pqs_cold, pqs_input=(a_opt, r_opt)).pair(t), math.pi / 2.0)
         return f_hot / f_cold
 

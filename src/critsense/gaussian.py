@@ -156,8 +156,9 @@ class SqueezeParam:
 
 def rotation_matrix(theta) -> np.ndarray:
     """Counterclockwise phase-space rotation by theta (a float, or an array
-    for a stack of rotations)."""
+    for a stack of rotations); DomainError for an angle that is not finite."""
     f = lib(theta)
+    reject(f.not_(f.isfinite(theta)), DomainError, "rotation angle must be finite, got {!r}", theta)
     c, s = f.cos(theta), f.sin(theta)
     return matrix(c, -s, s, c)
 
@@ -274,12 +275,14 @@ def photon_variance(state: GaussianState) -> float:
 
     Equals |<a^2>|^2 + N^2 + N by Wick's theorem, i.e.
     (sigma_11^2 + sigma_22^2 + 2 sigma_12^2)/8 - 1/4 in covariance entries.
+    A float; a variance beyond the double range raises InvalidStateError.
     """
     require_one_state(state, "photon_variance")
     if float(np.linalg.norm(state.v)) >= TOL:
         raise PreconditionError("photon_variance requires zero first moments")
     s = state.sigma
-    var = (s[0, 0] ** 2 + s[1, 1] ** 2 + 2.0 * s[0, 1] ** 2) / 8.0 - 0.25
+    with finite_moments():
+        var = float((s[0, 0] ** 2 + s[1, 1] ** 2 + 2.0 * s[0, 1] ** 2) / 8.0 - 0.25)
     if var < -TOL:
         raise InvalidStateError(f"negative photon variance {var!r}")
     return max(var, 0.0)

@@ -183,10 +183,10 @@ class FockDensityMatrix:
 
 
 def _check_dim(dim: int) -> None:
-    """DomainError for a truncation below two levels: fock_evolve's leakage
-    reads the two top levels."""
-    if not dim >= 2:
-        raise DomainError(f"a truncation needs at least 2 levels, got dim = {dim!r}")
+    """DomainError for a truncation that is not an integer of at least two
+    levels: fock_evolve's leakage reads the two top levels."""
+    if not (isinstance(dim, (int, np.integer)) and dim >= 2):
+        raise DomainError(f"a truncation needs an integer of at least 2 levels, got dim = {dim!r}")
 
 
 def ladder(dim: int) -> np.ndarray:

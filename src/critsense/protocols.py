@@ -73,7 +73,10 @@ class ResourceBudget:
 
 
 def default_pqs_input(n_max: float, n_bath: float = 0.0) -> tuple[DisplacementAmplitude, SqueezeParam]:
-    """Budget-saturating squeezed vacuum on top of the bath occupation."""
+    """Budget-saturating squeezed vacuum on top of the bath occupation;
+    DomainError for an n_bath that thermal_state refuses."""
+    if not math.isfinite(n_bath) or n_bath < 0:
+        raise DomainError(f"n_bath must be >= 0, got {n_bath!r}")
     _require_cap_above_bath(n_max, n_bath)
     r = math.asinh(math.sqrt((n_max - n_bath) / (1.0 + 2.0 * n_bath)))
     return DisplacementAmplitude(0.0), SqueezeParam(r)
@@ -178,12 +181,7 @@ class MetrologyReport:
     t_opt: float
 
 
-# --- derivative pairs ----------------------------------------------------------
-
-
-def cqs_pair(params: SystemParams, t: float) -> DerivativePair:
-    """State and shift-derivative of the driven protocol at time t."""
-    return differentiate_at_zero_shift(evolve_critical, params, thermal_state(params.n_bath), t)
+# --- single-shot QFI ----------------------------------------------------------
 
 
 def cqs_qfi(params: SystemParams, t):
@@ -193,29 +191,13 @@ def cqs_qfi(params: SystemParams, t):
     returns an array of the same shape, equal to the float calls to
     rounding, and raises as the float call at the first failing t does.
     """
-    return over_t(lambda t: qfi(cqs_pair(params, t)), t)
-
-
-def cqs_steady_pair(params: SystemParams) -> DerivativePair:
-    return differentiate_at_zero_shift(steady_state, params)
+    start = thermal_state(params.n_bath)
+    return over_t(lambda t: qfi(differentiate_at_zero_shift(evolve_critical, params, start, t)), t)
 
 
 def cqs_qfi_steady(params: SystemParams) -> float:
     """QFI of the stationary state family (the long-time limit of cqs_qfi)."""
-    return qfi(cqs_steady_pair(params))
-
-
-def pqs_pair(
-    alpha: DisplacementAmplitude,
-    squeeze: SqueezeParam,
-    params: SystemParams,
-    t: float,
-) -> DerivativePair:
-    """State and shift-derivative of the passive protocol at time t; stacked
-    over t for a 1-D array of times, with alpha's magnitude and r floats or
-    arrays over those times (one input per t)."""
-    start = pqs_input_state(alpha, squeeze, params.n_bath)
-    return differentiate_at_zero_shift(evolve_passive, params, start, t)
+    return qfi(differentiate_at_zero_shift(steady_state, params))
 
 
 def pqs_qfi(
@@ -230,22 +212,25 @@ def pqs_qfi(
     returns an array of the same shape, equal to the float calls to
     rounding, and raises as the float call at the first failing t does.
     """
-    return over_t(lambda t, alpha, squeeze: qfi(pqs_pair(alpha, squeeze, params, t)), t, alpha, squeeze)
+
+    def evaluate(t, alpha, squeeze):
+        start = pqs_input_state(alpha, squeeze, params.n_bath)
+        return qfi(differentiate_at_zero_shift(evolve_passive, params, start, t))
+
+    return over_t(evaluate, t, alpha, squeeze)
 
 
 def _eigvals(companion: np.ndarray, poly) -> np.ndarray:
-    """The real parts of the eigenvalues of a companion matrix, or of each of
-    a stack of them: one call of np.linalg.eigvals' own LAPACK gufunc,
-    without eigvals' input checks and error state, which cost more than the
-    call for a 4 x 4 matrix. best_homodyne's companions are finite
+    """The real parts of the eigenvalues of each of a stack of companion
+    matrices: one call of np.linalg.eigvals' own LAPACK gufunc, without
+    eigvals' input checks and error state, which cost more than the call
+    for a 4 x 4 matrix. best_homodyne's companions are finite
     (coefficients of at most 6 over a leading one above 1e-15); an
     eigenvalue that does not converge comes back nan, and raises
-    AccuracyError naming the first quartic, of poly's one or rows, it
-    belongs to."""
+    AccuracyError naming the first row of poly it belongs to."""
     eigenvalues = _umath_linalg.eigvals(companion, signature="d->D").real
     if not np.isfinite(eigenvalues).all():
-        rows = np.reshape(poly, (-1, np.shape(poly)[-1]))
-        row = rows[np.argmin(np.isfinite(eigenvalues).reshape(len(rows), -1).all(axis=1))]
+        row = poly[np.argmin(np.isfinite(eigenvalues).all(axis=1))]
         raise AccuracyError(f"the homodyne angles' quartic {row.tolist()!r} has roots that did not converge")
     return eigenvalues
 
@@ -256,7 +241,8 @@ def _roots(poly: np.ndarray) -> np.ndarray:
     matrices np.roots builds, so a row's are np.roots' own, its exact zeros
     for trailing zero coefficients included, then +inf for each root a
     leading 0 drops (a root of the quartic at infinity); an all-zero row is
-    0 throughout (see _quartic_roots for one quartic)."""
+    0 throughout. A row's roots do not depend on the other rows: one
+    quartic's are those of a stack of one."""
     nonzero = poly != 0
     lead, stop = nonzero.argmax(axis=1), 5 - nonzero[:, ::-1].argmax(axis=1)
     roots = np.where(np.arange(4) >= 4 - lead[:, None], math.inf, 0.0)
@@ -269,26 +255,6 @@ def _roots(poly: np.ndarray) -> np.ndarray:
             companion[:, 1:, :-1] = np.eye(degree - 1)
             companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
             roots[rows, :degree] = _eigvals(companion, coeffs)
-    return roots
-
-
-def _quartic_roots(quartic: list[float]) -> np.ndarray:
-    """_roots for one real quartic, its five coefficients as floats, without
-    np.roots' array handling: the eigenvalues of the companion matrix
-    np.roots builds, so the real parts of np.roots' own, its exact zeros for
-    trailing zero coefficients included, then +inf for each root a leading 0
-    drops; 0 four times for an all-zero quartic."""
-    nonzero = [i for i, x in enumerate(quartic) if x != 0.0]
-    roots = np.zeros(4)
-    if not nonzero:
-        return roots
-    first, end = nonzero[0], nonzero[-1] + 1
-    roots[4 - first:] = math.inf
-    degree = end - first - 1
-    if degree > 0:
-        companion = np.eye(degree, k=-1)
-        companion[0] = np.divide(quartic[first + 1:end], -quartic[first])
-        roots[:degree] = _eigvals(companion, quartic)
     return roots
 
 
@@ -306,11 +272,11 @@ def best_homodyne(pair: DerivativePair):
     for the quadrature u = (cos psi, -sin psi), FI = 2 (w.a)^2 + (w^T B w)^2 / 2,
     a degree-2 trigonometric polynomial in x = 2 theta. Its stationary points
     are the roots of one real quartic in tan theta, and theta = pi/2 where
-    its leading coefficient vanishes (_roots and _quartic_roots give that
-    dropped root as +inf). Of them and psi = 0, those whose FI is within a
-    relative _TIE of the best tie, and the smallest psi of them is returned
-    with its FI: a flat FI gives psi = 0, and a last-bit change cannot swap
-    the two equal peaks of a pure state.
+    its leading coefficient vanishes (_roots gives that dropped root as
+    +inf). Of them and psi = 0, those whose FI is within a relative _TIE of
+    the best tie, and the smallest psi of them is returned with its FI: a
+    flat FI gives psi = 0, and a last-bit change cannot swap the two equal
+    peaks of a pure state.
     """
     white = pair.whitened
     # FI is quadratic in (a, B): scaling both to unit size moves no stationary
@@ -329,15 +295,10 @@ def best_homodyne(pair: DerivativePair):
     c2, s2 = q1 * q2, 0.5 * (q2 * q2 - q1 * q1)
     quartic = (c2 - c1, 2.0 * s1 - 4.0 * s2, -6.0 * c2, 2.0 * s1 + 4.0 * s2, c1 + c2)
     quartic = [f.where(abs(x) > 1e-15, x, 0.0) for x in quartic]
-    # One pair's quartic takes _quartic_roots; a stack's, _roots. Each gives
-    # tan theta of 0 (psi = 0) and of the stationary points, one per row of
-    # a stack.
-    stacked = isinstance(white.mu, np.ndarray)
-    if stacked:
-        roots = _roots(np.array(quartic).T)
-        candidates = np.concatenate([np.zeros((len(roots), 1)), roots], axis=1)
-    else:
-        candidates = np.concatenate([[0.0], _quartic_roots(quartic)])
+    # tan theta of 0 (psi = 0) and of the stationary points, one row per t;
+    # one pair's quartic is a stack of one.
+    roots = _roots(np.reshape(quartic, (5, -1)).T)
+    candidates = np.concatenate([np.zeros((len(roots), 1)), roots], axis=1)
     # theta = arctan of each, pi/2 for the root at infinity that c2 = c1
     # drops; u = L^-T (cos theta, sin theta) by back-substitution.
     theta = np.arctan(candidates)
@@ -346,8 +307,8 @@ def best_homodyne(pair: DerivativePair):
     # psi mod pi; a psi just below 0 can round up to pi itself.
     psis = np.arctan2(-u2, u1) % math.pi
     psis = np.where(psis < math.pi, psis, 0.0)
-    if not stacked:
-        results = [(psi, fi_homodyne(pair, psi)) for psi in psis.tolist()]
+    if not isinstance(white.mu, np.ndarray):
+        results = [(psi, fi_homodyne(pair, psi)) for psi in psis[0].tolist()]
         top = max(fi for _, fi in results)
         return min(result for result in results if result[1] >= top * (1.0 - _TIE))
     values = np.array([fi_homodyne(pair, psi) for psi in psis.T])

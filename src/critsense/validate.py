@@ -14,10 +14,10 @@ from typing import Callable
 import numpy as np
 
 from . import dynamics, protocols
-from .dynamics import SystemParams, evolve_critical, mean_photons_vs_time, spectral_info, steady_state
+from .dynamics import SystemParams, evolve_critical, evolve_passive, mean_photons_vs_time, spectral_info, steady_state
 from .errors import CritsenseError, NoSteadyStateError
 from .gaussian import DisplacementAmplitude, GaussianState, SqueezeParam, rotation_matrix, squeeze_matrix, thermal_state
-from .metrology import DerivativePair, fi_homodyne, qfi, snr_photon_counting
+from .metrology import DerivativePair, differentiate_at_zero_shift, fi_homodyne, qfi, snr_photon_counting
 from .oracle import gaussian_qfi, lyapunov_rk4
 from .protocols import ResourceBudget
 
@@ -131,14 +131,15 @@ AT_EP = tuple(
 
 @_named("dynamics.rk4_agreement")
 def check_rk4_agreement() -> Outcome:
-    """The moments and their exact shift derivative (cqs_pair) vs the RK4
-    Lyapunov-and-tangent oracle over all regimes, near the exceptional point
-    and on both sides of it."""
+    """The moments and their exact shift derivative (differentiate_at_zero_shift
+    of evolve_critical) vs the RK4 Lyapunov-and-tangent oracle over all
+    regimes, near the exceptional point and on both sides of it."""
     points = [(params, frac * _horizon(params)) for params in BATTERY for frac in (0.02, 0.2, 1.0)]
     worst_state = worst_tangent = (0.0, "")
     for params, t in points + list(NEAR_EP + AT_EP):
-        numeric = lyapunov_rk4(params, thermal_state(params.n_bath), t)
-        analytic = protocols.cqs_pair(params, t)
+        start = thermal_state(params.n_bath)
+        numeric = lyapunov_rk4(params, start, t)
+        analytic = differentiate_at_zero_shift(evolve_critical, params, start, t)
         at = f"eps={params.epsilon:.9g} gamma={params.gamma:g} t={t:.3g}"
         worst_state = max(worst_state, (_rel_state_diff(analytic.state, numeric.state), at))
         worst_tangent = max(worst_tangent, (_rel_tangent_diff(analytic, numeric), at))
@@ -240,12 +241,11 @@ def _pair_battery():
         (SystemParams(1.0, 1.4, 1.0), 8.0),
         (SystemParams(1.0, 0.9, 1.0), 3.0),
     ):
-        pairs.append(("cqs", protocols.cqs_pair(params, t)))
-        pairs.append(("cqs_steady", protocols.cqs_steady_pair(params)))
+        pairs.append(("cqs", differentiate_at_zero_shift(evolve_critical, params, thermal_state(params.n_bath), t)))
+        pairs.append(("cqs_steady", differentiate_at_zero_shift(steady_state, params)))
     for (a, r, t) in ((2.0, 1.0, 0.5), (0.0, 2.0, 0.8), (1.0, 0.5, 1.5)):
-        pairs.append(
-            ("pqs", protocols.pqs_pair(DisplacementAmplitude(a), SqueezeParam(r), UNIT, t))
-        )
+        start = protocols.pqs_input_state(DisplacementAmplitude(a), SqueezeParam(r))
+        pairs.append(("pqs", differentiate_at_zero_shift(evolve_passive, UNIT, start, t)))
     return pairs
 
 
@@ -368,7 +368,7 @@ def check_omega0_optimality() -> Outcome:
 @_named("protocols.homodyne_near_optimality")
 def check_homodyne_near_optimality() -> Outcome:
     """Optimized homodyne nearly saturates the steady-state CQS QFI."""
-    pair = protocols.cqs_steady_pair(UNIT_DRIVEN)
+    pair = differentiate_at_zero_shift(steady_state, UNIT_DRIVEN)
     _, best = protocols.best_homodyne(pair)
     ratio = best / qfi(pair)
     return (

@@ -33,13 +33,11 @@ from critsense.metrology import DerivativePair, differentiate_at_zero_shift, fi_
 from critsense.oracle import fock_qfi_fidelity
 from critsense.protocols import (
     best_homodyne,
-    cqs_pair,
     cqs_qfi,
     default_pqs_input,
     epsilon_opt,
     optimal_homodyne_input,
     pqs_input_state,
-    pqs_pair,
     pqs_qfi,
 )
 from critsense.validate import ALL_CHECKS
@@ -80,7 +78,8 @@ def _hom_optr(n_max, params, t):
     """p-quadrature homodyne FI of the passive protocol on params from the
     optimally squeezed input of each t at zero temperature, displaced to
     fill n_max."""
-    return fi_homodyne(pqs_pair(*optimal_homodyne_input(n_max, 1.0, t), params, t), math.pi / 2.0)
+    start = pqs_input_state(*optimal_homodyne_input(n_max, 1.0, t), params.n_bath)
+    return fi_homodyne(differentiate_at_zero_shift(evolve_passive, params, start, t), math.pi / 2.0)
 
 
 def _fig3_columns(t):
@@ -88,7 +87,8 @@ def _fig3_columns(t):
         "pqs": pqs_qfi(_ALPHA, _SQUEEZE, _PASSIVE, t),
         "cqs": cqs_qfi(_DRIVEN, t),
         "hom_optr": _hom_optr(100.0, _PASSIVE, t),
-        "hom_sqvac": best_homodyne(pqs_pair(_ALPHA, _SQUEEZE, _PASSIVE, t))[1],
+        "hom_sqvac": best_homodyne(
+            differentiate_at_zero_shift(evolve_passive, _PASSIVE, pqs_input_state(_ALPHA, _SQUEEZE), t))[1],
     }
     columns = {f"rate_{k}_tpm{t_pm}": v / (100.0 * (t + t_pm)) for k, v in info.items() for t_pm in (0, 2)}
     columns.update(_fig2_columns(t))
@@ -105,7 +105,7 @@ def _fig4_columns(t):
 
 
 def _fig7_columns(t):
-    pair = cqs_pair(_DRIVEN, t)
+    pair = differentiate_at_zero_shift(evolve_critical, _DRIVEN, thermal_state(0.0), t)
     info = qfi(pair)
     psis = {"0": 0.0, "pi8": math.pi / 8, "pi4": math.pi / 4, "3pi8": 3 * math.pi / 8, "pi2": math.pi / 2}
     columns = {f"ratio_psi_{label}": fi_homodyne(pair, psi) / info for label, psi in psis.items()}
@@ -732,26 +732,27 @@ class TestValidateCommand:
 
     def test_injected_error_fails_validation(self, monkeypatch):
         """A state with a 1% drive error, its derivative left exact, fails
-        the RK4 cross-check, which reads both from cqs_pair."""
-        exact = protocols.cqs_pair
+        the RK4 cross-check, which reads both from differentiate_at_zero_shift."""
+        exact = validate.differentiate_at_zero_shift
 
-        def perturbed(params, t):
-            pair = exact(params, t)
-            return DerivativePair(exact(replace(params, epsilon=0.99 * params.epsilon), t).state, pair.dv, pair.dsigma)
+        def perturbed(evolution, params, start, t):
+            pair = exact(evolution, params, start, t)
+            state = exact(evolution, replace(params, epsilon=0.99 * params.epsilon), start, t).state
+            return DerivativePair(state, pair.dv, pair.dsigma)
 
-        monkeypatch.setattr(protocols, "cqs_pair", perturbed)
+        monkeypatch.setattr(validate, "differentiate_at_zero_shift", perturbed)
         assert main(["validate", "--filter", "rk4"]) == 1
 
     def test_injected_derivative_error_fails_validation(self, monkeypatch):
         """A 1% error in the exact shift derivative alone, the state left
         exact, fails the RK4 cross-check."""
-        exact = protocols.cqs_pair
+        exact = validate.differentiate_at_zero_shift
 
-        def perturbed(params, t):
-            pair = exact(params, t)
+        def perturbed(evolution, params, start, t):
+            pair = exact(evolution, params, start, t)
             return DerivativePair(pair.state, pair.dv, 1.01 * pair.dsigma)
 
-        monkeypatch.setattr(protocols, "cqs_pair", perturbed)
+        monkeypatch.setattr(validate, "differentiate_at_zero_shift", perturbed)
         assert main(["validate", "--filter", "rk4"]) == 1
 
     def test_photon_drop_fails_monotonicity_check(self, monkeypatch, capsys):

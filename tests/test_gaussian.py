@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -311,13 +312,18 @@ class TestObservables:
         with pytest.raises(ValueError):
             st.v[0] = 1.0
 
-    @pytest.mark.parametrize("v", [[1e160, 0.0], [[1.0, 0.0], [1e160, 0.0]]], ids=["one", "stack"])
-    def test_photon_number_overflow_is_typed(self, v):
-        """A |v|^2 beyond the double range raises, with no numpy warning."""
-        v = np.array(v)
-        state = GaussianState(v, np.broadcast_to(np.eye(2), v.shape + (2,)))
-        with pytest.raises(InvalidStateError, match="non-finite photon number"):
-            mean_photons(state)
+    @pytest.mark.parametrize("call", [
+        lambda: mean_photons(GaussianState(np.array([1e160, 0.0]), np.eye(2))),
+        lambda: mean_photons(GaussianState(np.array([[1.0, 0.0], [1e160, 0.0]]), np.stack([np.eye(2)] * 2))),
+        lambda: photon_variance(thermal_state(1e300)),
+    ], ids=["one", "stack", "variance"])
+    def test_photon_number_overflow_is_typed(self, call):
+        """A |v|^2, or a photon-number variance, beyond the double range
+        raises, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="non-finite"):
+                call()
 
     def test_huge_covariance_overflows_quietly(self):
         # det overflows to inf: purity 0, and no numpy overflow warning.

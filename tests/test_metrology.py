@@ -38,13 +38,10 @@ from critsense.metrology import (
 from critsense.oracle import gaussian_qfi, lyapunov_rk4
 from critsense.protocols import (
     best_homodyne,
-    cqs_pair,
     cqs_qfi,
-    cqs_steady_pair,
     default_pqs_input,
     epsilon_opt,
     pqs_input_state,
-    pqs_pair,
     pqs_qfi,
 )
 from critsense.validate import _rel_state_diff
@@ -104,7 +101,7 @@ class TestExactDerivative:
         w0, n_max = 0.38407669086241203, 30944.926052587714
         budget_drive = SystemParams(w0, epsilon_opt(n_max, SystemParams(w0, 0.0, 0.0)), 0.0)
         for params, t in ((SystemParams(6.71, 12.75, 0.0), 0.607), (budget_drive, 508.72743737077684)):
-            pair = cqs_pair(params, t)
+            pair = differentiate_at_zero_shift(evolve_critical, params, vacuum_state(), t)
             _, best = best_homodyne(pair)
             info = qfi(pair)
             assert best <= info * (1.0 + 1e-12)
@@ -123,30 +120,33 @@ class TestExactDerivative:
     @pytest.mark.parametrize(
         "exact,oracle,family,reference",
         [
-            (lambda: cqs_pair(SystemParams(1.0, 1.2, 1.0), 2.0),
+            (lambda: differentiate_at_zero_shift(evolve_critical, SystemParams(1.0, 1.2, 1.0), vacuum_state(), 2.0),
              lambda: lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), 2.0),
              lambda: cqs_state_family(SystemParams(1.0, 1.2, 1.0), 2.0),
              gaussian_qfi),
-            (lambda: cqs_pair(SystemParams(1.0, 1.0, 1.0, n_bath=0.5), 3.0),
+            (lambda: differentiate_at_zero_shift(evolve_critical, SystemParams(1.0, 1.0, 1.0, n_bath=0.5),
+                                                 thermal_state(0.5), 3.0),
              lambda: lyapunov_rk4(SystemParams(1.0, 1.0, 1.0, n_bath=0.5), thermal_state(0.5), 3.0),
              lambda: cqs_state_family(SystemParams(1.0, 1.0, 1.0, n_bath=0.5), 3.0),
              gaussian_qfi),
             # Lossless from the vacuum: a pure state, where the general formula is singular.
-            (lambda: cqs_pair(SystemParams(1.0, 0.5, 0.0), 2.0),
+            (lambda: differentiate_at_zero_shift(evolve_critical, SystemParams(1.0, 0.5, 0.0), vacuum_state(), 2.0),
              lambda: lyapunov_rk4(SystemParams(1.0, 0.5, 0.0), vacuum_state(), 2.0),
              lambda: cqs_state_family(SystemParams(1.0, 0.5, 0.0), 2.0),
              lambda pair: van_loan_qfi(SystemParams(1.0, 0.5, 0.0), [0.0, 0.0], np.eye(2), 2.0)),
-            (lambda: cqs_pair(SystemParams(0.5, 1.0, 2.0, n_bath=1.5), 0.7),
+            (lambda: differentiate_at_zero_shift(evolve_critical, SystemParams(0.5, 1.0, 2.0, n_bath=1.5),
+                                                 thermal_state(1.5), 0.7),
              lambda: lyapunov_rk4(SystemParams(0.5, 1.0, 2.0, n_bath=1.5), thermal_state(1.5), 0.7),
              lambda: cqs_state_family(SystemParams(0.5, 1.0, 2.0, n_bath=1.5), 0.7),
              gaussian_qfi),
             # The transient of this exceptional-point drive has decayed as t^3 e^{-2t}.
-            (lambda: cqs_steady_pair(SystemParams(1.0, 1.0, 1.0, n_bath=1.0)),
+            (lambda: differentiate_at_zero_shift(steady_state, SystemParams(1.0, 1.0, 1.0, n_bath=1.0)),
              lambda: lyapunov_rk4(SystemParams(1.0, 1.0, 1.0, n_bath=1.0), thermal_state(1.0), 60.0),
              lambda: lambda d: steady_state(SystemParams(1.0 + d, 1.0, 1.0, n_bath=1.0)),
              gaussian_qfi),
-            (lambda: pqs_pair(DisplacementAmplitude(2.0), SqueezeParam(0.8),
-                              SystemParams(1.0, 0.0, 1.0, n_bath=0.5), 0.6),
+            (lambda: differentiate_at_zero_shift(evolve_passive, SystemParams(1.0, 0.0, 1.0, n_bath=0.5),
+                                                 pqs_input_state(DisplacementAmplitude(2.0), SqueezeParam(0.8), 0.5),
+                                                 0.6),
              lambda: rk4_pqs_pair(2.0, 0.8, SystemParams(1.0, 0.0, 1.0, n_bath=0.5), 0.6),
              lambda: pqs_state_family(2.0, 0.8, SystemParams(1.0, 0.0, 1.0, n_bath=0.5), 0.6),
              gaussian_qfi),
@@ -268,14 +268,15 @@ class TestStackedPair:
 def test_pairs_compare_as_one_bool():
     """DerivativePair compares its state and derivatives entry by entry, as
     one bool, for one pair and for a stack of them."""
-    params = SystemParams(1.0, 1.2, 1.0, n_bath=0.5)
-    assert (cqs_pair(params, 1.0) == cqs_pair(params, 1.0)) is True
-    assert (cqs_pair(params, 1.0) != cqs_pair(params, 2.0)) is True
-    assert cqs_pair(params, 1.0) != cqs_pair(params, 1.0).state
+    pair_at = functools.partial(differentiate_at_zero_shift, evolve_critical, SystemParams(1.0, 1.2, 1.0, n_bath=0.5),
+                                thermal_state(0.5))
+    assert (pair_at(1.0) == pair_at(1.0)) is True
+    assert (pair_at(1.0) != pair_at(2.0)) is True
+    assert pair_at(1.0) != pair_at(1.0).state
     times = np.array([0.5, 1.0, 2.0])
-    stack = cqs_pair(params, times)
-    assert (stack == cqs_pair(params, times.copy())) is True
-    for other in (cqs_pair(params, times[:2]), cqs_pair(params, 1.0), cqs_pair(params, times + 0.1)):
+    stack = pair_at(times)
+    assert (stack == pair_at(times.copy())) is True
+    for other in (pair_at(times[:2]), pair_at(1.0), pair_at(times + 0.1)):
         assert (stack == other) is False and (stack != other) is True
 
 
@@ -300,13 +301,15 @@ class TestQfi:
     @pytest.mark.parametrize("n_photons,t", [(5.0, 0.7), (50.0, 0.25)])
     def test_noiseless_squeezed_vacuum(self, n_photons, t):
         r = math.asinh(math.sqrt(n_photons))
-        pair = pqs_pair(DisplacementAmplitude(0.0), SqueezeParam(r), SystemParams(1.0, 0.0, 0.0), t)
+        start = pqs_input_state(DisplacementAmplitude(0.0), SqueezeParam(r))
+        pair = differentiate_at_zero_shift(evolve_passive, SystemParams(1.0, 0.0, 0.0), start, t)
         expected = 8.0 * n_photons * (1.0 + n_photons) * t * t
         assert qfi(pair) == pytest.approx(expected, rel=1e-8)
 
     def test_noiseless_coherent(self):
         alpha, t = 1.5, 0.7
-        pair = pqs_pair(DisplacementAmplitude(alpha), SqueezeParam(0.0), SystemParams(1.0, 0.0, 0.0), t)
+        start = pqs_input_state(DisplacementAmplitude(alpha), SqueezeParam(0.0))
+        pair = differentiate_at_zero_shift(evolve_passive, SystemParams(1.0, 0.0, 0.0), start, t)
         assert qfi(pair) == pytest.approx(4 * alpha ** 2 * t ** 2, rel=1e-9)
 
     def test_rotation_invariant_state_carries_nothing(self):
@@ -340,12 +343,14 @@ class TestQfi:
 
     def test_dissipative_closed_form(self):
         for (alpha, r, g, t) in [(2.0, 1.0, 1.0, 0.3), (0.5, 2.0, 1.0, 1.2), (0.0, 3.0, 1.0, 0.8)]:
-            pair = pqs_pair(DisplacementAmplitude(alpha), SqueezeParam(r), SystemParams(1.0, 0.0, g), t)
+            start = pqs_input_state(DisplacementAmplitude(alpha), SqueezeParam(r))
+            pair = differentiate_at_zero_shift(evolve_passive, SystemParams(1.0, 0.0, g), start, t)
             expected = pqs_qfi_closed_form(alpha, r, g, t)
             assert qfi(pair) == pytest.approx(expected, rel=1e-8)
 
     def test_displacement_term_quadratic(self):
-        pair = pqs_pair(DisplacementAmplitude(2.0), SqueezeParam(1.0), SystemParams(1.0, 0.0, 1.0), 0.5)
+        start = pqs_input_state(DisplacementAmplitude(2.0), SqueezeParam(1.0))
+        pair = differentiate_at_zero_shift(evolve_passive, UNIT, start, 0.5)
         _, _, t3 = qfi_terms(pair)
         doubled = DerivativePair(pair.state, 2.0 * pair.dv, pair.dsigma)
         _, _, t3_doubled = qfi_terms(doubled)
@@ -383,7 +388,8 @@ class TestFiHomodyne:
     @pytest.mark.parametrize("alpha,r,g,n_bath,t", [(2.0, 1.0, 1.0, 0.0, 0.5), (1.5, 0.8, 1.0, 1.0, 0.7)])
     def test_p_quadrature_closed_form(self, alpha, r, g, n_bath, t):
         params = SystemParams(1.0, 0.0, g, n_bath=n_bath)
-        pair = pqs_pair(DisplacementAmplitude(alpha), SqueezeParam(r), params, t)
+        start = pqs_input_state(DisplacementAmplitude(alpha), SqueezeParam(r), n_bath)
+        pair = differentiate_at_zero_shift(evolve_passive, params, start, t)
         expected = 4.0 * alpha ** 2 * t * t / (
             (1.0 + 2.0 * n_bath) * (math.exp(-2.0 * r) + math.exp(2.0 * g * t) - 1.0)
         )
@@ -404,7 +410,8 @@ class TestFiHomodyne:
         n_photons, t = 25.0, 0.6
         r = 0.5 * math.log(2.0 * n_photons + 1.0)
         alpha = math.sqrt(n_photons - math.sinh(r) ** 2)
-        pair = pqs_pair(DisplacementAmplitude(alpha), SqueezeParam(r), SystemParams(1.0, 0.0, 0.0), t)
+        start = pqs_input_state(DisplacementAmplitude(alpha), SqueezeParam(r))
+        pair = differentiate_at_zero_shift(evolve_passive, SystemParams(1.0, 0.0, 0.0), start, t)
         expected = 4.0 * n_photons * (1.0 + n_photons) * t * t
         assert fi_homodyne(pair, math.pi / 2) == pytest.approx(expected, rel=1e-8)
 
@@ -412,7 +419,7 @@ class TestFiHomodyne:
         """Stationary-state homodyne FI at arbitrary angle matches the closed form."""
         w0 = gamma = 1.0
         eps = 1.2
-        pair = cqs_steady_pair(SystemParams(w0, eps, gamma))
+        pair = differentiate_at_zero_shift(steady_state, SystemParams(w0, eps, gamma))
         ec2 = w0 * w0 + gamma * gamma
         for psi in (0.0, 0.3, 0.9, math.pi / 2, 2.0):
             num = eps ** 2 * (
@@ -429,9 +436,8 @@ class TestFiHomodyne:
         """The mean signal is taken along x cos(psi) - p sin(psi), the same
         quadrature as the variance: FI at psi equals FI at 0 after rotating
         the family by R(psi), whose first row is (cos psi, -sin psi)."""
-        pair = pqs_pair(
-            DisplacementAmplitude(2.0, 0.3), SqueezeParam(0.8, 1.1), SystemParams(1.0, 0.0, 1.0), 0.6
-        )
+        start = pqs_input_state(DisplacementAmplitude(2.0, 0.3), SqueezeParam(0.8, 1.1))
+        pair = differentiate_at_zero_shift(evolve_passive, UNIT, start, 0.6)
         psi = 0.4
         R = rotation_matrix(psi)
         moved = DerivativePair(
@@ -448,7 +454,7 @@ class TestSnrPhotonCounting:
     def test_steady_state_closed_form(self):
         """SNR at the stationary state: 4 eps^2 w0^2 / ((3ec^2 - e^2)(ec^2 - e^2)^2)."""
         params = SystemParams(1.0, 1.2, 1.0)
-        pair = cqs_steady_pair(params)
+        pair = differentiate_at_zero_shift(steady_state, params)
         ec2 = params.epsilon_c ** 2
         expected = 4.0 * 1.2 ** 2 / ((3.0 * ec2 - 1.2 ** 2) * (ec2 - 1.2 ** 2) ** 2)
         assert snr_photon_counting(pair) == pytest.approx(expected, rel=1e-8)
@@ -456,7 +462,7 @@ class TestSnrPhotonCounting:
     def test_near_critical_asymptote(self):
         eps = 0.9975 * math.sqrt(2.0)
         params = SystemParams(1.0, eps, 1.0)
-        pair = cqs_steady_pair(params)
+        pair = differentiate_at_zero_shift(steady_state, params)
         n_inf = 0.5 * eps ** 2 / (params.epsilon_c ** 2 - eps ** 2)
         asym = 8.0 / params.epsilon_c ** 4 * n_inf ** 2
         assert snr_photon_counting(pair) == pytest.approx(asym, rel=0.05)
@@ -547,7 +553,8 @@ def test_homodyne_angles_over_another_grid_rejected():
     """psi with one angle for each of two times, on a stack of three,
     raises PreconditionError as every input per t does, not numpy's bare
     broadcast error."""
-    pair = cqs_pair(SystemParams(1.0, 1.2, 1.0), np.array([0.5, 1.0, 2.0]))
+    pair = differentiate_at_zero_shift(evolve_critical, SystemParams(1.0, 1.2, 1.0), vacuum_state(),
+                                       np.array([0.5, 1.0, 2.0]))
     with pytest.raises(PreconditionError, match="input per t of 2 times on a stack of 3 states"):
         fi_homodyne(pair, np.array([0.1, 0.2]))
 
@@ -556,9 +563,11 @@ def test_homodyne_angles_over_another_grid_rejected():
     (lambda pair: [fi_homodyne(pair, psi) for psi in np.linspace(0.0, math.pi, 64, endpoint=False).tolist()],
      lambda: [lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), 2.0),
               lyapunov_rk4(SystemParams(1.0, 1.4, 1.0, n_bath=1.0), thermal_state(1.0), 5.0),
-              rk4_pqs_pair(2.0, 1.0, SystemParams(1.0, 0.0, 1.0), 0.5), cqs_steady_pair(SystemParams(1.0, 1.35, 1.0))]),
+              rk4_pqs_pair(2.0, 1.0, SystemParams(1.0, 0.0, 1.0), 0.5),
+              differentiate_at_zero_shift(steady_state, SystemParams(1.0, 1.35, 1.0))]),
     (lambda pair: [snr_photon_counting(pair)],
-     lambda: [cqs_steady_pair(SystemParams(1.0, 1.2, 1.0)), cqs_steady_pair(SystemParams(1.0, 1.38, 1.0, n_bath=0.5))]),
+     lambda: [differentiate_at_zero_shift(steady_state, SystemParams(1.0, 1.2, 1.0)),
+              differentiate_at_zero_shift(steady_state, SystemParams(1.0, 1.38, 1.0, n_bath=0.5))]),
 ], ids=["fi_homodyne", "snr_photon_counting"])
 def test_estimator_never_exceeds_qfi(estimates, pairs):
     for pair in pairs():

@@ -1,5 +1,7 @@
 import math
+import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -44,7 +46,6 @@ from critsense.protocols import (
     ProtocolKind,
     ProtocolSpec,
     ResourceBudget,
-    cqs_pair,
     optimal_homodyne_input,
     total_qfi,
 )
@@ -130,11 +131,12 @@ class TestLyapunovRk4:
         analytic = evolve_critical(params, vacuum_state(), 5.0)
         numeric = lyapunov_rk4(params, vacuum_state(), 5.0, verify_step=False)
         assert np.allclose(numeric.state.sigma, analytic.sigma, rtol=1e-8)
-        assert _rel_tangent_diff(cqs_pair(params, 5.0), numeric) <= 1e-8
+        analytic_pair = differentiate_at_zero_shift(evolve_critical, params, vacuum_state(), 5.0)
+        assert _rel_tangent_diff(analytic_pair, numeric) <= 1e-8
 
     def test_fourth_order_convergence(self):
         params = SystemParams(1.0, 1.2, 1.0)
-        ref = cqs_pair(params, 1.0)
+        ref = differentiate_at_zero_shift(evolve_critical, params, vacuum_state(), 1.0)
         errs = []
         for dt in (0.05, 0.025):
             num = lyapunov_rk4(params, vacuum_state(), 1.0, dt=dt, verify_step=False)
@@ -712,6 +714,10 @@ class TestFockStates:
         assert f_gauss == pytest.approx(f_fock, abs=1e-12)
 
 
+# The shift-derivative pair of a driven protocol from the vacuum, at t.
+_driven_pair = partial(differentiate_at_zero_shift, evolve_critical, SystemParams(1.0, 1.2, 1.0), vacuum_state())
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -724,13 +730,13 @@ class TestFockStates:
         lambda: fock_coherent(1.0, 1),
         lambda: lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), 1.0, dt=math.nan),
         lambda: lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), 1.0, dt=math.inf),
-        lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), 1.0), math.inf),
-        lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), 1.0), math.nan),
-        lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), np.array([1.0, 2.0])), np.array([0.5, math.nan])),
-        lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), np.array([1.0, 2.0, 3.0])), np.zeros((3, 1))),
-        lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), np.array([1.0, 2.0, 3.0])), np.zeros((1, 3))),
-        lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), 1.0), np.array(0.5)),
-        lambda: fi_homodyne(cqs_pair(SystemParams(1.0, 1.2, 1.0), 1.0), np.array([0.1, 0.2, 0.3])),
+        lambda: fi_homodyne(_driven_pair(1.0), math.inf),
+        lambda: fi_homodyne(_driven_pair(1.0), math.nan),
+        lambda: fi_homodyne(_driven_pair(np.array([1.0, 2.0])), np.array([0.5, math.nan])),
+        lambda: fi_homodyne(_driven_pair(np.array([1.0, 2.0, 3.0])), np.zeros((3, 1))),
+        lambda: fi_homodyne(_driven_pair(np.array([1.0, 2.0, 3.0])), np.zeros((1, 3))),
+        lambda: fi_homodyne(_driven_pair(1.0), np.array(0.5)),
+        lambda: fi_homodyne(_driven_pair(1.0), np.array([0.1, 0.2, 0.3])),
         lambda: SystemParams(1.0, 0.5, math.nan),
         lambda: SystemParams(1.0, 0.5, -1.0),
         lambda: SystemParams(1.0, 0.5, 1.0, n_bath=-0.5),
@@ -748,6 +754,7 @@ class TestFockStates:
         lambda: ladder(0),
         lambda: ladder(1),
         lambda: ladder(-2),
+        lambda: ladder(2.5),
         lambda: fock_thermal(-1.0, 4),
         lambda: FockDensityMatrix(3, np.eye(2)),
         lambda: FockDensityMatrix(2, np.array([[1.0, 1.0], [0.0, 0.0]])),
@@ -759,14 +766,17 @@ class TestFockStates:
          "params_nan", "params_gamma_negative", "params_n_bath_negative", "params_epsilon_negative",
          "budget_total_time_0", "pqs_driven", "homodyne_input_n_max_0", "total_qfi_t_0", "rk4_t_negative",
          "evolve_critical_t_negative", "fock_evolve_t_negative", "fock_evolve_t_nan", "rk4_t_array",
-         "fock_evolve_t_array", "ladder_0", "ladder_1", "ladder_negative", "fock_thermal_negative", "fock_matrix_shape",
-         "fock_matrix_not_hermitian", "snr_vacuum"],
+         "fock_evolve_t_array", "ladder_0", "ladder_1", "ladder_negative", "ladder_2_5", "fock_thermal_negative",
+         "fock_matrix_shape", "fock_matrix_not_hermitian", "snr_vacuum"],
 )
 def test_bad_library_input_raises_domain_error(call):
     """A parameter, budget, time, density matrix, photon number, truncation,
     step or homodyne angle outside its domain, or an array of angles that is
     not 1-D or is given with one pair, raises DomainError, not a bare
     OverflowError, TypeError, ValueError or IndexError, a silently broadcast
-    array, nor an AccuracyError that blames the state."""
-    with pytest.raises(DomainError):
-        call()
+    array or rounded truncation, nor an AccuracyError that blames the state,
+    and warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()
