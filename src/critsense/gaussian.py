@@ -177,10 +177,15 @@ def squeeze_matrix(s: SqueezeParam) -> np.ndarray:
         return rot @ matrix(stretch, zero, zero, f.exp(-s.r)) @ rot.T
 
 
-def thermal_state(n_bath: float) -> GaussianState:
-    """Thermal state with mean photon number n_bath; sigma = (1 + 2 n_bath) I."""
+def _check_occupation(n_bath: float) -> None:
+    """DomainError for a bath occupation that is negative or not finite."""
     if not math.isfinite(n_bath) or n_bath < 0:
         raise DomainError(f"n_bath must be >= 0, got {n_bath!r}")
+
+
+def thermal_state(n_bath: float) -> GaussianState:
+    """Thermal state with mean photon number n_bath; sigma = (1 + 2 n_bath) I."""
+    _check_occupation(n_bath)
     return GaussianState(np.zeros(2), (1.0 + 2.0 * n_bath) * IDENTITY)
 
 

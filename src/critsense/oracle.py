@@ -27,7 +27,7 @@ import numpy as np
 
 from .dynamics import SystemParams, _check_time, drift_and_diffusion, spectral_info
 from .errors import AccuracyError, DomainError, PureStateError, TruncationError
-from .gaussian import GaussianState, is_pure, require_one_state
+from .gaussian import GaussianState, _check_occupation, is_pure, require_one_state
 from .metrology import DerivativePair
 
 LEAK_BUDGET = 1e-8
@@ -203,8 +203,7 @@ def fock_vacuum(dim: int) -> FockDensityMatrix:
 
 
 def fock_thermal(n_bath: float, dim: int) -> FockDensityMatrix:
-    if n_bath < 0:
-        raise DomainError("n_bath must be >= 0")
+    _check_occupation(n_bath)
     if n_bath == 0:
         return fock_vacuum(dim)
     k = np.arange(dim)

@@ -27,8 +27,8 @@ from . import dynamics
 from ._elementwise import lib, over_t, per_t, reject
 from .dynamics import SystemParams, evolve_critical, evolve_passive, steady_state
 from .errors import AccuracyError, ConstraintError, DomainError, NoSteadyStateError, SearchError
-from .gaussian import (DisplacementAmplitude, GaussianState, SqueezeParam, apply_displace, apply_squeeze,
-                       mean_photons, thermal_state)
+from .gaussian import (DisplacementAmplitude, GaussianState, SqueezeParam, _check_occupation, apply_displace,
+                       apply_squeeze, mean_photons, thermal_state)
 from .metrology import DerivativePair, differentiate_at_zero_shift, fi_homodyne, qfi
 
 
@@ -75,8 +75,7 @@ class ResourceBudget:
 def default_pqs_input(n_max: float, n_bath: float = 0.0) -> tuple[DisplacementAmplitude, SqueezeParam]:
     """Budget-saturating squeezed vacuum on top of the bath occupation;
     DomainError for an n_bath that thermal_state refuses."""
-    if not math.isfinite(n_bath) or n_bath < 0:
-        raise DomainError(f"n_bath must be >= 0, got {n_bath!r}")
+    _check_occupation(n_bath)
     _require_cap_above_bath(n_max, n_bath)
     r = math.asinh(math.sqrt((n_max - n_bath) / (1.0 + 2.0 * n_bath)))
     return DisplacementAmplitude(0.0), SqueezeParam(r)

@@ -10,8 +10,9 @@ import numpy as np
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from critsense.dynamics import SystemParams, drift_and_diffusion, evolve_critical, spectral_info
+from critsense.dynamics import SystemParams, drift_and_diffusion, evolve_critical, evolve_passive, spectral_info
 from critsense.gaussian import DisplacementAmplitude, GaussianState, SqueezeParam, thermal_state
+from critsense.metrology import differentiate_at_zero_shift
 from critsense.oracle import lyapunov_rk4
 from critsense.protocols import pqs_input_state
 
@@ -32,6 +33,18 @@ for folder in ("src/critsense", "tools", "perfbench"):
     for path in sorted((ROOT / folder).rglob("*.py")):
         name = ".".join(("_local_pool", *path.relative_to(ROOT).with_suffix("").parts))
         sys.modules[name] = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path))
+
+
+def driven_pair(params: SystemParams, t):
+    """The driven protocol's derivative pair at t (a float or an array of
+    times) from the bath's thermal state, ProtocolSpec's CQS start."""
+    return differentiate_at_zero_shift(evolve_critical, params, thermal_state(params.n_bath), t)
+
+
+def passive_pair(alpha: DisplacementAmplitude, squeeze: SqueezeParam, params: SystemParams, t):
+    """The passive protocol's derivative pair at t from pqs_input_state on
+    the bath, ProtocolSpec's PQS start; stacked as pqs_input_state is."""
+    return differentiate_at_zero_shift(evolve_passive, params, pqs_input_state(alpha, squeeze, params.n_bath), t)
 
 
 def cqs_state_family(params: SystemParams, t: float):

@@ -21,7 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import van_loan_qfi
+from conftest import driven_pair, passive_pair, van_loan_qfi
 import critsense
 from critsense import protocols, validate
 from critsense import cli
@@ -78,8 +78,7 @@ def _hom_optr(n_max, params, t):
     """p-quadrature homodyne FI of the passive protocol on params from the
     optimally squeezed input of each t at zero temperature, displaced to
     fill n_max."""
-    start = pqs_input_state(*optimal_homodyne_input(n_max, 1.0, t), params.n_bath)
-    return fi_homodyne(differentiate_at_zero_shift(evolve_passive, params, start, t), math.pi / 2.0)
+    return fi_homodyne(passive_pair(*optimal_homodyne_input(n_max, 1.0, t), params, t), math.pi / 2.0)
 
 
 def _fig3_columns(t):
@@ -87,8 +86,7 @@ def _fig3_columns(t):
         "pqs": pqs_qfi(_ALPHA, _SQUEEZE, _PASSIVE, t),
         "cqs": cqs_qfi(_DRIVEN, t),
         "hom_optr": _hom_optr(100.0, _PASSIVE, t),
-        "hom_sqvac": best_homodyne(
-            differentiate_at_zero_shift(evolve_passive, _PASSIVE, pqs_input_state(_ALPHA, _SQUEEZE), t))[1],
+        "hom_sqvac": best_homodyne(passive_pair(_ALPHA, _SQUEEZE, _PASSIVE, t))[1],
     }
     columns = {f"rate_{k}_tpm{t_pm}": v / (100.0 * (t + t_pm)) for k, v in info.items() for t_pm in (0, 2)}
     columns.update(_fig2_columns(t))
@@ -105,7 +103,7 @@ def _fig4_columns(t):
 
 
 def _fig7_columns(t):
-    pair = differentiate_at_zero_shift(evolve_critical, _DRIVEN, thermal_state(0.0), t)
+    pair = driven_pair(_DRIVEN, t)
     info = qfi(pair)
     psis = {"0": 0.0, "pi8": math.pi / 8, "pi4": math.pi / 4, "3pi8": 3 * math.pi / 8, "pi2": math.pi / 2}
     columns = {f"ratio_psi_{label}": fi_homodyne(pair, psi) / info for label, psi in psis.items()}

@@ -6,7 +6,9 @@ import pytest
 
 from conftest import (
     cqs_state_family,
+    driven_pair,
     general_qfi,
+    passive_pair,
     pqs_qfi_closed_form,
     pqs_state_family,
     rk4_pqs_pair,
@@ -101,7 +103,7 @@ class TestExactDerivative:
         w0, n_max = 0.38407669086241203, 30944.926052587714
         budget_drive = SystemParams(w0, epsilon_opt(n_max, SystemParams(w0, 0.0, 0.0)), 0.0)
         for params, t in ((SystemParams(6.71, 12.75, 0.0), 0.607), (budget_drive, 508.72743737077684)):
-            pair = differentiate_at_zero_shift(evolve_critical, params, vacuum_state(), t)
+            pair = driven_pair(params, t)
             _, best = best_homodyne(pair)
             info = qfi(pair)
             assert best <= info * (1.0 + 1e-12)
@@ -120,22 +122,20 @@ class TestExactDerivative:
     @pytest.mark.parametrize(
         "exact,oracle,family,reference",
         [
-            (lambda: differentiate_at_zero_shift(evolve_critical, SystemParams(1.0, 1.2, 1.0), vacuum_state(), 2.0),
+            (lambda: driven_pair(SystemParams(1.0, 1.2, 1.0), 2.0),
              lambda: lyapunov_rk4(SystemParams(1.0, 1.2, 1.0), vacuum_state(), 2.0),
              lambda: cqs_state_family(SystemParams(1.0, 1.2, 1.0), 2.0),
              gaussian_qfi),
-            (lambda: differentiate_at_zero_shift(evolve_critical, SystemParams(1.0, 1.0, 1.0, n_bath=0.5),
-                                                 thermal_state(0.5), 3.0),
+            (lambda: driven_pair(SystemParams(1.0, 1.0, 1.0, n_bath=0.5), 3.0),
              lambda: lyapunov_rk4(SystemParams(1.0, 1.0, 1.0, n_bath=0.5), thermal_state(0.5), 3.0),
              lambda: cqs_state_family(SystemParams(1.0, 1.0, 1.0, n_bath=0.5), 3.0),
              gaussian_qfi),
             # Lossless from the vacuum: a pure state, where the general formula is singular.
-            (lambda: differentiate_at_zero_shift(evolve_critical, SystemParams(1.0, 0.5, 0.0), vacuum_state(), 2.0),
+            (lambda: driven_pair(SystemParams(1.0, 0.5, 0.0), 2.0),
              lambda: lyapunov_rk4(SystemParams(1.0, 0.5, 0.0), vacuum_state(), 2.0),
              lambda: cqs_state_family(SystemParams(1.0, 0.5, 0.0), 2.0),
              lambda pair: van_loan_qfi(SystemParams(1.0, 0.5, 0.0), [0.0, 0.0], np.eye(2), 2.0)),
-            (lambda: differentiate_at_zero_shift(evolve_critical, SystemParams(0.5, 1.0, 2.0, n_bath=1.5),
-                                                 thermal_state(1.5), 0.7),
+            (lambda: driven_pair(SystemParams(0.5, 1.0, 2.0, n_bath=1.5), 0.7),
              lambda: lyapunov_rk4(SystemParams(0.5, 1.0, 2.0, n_bath=1.5), thermal_state(1.5), 0.7),
              lambda: cqs_state_family(SystemParams(0.5, 1.0, 2.0, n_bath=1.5), 0.7),
              gaussian_qfi),
@@ -144,9 +144,8 @@ class TestExactDerivative:
              lambda: lyapunov_rk4(SystemParams(1.0, 1.0, 1.0, n_bath=1.0), thermal_state(1.0), 60.0),
              lambda: lambda d: steady_state(SystemParams(1.0 + d, 1.0, 1.0, n_bath=1.0)),
              gaussian_qfi),
-            (lambda: differentiate_at_zero_shift(evolve_passive, SystemParams(1.0, 0.0, 1.0, n_bath=0.5),
-                                                 pqs_input_state(DisplacementAmplitude(2.0), SqueezeParam(0.8), 0.5),
-                                                 0.6),
+            (lambda: passive_pair(DisplacementAmplitude(2.0), SqueezeParam(0.8),
+                                  SystemParams(1.0, 0.0, 1.0, n_bath=0.5), 0.6),
              lambda: rk4_pqs_pair(2.0, 0.8, SystemParams(1.0, 0.0, 1.0, n_bath=0.5), 0.6),
              lambda: pqs_state_family(2.0, 0.8, SystemParams(1.0, 0.0, 1.0, n_bath=0.5), 0.6),
              gaussian_qfi),
@@ -268,8 +267,7 @@ class TestStackedPair:
 def test_pairs_compare_as_one_bool():
     """DerivativePair compares its state and derivatives entry by entry, as
     one bool, for one pair and for a stack of them."""
-    pair_at = functools.partial(differentiate_at_zero_shift, evolve_critical, SystemParams(1.0, 1.2, 1.0, n_bath=0.5),
-                                thermal_state(0.5))
+    pair_at = functools.partial(driven_pair, SystemParams(1.0, 1.2, 1.0, n_bath=0.5))
     assert (pair_at(1.0) == pair_at(1.0)) is True
     assert (pair_at(1.0) != pair_at(2.0)) is True
     assert pair_at(1.0) != pair_at(1.0).state
@@ -301,15 +299,13 @@ class TestQfi:
     @pytest.mark.parametrize("n_photons,t", [(5.0, 0.7), (50.0, 0.25)])
     def test_noiseless_squeezed_vacuum(self, n_photons, t):
         r = math.asinh(math.sqrt(n_photons))
-        start = pqs_input_state(DisplacementAmplitude(0.0), SqueezeParam(r))
-        pair = differentiate_at_zero_shift(evolve_passive, SystemParams(1.0, 0.0, 0.0), start, t)
+        pair = passive_pair(DisplacementAmplitude(0.0), SqueezeParam(r), SystemParams(1.0, 0.0, 0.0), t)
         expected = 8.0 * n_photons * (1.0 + n_photons) * t * t
         assert qfi(pair) == pytest.approx(expected, rel=1e-8)
 
     def test_noiseless_coherent(self):
         alpha, t = 1.5, 0.7
-        start = pqs_input_state(DisplacementAmplitude(alpha), SqueezeParam(0.0))
-        pair = differentiate_at_zero_shift(evolve_passive, SystemParams(1.0, 0.0, 0.0), start, t)
+        pair = passive_pair(DisplacementAmplitude(alpha), SqueezeParam(0.0), SystemParams(1.0, 0.0, 0.0), t)
         assert qfi(pair) == pytest.approx(4 * alpha ** 2 * t ** 2, rel=1e-9)
 
     def test_rotation_invariant_state_carries_nothing(self):
@@ -343,14 +339,12 @@ class TestQfi:
 
     def test_dissipative_closed_form(self):
         for (alpha, r, g, t) in [(2.0, 1.0, 1.0, 0.3), (0.5, 2.0, 1.0, 1.2), (0.0, 3.0, 1.0, 0.8)]:
-            start = pqs_input_state(DisplacementAmplitude(alpha), SqueezeParam(r))
-            pair = differentiate_at_zero_shift(evolve_passive, SystemParams(1.0, 0.0, g), start, t)
+            pair = passive_pair(DisplacementAmplitude(alpha), SqueezeParam(r), SystemParams(1.0, 0.0, g), t)
             expected = pqs_qfi_closed_form(alpha, r, g, t)
             assert qfi(pair) == pytest.approx(expected, rel=1e-8)
 
     def test_displacement_term_quadratic(self):
-        start = pqs_input_state(DisplacementAmplitude(2.0), SqueezeParam(1.0))
-        pair = differentiate_at_zero_shift(evolve_passive, UNIT, start, 0.5)
+        pair = passive_pair(DisplacementAmplitude(2.0), SqueezeParam(1.0), UNIT, 0.5)
         _, _, t3 = qfi_terms(pair)
         doubled = DerivativePair(pair.state, 2.0 * pair.dv, pair.dsigma)
         _, _, t3_doubled = qfi_terms(doubled)
@@ -388,8 +382,7 @@ class TestFiHomodyne:
     @pytest.mark.parametrize("alpha,r,g,n_bath,t", [(2.0, 1.0, 1.0, 0.0, 0.5), (1.5, 0.8, 1.0, 1.0, 0.7)])
     def test_p_quadrature_closed_form(self, alpha, r, g, n_bath, t):
         params = SystemParams(1.0, 0.0, g, n_bath=n_bath)
-        start = pqs_input_state(DisplacementAmplitude(alpha), SqueezeParam(r), n_bath)
-        pair = differentiate_at_zero_shift(evolve_passive, params, start, t)
+        pair = passive_pair(DisplacementAmplitude(alpha), SqueezeParam(r), params, t)
         expected = 4.0 * alpha ** 2 * t * t / (
             (1.0 + 2.0 * n_bath) * (math.exp(-2.0 * r) + math.exp(2.0 * g * t) - 1.0)
         )
@@ -410,8 +403,7 @@ class TestFiHomodyne:
         n_photons, t = 25.0, 0.6
         r = 0.5 * math.log(2.0 * n_photons + 1.0)
         alpha = math.sqrt(n_photons - math.sinh(r) ** 2)
-        start = pqs_input_state(DisplacementAmplitude(alpha), SqueezeParam(r))
-        pair = differentiate_at_zero_shift(evolve_passive, SystemParams(1.0, 0.0, 0.0), start, t)
+        pair = passive_pair(DisplacementAmplitude(alpha), SqueezeParam(r), SystemParams(1.0, 0.0, 0.0), t)
         expected = 4.0 * n_photons * (1.0 + n_photons) * t * t
         assert fi_homodyne(pair, math.pi / 2) == pytest.approx(expected, rel=1e-8)
 
@@ -436,8 +428,7 @@ class TestFiHomodyne:
         """The mean signal is taken along x cos(psi) - p sin(psi), the same
         quadrature as the variance: FI at psi equals FI at 0 after rotating
         the family by R(psi), whose first row is (cos psi, -sin psi)."""
-        start = pqs_input_state(DisplacementAmplitude(2.0, 0.3), SqueezeParam(0.8, 1.1))
-        pair = differentiate_at_zero_shift(evolve_passive, UNIT, start, 0.6)
+        pair = passive_pair(DisplacementAmplitude(2.0, 0.3), SqueezeParam(0.8, 1.1), UNIT, 0.6)
         psi = 0.4
         R = rotation_matrix(psi)
         moved = DerivativePair(
@@ -553,8 +544,7 @@ def test_homodyne_angles_over_another_grid_rejected():
     """psi with one angle for each of two times, on a stack of three,
     raises PreconditionError as every input per t does, not numpy's bare
     broadcast error."""
-    pair = differentiate_at_zero_shift(evolve_critical, SystemParams(1.0, 1.2, 1.0), vacuum_state(),
-                                       np.array([0.5, 1.0, 2.0]))
+    pair = driven_pair(SystemParams(1.0, 1.2, 1.0), np.array([0.5, 1.0, 2.0]))
     with pytest.raises(PreconditionError, match="input per t of 2 times on a stack of 3 states"):
         fi_homodyne(pair, np.array([0.1, 0.2]))
 

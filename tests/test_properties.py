@@ -19,14 +19,13 @@ import pytest
 from hypothesis import assume, example, find, given
 from hypothesis import strategies as st
 
-from conftest import ROOT, cqs_state_family, general_qfi, rk4_pqs_pair, van_loan_qfi
+from conftest import ROOT, cqs_state_family, driven_pair, general_qfi, passive_pair, rk4_pqs_pair, van_loan_qfi
 from critsense import dynamics, protocols
 from critsense._elementwise import over_t
 from critsense.dynamics import (
     SystemParams,
     _noise_integrals,
     evolve_critical,
-    evolve_passive,
     mean_photons_vs_time,
 )
 from critsense.errors import AccuracyError, ConstraintError, CritsenseError, DomainError, InvalidStateError
@@ -41,7 +40,7 @@ from critsense.gaussian import (
     purity,
     thermal_state,
 )
-from critsense.metrology import DerivativePair, Whitened, differentiate_at_zero_shift, fi_homodyne, qfi
+from critsense.metrology import DerivativePair, Whitened, fi_homodyne, qfi
 from critsense.oracle import gaussian_qfi, lyapunov_rk4
 from critsense.protocols import (
     ProtocolKind,
@@ -124,9 +123,8 @@ def test_closed_form_matches_rk4(case):
     """The closed-form state and its exact shift derivative against the RK4
     Lyapunov-and-tangent oracle."""
     params, t = case
-    start = thermal_state(params.n_bath)
-    numeric = lyapunov_rk4(params, start, t)
-    pair = differentiate_at_zero_shift(evolve_critical, params, start, t)
+    numeric = lyapunov_rk4(params, thermal_state(params.n_bath), t)
+    pair = driven_pair(params, t)
     assert _rel_state_diff(pair.state, numeric.state) <= 1e-8
     assert _rel_tangent_diff(pair, numeric) <= 1e-8
 
@@ -136,13 +134,11 @@ def test_closed_form_matches_rk4(case):
     st.floats(0.0, 1.0),
 )
 def test_passive_pair_matches_rk4(alpha, r, gamma, n_bath, frac):
-    """The passive pair against the RK4 oracle at omega0 = 0, where the lab
-    frame is evolve_passive's rotating frame, up to ten damping times
-    (lossless: t <= 10)."""
+    """passive_pair against the RK4 oracle at omega0 = 0, where the lab frame is
+    evolve_passive's rotating frame, up to ten damping times (lossless: t <= 10)."""
     params = SystemParams(1.0, 0.0, gamma, n_bath=n_bath)
     t = frac * 10.0 / max(gamma, 1.0)
-    start = pqs_input_state(DisplacementAmplitude(alpha), SqueezeParam(r), n_bath)
-    pair = differentiate_at_zero_shift(evolve_passive, params, start, t)
+    pair = passive_pair(DisplacementAmplitude(alpha), SqueezeParam(r), params, t)
     numeric = rk4_pqs_pair(alpha, r, params, t)
     assert _rel_state_diff(pair.state, numeric.state) <= 1e-8
     assert _rel_tangent_diff(pair, numeric) <= 1e-8
@@ -162,7 +158,7 @@ def test_homodyne_never_beats_qfi(case):
     """FI <= QFI over the angle, to rounding: the derivative is exact. The
     angle lies in [0, pi) and no point of a 721-point grid beats it."""
     params, t = case
-    pair = differentiate_at_zero_shift(evolve_critical, params, thermal_state(params.n_bath), t)
+    pair = driven_pair(params, t)
     psi, best = best_homodyne(pair)
     assert best <= qfi(pair) * (1.0 + 1e-12)
     assert 0.0 <= psi < math.pi
@@ -177,7 +173,7 @@ def test_qfi_matches_general_formula(case):
     and a solve with sigma round. Draws that either raises on are skipped,
     as are states of purity above 0.999 and subnormal QFIs."""
     params, t = case
-    pair = differentiate_at_zero_shift(evolve_critical, params, thermal_state(params.n_bath), t)
+    pair = driven_pair(params, t)
     try:
         info, general = qfi(pair), gaussian_qfi(pair)
     except CritsenseError:
@@ -244,7 +240,7 @@ def test_exact_derivative_matches_finite_differences(case):
     size, counting its step-halving estimate and its rounding eps |Sigma| / h,
     the exact derivative is within 1e-8 of it."""
     params, t = case
-    pair = differentiate_at_zero_shift(evolve_critical, params, thermal_state(params.n_bath), t)
+    pair = driven_pair(params, t)
     step = 1e-5 * max(params.gamma, params.omega0, params.epsilon)
     with np.errstate(over="ignore", invalid="ignore"):
         fd_dv, fd_dsigma, err = _richardson_shift_derivative(cqs_state_family(params, t), step)
@@ -344,7 +340,7 @@ def _assert_array_call_matches(array_call, float_pair, ts: np.ndarray, read=qfi,
 
 
 def _qfi_rounding_floor(params: SystemParams, t: float, pair: DerivativePair) -> float:
-    """The QFI of the CQS pair of params at t that the rounding of its dSigma
+    """The QFI of pair = driven_pair(params, t) that the rounding of its dSigma
     alone can give. From the thermal start Sigma0 = (1 + 2 n_bath) I, dv = 0
     and dSigma = X + X^T + dG, X = dM Sigma0 M^T; a rotation-invariant start
     cancels X + X^T, and no drive cancels dG, to rounding. That rounding is
@@ -421,8 +417,7 @@ def _cqs_qfi_calls(draw):
     params = draw((system_params() | lossless).filter(lambda p: p.epsilon > 0.0))
     ts = _grid(params, draw(st.floats(0.0, 1.0)))
     floor = partial(_qfi_rounding_floor, params)
-    pair_at = partial(differentiate_at_zero_shift, evolve_critical, params, thermal_state(params.n_bath))
-    _assert_array_call_matches(partial(cqs_qfi, params), pair_at, ts, floor=floor)
+    _assert_array_call_matches(partial(cqs_qfi, params), partial(driven_pair, params), ts, floor=floor)
 
 
 def _cqs_qfi_raise_calls(draw):
@@ -437,10 +432,9 @@ def _cqs_qfi_raise_calls(draw):
     assume(growth > 0.0)
     horizon = _horizon(params)
     ts = np.array([0.0, 0.5 * horizon, horizon, 400.0 / growth, 800.0 / growth])
-    pair_at = partial(differentiate_at_zero_shift, evolve_critical, params, thermal_state(params.n_bath))
     with pytest.raises(InvalidStateError):
-        pair_at(float(ts[-1]))
-    _assert_array_call_matches(partial(cqs_qfi, params), pair_at, ts)
+        driven_pair(params, float(ts[-1]))
+    _assert_array_call_matches(partial(cqs_qfi, params), partial(driven_pair, params), ts)
 
 
 def _fi_homodyne_calls(draw):
@@ -475,8 +469,7 @@ def _photons_and_purity_calls(draw):
     mean_photons_vs_time on an array. N = tr(sigma)/4 - 1/2 + |v|^2/2 is
     a difference of terms of size N + 1, and is held to 1e-10 of that."""
     params = draw(system_params())
-    ts = _grid(params, draw(st.floats(0.0, 1.0)))
-    pair_at = partial(differentiate_at_zero_shift, evolve_critical, params, thermal_state(params.n_bath))
+    ts, pair_at = _grid(params, draw(st.floats(0.0, 1.0))), partial(driven_pair, params)
     photons, pure = lambda pair: mean_photons(pair.state), lambda pair: purity(pair.state)
     _assert_array_call_matches(lambda ts: over_t(lambda t: pure(pair_at(t)), ts), pair_at, ts, read=pure)
     for array_call in (lambda ts: over_t(lambda t: photons(pair_at(t)), ts), partial(mean_photons_vs_time, params)):
@@ -490,18 +483,15 @@ def _pqs_qfi_calls(draw):
     assume(n_max > params.n_bath)
     _, r = default_pqs_input(n_max, params.n_bath)
     ts = _grid(params, fraction)
-    start = pqs_input_state(alpha, r, params.n_bath)
-    pair_at = partial(differentiate_at_zero_shift, evolve_passive, params, start)
-    _assert_array_call_matches(partial(pqs_qfi, alpha, r, params), pair_at, ts)
+    _assert_array_call_matches(partial(pqs_qfi, alpha, r, params), partial(passive_pair, alpha, r, params), ts)
 
 
 def _optimal_input_calls(draw):
     """The optimal homodyne input of each t, with alpha and r arrays over t:
     optimal_homodyne_input's squeezing and displacement, then
-    pqs_input_state (its moments to 1e-10 of N + 1), then the passive
-    pair's QFI and fi_homodyne at psi = pi/2 (to 1e-10 of max(FI, QFI)) on
-    a bath of n_bath, each against its float call at each t. Optimal
-    squeezing needs t > 0."""
+    pqs_input_state (its moments to 1e-10 of N + 1), then passive_pair's QFI
+    and fi_homodyne at psi = pi/2 (to 1e-10 of max(FI, QFI)) on a bath of
+    n_bath, each against its float call at each t. Optimal squeezing needs t > 0."""
     omega0, gamma = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
     n_bath, n_max = draw(st.just(0.0) | st.floats(0.0, 3.0)), draw(st.floats(-3.0, 9.0).map(lambda x: 10.0 ** x))
     fraction = draw(st.floats(0.0, 1.0))
@@ -520,7 +510,7 @@ def _optimal_input_calls(draw):
     for read, scale in reads:
         _assert_array_call_matches(lambda ts: read(start_at(ts)), start_at, ts, read=read, scale=scale)
 
-    pair_at = lambda t: differentiate_at_zero_shift(evolve_passive, params, start_at(t).state, t)
+    pair_at = lambda t: passive_pair(*optimal_homodyne_input(n_max, gamma, t), params, t)
     homodyne = lambda pair: fi_homodyne(pair, math.pi / 2.0)
     _assert_array_call_matches(lambda ts: qfi(pair_at(ts)), pair_at, ts)
     scale = lambda pair: max(homodyne(pair), qfi(pair))
