@@ -33,7 +33,7 @@ from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import DomainError, NoSteadyStateError
 from ._elementwise import finite_moments, lib, matrix, over_t, per_t, quiet, reject, select
-from .gaussian import IDENTITY, GaussianState, _check_grid, mean_photons, thermal_state
+from .gaussian import IDENTITY, GaussianState, _check_grid, _check_occupation, mean_photons, thermal_state
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -50,8 +50,7 @@ class SystemParams:
             raise DomainError("system parameters must be finite")
         if self.gamma < 0:
             raise DomainError(f"gamma must be >= 0, got {self.gamma!r}")
-        if self.n_bath < 0:
-            raise DomainError(f"n_bath must be >= 0, got {self.n_bath!r}")
+        _check_occupation(self.n_bath)
         if self.epsilon < 0:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon!r}")
 
@@ -200,12 +199,14 @@ def _int_texp(lam: float, t):
     return select(abs(x) < 1.0, series, closed, t, x)
 
 
-# The series branch of the noise integrals: |s| times the square of the
-# effective horizon at most this. The exponential weight cuts the integrals
-# off at ~1/gamma, so the horizon is min(t, 2.5 / gamma). Within it the 14th term
-# is under 1e-17 of each integral and 3e-15 of each s-slope; past it the closed
-# branch loses digits as 1 / (|s| t_eff^2)^2 (QFI up to 8e-14; 1.3e-10 at 2.5e-3).
+# The series branch of the noise integrals: |s| t_eff^2 at most _SERIES_ST2.
+# The exponential weight cuts the integrals off at ~1/gamma, so the effective
+# horizon is t_eff = min(t, _SERIES_HORIZON / gamma). Within the branch the 14th
+# term is under 1e-17 of each integral and 3e-15 of each s-slope; past it the
+# closed branch loses digits as 1 / (|s| t_eff^2)^2 (QFI up to 8e-14; 1.3e-10
+# at the former cutoff 2.5e-3).
 _SERIES_ST2 = 0.3
+_SERIES_HORIZON = 2.5
 
 # Ic, Is and Iq are sums over k < 14 of (4 s)^k (1, 2, 2) r_j at j = 2k + (0,
 # 1, 2), r_j = ∫_0^t τ^j / j! e^{-2 g τ}; the s-slopes take polyder's weights.
@@ -219,7 +220,7 @@ _MOMENT_LIMITS = 1.0 / np.cumprod(_MOMENT_ORDERS)  # 1 / (j + 1)!
 
 
 def _is_series(gamma: float, s: float, t):
-    t_eff = lib(t).min(t, 2.5 / gamma)
+    t_eff = lib(t).min(t, _SERIES_HORIZON / gamma)
     return abs(s) * t_eff * t_eff <= _SERIES_ST2
 
 

@@ -285,9 +285,9 @@ def photon_variance(state: GaussianState) -> float:
     require_one_state(state, "photon_variance")
     if float(np.linalg.norm(state.v)) >= TOL:
         raise PreconditionError("photon_variance requires zero first moments")
-    s = state.sigma
+    (s11, s12), (_, s22) = state.sigma
     with finite_moments():
-        var = float((s[0, 0] ** 2 + s[1, 1] ** 2 + 2.0 * s[0, 1] ** 2) / 8.0 - 0.25)
+        var = float((s11 * s11 + s22 * s22 + 2.0 * s12 * s12) / 8.0 - 0.25)
     if var < -TOL:
         raise InvalidStateError(f"negative photon variance {var!r}")
     return max(var, 0.0)

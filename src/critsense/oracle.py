@@ -542,25 +542,15 @@ def uhlmann_fidelity(rho: FockDensityMatrix, tau: FockDensityMatrix) -> float:
     return float(np.linalg.svd(product, compute_uv=False).sum())
 
 
-def fock_qfi_fidelity(
-    params: SystemParams,
-    t: float,
-    dtheta: float,
-    dim: int,
-    rho0: FockDensityMatrix | None = None,
-) -> float:
+def fock_qfi_fidelity(params: SystemParams, t: float, dtheta: float, dim: int) -> float:
     """QFI estimate 8 (1 - sqrt(fidelity)) / dtheta^2 from the Fock oracle.
 
     Compares the states evolved at params and with omega0 shifted by
-    -dtheta, starting from equilibrium with the bath unless rho0 is given; a
-    given rho0 must have `dim` levels (DomainError otherwise).
+    -dtheta, from equilibrium with the bath on `dim` levels.
     """
     if not (1e-4 <= dtheta <= 1e-2):
         raise DomainError(f"dtheta must lie in [1e-4, 1e-2], got {dtheta!r}")
-    if rho0 is None:
-        rho0 = fock_thermal(params.n_bath, dim)
-    elif rho0.dim != dim:
-        raise DomainError(f"rho0 has {rho0.dim} levels, but dim = {dim!r}")
-    rho_a, rho_b = fock_evolve((params, replace(params, omega0=params.omega0 - dtheta)), rho0, t)
+    shifted = replace(params, omega0=params.omega0 - dtheta)
+    rho_a, rho_b = fock_evolve((params, shifted), fock_thermal(params.n_bath, dim), t)
     f_amp = min(uhlmann_fidelity(rho_a, rho_b), 1.0)
     return 8.0 * (1.0 - f_amp) / dtheta ** 2

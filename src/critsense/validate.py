@@ -117,9 +117,15 @@ def _rel_tangent_diff(a: DerivativePair, b: DerivativePair) -> float:
     ) / scale
 
 
-# Near the exceptional point, on both sides of the noise integrals' series
-# cutoff: s = eps^2 - omega^2 = +-1e-3 at omega0 = gamma = 1.
-NEAR_EP = tuple((SystemParams(1.0, math.sqrt(1.0 + s), 1.0), t) for s in (1e-3, -1e-3) for t in (5.0, 20.0))
+# Near the exceptional point, at omega0 = gamma = 1 and t = 5, past the noise
+# integrals' horizon: t_eff = dynamics._SERIES_HORIZON / gamma. For each sign
+# of s = eps^2 - omega^2, one point 0.1% inside and one 0.1% outside their
+# series branch |s| t_eff^2 <= dynamics._SERIES_ST2.
+NEAR_EP = tuple(
+    (SystemParams(1.0, math.sqrt(1.0 + sign * side * dynamics._SERIES_ST2 / dynamics._SERIES_HORIZON ** 2), 1.0), 5.0)
+    for sign in (1.0, -1.0)
+    for side in (1.0 - 1e-3, 1.0 + 1e-3)
+)
 # Through it, eps = omega (1 - 1e-7), omega and omega (1 + 1e-7), where
 # BATTERY does not hold them: (gamma, n_bath) = (1, 0) below, (0.5, 0.5) at all three.
 AT_EP = tuple(

@@ -356,9 +356,10 @@ class TestPurityVsTime:
 
 
 class TestNoiseIntegralBranches:
-    """The scalar noise integrals against adaptive quadrature across all branch
-    boundaries: the series window |s t^2| ~ 1e-4, the K-form/E-form split at
-    s = gamma^2/4, and the critical point s = gamma^2."""
+    """The scalar noise integrals against adaptive quadrature on both sides of
+    each branch boundary: the series branch |s| t_eff^2 <= _SERIES_ST2, t_eff
+    = min(t, _SERIES_HORIZON / gamma) (dynamics._is_series), the K-form/E-form
+    split at s = gamma^2/4, and the critical point s = gamma^2."""
 
     @staticmethod
     def _reference(gamma, s, t):

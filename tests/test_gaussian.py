@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -252,9 +253,14 @@ class TestObservables:
         assert photon_variance(vacuum_state()) == 0.0
         assert purity(vacuum_state()) == 1.0
 
-    def test_thermal_variance_matches_fock(self):
-        # Fock oracle: thermal variance n(n+1) = 2 for n = 1
-        assert photon_variance(thermal_state(1.0)) == pytest.approx(2.0, rel=1e-12)
+    @pytest.mark.parametrize("n_bath", [1.0, 93.92], ids=["one", "square_off_in_pow"])
+    def test_thermal_variance_matches_fock(self, n_bath):
+        """The Fock oracle's thermal variance n (n + 1), and to the bit x^2 / 4
+        - 1/4 for sigma = x I with x^2 correctly rounded: at n = 93.92 libm's
+        pow, which `** 2` calls on a numpy scalar, is one ulp off."""
+        x = 1.0 + 2.0 * n_bath
+        assert photon_variance(thermal_state(n_bath)) == pytest.approx(n_bath * (n_bath + 1.0), rel=1e-12)
+        assert photon_variance(thermal_state(n_bath)) == float(Fraction(x) ** 2) / 4.0 - 0.25
 
     def test_squeezed_variance(self):
         st = apply_squeeze(vacuum_state(), SqueezeParam(1.0))

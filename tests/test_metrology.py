@@ -230,7 +230,8 @@ class TestStackedPair:
     TIMES = np.array([0.0, 0.3, 2.0, 40.0])
 
     def _moments(self, params: SystemParams):
-        return dynamics._critical_flow(params, thermal_state(params.n_bath), self.TIMES)
+        pair = driven_pair(params, self.TIMES)
+        return pair.state, pair.dv, pair.dsigma
 
     @pytest.mark.parametrize(
         "params", [SystemParams(1.0, 1.2, 1.0, n_bath=0.5), SystemParams(1.0, 0.5, 0.0)], ids=["lossy", "pure"]

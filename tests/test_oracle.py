@@ -48,7 +48,7 @@ from critsense.protocols import (
     optimal_homodyne_input,
     total_qfi,
 )
-from critsense.validate import ALL_CHECKS, BATTERY, _horizon, _rel_tangent_diff, check_rk4_agreement
+from critsense.validate import ALL_CHECKS, BATTERY, NEAR_EP, _horizon, _rel_tangent_diff, check_rk4_agreement
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.check_name)
@@ -72,6 +72,34 @@ def test_rk4_agreement_sees_a_branch_error_below_the_exceptional_point(monkeypat
     monkeypatch.setattr(dynamics, "_decayed_cosh_sinhc", planted)
     result = check_rk4_agreement()
     assert not result.passed and "eps=0.9999999" in result.detail, result.detail
+
+
+@pytest.mark.parametrize("series", [False, True], ids=["closed_side", "series_side"])
+def test_rk4_agreement_sees_an_error_at_the_series_cutoff(monkeypatch, series):
+    """A 1e-8 relative error in the noise integrals and their s-slopes, only
+    within 1% of the series cutoff |s| t_eff^2 = _SERIES_ST2 on one side of
+    it, fails the RK4 agreement check at a NEAR_EP point on that side."""
+    exact, cutoff = dynamics._noise_integrals, dynamics._SERIES_ST2
+
+    def planted(gamma, s, k, t, slopes=False):
+        i0, *rest = exact(gamma, s, k, t, slopes)
+        t_eff = np.minimum(t, dynamics._SERIES_HORIZON / gamma)
+        level = abs(s) * t_eff * t_eff
+        if series:
+            hit = (0.99 * cutoff <= level) & (level < cutoff)
+        else:
+            hit = (cutoff < level) & (level <= 1.01 * cutoff)
+        return (i0, *(x * np.where(hit, 1.0 + 1e-8, 1.0) for x in rest))
+
+    monkeypatch.setattr(dynamics, "_noise_integrals", planted)
+    result = check_rk4_agreement()
+    names = [
+        f"eps={params.epsilon:.9g} "
+        for params, t in NEAR_EP
+        if dynamics._is_series(params.gamma, dynamics._s_and_gap(params)[0], t) == series
+    ]
+    assert len(names) == 2
+    assert not result.passed and any(name in result.detail for name in names), result.detail
 
 
 def same_bits(a, b):
@@ -627,17 +655,16 @@ class TestFockQfi:
         assert estimate == pytest.approx(reference, rel=0.02)
 
     def test_passive_coherent(self):
-        params = SystemParams(0.0, 0.0, 0.0)
-        estimate = fock_qfi_fidelity(params, 1.0, 5e-3, dim=30, rho0=fock_coherent(1.0, 30))
+        """Free precession of the coherent state |1>: 8 (1 - uhlmann_fidelity) /
+        dtheta^2 of its states at omega0 = 0 and -dtheta is 4 |alpha|^2 t^2."""
+        params, dtheta = SystemParams(0.0, 0.0, 0.0), 5e-3
+        rho_a, rho_b = fock_evolve((params, replace(params, omega0=-dtheta)), fock_coherent(1.0, 30), 1.0)
+        estimate = 8.0 * (1.0 - min(uhlmann_fidelity(rho_a, rho_b), 1.0)) / dtheta ** 2
         assert estimate == pytest.approx(4.0, rel=0.01)
 
     def test_step_out_of_range(self):
         with pytest.raises(DomainError):
             fock_qfi_fidelity(SystemParams(1.0, 1.2, 1.0), 1.0, 5e-2, dim=30)
-
-    def test_start_of_another_truncation_rejected(self):
-        with pytest.raises(DomainError, match="30 levels, but dim = 60"):
-            fock_qfi_fidelity(SystemParams(1.0, 0.5, 1.0), 1.0, 5e-3, dim=60, rho0=fock_thermal(0.0, 30))
 
 
 class TestFockStates:

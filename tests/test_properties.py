@@ -26,6 +26,7 @@ from critsense.dynamics import (
     SystemParams,
     _noise_integrals,
     evolve_critical,
+    evolve_passive,
     mean_photons_vs_time,
 )
 from critsense.errors import AccuracyError, ConstraintError, CritsenseError, DomainError, InvalidStateError
@@ -40,7 +41,7 @@ from critsense.gaussian import (
     purity,
     thermal_state,
 )
-from critsense.metrology import DerivativePair, Whitened, fi_homodyne, qfi
+from critsense.metrology import DerivativePair, Whitened, differentiate_at_zero_shift, fi_homodyne, qfi
 from critsense.oracle import gaussian_qfi, lyapunov_rk4
 from critsense.protocols import (
     ProtocolKind,
@@ -260,18 +261,19 @@ def test_rate_rescaling_invariance(case, lam):
 
 
 def _jump(gamma: float, s: float, t: float) -> float:
-    """Largest relative change of the four noise integrals from s (1 - 1e-12)
-    to s (1 + 1e-12), across a branch boundary at s."""
-    below = _noise_integrals(gamma, s * (1.0 - 1e-12), gamma * gamma - s * (1.0 - 1e-12), t)
-    above = _noise_integrals(gamma, s * (1.0 + 1e-12), gamma * gamma - s * (1.0 + 1e-12), t)
+    """Largest relative change of the four noise integrals and their three
+    s-slopes from s (1 - 1e-12) to s (1 + 1e-12), across a branch boundary at s."""
+    below = _noise_integrals(gamma, s * (1.0 - 1e-12), gamma * gamma - s * (1.0 - 1e-12), t, slopes=True)
+    above = _noise_integrals(gamma, s * (1.0 + 1e-12), gamma * gamma - s * (1.0 + 1e-12), t, slopes=True)
     return max(abs(a - b) / abs(b) for a, b in zip(below, above))
 
 
 @given(LOG_RATE, LOG_TIME, st.sampled_from((-1.0, 1.0)))
 def test_noise_integrals_continuous_at_series_boundary(gamma, t, sign):
-    """|s| t_eff^2 = 2.5e-3 separates the series in s from the closed forms."""
-    t_eff = min(t, 2.5 / gamma)
-    assert _jump(gamma, sign * 2.5e-3 / (t_eff * t_eff), t) <= 1e-9
+    """|s| t_eff^2 = _SERIES_ST2, t_eff = min(t, _SERIES_HORIZON / gamma),
+    separates the series in s from the closed forms (dynamics._is_series)."""
+    t_eff = min(t, dynamics._SERIES_HORIZON / gamma)
+    assert _jump(gamma, sign * dynamics._SERIES_ST2 / (t_eff * t_eff), t) <= 1e-9
 
 
 @given(LOG_RATE, LOG_TIME)
@@ -349,8 +351,9 @@ def _qfi_rounding_floor(params: SystemParams, t: float, pair: DerivativePair) ->
     dSigma is at most |Sigma^-1|^2 |E|_F^2 (1/2 + mu^2 / (1 - mu^4)), the
     purity term dropped for a pure state (qfi_terms)."""
     # M and dM column by column, from unit first moments at a float t.
-    units = dynamics._critical_flow(params, GaussianState(np.eye(2), np.stack([np.eye(2)] * 2)), t)
-    M, dM = units[0].v.T, units[1].T
+    unit_starts = GaussianState(np.eye(2), np.stack([np.eye(2)] * 2))
+    units = differentiate_at_zero_shift(evolve_critical, params, unit_starts, t)
+    M, dM = units.state.v.T, units.dv.T
     terms = (1.0 + 2.0 * params.n_bath) * np.abs(dM) @ np.abs(M).T
     terms = terms + terms.T
     if params.gamma > 0:
@@ -368,23 +371,23 @@ def _qfi_rounding_floor(params: SystemParams, t: float, pair: DerivativePair) ->
 
 @st.composite
 def protocol_flows(draw) -> tuple:
-    """(flow, params, start): the driven protocol from the bath's thermal
+    """(evolve, params, start): the driven protocol from the bath's thermal
     state, or the passive one from a displaced squeezed thermal input, whose
     displacement gives the homodyne FI its mean term."""
     params = draw(system_params())
     if not draw(st.booleans()):
-        return dynamics._critical_flow, params, thermal_state(params.n_bath)
+        return evolve_critical, params, thermal_state(params.n_bath)
     params = SystemParams(params.omega0, 0.0, params.gamma, n_bath=params.n_bath)
     alpha = DisplacementAmplitude(draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 2.0 * math.pi)))
     squeeze = SqueezeParam(draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 2.0 * math.pi)))
-    return dynamics._passive_flow, params, pqs_input_state(alpha, squeeze, params.n_bath)
+    return evolve_passive, params, pqs_input_state(alpha, squeeze, params.n_bath)
 
 
-def _pairs_of_one_flow(flow, params: SystemParams, start, fraction: float):
+def _pairs_of_one_flow(evolve, params: SystemParams, start, fraction: float):
     """(ts, pair_at) on the grid ts = _grid(params, fraction). pair_at(t):
     for the array ts, the DerivativePair stacked over ts of one array
-    evaluation of flow's moments; for a float t of ts, the DerivativePair
-    of that evaluation's moments at t.
+    evaluation, differentiate_at_zero_shift(evolve, params, start, ts); for
+    a float t of ts, the DerivativePair of that evaluation's moments at t.
 
     The closed-form shift derivative can carry more than 1e-10 of rounding
     (1.8e-6 relative on a small off-diagonal entry of dSigma at omega0 =
@@ -393,15 +396,15 @@ def _pairs_of_one_flow(flow, params: SystemParams, start, fraction: float):
     on a stacked pair are held to 1e-10 of their float calls; the flows' own
     agreement is the QFI rows' part."""
     ts = _grid(params, fraction)
-    state, dv, dsigma = flow(params, start, ts)
-    rows = {t: k for k, t in enumerate(ts.tolist())}
+    stack = differentiate_at_zero_shift(evolve, params, start, ts)
+    state, rows = stack.state, {t: k for k, t in enumerate(ts.tolist())}
 
     def pair_at(t):
         if isinstance(t, np.ndarray):
-            return DerivativePair(state, dv, dsigma)
+            return stack
         k = rows[t]
         row = GaussianState(state.v[k], state.sigma[k], state.det_sigma[k].item(), state.det_rounding[k].item())
-        return DerivativePair(row, dv[k], dsigma[k])
+        return DerivativePair(row, stack.dv[k], stack.dsigma[k])
 
     return ts, pair_at
 
@@ -704,7 +707,7 @@ def test_near_exceptional_point_matches_van_loan():
 
     Near the exceptional point, where the noise integrals' s-slopes cancel
     digits past their series cutoff |s| t_eff^2 = _SERIES_ST2, t_eff =
-    min(t, 2.5 / gamma): cqs_qfi is within 1e-13 of the 50-digit value at
+    min(t, _SERIES_HORIZON / gamma): cqs_qfi is within 1e-13 of the 50-digit value at
     |s| t_eff^2 from 1e-4 to 1 (both sides of the cutoff), for both signs
     of s, from the vacuum and from a thermal start, as floats and as one
     array call. At omega0 = gamma = 1, s = 1e-3, t = 20 and s = -1e-3, t = 5
