@@ -223,8 +223,23 @@ def fock_coherent(alpha: complex, dim: int) -> FockDensityMatrix:
     return FockDensityMatrix(dim, rho)
 
 
+def _tail_dim(x: float) -> int:
+    """Levels for a photon distribution P(n) falling as x^n, 0 <= x < 1: the
+    tail beyond ln(LEAK_BUDGET)/ln(x) levels holds about LEAK_BUDGET, and
+    four levels of margin are added."""
+    if x == 0.0:  # the vacuum: no tail
+        return 4
+    return math.ceil(math.log(LEAK_BUDGET) / math.log(x)) + 4
+
+
 def suggested_dim(max_photons: float) -> int:
-    """Truncation rule: 12x the largest expected photon number, at least 30.
+    """Truncation rule for a state of N = max_photons photons: 12 N levels,
+    at least 30, or fewer where the heaviest tail N allows fits in fewer.
+
+    Of the zero-mean Gaussian states with N photons the pure squeezed
+    vacuum has the heaviest tail, x = sqrt(N/(N + 1)) in _tail_dim. Its
+    levels are taken where they fall below 30, for N below about 0.297
+    (0.29 -> 29, 0.3 -> 30); no truncation is larger than max(30, 12 N).
 
     Known limit: from thermal starts (vacuum included) the rule undersizes
     at N of about 0.7-1, where the squeezed state's photon tail outlasts 30
@@ -234,7 +249,9 @@ def suggested_dim(max_photons: float) -> int:
     """
     if not 0 <= max_photons < math.inf:
         raise DomainError(f"photon number must be >= 0 and finite, got {max_photons!r}")
-    return max(30, math.ceil(12.0 * max_photons))
+    if 12.0 * max_photons > 30.0:  # where the squeezed vacuum's tail is longer still
+        return math.ceil(12.0 * max_photons)
+    return min(30, _tail_dim(math.sqrt(max_photons / (max_photons + 1.0))))
 
 
 def _read_only(*arrays):
@@ -384,14 +401,13 @@ def _retry_dim(rho: np.ndarray, dim: int) -> int:
     (vacuum = 1) has P(n) falling as x^n, x = (s - 1)/(s + 1): x =
     n/(n + 1) for a thermal state, sqrt(N/(N + 1)) for a squeezed vacuum.
     Taking s from rho's non-central second moments Sigma + 2 v v^T covers a
-    displaced state too. The tail beyond ln(LEAK_BUDGET)/ln(x) levels then
-    holds about LEAK_BUDGET; four levels of margin are added, and the retry
-    always grows the truncation.
+    displaced state too. The retry takes _tail_dim(x) levels, and always
+    grows the truncation.
     """
     v, sigma = fock_moments(FockDensityMatrix(dim, rho))
     s = float(np.linalg.eigvalsh(sigma + 2.0 * np.outer(v, v))[-1])
-    need = math.ceil(math.log(LEAK_BUDGET) / math.log((s - 1.0) / (s + 1.0))) if s > 1.0 else dim
-    return max(need + 4, dim + 2)
+    need = _tail_dim((s - 1.0) / (s + 1.0)) if s > 1.0 else dim + 4
+    return max(need, dim + 2)
 
 
 # Al-Mohy & Higham's theta_55 (Table 3.1): a Taylor step of degree 55 has a

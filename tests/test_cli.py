@@ -1007,6 +1007,26 @@ def test_output_diff_sizes_a_moved_fock_estimate(two_runs, capsys):
     assert out[2:] == [f"1 of 14 entries differ; largest {rel:.3g}"]
 
 
+def test_output_diff_lists_changed_fock_dims_by_value(two_runs, capsys):
+    """The dims a Fock entry tried are listed by value, whatever their
+    count, and stay out of the largest relative difference, which the
+    estimate's 1e-8 sets."""
+    tool, a, b = two_runs
+    payload = json.loads((a / "fock" / "0.json").read_text())
+    dims = payload["dims"]
+    payload["dims"] = [18]
+    payload["estimate"] *= 1.0 + 1e-8
+    (b / "fock" / "0.json").write_text(json.dumps(payload))
+    code, out = _diff(tool, a, b, capsys)
+    assert code == 1 and out[:2] == ["fock.0", f"fock.0.dims: {dims} -> [18]"]
+    rel = _relative(out[2], "fock.0.estimate")
+    assert rel == pytest.approx(1e-8, rel=1e-3)
+    assert out[3:] == [f"1 of 14 entries differ; largest {rel:.3g}"]
+    payload["dims"] = [18, 30]
+    (b / "fock" / "0.json").write_text(json.dumps(payload))
+    assert _diff(tool, a, b, capsys)[1][1] == f"fock.0.dims: {dims} -> [18, 30]"
+
+
 def test_output_diff_names_entries_one_digest_holds(two_runs, capsys):
     tool, a, b = two_runs
     digest = json.loads((b / "digest.json").read_text())

@@ -229,7 +229,7 @@ SHIFT_PAIR_NODES = [
     *(
         (SystemParams(1.0, ratio * math.sqrt(2.0), 1.0, n_bath=n_bath), fock_thermal(n_bath, dim), t)
         for n_bath, ratio, t, dim in [
-            (0.0, 0.35, 2.3, 30), (0.0, 0.55, 2.7, 30), (0.5, 0.35, 1.5, 30), (0.0, 0.85, 1.5, 43),
+            (0.0, 0.35, 2.3, 18), (0.0, 0.55, 2.7, 26), (0.5, 0.35, 1.5, 30), (0.0, 0.85, 1.5, 43),
             (0.5, 0.55, 0.7, 38), (0.5, 0.62, 1.0, 46), (0.5, 0.70, 0.8, 48), (0.5, 0.80, 0.6, 47),
         ]
     ),
@@ -497,6 +497,26 @@ class TestFockEvolve:
     def test_suggested_dim_rule(self):
         assert suggested_dim(0.5) == 30
         assert suggested_dim(10.0) == 120
+        # Below about 0.297 photons, the squeezed vacuum's tail: the design's
+        # two small-photon nodes, and either side of the crossover.
+        assert suggested_dim(0.071) == 18
+        assert suggested_dim(0.218) == 26
+        assert suggested_dim(0.29) == 29
+        assert suggested_dim(0.3) == 30
+        dim = suggested_dim(0.0)
+        assert dim >= 2
+        assert fock_evolve(SystemParams(1.0, 0.0, 1.0), fock_vacuum(dim), 1.0).leakage <= LEAK_BUDGET
+
+    @pytest.mark.parametrize("photons", np.geomspace(1e-4, 0.29, 12))
+    def test_suggested_dim_holds_a_squeezed_vacuum(self, photons):
+        """The heaviest tail N photons allow: the pure squeezed vacuum of a
+        lossless quench from the vacuum (eps^2 = N/(N + 1), omega0 = 1), at
+        the first peak of N(t), evolved at suggested_dim(N), does not leak."""
+        params = SystemParams(1.0, math.sqrt(photons / (1.0 + photons)), 0.0)
+        t = 0.5 * math.pi * math.sqrt(1.0 + photons)
+        assert mean_photons_vs_time(params, t) == pytest.approx(photons, rel=1e-9)
+        rho = fock_evolve(params, fock_vacuum(suggested_dim(photons)), t)
+        assert rho.leakage <= LEAK_BUDGET
 
 
 def direct_liouvillian(params, dim):

@@ -42,7 +42,7 @@ from critsense.gaussian import (
     thermal_state,
 )
 from critsense.metrology import DerivativePair, Whitened, differentiate_at_zero_shift, fi_homodyne, qfi
-from critsense.oracle import gaussian_qfi, lyapunov_rk4
+from critsense.oracle import gaussian_qfi, lyapunov_rk4, suggested_dim
 from critsense.protocols import (
     ProtocolKind,
     ProtocolSpec,
@@ -183,6 +183,16 @@ def test_qfi_matches_general_formula(case):
     (s11, s12), (_, s22) = pair.state.sigma.tolist()
     rounding = np.finfo(float).eps * (s11 * s22 + s12 * s12) / pair.state.det_sigma
     assert abs(general - info) <= 1e3 * rounding * info
+
+
+@given(st.floats(0.0, 100.0), st.floats(0.0, 100.0))
+@example(0.297, 0.298)
+def test_suggested_dim_is_monotone_and_capped(a, b):
+    """The Fock truncation rule never shrinks as N grows, and the
+    squeezed-vacuum tail only ever lowers it below max(30, ceil(12 N))."""
+    lo, hi = sorted((a, b))
+    assert suggested_dim(lo) <= suggested_dim(hi)
+    assert suggested_dim(hi) <= max(30, math.ceil(12.0 * hi))
 
 
 @st.composite

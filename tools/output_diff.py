@@ -15,9 +15,11 @@ field (named by its path of keys; a list's entries share its path) that
 moved: the largest |a - b| / max(|a|, |b|) over its values (0 where both
 are 0, or equal and non-finite; inf where one is non-finite and the other
 is not), `only in DIR` for a field one side alone holds, or `does not pair`
-when the sides hold different numbers of values. The last line counts the entries that differ and gives
-the largest relative difference. Exits 0 when none differs, 1 otherwise, 2
-on a usage error.
+when the sides hold different numbers of values. A Fock entry's `dims`, the
+truncations it tried, are labels, not measurements: a change is listed by
+value, as `fock.0.dims: [30] -> [18]`, and not sized. The last line counts
+the entries that differ and gives the largest relative difference. Exits 0
+when none differs, 1 otherwise, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def leaves(node, path: str = ""):
         for value in node:
             yield from leaves(value, path)
     elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        yield path, float(node)
+        yield path, node
 
 
 def fields(name: str, data: bytes) -> dict[str, list]:
@@ -97,9 +99,12 @@ def main(argv: list[str]) -> int:
         for key in sorted(fa.keys() | fb.keys()):
             if key not in fa or key not in fb:
                 print(f"{name}.{key}: only in {argv[0] if key in fa else argv[1]}")
+            elif key == "dims":  # a Fock entry's truncations tried: labels, not measurements
+                if fa[key] != fb[key]:
+                    print(f"{name}.{key}: {fa[key]} -> {fb[key]}")
             elif len(fa[key]) != len(fb[key]):
                 print(f"{name}.{key}: does not pair")
-            elif rel := relative_difference(np.array(fa[key]), np.array(fb[key])):
+            elif rel := relative_difference(np.array(fa[key], dtype=float), np.array(fb[key], dtype=float)):
                 print(f"{name}.{key}: {rel:.3g}")
                 largest = max(largest, rel)
     print(f"{len(differ)} of {len(a.keys() | b.keys())} entries differ; largest {largest:.3g}")
